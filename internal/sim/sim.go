@@ -66,9 +66,10 @@ type KeyedProtocol interface {
 // the paper's model itself has no crashes.
 //
 // Crashed must be safe for concurrent calls with distinct a: the sharded
-// kernel's workers query it from their goroutines. Plans that precompute
-// their crash set (both implementations in failures.go) satisfy this for
-// free.
+// kernel's workers query it from their goroutines. Both implementations
+// in failures.go precompute their crash set as a packed bitset that is
+// read-only once built, so concurrent queries are plain reads and need no
+// lock.
 type FailurePlan interface {
 	// Crashed reports whether agent a is down in the given round.
 	Crashed(a, round int) bool

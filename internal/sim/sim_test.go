@@ -259,29 +259,6 @@ func TestCrashAtLaterRound(t *testing.T) {
 	}
 }
 
-func TestRandomCrashes(t *testing.T) {
-	r := rng.New(23)
-	plan := NewRandomCrashes(1000, 0.3, 0, r, 0)
-	if plan.Crashed(0, 5) {
-		t.Error("protected agent crashed")
-	}
-	got := plan.NumCrashed()
-	if got < 230 || got > 370 {
-		t.Errorf("crash count %d far from expectation 300", got)
-	}
-	if !plan.Crashed(-1, 0) && plan.NumCrashed() > 0 {
-		// pick an actually crashed agent to verify timing semantics
-		for a := 1; a < 1000; a++ {
-			if plan.Crashed(a, 0) {
-				if !plan.Crashed(a, 100) {
-					t.Error("crash must be permanent")
-				}
-				break
-			}
-		}
-	}
-}
-
 func TestRandomCrashesValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
