@@ -552,10 +552,12 @@ func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry
 	ex.mu.Lock()
 	points := ex.points
 	ex.mu.Unlock()
-	ex.finish(&resp, raw, traceBytes, wall)
-	// The trace never enters the cache: it describes this execution's
-	// wall-clock behaviour, not the (deterministic) result.
+	// The entry goes in before Done closes, so a resubmission from a
+	// woken waiter is a cache hit, never a second kernel run. The trace
+	// never enters the cache: it describes this execution's wall-clock
+	// behaviour, not the (deterministic) result.
 	s.cache.put(&cacheEntry{hash: ex.hash, resp: &resp, raw: raw, points: points, every: ex.req.TrajectoryEvery})
+	ex.finish(&resp, raw, traceBytes, wall)
 }
 
 // finalize retires an execution: removes it from the single-flight set

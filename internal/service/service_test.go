@@ -507,3 +507,37 @@ func TestSubmitAfterClose(t *testing.T) {
 		t.Errorf("submit after close: %v", err)
 	}
 }
+
+// TestResubmitAfterDoneIsCacheHit pins the order of an execution's
+// completion: its cache entry is stored before Done closes, so a client
+// that resubmits the moment its wait returns is served from the cache
+// instead of running the kernel again. Holding the cache lock while the
+// kernel runs makes the order observable: Done must not close until the
+// entry can be stored.
+func TestResubmitAfterDoneIsCacheHit(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for seed := uint64(1); seed <= 2; seed++ {
+		req := api.RunRequest{N: 256, Seed: seed}
+		j1, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.cache.mu.Lock()
+		select {
+		case <-j1.Done():
+			s.cache.mu.Unlock()
+			t.Fatalf("seed %d: Done closed before the cache entry was stored", seed)
+		case <-time.After(500 * time.Millisecond):
+		}
+		s.cache.mu.Unlock()
+		<-j1.Done()
+		j2, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j2.Cached {
+			t.Fatalf("seed %d: resubmission after Done was not a cache hit (state %s)", seed, j2.State())
+		}
+	}
+}

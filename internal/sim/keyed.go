@@ -44,9 +44,24 @@ package sim
 // atomic counter. Any bucket can be computed anywhere — a different
 // goroutine, a different execution order, in principle a different machine
 // — without exchanging generator state (keyed_shard_test.go).
+//
+// The inner loops — scatter placement and resolve, the tree's and the
+// sparse walker's per-slot resolve — are leaf functions whose common path
+// makes no call, so Go keeps their loop state in registers. Every rare
+// case leaves the loop: a placement or accept-one draw that may need
+// Lemire's rejection test breaks out to the full Cell.Uint32n/Uint64n
+// rule and the loop resumes at the next element; a non-uniform channel
+// resolves on its own path; crash checks run as pre-passes; tree slots
+// that need a rejection retry or the ≥ 2048-arrival deferral are listed
+// branch-free in a fix list and resolved after the sweep (keyedFix).
+// The scatter inbox is one uint64 per receiver — arrival count in the
+// low 32 bits, ones in the high 32 (exact, since m ≤ n < 2³¹) — zeroed
+// as each receiver resolves, so it needs no round stamps and each
+// message costs one random access.
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,10 +80,16 @@ type keyedState struct {
 	dropThresh  uint64
 	vshards     int
 
-	// Scatter-path inbox: per-receiver ones counters riding on the
-	// engine's stamped inCount/inStamp arrays, plus the touched list.
-	ones    []int32
-	touched []int32
+	// Scatter-path inbox, one word per receiver: arrival count in the
+	// low 32 bits, ones in the high 32, zero between rounds. touched
+	// lists the receivers in first-touch order and resolved their bits;
+	// inboxOpen marks a round whose resolve has not completed, and live
+	// holds one class's senders after drops.
+	inbox     []uint64
+	touched   []int32
+	resolved  []channel.Bit
+	inboxOpen bool
+	live      []int32
 
 	// Per-agent collection scratch: the Send-scan's sender lists.
 	zeroBuf []int32
@@ -331,100 +352,221 @@ func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
 // receiver id, noise addressed by receiver id. bulk selects the delivery
 // mechanism (BulkDeliver vs per-agent Receive); the draws are identical
 // either way.
+//
+// Both loops keep their common path call-free (see the file header): a
+// placement draw that may need Lemire's rejection test, and an accept-one
+// draw that may, break out to the full rule and resume at the next
+// element, so receivers are first touched — and resolved and delivered —
+// in the same order as a loop that called the full rule every time.
 func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, bulk bool, zeros, ones []int32, round int) {
 	k := e.keyed
-	if k.ones == nil {
-		k.ones = make([]int32, e.cfg.N)
+	if k.inbox == nil {
+		k.inbox = make([]uint64, e.cfg.N)
 	}
-	n := uint32(e.cfg.N)
-	stamp := int32(round)
-	self := e.cfg.AllowSelfMessages
+	m := len(zeros) + len(ones)
+	if cap(k.touched) < m {
+		k.touched = make([]int32, m)
+	}
+	inbox, touched := k.inbox, k.touched[:m]
+	// Entries are zeroed as receivers resolve; a round that unwinds before
+	// its resolve completes leaves the flag set for Reset to clear.
+	k.inboxOpen = true
+
+	span := uint32(e.cfg.N)
+	excl := uint32(0)
+	if !e.cfg.AllowSelfMessages {
+		span--
+		excl = 1
+	}
 	drop := k.dropThresh
 	cPlace := e.key.Cell(rng.StreamPlacement, uint64(round))
 	cDrop := e.key.Cell(rng.StreamDrop, uint64(round))
-	k.touched = k.touched[:0]
-
-	throw := func(senders []int32, bit int32) {
-		for _, s := range senders {
-			if drop != 0 && cDrop.Uint64(uint64(s))>>11 < drop {
-				e.dropped++
-				continue
-			}
-			var dst uint32
-			if self {
-				dst = cPlace.Uint32n(uint64(s), n)
-			} else {
-				dst = cPlace.Uint32n(uint64(s), n-1)
-				if dst >= uint32(s) {
-					dst++
-				}
-			}
-			if e.inStamp[dst] != stamp {
-				e.inStamp[dst] = stamp
-				e.inCount[dst] = 1
-				k.ones[dst] = bit
-				k.touched = append(k.touched, int32(dst))
-			} else {
-				e.inCount[dst]++
-				k.ones[dst] += bit
-			}
+	nt := 0
+	for c, senders := range [2][]int32{zeros, ones} {
+		inc := uint64(c)<<32 | 1
+		if drop != 0 {
+			// Drops thin the senders before placement, in order.
+			k.live = dropFilter(k.live[:0], senders, cDrop, drop)
+			senders = k.live
 		}
+		nt = scatterPlace(inbox, touched, senders, nt, cPlace, span, excl, inc)
 	}
-	throw(zeros, 0)
-	throw(ones, 1)
 	e.mark(telemetry.PhasePlacement)
 
+	acc := touched[:nt]
+	if f := e.cfg.Failures; f != nil {
+		// Crashed receivers lose every arrival: compact them out.
+		w := 0
+		for _, dst := range acc {
+			if f.Crashed(int(dst), round) {
+				inbox[dst] = 0
+				continue
+			}
+			acc[w] = dst
+			w++
+		}
+		acc = acc[:w]
+	}
+	if cap(k.resolved) < len(acc) {
+		k.resolved = make([]channel.Bit, m)
+	}
+	out := k.resolved[:len(acc)]
 	cColl := e.key.Cell(rng.StreamCollision, uint64(round))
 	cNoise := e.key.Cell(rng.StreamNoise, uint64(round))
-	f := e.cfg.Failures
-	ch := e.cfg.Channel
-	var b *bulkState
-	if bulk {
-		b = e.bulk
-		b.accR = b.accR[:0]
-		b.accB = b.accB[:0]
-	}
-	for _, dst := range k.touched {
-		cnt := uint64(e.inCount[dst])
-		on := uint64(k.ones[dst])
-		if f != nil && f.Crashed(int(dst), round) {
-			e.dropped += int64(cnt)
-			continue
-		}
-		e.accepted++
-		e.dropped += int64(cnt - 1)
-		var bit channel.Bit
-		if cnt == 1 {
-			bit = channel.Bit(on)
-		} else if cColl.Uint64n(uint64(dst), cnt) < on {
-			bit = 1
-		}
+	for j := 0; j < len(acc); j++ {
 		if k.uniform {
-			if k.noiseThresh != 0 && cNoise.Uint64(uint64(dst))>>11 < k.noiseThresh {
-				bit ^= 1
+			if j = scatterAccept(inbox, acc, out, j, cColl, cNoise, k.noiseThresh); j == len(acc) {
+				break
 			}
-		} else {
-			// Non-uniform channels draw from an ephemeral stream seeded by
-			// the receiver's noise-cell word, so per-message noise state
-			// stays addressed (and kernel-independent) too.
-			var rr rng.RNG
-			rr.Reseed(cNoise.Uint64(uint64(dst)))
-			bit = ch.Transmit(bit, &rr)
 		}
-		if bulk {
-			b.accR = append(b.accR, dst)
-			b.accB = append(b.accB, bit)
-		} else {
-			p.Receive(int(dst), bit, round)
+		out[j] = k.scatterResolve(e.cfg.Channel, cColl, cNoise, inbox, acc[j])
+	}
+	k.inboxOpen = false
+	// Every message not accepted — dropped in flight, collided, or
+	// addressed to a crashed receiver — is a loss.
+	e.accepted += int64(len(acc))
+	e.dropped += int64(m - len(acc))
+
+	// Resolve and (non-bulk) Receive delivery bill to the collision phase;
+	// BulkDeliver rides with EndRound in the accumulate phase.
+	if !bulk {
+		for j, dst := range acc {
+			p.Receive(int(dst), out[j], round)
 		}
 	}
-	// The resolve loop fuses accept-one, noise and (non-bulk) Receive
-	// delivery; it all bills to the collision phase. BulkDeliver rides
-	// with EndRound in the accumulate phase.
 	e.mark(telemetry.PhaseCollision)
 	if bulk {
-		bp.BulkDeliver(b.accR, b.accB, round)
+		bp.BulkDeliver(acc, out, round)
 	}
+}
+
+// scatterPlace places one class of senders, each arrival adding inc to its
+// receiver's inbox word, and returns the new length of the first-touch
+// list touched[:nt]. The call-free scatterThrow does the placing; a
+// possible Lemire rejection breaks out to Cell.Uint32n for that sender
+// and the loop resumes at the next.
+func scatterPlace(inbox []uint64, touched, senders []int32, nt int, cPlace rng.Cell, span, excl uint32, inc uint64) int {
+	for i := 0; i < len(senders); i++ {
+		if i, nt = scatterThrow(inbox, touched, senders, i, nt, cPlace, span, excl, inc); i == len(senders) {
+			break
+		}
+		s := uint32(senders[i])
+		dst := cPlace.Uint32n(uint64(s), span)
+		nt = scatterAdd(inbox, touched, nt, dst+uint32(b2u(dst >= s))&excl, inc)
+	}
+	return nt
+}
+
+// scatterThrow is the scatter placement's call-free loop: it places
+// senders[i:], each arrival adding inc to its receiver's inbox word and a
+// first touch extending touched[:nt], and returns at the first live
+// sender whose placement draw needs the full rule, with that sender's
+// index (len(senders) when none does) and the new nt.
+func scatterThrow(inbox []uint64, touched, senders []int32, i, nt int, cPlace rng.Cell, span, excl uint32, inc uint64) (int, int) {
+	for ; i < len(senders); i++ {
+		s := uint32(senders[i])
+		dst, ok := placeFast(cPlace, uint64(s), span)
+		if !ok {
+			break
+		}
+		// Self-exclusion draws on [0, n−1) and skips the sender.
+		nt = scatterAdd(inbox, touched, nt, dst+uint32(b2u(dst >= s))&excl, inc)
+	}
+	return i, nt
+}
+
+// scatterAdd books one arrival at dst and returns the new touched count:
+// the touched write always happens, the count advances only on a first
+// touch, so the common path has no branch.
+func scatterAdd(inbox []uint64, touched []int32, nt int, dst uint32, inc uint64) int {
+	v := inbox[dst]
+	touched[nt] = int32(dst)
+	inbox[dst] = v + inc
+	return nt + int(b2u(v == 0))
+}
+
+// dropFilter appends to dst the senders whose drop draw keeps them.
+func dropFilter(dst, senders []int32, cDrop rng.Cell, drop uint64) []int32 {
+	for _, s := range senders {
+		if cDrop.Uint64(uint64(s))>>11 >= drop {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}
+
+// scatterAccept is the uniform-channel scatter resolve's call-free loop:
+// from acc[j] on, it draws each live receiver's accept-one and noise,
+// writes the bit to out and zeroes the receiver's inbox word, and returns
+// at the first receiver whose accept-one draw needs the full rule — its
+// inbox word still intact — or len(acc).
+func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, j int, cColl, cNoise rng.Cell, thresh uint64) int {
+	out = out[:len(acc)]
+	for ; j < len(acc); j++ {
+		dst := uint64(acc[j])
+		v := inbox[dst]
+		cnt, on := v&(1<<32-1), v>>32
+		// With cnt == 1 the draw is below on exactly when on == 1, so
+		// single arrivals need no branch of their own.
+		hi, ok := acceptFast(cColl, dst, cnt)
+		if !ok {
+			break
+		}
+		inbox[dst] = 0
+		out[j] = channel.Bit(b2u(hi < on) ^ b2u(cNoise.Uint64(dst)>>11 < thresh))
+	}
+	return j
+}
+
+// scatterResolve is the scatter resolve's full rule for one live
+// receiver, which it takes off the inbox: the accept-one draw with
+// Lemire's rejection test, then the channel — the uniform flip, or a
+// non-uniform channel on an ephemeral stream seeded by the receiver's
+// noise-cell word, so per-message noise state stays addressed (and
+// kernel-independent) too.
+func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, inbox []uint64, dst int32) channel.Bit {
+	v := inbox[dst]
+	inbox[dst] = 0
+	cnt, on := v&(1<<32-1), v>>32
+	var bit channel.Bit
+	if cnt == 1 {
+		bit = channel.Bit(on)
+	} else if cColl.Uint64n(uint64(dst), cnt) < on {
+		bit = 1
+	}
+	if k.uniform {
+		if cNoise.Uint64(uint64(dst))>>11 < k.noiseThresh {
+			bit ^= 1
+		}
+		return bit
+	}
+	var rr rng.RNG
+	rr.Reseed(cNoise.Uint64(uint64(dst)))
+	return ch.Transmit(bit, &rr)
+}
+
+// placeFast is the inlined fast path of c.Uint32n(i, n): one word and one
+// multiply. ok is false when the product's low half falls below n — the
+// only case in which Lemire's rule may reject the word — and the caller
+// must then take c.Uint32n(i, n), which returns hi whenever it accepts.
+func placeFast(c rng.Cell, i uint64, n uint32) (hi uint32, ok bool) {
+	x := uint64(uint32(c.Uint64(i))) * uint64(n)
+	return uint32(x >> 32), uint32(x) >= n
+}
+
+// acceptFast is placeFast's 64-bit counterpart for c.Uint64n(i, n).
+func acceptFast(c rng.Cell, i, n uint64) (hi uint64, ok bool) {
+	hi, lo := bits.Mul64(c.Uint64(i), n)
+	return hi, lo >= n
+}
+
+// b2u turns a comparison into 0 or 1 without a branch.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // keyedTree is the keyed dense regime: an exact multinomial split of the
@@ -549,11 +691,7 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	c0, c1 := k.kc0[j], k.kc1[j]
 
 	d.spill = d.spill[:0]
-	d.deferred = d.deferred[:0]
-
 	stamp := b.dStamp
-	thresh := b.noiseThresh
-	f := e.cfg.Failures
 
 	cp := e.key.Cell(rng.StreamPlacement, uint64(round)).Sub(uint64(j))
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j))
@@ -580,49 +718,62 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 		d.keyedPlaceAny(stamp, blo, inbox, c1, 1<<12|1, cp, uint64(c0))
 	}
 
-	// Branchless resolve, identical in structure to the legacy dense scan:
-	// low 11 bits of the slot's word drive the Lemire accept-one draw, the
-	// top 53 bits the noise flip; rejection retries re-address into the
-	// collision cell above the per-slot base words.
-	rbuf := buf[nd0+nd1:]
-	accSlice := b.accs[blo : blo+bsize : blo+bsize]
-	accepted := int64(0)
-	for i := range inbox {
-		v := inbox[i]
-		occ := uint64(0)
-		if v>>24 == stamp {
-			occ = 1
+	if f := e.cfg.Failures; f != nil {
+		// Crashed receivers lose every arrival: unstamp their slots, so
+		// the sweep sees them unoccupied. Stamp 0 is never current.
+		for i, v := range inbox {
+			if v>>24 == stamp && f.Crashed(blo+i, round) {
+				inbox[i] = 0
+			}
 		}
-		cnt := uint64(v & 0xfff)
+	}
+	acc := b.accs[blo : blo+bsize : blo+bsize]
+	fix := d.fixBuf()
+	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, stamp, b.noiseThresh)
+	d.accepted += accepted
+	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
+}
+
+// treeResolve is the tree resolve's call-free sweep over one bucket,
+// identical in structure to the legacy dense scan: the low 11 bits of the
+// slot's collision word drive the Lemire accept-one draw, the top 53 bits
+// the noise flip, and the accepted bit lands in the slot's accumulator.
+// Occupied slots whose count outgrew the 11-bit draw, or whose draw may be
+// a Lemire rejection, are instead listed in fix (always written, advanced
+// only for such a slot) for keyedFix. It returns the fix-list length and
+// the number of occupied slots, each of which accepts one message.
+func treeResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, stamp uint32, thresh uint64) (nf int, accepted int64) {
+	rbuf = rbuf[:len(inbox)]
+	acc = acc[:len(inbox)]
+	// c counts fix-list slots in its low 32 bits and occupied slots in
+	// its high 32: one register for both (nf ≤ i < denseWidth).
+	var c uint64
+	for i, v := range inbox {
+		// m is all ones for an occupied slot; a stale one reads cnt = 0.
+		m := -b2u(v>>24 == stamp)
+		cnt := uint64(v&0xfff) & m
 		on := uint64(v >> 12 & 0xfff)
-		if occ == 1 && f != nil && f.Crashed(blo+i, round) {
-			occ = 0
-		}
-		if cnt >= 2048 && occ == 1 {
-			d.deferred = append(d.deferred, int32(i))
-			continue
-		}
 		x := rbuf[i]
 		prod := (x & 2047) * cnt
-		if prod&2047 < cnt && occ == 1 && on != 0 && on != cnt {
-			x, prod = keyedRedraw(cc, uint64(i), x, prod, cnt)
-		}
-		bit := uint64(0)
-		if prod>>11 < on {
-			bit = 1
-		}
-		if x>>11 < thresh {
-			bit ^= 1
-		}
-		accSlice[i] += (bit<<32 | 1) * occ
-		accepted += int64(occ)
+		// A slot needs the fix-up when its draw may be a Lemire rejection
+		// (prod&2047 < cnt, always so from cnt = 2048 on) and its arrivals
+		// are mixed or beyond the 11-bit draw: min(on−1, 2046) < cnt−1.
+		// A unanimous slot accepts its bit whatever the draw.
+		fixup := b2u(prod&2047 < cnt) & b2u(min(on-1, 2046) < cnt-1)
+		fix[c&(denseWidth-1)] = int32(i)
+		c += m&(1<<32) | fixup
+		bit := b2u(prod>>11 < on) ^ b2u(x>>11 < thresh)
+		acc[i] += (bit<<32 | 1) & m &^ -fixup
 	}
-	d.accepted += accepted
+	return int(uint32(c)), int64(c >> 32)
+}
 
-	for _, t := range d.deferred {
-		e.keyedResolveDeferred(d, cc, blo, int(t))
-		d.accepted++
+// fixBuf returns the run's fix-list buffer, one entry per bucket slot.
+func (d *denseRun) fixBuf() *[denseWidth]int32 {
+	if cap(d.deferred) < denseWidth {
+		d.deferred = make([]int32, denseWidth)
 	}
+	return (*[denseWidth]int32)(d.deferred[:denseWidth])
 }
 
 // keyedPlaceAny is the keyed general-size placement (a population's tail
@@ -646,16 +797,31 @@ func (d *denseRun) keyedPlaceAny(stamp uint32, lo int, inbox []uint32, k int, in
 	}
 }
 
-// keyedRedraw completes the Lemire rejection rule for a collided slot's
-// accept-one draw with addressed retries: attempt a of slot t reads
-// counter a·denseWidth + t, above every slot's base word.
-func keyedRedraw(cc rng.Cell, slot, x, prod, cnt uint64) (uint64, uint64) {
-	reject := 2048 % cnt
-	for a := uint64(1); prod&2047 < reject; a++ {
-		x = cc.Uint64(a*denseWidth + slot)
-		prod = (x & 2047) * cnt
+// keyedFix resolves the fix-list slots of one bucket after its sweep —
+// the tree's and the sparse walker's alike. A slot beyond the 11-bit
+// accept draw goes to keyedResolveDeferred; any other completes the
+// Lemire rejection rule on its collision word with addressed retries:
+// attempt a of slot t reads counter a·denseWidth + t, above every slot's
+// base word.
+func (e *Engine) keyedFix(d *denseRun, cc rng.Cell, blo int, inbox []uint32, acc []uint64, fix []int32) {
+	thresh := e.bulk.noiseThresh
+	for _, t := range fix {
+		v := inbox[t]
+		cnt := uint64(v & 0xfff)
+		if cnt >= 2048 {
+			e.keyedResolveDeferred(d, cc, blo, int(t))
+			continue
+		}
+		on := uint64(v >> 12 & 0xfff)
+		x := cc.Uint64(uint64(t))
+		prod := (x & 2047) * cnt
+		reject := 2048 % cnt
+		for a := uint64(1); prod&2047 < reject; a++ {
+			x = cc.Uint64(a*denseWidth + uint64(t))
+			prod = (x & 2047) * cnt
+		}
+		acc[t] += (b2u(prod>>11 < on)^b2u(x>>11 < thresh))<<32 | 1
 	}
-	return x, prod
 }
 
 // keyedResolveDeferred resolves a slot whose arrival count outgrew the

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"breathe/internal/channel"
+	"breathe/internal/rng"
 )
 
 // BenchmarkKeyedDenseRound measures the keyed tree regime on the dense
@@ -61,4 +63,54 @@ func BenchmarkKeyedDenseOverhead(b *testing.B) {
 		b.ReportMetric(keyedAR, "keyed-ns/agent-round")
 		b.ReportMetric(keyedAR/legacyAR-1, "overhead")
 	}
+}
+
+// BenchmarkKeyedScatterRound measures one keyed scatter round at n = 2^14
+// with 10,000 live senders (self-messages off, so every round scatters),
+// without and with 10% of the agents crashed. One op is one round.
+func BenchmarkKeyedScatterRound(b *testing.B) {
+	const n, k = 1 << 14, 10000
+	for _, crash := range []float64{0, 0.1} {
+		b.Run(fmt.Sprintf("crash=%g", crash), func(b *testing.B) {
+			cfg := Config{
+				N: n, Channel: channel.NewBSC(0.2), Seed: 1,
+				Kernel: KernelBatched, MaxRounds: 1 << 30, DrawSchedule: ScheduleKeyed,
+			}
+			if crash > 0 {
+				cfg.Failures = NewRandomCrashesKeyed(n, crash, 0, rng.NewKey(1), 0)
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := &sparseChatter{rounds: b.N, k: k}
+			b.ReportAllocs()
+			b.ResetTimer()
+			res := e.Run(p)
+			b.StopTimer()
+			if res.Paths.PerMessage != int64(b.N) {
+				b.Fatalf("%d of %d rounds scattered", res.Paths.PerMessage, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkKeyedTreeRound measures one serial keyed tree round at
+// n = 2^17 with every agent sending. One op is one round.
+func BenchmarkKeyedTreeRound(b *testing.B) {
+	const n = 1 << 17
+	e, err := NewEngine(Config{
+		N: n, Channel: channel.NewBSC(0.2), Seed: 1,
+		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		MaxRounds: 1 << 30, DrawSchedule: ScheduleKeyed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := &bulkChatter{rounds: b.N}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(p)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/agent-round")
 }

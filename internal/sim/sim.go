@@ -401,8 +401,10 @@ type Engine struct {
 	channelRNG *rng.RNG // noise
 	protoRNG   *rng.RNG // protocol-private randomness
 
-	// Per-round reservoir state, stamped with the round number so no O(n)
-	// clearing is needed.
+	// Per-round reservoir state of the legacy per-agent step, stamped
+	// with the round number so no O(n) clearing is needed. Only step
+	// reads them, and it allocates them on first use: the keyed schedule
+	// and the batched kernel never do.
 	inBit   []channel.Bit
 	inCount []int32
 	inStamp []int32
@@ -435,12 +437,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	e := &Engine{
-		cfg:     cfg,
-		inBit:   make([]channel.Bit, cfg.N),
-		inCount: make([]int32, cfg.N),
-		inStamp: make([]int32, cfg.N),
-	}
+	e := &Engine{cfg: cfg}
 	e.Reset(cfg.Seed)
 	return e, nil
 }
@@ -468,6 +465,11 @@ func (e *Engine) Reset(seed uint64) {
 	}
 	if e.bulk != nil {
 		e.bulk.reset()
+	}
+	if k := e.keyed; k != nil && k.inboxOpen {
+		// The last run unwound mid-round and left scatter arrivals behind.
+		clear(k.inbox)
+		k.inboxOpen = false
 	}
 	e.started = false
 	e.round = 0
@@ -744,6 +746,14 @@ func (e *Engine) step(p Protocol) {
 	n := e.cfg.N
 	round := e.round
 	stamp := int32(round)
+	if e.inStamp == nil {
+		e.inBit = make([]channel.Bit, n)
+		e.inCount = make([]int32, n)
+		e.inStamp = make([]int32, n)
+		for i := range e.inStamp {
+			e.inStamp[i] = -1
+		}
+	}
 
 	for a := 0; a < n; a++ {
 		if e.cfg.Failures != nil && e.cfg.Failures.Crashed(a, round) {

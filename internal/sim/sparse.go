@@ -22,8 +22,8 @@ package sim
 // sweep would have made — placement words by word index, accept-one and
 // noise by slot, deferred resolution by slot — and untouched slots are
 // state-free by construction (their accumulator delta is zero and their
-// crash plan is never consulted, exactly as in the dense sweep's
-// occ == 0 arm). Results are therefore bit-identical with keyedTree;
+// crash plan is never consulted, exactly as for the dense sweep's
+// unoccupied slots). Results are therefore bit-identical with keyedTree;
 // sparse_test.go pins it across kernels, shard counts and crash plans.
 //
 // Like the dense/sharded split, the *accounting* (PathRounds.Sparse) is
@@ -162,9 +162,9 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 // computing the words on demand consumes the same addresses — and the
 // resolve of a touched slot i reads the same cc.Uint64(i) base word the
 // full-bucket sweep reads at rbuf[i]. Untouched slots carry a stale
-// stamp: the sweep's occ == 0 arm adds zero to their accumulators,
-// draws nothing fresh for them, and never consults the crash plan
-// (occ == 1 short-circuits first), so skipping them is exact.
+// stamp: the sweep adds zero to their accumulators, draws nothing fresh
+// for them, and its crash pre-pass consults the plan for occupied slots
+// only, so skipping them is exact.
 func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	b := e.bulk
 	k := e.keyed
@@ -176,11 +176,7 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	}
 
 	d.spill = d.spill[:0]
-	d.deferred = d.deferred[:0]
-
 	stamp := b.dStamp
-	thresh := b.noiseThresh
-	f := e.cfg.Failures
 
 	cp := e.key.Cell(rng.StreamPlacement, uint64(round)).Sub(uint64(j)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
@@ -197,41 +193,41 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	}
 	k.sparseTouched = touched
 
-	accSlice := b.accs[blo : blo+bsize : blo+bsize]
-	accepted := int64(0)
-	for _, ti := range touched {
-		i := int(ti)
+	if f := e.cfg.Failures; f != nil {
+		// Crashed receivers lose every arrival: compact them out.
+		w := 0
+		for _, ti := range touched {
+			if !f.Crashed(blo+int(ti), round) {
+				touched[w] = ti
+				w++
+			}
+		}
+		touched = touched[:w]
+	}
+	acc := b.accs[blo : blo+bsize : blo+bsize]
+	fix := d.fixBuf()
+	nf := sparseResolve(inbox, touched, acc, fix, cc, b.noiseThresh)
+	d.accepted += int64(len(touched))
+	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
+}
+
+// sparseResolve is treeResolve over the touched slots only, with each
+// slot's collision word computed on demand: cc.Uint64(i) is the word the
+// full sweep reads at rbuf[i]. Every touched slot is occupied and live.
+func sparseResolve(inbox []uint32, touched []int32, acc []uint64, fix *[denseWidth]int32, cc rng.Cell, thresh uint64) (nf int) {
+	for _, i := range touched {
 		v := inbox[i]
 		cnt := uint64(v & 0xfff)
 		on := uint64(v >> 12 & 0xfff)
-		if f != nil && f.Crashed(blo+i, round) {
-			continue
-		}
-		if cnt >= 2048 {
-			d.deferred = append(d.deferred, int32(i))
-			continue
-		}
 		x := cc.Uint64(uint64(i))
 		prod := (x & 2047) * cnt
-		if prod&2047 < cnt && on != 0 && on != cnt {
-			x, prod = keyedRedraw(cc, uint64(i), x, prod, cnt)
-		}
-		bit := uint64(0)
-		if prod>>11 < on {
-			bit = 1
-		}
-		if x>>11 < thresh {
-			bit ^= 1
-		}
-		accSlice[i] += bit<<32 | 1
-		accepted++
+		fixup := b2u(prod&2047 < cnt) & b2u(min(on-1, 2046) < cnt-1)
+		fix[nf&(denseWidth-1)] = i // nf < len(touched) ≤ denseWidth
+		nf += int(fixup)
+		bit := b2u(prod>>11 < on) ^ b2u(x>>11 < thresh)
+		acc[i] += (bit<<32 | 1) &^ -fixup
 	}
-	d.accepted += accepted
-
-	for _, t := range d.deferred {
-		e.keyedResolveDeferred(d, cc, blo, int(t))
-		d.accepted++
-	}
+	return nf
 }
 
 // sparsePlacePow2 is placePow2 with on-demand placement words and a
