@@ -7,7 +7,8 @@
 // contracts enforced over the static callgraph (drawfree), and the
 // observability invariants — internal/telemetry stays a leaf package
 // (the static byte-inertness proof) and every wall-clock read outside
-// it carries a //breathe:walltime-ok reason (telemetry).
+// it carries a //breathe:walltime-ok reason (telemetry) — and the
+// kernels' //breathe:leaf loops stay call-free (leafloop).
 //
 // Two modes share the analyzers:
 //
@@ -32,6 +33,7 @@ import (
 
 	"breathe/internal/lint"
 	"breathe/internal/lint/drawfree"
+	"breathe/internal/lint/leafloop"
 	"breathe/internal/lint/maprange"
 	"breathe/internal/lint/streamconst"
 	"breathe/internal/lint/telemetry"
@@ -45,6 +47,7 @@ var analyzers = []*lint.Analyzer{
 	streamconst.Analyzer,
 	drawfree.Analyzer,
 	telemetry.Analyzer,
+	leafloop.Analyzer,
 }
 
 func main() {

@@ -25,6 +25,10 @@ const (
 	// shares a (stream, addressing-shape) pair with another call site —
 	// legal only when the two sites are mutually exclusive at runtime.
 	AnnotStreamOK = "stream-ok"
+	// AnnotLeaf marks a kernel loop function whose common path must stay
+	// call-free so its loop state stays in registers; the leafloop
+	// analyzer checks its body.
+	AnnotLeaf = "leaf"
 )
 
 const annotPrefix = "breathe:"
@@ -109,14 +113,20 @@ func (a *Annotations) Has(pos token.Pos, name string) bool {
 // the marker lives inside the doc block rather than on the line above
 // the declaration).
 func DocHas(doc *ast.CommentGroup, name string) bool {
+	_, ok := DocAt(doc, name)
+	return ok
+}
+
+// DocAt is DocHas with the annotation's reason.
+func DocAt(doc *ast.CommentGroup, name string) (reason string, ok bool) {
 	if doc == nil {
-		return false
+		return "", false
 	}
 	for _, c := range doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, annotPrefix+name) {
-			return true
+		if rest, found := strings.CutPrefix(text, annotPrefix+name); found {
+			return strings.TrimSpace(rest), true
 		}
 	}
-	return false
+	return "", false
 }

@@ -76,6 +76,8 @@ const (
 
 // fmix64 is the SplitMix64 output finalizer: an avalanche-complete
 // bijection on 64 bits.
+//
+//breathe:leaf inlined into the kernels' call-free loops
 func fmix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -112,6 +114,8 @@ type Cell struct {
 
 // Uint64 returns word i of the cell: fmix64(base + (i+1)·φ64), the i-th
 // output of the SplitMix64 sequence starting at the cell base.
+//
+//breathe:leaf inlined into the kernels' call-free loops
 func (c Cell) Uint64(i uint64) uint64 {
 	return fmix64(c.base + (i+1)*keyGolden)
 }

@@ -126,8 +126,11 @@ type bulkState struct {
 	liveZeros []int32
 	liveOnes  []int32
 
-	// Dense path: packed inbox stamp(8)|ones(12)|count(12), shared by the
-	// serial and sharded executions (shards own disjoint slot ranges).
+	// Legacy dense path: packed inbox stamp(8)|ones(12)|count(12), shared
+	// by the serial and sharded executions (shards own disjoint slot
+	// ranges). The keyed tree and sparse walker keep their own stamp-free
+	// inbox (keyedState.treeInbox), so only the legacy schedule allocates
+	// and clears these.
 	dStamp uint32
 	dInbox []uint32
 	serial denseRun
@@ -409,9 +412,8 @@ func (e *Engine) denseRoundBegin(m0, m1 int) (int, int) {
 	return m0, m1
 }
 
-// denseStampAdvance advances the dense inbox stamp, allocating the inbox
-// on first use and clearing it on the 8-bit stamp wrap. Shared by the
-// legacy dense prologue and the keyed tree (keyed.go).
+// denseStampAdvance advances the legacy dense inbox stamp, allocating the
+// inbox on first use and clearing it on the 8-bit stamp wrap.
 func (e *Engine) denseStampAdvance() {
 	b := e.bulk
 	if b.dInbox == nil {

@@ -45,19 +45,31 @@ package sim
 // goroutine, a different execution order, in principle a different machine
 // — without exchanging generator state (keyed_shard_test.go).
 //
-// The inner loops — scatter placement and resolve, the tree's and the
-// sparse walker's per-slot resolve — are leaf functions whose common path
-// makes no call, so Go keeps their loop state in registers. Every rare
+// The inner loops — scatter placement and resolve, the tree's placement,
+// the tree's and the sparse walker's per-slot resolve — are leaf functions whose common path
+// makes no call, so Go keeps their loop state in registers; each carries
+// //breathe:leaf, which breathevet's leafloop analyzer checks. Every rare
 // case leaves the loop: a placement or accept-one draw that may need
 // Lemire's rejection test breaks out to the full Cell.Uint32n/Uint64n
 // rule and the loop resumes at the next element; a non-uniform channel
-// resolves on its own path; crash checks run as pre-passes; tree slots
-// that need a rejection retry or the ≥ 2048-arrival deferral are listed
-// branch-free in a fix list and resolved after the sweep (keyedFix).
+// resolves on its own path; crash checks run as pre-passes; a tree
+// arrival at a saturated counter goes to the spill list; tree slots
+// whose accept-one draw may be a Lemire rejection — every slot from 2048
+// arrivals on among them — are listed branch-free in a fix list and
+// resolved after the sweep (keyedFix).
 // The scatter inbox is one uint64 per receiver — arrival count in the
 // low 32 bits, ones in the high 32 (exact, since m ≤ n < 2³¹) — zeroed
 // as each receiver resolves, so it needs no round stamps and each
 // message costs one random access.
+//
+// The tree and the sparse walker share a second inbox, one uint32 per
+// receiver: arrival count in the low 16 bits, ones in the high 16. It
+// too is all-zero between rounds and carries no stamps — a slot is
+// occupied exactly when its word is non-zero. The tree's sweep zeroes
+// each slot as it resolves it (a fix-list slot keeps its word until
+// keyedFix reads it), the walker zeroes every slot it touched, and both
+// crash passes zero the slots of crashed receivers. An arrival at a
+// counter already at 65535 goes to the bucket's spill list.
 
 import (
 	"fmt"
@@ -101,12 +113,21 @@ type keyedState struct {
 	buckets  int
 	workers  int
 
+	// Tree and sparse-walker inbox, one word per receiver: arrival count
+	// in the low 16 bits, ones in the high 16, zero between rounds.
+	// treeOpen marks a tree or sparse round that has not completed, so
+	// Reset knows the inbox may hold arrivals.
+	treeInbox []uint32
+	treeOpen  bool
+
 	// Sparse-regime state: the protocol's declared-active-set oracle
-	// (nil when the protocol maintains no index) and the walker's
-	// occupied-bucket / touched-slot scratch. See sparse.go.
-	senderIdx     SenderIndex
-	sparseOcc     []sparseBucket
-	sparseTouched []int32
+	// (nil when the protocol maintains no index), the walker's
+	// occupied-bucket scratch, and walkPlace's first-touch slot list —
+	// the walker's, and the tree's tail bucket's (the one bucket that is
+	// not a power of two, so one worker per round uses it). See sparse.go.
+	senderIdx SenderIndex
+	sparseOcc []sparseBucket
+	walked    []int32
 }
 
 // keyedBucketOrder is a test hook: when non-nil, the serial tree execution
@@ -462,6 +483,8 @@ func scatterPlace(inbox []uint64, touched, senders []int32, nt int, cPlace rng.C
 // first touch extending touched[:nt], and returns at the first live
 // sender whose placement draw needs the full rule, with that sender's
 // index (len(senders) when none does) and the new nt.
+//
+//breathe:leaf the scatter placement loop; a possible Lemire rejection is handled by the caller
 func scatterThrow(inbox []uint64, touched, senders []int32, i, nt int, cPlace rng.Cell, span, excl uint32, inc uint64) (int, int) {
 	for ; i < len(senders); i++ {
 		s := uint32(senders[i])
@@ -478,6 +501,8 @@ func scatterThrow(inbox []uint64, touched, senders []int32, i, nt int, cPlace rn
 // scatterAdd books one arrival at dst and returns the new touched count:
 // the touched write always happens, the count advances only on a first
 // touch, so the common path has no branch.
+//
+//breathe:leaf inlined into the scatter placement loop
 func scatterAdd(inbox []uint64, touched []int32, nt int, dst uint32, inc uint64) int {
 	v := inbox[dst]
 	touched[nt] = int32(dst)
@@ -500,6 +525,8 @@ func dropFilter(dst, senders []int32, cDrop rng.Cell, drop uint64) []int32 {
 // writes the bit to out and zeroes the receiver's inbox word, and returns
 // at the first receiver whose accept-one draw needs the full rule — its
 // inbox word still intact — or len(acc).
+//
+//breathe:leaf the scatter resolve loop; a possible Lemire rejection is handled by the caller
 func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, j int, cColl, cNoise rng.Cell, thresh uint64) int {
 	out = out[:len(acc)]
 	for ; j < len(acc); j++ {
@@ -549,18 +576,24 @@ func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, 
 // multiply. ok is false when the product's low half falls below n — the
 // only case in which Lemire's rule may reject the word — and the caller
 // must then take c.Uint32n(i, n), which returns hi whenever it accepts.
+//
+//breathe:leaf inlined into the scatter placement loop
 func placeFast(c rng.Cell, i uint64, n uint32) (hi uint32, ok bool) {
 	x := uint64(uint32(c.Uint64(i))) * uint64(n)
 	return uint32(x >> 32), uint32(x) >= n
 }
 
 // acceptFast is placeFast's 64-bit counterpart for c.Uint64n(i, n).
+//
+//breathe:leaf inlined into the scatter resolve loop
 func acceptFast(c rng.Cell, i, n uint64) (hi uint64, ok bool) {
 	hi, lo := bits.Mul64(c.Uint64(i), n)
 	return hi, lo >= n
 }
 
 // b2u turns a comparison into 0 or 1 without a branch.
+//
+//breathe:leaf inlined into every kernel loop
 func b2u(b bool) uint64 {
 	var x uint64
 	if b {
@@ -578,7 +611,7 @@ func b2u(b bool) uint64 {
 // bits, with no per-shard seeding and no master-stream prologue.
 func (e *Engine) keyedTree(m0, m1, round int, parallel bool) {
 	k := e.keyed
-	e.denseStampAdvance()
+	k.openTree(e.cfg.N)
 
 	if q := e.cfg.DropProb; q > 0 {
 		cDrop := e.key.Cell(rng.StreamDrop, uint64(round)) //breathe:stream-ok scatter and tree are alternative regimes; stepKeyed runs exactly one per round, so the sites never address the same round's cell
@@ -671,14 +704,26 @@ func (e *Engine) keyedTree(m0, m1, round int, parallel bool) {
 			accepted += k.runs[w].accepted
 		}
 	}
+	k.treeOpen = false
 	e.mark(telemetry.PhaseCollision)
 	e.denseRoundEnd(placed, accepted)
+}
+
+// openTree allocates the tree inbox on first use and marks a tree or
+// sparse round in flight: until the round clears the mark, a run that
+// unwinds may leave arrivals behind, and Reset must clear them.
+func (k *keyedState) openTree(n int) {
+	if k.treeInbox == nil {
+		k.treeInbox = make([]uint32, n)
+	}
+	k.treeOpen = true
 }
 
 // keyedBucket places and resolves one receiver bucket of a keyed tree
 // round, using d only as scratch. All randomness comes from the bucket's
 // sub-cells of the round's placement and collision streams; all writes
-// stay inside the bucket's slot range plus d.
+// stay inside the bucket's slot range plus d (plus k.walked for the tail
+// bucket, which only one worker handles).
 func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	b := e.bulk
 	k := e.keyed
@@ -691,7 +736,6 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	c0, c1 := k.kc0[j], k.kc1[j]
 
 	d.spill = d.spill[:0]
-	stamp := b.dStamp
 
 	cp := e.key.Cell(rng.StreamPlacement, uint64(round)).Sub(uint64(j))
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j))
@@ -709,61 +753,96 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	cp.Fill(buf[:nd0+nd1], 0)
 	cc.Fill(buf[nd0+nd1:], 0)
 
-	inbox := b.dInbox[blo : blo+bsize : blo+bsize]
+	inbox := k.treeInbox[blo : blo+bsize : blo+bsize]
 	if pow2 {
-		d.placePow2(stamp, blo, inbox, c0, 1, buf[:nd0])
-		d.placePow2(stamp, blo, inbox, c1, 1<<12|1, buf[nd0:nd0+nd1])
+		d.placeTree(blo, inbox, c0, 1, buf[:nd0])
+		d.placeTree(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1])
 	} else {
-		d.keyedPlaceAny(stamp, blo, inbox, c0, 1, cp, 0)
-		d.keyedPlaceAny(stamp, blo, inbox, c1, 1<<12|1, cp, uint64(c0))
+		k.walked = d.walkPlace(blo, inbox, c0, 1, cp, 0, k.walked[:0])
+		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, uint64(c0), k.walked)
 	}
 
 	if f := e.cfg.Failures; f != nil {
-		// Crashed receivers lose every arrival: unstamp their slots, so
-		// the sweep sees them unoccupied. Stamp 0 is never current.
+		// Crashed receivers lose every arrival: zero their slots, so the
+		// sweep sees them unoccupied.
 		for i, v := range inbox {
-			if v>>24 == stamp && f.Crashed(blo+i, round) {
+			if v != 0 && f.Crashed(blo+i, round) {
 				inbox[i] = 0
 			}
 		}
 	}
 	acc := b.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
-	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, stamp, b.noiseThresh)
+	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, b.noiseThresh)
 	d.accepted += accepted
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 }
 
-// treeResolve is the tree resolve's call-free sweep over one bucket,
-// identical in structure to the legacy dense scan: the low 11 bits of the
-// slot's collision word drive the Lemire accept-one draw, the top 53 bits
-// the noise flip, and the accepted bit lands in the slot's accumulator.
-// Occupied slots whose count outgrew the 11-bit draw, or whose draw may be
-// a Lemire rejection, are instead listed in fix (always written, advanced
-// only for such a slot) for keyedFix. It returns the fix-list length and
-// the number of occupied slots, each of which accepts one message.
-func treeResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, stamp uint32, thresh uint64) (nf int, accepted int64) {
+// placeTree throws k messages of one class into a power-of-two bucket
+// from its pre-filled placement words, four 16-bit lanes per word
+// consumed low-first, each arrival adding inc to its slot's word. The
+// call-free treePlace does the placing; an arrival at a saturated
+// counter breaks out to the spill list and the loop resumes at the next.
+func (d *denseRun) placeTree(lo int, inbox []uint32, k int, inc uint32, draws []uint64) {
+	for i := 0; i < k; i++ {
+		if i = treePlace(inbox, draws, i, k, inc); i == k {
+			break
+		}
+		slot := draws[i>>2] >> (uint(i&3) * 16) & uint64(len(inbox)-1)
+		d.spillAdd(int32(lo)+int32(slot), inc>>16)
+	}
+}
+
+// treePlace is placeTree's call-free loop: it places messages i..k−1 and
+// returns at the first whose slot counter already holds 65535, with its
+// index, or k.
+//
+//breathe:leaf the tree's placement loop; the saturated-counter spill is handled by the caller
+func treePlace(inbox []uint32, draws []uint64, i, k int, inc uint32) int {
+	mask := uint64(len(inbox) - 1)
+	for ; i < k; i++ {
+		slot := draws[i>>2] >> (uint(i&3) * 16) & mask
+		nv := inbox[slot] + inc
+		if nv&0xffff == 0 {
+			break
+		}
+		inbox[slot] = nv
+	}
+	return i
+}
+
+// treeResolve is the tree resolve's call-free sweep over one bucket: the
+// low 11 bits of the slot's collision word drive the Lemire accept-one
+// draw, the top 53 bits the noise flip, and the accepted bit lands in
+// the slot's accumulator. Each comparison is a borrow bit, (a−b)>>63,
+// exact because every operand is below 2⁵³. A slot whose draw may be a
+// Lemire rejection (prod&2047 < cnt, always so from cnt = 2048 on) is
+// instead listed in fix (always written, advanced only for such a slot)
+// and keeps its inbox word for keyedFix; every other slot is zeroed. It
+// returns the fix-list length and the number of occupied slots, each of
+// which accepts one message.
+//
+//breathe:leaf the tree's per-slot sweep; rejections and deferrals are listed for keyedFix
+func treeResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, thresh uint64) (nf int, accepted int64) {
 	rbuf = rbuf[:len(inbox)]
 	acc = acc[:len(inbox)]
 	// c counts fix-list slots in its low 32 bits and occupied slots in
 	// its high 32: one register for both (nf ≤ i < denseWidth).
 	var c uint64
 	for i, v := range inbox {
-		// m is all ones for an occupied slot; a stale one reads cnt = 0.
-		m := -b2u(v>>24 == stamp)
-		cnt := uint64(v&0xfff) & m
-		on := uint64(v >> 12 & 0xfff)
 		x := rbuf[i]
+		cnt := uint64(v & 0xffff)
 		prod := (x & 2047) * cnt
-		// A slot needs the fix-up when its draw may be a Lemire rejection
-		// (prod&2047 < cnt, always so from cnt = 2048 on) and its arrivals
-		// are mixed or beyond the 11-bit draw: min(on−1, 2046) < cnt−1.
-		// A unanimous slot accepts its bit whatever the draw.
-		fixup := b2u(prod&2047 < cnt) & b2u(min(on-1, 2046) < cnt-1)
+		fixup := (prod&2047 - cnt) >> 63
+		// occ is 1 for an occupied slot; keep passes the accumulator
+		// write for occupied slots off the fix list (fixup implies occ).
+		occ := (cnt + 0xffff) >> 16
 		fix[c&(denseWidth-1)] = int32(i)
-		c += m&(1<<32) | fixup
-		bit := b2u(prod>>11 < on) ^ b2u(x>>11 < thresh)
-		acc[i] += (bit<<32 | 1) & m &^ -fixup
+		c += occ<<32 | fixup
+		keep := -(occ ^ fixup)
+		inbox[i] = v & -uint32(fixup)
+		bit := (prod>>11-uint64(v>>16))>>63 ^ (x>>11-thresh)>>63
+		acc[i] += (bit<<32 | 1) & keep
 	}
 	return int(uint32(c)), int64(c >> 32)
 }
@@ -776,63 +855,84 @@ func (d *denseRun) fixBuf() *[denseWidth]int32 {
 	return (*[denseWidth]int32)(d.deferred[:denseWidth])
 }
 
-// keyedPlaceAny is the keyed general-size placement (a population's tail
-// bucket): one addressed unbiased draw per placement, ones offset past the
-// zeros so the two classes never share addresses.
-func (d *denseRun) keyedPlaceAny(stamp uint32, lo int, inbox []uint32, k int, inc uint32, cp rng.Cell, off uint64) {
-	st := stamp << 24
+// walkPlace throws k messages of one class into the bucket inbox that
+// starts at slot lo, drawing placements on demand from cp at counters
+// off, off+1, …: in a power-of-two bucket, four 16-bit lanes per word
+// consumed low-first — exactly the words placeTree reads pre-filled —
+// and otherwise one unbiased Uint32n draw per message. Each arrival adds
+// inc to its slot's word, and a slot joins touched on its first touch
+// (a zero word), so it appears once per round across both classes. An
+// arrival at a saturated counter goes to the spill list.
+func (d *denseRun) walkPlace(lo int, inbox []uint32, k int, inc uint32, cp rng.Cell, off uint64, touched []int32) []int32 {
+	size := uint32(len(inbox))
+	pow2 := size&(size-1) == 0
+	var x uint64
 	for i := 0; i < k; i++ {
-		slot := int(cp.Uint32n(off+uint64(i), uint32(len(inbox))))
+		var slot uint32
+		if !pow2 {
+			slot = cp.Uint32n(off+uint64(i), size)
+		} else {
+			if i&3 == 0 {
+				x = cp.Uint64(off + uint64(i>>2))
+			}
+			slot = uint32(x) & (size - 1)
+			x >>= 16
+		}
 		v := inbox[slot]
-		m := uint32(0)
-		if v>>24 == stamp {
-			m = ^uint32(0)
+		if v == 0 {
+			touched = append(touched, int32(slot))
 		}
-		nv := (v&m | st&^m) + inc
-		if nv&0xfff == 0 {
-			nv -= inc
-			d.spillAdd(int32(lo+slot), inc>>12)
+		if v&0xffff == 0xffff {
+			d.spillAdd(int32(lo)+int32(slot), inc>>16)
+			continue
 		}
-		inbox[slot] = nv
+		inbox[slot] = v + inc
 	}
+	return touched
 }
 
 // keyedFix resolves the fix-list slots of one bucket after its sweep —
-// the tree's and the sparse walker's alike. A slot beyond the 11-bit
-// accept draw goes to keyedResolveDeferred; any other completes the
-// Lemire rejection rule on its collision word with addressed retries:
-// attempt a of slot t reads counter a·denseWidth + t, above every slot's
-// base word.
+// the tree's and the sparse walker's alike — and zeroes each slot's
+// inbox word as it reads it. A slot beyond the 11-bit accept draw goes
+// to keyedResolveDeferred. A unanimous slot accepts its class bit
+// whatever the draw, so it takes the noise from its base word with no
+// retry. Any other slot completes the Lemire rejection rule on its
+// collision word with addressed retries: attempt a of slot t reads
+// counter a·denseWidth + t, above every slot's base word.
 func (e *Engine) keyedFix(d *denseRun, cc rng.Cell, blo int, inbox []uint32, acc []uint64, fix []int32) {
 	thresh := e.bulk.noiseThresh
 	for _, t := range fix {
 		v := inbox[t]
-		cnt := uint64(v & 0xfff)
+		inbox[t] = 0
+		cnt, on := uint64(v&0xffff), uint64(v>>16)
 		if cnt >= 2048 {
-			e.keyedResolveDeferred(d, cc, blo, int(t))
+			e.keyedResolveDeferred(d, cc, blo, int(t), v)
 			continue
 		}
-		on := uint64(v >> 12 & 0xfff)
 		x := cc.Uint64(uint64(t))
-		prod := (x & 2047) * cnt
-		reject := 2048 % cnt
-		for a := uint64(1); prod&2047 < reject; a++ {
-			x = cc.Uint64(a*denseWidth + uint64(t))
-			prod = (x & 2047) * cnt
+		bit := b2u(on != 0)
+		if on != 0 && on != cnt {
+			prod := (x & 2047) * cnt
+			reject := 2048 % cnt
+			for a := uint64(1); prod&2047 < reject; a++ {
+				x = cc.Uint64(a*denseWidth + uint64(t))
+				prod = (x & 2047) * cnt
+			}
+			bit = b2u(prod>>11 < on)
 		}
-		acc[t] += (b2u(prod>>11 < on)^b2u(x>>11 < thresh))<<32 | 1
+		acc[t] += (bit^b2u(x>>11 < thresh))<<32 | 1
 	}
 }
 
-// keyedResolveDeferred resolves a slot whose arrival count outgrew the
-// 11-bit accept draw or saturated the packed counter, from an ephemeral
-// stream seeded by a reserved high counter of the bucket's collision cell.
-func (e *Engine) keyedResolveDeferred(d *denseRun, cc rng.Cell, blo, t int) {
+// keyedResolveDeferred resolves slot t of the bucket at blo, whose inbox
+// word v counts more arrivals than the 11-bit accept draw covers — a
+// saturated counter's excess sits in the spill list — from an ephemeral
+// stream seeded by a reserved high counter of the bucket's collision
+// cell.
+func (e *Engine) keyedResolveDeferred(d *denseRun, cc rng.Cell, blo, t int, v uint32) {
 	b := e.bulk
 	slot := blo + t
-	v := b.dInbox[slot]
-	cnt := uint64(v & 0xfff)
-	on := uint64(v >> 12 & 0xfff)
+	cnt, on := uint64(v&0xffff), uint64(v>>16)
 	for _, s := range d.spill {
 		if s.slot == int32(slot) {
 			cnt += uint64(s.count)

@@ -114,3 +114,39 @@ func BenchmarkKeyedTreeRound(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/agent-round")
 }
+
+// BenchmarkKeyedSparseRound measures one sparse-walker round at n = 2^18
+// with 2000 live senders (self-messages on, so the round is tree-eligible
+// and k·64 < n makes it sparse), without crashes and with 95% of the
+// agents crashed — the senders are drawn from the survivors, so most
+// arrivals land on crashed receivers and the walker's compaction drops
+// them. One op is one round.
+func BenchmarkKeyedSparseRound(b *testing.B) {
+	const n, k = 1 << 18, 2000
+	for _, crash := range []float64{0, 0.95} {
+		b.Run(fmt.Sprintf("crash=%g", crash), func(b *testing.B) {
+			cfg := Config{
+				N: n, Channel: channel.NewBSC(0.2), Seed: 1,
+				AllowSelfMessages: true, Kernel: KernelBatched,
+				MaxRounds: 1 << 30, DrawSchedule: ScheduleKeyed,
+			}
+			p := &sparseChatter{rounds: b.N, k: k}
+			if crash > 0 {
+				plan := NewRandomCrashesKeyed(n, crash, 0, rng.NewKey(1), 0)
+				cfg.Failures = plan
+				p.avoid = plan
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			res := e.Run(p)
+			b.StopTimer()
+			if res.Paths.Sparse != int64(b.N) {
+				b.Fatalf("%d of %d rounds sparse", res.Paths.Sparse, b.N)
+			}
+		})
+	}
+}

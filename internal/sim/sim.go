@@ -466,10 +466,16 @@ func (e *Engine) Reset(seed uint64) {
 	if e.bulk != nil {
 		e.bulk.reset()
 	}
-	if k := e.keyed; k != nil && k.inboxOpen {
-		// The last run unwound mid-round and left scatter arrivals behind.
-		clear(k.inbox)
-		k.inboxOpen = false
+	if k := e.keyed; k != nil {
+		// The last run unwound mid-round and left arrivals behind.
+		if k.inboxOpen {
+			clear(k.inbox)
+			k.inboxOpen = false
+		}
+		if k.treeOpen {
+			clear(k.treeInbox)
+			k.treeOpen = false
+		}
 	}
 	e.started = false
 	e.round = 0

@@ -21,10 +21,14 @@ package sim
 // Every draw the walker makes is the same addressed draw the dense
 // sweep would have made — placement words by word index, accept-one and
 // noise by slot, deferred resolution by slot — and untouched slots are
-// state-free by construction (their accumulator delta is zero and their
-// crash plan is never consulted, exactly as for the dense sweep's
-// unoccupied slots). Results are therefore bit-identical with keyedTree;
-// sparse_test.go pins it across kernels, shard counts and crash plans.
+// state-free by construction (their inbox word is zero, their
+// accumulator delta is zero and their crash plan is never consulted,
+// exactly as for the dense sweep's unoccupied slots). Results are
+// therefore bit-identical with keyedTree; sparse_test.go pins it across
+// kernels, shard counts and crash plans. The walker shares the tree's
+// inbox and leaves it as it found it, all zero: it zeroes every slot it
+// touched, live ones as they resolve and crashed ones as it compacts
+// them out.
 //
 // Like the dense/sharded split, the *accounting* (PathRounds.Sparse) is
 // a fixed pure function of (declared k, n, message count, protocol
@@ -93,7 +97,7 @@ func (e *Engine) sparseExec(declared int) bool {
 // every cell, counter and retry below mirrors a line there.
 func (e *Engine) keyedSparse(m0, m1, round int) {
 	k := e.keyed
-	e.denseStampAdvance()
+	k.openTree(e.cfg.N)
 
 	if q := e.cfg.DropProb; q > 0 {
 		cDrop := e.key.Cell(rng.StreamDrop, uint64(round)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
@@ -151,6 +155,7 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 	for _, ob := range occ {
 		e.sparseWalkBucket(d, int(ob.j), int(ob.c0), int(ob.c1), round)
 	}
+	k.treeOpen = false
 	e.mark(telemetry.PhaseCollision)
 	e.denseRoundEnd(placed, d.accepted)
 }
@@ -161,9 +166,9 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 // words with Cell.Fill, whose word w is by definition cp.Uint64(w), so
 // computing the words on demand consumes the same addresses — and the
 // resolve of a touched slot i reads the same cc.Uint64(i) base word the
-// full-bucket sweep reads at rbuf[i]. Untouched slots carry a stale
-// stamp: the sweep adds zero to their accumulators, draws nothing fresh
-// for them, and its crash pre-pass consults the plan for occupied slots
+// full-bucket sweep reads at rbuf[i]. Untouched slots hold a zero word:
+// the sweep adds zero to their accumulators, draws nothing fresh for
+// them, and its crash pre-pass consults the plan for occupied slots
 // only, so skipping them is exact.
 func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	b := e.bulk
@@ -176,31 +181,31 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	}
 
 	d.spill = d.spill[:0]
-	stamp := b.dStamp
 
 	cp := e.key.Cell(rng.StreamPlacement, uint64(round)).Sub(uint64(j)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
 
-	inbox := b.dInbox[blo : blo+bsize : blo+bsize]
-	touched := k.sparseTouched[:0]
+	inbox := k.treeInbox[blo : blo+bsize : blo+bsize]
+	// The ones start past the zeros' draws: past their placement words
+	// in a power-of-two bucket, past their per-message draws otherwise.
+	off1 := uint64(c0)
 	if bsize&(bsize-1) == 0 {
-		nd0 := (c0 + 3) / 4
-		touched = d.sparsePlacePow2(stamp, blo, inbox, c0, 1, cp, 0, touched)
-		touched = d.sparsePlacePow2(stamp, blo, inbox, c1, 1<<12|1, cp, uint64(nd0), touched)
-	} else {
-		touched = d.sparsePlaceAny(stamp, blo, inbox, c0, 1, cp, 0, touched)
-		touched = d.sparsePlaceAny(stamp, blo, inbox, c1, 1<<12|1, cp, uint64(c0), touched)
+		off1 = uint64(c0+3) / 4
 	}
-	k.sparseTouched = touched
+	touched := d.walkPlace(blo, inbox, c0, 1, cp, 0, k.walked[:0])
+	touched = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, off1, touched)
+	k.walked = touched
 
 	if f := e.cfg.Failures; f != nil {
-		// Crashed receivers lose every arrival: compact them out.
+		// Crashed receivers lose every arrival: zero and compact them out.
 		w := 0
 		for _, ti := range touched {
-			if !f.Crashed(blo+int(ti), round) {
-				touched[w] = ti
-				w++
+			if f.Crashed(blo+int(ti), round) {
+				inbox[ti] = 0
+				continue
 			}
+			touched[w] = ti
+			w++
 		}
 		touched = touched[:w]
 	}
@@ -214,78 +219,23 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 // sparseResolve is treeResolve over the touched slots only, with each
 // slot's collision word computed on demand: cc.Uint64(i) is the word the
 // full sweep reads at rbuf[i]. Every touched slot is occupied and live.
+// Like the sweep, it zeroes each slot it resolves and leaves fix-list
+// slots to keyedFix.
+//
+//breathe:leaf the walker's per-slot resolve; rejections and deferrals are listed for keyedFix
 func sparseResolve(inbox []uint32, touched []int32, acc []uint64, fix *[denseWidth]int32, cc rng.Cell, thresh uint64) (nf int) {
 	for _, i := range touched {
 		v := inbox[i]
-		cnt := uint64(v & 0xfff)
-		on := uint64(v >> 12 & 0xfff)
+		cnt := uint64(v & 0xffff)
+		on := uint64(v >> 16)
 		x := cc.Uint64(uint64(i))
 		prod := (x & 2047) * cnt
-		fixup := b2u(prod&2047 < cnt) & b2u(min(on-1, 2046) < cnt-1)
+		fixup := (prod&2047 - cnt) >> 63
 		fix[nf&(denseWidth-1)] = i // nf < len(touched) ≤ denseWidth
 		nf += int(fixup)
-		bit := b2u(prod>>11 < on) ^ b2u(x>>11 < thresh)
+		bit := (prod>>11-on)>>63 ^ (x>>11-thresh)>>63
 		acc[i] += (bit<<32 | 1) &^ -fixup
+		inbox[i] = v & -uint32(fixup)
 	}
 	return nf
-}
-
-// sparsePlacePow2 is placePow2 with on-demand placement words and a
-// touched-slot list: word w of the class's placement words (wbase + w
-// in the bucket's placement cell) carries four 16-bit lanes, consumed
-// low-first, exactly as the pre-filled draw buffer is consumed by the
-// dense sweep. A slot joins touched when its stamp is refreshed — each
-// slot therefore appears exactly once per round across both classes.
-func (d *denseRun) sparsePlacePow2(stamp uint32, lo int, inbox []uint32, k int, inc uint32, cp rng.Cell, wbase uint64, touched []int32) []int32 {
-	st := stamp << 24
-	i := 0
-	for w := uint64(0); i < k; w++ {
-		x := cp.Uint64(wbase + w)
-		lanes := 4
-		if k-i < 4 {
-			lanes = k - i
-		}
-		for lane := 0; lane < lanes; lane++ {
-			slot := int(x) & (len(inbox) - 1)
-			x >>= 16
-			v := inbox[slot]
-			m := uint32(0)
-			if v>>24 == stamp {
-				m = ^uint32(0)
-			} else {
-				touched = append(touched, int32(slot))
-			}
-			nv := (v&m | st&^m) + inc
-			if nv&0xfff == 0 {
-				nv -= inc
-				d.spillAdd(int32(lo+slot), inc>>12)
-			}
-			inbox[slot] = nv
-		}
-		i += lanes
-	}
-	return touched
-}
-
-// sparsePlaceAny is keyedPlaceAny (the tail bucket's general-size
-// placement) with a touched-slot list; draws and writes are identical.
-func (d *denseRun) sparsePlaceAny(stamp uint32, lo int, inbox []uint32, k int, inc uint32, cp rng.Cell, off uint64, touched []int32) []int32 {
-	st := stamp << 24
-	for i := 0; i < k; i++ {
-		slot := int(cp.Uint32n(off+uint64(i), uint32(len(inbox))))
-		v := inbox[slot]
-		m := uint32(0)
-		if v>>24 == stamp {
-			m = ^uint32(0)
-		} else {
-			touched = append(touched, int32(slot))
-		}
-		nv := (v&m | st&^m) + inc
-		if nv&0xfff == 0 {
-			nv -= inc
-			d.spillAdd(int32(lo+slot), inc>>12)
-		}
-		inbox[slot] = nv
-	}
-	return touched
 }

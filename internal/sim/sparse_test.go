@@ -17,10 +17,15 @@ import (
 type sparseChatter struct {
 	rounds int
 	k      int
-	n      int
-	acc    []uint64
-	zeros  []int32
-	ones   []int32
+	// avoid, when set, takes the agents it crashes at round 0 out of the
+	// sender set, which becomes the first k agents it spares: live
+	// senders broadcasting into a crash-thinned population.
+	avoid FailurePlan
+	last  int // the largest sender id
+	n     int
+	acc   []uint64
+	zeros []int32
+	ones  []int32
 }
 
 func (c *sparseChatter) Name() string { return "sparse-chatter" }
@@ -29,16 +34,21 @@ func (c *sparseChatter) Setup(n int, _ *rng.RNG) {
 	c.acc = make([]uint64, n)
 	c.zeros = c.zeros[:0]
 	c.ones = c.ones[:0]
-	for a := 0; a < c.k; a++ {
+	c.last = -1
+	for a := 0; a < n && len(c.zeros)+len(c.ones) < c.k; a++ {
+		if c.avoid != nil && c.avoid.Crashed(a, 0) {
+			continue
+		}
 		if a%2 == 0 {
 			c.zeros = append(c.zeros, int32(a))
 		} else {
 			c.ones = append(c.ones, int32(a))
 		}
+		c.last = a
 	}
 }
 func (c *sparseChatter) Send(a, round int) (channel.Bit, bool) {
-	return channel.Bit(a % 2), a < c.k
+	return channel.Bit(a % 2), a <= c.last && (c.avoid == nil || !c.avoid.Crashed(a, 0))
 }
 func (c *sparseChatter) Receive(a int, b channel.Bit, round int) {
 	c.acc[a] += uint64(b)<<32 + 1
@@ -68,8 +78,8 @@ func (c *sparseChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round
 func (c *sparseChatter) BulkAccumulate(int) bool    { return true }
 func (c *sparseChatter) BulkAccumulators() []uint64 { return c.acc }
 
-// ActiveSenders implements SenderIndex: the declared set is the first k
-// agents, every round, before any crash filtering.
+// ActiveSenders implements SenderIndex: the declared set is the k
+// senders, every round, before any crash filtering.
 func (c *sparseChatter) ActiveSenders(round int) int { return c.k }
 
 // sparseCfg is the shared scenario: k·64 < n with m ≥ denseMinMessages,
