@@ -1,7 +1,9 @@
 // Command bench measures the round kernels' throughput trajectory and
 // writes it to a JSON artifact (BENCH_kernel.json by default): the
-// ns/agent-round cost of the per-agent reference path, the single-worker
-// batched kernel and the sharded kernel at a ladder of population sizes.
+// ns/agent-round cost of per-agent collection, the single-worker batched
+// kernel and the sharded kernel at a ladder of population sizes. The
+// kernels replay the same addressed draws, so every cell of one n runs
+// the same rounds; only the mechanism and the worker count differ.
 // CI runs it at reduced scale (-quick) on every push and uploads the
 // artifact, so the kernel cost trajectory accumulates across the
 // repository's history instead of living only in commit messages.
@@ -127,10 +129,9 @@ func (c *sparseChatter) Send(a, round int) (channel.Bit, bool) {
 // ActiveSenders implements sim.SenderIndex: k declared senders per round.
 func (c *sparseChatter) ActiveSenders(int) int { return c.k }
 
-// Cell is one measured (schedule, kernel, n) point.
+// Cell is one measured (kernel, n) point.
 type Cell struct {
 	Kernel          string  `json:"kernel"`
-	Schedule        string  `json:"schedule"`
 	N               int     `json:"n"`
 	Shards          int     `json:"shards"`
 	Rounds          int     `json:"rounds"`
@@ -147,9 +148,8 @@ type Cell struct {
 }
 
 // AsyncCell is the async-heavy quiet-span cell: one quiet-dominated
-// selfsync scenario executed twice under the keyed schedule — quiet-span
-// skipping on (the default) and off — on the per-agent reference
-// mechanism, whose Θ(n) sender scans are what the dilation gaps cost
+// selfsync scenario executed twice — quiet-span skipping on (the default)
+// and off — on the per-agent collection mechanism, whose Θ(n) sender scans are what the dilation gaps cost
 // without the skip. The crash plan thins the message traffic (the
 // robustness scenario the sweep grids also exercise) and routes every
 // scan through the failure filter, so the cell also covers the
@@ -177,14 +177,13 @@ type AsyncCell struct {
 
 // SparseCell is the sparse-regime cell (schema v5): one sparse-activity
 // scenario — k declared senders in a population of n with k·64 < n —
-// executed twice under the keyed schedule on the batched kernel: the
+// executed twice on the batched kernel: the
 // event-driven sparse walker (the default) and the dense tree
 // (SparseCutover −1). Both executors must produce the same sim.Result;
 // the speedup is the Θ(n)-round-floor saving the walker buys.
 type SparseCell struct {
-	Kernel   string `json:"kernel"`
-	Schedule string `json:"schedule"`
-	N        int    `json:"n"`
+	Kernel string `json:"kernel"`
+	N      int    `json:"n"`
 	// ActiveSenders is the declared sender-set size k of every round.
 	ActiveSenders int   `json:"active_senders"`
 	Rounds        int   `json:"rounds"`
@@ -209,12 +208,7 @@ type Report struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	Quick      bool   `json:"quick"`
 	Budget     int64  `json:"agent_round_budget"`
-	// KeyedDenseOverhead is keyed/legacy − 1 in ns/agent-round on the
-	// serial dense path (kernel "batched") at the ladder's largest n —
-	// the cost of addressed draws over sequential streams. The budget for
-	// the keyed schedule is ≤ 0.15.
-	KeyedDenseOverhead float64 `json:"keyed_dense_overhead"`
-	Cells              []Cell  `json:"cells"`
+	Cells      []Cell `json:"cells"`
 	// AsyncCell is the quiet-span skipping measurement (schema v3).
 	AsyncCell *AsyncCell `json:"async_cell,omitempty"`
 	// SparseCell is the sparse-regime walker measurement (schema v5).
@@ -253,8 +247,8 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 		}
 		e, err := sim.NewEngine(sim.Config{
 			N: n, Channel: channel.FromEpsilon(eps), Seed: seed,
-			AllowSelfMessages: true, DrawSchedule: sim.ScheduleKeyed,
-			Kernel: sim.KernelPerAgent, Shards: 1, MaxRounds: 1 << 30,
+			AllowSelfMessages: true,
+			Kernel:            sim.KernelPerAgent, Shards: 1, MaxRounds: 1 << 30,
 			Failures:    sim.NewRandomCrashesKeyed(n, crashProb, 0, rng.NewKey(seed), 0),
 			NoQuietSkip: noskip,
 		})
@@ -302,7 +296,7 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 		n, k, rounds = 1_000_000, 1_000, 40
 	}
 	cell := &SparseCell{
-		Kernel: "batched", Schedule: "keyed", N: n, ActiveSenders: k,
+		Kernel: "batched", N: n, ActiveSenders: k,
 	}
 	var treeRes, sparseRes sim.Result
 	for _, walker := range []bool{true, false} {
@@ -313,8 +307,7 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 		e, err := sim.NewEngine(sim.Config{
 			N: n, Channel: channel.NewBSC(0.2), Seed: seed,
 			AllowSelfMessages: true, Kernel: sim.KernelBatched, Shards: 1,
-			MaxRounds: 1 << 30, DrawSchedule: sim.ScheduleKeyed,
-			SparseCutover: cutover,
+			MaxRounds: 1 << 30, SparseCutover: cutover,
 		})
 		if err != nil {
 			return nil, err
@@ -390,7 +383,7 @@ func run(args []string, log io.Writer) error {
 	}
 
 	rep := Report{
-		Schema:     "breathe-bench-kernel/v5",
+		Schema:     "breathe-bench-kernel/v6",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      *quick,
 		Budget:     b,
@@ -404,95 +397,72 @@ func run(args []string, log io.Writer) error {
 		{"batched", sim.KernelBatched, 1},
 		{"sharded", sim.KernelBatched, *shards},
 	}
-	schedules := []struct {
-		name string
-		ds   sim.DrawSchedule
-	}{
-		{"legacy", sim.ScheduleLegacy},
-		{"keyed", sim.ScheduleKeyed},
-	}
-	// ns/agent-round of the serial dense cells at the largest n, per
-	// schedule, for the keyed-overhead headline.
-	denseNs := map[string]float64{}
-	largestN := ns[len(ns)-1]
 	// One probe serves every cell (Reset between runs). Its clock reads at
 	// phase boundaries are part of the measured wall time — a handful of
 	// monotonic reads per round, noise at these budgets.
 	probe := telemetry.NewRunProbe()
 	phaseNames := telemetry.PhaseNames()
 	phaseTable := trace.NewTable("phase decomposition (% of kernel wall time)",
-		append([]string{"kernel", "schedule", "n"}, phaseNames[:]...)...)
+		append([]string{"kernel", "n"}, phaseNames[:]...)...)
 	for _, n := range ns {
 		for _, k := range kernels {
-			for _, s := range schedules {
-				// Equal work per cell: rounds × n ≈ the budget for every n, so
-				// ns/agent-round figures are comparable across the ladder. Only
-				// a floor is applied (populations larger than the budget still
-				// get a few rounds).
-				rounds := int(b / int64(n))
-				if rounds < 3 {
-					rounds = 3
-				}
-				probe.Reset()
-				e, err := sim.NewEngine(sim.Config{
-					N: n, Channel: channel.NewBSC(0.2), Seed: *seed,
-					AllowSelfMessages: true, Kernel: k.kernel,
-					Shards: k.shards, MaxRounds: 1 << 30,
-					DrawSchedule: s.ds,
-					Telemetry:    probe,
-				})
-				if err != nil {
-					return err
-				}
-				p := &chatter{rounds: rounds}
-				//breathe:walltime-ok benchmark wall-time measurement
-				start := time.Now()
-				res := e.Run(p)
-				//breathe:walltime-ok benchmark wall-time measurement
-				wall := time.Since(start)
-				agentRounds := float64(n) * float64(res.Rounds)
-				phaseNs := probe.PhaseNanos()
-				phases := make(map[string]int64, len(phaseNames))
-				var phaseTotal int64
-				for i, name := range phaseNames {
-					phases[name] = phaseNs[i]
-					phaseTotal += phaseNs[i]
-				}
-				cell := Cell{
-					Kernel:          k.name,
-					Schedule:        s.name,
-					N:               n,
-					Shards:          k.shards,
-					Rounds:          res.Rounds,
-					Messages:        res.MessagesSent,
-					ShardedRounds:   e.ShardedRounds(),
-					WallSeconds:     wall.Seconds(),
-					NsPerAgentRound: float64(wall.Nanoseconds()) / agentRounds,
-					MMsgsPerSec:     float64(res.MessagesSent) / wall.Seconds() / 1e6,
-					PhaseNs:         phases,
-				}
-				rep.Cells = append(rep.Cells, cell)
-				row := []string{k.name, s.name, strconv.Itoa(n)}
-				for i := range phaseNames {
-					pct := 0.0
-					if phaseTotal > 0 {
-						pct = 100 * float64(phaseNs[i]) / float64(phaseTotal)
-					}
-					row = append(row, fmt.Sprintf("%.1f", pct))
-				}
-				phaseTable.AddRow(row...)
-				if k.name == "batched" && n == largestN {
-					denseNs[s.name] = cell.NsPerAgentRound
-				}
-				fmt.Fprintf(log, "%-9s %-6s n=%-9d rounds=%-4d %7.2f ns/agent-round  %8.1f M msgs/s  sharded-rounds=%d\n",
-					cell.Kernel, cell.Schedule, n, cell.Rounds, cell.NsPerAgentRound, cell.MMsgsPerSec, cell.ShardedRounds)
+			// Equal work per cell: rounds × n ≈ the budget for every n, so
+			// ns/agent-round figures are comparable across the ladder. Only
+			// a floor is applied (populations larger than the budget still
+			// get a few rounds).
+			rounds := int(b / int64(n))
+			if rounds < 3 {
+				rounds = 3
 			}
+			probe.Reset()
+			e, err := sim.NewEngine(sim.Config{
+				N: n, Channel: channel.NewBSC(0.2), Seed: *seed,
+				AllowSelfMessages: true, Kernel: k.kernel,
+				Shards: k.shards, MaxRounds: 1 << 30,
+				Telemetry: probe,
+			})
+			if err != nil {
+				return err
+			}
+			p := &chatter{rounds: rounds}
+			//breathe:walltime-ok benchmark wall-time measurement
+			start := time.Now()
+			res := e.Run(p)
+			//breathe:walltime-ok benchmark wall-time measurement
+			wall := time.Since(start)
+			agentRounds := float64(n) * float64(res.Rounds)
+			phaseNs := probe.PhaseNanos()
+			phases := make(map[string]int64, len(phaseNames))
+			var phaseTotal int64
+			for i, name := range phaseNames {
+				phases[name] = phaseNs[i]
+				phaseTotal += phaseNs[i]
+			}
+			cell := Cell{
+				Kernel:          k.name,
+				N:               n,
+				Shards:          k.shards,
+				Rounds:          res.Rounds,
+				Messages:        res.MessagesSent,
+				ShardedRounds:   e.ShardedRounds(),
+				WallSeconds:     wall.Seconds(),
+				NsPerAgentRound: float64(wall.Nanoseconds()) / agentRounds,
+				MMsgsPerSec:     float64(res.MessagesSent) / wall.Seconds() / 1e6,
+				PhaseNs:         phases,
+			}
+			rep.Cells = append(rep.Cells, cell)
+			row := []string{k.name, strconv.Itoa(n)}
+			for i := range phaseNames {
+				pct := 0.0
+				if phaseTotal > 0 {
+					pct = 100 * float64(phaseNs[i]) / float64(phaseTotal)
+				}
+				row = append(row, fmt.Sprintf("%.1f", pct))
+			}
+			phaseTable.AddRow(row...)
+			fmt.Fprintf(log, "%-9s n=%-9d rounds=%-4d %7.2f ns/agent-round  %8.1f M msgs/s  sharded-rounds=%d\n",
+				cell.Kernel, n, cell.Rounds, cell.NsPerAgentRound, cell.MMsgsPerSec, cell.ShardedRounds)
 		}
-	}
-	if legacy, keyed := denseNs["legacy"], denseNs["keyed"]; legacy > 0 {
-		rep.KeyedDenseOverhead = keyed/legacy - 1
-		fmt.Fprintf(log, "keyed dense overhead at n=%d: %+.1f%% (budget ≤ +15%%)\n",
-			largestN, rep.KeyedDenseOverhead*100)
 	}
 	if err := phaseTable.WriteText(log); err != nil {
 		return err

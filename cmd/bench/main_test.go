@@ -29,7 +29,7 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if rep.Schema != "breathe-bench-kernel/v5" {
+	if rep.Schema != "breathe-bench-kernel/v6" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	if !strings.Contains(log.String(), "phase decomposition") {
@@ -56,9 +56,9 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if rep.SparseCell.Speedup <= 1 {
 		t.Fatalf("sparse walker slower than the dense tree: %+v", rep.SparseCell)
 	}
-	// 2 sizes × 3 kernels × 2 schedules.
-	if len(rep.Cells) != 12 {
-		t.Fatalf("got %d cells, want 12", len(rep.Cells))
+	// 2 sizes × 3 kernels.
+	if len(rep.Cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(rep.Cells))
 	}
 	for _, c := range rep.Cells {
 		if c.NsPerAgentRound <= 0 || c.Rounds < 3 || c.Messages <= 0 {
@@ -72,15 +72,10 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 		if len(c.PhaseNs) == 0 || phaseTotal <= 0 {
 			t.Fatalf("cell %+v has no phase decomposition", c)
 		}
-		if c.Schedule != "legacy" && c.Schedule != "keyed" {
-			t.Fatalf("cell %+v has unknown schedule", c)
-		}
-		// n = 40000 decomposes into two virtual shards, so the batched and
-		// sharded kernels must report sharded rounds there. Under the keyed
-		// schedule the regime is kernel-independent, so even the per-agent
-		// kernel reports them.
-		if c.N == 40000 && c.ShardedRounds == 0 &&
-			(c.Kernel != "per-agent" || c.Schedule == "keyed") {
+		// n = 40000 decomposes into two virtual shards, so every kernel —
+		// the regime is kernel-independent — must report sharded rounds
+		// there.
+		if c.N == 40000 && c.ShardedRounds == 0 {
 			t.Fatalf("cell %+v executed no sharded rounds", c)
 		}
 	}

@@ -76,7 +76,6 @@ func main() {
 		maxN    = fs.Int("maxn", 1<<24, "largest admitted population (0 = engine limit)")
 		engines = fs.Int("engines", 0, "reusable engines cached per worker, one per engine shape (0 = default 4; raise for wide sweep grids)")
 		history = fs.Int("history", 0, "terminal jobs retrievable by ID (0 = default 16384)")
-		sched   = fs.String("schedule", "", "default draw schedule for requests that leave it unset: legacy | keyed (empty = api default, legacy)")
 		debug   = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
 	fs.Parse(os.Args[1:])
@@ -88,7 +87,6 @@ func main() {
 		MaxN:             *maxN,
 		EnginesPerWorker: *engines,
 		JobHistory:       *history,
-		DefaultSchedule:  *sched,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -20,7 +20,7 @@
 //	megasim -protocol async-selfsync -n 100000   # §3.2, activation-phase sync
 //	megasim -crash 0.1 -n 1000000            # 10% initial crash faults
 //	megasim -n 10000000 -shards 8            # 10⁷ agents across 8 worker cores
-//	megasim -kernel per-agent -n 100000      # the reference path, for comparison
+//	megasim -kernel per-agent -n 100000      # per-agent collection, same bits
 //	megasim -n 1000000 -json > result.json   # machine-readable api.RunResponse
 //	megasim -n 1000000 -phases               # kernel phase decomposition (byte-inert)
 //
@@ -30,17 +30,17 @@
 // moves to stderr), so a batch result is directly comparable, hash and
 // all, with a served one.
 //
-// Above ~32k agents the batched kernel's dense rounds run *sharded*: the
-// population is decomposed into virtual shards, the round's messages are
-// split across them by an exact multinomial draw and the shards execute
-// on -shards worker goroutines (0 = all cores). Results are bit-identical
-// for every -shards value — the flag is a pure performance knob.
+// Above ~32k agents the large tree rounds run *sharded*: the round's
+// receiver buckets are swept on -shards worker goroutines (0 = all
+// cores). Every draw is addressed by (seed, stream, round, index), so
+// results are bit-identical for every -shards and -kernel value — both
+// flags are pure performance knobs.
 //
-// The default -kernel auto falls back to the per-agent reference path
-// when the batched kernel cannot run (n ≥ 2²⁸); the "paths:" line (and
-// the response's paths field) reports which path actually executed every
-// round, so the fallback is visible. -kernel batched hard-fails instead
-// of falling back.
+// The default -kernel auto falls back to per-agent collection when the
+// batched kernel cannot run (n ≥ 2²⁸); the "paths:" line (and the
+// response's paths field) reports which regime executed every round, so
+// the fallback is visible. -kernel batched hard-fails instead of falling
+// back.
 package main
 
 import (
@@ -71,8 +71,7 @@ func run(args []string) error {
 		n        = fs.Int("n", 1_000_000, "population size")
 		eps      = fs.Float64("eps", 0.3, "channel parameter ε (flip prob = 1/2−ε)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		kernel   = fs.String("kernel", "auto", "auto | batched | per-agent (auto falls back per-agent when batched cannot run)")
-		draws    = fs.String("schedule", "legacy", "draw schedule: legacy | keyed (keyed makes every kernel bit-identical)")
+		kernel   = fs.String("kernel", "auto", "auto | batched | per-agent (results are identical for every value)")
 		self     = fs.Bool("self", true, "allow self-messages (classical push convention; enables aggregate recipient sampling)")
 		aBias    = fs.Float64("abias", 0.2, "consensus: majority-bias of the initial set")
 		crash    = fs.Float64("crash", 0, "crash each agent at round 0 with this probability (agent 0 is protected)")
@@ -101,7 +100,6 @@ func run(args []string) error {
 		ABias:          *aBias,
 		CrashProb:      *crash,
 		Kernel:         *kernel,
-		Schedule:       *draws,
 		Shards:         *shards,
 		SparseCutover:  *sparse,
 	}
@@ -131,8 +129,8 @@ func run(args []string) error {
 		fmt.Fprintf(out, "crashes:   %d of %d agents down from round 0 (p = %.3g)\n",
 			built.Crashed, *n, *crash)
 	}
-	fmt.Fprintf(out, "scenario:  %s  n=%d eps=%.3g seed=%d kernel=%s schedule=%s self=%v shards=%d\n",
-		*protocol, *n, *eps, *seed, *kernel, req.Canonical().Schedule, *self, *shards)
+	fmt.Fprintf(out, "scenario:  %s  n=%d eps=%.3g seed=%d kernel=%s self=%v shards=%d\n",
+		*protocol, *n, *eps, *seed, *kernel, *self, *shards)
 	fmt.Fprintf(out, "schedule:  %s\n", schedule)
 
 	var probe *telemetry.RunProbe
@@ -155,8 +153,8 @@ func run(args []string) error {
 	agentRounds := float64(*n) * float64(res.Rounds)
 	fmt.Fprintf(out, "rounds:    %d   messages: %d (accepted %d, dropped %d)\n",
 		res.Rounds, res.MessagesSent, res.MessagesAccepted, res.MessagesDropped)
-	fmt.Fprintf(out, "paths:     %s (primary %s, schedule %s, quiet-spans %d)\n",
-		res.Paths, res.Paths.Primary(), req.Canonical().Schedule, engine.QuietSpans())
+	fmt.Fprintf(out, "paths:     %s (primary %s, quiet-spans %d)\n",
+		res.Paths, res.Paths.Primary(), engine.QuietSpans())
 	fmt.Fprintf(out, "opinions:  0:%d  1:%d  undecided:%d   correct: %.6f  unanimous: %v\n",
 		res.Opinions[0], res.Opinions[1], res.Undecided,
 		res.CorrectFraction(channel.One), res.AllCorrect(channel.One))

@@ -90,7 +90,6 @@ func run(args []string, out, errOut io.Writer) error {
 		seeds     = fs.Int("seeds", 5, "seeds per cell")
 		baseSeed  = fs.Uint64("seed", 0, "base seed: a cell runs seeds seed..seed+seeds-1")
 		kernel    = fs.String("kernel", "auto", "kernel for every cell: auto | batched | per-agent")
-		schedule  = fs.String("schedule", "legacy", "draw schedule for every cell: legacy | keyed")
 		workers   = fs.Int("workers", 0, "concurrent runs: engine-pool size locally, client concurrency remotely (0 = all cores)")
 		shards    = fs.Int("shards", 0, "intra-run sharded-kernel workers per engine (0 = auto: the core budget divided by -workers, so the knobs compose instead of multiplying)")
 		remote    = fs.String("remote", "", "comma-separated breathed base URLs; empty = run locally")
@@ -159,7 +158,6 @@ func run(args []string, out, errOut io.Writer) error {
 		Seeds:      *seeds,
 		BaseSeed:   *baseSeed,
 		Kernel:     *kernel,
-		Schedule:   *schedule,
 		Shards:     shardsEff,
 	}
 	// Fail grid errors (unknown protocol, n < 2, ε out of range…) before

@@ -58,7 +58,7 @@ func TestRunReportsRoundsAcrossSeeds(t *testing.T) {
 		t.Fatalf("got %d CSV lines, want header + 1 row:\n%s", len(lines), buf.String())
 	}
 	header := strings.Split(lines[0], ",")
-	wantHeader := []string{"protocol", "n", "eps", "crash", "schedule", "mean_rounds",
+	wantHeader := []string{"protocol", "n", "eps", "crash", "mean_rounds",
 		"max_rounds", "mean_messages", "success_rate", "mean_stage1_bias"}
 	if !reflect.DeepEqual(header, wantHeader) {
 		t.Fatalf("header = %v, want %v", header, wantHeader)
@@ -67,14 +67,11 @@ func TestRunReportsRoundsAcrossSeeds(t *testing.T) {
 	if row[0] != "broadcast" {
 		t.Fatalf("protocol column = %q", row[0])
 	}
-	if row[4] != "legacy" {
-		t.Fatalf("schedule column = %q", row[4])
-	}
-	if row[5] == "0" || row[6] == "0" {
+	if row[4] == "0" || row[5] == "0" {
 		t.Fatalf("rounds columns empty: %v", row)
 	}
-	if row[5] != row[6] {
-		t.Fatalf("deterministic schedule: mean_rounds %s != max_rounds %s", row[5], row[6])
+	if row[4] != row[5] {
+		t.Fatalf("deterministic schedule: mean_rounds %s != max_rounds %s", row[4], row[5])
 	}
 }
 
@@ -97,10 +94,10 @@ func TestRunFullScenarioGrid(t *testing.T) {
 	for _, line := range lines[1:] {
 		cols := strings.Split(line, ",")
 		isAsync := strings.HasPrefix(cols[0], "async")
-		if isAsync && cols[9] != "" {
-			t.Errorf("async cell carries stage1 bias %q: %s", cols[9], line)
+		if isAsync && cols[8] != "" {
+			t.Errorf("async cell carries stage1 bias %q: %s", cols[8], line)
 		}
-		if !isAsync && cols[9] == "" {
+		if !isAsync && cols[8] == "" {
 			t.Errorf("broadcast cell lost its stage1 bias: %s", line)
 		}
 	}

@@ -29,8 +29,9 @@ func TestGoldenRNGStream(t *testing.T) {
 }
 
 func TestGoldenBroadcastRun(t *testing.T) {
-	// Default path: the batched kernel (PR 1). Same law as the per-agent
-	// path, different draw schedule, hence its own pinned constant.
+	// The keyed schedule is kernel-blind: the per-agent and the batched
+	// kernel must both reproduce this constant. (The model reference's own
+	// draw-for-draw pin is TestGoldenBroadcastRunPerAgent in internal/sim.)
 	res, err := Broadcast(Config{N: 1024, Epsilon: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -38,37 +39,26 @@ func TestGoldenBroadcastRun(t *testing.T) {
 	if res.Rounds != 1236 {
 		t.Errorf("Rounds = %d, want 1236", res.Rounds)
 	}
-	if res.Messages != 854675 {
-		t.Errorf("Messages = %d, want 854675", res.Messages)
+	if res.Messages != 853783 {
+		t.Errorf("Messages = %d, want 853783", res.Messages)
 	}
 	if !res.Unanimous {
 		t.Error("expected unanimity")
 	}
-}
-
-func TestGoldenBroadcastRunPerAgent(t *testing.T) {
-	// The per-agent reference path must keep reproducing the seed
-	// repository's execution draw for draw: this is the original golden
-	// constant from before the batched kernel existed.
-	p, err := core.NewBroadcast(core.DefaultParams(1024, 0.3), channel.One)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sim.Config{
-		N: 1024, Channel: channel.FromEpsilon(0.3), Seed: 1,
-		Kernel: sim.KernelPerAgent,
-	}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 1236 {
-		t.Errorf("Rounds = %d, want 1236", res.Rounds)
-	}
-	if res.MessagesSent != 856013 {
-		t.Errorf("MessagesSent = %d, want 856013", res.MessagesSent)
-	}
-	if !res.AllCorrect(channel.One) {
-		t.Error("expected unanimity")
+	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched} {
+		p, err := core.NewBroadcast(core.DefaultParams(1024, 0.3), channel.One)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kres, err := sim.Run(sim.Config{
+			N: 1024, Channel: channel.FromEpsilon(0.3), Seed: 1, Kernel: kernel,
+		}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kres.Rounds != 1236 || kres.MessagesSent != 853783 {
+			t.Errorf("kernel %d: %d rounds, %d messages; want 1236, 853783", kernel, kres.Rounds, kres.MessagesSent)
+		}
 	}
 }
 

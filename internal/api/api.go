@@ -7,18 +7,14 @@
 // key derived from its semantic configuration alone. The contract here is
 // strict: two requests that describe the same run must hash identically
 // regardless of JSON field order, default elision, or pure performance
-// knobs (worker counts never change results — the sharded kernel is
-// bit-identical for every Config.Shards). Conversely anything that can
-// change a single output bit is part of the hash.
+// knobs. Conversely anything that can change a single output bit is part
+// of the hash.
 //
-// What counts as a perf knob depends on the draw schedule. Under the
-// legacy schedule the kernel selection is semantic: the kernels agree in
-// law but not draw-for-draw, so Kernel is hashed. Under the keyed
-// schedule (ScheduleKeyed) every draw is addressed by
-// (seed, stream, round, agent, counter) and the kernels are bit-identical
-// by construction, so Kernel is erased from the canonical request — a
-// result computed by one kernel is served byte-for-byte to a request
-// naming another.
+// Every draw of a run is addressed by (seed, stream, round, agent,
+// counter), so the kernels and worker counts are bit-identical by
+// construction: Kernel and Shards are erased from the canonical request,
+// and a result computed by one kernel is served byte-for-byte to a
+// request naming another.
 //
 // The same types serve as the machine-readable output format of
 // cmd/megasim (-json), so batch and service results are directly
@@ -54,22 +50,10 @@ const (
 	KernelPerAgent = "per-agent"
 )
 
-// Draw-schedule names accepted by RunRequest.Schedule.
-const (
-	// ScheduleLegacy is the historical reseed-chain schedule: draws are
-	// consumed sequentially from per-subsystem streams, so the kernel
-	// selection changes the draw order and is part of the run's identity.
-	ScheduleLegacy = "legacy"
-	// ScheduleKeyed is the counter-mode schedule: every draw is addressed
-	// by (seed, stream, round, agent/shard, counter), making all kernels
-	// bit-identical and demoting Kernel to a pure performance knob.
-	ScheduleKeyed = "keyed"
-)
-
-// crashSeedSalt decorrelates the crash-plan randomness from the engine
-// streams that rng.New(seed) seeds (same constant as cmd/megasim, so a
-// service run with a crash plan reproduces the megasim scenario exactly).
-const crashSeedSalt = 0x9e3779b97f4a7c15
+// ScheduleKeyed is the one draw schedule, and the only value
+// RunRequest.Schedule accepts besides "" (which normalizes to it): every
+// draw is addressed by (seed, stream, round, agent/bucket, counter).
+const ScheduleKeyed = "keyed"
 
 // RunRequest describes one simulation run. The zero value of every
 // optional field means "default"; Normalize resolves the defaults so that
@@ -104,13 +88,12 @@ type RunRequest struct {
 	// CrashRound is the round the crash plan takes effect (default 0).
 	CrashRound int `json:"crash_round,omitempty"`
 	// Kernel selects the execution strategy: auto | batched | per-agent.
-	// Default auto. Under the legacy schedule it is part of the hash (the
-	// kernels agree in law, not bit for bit); under the keyed schedule it
-	// is a pure perf knob and is erased from the canonical request.
+	// Default auto. A pure perf knob — every kernel replays the same
+	// addressed draws — so it is erased from the canonical request.
 	Kernel string `json:"kernel,omitempty"`
-	// Schedule selects the draw schedule: legacy | keyed. Default legacy.
-	// Semantic — the two schedules consume randomness differently — so it
-	// is always part of the hash.
+	// Schedule names the draw schedule: keyed, the only one, and the
+	// default. Kept so requests that name it stay valid; it is hashed as
+	// "keyed", so every existing cache address stays stable.
 	Schedule string `json:"schedule,omitempty"`
 
 	// Shards is the sharded kernel's worker count (0 = all cores). A pure
@@ -153,7 +136,7 @@ func (r *RunRequest) Normalize() {
 	}
 	r.Schedule = strings.ToLower(strings.TrimSpace(r.Schedule))
 	if r.Schedule == "" {
-		r.Schedule = ScheduleLegacy
+		r.Schedule = ScheduleKeyed
 	}
 	if r.Eps == 0 {
 		r.Eps = 0.3
@@ -185,10 +168,8 @@ func (r RunRequest) Validate() error {
 	default:
 		return fmt.Errorf("api: unknown kernel %q", r.Kernel)
 	}
-	switch r.Schedule {
-	case ScheduleLegacy, ScheduleKeyed:
-	default:
-		return fmt.Errorf("api: unknown schedule %q", r.Schedule)
+	if r.Schedule != ScheduleKeyed {
+		return fmt.Errorf("api: unknown schedule %q (the only draw schedule is %q)", r.Schedule, ScheduleKeyed)
 	}
 	if r.N < 2 {
 		return fmt.Errorf("api: population size %d < 2", r.N)
@@ -244,18 +225,19 @@ func (r RunRequest) Canonical() RunRequest {
 	r.TrajectoryEvery = 0
 	r.TraceEvery = 0
 	r.SparseCutover = 0
-	if r.Schedule == ScheduleKeyed {
-		// Keyed draws are addressed, not consumed: every kernel replays
-		// the identical schedule, so the kernel choice is pure perf.
-		r.Kernel = KernelAuto
-	}
+	// Draws are addressed, not consumed: every kernel replays the
+	// identical schedule, so the kernel choice is pure perf.
+	r.Kernel = KernelAuto
 	return r
 }
 
 // Hash returns the content address of the run this request describes: a
 // hex SHA-256 over a fixed-order serialization of the canonical request.
 // JSON field order and default elision cannot affect it (the canonical
-// struct, not the wire form, is hashed), and perf knobs are excluded.
+// struct, not the wire form, is hashed), and perf knobs are excluded. The
+// preimage still carries the canonical kernel ("auto") and schedule
+// ("keyed") lines, so addresses computed before either became fixed stay
+// valid.
 func (r RunRequest) Hash() string {
 	c := r.Canonical()
 	var b strings.Builder
@@ -365,26 +347,15 @@ func (r RunRequest) Build() (*Run, error) {
 	case KernelPerAgent:
 		cfg.Kernel = sim.KernelPerAgent
 	}
-	keyed := r.Schedule == ScheduleKeyed
-	if keyed {
-		cfg.DrawSchedule = sim.ScheduleKeyed
-	}
 
 	crashed := 0
 	if r.CrashProb > 0 {
 		// The plan is a pure function of (n, crash_prob, crash_round,
-		// seed) — agent 0 protected — so cached and fresh executions of
-		// the same request share it exactly. Keyed runs draw it from the
-		// run key's dedicated crash stream; legacy runs keep the salted
-		// sequential sampler that existing goldens pin.
-		var plan *sim.RandomCrashes
-		if keyed {
-			plan = sim.NewRandomCrashesKeyed(r.N, r.CrashProb, r.CrashRound,
-				rng.NewKey(r.Seed), 0)
-		} else {
-			plan = sim.NewRandomCrashes(r.N, r.CrashProb, r.CrashRound,
-				rng.New(r.Seed^crashSeedSalt), 0)
-		}
+		// seed) — agent 0 protected — drawn from the run key's dedicated
+		// crash stream, so cached and fresh executions of the same request
+		// share it exactly.
+		plan := sim.NewRandomCrashesKeyed(r.N, r.CrashProb, r.CrashRound,
+			rng.NewKey(r.Seed), 0)
 		cfg.Failures = plan
 		crashed = plan.NumCrashed()
 	}

@@ -32,8 +32,8 @@ func TestHashCanonicalization(t *testing.T) {
 	if got := (RunRequest{N: 1024, Seed: 8}).Hash(); got == h {
 		t.Errorf("different seed, same hash %s", h)
 	}
-	if got := (RunRequest{N: 1024, Seed: 7, Kernel: "per-agent"}).Hash(); got == h {
-		t.Errorf("kernel is semantic (different draw schedule) but did not change the hash")
+	if got := (RunRequest{N: 1024, Seed: 7, Kernel: "per-agent"}).Hash(); got != h {
+		t.Errorf("kernel is a perf knob but changed the hash: %s vs %s", got, h)
 	}
 	if got := (RunRequest{N: 1024, Seed: 7, NoSelfMessages: true}).Hash(); got == h {
 		t.Errorf("self-message convention did not change the hash")

@@ -6,13 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"breathe/internal/rng"
 	"breathe/internal/sim"
 )
 
-// TestKeyedHashErasesKernel: under the keyed draw schedule the kernel
-// selection is a pure performance knob and must not enter the hash —
-// the exact inverse of the legacy contract that TestHashCanonicalization
-// pins. The schedule itself stays semantic.
+// TestKeyedHashErasesKernel: every kernel replays the same addressed
+// draws, so the kernel selection is a pure performance knob and must not
+// enter the hash, whether the request names the schedule or not.
 func TestKeyedHashErasesKernel(t *testing.T) {
 	base := RunRequest{N: 1024, Seed: 7, Schedule: ScheduleKeyed}
 	h := base.Hash()
@@ -22,8 +22,8 @@ func TestKeyedHashErasesKernel(t *testing.T) {
 			t.Errorf("keyed kernel=%s changed the hash: %s vs %s", kernel, got, h)
 		}
 	}
-	if legacy := (RunRequest{N: 1024, Seed: 7}).Hash(); legacy == h {
-		t.Error("legacy and keyed schedules share a hash — they consume randomness differently")
+	if omitted := (RunRequest{N: 1024, Seed: 7, Kernel: KernelPerAgent}).Hash(); omitted != h {
+		t.Errorf("omitted schedule hashed apart from keyed: %s vs %s", omitted, h)
 	}
 	if spelled := (RunRequest{N: 1024, Seed: 7, Schedule: "Keyed"}).Hash(); spelled != h {
 		t.Error("schedule name is not case-normalized before hashing")
@@ -43,18 +43,43 @@ func TestKeyedCanonicalErasesKernel(t *testing.T) {
 	if ca.Kernel != KernelAuto {
 		t.Errorf("keyed canonical kernel = %q, want %q", ca.Kernel, KernelAuto)
 	}
-	// Legacy requests keep the kernel: it is semantic there.
-	lc := RunRequest{N: 2048, Seed: 1, Kernel: KernelPerAgent}.Canonical()
-	if lc.Kernel != KernelPerAgent {
-		t.Errorf("legacy canonical kernel = %q, want per-agent", lc.Kernel)
+	// A request that omits the schedule canonicalizes to the same form.
+	oc := RunRequest{N: 2048, Seed: 1, Kernel: KernelPerAgent}.Canonical()
+	if !reflect.DeepEqual(oc, ca) {
+		t.Errorf("omitted-schedule canonical form differs:\n%+v\n%+v", oc, ca)
 	}
 }
 
 func TestValidateRejectsUnknownSchedule(t *testing.T) {
-	r := RunRequest{N: 100, Schedule: "counter"}
-	r.Normalize()
-	if err := r.Validate(); err == nil {
-		t.Error("Validate accepted schedule \"counter\"")
+	for _, schedule := range []string{"counter", "legacy", "Legacy"} {
+		r := RunRequest{N: 100, Schedule: schedule}
+		r.Normalize()
+		if err := r.Validate(); err == nil {
+			t.Errorf("Validate accepted schedule %q", schedule)
+		}
+		if _, err := (RunRequest{N: 100, Schedule: schedule}).Build(); err == nil {
+			t.Errorf("Build accepted schedule %q", schedule)
+		}
+	}
+}
+
+// TestOmittedScheduleHashPinned pins the content address of a request
+// that omits the schedule to the address the same request had when it
+// named "keyed" explicitly — the preimage still reads kernel=auto and
+// schedule=keyed — so every stored cache entry, sweep checkpoint and
+// benchmark digest keeps its address.
+func TestOmittedScheduleHashPinned(t *testing.T) {
+	const want = "5b01191998c004a86b5616976fdcd019905d6355145fbe7fff6e6fc8e9864b1c"
+	for _, r := range []RunRequest{
+		{N: 4096, Seed: 7},
+		{N: 4096, Seed: 7, Schedule: ScheduleKeyed},
+	} {
+		if got := r.Hash(); got != want {
+			t.Errorf("%+v: hash %s, want %s", r, got, want)
+		}
+	}
+	if c := (RunRequest{N: 4096, Seed: 7}).Canonical(); c.Schedule != ScheduleKeyed || c.Kernel != KernelAuto {
+		t.Errorf("canonical schedule/kernel = %q/%q, want keyed/auto", c.Schedule, c.Kernel)
 	}
 }
 
@@ -113,9 +138,9 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 	}
 }
 
-// TestKeyedCrashPlanFromKey: keyed builds draw the crash plan from the
-// run key's crash stream — deterministic across Builds, different from
-// the legacy salted plan at the same seed.
+// TestKeyedCrashPlanFromKey: builds draw the crash plan from the run
+// key's crash stream — deterministic across Builds and equal to the
+// keyed sampler's plan for the request's seed.
 func TestKeyedCrashPlanFromKey(t *testing.T) {
 	keyed := RunRequest{N: 4096, Seed: 5, CrashProb: 0.1, Schedule: ScheduleKeyed}
 	r1, err := keyed.Build()
@@ -129,7 +154,14 @@ func TestKeyedCrashPlanFromKey(t *testing.T) {
 	if r1.Crashed == 0 || r1.Crashed != r2.Crashed {
 		t.Errorf("keyed crash sets differ or empty: %d vs %d", r1.Crashed, r2.Crashed)
 	}
-	if r1.Config.DrawSchedule != sim.ScheduleKeyed {
-		t.Error("keyed request built a legacy-schedule config")
+	want := sim.NewRandomCrashesKeyed(4096, 0.1, 0, rng.NewKey(5), 0)
+	plan, ok := r1.Config.Failures.(*sim.RandomCrashes)
+	if !ok || plan.NumCrashed() != want.NumCrashed() {
+		t.Fatalf("built plan %T with %d crashed, want the keyed sampler's %d", r1.Config.Failures, r1.Crashed, want.NumCrashed())
+	}
+	for a := 0; a < 4096; a++ {
+		if plan.Crashed(a, 0) != want.Crashed(a, 0) {
+			t.Fatalf("agent %d: built plan and keyed sampler disagree", a)
+		}
 	}
 }

@@ -99,7 +99,6 @@ func TestResponsePrimaryPathAllQuiet(t *testing.T) {
 	req.Normalize()
 	res, err := sim.Run(sim.Config{
 		N: 64, Channel: channel.FromEpsilon(0.3), Seed: 3,
-		DrawSchedule: sim.ScheduleKeyed,
 	}, &quietStub{total: 40})
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 // TestSparseCutoverHashInvariance: SparseCutover steers only which
 // executor runs sparse-accounted rounds, never a byte of the result, so
 // like Shards and TraceEvery it must not enter the content address —
-// under either schedule.
+// whether the request names the schedule or not.
 func TestSparseCutoverHashInvariance(t *testing.T) {
-	for _, schedule := range []string{ScheduleLegacy, ScheduleKeyed} {
+	for _, schedule := range []string{"", ScheduleKeyed} {
 		base := RunRequest{N: 1024, Seed: 7, Schedule: schedule}
 		h := base.Hash()
 		for _, cutover := range []int{0, -1, 7, 1000} {

@@ -87,20 +87,6 @@ func TestTelemetryByteIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestTelemetryByteIdentityLegacy extends the pin to the legacy schedule:
-// within each kernel (legacy kernels differ from each other by design) the
-// probe must still be invisible.
-func TestTelemetryByteIdentityLegacy(t *testing.T) {
-	for _, kernel := range []string{KernelPerAgent, KernelBatched} {
-		r := RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 21, Kernel: kernel}
-		want := runResponseBytes(t, r)
-		got, _ := probedResponseBytes(t, r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("legacy kernel=%s: telemetry changed the response bytes", kernel)
-		}
-	}
-}
-
 // TestTraceEveryIsPerfKnob: trace_every joins shards and trajectory_every
 // as a pure performance knob — excluded from the hash and erased from the
 // canonical request, so traced and untraced requests share cache entries.

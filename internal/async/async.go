@@ -87,15 +87,13 @@ type Protocol struct {
 	// consensus, 0 for broadcast).
 	startPhase int
 
-	n   int
-	rng *rng.RNG
+	n int
 
-	// drawKey addresses every random draw under the keyed schedule
-	// (sim.ScheduleKeyed): clock offsets on StreamOffsets, phase
-	// finalizations on StreamSchedule cells indexed by phase position.
-	// Installed by the engine via SetDrawKey before Setup.
+	// drawKey addresses every random draw: clock offsets on
+	// StreamOffsets, phase finalizations on StreamSchedule cells indexed
+	// by phase position. Installed by the engine via SetDrawKey before
+	// Setup.
 	drawKey rng.Key
-	hasKey  bool
 
 	// base[a] is the agent's clock lead: local clock ℓ_a(g) = g + base[a].
 	// ModeKnownOffsets: base = c0 ∈ [0, D). ModeSelfSync: base =
@@ -246,22 +244,19 @@ func (p *Protocol) StageIIStats() []core.StageIIPhaseStat { return p.stageIIStat
 // reached (ModeSelfSync).
 func (p *Protocol) InformedDuringPrelude() int { return p.preludeDone }
 
-// SetDrawKey implements sim.KeyedProtocol: under the keyed draw
-// schedule the engine installs the run key before Setup, and every
-// protocol-internal draw is addressed through it instead of consumed
-// from the sequential protocol stream.
+// SetDrawKey implements sim.KeyedProtocol: the engine installs the run
+// key before Setup, and every protocol-internal draw is addressed
+// through it instead of consumed from the sequential protocol stream.
 func (p *Protocol) SetDrawKey(k rng.Key) {
 	p.drawKey = k
-	p.hasKey = true
 }
 
 // Setup implements sim.Protocol.
-func (p *Protocol) Setup(n int, r *rng.RNG) {
+func (p *Protocol) Setup(n int, _ *rng.RNG) {
 	if n != p.params.N {
 		panic(fmt.Sprintf("async: engine population %d != params.N %d", n, p.params.N))
 	}
 	p.n = n
-	p.rng = r
 	p.base = make([]int, n)
 	p.hasBase = make([]bool, n)
 	p.activated = make([]bool, n)
@@ -292,19 +287,11 @@ func (p *Protocol) Setup(n int, r *rng.RNG) {
 	p.resetBulk()
 	switch p.mode {
 	case ModeKnownOffsets:
-		if p.hasKey {
-			cell := p.drawKey.Cell(rng.StreamOffsets, 0)
-			for a := 0; a < n; a++ {
-				p.base[a] = int(cell.Uint32n(uint64(a), uint32(p.D)))
-				p.hasBase[a] = true
-				p.classAdd(a)
-			}
-		} else {
-			for a := 0; a < n; a++ {
-				p.base[a] = r.Intn(p.D)
-				p.hasBase[a] = true
-				p.classAdd(a)
-			}
+		cell := p.drawKey.Cell(rng.StreamOffsets, 0)
+		for a := 0; a < n; a++ {
+			p.base[a] = int(cell.Uint32n(uint64(a), uint32(p.D)))
+			p.hasBase[a] = true
+			p.classAdd(a)
 		}
 	case ModeSelfSync:
 		// Only the source has a clock at the start: informed at round 0,
@@ -483,13 +470,7 @@ func (p *Protocol) finalizeStageI(k int) {
 		if !p.activated[a] || p.hasOpinion[a] || p.levelPos[a] != int32(k) {
 			continue
 		}
-		var u uint64
-		if p.hasKey {
-			u = cell.Uint64n(uint64(a), p.acc[a]&accTotalMask)
-		} else {
-			u = p.rng.Uint64n(p.acc[a] & accTotalMask)
-		}
-		if u < p.acc[a]>>32 {
+		if cell.Uint64n(uint64(a), p.acc[a]&accTotalMask) < p.acc[a]>>32 {
 			p.opinion[a] = channel.One
 		} else {
 			p.opinion[a] = channel.Zero
@@ -513,14 +494,9 @@ func (p *Protocol) finalizeStageII(k, g int) {
 	for a := 0; a < p.n; a++ {
 		if total := int(p.acc[a] & accTotalMask); total >= ph.subset {
 			successful++
-			var onesSub int
-			if p.hasKey {
-				var rr rng.RNG
-				rr.Reseed(cell.Uint64(uint64(a)))
-				onesSub = rr.Hypergeometric(total, int(p.acc[a]>>32), ph.subset)
-			} else {
-				onesSub = p.rng.Hypergeometric(total, int(p.acc[a]>>32), ph.subset)
-			}
+			var rr rng.RNG
+			rr.Reseed(cell.Uint64(uint64(a)))
+			onesSub := rr.Hypergeometric(total, int(p.acc[a]>>32), ph.subset)
 			if 2*onesSub > ph.subset {
 				p.opinion[a] = channel.One
 			} else {

@@ -78,7 +78,7 @@ func TestBulkSendersMatchPerAgentSend(t *testing.T) {
 		}
 		cc := &bulkCrossCheck{Protocol: p, t: t, lastG: -1, exp: map[int32]channel.Bit{}}
 		// KernelPerAgent: the wrapper promotes the bulk methods, so the
-		// engine must be pinned to the reference path explicitly.
+		// engine must be pinned to per-agent Send scans explicitly.
 		res, err := sim.Run(sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 21, Kernel: sim.KernelPerAgent,
 		}, cc)

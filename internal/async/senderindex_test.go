@@ -43,7 +43,7 @@ func TestActiveSendersMatchesBruteScan(t *testing.T) {
 		checked := 0
 		cfg := sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 9,
-			AllowSelfMessages: true, DrawSchedule: sim.ScheduleKeyed,
+			AllowSelfMessages: true,
 			Observer: func(round int, _ *sim.Engine) {
 				g := round + 1
 				declared := p.ActiveSenders(g)
@@ -92,7 +92,7 @@ func TestActiveSendersOutOfSchedule(t *testing.T) {
 	}
 	if _, err := sim.Run(sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 3,
-		AllowSelfMessages: true, DrawSchedule: sim.ScheduleKeyed,
+		AllowSelfMessages: true,
 	}, p); err != nil {
 		t.Fatal(err)
 	}

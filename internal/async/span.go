@@ -30,8 +30,7 @@ package async
 // either (the engine additionally caps spans at declared crash
 // boundaries).
 //
-// Every draw of this protocol is addressed through the keyed schedule
-// when the engine skips (sim gates skipping to ScheduleKeyed), so
+// Every draw of this protocol is addressed through the run key, so
 // jumping the round cursor consumes nothing from any stream; the
 // breathevet annotation has the analyzer prove the oracle itself draws
 // nothing over the whole callgraph.

@@ -62,8 +62,8 @@ func TestNextActiveMatchesBruteForce(t *testing.T) {
 		checked := 0
 		cfg := sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 9,
-			AllowSelfMessages: true, DrawSchedule: sim.ScheduleKeyed,
-			MaxRounds: p.TotalRounds() + 4,
+			AllowSelfMessages: true,
+			MaxRounds:         p.TotalRounds() + 4,
 			Observer: func(round int, e *sim.Engine) {
 				g := round + 1
 				got := p.NextActive(g)
@@ -120,8 +120,8 @@ func TestQuietSpanKeyedRunMatchesUnskipped(t *testing.T) {
 			}
 			e, err := sim.NewEngine(sim.Config{
 				N: pc.n, Channel: channel.FromEpsilon(0.3), Seed: 4,
-				AllowSelfMessages: true, DrawSchedule: sim.ScheduleKeyed,
-				NoQuietSkip: noskip,
+				AllowSelfMessages: true,
+				NoQuietSkip:       noskip,
 			})
 			if err != nil {
 				t.Fatal(err)

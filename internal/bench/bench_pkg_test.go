@@ -8,8 +8,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(all))
+	if len(all) != 18 {
+		t.Fatalf("expected 18 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for i, e := range all {
@@ -34,7 +34,7 @@ func TestByID(t *testing.T) {
 	if e := ByID("nope"); e != nil {
 		t.Fatal("ByID should return nil for unknown")
 	}
-	if got := len(IDs()); got != 20 {
+	if got := len(IDs()); got != 18 {
 		t.Fatalf("IDs() returned %d", got)
 	}
 }

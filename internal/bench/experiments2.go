@@ -139,36 +139,68 @@ func e8() *Experiment {
 			}
 			r.Tables = append(r.Tables, tb)
 
-			// Silent waiting: median rounds until any agent hears twice.
-			swTable := trace.NewTable("E8b: silent-wait rounds to second reception (birthday bound)",
-				"n", "median rounds", "√n")
-			var swNs, swRounds []float64
-			for _, n := range pick(o, []int{256, 1024}, []int{256, 1024, 4096, 16384}) {
-				var rounds []float64
-				for seed := 0; seed < o.seeds()*2+1; seed++ {
-					sw := &baseline.SilentWait{Target: channel.One, Needed: 2, Rounds: 1 << 20}
-					if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, sw); err != nil {
-						return nil, err
-					}
-					rounds = append(rounds, float64(sw.FirstDoneRound))
-				}
-				m := median(rounds)
-				swTable.AddRowValues(n, m, math.Sqrt(float64(n)))
-				swNs = append(swNs, float64(n))
-				swRounds = append(swRounds, m)
+			// Silent waiting: rounds until any agent hears twice.
+			sw, err := silentWaitFit(pick(o, []int{256, 1024, 4096}, []int{256, 1024, 4096, 16384}), silentWaitSeeds, 0, eps)
+			if err != nil {
+				return nil, err
 			}
-			r.Tables = append(r.Tables, swTable)
+			r.Tables = append(r.Tables, sw.table)
 
 			r.addCheck("breathe reaches (near-)unanimity", breatheBias.Mean() > 0.45,
 				fmt.Sprintf("mean final bias %.3f", breatheBias.Mean()))
 			r.addCheck("immediate forwarding decays far below ε", ifBias.Mean() < eps/2,
 				fmt.Sprintf("mean final bias %.4f vs per-hop ε %.2f", ifBias.Mean(), eps))
-			expo, _, r2 := stats.FitPowerLaw(swNs, swRounds)
-			r.addCheck("silent-wait rounds ≈ √n", expo > 0.3 && expo < 0.8 && r2 > 0.7,
-				fmt.Sprintf("fitted exponent %.2f (R²=%.3f), target 0.5", expo, r2))
+			r.addCheck("silent-wait rounds ≈ √n", sw.expo > 0.3 && sw.expo < 0.8 && sw.r2 > 0.7,
+				fmt.Sprintf("fitted exponent %.2f (R²=%.3f) over %d sizes × %d seeds, target 0.5",
+					sw.expo, sw.r2, len(sw.ns), silentWaitSeeds))
 			return r, nil
 		},
 	}
+}
+
+// silentWaitSeeds is E8b's replication count per population size. The
+// first double reception T is a birthday time: T²/2n is close to Exp(1),
+// so ln T has standard deviation ≈ 0.64 whatever n, and over three sizes
+// a factor 4 apart the fitted exponent's standard error is ≈ 0.33/√seeds
+// — 0.05 at 40 seeds, a sixth of the check's ±0.2 window.
+const silentWaitSeeds = 40
+
+// silentWaitResult is E8b's measurement: the geometric-mean rounds to a
+// second reception per population size and the power-law fit over them.
+type silentWaitResult struct {
+	ns, geoMeans []float64
+	expo, r2     float64
+	table        *trace.Table
+}
+
+// silentWaitFit runs the §1.6 silent-wait strawman seeds times at every
+// n (seeds base, base+1, …) and fits rounds ∝ n^expo through the
+// geometric mean of each size's rounds — the mean of ln T, whose noise
+// is the same at every n and shrinks as 1/√seeds, unlike a median of a
+// handful of runs.
+func silentWaitFit(ns []int, seeds int, base uint64, eps float64) (*silentWaitResult, error) {
+	res := &silentWaitResult{
+		table: trace.NewTable("E8b: silent-wait rounds to second reception (birthday bound)",
+			"n", "geo-mean rounds", "median rounds", "√n"),
+	}
+	for _, n := range ns {
+		rounds := make([]float64, 0, seeds)
+		var logSum float64
+		for i := 0; i < seeds; i++ {
+			sw := &baseline.SilentWait{Target: channel.One, Needed: 2, Rounds: 1 << 20}
+			if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: base + uint64(i)}, sw); err != nil {
+				return nil, err
+			}
+			rounds = append(rounds, float64(sw.FirstDoneRound))
+			logSum += math.Log(float64(sw.FirstDoneRound))
+		}
+		g := math.Exp(logSum / float64(seeds))
+		res.table.AddRowValues(n, g, median(rounds), math.Sqrt(float64(n)))
+		res.ns = append(res.ns, float64(n))
+		res.geoMeans = append(res.geoMeans, g)
+	}
+	res.expo, _, res.r2 = stats.FitPowerLaw(res.ns, res.geoMeans)
+	return res, nil
 }
 
 // --- E9: asynchronous overhead (Theorem 3.1) ---

@@ -8,9 +8,10 @@ import (
 	"breathe/internal/sim"
 )
 
-// Kernel-equivalence suite: the batched kernel must be statistically
-// indistinguishable from the per-agent reference path for the paper's two
-// protocols, and each path must be a pure function of (config, seed).
+// Kernel-equivalence suite: for the paper's two protocols the batched
+// kernel must agree with per-agent collection — both replay the same
+// addressed draws, so the statistics below coincide exactly — and each
+// must be a pure function of (config, seed).
 
 type kernelStats struct {
 	successes int

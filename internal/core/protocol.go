@@ -30,17 +30,13 @@ type Protocol struct {
 	correctA  int
 	wrongA    int
 
-	n   int
-	rng *rng.RNG
+	n int
 
-	// Keyed draw schedule (sim.KeyedProtocol): when the engine runs under
-	// sim.ScheduleKeyed it hands the run key over before Setup, and the
-	// phase-boundary draws below switch from the sequential protocol
-	// stream to cells of rng.StreamSchedule addressed by (round, agent) —
-	// a pure function of the scenario, independent of kernel and
-	// execution order.
+	// Draw-schedule root (sim.KeyedProtocol): the engine hands the run key
+	// over before Setup, and the phase-boundary draws below take cells of
+	// rng.StreamSchedule addressed by (round, agent) — a pure function of
+	// the scenario, independent of kernel and execution order.
 	drawKey rng.Key
-	hasKey  bool
 
 	activated  []bool
 	level      []int32 // Stage I phase in which the agent was activated
@@ -57,9 +53,8 @@ type Protocol struct {
 	// phase boundaries), so the phase-finalization loops — which already
 	// visit every agent — keep these lists current incrementally, and
 	// BulkSenders/ActiveSenders serve them in O(1) with no population
-	// scan. Both lists stay ascending by agent id: the legacy batched
-	// kernel consumes its draws in list order, so the order is pinned by
-	// the goldens.
+	// scan. Both lists stay ascending by agent id, the order a per-agent
+	// Send scan reports the same senders in.
 	idxZeros, idxOnes []int32
 
 	// Cached phase lookup for the round currently executing.
@@ -153,18 +148,16 @@ func (p *Protocol) Target() channel.Bit { return p.target }
 // SetDrawKey implements sim.KeyedProtocol.
 func (p *Protocol) SetDrawKey(k rng.Key) {
 	p.drawKey = k
-	p.hasKey = true
 }
 
 // Setup implements sim.Protocol. Re-Setup reuses every per-agent array
 // and the sender index's capacity: a warm protocol value allocates
 // nothing here (senderindex_test.go pins it).
-func (p *Protocol) Setup(n int, r *rng.RNG) {
+func (p *Protocol) Setup(n int, _ *rng.RNG) {
 	if n != p.params.N {
 		panic(fmt.Sprintf("core: engine population %d != params.N %d", n, p.params.N))
 	}
 	p.n = n
-	p.rng = r
 	p.activated = resize(p.activated, n)
 	p.level = resize(p.level, n)
 	p.opinion = resize(p.opinion, n)
@@ -327,12 +320,7 @@ func (p *Protocol) endStageIPhase(round int) {
 	for a := 0; a < p.n; a++ {
 		if p.activated[a] && p.level[a] == cur {
 			if !p.hasOpinion[a] {
-				var u uint64
-				if p.hasKey {
-					u = cell.Uint64n(uint64(a), p.acc[a]&accTotalMask)
-				} else {
-					u = p.rng.Uint64n(p.acc[a] & accTotalMask)
-				}
+				u := cell.Uint64n(uint64(a), p.acc[a]&accTotalMask)
 				var bit channel.Bit
 				if u < p.acc[a]>>32 {
 					bit = channel.One
@@ -428,22 +416,15 @@ func (p *Protocol) endStageIIPhase(round int) {
 					p.opinion[a] = channel.One
 				case twice < total:
 					p.opinion[a] = channel.Zero
-				case p.hasKey: // exact tie over all samples
+				default: // exact tie over all samples
 					p.opinion[a] = channel.Bit(cell.Uint64(uint64(a)) & 1)
-				default:
-					p.opinion[a] = channel.Bit(p.rng.Uint64() & 1)
 				}
 			default:
-				var onesSub int
-				if p.hasKey {
-					// Multi-variate sampler: run it on an ephemeral stream
-					// seeded by the agent's addressed word.
-					var rr rng.RNG
-					rr.Reseed(cell.Uint64(uint64(a)))
-					onesSub = rr.Hypergeometric(total, ones, g)
-				} else {
-					onesSub = p.rng.Hypergeometric(total, ones, g)
-				}
+				// Multi-variate sampler: run it on an ephemeral stream
+				// seeded by the agent's addressed word.
+				var rr rng.RNG
+				rr.Reseed(cell.Uint64(uint64(a)))
+				onesSub := rr.Hypergeometric(total, ones, g)
 				if 2*onesSub > g {
 					p.opinion[a] = channel.One
 				} else {

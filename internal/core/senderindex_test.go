@@ -12,8 +12,7 @@ import (
 // BulkSenders and summarized by ActiveSenders) must agree with the
 // per-agent Send rule at every round of live runs — the same oracle
 // style bulk_test.go uses, tightened from spot checks to every round and
-// extended to the declared-size query and the ascending-order contract
-// the legacy batched kernel depends on.
+// extended to the declared-size query and the ascending-order contract.
 
 // checkIndexRound cross-checks one round: brute Send scan vs the index
 // lists vs ActiveSenders. Out-of-schedule rounds stay consistent too:
@@ -79,12 +78,11 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 	}{
 		{"broadcast", false, func(*sim.Config) {}},
 		{"consensus", true, func(*sim.Config) {}},
-		{"broadcast-keyed", false, func(c *sim.Config) { c.DrawSchedule = sim.ScheduleKeyed }},
+		{"broadcast-self", false, func(c *sim.Config) { c.AllowSelfMessages = true }},
 		{"broadcast-crash", false, func(c *sim.Config) {
 			c.Failures = sim.NewCrashAt(5, 0, 3, 17, 200)
 		}},
 		{"consensus-keyed-crash", true, func(c *sim.Config) {
-			c.DrawSchedule = sim.ScheduleKeyed
 			c.Failures = sim.NewRandomCrashesKeyed(n, 0.2, 20, rng.NewKey(9), 0)
 		}},
 	}

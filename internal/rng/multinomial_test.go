@@ -70,7 +70,7 @@ func TestMultinomialSplitMatchesSequentialBucketSampler(t *testing.T) {
 		r1 := New(seed)
 		r1.MultinomialSplit(40000, sizes, out)
 
-		// The inline form stepDense uses over its receiver buckets.
+		// The inline conditional-binomial chain over receiver buckets.
 		r2 := New(seed)
 		rem := 40000
 		slotsLeft := 0

@@ -2,16 +2,20 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"breathe/internal/api"
 )
 
-// TestKeyedCacheIsKernelBlind: under the keyed draw schedule the cache
-// key erases the kernel, so a result computed by one kernel must be
-// served — byte-identically, without executing anything — to a request
-// naming a different kernel and worker count. This is the payoff of the
-// keyed schedule at the service layer.
+// TestKeyedCacheIsKernelBlind: the cache key erases the kernel, so a
+// result computed by one kernel must be served — byte-identically,
+// without executing anything — to a request naming a different kernel
+// and worker count. This is the payoff of the keyed schedule at the
+// service layer.
 func TestKeyedCacheIsKernelBlind(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -51,27 +55,21 @@ func TestKeyedCacheIsKernelBlind(t *testing.T) {
 		t.Errorf("cross-kernel hit executed a kernel: %d -> %d", executed, st.Executed)
 	}
 
-	// The legacy schedule keeps kernels apart: the same switch must miss.
-	l1, err := s.Submit(api.RunRequest{N: 2048, Seed: 3, Kernel: api.KernelBatched})
+	// A request that omits the schedule is the same run.
+	j3, err := s.Submit(api.RunRequest{N: 2048, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJob(t, l1)
-	l2, err := s.Submit(api.RunRequest{N: 2048, Seed: 3, Kernel: api.KernelPerAgent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, l2)
-	if l2.Cached {
-		t.Error("legacy cross-kernel submission served from cache — kernel is semantic there")
+	if !j3.Cached {
+		t.Error("omitted-schedule submission not served from the keyed cache entry")
 	}
 }
 
-// TestDefaultScheduleApplied: a service configured with a default
-// schedule fills it into submissions that leave the field empty, and an
-// explicit schedule still wins.
-func TestDefaultScheduleApplied(t *testing.T) {
-	s := New(Config{Workers: 1, DefaultSchedule: api.ScheduleKeyed})
+// TestOmittedScheduleRunsKeyed: a submission that leaves the schedule empty
+// runs the keyed schedule — its response names it — and shares its cache
+// entry with a submission naming "keyed" explicitly.
+func TestOmittedScheduleRunsKeyed(t *testing.T) {
+	s := New(Config{Workers: 1})
 	defer s.Close()
 
 	j, err := s.Submit(api.RunRequest{N: 512, Seed: 1})
@@ -79,7 +77,7 @@ func TestDefaultScheduleApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
-	resp, _, ok := j.Response()
+	resp, raw, ok := j.Response()
 	if !ok {
 		t.Fatalf("job ended %s: %v", j.State(), j.Err())
 	}
@@ -87,16 +85,44 @@ func TestDefaultScheduleApplied(t *testing.T) {
 		t.Errorf("default schedule not applied: %q", resp.Request.Schedule)
 	}
 
-	j2, err := s.Submit(api.RunRequest{N: 512, Seed: 1, Schedule: api.ScheduleLegacy})
+	j2, err := s.Submit(api.RunRequest{N: 512, Seed: 1, Schedule: "Keyed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJob(t, j2)
-	resp2, _, ok := j2.Response()
-	if !ok {
-		t.Fatalf("job ended %s: %v", j2.State(), j2.Err())
+	if !j2.Cached {
+		t.Fatal("explicit keyed submission missed the default's cache entry")
 	}
-	if resp2.Request.Schedule != api.ScheduleLegacy {
-		t.Errorf("explicit schedule overridden: %q", resp2.Request.Schedule)
+	if _, raw2, _ := j2.Response(); !bytes.Equal(raw, raw2) {
+		t.Errorf("explicit keyed response differs:\n%s\n%s", raw, raw2)
+	}
+}
+
+// TestLegacyScheduleRejected: the retired "legacy" schedule is a
+// validation error — Submit refuses it and the HTTP handler answers 400
+// with a JSON error, without executing anything.
+func TestLegacyScheduleRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	if _, err := s.Submit(api.RunRequest{N: 512, Seed: 1, Schedule: "legacy"}); err == nil {
+		t.Fatal("Submit accepted schedule legacy")
+	}
+
+	srv := httptest.NewServer(NewHTTPHandler(s))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"n": 512, "seed": 1, "schedule": "legacy"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("error body is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "schedule") {
+		t.Errorf("legacy schedule: HTTP %d %v, want 400 naming the schedule", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.Executed != 0 {
+		t.Errorf("rejected request executed %d runs", st.Executed)
 	}
 }

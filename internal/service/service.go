@@ -63,10 +63,6 @@ type Config struct {
 	// JobHistory bounds how many terminal jobs stay retrievable by ID
 	// (0 = 16384).
 	JobHistory int
-	// DefaultSchedule fills a submission's empty Schedule field before
-	// normalization ("" = api default, i.e. legacy). Lets a deployment
-	// opt into the keyed schedule fleet-wide without touching clients.
-	DefaultSchedule string
 }
 
 func (c Config) withDefaults() Config {
@@ -189,9 +185,6 @@ func (s *Service) Close() {
 // attaches to that execution (single-flight). Otherwise the job enters
 // the bounded queue, or is rejected with ErrQueueFull.
 func (s *Service) Submit(req api.RunRequest) (*Job, error) {
-	if req.Schedule == "" {
-		req.Schedule = s.cfg.DefaultSchedule
-	}
 	req.Normalize()
 	if err := req.Validate(); err != nil {
 		s.rejectedInvalid.Add(1)
@@ -385,7 +378,6 @@ type engineKey struct {
 	drop      float64
 	maxRounds int
 	kernel    string
-	schedule  string
 	shards    int
 }
 
@@ -397,7 +389,6 @@ func engineKeyFor(req api.RunRequest) engineKey {
 		drop:      req.DropProb,
 		maxRounds: req.MaxRounds,
 		kernel:    req.Kernel,
-		schedule:  req.Schedule,
 		shards:    req.Shards,
 	}
 }

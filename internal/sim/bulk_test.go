@@ -299,34 +299,6 @@ func TestBatchedDropProb(t *testing.T) {
 	}
 }
 
-func TestBatchedMatchesPerAgentStatistically(t *testing.T) {
-	// The same protocol under both kernels must produce the same
-	// acceptance statistics: each path is exact in law, so across seeds
-	// the mean accepted counts agree within a few standard errors.
-	const n, rounds, seeds = 256, 120, 12
-	meanAccepted := func(kernel Kernel, self bool) float64 {
-		var sum int64
-		for seed := uint64(0); seed < seeds; seed++ {
-			res, err := Run(Config{
-				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-				Kernel: kernel, AllowSelfMessages: self,
-			}, &bulkChatter{rounds: rounds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.MessagesAccepted
-		}
-		return float64(sum) / seeds
-	}
-	for _, self := range []bool{false, true} {
-		ref := meanAccepted(KernelPerAgent, self)
-		got := meanAccepted(KernelBatched, self)
-		if math.Abs(got-ref)/ref > 0.01 {
-			t.Fatalf("self=%v: batched accepted mean %v deviates from per-agent %v", self, got, ref)
-		}
-	}
-}
-
 func TestBatchedCrashAtSemantics(t *testing.T) {
 	// Crash plans now run on the batched per-message path. Exact
 	// invariants shared with the per-agent path: crashed agents neither
@@ -360,38 +332,6 @@ func TestBatchedCrashAtSemantics(t *testing.T) {
 	}
 }
 
-func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
-	// RandomCrashes kicking in mid-run: the sender filter and receiver
-	// mask change at the crash round. Across seeds the mean acceptance
-	// totals of the two kernels must agree.
-	const n, rounds, seeds = 256, 120, 12
-	meanAccepted := func(kernel Kernel, self bool) float64 {
-		var sum int64
-		for seed := uint64(0); seed < seeds; seed++ {
-			plan := NewRandomCrashes(n, 0.2, 40, rng.New(900+seed), 0)
-			res, err := Run(Config{
-				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-				Failures: plan, Kernel: kernel, AllowSelfMessages: self,
-			}, &bulkChatter{rounds: rounds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.MessagesAccepted+res.MessagesDropped != res.MessagesSent {
-				t.Fatalf("kernel=%v seed %d: conservation violated", kernel, seed)
-			}
-			sum += res.MessagesAccepted
-		}
-		return float64(sum) / seeds
-	}
-	for _, self := range []bool{false, true} {
-		ref := meanAccepted(KernelPerAgent, self)
-		got := meanAccepted(KernelBatched, self)
-		if math.Abs(got-ref)/ref > 0.01 {
-			t.Fatalf("self=%v: batched accepted mean %v deviates from per-agent %v under crashes", self, got, ref)
-		}
-	}
-}
-
 func TestBatchedCrashDeterminism(t *testing.T) {
 	cfg := Config{
 		N: 200, Channel: channel.FromEpsilon(0.3), Seed: 31,
@@ -408,28 +348,31 @@ func TestBatchedCrashDeterminism(t *testing.T) {
 }
 
 func TestDenseAcceptDrawExactlyUniform(t *testing.T) {
-	// Exhaustive check of the fused accept-one draw: over all 2048 low-bit
-	// patterns, the draws that survive Lemire rejection must map onto each
-	// value in [0, cnt) exactly ⌊2048/cnt⌋ times — the property that makes
-	// "value < ones" accept with probability exactly ones/cnt. In
-	// particular, a draw with product low bits in [2¹¹ mod cnt, cnt) is
-	// acceptable and must NOT be redrawn: discarding it would reintroduce
-	// the bias of an unrejected multiply-shift.
-	e, err := NewEngine(Config{N: 16, Channel: channel.Noiseless{}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &denseRun{r: e.engineRNG}
+	// Exhaustive check of the tree's accept-one rule over all 2048 low-bit
+	// patterns u of a slot's collision word: treeResolve must list on the
+	// fix list every draw that Lemire's rule may reject, and the draws the
+	// rule keeps (acceptLemire11) must map onto each value in [0, cnt)
+	// exactly ⌊2048/cnt⌋ times — the property that makes "value < ones"
+	// accept with probability exactly ones/cnt. A draw with product low
+	// bits in [2¹¹ mod cnt, cnt) is listed but kept, not redrawn:
+	// discarding it would reintroduce the bias of an unrejected
+	// multiply-shift.
+	var fix [denseWidth]int32
 	for cnt := uint64(2); cnt <= 24; cnt++ {
 		counts := make([]int, cnt)
 		kept := 0
 		for u := uint64(0); u < 2048; u++ {
 			prod := u * cnt
-			x, outProd := d.redraw(u, prod, cnt)
-			if x != u {
-				continue // genuinely rejected and redrawn
+			inbox := []uint32{1<<16 | uint32(cnt)}
+			nf, _ := treeResolve(inbox, []uint64{u}, []uint64{0}, &fix, 0)
+			keep := acceptLemire11(prod, cnt)
+			if nf == 0 && !keep {
+				t.Fatalf("cnt=%d u=%d: a rejected draw was resolved in the sweep", cnt, u)
 			}
-			counts[outProd>>11]++
+			if !keep {
+				continue
+			}
+			counts[prod>>11]++
 			kept++
 		}
 		want := 2048 / int(cnt)
@@ -445,35 +388,24 @@ func TestDenseAcceptDrawExactlyUniform(t *testing.T) {
 }
 
 func TestDenseDeferredHandlesMidRangeCounts(t *testing.T) {
-	// Arrival counts in [2048, 0xfff) exceed the 11-bit Lemire accept draw
-	// but do not reach the spill list; the resolve scan must defer them to
-	// the full-width path (a biased — formerly non-terminating — inline
-	// draw otherwise). Exercise denseResolveDeferred directly on a crafted
-	// slot in that band and at the spill boundary.
-	e, err := NewEngine(Config{
-		N: 16, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.bulk = &bulkState{
-		dStamp:      1,
-		dInbox:      make([]uint32, 16),
-		accs:        make([]uint64, 16),
-		noiseThresh: channel.FlipThreshold53(0.2),
-	}
-	d := &denseRun{r: e.engineRNG}
-	// Slot 3: 3000 arrivals, 1500 ones — mid-band, no spill entries.
-	e.bulk.dInbox[3] = 1<<24 | 1500<<12 | 3000
-	d.resolveDeferred(e.bulk, 3)
-	if total := e.bulk.accs[3] & (1<<32 - 1); total != 1 {
-		t.Fatalf("deferred slot delivered %d messages, want 1", total)
-	}
-	// Slot 5: saturated packed counter plus spill tail.
-	e.bulk.dInbox[5] = 1<<24 | 2000<<12 | 0xfff
-	d.spill = append(d.spill, denseSpill{slot: 5, count: 7, ones: 3})
-	d.resolveDeferred(e.bulk, 5)
-	if total := e.bulk.accs[5] & (1<<32 - 1); total != 1 {
-		t.Fatalf("saturated slot delivered %d messages, want 1", total)
+	// Arrival counts from 2048 on exceed the 11-bit Lemire accept draw;
+	// keyedFix must hand them to the full-width keyedResolveDeferred,
+	// which resolves the slot into exactly one delivery. Exercise it on
+	// a mid-band slot and on a saturated counter with a spill tail.
+	thresh := channel.FlipThreshold53(0.2)
+	e := &Engine{keyed: &keyedState{accs: make([]uint64, 16), noiseThresh: thresh}}
+	cc := rng.NewKey(1).Cell(rng.StreamCollision, 0)
+	d := &denseRun{spill: []denseSpill{{slot: 5, count: 7, ones: 3}}}
+	inbox := make([]uint32, 16)
+	inbox[3] = 1500<<16 | 3000    // mid-band, no spill entries
+	inbox[5] = 30000<<16 | 0xffff // saturated, spill tail
+	e.keyedFix(d, cc, 0, inbox, e.keyed.accs, []int32{3, 5})
+	for _, slot := range []int{3, 5} {
+		if total := e.keyed.accs[slot] & (1<<32 - 1); total != 1 {
+			t.Fatalf("slot %d delivered %d messages, want 1", slot, total)
+		}
+		if inbox[slot] != 0 {
+			t.Fatalf("slot %d left %#x in the inbox", slot, inbox[slot])
+		}
 	}
 }

@@ -2,14 +2,13 @@ package sim
 
 // The keyed round kernel: one draw schedule for every execution strategy.
 //
-// Under Config.DrawSchedule == ScheduleKeyed the engine stops consuming
-// sequential streams and addresses every draw through rng.Key cells:
+// The engine consumes no sequential stream; it addresses every draw
+// through rng.Key cells:
 //
 //	placement   (StreamPlacement)  by sender id (scatter) / bucket (tree)
 //	collision   (StreamCollision)  by receiver id / bucket slot
 //	noise       (StreamNoise)      by receiver id (the tree co-samples
-//	                               noise with the collision word, exactly
-//	                               like the legacy dense path)
+//	                               noise with the collision word)
 //	drops       (StreamDrop)       by sender id / aggregate thinning
 //	splits      (StreamSplit)      by receiver bucket
 //
@@ -31,16 +30,15 @@ package sim
 //	         in O(k + messages) instead of Θ(n) (see sparse.go)
 //
 // Config.Kernel then only chooses the mechanism: per-agent collection and
-// delivery (Send/Receive — the reference interface) versus bulk collection
-// and delivery (BulkSenders/BulkDeliver/accumulators). Both mechanisms ask
-// for the same addresses and receptions commute, so results are
-// byte-identical — keyed_identity_test.go pins it — and Result.Paths
-// reports the regime, which is also kernel-independent.
+// delivery (Send/Receive, the base Protocol interface) versus bulk
+// collection and delivery (BulkSenders/BulkDeliver/accumulators). Both
+// mechanisms ask for the same addresses and receptions commute, so
+// results are byte-identical — keyed_identity_test.go pins it — and
+// Result.Paths reports the regime, which is also kernel-independent.
 //
-// Unlike the legacy sharded kernel (shard.go) there is no per-shard
-// substream seeding and no serial master-stream prologue: the tree's
-// bucket decomposition is a pure function of n at denseWidth granularity,
-// each bucket's draws are self-contained, and workers claim buckets off an
+// There is no per-worker stream and no serial prologue: the tree's bucket
+// decomposition is a pure function of n at denseWidth granularity, each
+// bucket's draws are self-contained, and workers claim buckets off an
 // atomic counter. Any bucket can be computed anywhere — a different
 // goroutine, a different execution order, in principle a different machine
 // — without exchanging generator state (keyed_shard_test.go).
@@ -83,14 +81,24 @@ import (
 	"breathe/internal/telemetry"
 )
 
-// keyedState holds the keyed kernel's per-run capabilities and scratch.
-// Allocated lazily on the first keyed run of an engine; survives Reset.
+// keyedState holds the kernel's per-run capabilities and scratch.
+// Allocated lazily on the first run of an engine; survives Reset.
 type keyedState struct {
-	// Per-run capabilities, refreshed by prepareKeyed.
+	// Per-run capabilities, refreshed by prepareKeyed. accs is the bulk
+	// protocol's accumulator array (nil without one), and denseOK reports
+	// a run whose rounds may take the tree regime: self-messages allowed,
+	// a uniform channel and accumulator delivery.
 	uniform     bool
 	noiseThresh uint64
 	dropThresh  uint64
 	vshards     int
+	accs        []uint64
+	denseOK     bool
+
+	// Crash-fault scratch: bulk sender lists filtered against the
+	// FailurePlan for the current round.
+	liveZeros []int32
+	liveOnes  []int32
 
 	// Scatter-path inbox, one word per receiver: arrival count in the
 	// low 32 bits, ones in the high 32, zero between rounds. touched
@@ -136,10 +144,9 @@ type keyedState struct {
 // shard-invariance property, and keyed_shard_test.go exercises it.
 var keyedBucketOrder func(buckets int) []int
 
-// prepareKeyed decides the keyed run's capabilities. Unlike selectKernel,
-// nothing here depends on Config.Kernel (except the KernelBatched
-// capability check, which panics exactly like the legacy path): the kernel
-// only selects the collection/delivery mechanism inside stepKeyed.
+// prepareKeyed decides the run's capabilities. Nothing here depends on
+// Config.Kernel except the KernelBatched capability check: the kernel only
+// selects the collection/delivery mechanism inside stepKeyed.
 func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	bp, ok := p.(BulkProtocol)
 	capable := ok && bp.BulkEnabled() && e.cfg.N < maxBulkN
@@ -158,18 +165,14 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 		k.noiseThresh = channel.FlipThreshold53(un.UniformFlipProb())
 	}
 	k.dropThresh = channel.FlipThreshold53(e.cfg.DropProb)
+	k.accs, k.denseOK = nil, false
 	if !capable {
 		return nil
 	}
-	if e.bulk == nil {
-		e.bulk = &bulkState{}
-	}
-	b := e.bulk
-	b.accs = bp.BulkAccumulators()
-	b.noiseThresh = k.noiseThresh
-	b.denseOK = e.cfg.AllowSelfMessages && uniform && b.accs != nil
+	k.accs = bp.BulkAccumulators()
+	k.denseOK = e.cfg.AllowSelfMessages && uniform && k.accs != nil
 	k.senderIdx = nil
-	if b.denseOK {
+	if k.denseOK {
 		// The sparse regime refines tree-eligible rounds only, so the
 		// index oracle is consulted exactly when the tree could run —
 		// identically under every kernel.
@@ -196,10 +199,9 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	return bp
 }
 
-// stepKeyed runs one round under the keyed schedule. bp is nil when the
-// protocol or configuration cannot use the batched machinery at all; the
-// round then runs per-agent collection with scatter sampling, which has no
-// population cap. The return value reports a quiet round (no live
+// stepKeyed runs one round. bp is nil when the protocol or configuration
+// cannot use the batched machinery at all; the round then runs per-agent
+// collection with scatter sampling, which has no population cap. The return value reports a quiet round (no live
 // senders), which arms the caller's span skip.
 func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	round := e.round
@@ -210,10 +212,12 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	if bulkCollect {
 		zeros, ones = bp.BulkSenders(round)
 		if f := e.cfg.Failures; f != nil {
-			b := e.bulk
-			b.liveZeros = filterLive(b.liveZeros[:0], zeros, f, round)
-			b.liveOnes = filterLive(b.liveOnes[:0], ones, f, round)
-			zeros, ones = b.liveZeros, b.liveOnes
+			// Crashed agents neither send nor count toward MessagesSent;
+			// protocols stay failure-agnostic, so the cached sender lists
+			// are filtered here.
+			k.liveZeros = filterLive(k.liveZeros[:0], zeros, f, round)
+			k.liveOnes = filterLive(k.liveOnes[:0], ones, f, round)
+			zeros, ones = k.liveZeros, k.liveOnes
 		}
 	} else {
 		zeros, ones = e.keyedSendScan(p, round)
@@ -230,12 +234,12 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 		e.quietAdvance()
 		quiet = true
 	case bp == nil:
-		// No batched machinery: the scatter regime on the reference
+		// No batched machinery: the scatter regime on the base Protocol
 		// interface is the only (and therefore trivially kernel-identical)
 		// path.
 		e.paths.PerAgent++
 		e.keyedScatter(p, nil, false, zeros, ones, round)
-	case e.bulk.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
+	case k.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
 		// The sparse/dense/sharded accounting split is a pure function of
 		// (n, m, declared active set) — the sparse leg consults the
 		// protocol's SenderIndex, never the kernel — so path counters
@@ -271,20 +275,20 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	return quiet
 }
 
-// quietAdvance accounts a round in which nobody sent. Under the keyed
-// schedule a quiet round advances no generator — draws are addressed by
-// (stream, round), never sequential — so skipping it must consume
-// nothing; the annotation has breathevet prove the path stays that way.
+// quietAdvance accounts a round in which nobody sent. A quiet round
+// advances no generator — draws are addressed by (stream, round), never
+// sequential — so skipping it must consume nothing; the annotation has
+// breathevet prove the path stays that way.
 //
 //breathe:drawfree
 func (e *Engine) quietAdvance() {
 	e.paths.Quiet++
 }
 
-// prepareQuietSkip arms the run's quiet-span skipping: keyed schedule,
-// protocol with a span oracle, and a failure plan (if any) that declares
-// its crash boundaries — an undeclared plan keeps the run per-round, so
-// the skip path never changes how an arbitrary Crashed implementation is
+// prepareQuietSkip arms the run's quiet-span skipping: a protocol with a
+// span oracle, and a failure plan (if any) that declares its crash
+// boundaries — an undeclared plan keeps the run per-round, so the skip
+// path never changes how an arbitrary Crashed implementation is
 // consulted.
 func (e *Engine) prepareQuietSkip(p Protocol) {
 	e.spanner = nil
@@ -311,10 +315,10 @@ func (e *Engine) prepareQuietSkip(p Protocol) {
 // jumped-over rounds as executed quiet rounds. The span is clamped to
 // MaxRounds, and with an armed observer to its next due round
 // (ObserverEvery); an observer without a declared cadence disables
-// skipping entirely, because any round could matter to it. Under the
-// keyed schedule the walk is pure arithmetic: no generator advances, so
-// a skipped run is bit-identical to a round-by-round run — breathevet
-// proves this path stays draw-free.
+// skipping entirely, because any round could matter to it. The walk is
+// pure arithmetic: no generator advances, so a skipped run is
+// bit-identical to a round-by-round run — breathevet proves this path
+// stays draw-free.
 //
 //breathe:drawfree
 func (e *Engine) skipQuietSpan(next int) {
@@ -343,9 +347,8 @@ func (e *Engine) skipQuietSpan(next int) {
 }
 
 // keyedSendScan collects the round's live senders through the per-agent
-// reference interface: crash check before Send, exactly like the legacy
-// per-agent path, yielding the same sender multiset the bulk collection
-// reports after filtering.
+// interface: crash check before Send, yielding the same sender multiset
+// the bulk collection reports after filtering.
 func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
 	k := e.keyed
 	f := e.cfg.Failures
@@ -725,7 +728,6 @@ func (k *keyedState) openTree(n int) {
 // stay inside the bucket's slot range plus d (plus k.walked for the tail
 // bucket, which only one worker handles).
 func (e *Engine) keyedBucket(d *denseRun, j, round int) {
-	b := e.bulk
 	k := e.keyed
 	n := e.cfg.N
 	blo := j * denseWidth
@@ -771,9 +773,9 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 			}
 		}
 	}
-	acc := b.accs[blo : blo+bsize : blo+bsize]
+	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
-	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, b.noiseThresh)
+	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, k.noiseThresh)
 	d.accepted += accepted
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 }
@@ -900,7 +902,7 @@ func (d *denseRun) walkPlace(lo int, inbox []uint32, k int, inc uint32, cp rng.C
 // collision word with addressed retries: attempt a of slot t reads
 // counter a·denseWidth + t, above every slot's base word.
 func (e *Engine) keyedFix(d *denseRun, cc rng.Cell, blo int, inbox []uint32, acc []uint64, fix []int32) {
-	thresh := e.bulk.noiseThresh
+	thresh := e.keyed.noiseThresh
 	for _, t := range fix {
 		v := inbox[t]
 		inbox[t] = 0
@@ -913,8 +915,7 @@ func (e *Engine) keyedFix(d *denseRun, cc rng.Cell, blo int, inbox []uint32, acc
 		bit := b2u(on != 0)
 		if on != 0 && on != cnt {
 			prod := (x & 2047) * cnt
-			reject := 2048 % cnt
-			for a := uint64(1); prod&2047 < reject; a++ {
+			for a := uint64(1); !acceptLemire11(prod, cnt); a++ {
 				x = cc.Uint64(a*denseWidth + uint64(t))
 				prod = (x & 2047) * cnt
 			}
@@ -924,13 +925,21 @@ func (e *Engine) keyedFix(d *denseRun, cc rng.Cell, blo int, inbox []uint32, acc
 	}
 }
 
+// acceptLemire11 is Lemire's rejection test for an 11-bit accept-one
+// draw: the value prod>>11 of prod = u·cnt (u < 2¹¹) is exactly uniform
+// over [0, cnt) when kept only while the product's low bits clear
+// 2¹¹ mod cnt.
+func acceptLemire11(prod, cnt uint64) bool {
+	return prod&2047 >= 2048%cnt
+}
+
 // keyedResolveDeferred resolves slot t of the bucket at blo, whose inbox
 // word v counts more arrivals than the 11-bit accept draw covers — a
 // saturated counter's excess sits in the spill list — from an ephemeral
 // stream seeded by a reserved high counter of the bucket's collision
 // cell.
 func (e *Engine) keyedResolveDeferred(d *denseRun, cc rng.Cell, blo, t int, v uint32) {
-	b := e.bulk
+	k := e.keyed
 	slot := blo + t
 	cnt, on := uint64(v&0xffff), uint64(v>>16)
 	for _, s := range d.spill {
@@ -951,8 +960,8 @@ func (e *Engine) keyedResolveDeferred(d *denseRun, cc rng.Cell, blo, t int, v ui
 			bit = 1
 		}
 	}
-	if rr.Uint64()>>11 < b.noiseThresh {
+	if rr.Uint64()>>11 < k.noiseThresh {
 		bit ^= 1
 	}
-	b.accs[slot] += bit<<32 | 1
+	k.accs[slot] += bit<<32 | 1
 }

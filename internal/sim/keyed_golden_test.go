@@ -25,7 +25,6 @@ import (
 // per-agent opinions.
 func keyedGoldenDigest(t *testing.T, cfg sim.Config, p sim.Protocol) (sim.Result, string) {
 	t.Helper()
-	cfg.DrawSchedule = sim.ScheduleKeyed
 	res, err := sim.Run(cfg, p)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
-// Cross-kernel bit-identity of the keyed draw schedule: under
-// Config.DrawSchedule == ScheduleKeyed every execution strategy — the
-// per-agent reference, the batched kernel at any worker count, and auto —
+// Cross-kernel bit-identity of the keyed draw schedule: every execution
+// strategy — per-agent collection, the batched kernel at any worker
+// count, and auto —
 // must produce byte-identical results, message accounting, path counters
 // and final per-agent opinions for a fixed (config, seed). This is the
 // guarantee that demotes Config.Kernel to a pure performance knob and
@@ -52,7 +52,6 @@ func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol)
 // round, not of the kernel, so even the path breakdown must agree.
 func assertKernelInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) {
 	t.Helper()
-	cfg.DrawSchedule = sim.ScheduleKeyed
 	cfg.Kernel = sim.KernelAuto
 	cfg.Shards = 1
 	refRes, refFP := keyedFingerprint(t, cfg, factory)
@@ -198,7 +197,6 @@ func TestKeyedKernelIdentityScatterRegime(t *testing.T) {
 		AllowSelfMessages: false, DropProb: 0.05,
 		MaxRounds: params.StageIRounds() + 40,
 	}
-	cfg.DrawSchedule = sim.ScheduleKeyed
 	assertKernelInvariance(t, "scatter-no-self-drop", cfg, factory)
 }
 

@@ -145,7 +145,7 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	const n = 4096
 	cfg := Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 5,
-		Kernel: KernelBatched, DrawSchedule: ScheduleKeyed,
+		Kernel: KernelBatched,
 	}
 	plan := NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0)
 	run := func(e *Engine) (Result, []uint64) {

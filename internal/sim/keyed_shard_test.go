@@ -6,15 +6,11 @@ import (
 	"breathe/internal/channel"
 )
 
-// These tests pin the keyed tree's strongest property — the regression
-// the keyed schedule exists for. The legacy sharded kernel (PR 3) keeps
-// shard counts out of the *results* only by seeding every virtual-shard
-// substream from a serial master-stream prologue each round: the draws
-// are position-dependent, and only the fixed virtual-shard decomposition
-// hides it. The keyed tree has no prologue and no per-shard state at
-// all: every bucket's draws are a pure function of (seed, round, bucket),
-// so invariance over worker counts AND over arbitrary bucket execution
-// orders holds by construction, not by careful sequencing.
+// These tests pin the keyed tree's strongest property. The tree has no
+// serial prologue and no per-shard state at all: every bucket's draws
+// are a pure function of (seed, round, bucket), so invariance over worker
+// counts AND over arbitrary bucket execution orders holds by
+// construction, not by careful sequencing.
 
 // keyedTreeRun executes a keyed bulkChatter run and returns the result
 // plus the final accumulator state.
@@ -40,7 +36,6 @@ func TestKeyedTreeWorkerCountInvariance(t *testing.T) {
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 77,
 		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
-		DrawSchedule: ScheduleKeyed,
 	}
 	const rounds = 12
 	refRes, refAcc := keyedTreeRun(t, base, rounds)
@@ -76,7 +71,6 @@ func TestKeyedTreeBucketOrderInvariance(t *testing.T) {
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 31,
 		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
-		DrawSchedule: ScheduleKeyed,
 	}
 	const rounds = 10
 	refRes, refAcc := keyedTreeRun(t, base, rounds)
@@ -142,7 +136,6 @@ func TestKeyedAcceptRateMatchesTheory(t *testing.T) {
 	res, _ := keyedTreeRun(t, Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.5), Seed: 5,
 		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 3,
-		DrawSchedule: ScheduleKeyed,
 	}, rounds)
 	if res.Paths.Sharded == 0 {
 		t.Fatalf("run never took the sharded path: %+v", res.Paths)

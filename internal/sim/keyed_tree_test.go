@@ -123,11 +123,11 @@ func TestKeyedTreeResolveReference(t *testing.T) {
 			occupied += int64(b2u(v != 0))
 		}
 
-		e := &Engine{bulk: &bulkState{accs: make([]uint64, blo+bsize), noiseThresh: thresh}}
+		e := &Engine{keyed: &keyedState{accs: make([]uint64, blo+bsize), noiseThresh: thresh}}
 		d := &denseRun{spill: []denseSpill{{slot: int32(blo + sat), count: 7, ones: 3}}}
 		rbuf := make([]uint64, bsize)
 		cc.Fill(rbuf, 0)
-		acc := e.bulk.accs[blo:]
+		acc := e.keyed.accs[blo:]
 		fix := d.fixBuf()
 		nf, accepted := treeResolve(inbox, rbuf, acc, fix, thresh)
 		e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
@@ -171,7 +171,7 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 	const n = 1 << 16
 	base := Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 3,
-		AllowSelfMessages: true, Kernel: KernelBatched, DrawSchedule: ScheduleKeyed,
+		AllowSelfMessages: true, Kernel: KernelBatched,
 	}
 	thinned := NewRandomCrashesKeyed(n, 0.95, 0, rng.NewKey(3), 0)
 	for _, c := range []struct {
@@ -235,7 +235,7 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	} {
 		cfg := Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Shards: 1,
-			AllowSelfMessages: true, Kernel: KernelBatched, DrawSchedule: ScheduleKeyed,
+			AllowSelfMessages: true, Kernel: KernelBatched,
 			Failures: plan,
 		}
 		run := func(e *Engine) (Result, []uint64) {

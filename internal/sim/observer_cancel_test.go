@@ -14,6 +14,7 @@ import (
 	"breathe/internal/async"
 	"breathe/internal/channel"
 	"breathe/internal/core"
+	"breathe/internal/rng"
 	"breathe/internal/sim"
 )
 
@@ -215,8 +216,10 @@ func TestCancelPrefixMatchesPlainRun(t *testing.T) {
 	}
 }
 
-// TestPathRoundsAccounting: the per-path round counts partition the
-// executed rounds, and the forced kernels land where they claim.
+// TestPathRoundsAccounting: the per-regime round counts partition the
+// executed rounds and name the regimes, never the kernel — a forced
+// per-agent kernel books exactly the batched kernel's counters — and
+// PerAgent counts only runs without batched machinery.
 func TestPathRoundsAccounting(t *testing.T) {
 	params := core.DefaultParams(4096, 0.3)
 	factory := func() sim.Protocol {
@@ -228,33 +231,44 @@ func TestPathRoundsAccounting(t *testing.T) {
 	}
 	base := sim.Config{N: 4096, Channel: channel.FromEpsilon(0.3), Seed: 11, AllowSelfMessages: true}
 
-	perAgent := base
-	perAgent.Kernel = sim.KernelPerAgent
-	res, err := sim.Run(perAgent, factory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Paths.PerAgent != int64(res.Rounds) || res.Paths.Total() != int64(res.Rounds) {
-		t.Errorf("per-agent kernel paths: %+v for %d rounds", res.Paths, res.Rounds)
-	}
-	if res.Paths.Primary() != "per-agent" {
-		t.Errorf("primary = %q", res.Paths.Primary())
-	}
-
 	batched := base
 	batched.Kernel = sim.KernelBatched
-	res, err = sim.Run(batched, factory())
+	res, err := sim.Run(batched, factory())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Paths.PerAgent != 0 {
-		t.Errorf("batched kernel counted %d per-agent rounds", res.Paths.PerAgent)
+		t.Errorf("bulk protocol counted %d per-agent rounds", res.Paths.PerAgent)
 	}
 	if res.Paths.Total() != int64(res.Rounds) {
 		t.Errorf("batched paths don't partition rounds: %+v vs %d", res.Paths, res.Rounds)
 	}
-	if res.Paths.Dense+res.Paths.PerMessage+res.Paths.Sharded == 0 {
-		t.Error("no message-carrying batched rounds counted")
+	// Stage I speaks in scatter rounds, Stage II in tree rounds.
+	if res.Paths.PerMessage == 0 || res.Paths.Dense+res.Paths.Sharded+res.Paths.Sparse == 0 {
+		t.Errorf("broadcast ran no scatter or no tree rounds: %+v", res.Paths)
+	}
+	if res.Paths.Primary() != "dense" {
+		t.Errorf("primary = %q, want dense", res.Paths.Primary())
+	}
+
+	perAgent := base
+	perAgent.Kernel = sim.KernelPerAgent
+	pres, err := sim.Run(perAgent, factory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pres.Paths != res.Paths {
+		t.Errorf("per-agent kernel paths %+v != batched %+v", pres.Paths, res.Paths)
+	}
+
+	// A protocol without BulkProtocol has no batched machinery: every
+	// speaking round is a PerAgent scatter round.
+	nres, err := sim.Run(base, &everyOther{rounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nres.Paths != (sim.PathRounds{PerAgent: 5, Quiet: 5}) || nres.Paths.Primary() != "per-agent" {
+		t.Errorf("non-bulk protocol paths: %+v (primary %q), want per-agent:5 quiet:5", nres.Paths, nres.Paths.Primary())
 	}
 
 	// The async protocols' dilated schedule has genuinely quiescent
@@ -275,3 +289,17 @@ func TestPathRoundsAccounting(t *testing.T) {
 		t.Errorf("async paths don't partition rounds: %+v vs %d", res.Paths, res.Rounds)
 	}
 }
+
+// everyOther is a minimal protocol without BulkProtocol: agent 0 pushes a
+// one in even rounds and is silent in odd ones.
+type everyOther struct{ rounds int }
+
+func (p *everyOther) Name() string        { return "every-other" }
+func (p *everyOther) Setup(int, *rng.RNG) {}
+func (p *everyOther) Send(a, round int) (channel.Bit, bool) {
+	return channel.One, a == 0 && round%2 == 0
+}
+func (p *everyOther) Receive(int, channel.Bit, int)   {}
+func (p *everyOther) EndRound(int)                    {}
+func (p *everyOther) Done(round int) bool             { return round >= p.rounds }
+func (p *everyOther) Opinion(int) (channel.Bit, bool) { return 0, false }

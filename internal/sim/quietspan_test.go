@@ -65,7 +65,6 @@ func spanConfig(n int) sim.Config {
 	return sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 17,
 		AllowSelfMessages: true,
-		DrawSchedule:      sim.ScheduleKeyed,
 	}
 }
 

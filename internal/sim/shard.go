@@ -1,57 +1,18 @@
 package sim
 
-// The intra-run sharded kernel: one run spread across all cores. The Flip
-// model is embarrassingly parallel within a round — given the round's
-// sender multiset, each message's recipient, collision draw and noise flip
-// are independent — so the dense aggregate kernel's work decomposes by
-// receiver range. The population is cut into contiguous *virtual shards*,
-// the round's message count is split across them with an exact multinomial
-// draw, and each shard places, resolves and accumulates its slots locally
-// on a worker goroutine, meeting at a per-round barrier.
-//
-// Determinism is the design constraint everything here serves: a run must
-// be bit-identical for every Config.Shards value, including 1. Three rules
-// deliver that:
-//
-//  1. The virtual-shard decomposition is a function of n alone
-//     (numShards), never of Config.Shards. The worker count only decides
-//     how many goroutines execute the shards.
-//  2. The per-shard message counts come from one exact multinomial draw
-//     (rng.MultinomialSplit) on the master engine stream, in shard order.
-//  3. Each shard then runs on its own substream, reseeded every round
-//     from a master-stream draw — again in shard order — so no shard's
-//     randomness depends on scheduling.
-//
-// Shards write disjoint ranges of the shared inbox and of the protocol's
-// accumulator array (receiver a belongs to exactly one shard), so the
-// barrier only has to sum the per-shard accepted counts.
-
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 const (
 	// minShardSlots is the virtual-shard granularity: the population is
 	// decomposed into numShards(n) = min(maxShards, n/minShardSlots)
-	// contiguous shards. Two buckets of the dense kernel per shard keeps
-	// the per-shard sampling overhead amortized while letting a 10⁶-agent
-	// population spread over 61 shards.
+	// contiguous shards, two tree buckets per shard.
 	minShardSlots = 2 * denseWidth
-	// maxShards caps the decomposition; beyond it more shards add
-	// per-round split and seeding work without adding usable parallelism.
+	// maxShards caps the decomposition.
 	maxShards = 64
-	// shardMinMessages gates the sharded execution within a qualifying
-	// round: below it the serial dense scan beats a goroutine barrier.
-	// Like everything else here it depends only on the round's message
-	// count, never on the worker count.
-	shardMinMessages = 1 << 13
 )
 
-// numShards returns the virtual-shard count for a population of n agents —
-// a pure function of n, so the decomposition (and with it the whole draw
-// schedule) is independent of Config.Shards.
+// numShards returns the virtual-shard count for a population of n agents.
+// A tree round with at least two shards and shardMinMessages messages runs
+// its buckets in parallel and is accounted as Sharded; the count is a pure
+// function of n, so the accounting is independent of Config.Shards.
 func numShards(n int) int {
 	s := n / minShardSlots
 	if s > maxShards {
@@ -61,110 +22,4 @@ func numShards(n int) int {
 		s = 1
 	}
 	return s
-}
-
-// prepareShards sizes the sharded-execution state for the current run.
-// Called from selectKernel; idempotent across Reset for an unchanged
-// config.
-func (e *Engine) prepareShards() {
-	b := e.bulk
-	n := e.cfg.N
-	s := numShards(n)
-	if !b.denseOK || s < 2 {
-		b.shards = nil
-		b.workers = 0
-		return
-	}
-	if len(b.shards) != s {
-		b.shards = make([]denseRun, s)
-		b.shardLo = make([]int, s+1)
-		b.sizes = make([]int, s)
-		b.k0s = make([]int, s)
-		b.k1s = make([]int, s)
-		b.seeds = make([]uint64, s)
-		base, rem := n/s, n%s
-		lo := 0
-		for i := 0; i < s; i++ {
-			size := base
-			if i < rem {
-				size++
-			}
-			b.shardLo[i] = lo
-			b.sizes[i] = size
-			lo += size
-		}
-		b.shardLo[s] = lo
-	}
-	w := e.cfg.Shards
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > s {
-		w = s
-	}
-	b.workers = w
-}
-
-// stepSharded runs one qualifying dense round across the virtual shards.
-// The master stream's serial prologue (drop thinning, the multinomial
-// split, one substream seed per shard) is identical for every worker
-// count; the shards themselves touch only their own slot ranges and their
-// own substreams, so executing them on 1 or 64 goroutines yields the same
-// bits.
-func (e *Engine) stepSharded(m0, m1, round int) {
-	b := e.bulk
-	m0, m1 = e.denseRoundBegin(m0, m1)
-	placed := m0 + m1
-
-	// Exact multinomial split of each bit class across the shards, then
-	// one substream seed per shard — all from the master stream, in shard
-	// order.
-	r := e.engineRNG
-	r.MultinomialSplit(m0, b.sizes, b.k0s)
-	r.MultinomialSplit(m1, b.sizes, b.k1s)
-	for i := range b.seeds {
-		b.seeds[i] = r.Uint64()
-	}
-
-	runShard := func(i int) {
-		d := &b.shards[i]
-		d.r = &d.rngStore
-		d.rngStore.Reseed(b.seeds[i])
-		d.accepted = 0
-		d.runRange(e, b.shardLo[i], b.sizes[i], b.k0s[i], b.k1s[i], round)
-	}
-	if b.workers <= 1 {
-		for i := range b.shards {
-			runShard(i)
-		}
-	} else {
-		// Workers are spawned per round rather than parked in a resident
-		// pool: a pool's goroutines would outlive abandoned engines (Go
-		// cannot collect a parked goroutine), and at the scales where the
-		// sharded path engages a round costs milliseconds against a few
-		// microseconds of spawn — the barrier, not the spawn, is the
-		// synchronization cost either way.
-		var next int64
-		var wg sync.WaitGroup
-		wg.Add(b.workers)
-		for w := 0; w < b.workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(b.shards) {
-						return
-					}
-					runShard(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	var accepted int64
-	for i := range b.shards {
-		accepted += b.shards[i].accepted
-	}
-	e.denseRoundEnd(placed, accepted)
 }

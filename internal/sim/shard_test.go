@@ -195,55 +195,27 @@ func TestShardedCrashSemantics(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesPerAgentStatistically: the sharded path's acceptance
-// statistics agree with the per-agent reference across seeds.
-func TestShardedMatchesPerAgentStatistically(t *testing.T) {
-	const rounds, seeds = 12, 6
-	meanAccepted := func(kernel Kernel, shards int) float64 {
-		var sum int64
-		for seed := uint64(0); seed < seeds; seed++ {
-			res, err := Run(Config{
-				N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: seed,
-				Kernel: kernel, AllowSelfMessages: true, Shards: shards,
-			}, &bulkChatter{rounds: rounds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.MessagesAccepted
-		}
-		return float64(sum) / seeds
-	}
-	ref := meanAccepted(KernelPerAgent, 0)
-	got := meanAccepted(KernelBatched, 3)
-	if math.Abs(got-ref)/ref > 0.005 {
-		t.Fatalf("sharded accepted mean %v deviates from per-agent %v", got, ref)
-	}
-}
-
 // TestKernelAutoBoundaryAtOldCap is the regression test for the lifted
 // population cap: the batched kernel used to fall back to the per-agent
-// path at n ≥ 2²⁴ because of the old 24-bit packed arrival counters. With
-// the widened stamp(8)|ones(28)|count(28) word, KernelAuto must select
-// the batched path at 2²⁴ − 1, 2²⁴ and 2²⁴ + 1 alike.
+// path at n ≥ 2²⁴ because of old 24-bit packed arrival counters.
+// KernelAuto must select the batched machinery at 2²⁴ − 1, 2²⁴ and
+// 2²⁴ + 1 alike, and fall back — silently, not by panicking — from
+// maxBulkN on.
 func TestKernelAutoBoundaryAtOldCap(t *testing.T) {
-	// Probe selectKernel without NewEngine's Θ(n) per-agent buffers —
-	// path selection reads only the config and the protocol capabilities.
+	// Probe prepareKeyed without a run's Θ(n) buffers — the capability
+	// decision reads only the config and the protocol.
 	probe := func(n int) bool {
 		e := &Engine{cfg: Config{N: n, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true}}
 		e.Reset(1)
-		_, batched := e.selectKernel(&bulkChatter{rounds: 2})
-		return batched
+		return e.prepareKeyed(&bulkChatter{rounds: 2}) != nil
 	}
 	for _, n := range []int{1<<24 - 1, 1 << 24, 1<<24 + 1, 100_000_000} {
 		if !probe(n) {
 			t.Fatalf("n = %d: KernelAuto fell back to the per-agent path", n)
 		}
 	}
-	// The widened cap itself: 2²⁸ is the first population the packed word
-	// cannot represent, and KernelAuto must fall back there — silently,
-	// not by panicking.
 	if probe(maxBulkN) {
-		t.Fatalf("n = %d: expected per-agent fallback at the widened cap", maxBulkN)
+		t.Fatalf("n = %d: expected per-agent fallback at the cap", maxBulkN)
 	}
 }
 
@@ -277,38 +249,29 @@ func TestKernelAutoBoundaryRuns(t *testing.T) {
 }
 
 // TestPerMessageInboxWordCoversWidenedCap is the overflow guard on the
-// widened per-message inbox word: the layout must hold the worst case the
-// maxBulkN gate admits — every one of n − 1 ≤ 2²⁸ − 1 messages of a round
-// arriving at one receiver, all ones — without the counters bleeding into
-// each other or the stamp.
+// scatter regime's inbox word (arrival count in the low 32 bits, ones in
+// the high 32): it must hold the worst case the maxBulkN gate admits —
+// every one of n − 1 < 2²⁸ messages of a round arriving at one receiver,
+// all ones — without the counters bleeding into each other.
 func TestPerMessageInboxWordCoversWidenedCap(t *testing.T) {
-	if pmStampShift+8 != 64 {
-		t.Fatalf("packed layout does not fill the word: stamp shift %d", pmStampShift)
+	inbox := make([]uint64, 1)
+	touched := make([]int32, 4)
+	// The increments scatterPlace uses: one for a zero, 1<<32|1 for a one.
+	nt := scatterAdd(inbox, touched, 0, 0, 1)
+	nt = scatterAdd(inbox, touched, nt, 0, 1<<32|1)
+	nt = scatterAdd(inbox, touched, nt, 0, 1<<32|1)
+	if nt != 1 || inbox[0] != 2<<32|3 {
+		t.Fatalf("three arrivals: touched %d, word %#x; want 1, %#x", nt, inbox[0], uint64(2<<32|3))
 	}
-	if maxBulkN != pmFieldMask+1 {
-		t.Fatalf("maxBulkN %d inconsistent with %d-bit counters", maxBulkN, pmFieldBits)
-	}
-	const stamp = uint64(0xab)
-	v := stamp << pmStampShift
-	// Accumulate the worst case one increment at a time at the extremes
-	// of the range (doing all 2²⁸ iterations is pointless); the closed
-	// form below is what stepPerMessage's additions reach.
+	// Doing all 2²⁸ additions is pointless; the closed form is what they
+	// reach.
 	maxArrivals := uint64(maxBulkN - 1)
-	v += (1<<pmFieldBits | 1) * maxArrivals // maxArrivals one-bit messages
-	if got := v & pmFieldMask; got != maxArrivals {
+	v := (1<<32 | 1) * maxArrivals
+	if got := v & (1<<32 - 1); got != maxArrivals {
 		t.Fatalf("count field = %d, want %d", got, maxArrivals)
 	}
-	if got := v >> pmFieldBits & pmFieldMask; got != maxArrivals {
+	if got := v >> 32; got != maxArrivals {
 		t.Fatalf("ones field = %d, want %d", got, maxArrivals)
-	}
-	if got := v >> pmStampShift; got != stamp {
-		t.Fatalf("stamp corrupted: %#x, want %#x", got, stamp)
-	}
-	// One more arrival — the case the n < maxBulkN gate excludes — must
-	// overflow the count field into the ones field, which documents why
-	// the gate sits exactly there.
-	if got := (v + 1) & pmFieldMask; got > maxArrivals {
-		t.Fatalf("count field failed to wrap at the design limit (got %d)", got)
 	}
 }
 

@@ -6,9 +6,11 @@
 // random, and the rest are dropped; every accepted bit passes through a
 // noisy channel.
 //
-// The model is round-synchronous by definition, so the engine is a simple
-// deterministic loop — no goroutines are needed or used. Determinism:
-// a run is a pure function of (protocol, population size, channel, seed).
+// The model is round-synchronous by definition, so the engine is a
+// deterministic round loop. Every draw is addressed by (seed, subsystem
+// stream, round, index) — the keyed schedule, see keyed.go — so a run is
+// a pure function of (protocol, configuration, seed), whichever kernel,
+// worker count or execution order carries it out.
 package sim
 
 import (
@@ -49,14 +51,12 @@ type Protocol interface {
 	Opinion(a int) (bit channel.Bit, ok bool)
 }
 
-// KeyedProtocol is an optional extension of Protocol: implementations
-// receive the run's draw-schedule root before Setup when the engine runs
-// under ScheduleKeyed, and must then take their phase-boundary randomness
-// from addressed cells of the key (rng.StreamSchedule, rng.StreamOffsets)
-// instead of consuming the sequential protocol stream, so protocol draws
-// are a pure function of (seed, round, agent) independent of kernel and
-// execution order. Protocols without a key keep the legacy sequential
-// behaviour.
+// KeyedProtocol is an optional extension of Protocol: the engine hands
+// implementations the run's draw-schedule root before Setup, and they take
+// their phase-boundary randomness from addressed cells of the key
+// (rng.StreamSchedule, rng.StreamOffsets) instead of consuming the
+// sequential stream passed to Setup, so protocol draws are a pure function
+// of (seed, round, agent) independent of kernel and execution order.
 type KeyedProtocol interface {
 	SetDrawKey(k rng.Key)
 }
@@ -76,18 +76,16 @@ type FailurePlan interface {
 }
 
 // QuietSpanner is an optional Protocol capability that makes quiescence
-// free under the keyed draw schedule. NextActive(g) returns the first
-// round t >= g at which the protocol can act, assuming no message is
-// delivered in [g, t): a round in which some agent may send, in which
-// EndRound may change protocol state (a phase finalization), or at which
-// Done may flip. Every round in [g, t) must be inert — Send false for
+// free. NextActive(g) returns the first round t >= g at which the
+// protocol can act, assuming no message is delivered in [g, t): a round
+// in which some agent may send, in which EndRound may change protocol
+// state (a phase finalization), or at which Done may flip. Every round in [g, t) must be inert — Send false for
 // every agent, EndRound a no-op, Done constant — so the engine may
 // account rounds g..t-1 as executed quiet rounds and jump straight to t.
 //
-// The engine consults the spanner only under ScheduleKeyed, and only
-// immediately after a round with zero live senders; crashes never create
-// senders, so an implementation may (and should) ignore the failure
-// plan. Returning g is always safe: it declines the skip for this span.
+// The engine consults the spanner only immediately after a round with
+// zero live senders; crashes never create senders, so an implementation
+// may (and should) ignore the failure plan. Returning g is always safe: it declines the skip for this span.
 type QuietSpanner interface {
 	NextActive(g int) int
 }
@@ -119,31 +117,18 @@ const (
 	// protocol implements BulkProtocol and the configuration permits it,
 	// and the per-agent path otherwise.
 	KernelAuto Kernel = iota
-	// KernelPerAgent forces the per-agent reference path: one Send call
-	// per agent per round, reservoir collision resolution, one Transmit
-	// per accepted message. This is the executable definition of the
-	// model; the batched kernel is tested for equivalence against it.
+	// KernelPerAgent forces per-agent collection and delivery: one Send
+	// call per agent per round and one Receive per accepted message. The
+	// draws, and so the results, are those of every other kernel. The
+	// executable definition of the model is the test-only reference
+	// (refRun in internal/sim's tests: reservoir accept-one, one recipient
+	// draw and one Transmit per message, on sequential streams), which the
+	// regimes are checked against in distribution.
 	KernelPerAgent
 	// KernelBatched requires the batched kernel; Run panics with a clear
 	// message when the protocol or configuration cannot support it. Use
 	// it in tests and benchmarks that must not silently fall back.
 	KernelBatched
-)
-
-// DrawSchedule selects how a run's randomness is addressed.
-type DrawSchedule int
-
-const (
-	// ScheduleLegacy (the zero value) is the sequential reseed-chain
-	// schedule: each kernel path consumes the engine streams in its own
-	// order, so results are only comparable within one kernel. All
-	// pre-existing goldens pin this schedule.
-	ScheduleLegacy DrawSchedule = iota
-	// ScheduleKeyed is the keyed counter-mode schedule (rng.Key): every
-	// draw is a pure function of (seed, subsystem stream, round, index),
-	// so every kernel produces bit-identical results and the kernel knob
-	// becomes a pure performance choice. See keyed.go.
-	ScheduleKeyed
 )
 
 // Config assembles a simulation run.
@@ -174,15 +159,15 @@ type Config struct {
 	// ObserverEvery declares that the observer only acts on rounds that
 	// are multiples of it (the service's trajectory-sampling convention:
 	// round % every == 0) and ignores every other round. The declaration
-	// lets the engine skip quiet spans between due rounds under the keyed
-	// schedule; a due round is never skipped. Zero (or 1) makes no claim:
-	// with an Observer installed the engine then executes every round.
-	// Ignored when Observer is nil.
+	// lets the engine skip quiet spans between due rounds; a due round is
+	// never skipped. Zero (or 1) makes no claim: with an Observer
+	// installed the engine then executes every round. Ignored when
+	// Observer is nil.
 	ObserverEvery int
-	// NoQuietSkip disables O(1) quiet-span skipping under the keyed
-	// schedule, forcing every quiet round to execute individually. A pure
-	// performance knob for benchmarks and equivalence tests: results are
-	// bit-identical either way (quietspan_test.go pins it).
+	// NoQuietSkip disables O(1) quiet-span skipping, forcing every quiet
+	// round to execute individually. A pure performance knob for
+	// benchmarks and equivalence tests: results are bit-identical either
+	// way (quietspan_test.go pins it).
 	NoQuietSkip bool
 	// Cancel, if non-nil, aborts the run when it becomes readable (closed
 	// or sent to): the engine polls it at the per-round barrier — after a
@@ -193,14 +178,9 @@ type Config struct {
 	// to the same prefix of an uncanceled run. Use ctx.Done() to couple a
 	// run to a context.
 	Cancel <-chan struct{}
-	// Kernel selects the round-loop strategy (default KernelAuto). Under
-	// ScheduleLegacy the kernel choice changes which bits a run produces;
-	// under ScheduleKeyed it is a pure performance knob — every kernel
-	// yields byte-identical results.
+	// Kernel selects the round-loop strategy (default KernelAuto). A pure
+	// performance knob: every kernel yields byte-identical results.
 	Kernel Kernel
-	// DrawSchedule selects the randomness addressing scheme (default
-	// ScheduleLegacy, which all pre-existing goldens pin).
-	DrawSchedule DrawSchedule
 	// Telemetry, if non-nil, receives per-phase kernel timings, regime
 	// transitions and quiet-span lengths for this run. The probe is
 	// byte-inert by construction: it is consulted only at phase boundaries
@@ -210,24 +190,22 @@ type Config struct {
 	// into the run. Results are bit-identical with the probe on or off;
 	// internal/api's telemetry identity tests pin that across every kernel.
 	Telemetry *telemetry.RunProbe
-	// Shards sets the worker-goroutine count of the intra-run sharded
-	// kernel: 0 means GOMAXPROCS, 1 forces serial execution. Results are
-	// bit-identical for every value — the population is decomposed into
-	// virtual shards as a function of N alone, the round's messages are
-	// split across them by an exact multinomial from the master stream and
-	// each shard runs its own deterministic substream; Shards only decides
-	// how many goroutines execute the shards (see shard.go). Callers that
-	// already parallelize across seeds (RunSeeds) typically set Shards: 1
-	// to avoid oversubscription.
+	// Shards sets the worker-goroutine count of parallel tree rounds: 0
+	// means GOMAXPROCS, 1 forces serial execution. Results are
+	// bit-identical for every value — every tree bucket's draws are
+	// addressed by (round, bucket), so Shards only decides how many
+	// goroutines sweep the buckets (see keyed.go). Callers that already
+	// parallelize across seeds (RunSeeds) typically set Shards: 1 to avoid
+	// oversubscription.
 	Shards int
-	// SparseCutover steers the sparse walker's executor cutover under the
-	// keyed schedule (see sparse.go): 0 (the default) runs the walker on
-	// tree-eligible rounds whose declared active set k satisfies
-	// k·64 < n, a positive value substitutes its own ratio (k·c < n), and
-	// -1 disables the walker so the dense sweep runs every such round. A
-	// pure performance knob like Shards: results are bit-identical for
-	// every value, and the sparse *accounting* in Result.Paths always uses
-	// the fixed default ratio, so the counters never move either.
+	// SparseCutover steers the sparse walker's executor cutover (see
+	// sparse.go): 0 (the default) runs the walker on tree-eligible rounds
+	// whose declared active set k satisfies k·64 < n, a positive value
+	// substitutes its own ratio (k·c < n), and -1 disables the walker so
+	// the dense sweep runs every such round. A pure performance knob like
+	// Shards: results are bit-identical for every value, and the sparse
+	// *accounting* in Result.Paths always uses the fixed default ratio, so
+	// the counters never move either.
 	SparseCutover int
 }
 
@@ -253,40 +231,41 @@ func (c Config) validate() error {
 	if c.SparseCutover < -1 {
 		return fmt.Errorf("sim: SparseCutover %d < -1 (use -1 to disable the sparse walker)", c.SparseCutover)
 	}
-	if c.DrawSchedule != ScheduleLegacy && c.DrawSchedule != ScheduleKeyed {
-		return fmt.Errorf("sim: unknown draw schedule %d", c.DrawSchedule)
-	}
 	return nil
 }
 
-// PathRounds counts a run's executed rounds by the kernel path that ran
-// them. The engine picks the path round by round (a single run routinely
-// mixes them: per-message rounds while few agents send, dense or sharded
-// rounds at full blast), and a configuration that cannot use the batched
-// kernel at all — a non-bulk protocol, or n ≥ 2²⁸ — silently falls back
-// to the per-agent reference path. PathRounds makes that choice visible
-// in every Result instead of leaving the fallback to be discovered in a
-// profile.
+// PathRounds counts a run's executed rounds by the sampling regime that
+// ran them (keyed.go). The engine picks the regime round by round — a
+// single run routinely mixes them: scatter rounds while few agents send,
+// tree rounds at full blast — as a pure function of the round's message
+// count, n, the configuration and the protocol's capabilities, never of
+// Config.Kernel or any other performance knob. A configuration that
+// cannot use the batched machinery at all — a non-bulk protocol, or
+// n ≥ 2²⁸ — runs every speaking round as PerAgent scatter; PathRounds
+// makes that visible in every Result instead of leaving it to be
+// discovered in a profile.
 type PathRounds struct {
-	// PerAgent counts rounds on the per-agent reference path (one Send
-	// call per agent per round).
+	// PerAgent counts scatter rounds of a run without batched machinery
+	// (a non-bulk protocol, or n ≥ 2²⁸), collected through Send.
 	PerAgent int64 `json:"per_agent,omitempty"`
 	// Quiet counts rounds with no live senders (the protocol's "breathe"
-	// phases): no kernel work at all. Under the keyed schedule whole
-	// quiet spans may be skipped in O(1) (see QuietSpanner); the skipped
-	// rounds are credited here exactly as if they had executed.
+	// phases): no kernel work at all. Whole quiet spans may be skipped in
+	// O(1) (see QuietSpanner); the skipped rounds are credited here
+	// exactly as if they had executed.
 	Quiet int64 `json:"quiet,omitempty"`
-	// PerMessage counts rounds on the batched per-message path.
+	// PerMessage counts scatter rounds of a bulk-capable run: one
+	// placement draw per message, count-based accept-one per receiver.
 	PerMessage int64 `json:"per_message,omitempty"`
-	// Dense counts rounds on the serial dense aggregate path.
+	// Dense counts tree rounds swept serially.
 	Dense int64 `json:"dense,omitempty"`
-	// Sharded counts dense rounds executed across the virtual shards.
+	// Sharded counts tree rounds large enough (numShards(n) ≥ 2 and at
+	// least shardMinMessages messages) to sweep their buckets in parallel.
 	Sharded int64 `json:"sharded,omitempty"`
 	// Sparse counts tree-eligible rounds whose protocol declared a small
-	// active set (SenderIndex with k·64 < n, keyed schedule only). Like
-	// every other counter the accounting is kernel-independent; whether
-	// the sparse walker or the dense sweep executed the round is a pure
-	// performance choice (Config.SparseCutover) that never moves it.
+	// active set (SenderIndex with k·64 < n). Like every other counter the
+	// accounting is kernel-independent; whether the sparse walker or the
+	// dense sweep executed the round is a pure performance choice
+	// (Config.SparseCutover) that never moves it.
 	Sparse int64 `json:"sparse,omitempty"`
 }
 
@@ -385,38 +364,23 @@ func (r Result) AllCorrect(target channel.Bit) bool {
 // Engine executes protocols under a Config. An engine runs one protocol
 // per arming: build one with NewEngine, call Run, read the Result, and
 // call Reset(seed) before any further Run. A second Run without Reset
-// panics — it would silently reuse stale counters and inbox stamps and
-// corrupt the Result.
+// panics — it would silently reuse stale counters and corrupt the Result.
 //
 // Observers run after every executed round and may read the engine's
 // public accessors (N, Round, MessagesSent) and query the protocol (e.g.
-// Opinion). The per-round inboxes are engine-internal scratch under every
-// kernel — the per-agent path overwrites them each round and the batched
-// kernel bypasses them entirely — so no per-message state is observable
-// after a round ends.
+// Opinion). The per-round inboxes are engine-internal scratch, zero
+// between rounds, so no per-message state is observable after a round
+// ends.
 type Engine struct {
 	cfg Config
 
-	engineRNG  *rng.RNG // recipient selection, collision resolution, drops
-	channelRNG *rng.RNG // noise
-	protoRNG   *rng.RNG // protocol-private randomness
+	key      rng.Key     // the run's draw-schedule root
+	protoRNG *rng.RNG    // the protocol's sequential stream, seeded from key
+	keyed    *keyedState // lazily allocated kernel scratch
 
-	// Per-round reservoir state of the legacy per-agent step, stamped
-	// with the round number so no O(n) clearing is needed. Only step
-	// reads them, and it allocates them on first use: the keyed schedule
-	// and the batched kernel never do.
-	inBit   []channel.Bit
-	inCount []int32
-	inStamp []int32
-
-	bulk *bulkState // lazily allocated batched-kernel buffers
-
-	key   rng.Key     // keyed-schedule root, valid when DrawSchedule == ScheduleKeyed
-	keyed *keyedState // lazily allocated keyed-schedule scratch
-
-	// Quiet-span skipping (keyed schedule only): the protocol's span
-	// oracle, the failure plan's declared boundaries, and the count of
-	// spans actually skipped. Armed per run by prepareQuietSkip.
+	// Quiet-span skipping: the protocol's span oracle, the failure plan's
+	// declared boundaries, and the count of spans actually skipped. Armed
+	// per run by prepareQuietSkip.
 	spanner    QuietSpanner
 	crashBound CrashBoundary
 	quietSpans int64
@@ -448,24 +412,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 // (config, protocol, seed). Reset during a run is not supported.
 func (e *Engine) Reset(seed uint64) {
 	e.cfg.Seed = seed
-	root := rng.New(seed)
-	e.engineRNG = root.Split()
-	e.channelRNG = root.Split()
-	e.protoRNG = root.Split()
-	if e.cfg.DrawSchedule == ScheduleKeyed {
-		// Under the keyed schedule the engine and channel streams are
-		// unused — every engine-side draw is addressed through e.key — and
-		// the protocol's sequential stream is seeded from the protocol
-		// subsystem stream so it cannot collide with any engine draw.
-		e.key = rng.NewKey(seed)
-		e.protoRNG = rng.New(e.key.Cell(rng.StreamProtocol, 0).Uint64(0))
-	}
-	for i := range e.inStamp {
-		e.inStamp[i] = -1
-	}
-	if e.bulk != nil {
-		e.bulk.reset()
-	}
+	// Every engine-side draw is addressed through e.key; the protocol's
+	// sequential stream is seeded from the protocol subsystem stream so it
+	// cannot collide with any engine draw.
+	e.key = rng.NewKey(seed)
+	e.protoRNG = rng.New(e.key.Cell(rng.StreamProtocol, 0).Uint64(0))
 	if k := e.keyed; k != nil {
 		// The last run unwound mid-round and left arrivals behind.
 		if k.inboxOpen {
@@ -562,29 +513,21 @@ func (e *Engine) MessagesDropped() int64 { return e.dropped }
 // Observer callbacks; the full-run breakdown is in Result.Paths).
 func (e *Engine) Paths() PathRounds { return e.paths }
 
-// DrawKey returns the run's keyed draw-schedule root; ok is false under
-// the legacy schedule. Observers that need randomness should derive it
-// from rng.StreamObserver cells of this key, so tracing draws nothing
-// from any simulation stream.
-func (e *Engine) DrawKey() (rng.Key, bool) {
-	return e.key, e.cfg.DrawSchedule == ScheduleKeyed
-}
-
-// ShardedRounds reports how many rounds so far executed on the sharded
-// dense path (diagnostics and tests; the count is a pure function of the
+// ShardedRounds reports how many rounds so far executed as parallel tree
+// rounds (diagnostics and tests; the count is a pure function of the
 // run, independent of Config.Shards).
 func (e *Engine) ShardedRounds() int64 { return e.paths.Sharded }
 
-// QuietSpans reports how many quiet spans the run skipped in O(1) (keyed
-// schedule with a QuietSpanner protocol; see skipQuietSpan). Diagnostics
-// only: the count is deliberately not part of Result, because a skipped
-// run and a round-by-round run of the same configuration produce
-// identical Results — that equivalence is the skip path's contract.
+// QuietSpans reports how many quiet spans the run skipped in O(1) (a
+// QuietSpanner protocol; see skipQuietSpan). Diagnostics only: the count
+// is deliberately not part of Result, because a skipped run and a
+// round-by-round run of the same configuration produce identical Results
+// — that equivalence is the skip path's contract.
 func (e *Engine) QuietSpans() int64 { return e.quietSpans }
 
 // Run executes p until it reports Done or MaxRounds is hit. Calling Run a
 // second time without an intervening Reset panics: the engine's counters
-// and inbox stamps carry state from the finished run.
+// carry state from the finished run.
 func (e *Engine) Run(p Protocol) Result {
 	if e.started {
 		panic("sim: Engine.Run called twice — engines run once per arming; call Reset(seed) to reuse the engine")
@@ -592,22 +535,13 @@ func (e *Engine) Run(p Protocol) Result {
 	e.started = true
 
 	n := e.cfg.N
-	keyed := e.cfg.DrawSchedule == ScheduleKeyed
-	if keyed {
-		if kp, ok := p.(KeyedProtocol); ok {
-			kp.SetDrawKey(e.key)
-		}
+	if kp, ok := p.(KeyedProtocol); ok {
+		kp.SetDrawKey(e.key)
 	}
 	p.Setup(n, e.protoRNG)
 
-	var bp BulkProtocol
-	var batched bool
-	if keyed {
-		bp = e.prepareKeyed(p)
-		e.prepareQuietSkip(p)
-	} else {
-		bp, batched = e.selectKernel(p)
-	}
+	bp := e.prepareKeyed(p)
+	e.prepareQuietSkip(p)
 
 	res := Result{Protocol: p.Name()}
 	canceled := false
@@ -633,16 +567,7 @@ func (e *Engine) Run(p Protocol) Result {
 			prevPaths = e.paths
 			tel.BeginRound(e.round)
 		}
-		quiet := false
-		switch {
-		case keyed:
-			quiet = e.stepKeyed(p, bp)
-		case batched:
-			e.stepBulk(bp)
-		default:
-			e.paths.PerAgent++
-			e.step(p)
-		}
+		quiet := e.stepKeyed(p, bp)
 		if e.cfg.Observer != nil {
 			e.cfg.Observer(e.round, e)
 		}
@@ -722,7 +647,7 @@ func (e *Engine) mark(ph telemetry.Phase) {
 	}
 }
 
-// regimeOf names the kernel path that executed the round just finished, by
+// regimeOf names the regime that executed the round just finished, by
 // diffing the path counters across the step call.
 func regimeOf(before, after PathRounds) telemetry.Regime {
 	switch {
@@ -739,88 +664,6 @@ func regimeOf(before, after PathRounds) telemetry.Regime {
 	default:
 		return telemetry.RegimePerAgent
 	}
-}
-
-// step runs a single round: collect sends, deliver with accept-one
-// semantics, apply noise, notify the protocol.
-//
-// Phase accounting (see telemetry.Phase): the reference path fuses send
-// collection, placement and reservoir collision into its first loop
-// (billed to senders), delivery and noise into its second (billed to
-// noise); EndRound is billed to accumulate.
-func (e *Engine) step(p Protocol) {
-	n := e.cfg.N
-	round := e.round
-	stamp := int32(round)
-	if e.inStamp == nil {
-		e.inBit = make([]channel.Bit, n)
-		e.inCount = make([]int32, n)
-		e.inStamp = make([]int32, n)
-		for i := range e.inStamp {
-			e.inStamp[i] = -1
-		}
-	}
-
-	for a := 0; a < n; a++ {
-		if e.cfg.Failures != nil && e.cfg.Failures.Crashed(a, round) {
-			continue
-		}
-		bit, ok := p.Send(a, round)
-		if !ok {
-			continue
-		}
-		e.sent++
-		if e.cfg.DropProb > 0 && e.engineRNG.Bernoulli(e.cfg.DropProb) {
-			e.dropped++
-			continue
-		}
-		dst := e.pickRecipient(a, n)
-		// Reservoir-sample one accepted message per recipient: the k-th
-		// arrival replaces the current candidate with probability 1/k,
-		// which is exactly "accept one uniformly at random" without
-		// buffering the colliding messages.
-		if e.inStamp[dst] != stamp {
-			e.inStamp[dst] = stamp
-			e.inCount[dst] = 1
-			e.inBit[dst] = bit
-		} else {
-			e.inCount[dst]++
-			if e.engineRNG.Uint64n(uint64(e.inCount[dst])) == 0 {
-				e.inBit[dst] = bit
-			}
-		}
-	}
-	e.mark(telemetry.PhaseSenders)
-
-	for a := 0; a < n; a++ {
-		if e.inStamp[a] != stamp {
-			continue
-		}
-		e.dropped += int64(e.inCount[a] - 1)
-		if e.cfg.Failures != nil && e.cfg.Failures.Crashed(a, round) {
-			e.dropped++
-			continue
-		}
-		e.accepted++
-		got := e.cfg.Channel.Transmit(e.inBit[a], e.channelRNG)
-		p.Receive(a, got, round)
-	}
-	e.mark(telemetry.PhaseNoise)
-
-	p.EndRound(round)
-	e.mark(telemetry.PhaseAccumulate)
-}
-
-// pickRecipient draws the destination for a message from sender.
-func (e *Engine) pickRecipient(sender, n int) int {
-	if e.cfg.AllowSelfMessages {
-		return e.engineRNG.Intn(n)
-	}
-	dst := e.engineRNG.Intn(n - 1)
-	if dst >= sender {
-		dst++
-	}
-	return dst
 }
 
 // Run is the package-level convenience: build an engine for cfg and run p.

@@ -171,7 +171,6 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 // them, and its crash pre-pass consults the plan for occupied slots
 // only, so skipping them is exact.
 func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
-	b := e.bulk
 	k := e.keyed
 	n := e.cfg.N
 	blo := j * denseWidth
@@ -209,9 +208,9 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 		}
 		touched = touched[:w]
 	}
-	acc := b.accs[blo : blo+bsize : blo+bsize]
+	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
-	nf := sparseResolve(inbox, touched, acc, fix, cc, b.noiseThresh)
+	nf := sparseResolve(inbox, touched, acc, fix, cc, k.noiseThresh)
 	d.accepted += int64(len(touched))
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 }

@@ -88,7 +88,7 @@ func (c *sparseChatter) ActiveSenders(round int) int { return c.k }
 func sparseCfg() Config {
 	return Config{
 		N: 65536, Channel: channel.FromEpsilon(0.3), Seed: 21,
-		AllowSelfMessages: true, DrawSchedule: ScheduleKeyed,
+		AllowSelfMessages: true,
 	}
 }
 

@@ -50,22 +50,17 @@ func TestTelemetryInert(t *testing.T) {
 		MaxRounds:         params.StageIRounds() + 40,
 	}
 	cases := []struct {
-		name     string
-		schedule sim.DrawSchedule
-		kernel   sim.Kernel
-		shards   int
+		name   string
+		kernel sim.Kernel
+		shards int
 	}{
-		{"legacy-per-agent", sim.ScheduleLegacy, sim.KernelPerAgent, 1},
-		{"legacy-batched", sim.ScheduleLegacy, sim.KernelBatched, 1},
-		{"legacy-sharded", sim.ScheduleLegacy, sim.KernelBatched, 4},
-		{"keyed-per-agent", sim.ScheduleKeyed, sim.KernelPerAgent, 1},
-		{"keyed-batched", sim.ScheduleKeyed, sim.KernelBatched, 1},
-		{"keyed-sharded", sim.ScheduleKeyed, sim.KernelBatched, 4},
+		{"keyed-per-agent", sim.KernelPerAgent, 1},
+		{"keyed-batched", sim.KernelBatched, 1},
+		{"keyed-sharded", sim.KernelBatched, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			cfg.DrawSchedule = tc.schedule
 			cfg.Kernel = tc.kernel
 			cfg.Shards = tc.shards
 			plainRes, plainFP := probeFingerprint(t, cfg, nil, factory)
@@ -150,7 +145,6 @@ func TestTelemetryQuietSpans(t *testing.T) {
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 7,
 		AllowSelfMessages: true,
 		MaxRounds:         10 * L,
-		DrawSchedule:      sim.ScheduleKeyed,
 		Shards:            1,
 	}
 	plainRes, plainFP := probeFingerprint(t, cfg, nil, factory)

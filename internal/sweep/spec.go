@@ -46,11 +46,10 @@ type Spec struct {
 	// BaseSeed is the first seed of every cell.
 	BaseSeed uint64 `json:"base_seed"`
 	// Kernel selects the execution strategy for every cell (default
-	// auto). Part of every run's hash under the legacy schedule; a pure
-	// perf knob under the keyed one.
+	// auto): a pure perf knob, erased from every run's hash.
 	Kernel string `json:"kernel,omitempty"`
-	// Schedule selects the draw schedule for every cell: legacy | keyed
-	// (default legacy). Part of every run's hash.
+	// Schedule names the draw schedule for every cell: "" or "keyed",
+	// the only one (see api.RunRequest.Schedule).
 	Schedule string `json:"schedule,omitempty"`
 	// DropProb is the per-message loss probability shared by every cell.
 	DropProb float64 `json:"drop_prob,omitempty"`

@@ -52,11 +52,7 @@ type CellResult struct {
 	N         int     `json:"n"`
 	Eps       float64 `json:"eps"`
 	CrashProb float64 `json:"crash_prob"`
-	// Schedule is the draw schedule every run of the cell executed under
-	// (normalized: legacy | keyed) — part of each run's hash, so surfaced
-	// next to the grid coordinates in the table output.
-	Schedule string `json:"schedule"`
-	Seeds    int    `json:"seeds"`
+	Seeds     int     `json:"seeds"`
 
 	MeanRounds   float64 `json:"mean_rounds"`
 	MaxRounds    int     `json:"max_rounds"`
@@ -94,15 +90,15 @@ type Result struct {
 // output to an uninterrupted one.
 func (r *Result) Table() *trace.Table {
 	tb := trace.NewTable("scenario sweep",
-		"protocol", "n", "eps", "crash", "schedule", "mean_rounds",
+		"protocol", "n", "eps", "crash", "mean_rounds",
 		"max_rounds", "mean_messages", "success_rate", "mean_stage1_bias")
 	for _, c := range r.Cells {
 		bias := interface{}("")
 		if c.MeanStage1Bias != nil {
 			bias = *c.MeanStage1Bias
 		}
-		tb.AddRowValues(c.Protocol, c.N, c.Eps, c.CrashProb, c.Schedule,
-			c.MeanRounds, c.MaxRounds, c.MeanMessages, c.SuccessRate, bias)
+		tb.AddRowValues(c.Protocol, c.N, c.Eps, c.CrashProb, c.MeanRounds,
+			c.MaxRounds, c.MeanMessages, c.SuccessRate, bias)
 	}
 	return tb
 }
@@ -345,7 +341,6 @@ func aggregate(cell Cell, slots []slot) CellResult {
 		N:         cell.N,
 		Eps:       cell.Eps,
 		CrashProb: cell.CrashProb,
-		Schedule:  cell.Requests[0].Schedule,
 		Seeds:     len(slots),
 	}
 	digest := sha256.New()

@@ -22,7 +22,8 @@ const (
 	// (reservoir picks, bucket claiming) and any noise co-sampled there.
 	PhaseCollision
 	// PhaseNoise: a separately billed channel-noise pass, where one
-	// exists (per-message TransmitAll, per-agent delivery loop).
+	// exists. The engine's regimes co-sample noise with the accept-one
+	// draw and bill it to PhaseCollision, so the engine leaves it empty.
 	PhaseNoise
 	// PhaseAccumulate: delivering accepted values into protocol state
 	// and the protocol's EndRound.
