@@ -87,7 +87,7 @@ func run(args []string) error {
 	// explicit -eps 0 must be the old clean usage error, not "default to
 	// 0.3" (and the schedule commentary below derives from these values,
 	// so they must already be the ones the engine will run).
-	if *n < 2 || *eps <= 0 || *eps > 0.5 {
+	if *n < 2 || !(0 < *eps && *eps <= 0.5) {
 		return fmt.Errorf("need n >= 2 and eps in (0, 0.5]")
 	}
 

@@ -70,6 +70,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-protocol", "rumor"},
 		{"-crash", "1.5"},
 		{"-crash", "-0.1"},
+		{"-eps", "NaN"},
+		{"-eps", "+Inf"},
+		{"-eps", "-Inf"},
+		{"-crash", "NaN"},
+		{"-crash", "+Inf"},
+		{"-crash", "-Inf"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -180,19 +180,19 @@ func (r RunRequest) Validate() error {
 		return fmt.Errorf("api: kernel %q supports n < %d (got %d); use kernel auto or per-agent",
 			KernelBatched, sim.MaxBatchedN, r.N)
 	}
-	if r.Eps <= 0 || r.Eps > 0.5 {
+	if !(0 < r.Eps && r.Eps <= 0.5) {
 		return fmt.Errorf("api: eps %v outside (0, 0.5]", r.Eps)
 	}
 	if r.MaxRounds < 0 {
 		return fmt.Errorf("api: negative max_rounds %d", r.MaxRounds)
 	}
-	if r.DropProb < 0 || r.DropProb >= 1 {
+	if !(0 <= r.DropProb && r.DropProb < 1) {
 		return fmt.Errorf("api: drop_prob %v outside [0, 1)", r.DropProb)
 	}
-	if r.ABias < 0 || r.ABias > 0.5 {
+	if !(0 <= r.ABias && r.ABias <= 0.5) {
 		return fmt.Errorf("api: abias %v outside [0, 0.5]", r.ABias)
 	}
-	if r.CrashProb < 0 || r.CrashProb >= 1 {
+	if !(0 <= r.CrashProb && r.CrashProb < 1) {
 		return fmt.Errorf("api: crash_prob %v outside [0, 1)", r.CrashProb)
 	}
 	if r.CrashRound < 0 {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -99,6 +100,18 @@ func TestValidateRejects(t *testing.T) {
 		{N: 100, MaxRounds: -1},
 		{N: 100, Protocol: "consensus", ABias: 0.7},
 		{N: 100, Shards: -2},
+		{N: 100, Eps: math.NaN()},
+		{N: 100, Eps: math.Inf(1)},
+		{N: 100, Eps: math.Inf(-1)},
+		{N: 100, DropProb: math.NaN()},
+		{N: 100, DropProb: math.Inf(1)},
+		{N: 100, DropProb: math.Inf(-1)},
+		{N: 100, Protocol: "consensus", ABias: math.NaN()},
+		{N: 100, Protocol: "consensus", ABias: math.Inf(1)},
+		{N: 100, Protocol: "consensus", ABias: math.Inf(-1)},
+		{N: 100, CrashProb: math.NaN()},
+		{N: 100, CrashProb: math.Inf(1)},
+		{N: 100, CrashProb: math.Inf(-1)},
 	}
 	for _, r := range bad {
 		r.Normalize()

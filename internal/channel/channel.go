@@ -50,16 +50,6 @@ type Channel interface {
 	Name() string
 }
 
-// BulkTransmitter is an optional fast-path extension: channels that
-// implement it corrupt a whole batch of accepted bits in one call, letting
-// the simulation engine's batched kernel avoid one interface dispatch per
-// message. TransmitBulk must be identical in law to calling Transmit once
-// per element, in order.
-type BulkTransmitter interface {
-	// TransmitBulk applies channel noise to bits in place.
-	TransmitBulk(bits []Bit, r *rng.RNG)
-}
-
 // UniformNoise is an optional capability: channels whose noise is a single
 // bit-symmetric flip probability, identical for every message. The batched
 // dense kernel uses it to co-sample collision resolution and noise from
@@ -69,18 +59,6 @@ type BulkTransmitter interface {
 type UniformNoise interface {
 	// UniformFlipProb returns the exact per-message flip probability.
 	UniformFlipProb() float64
-}
-
-// TransmitAll applies c to every bit in place, using TransmitBulk when the
-// channel provides it and falling back to per-bit Transmit otherwise.
-func TransmitAll(c Channel, bits []Bit, r *rng.RNG) {
-	if bc, ok := c.(BulkTransmitter); ok {
-		bc.TransmitBulk(bits, r)
-		return
-	}
-	for i, b := range bits {
-		bits[i] = c.Transmit(b, r)
-	}
 }
 
 // BSC is the binary symmetric channel: every bit is flipped independently
@@ -93,7 +71,7 @@ type BSC struct {
 // NewBSC returns a binary symmetric channel with flip probability p.
 // p must lie in [0, 1/2).
 func NewBSC(p float64) *BSC {
-	if p < 0 || p >= 0.5 {
+	if !(0 <= p && p < 0.5) {
 		panic(fmt.Sprintf("channel: BSC flip probability %v outside [0, 0.5)", p))
 	}
 	return &BSC{p: p}
@@ -102,7 +80,7 @@ func NewBSC(p float64) *BSC {
 // FromEpsilon returns the worst-case channel for the Flip model with
 // parameter ε: a BSC with flip probability 1/2 − ε. ε must lie in (0, 1/2].
 func FromEpsilon(eps float64) *BSC {
-	if eps <= 0 || eps > 0.5 {
+	if !(0 < eps && eps <= 0.5) {
 		panic(fmt.Sprintf("channel: epsilon %v outside (0, 0.5]", eps))
 	}
 	return NewBSC(0.5 - eps)
@@ -114,29 +92,6 @@ func (c *BSC) Transmit(b Bit, r *rng.RNG) Bit {
 		return b.Flip()
 	}
 	return b
-}
-
-// TransmitBulk implements BulkTransmitter. The loop body is the exact
-// integer form of Bernoulli(p): Float64() < p  ⇔  (u>>11) < ⌈p·2⁵³⌉ for the
-// 53-bit mantissa draw, so it consumes one 64-bit draw per bit and flips
-// with exactly the same law as Transmit, without per-bit interface calls.
-func (c *BSC) TransmitBulk(bits []Bit, r *rng.RNG) {
-	thresh := FlipThreshold53(c.p)
-	if thresh == 0 {
-		// p = 0 flips nothing and — like Transmit, whose Bernoulli(0)
-		// short-circuits before drawing — must consume no draws: a BSC
-		// with flip probability 0 is Noiseless draw for draw, which is
-		// what lets ε = 0.5 run as an honest BSC without changing a bit.
-		// Delegating makes the equivalence literal, and Noiseless carries
-		// the machine-checked proof of drawlessness.
-		Noiseless{}.TransmitBulk(bits, r)
-		return
-	}
-	for i := range bits {
-		if r.Uint64()>>11 < thresh {
-			bits[i] ^= 1
-		}
-	}
 }
 
 // UniformFlipProb implements UniformNoise.
@@ -176,12 +131,6 @@ type Noiseless struct{}
 //breathe:drawfree
 func (Noiseless) Transmit(b Bit, _ *rng.RNG) Bit { return b }
 
-// TransmitBulk implements BulkTransmitter: a no-op, consuming no draws,
-// exactly like the per-bit Transmit.
-//
-//breathe:drawfree
-func (Noiseless) TransmitBulk([]Bit, *rng.RNG) {}
-
 // UniformFlipProb implements UniformNoise.
 func (Noiseless) UniformFlipProb() float64 { return 0 }
 
@@ -202,7 +151,7 @@ type Heterogeneous struct {
 // NewHeterogeneous returns a channel whose per-message flip probability is
 // uniform in [lo, hi], 0 ≤ lo ≤ hi < 1/2.
 func NewHeterogeneous(lo, hi float64) *Heterogeneous {
-	if lo < 0 || hi < lo || hi >= 0.5 {
+	if !(0 <= lo && lo <= hi && hi < 0.5) {
 		panic(fmt.Sprintf("channel: invalid heterogeneous range [%v, %v]", lo, hi))
 	}
 	return &Heterogeneous{lo: lo, hi: hi}
@@ -247,16 +196,6 @@ func (c *Counting) Transmit(b Bit, r *rng.RNG) Bit {
 	return out
 }
 
-// TransmitBulk implements BulkTransmitter by delegating per bit so the
-// flip accounting stays exact. Counting deliberately does not implement
-// UniformNoise: the dense kernel bypasses Transmit entirely and would
-// leave the counters empty.
-func (c *Counting) TransmitBulk(bits []Bit, r *rng.RNG) {
-	for i, b := range bits {
-		bits[i] = c.Transmit(b, r)
-	}
-}
-
 // FlipProb implements Channel.
 func (c *Counting) FlipProb() float64 { return c.Inner.FlipProb() }
 
@@ -280,13 +219,10 @@ func (c *Counting) ObservedFlipRate() float64 {
 
 // Verify interface compliance.
 var (
-	_ Channel         = (*BSC)(nil)
-	_ Channel         = Noiseless{}
-	_ Channel         = (*Heterogeneous)(nil)
-	_ Channel         = (*Counting)(nil)
-	_ BulkTransmitter = (*BSC)(nil)
-	_ BulkTransmitter = Noiseless{}
-	_ BulkTransmitter = (*Counting)(nil)
-	_ UniformNoise    = (*BSC)(nil)
-	_ UniformNoise    = Noiseless{}
+	_ Channel      = (*BSC)(nil)
+	_ Channel      = Noiseless{}
+	_ Channel      = (*Heterogeneous)(nil)
+	_ Channel      = (*Counting)(nil)
+	_ UniformNoise = (*BSC)(nil)
+	_ UniformNoise = Noiseless{}
 )

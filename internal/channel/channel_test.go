@@ -19,7 +19,7 @@ func TestBitFlip(t *testing.T) {
 }
 
 func TestNewBSCValidation(t *testing.T) {
-	for _, p := range []float64{-0.01, 0.5, 0.7} {
+	for _, p := range []float64{-0.01, 0.5, 0.7, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -35,7 +35,7 @@ func TestNewBSCValidation(t *testing.T) {
 }
 
 func TestFromEpsilonValidation(t *testing.T) {
-	for _, e := range []float64{0, -0.1, 0.51} {
+	for _, e := range []float64{0, -0.1, 0.51, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -109,7 +109,7 @@ func TestNoiseless(t *testing.T) {
 }
 
 func TestHeterogeneousValidation(t *testing.T) {
-	for _, c := range []struct{ lo, hi float64 }{{-0.1, 0.2}, {0.3, 0.2}, {0.1, 0.5}} {
+	for _, c := range []struct{ lo, hi float64 }{{-0.1, 0.2}, {0.3, 0.2}, {0.1, 0.5}, {math.NaN(), 0.2}, {0.1, math.NaN()}, {math.Inf(-1), 0.2}, {0.1, math.Inf(1)}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -204,74 +204,25 @@ func TestQuickTransmitValidBit(t *testing.T) {
 	}
 }
 
-// TransmitBulk for the BSC must reproduce the per-bit Transmit decision
-// draw for draw: both reduce Bernoulli(p) to the same integer threshold
-// comparison, so identical RNG streams give identical outputs.
-func TestBSCTransmitBulkMatchesPerBit(t *testing.T) {
-	c := NewBSC(0.23)
-	r1 := rng.New(99)
-	r2 := rng.New(99)
-	bits := make([]Bit, 4096)
-	want := make([]Bit, 4096)
-	for i := range bits {
-		b := Bit(i & 1)
-		bits[i] = b
-		want[i] = c.Transmit(b, r1)
-	}
-	c.TransmitBulk(bits, r2)
-	for i := range bits {
-		if bits[i] != want[i] {
-			t.Fatalf("bit %d: bulk %v != per-bit %v", i, bits[i], want[i])
+// The BSC's Transmit must flip exactly when the integer form the kernels
+// use does: Bernoulli(p) is Float64() < p, and Float64() is the top 53
+// bits of one draw, so (Uint64()>>11) < FlipThreshold53(p) on an
+// identical stream gives identical outputs.
+func TestBSCTransmitMatchesFlipThreshold53(t *testing.T) {
+	for _, p := range []float64{0.23, 0.5 - 1e-9, 1e-12} {
+		c := NewBSC(p)
+		thresh := FlipThreshold53(p)
+		r1, r2 := rng.New(99), rng.New(99)
+		for i := 0; i < 4096; i++ {
+			b := Bit(i & 1)
+			want := b
+			if r2.Uint64()>>11 < thresh {
+				want ^= 1
+			}
+			if got := c.Transmit(b, r1); got != want {
+				t.Fatalf("p=%v bit %d: Transmit %v, threshold form %v", p, i, got, want)
+			}
 		}
-	}
-}
-
-func TestNoiselessTransmitBulkIsIdentity(t *testing.T) {
-	r := rng.New(1)
-	bits := []Bit{Zero, One, One, Zero}
-	Noiseless{}.TransmitBulk(bits, r)
-	if bits[0] != Zero || bits[1] != One || bits[2] != One || bits[3] != Zero {
-		t.Fatalf("noiseless bulk mutated bits: %v", bits)
-	}
-	// And it must consume no randomness.
-	a, b := rng.New(5), rng.New(5)
-	Noiseless{}.TransmitBulk(bits, a)
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("noiseless bulk consumed randomness")
-	}
-}
-
-func TestCountingTransmitBulkCounts(t *testing.T) {
-	c := NewCounting(NewBSC(0.3))
-	r := rng.New(7)
-	bits := make([]Bit, 1000)
-	c.TransmitBulk(bits, r)
-	if c.Transmitted() != 1000 {
-		t.Fatalf("transmitted = %d", c.Transmitted())
-	}
-	if rate := c.ObservedFlipRate(); rate < 0.2 || rate > 0.4 {
-		t.Fatalf("observed flip rate %v far from 0.3", rate)
-	}
-}
-
-func TestTransmitAllFallback(t *testing.T) {
-	// Heterogeneous lacks TransmitBulk; TransmitAll must fall back to the
-	// per-bit path and still apply noise.
-	c := NewHeterogeneous(0.3, 0.4)
-	r := rng.New(11)
-	bits := make([]Bit, 2000)
-	for i := range bits {
-		bits[i] = One
-	}
-	TransmitAll(c, bits, r)
-	flipped := 0
-	for _, b := range bits {
-		if b == Zero {
-			flipped++
-		}
-	}
-	if flipped < 500 || flipped > 900 {
-		t.Fatalf("heterogeneous fallback flipped %d of 2000, want about 700", flipped)
 	}
 }
 

@@ -8,28 +8,20 @@ import (
 
 // TestZeroFlipBSCDrawsNothing pins that a BSC with flip probability 0 —
 // FromEpsilon(0.5), the honest form of the noiseless boundary — consumes
-// no RNG draws on either transmit path, exactly like Noiseless. Transmit
-// already short-circuited through Bernoulli(0); TransmitBulk used to burn
-// one draw per bit, which would have shifted every later draw of the
-// stream and broken the ε = 0.5 ≡ Noiseless bit-identity.
+// no RNG draws, exactly like Noiseless: Transmit short-circuits through
+// Bernoulli(0). A draw per bit would shift every later draw of the stream
+// and break the ε = 0.5 ≡ Noiseless bit-identity.
 func TestZeroFlipBSCDrawsNothing(t *testing.T) {
 	bsc := FromEpsilon(0.5)
 	if got := bsc.FlipProb(); got != 0 {
 		t.Fatalf("FromEpsilon(0.5).FlipProb() = %v, want 0", got)
 	}
 
-	bits := []Bit{Zero, One, One, Zero, One}
-	want := append([]Bit(nil), bits...)
-
 	r := rng.New(7)
-	bsc.TransmitBulk(bits, r)
-	for i := range bits {
-		if bits[i] != want[i] {
-			t.Fatalf("bit %d flipped by p=0 BSC", i)
+	for _, b := range []Bit{Zero, One, One, Zero, One} {
+		if out := bsc.Transmit(b, r); out != b {
+			t.Fatalf("Transmit flipped %v at p=0", b)
 		}
-	}
-	if out := bsc.Transmit(One, r); out != One {
-		t.Fatal("Transmit flipped a bit at p=0")
 	}
 
 	// The stream must be untouched: the next draws equal a fresh stream's
@@ -48,12 +40,8 @@ func TestZeroFlipBSCMatchesNoiseless(t *testing.T) {
 	bsc := Channel(FromEpsilon(0.5))
 	nl := Channel(Noiseless{})
 	rb, rn := rng.New(42), rng.New(42)
-	bitsB := []Bit{One, Zero, One}
-	bitsN := append([]Bit(nil), bitsB...)
-	TransmitAll(bsc, bitsB, rb)
-	TransmitAll(nl, bitsN, rn)
-	for i := range bitsB {
-		if bitsB[i] != bitsN[i] {
+	for i, b := range []Bit{One, Zero, One} {
+		if bsc.Transmit(b, rb) != nl.Transmit(b, rn) {
 			t.Fatalf("bit %d differs between p=0 BSC and Noiseless", i)
 		}
 	}

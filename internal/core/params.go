@@ -58,7 +58,7 @@ func (p Params) Validate() error {
 	switch {
 	case p.N < 2:
 		return fmt.Errorf("core: population %d < 2", p.N)
-	case p.Eps <= 0 || p.Eps > 0.5:
+	case !(0 < p.Eps && p.Eps <= 0.5):
 		return fmt.Errorf("core: epsilon %v outside (0, 0.5]", p.Eps)
 	case p.BetaS < 1:
 		return fmt.Errorf("core: BetaS %d < 1", p.BetaS)
@@ -173,7 +173,7 @@ func NewParams(n int, eps float64, c Constants) Params {
 	if n < 2 {
 		panic(fmt.Sprintf("core: NewParams with n = %d", n))
 	}
-	if eps <= 0 || eps > 0.5 {
+	if !(0 < eps && eps <= 0.5) {
 		panic(fmt.Sprintf("core: NewParams with eps = %v", eps))
 	}
 	log2n := math.Log2(float64(n))

@@ -34,7 +34,7 @@ func TestNewParamsPanics(t *testing.T) {
 	cases := []struct {
 		n   int
 		eps float64
-	}{{1, 0.3}, {100, 0}, {100, -0.1}, {100, 0.6}}
+	}{{1, 0.3}, {100, 0}, {100, -0.1}, {100, 0.6}, {100, math.NaN()}, {100, math.Inf(1)}}
 	for _, c := range cases {
 		func() {
 			defer func() {
@@ -56,6 +56,8 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"n", func(p *Params) { p.N = 1 }},
 		{"eps zero", func(p *Params) { p.Eps = 0 }},
 		{"eps big", func(p *Params) { p.Eps = 0.7 }},
+		{"eps NaN", func(p *Params) { p.Eps = math.NaN() }},
+		{"eps -Inf", func(p *Params) { p.Eps = math.Inf(-1) }},
 		{"betaS", func(p *Params) { p.BetaS = 0 }},
 		{"negative T", func(p *Params) { p.T = -1 }},
 		{"beta with phases", func(p *Params) { p.T = 2; p.Beta = 0 }},

@@ -99,7 +99,6 @@ var drawMethods = map[string]map[string]bool{
 		"Uint32n": true, "Float64": true, "Bool": true, "Bernoulli": true,
 		"Binomial": true, "Geometric": true, "Hypergeometric": true,
 		"NormFloat64": true, "Perm": true, "Shuffle": true, "Split": true,
-		"MultinomialSplit": true,
 	},
 	"Cell": {
 		"Uint64": true, "Uint64n": true, "Uint32n": true, "Fill": true,

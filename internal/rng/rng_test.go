@@ -666,3 +666,20 @@ func TestFillMatchesUint64(t *testing.T) {
 		t.Fatal("Fill advanced the state incorrectly")
 	}
 }
+
+// TestReseedMatchesNew: Reseed must reproduce New's state exactly so the
+// kernels' ephemeral streams — a zero RNG on the stack, reseeded from an
+// addressed draw — are indistinguishable from freshly allocated ones.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(1)
+	r.Uint64() // advance away from the seed state
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r.Reseed(seed)
+		fresh := New(seed)
+		for i := 0; i < 8; i++ {
+			if got, want := r.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Reseed stream %#x, New stream %#x", seed, i, got, want)
+			}
+		}
+	}
+}

@@ -369,7 +369,7 @@ func (s *Service) Stats() Stats {
 }
 
 // engineKey identifies an engine shape: every Config field that survives
-// Reset. Jobs differing only in seed, failure plan, observer or cancel
+// Reset. Jobs differing only in seed, crash plan, observer or cancel
 // hook share an engine; the per-run setters re-arm those.
 type engineKey struct {
 	n         int

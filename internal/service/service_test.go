@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -442,18 +443,28 @@ func TestTrajectoryGranularityNotConflated(t *testing.T) {
 }
 
 // TestValidationAndLimits: invalid and oversized requests are rejected at
-// admission with the right counters.
+// admission with the right counters, and none of them executes — NaN and
+// infinite probabilities included, which fail every ordered comparison.
 func TestValidationAndLimits(t *testing.T) {
 	s := New(Config{Workers: 1, MaxN: 1000})
 	defer s.Close()
-	if _, err := s.Submit(api.RunRequest{N: 1}); err == nil {
-		t.Error("invalid request admitted")
+	invalid := []api.RunRequest{
+		{N: 1},
+		{N: 256, Eps: math.NaN()},
+		{N: 256, CrashProb: math.NaN()},
+		{N: 256, DropProb: math.Inf(1)},
+		{N: 256, Protocol: api.ProtoConsensus, ABias: math.NaN()},
+	}
+	for _, req := range invalid {
+		if _, err := s.Submit(req); err == nil {
+			t.Errorf("invalid request %+v admitted", req)
+		}
 	}
 	if _, err := s.Submit(api.RunRequest{N: 4096}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized request: %v", err)
 	}
 	st := s.Stats()
-	if st.RejectedInvalid != 1 || st.RejectedTooLarge != 1 {
+	if st.RejectedInvalid != uint64(len(invalid)) || st.RejectedTooLarge != 1 || st.Submitted != 0 || st.Executed != 0 {
 		t.Errorf("rejection counters: %+v", st)
 	}
 }

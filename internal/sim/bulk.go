@@ -11,7 +11,11 @@ package sim
 // delivers is Config.Kernel's choice; the keyed draws, and so the
 // results, are the same either way.
 
-import "breathe/internal/channel"
+import (
+	"slices"
+
+	"breathe/internal/channel"
+)
 
 // BulkProtocol is an optional extension of Protocol enabling the batched
 // kernel. Implementations must behave identically under per-agent and
@@ -99,14 +103,27 @@ type denseSpill struct {
 	count, ones uint32
 }
 
-// filterLive appends to dst the senders not crashed in round.
-func filterLive(dst, senders []int32, f FailurePlan, round int) []int32 {
-	for _, s := range senders {
-		if !f.Crashed(int(s), round) {
-			dst = append(dst, s)
-		}
+// filterLive appends to dst the senders whose bit in the crash set words
+// is clear.
+func filterLive(dst, senders []int32, words []uint64) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(senders))[:n+len(senders)]
+	return dst[:n+copyLive(dst[n:], senders, words)]
+}
+
+// copyLive copies the senders whose bit in words is clear to the front of
+// dst, in order, and returns their count: every sender is written, and the
+// count advances only past a live one.
+//
+//breathe:leaf the crash filter of the bulk sender lists
+func copyLive(dst, senders []int32, words []uint64) int {
+	dst = dst[:len(senders)]
+	w := 0
+	for _, a := range senders {
+		dst[w] = a
+		w += int(crashBit(words, uint(a)) ^ 1)
 	}
-	return dst
+	return w
 }
 
 // denseRoundEnd books a tree round's aggregate accounting: every placed

@@ -8,69 +8,59 @@ import (
 	"breathe/internal/rng"
 )
 
-// crashSet is a crash plan's agent set, packed one bit per agent id, with
-// the round from which its agents are down. It costs n/8 bytes for ids
-// below n and answers each query in O(1). It is read-only once built, so
-// concurrent Crashed calls need no lock.
-type crashSet struct {
+// CrashPlan injects crash faults: a crashed agent neither sends nor
+// receives from the plan's round on. Used by robustness runs; the paper's
+// model itself has no crashes.
+//
+// The plan is a set of agent ids packed one bit per id, its size and the
+// round from which its agents are down. It costs n/8 bytes for ids below
+// n, answers each query in O(1), and lets the kernel's crash passes test
+// 64 agents per word. It is read-only once built, so the sharded kernel's
+// workers read it concurrently without a lock.
+type CrashPlan struct {
 	words []uint64
 	count int
 	round int
 }
 
-// newCrashSet returns an empty set with room for ids in [0, n).
-func newCrashSet(n, round int) crashSet {
-	return crashSet{words: make([]uint64, (n+63)/64), round: round}
+// newCrashPlan returns an empty plan with room for ids in [0, n).
+func newCrashPlan(n, round int) *CrashPlan {
+	return &CrashPlan{words: make([]uint64, (n+63)/64), round: round}
 }
 
 // has reports whether agent a is in the set; ids outside it (negative ones
 // included, which wrap to huge unsigned words) are not.
-func (s *crashSet) has(a int) bool {
-	w := uint(a) >> 6
-	return w < uint(len(s.words)) && s.words[w]>>(uint(a)&63)&1 != 0
-}
+func (c *CrashPlan) has(a int) bool { return crashBit(c.words, uint(a)) != 0 }
 
 // set adds agent a, which must lie inside the set's range.
-func (s *crashSet) set(a int) { s.words[a>>6] |= 1 << (a & 63) }
+func (c *CrashPlan) set(a int) { c.words[a>>6] |= 1 << (a & 63) }
 
 // clear removes agent a from the set if a lies inside its range.
-func (s *crashSet) clear(a int) {
-	if w := uint(a) >> 6; w < uint(len(s.words)) {
-		s.words[w] &^= 1 << (uint(a) & 63)
+func (c *CrashPlan) clear(a int) {
+	if w := uint(a) >> 6; w < uint(len(c.words)) {
+		c.words[w] &^= 1 << (uint(a) & 63)
 	}
 }
 
 // seal records the set's size once it is complete.
-func (s *crashSet) seal() {
-	for _, w := range s.words {
-		s.count += bits.OnesCount64(w)
+func (c *CrashPlan) seal() {
+	for _, w := range c.words {
+		c.count += bits.OnesCount64(w)
 	}
 }
 
-// Crashed implements FailurePlan.
-func (s *crashSet) Crashed(a, round int) bool {
-	return round >= s.round && s.has(a)
-}
-
-// NextCrashChange implements CrashBoundary: the set goes down at the
-// plan's round and never changes again.
-func (s *crashSet) NextCrashChange(g int) int {
-	if g <= s.round {
-		return s.round
-	}
-	return -1
+// Crashed reports whether agent a is down in the given round.
+func (c *CrashPlan) Crashed(a, round int) bool {
+	return round >= c.round && c.has(a)
 }
 
 // NumCrashed reports the size of the crash set.
-func (s *crashSet) NumCrashed() int { return s.count }
+func (c *CrashPlan) NumCrashed() int { return c.count }
 
-// CrashAt fails a fixed set of agents from a given round onward.
-type CrashAt struct{ crashSet }
-
-// NewCrashAt builds a CrashAt plan that takes the listed agents down from
-// the given round on; a repeated id counts once. The set spans ids up to
-// the largest listed one, which must not be negative.
-func NewCrashAt(round int, agents ...int) *CrashAt {
+// NewCrashAt builds a plan that takes the listed agents down from the
+// given round on; a repeated id counts once. The set spans ids up to the
+// largest listed one, which must not be negative; ids past it stay live.
+func NewCrashAt(round int, agents ...int) *CrashPlan {
 	n := 0
 	for _, a := range agents {
 		if a < 0 {
@@ -78,7 +68,7 @@ func NewCrashAt(round int, agents ...int) *CrashAt {
 		}
 		n = max(n, a+1)
 	}
-	c := &CrashAt{newCrashSet(n, round)}
+	c := newCrashPlan(n, round)
 	for _, a := range agents {
 		c.set(a)
 	}
@@ -86,23 +76,21 @@ func NewCrashAt(round int, agents ...int) *CrashAt {
 	return c
 }
 
-// RandomCrashes fails each agent independently with a fixed probability,
-// deciding once per agent at a given round (initial crash faults from the
-// broadcast literature when that round is 0).
-type RandomCrashes struct{ crashSet }
-
-// NewRandomCrashes samples the crash set: each of the n agents except the
-// protected ones crashes with probability p at the given round, using r.
-// Agents are drawn in id order and protected ones consume no draw.
-func NewRandomCrashes(n int, p float64, round int, r *rng.RNG, protected ...int) *RandomCrashes {
+// NewRandomCrashes samples a plan that fails each agent independently
+// with a fixed probability, deciding once per agent at a given round
+// (initial crash faults from the broadcast literature when that round is
+// 0): each of the n agents except the protected ones crashes with
+// probability p, using r. Agents are drawn in id order and protected ones
+// consume no draw.
+func NewRandomCrashes(n int, p float64, round int, r *rng.RNG, protected ...int) *CrashPlan {
 	checkCrashProb(p)
-	keep := newCrashSet(n, 0)
+	keep := newCrashPlan(n, 0)
 	for _, a := range protected {
 		if uint(a) < uint(n) {
 			keep.set(a)
 		}
 	}
-	c := &RandomCrashes{newCrashSet(n, round)}
+	c := newCrashPlan(n, round)
 	for a := 0; a < n; a++ {
 		if !keep.has(a) && r.Bernoulli(p) {
 			c.set(a)
@@ -118,11 +106,11 @@ func NewRandomCrashes(n int, p float64, round int, r *rng.RNG, protected ...int)
 // enabling or resizing it draws nothing from any simulation stream, unlike
 // the sequential NewRandomCrashes, whose RNG must be provisioned by the
 // caller.
-func NewRandomCrashesKeyed(n int, p float64, round int, key rng.Key, protected ...int) *RandomCrashes {
+func NewRandomCrashesKeyed(n int, p float64, round int, key rng.Key, protected ...int) *CrashPlan {
 	checkCrashProb(p)
 	thresh := channel.FlipThreshold53(p)
 	cell := key.Cell(rng.StreamCrash, 0)
-	c := &RandomCrashes{newCrashSet(n, round)}
+	c := newCrashPlan(n, round)
 	// One set word per batch of 64 addressed draws. Both x>>11 and thresh
 	// are at most 2⁵³, so x>>11 − thresh wraps to a word with its top bit
 	// set exactly when x>>11 < thresh.
@@ -143,15 +131,32 @@ func NewRandomCrashesKeyed(n int, p float64, round int, key rng.Key, protected .
 	return c
 }
 
+// checkCrashProb rejects a probability outside [0, 1], NaN included.
 func checkCrashProb(p float64) {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		panic(fmt.Sprintf("sim: crash probability %v outside [0,1]", p))
 	}
 }
 
-var (
-	_ FailurePlan   = (*CrashAt)(nil)
-	_ FailurePlan   = (*RandomCrashes)(nil)
-	_ CrashBoundary = (*CrashAt)(nil)
-	_ CrashBoundary = (*RandomCrashes)(nil)
-)
+// activeWords returns the plan's set words when it has agents down at
+// round, and nil otherwise: the kernel's crash passes run only on a
+// non-nil result, so the round test is made once per round, not once per
+// agent. Ids at or past 64·len(words) are live.
+func (c *CrashPlan) activeWords(round int) []uint64 {
+	if c == nil || round < c.round || c.count == 0 {
+		return nil
+	}
+	return c.words
+}
+
+// crashBit is 1 when the set words hold agent a and 0 otherwise; ids past
+// the words are live.
+//
+//breathe:leaf inlined into every crash pass
+func crashBit(words []uint64, a uint) uint64 {
+	var bit uint64
+	if w := a >> 6; w < uint(len(words)) {
+		bit = words[w] >> (a & 63) & 1
+	}
+	return bit
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // samplePlan builds a plan from seed with the keyed or the legacy sampler.
-func samplePlan(keyed bool, n int, p float64, round int, seed uint64, protected []int) *RandomCrashes {
+func samplePlan(keyed bool, n int, p float64, round int, seed uint64, protected []int) *CrashPlan {
 	if keyed {
 		return NewRandomCrashesKeyed(n, p, round, rng.NewKey(seed), protected...)
 	}
@@ -20,7 +20,7 @@ func samplePlan(keyed bool, n int, p float64, round int, seed uint64, protected 
 }
 
 // crashedIDs lists the agents of [0, n) that plan has down at round.
-func crashedIDs(plan FailurePlan, n, round int) []int {
+func crashedIDs(plan *CrashPlan, n, round int) []int {
 	var ids []int
 	for a := 0; a < n; a++ {
 		if plan.Crashed(a, round) {
@@ -227,6 +227,6 @@ func BenchmarkFilterLive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = filterLive(dst[:0], senders, plan, 0)
+		dst = filterLive(dst[:0], senders, plan.activeWords(0))
 	}
 }

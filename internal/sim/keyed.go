@@ -50,7 +50,8 @@ package sim
 // case leaves the loop: a placement or accept-one draw that may need
 // Lemire's rejection test breaks out to the full Cell.Uint32n/Uint64n
 // rule and the loop resumes at the next element; a non-uniform channel
-// resolves on its own path; crash checks run as pre-passes; a tree
+// resolves on its own path; crash checks run as passes of their own,
+// leaf loops over the crash plan's bitset, from its round on; a tree
 // arrival at a saturated counter goes to the spill list; tree slots
 // whose accept-one draw may be a Lemire rejection — every slot from 2048
 // arrivals on among them — are listed branch-free in a fix list and
@@ -95,16 +96,16 @@ type keyedState struct {
 	accs        []uint64
 	denseOK     bool
 
-	// Crash-fault scratch: bulk sender lists filtered against the
-	// FailurePlan for the current round.
+	// Crash-fault scratch: bulk sender lists filtered against the crash
+	// plan for the current round.
 	liveZeros []int32
 	liveOnes  []int32
 
-	// Scatter-path inbox, one word per receiver: arrival count in the
-	// low 32 bits, ones in the high 32, zero between rounds. touched
-	// lists the receivers in first-touch order and resolved their bits;
-	// inboxOpen marks a round whose resolve has not completed, and live
-	// holds one class's senders after drops.
+	// Scatter-path inbox, one word per receiver and a spare at the end:
+	// arrival count in the low 32 bits, ones in the high 32, zero between
+	// rounds. touched lists the receivers in first-touch order and
+	// resolved their bits; inboxOpen marks a round whose resolve has not
+	// completed, and live holds one class's senders after drops.
 	inbox     []uint64
 	touched   []int32
 	resolved  []channel.Bit
@@ -211,12 +212,12 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	bulkCollect := bp != nil && e.cfg.Kernel != KernelPerAgent
 	if bulkCollect {
 		zeros, ones = bp.BulkSenders(round)
-		if f := e.cfg.Failures; f != nil {
+		if words := e.cfg.Failures.activeWords(round); words != nil {
 			// Crashed agents neither send nor count toward MessagesSent;
 			// protocols stay failure-agnostic, so the cached sender lists
 			// are filtered here.
-			k.liveZeros = filterLive(k.liveZeros[:0], zeros, f, round)
-			k.liveOnes = filterLive(k.liveOnes[:0], ones, f, round)
+			k.liveZeros = filterLive(k.liveZeros[:0], zeros, words)
+			k.liveOnes = filterLive(k.liveOnes[:0], ones, words)
 			zeros, ones = k.liveZeros, k.liveOnes
 		}
 	} else {
@@ -285,33 +286,17 @@ func (e *Engine) quietAdvance() {
 	e.paths.Quiet++
 }
 
-// prepareQuietSkip arms the run's quiet-span skipping: a protocol with a
-// span oracle, and a failure plan (if any) that declares its crash
-// boundaries — an undeclared plan keeps the run per-round, so the skip
-// path never changes how an arbitrary Crashed implementation is
-// consulted.
+// prepareQuietSkip arms the run's quiet-span skipping for a protocol
+// with a span oracle.
 func (e *Engine) prepareQuietSkip(p Protocol) {
 	e.spanner = nil
-	e.crashBound = nil
-	if e.cfg.NoQuietSkip {
-		return
+	if !e.cfg.NoQuietSkip {
+		e.spanner, _ = p.(QuietSpanner)
 	}
-	qs, ok := p.(QuietSpanner)
-	if !ok {
-		return
-	}
-	if f := e.cfg.Failures; f != nil {
-		cb, ok := f.(CrashBoundary)
-		if !ok {
-			return
-		}
-		e.crashBound = cb
-	}
-	e.spanner = qs
 }
 
 // skipQuietSpan advances the round cursor to next — the first round that
-// can act, per the span oracle and crash boundaries — crediting the
+// can act, per the span oracle and the crash plan's round — crediting the
 // jumped-over rounds as executed quiet rounds. The span is clamped to
 // MaxRounds, and with an armed observer to its next due round
 // (ObserverEvery); an observer without a declared cadence disables
@@ -351,10 +336,10 @@ func (e *Engine) skipQuietSpan(next int) {
 // the bulk collection reports after filtering.
 func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
 	k := e.keyed
-	f := e.cfg.Failures
+	words := e.cfg.Failures.activeWords(round)
 	zeros, ones = k.zeroBuf[:0], k.oneBuf[:0]
 	for a := 0; a < e.cfg.N; a++ {
-		if f != nil && f.Crashed(a, round) {
+		if crashBit(words, uint(a)) != 0 {
 			continue
 		}
 		bit, ok := p.Send(a, round)
@@ -385,7 +370,8 @@ func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
 func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, bulk bool, zeros, ones []int32, round int) {
 	k := e.keyed
 	if k.inbox == nil {
-		k.inbox = make([]uint64, e.cfg.N)
+		// One word per receiver, plus a spare for scatterDropCrashed.
+		k.inbox = make([]uint64, e.cfg.N+1)
 	}
 	m := len(zeros) + len(ones)
 	if cap(k.touched) < m {
@@ -418,18 +404,9 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, bulk bool, zeros, one
 	e.mark(telemetry.PhasePlacement)
 
 	acc := touched[:nt]
-	if f := e.cfg.Failures; f != nil {
+	if words := e.cfg.Failures.activeWords(round); words != nil {
 		// Crashed receivers lose every arrival: compact them out.
-		w := 0
-		for _, dst := range acc {
-			if f.Crashed(int(dst), round) {
-				inbox[dst] = 0
-				continue
-			}
-			acc[w] = dst
-			w++
-		}
-		acc = acc[:w]
+		acc = acc[:scatterDropCrashed(inbox, acc, words)]
 	}
 	if cap(k.resolved) < len(acc) {
 		k.resolved = make([]channel.Bit, m)
@@ -511,6 +488,26 @@ func scatterAdd(inbox []uint64, touched []int32, nt int, dst uint32, inc uint64)
 	touched[nt] = int32(dst)
 	inbox[dst] = v + inc
 	return nt + int(b2u(v == 0))
+}
+
+// scatterDropCrashed compacts the crashed receivers out of acc, zeroing
+// their inbox words, and returns the number of live ones left at its
+// front, in order. Every receiver is written back, and the count advances
+// only past a live one. The zeroing is a store that reads nothing: a live
+// receiver's store goes to the spare last word of the inbox instead, so
+// the pass never waits on an inbox word.
+//
+//breathe:leaf the scatter's crash pass over the touched receivers
+func scatterDropCrashed(inbox []uint64, acc []int32, words []uint64) int {
+	spare := uint(len(inbox) - 1)
+	w := 0
+	for _, dst := range acc {
+		crashed := crashBit(words, uint(dst))
+		acc[w] = dst
+		inbox[spare+(uint(dst)-spare)&-uint(crashed)] = 0
+		w += int(crashed ^ 1)
+	}
+	return w
 }
 
 // dropFilter appends to dst the senders whose drop draw keeps them.
@@ -764,20 +761,37 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, uint64(c0), k.walked)
 	}
 
-	if f := e.cfg.Failures; f != nil {
+	if words := e.cfg.Failures.activeWords(round); words != nil {
 		// Crashed receivers lose every arrival: zero their slots, so the
 		// sweep sees them unoccupied.
-		for i, v := range inbox {
-			if v != 0 && f.Crashed(blo+i, round) {
-				inbox[i] = 0
-			}
-		}
+		treeDropCrashed(inbox, words, blo)
 	}
 	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
 	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, k.noiseThresh)
 	d.accepted += accepted
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
+}
+
+// treeDropCrashed zeroes the slots of the crashed receivers in the bucket
+// inbox that starts at agent blo (a multiple of 64): it walks the bucket's
+// words of the crash set, skips zero words and clears the slot of each set
+// bit, ignoring bits past the bucket's end.
+//
+//breathe:leaf the tree's crash pass over one bucket
+func treeDropCrashed(inbox []uint32, words []uint64, blo int) {
+	lo := blo >> 6
+	if lo >= len(words) {
+		return
+	}
+	words = words[lo:min(len(words), lo+(len(inbox)+63)>>6)]
+	for w, x := range words {
+		for ; x != 0; x &= x - 1 {
+			if i := w<<6 + bits.TrailingZeros64(x); i < len(inbox) {
+				inbox[i] = 0
+			}
+		}
+	}
 }
 
 // placeTree throws k messages of one class into a power-of-two bucket

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"breathe/internal/channel"
@@ -119,23 +120,24 @@ func TestKeyedScatterPlaceBreakOut(t *testing.T) {
 	t.Logf("%d bail-outs", bails)
 }
 
-// panicPlan wraps a crash plan and panics on the at-th Crashed call of
-// round panicRound — a failure plan that unwinds a run mid-round.
-type panicPlan struct {
-	FailurePlan
-	panicRound, at int
-	calls          int
+// panicChannel is a non-uniform channel that applies inner's noise and
+// panics on its at-th Transmit call (never when at is 0). The scatter
+// resolve calls it with the inbox open, so it unwinds a run mid-round with
+// arrivals left behind.
+type panicChannel struct {
+	inner     channel.Channel
+	at, calls int
 }
 
-func (p *panicPlan) Crashed(a, round int) bool {
-	if round == p.panicRound {
-		p.calls++
-		if p.calls == p.at {
-			panic("panicPlan: injected failure")
-		}
+func (c *panicChannel) Transmit(b channel.Bit, r *rng.RNG) channel.Bit {
+	c.calls++
+	if c.calls == c.at {
+		panic("panicChannel: injected failure")
 	}
-	return p.FailurePlan.Crashed(a, round)
+	return c.inner.Transmit(b, r)
 }
+func (c *panicChannel) FlipProb() float64 { return c.inner.FlipProb() }
+func (c *panicChannel) Name() string      { return "panic(" + c.inner.Name() + ")" }
 
 // TestKeyedScatterResetAfterUnwind pins Reset's contract for a pooled
 // engine whose last run unwound inside a scatter round, after placement
@@ -144,10 +146,9 @@ func (p *panicPlan) Crashed(a, round int) bool {
 func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	const n = 4096
 	cfg := Config{
-		N: n, Channel: channel.FromEpsilon(0.3), Seed: 5,
-		Kernel: KernelBatched,
+		N: n, Seed: 5, Kernel: KernelBatched,
+		Failures: NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0),
 	}
-	plan := NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0)
 	run := func(e *Engine) (Result, []uint64) {
 		p := &bulkChatter{rounds: 6}
 		res := e.Run(p)
@@ -158,17 +159,17 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	}
 
 	fresh := cfg
-	fresh.Failures = plan
+	fresh.Channel = &panicChannel{inner: channel.FromEpsilon(0.3)}
 	ef, err := NewEngine(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRes, wantAcc := run(ef)
 
+	// One Transmit per accepted message: the run unwinds half-way through
+	// its receivers, inside a round's resolve.
 	pooled := cfg
-	// Round 3's first n calls filter the senders; the next ones are the
-	// crash pre-pass over the touched receivers, after placement.
-	pooled.Failures = &panicPlan{FailurePlan: plan, panicRound: 3, at: n + 10}
+	pooled.Channel = &panicChannel{inner: channel.FromEpsilon(0.3), at: int(wantRes.MessagesAccepted / 2)}
 	e, err := NewEngine(pooled)
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +182,12 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 		}()
 		e.Run(&bulkChatter{rounds: 6})
 	}()
-	if !e.keyed.inboxOpen {
-		t.Fatal("the run unwound outside an open scatter round")
+	if !e.keyed.inboxOpen || !slices.ContainsFunc(e.keyed.inbox, func(v uint64) bool { return v != 0 }) {
+		t.Fatal("the run unwound outside an open scatter round with arrivals")
 	}
 
+	// The channel has passed its panicking call, so the rerun completes.
 	e.Reset(cfg.Seed)
-	e.SetFailures(plan)
 	gotRes, gotAcc := run(e)
 	if gotRes != wantRes {
 		t.Fatalf("Reset engine diverged:\n got %+v\nwant %+v", gotRes, wantRes)

@@ -215,23 +215,41 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 	}
 }
 
+// shortAccs hands the engine its protocol's accumulator array one slot
+// short of n. The tree's and the walker's last bucket then panic when they
+// slice their accumulators, after placing their arrivals in the inbox: a
+// protocol that unwinds a run mid-round with the tree inbox open.
+type shortAccs struct{ BulkProtocol }
+
+func (s shortAccs) BulkAccumulators() []uint64 {
+	acc := s.BulkProtocol.BulkAccumulators()
+	return acc[: len(acc)-1 : len(acc)-1]
+}
+
+// shortIndexed is shortAccs for a protocol that declares its active set,
+// so its rounds stay in the sparse regime.
+type shortIndexed struct {
+	shortAccs
+	SenderIndex
+}
+
 // TestKeyedTreeResetAfterUnwind pins Reset's contract for a pooled
 // engine whose last run unwound mid-round with arrivals in the tree
-// inbox — once inside the serial tree's crash pre-pass, once inside the
-// walker's crash compaction: the next run on the Reset engine is
-// identical to a fresh engine's.
+// inbox — once in the serial tree, once in the walker, each in its last
+// bucket after placement: the next run on the Reset engine, with another
+// seed, is identical to a fresh engine's.
 func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	const n = 1 << 17
 	plan := NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0)
 	for _, c := range []struct {
 		name  string
-		proto func() Protocol
-		// senders is the number of Crashed calls that filter round 2's
-		// senders; the next calls are the crash pass after placement.
-		senders int
+		proto func() BulkProtocol
+		short func(BulkProtocol) Protocol
 	}{
-		{"tree", func() Protocol { return &bulkChatter{rounds: 5} }, n},
-		{"walker", func() Protocol { return &sparseChatter{rounds: 5, k: 2000} }, 2000},
+		{"tree", func() BulkProtocol { return &bulkChatter{rounds: 5} },
+			func(p BulkProtocol) Protocol { return shortAccs{p} }},
+		{"walker", func() BulkProtocol { return &sparseChatter{rounds: 5, k: 2000} },
+			func(p BulkProtocol) Protocol { return shortIndexed{shortAccs{p}, p.(SenderIndex)} }},
 	} {
 		cfg := Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Shards: 1,
@@ -244,8 +262,7 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 			if res.Paths.Dense+res.Paths.Sharded+res.Paths.Sparse != int64(res.Rounds) {
 				t.Fatalf("%s: expected only tree rounds, got %+v", c.name, res.Paths)
 			}
-			acc := p.(BulkProtocol).BulkAccumulators()
-			return res, acc
+			return res, p.BulkAccumulators()
 		}
 		ef, err := NewEngine(cfg)
 		if err != nil {
@@ -253,26 +270,27 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 		}
 		wantRes, wantAcc := run(ef)
 
-		pooled := cfg
-		pooled.Failures = &panicPlan{FailurePlan: plan, panicRound: 2, at: c.senders + 10}
-		e, err := NewEngine(pooled)
+		// The unwound run is another job's: its arrivals are placed by a
+		// different seed, so none of them can pass for the next run's.
+		other := cfg
+		other.Seed = 6
+		e, err := NewEngine(other)
 		if err != nil {
 			t.Fatal(err)
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: the injected failure did not unwind the run", c.name)
+					t.Fatalf("%s: the short accumulators did not unwind the run", c.name)
 				}
 			}()
-			e.Run(c.proto())
+			e.Run(c.short(c.proto()))
 		}()
 		if !e.keyed.treeOpen || treeInboxClean(e) < 0 {
 			t.Fatalf("%s: the run unwound outside a tree round with arrivals", c.name)
 		}
 
 		e.Reset(cfg.Seed)
-		e.SetFailures(plan)
 		gotRes, gotAcc := run(e)
 		if gotRes != wantRes {
 			t.Fatalf("%s: Reset engine diverged:\n got %+v\nwant %+v", c.name, gotRes, wantRes)

@@ -4,9 +4,9 @@
 // exercise the same machinery end-to-end in internal/async and
 // internal/api; this file pins the engine semantics themselves: the
 // Quiet/PerAgent accounting split, skip-on/off bit-identity, span capping
-// by observers, crash boundaries and MaxRounds, cancellation inside a
-// skipped span, and the conservative fallbacks (no capability, undeclared
-// failure plan).
+// by observers, the crash plan's round and MaxRounds, cancellation inside
+// a skipped span, and the conservative fallbacks (no capability, an
+// observer without a declared cadence).
 package sim_test
 
 import (
@@ -115,22 +115,18 @@ func TestKeyedNonBulkQuietAccounting(t *testing.T) {
 // boundary mid-gap, MaxRounds truncation mid-gap, and the plain run.
 func TestQuietSpanSkipEquivalence(t *testing.T) {
 	cases := []struct {
-		name      string
-		mutate    func(*sim.Config)
-		wantSpans bool
+		name   string
+		mutate func(*sim.Config)
 	}{
-		{"plain", func(*sim.Config) {}, true},
+		{"plain", func(*sim.Config) {}},
 		{"crash-mid-gap", func(c *sim.Config) {
 			// Two of the three senders die in the middle of a quiet gap;
-			// the declared boundary caps the span there.
+			// the plan's round caps the span there.
 			c.Failures = sim.NewCrashAt(23, 0, 1)
-		}, true},
+		}},
 		{"maxrounds-mid-gap", func(c *sim.Config) {
 			c.MaxRounds = 37 // truncates inside a quiet gap
-		}, true},
-		{"undeclared-failure-plan", func(c *sim.Config) {
-			c.Failures = opaquePlan{sim.NewCrashAt(23, 0, 1)}
-		}, false},
+		}},
 	}
 	for _, tc := range cases {
 		results := make([]sim.Result, 2)
@@ -144,23 +140,14 @@ func TestQuietSpanSkipEquivalence(t *testing.T) {
 		if results[0] != results[1] {
 			t.Errorf("%s: skipped run diverged:\n%+v\n%+v", tc.name, results[0], results[1])
 		}
-		if tc.wantSpans && spans[0] == 0 {
+		if spans[0] == 0 {
 			t.Errorf("%s: skip-enabled run skipped no spans", tc.name)
-		}
-		if !tc.wantSpans && spans[0] != 0 {
-			t.Errorf("%s: engine skipped %d spans without a declared crash boundary", tc.name, spans[0])
 		}
 		if spans[1] != 0 {
 			t.Errorf("%s: NoQuietSkip run skipped %d spans", tc.name, spans[1])
 		}
 	}
 }
-
-// opaquePlan hides a plan's CrashBoundary declaration: the engine must
-// then run every round, since it cannot bound when the crash set changes.
-type opaquePlan struct{ inner *sim.CrashAt }
-
-func (o opaquePlan) Crashed(a, round int) bool { return o.inner.Crashed(a, round) }
 
 // TestQuietSpanCancelInsideSpan: a cancel that lands while the engine is
 // inside a skipped span is honoured at the span's end barrier — the same

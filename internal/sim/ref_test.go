@@ -132,7 +132,7 @@ func TestGoldenBroadcastRunPerAgent(t *testing.T) {
 
 // meanAccepted returns the mean MessagesAccepted of a bulk chatter run
 // over seeds 0..seeds−1, on the engine or, with ref, on refRun.
-func meanAccepted(t *testing.T, cfg sim.Config, rounds, seeds int, ref bool, plan func(seed uint64) sim.FailurePlan) float64 {
+func meanAccepted(t *testing.T, cfg sim.Config, rounds, seeds int, ref bool, plan func(seed uint64) *sim.CrashPlan) float64 {
 	t.Helper()
 	var sum int64
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
@@ -180,7 +180,7 @@ func TestBatchedMatchesPerAgentStatistically(t *testing.T) {
 // crash round — leave the acceptance statistics equal to the reference's.
 func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
 	const n, rounds, seeds = 256, 120, 12
-	plan := func(seed uint64) sim.FailurePlan {
+	plan := func(seed uint64) *sim.CrashPlan {
 		return sim.NewRandomCrashes(n, 0.2, 40, rng.New(900+seed), 0)
 	}
 	for _, self := range []bool{false, true} {

@@ -61,20 +61,6 @@ type KeyedProtocol interface {
 	SetDrawKey(k rng.Key)
 }
 
-// FailurePlan optionally injects crash faults: a crashed agent neither
-// sends nor receives from its crash round on. Used by robustness tests;
-// the paper's model itself has no crashes.
-//
-// Crashed must be safe for concurrent calls with distinct a: the sharded
-// kernel's workers query it from their goroutines. Both implementations
-// in failures.go precompute their crash set as a packed bitset that is
-// read-only once built, so concurrent queries are plain reads and need no
-// lock.
-type FailurePlan interface {
-	// Crashed reports whether agent a is down in the given round.
-	Crashed(a, round int) bool
-}
-
 // QuietSpanner is an optional Protocol capability that makes quiescence
 // free. NextActive(g) returns the first round t >= g at which the
 // protocol can act, assuming no message is delivered in [g, t): a round
@@ -85,20 +71,11 @@ type FailurePlan interface {
 //
 // The engine consults the spanner only immediately after a round with
 // zero live senders; crashes never create senders, so an implementation
-// may (and should) ignore the failure plan. Returning g is always safe: it declines the skip for this span.
+// may (and should) ignore the crash plan, and the engine itself never
+// skips past the plan's round. Returning g is always safe: it declines
+// the skip for this span.
 type QuietSpanner interface {
 	NextActive(g int) int
-}
-
-// CrashBoundary is an optional FailurePlan capability: NextCrashChange(g)
-// returns the first round >= g at which the plan's crash set changes, or
-// -1 when it never changes again. The engine never skips a quiet span
-// across a crash boundary, and declines to skip at all when a failure
-// plan does not declare its boundaries — an arbitrary Crashed
-// implementation could be stateful, and the skip path must not change
-// how often it is consulted.
-type CrashBoundary interface {
-	NextCrashChange(g int) int
 }
 
 // Observer is called at the end of every executed round; used for tracing.
@@ -152,8 +129,8 @@ type Config struct {
 	// before recipient selection (weak "message failure" faults from the
 	// broadcast literature, cf. paper §1.2). Zero disables.
 	DropProb float64
-	// Failures optionally injects crash faults.
-	Failures FailurePlan
+	// Failures optionally injects crash faults (nil: none).
+	Failures *CrashPlan
 	// Observer, if set, runs after every executed round.
 	Observer Observer
 	// ObserverEvery declares that the observer only acts on rounds that
@@ -216,7 +193,7 @@ func (c Config) validate() error {
 	if c.Channel == nil {
 		return fmt.Errorf("sim: nil channel")
 	}
-	if c.DropProb < 0 || c.DropProb >= 1 {
+	if !(0 <= c.DropProb && c.DropProb < 1) {
 		return fmt.Errorf("sim: drop probability %v outside [0, 1)", c.DropProb)
 	}
 	if c.MaxRounds < 0 {
@@ -378,11 +355,9 @@ type Engine struct {
 	protoRNG *rng.RNG    // the protocol's sequential stream, seeded from key
 	keyed    *keyedState // lazily allocated kernel scratch
 
-	// Quiet-span skipping: the protocol's span oracle, the failure plan's
-	// declared boundaries, and the count of spans actually skipped. Armed
-	// per run by prepareQuietSkip.
+	// Quiet-span skipping: the protocol's span oracle, armed per run by
+	// prepareQuietSkip, and the count of spans actually skipped.
 	spanner    QuietSpanner
-	crashBound CrashBoundary
 	quietSpans int64
 
 	started  bool
@@ -433,7 +408,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.sent, e.accepted, e.dropped = 0, 0, 0
 	e.paths = PathRounds{}
 	e.spanner = nil
-	e.crashBound = nil
 	e.quietSpans = 0
 }
 
@@ -450,9 +424,10 @@ func (e *Engine) SetObserver(o Observer) {
 	e.cfg.Observer = o
 }
 
-// SetFailures replaces the engine's failure plan for the next run. See
-// SetObserver for the pooled-engine use case and the panic condition.
-func (e *Engine) SetFailures(f FailurePlan) {
+// SetFailures replaces the engine's crash plan for the next run (nil: no
+// crashes). See SetObserver for the pooled-engine use case and the panic
+// condition.
+func (e *Engine) SetFailures(f *CrashPlan) {
 	if e.started {
 		panic("sim: Engine.SetFailures on a started engine — Reset first")
 	}
@@ -580,13 +555,12 @@ func (e *Engine) Run(p Protocol) Result {
 		// call and before the next barrier, so a cancel that lands inside
 		// a skipped span is honoured at the span's end — the next barrier
 		// an unskipped run of the same span would also have reached with
-		// these counters.
+		// these counters. A span never jumps past the crash plan's round,
+		// the one round at which its crash set changes.
 		if quiet && e.spanner != nil {
 			next := e.spanner.NextActive(e.round + 1)
-			if e.crashBound != nil {
-				if c := e.crashBound.NextCrashChange(e.round + 1); c >= 0 && c < next {
-					next = c
-				}
+			if f := e.cfg.Failures; f != nil && e.round < f.round && f.round < next {
+				next = f.round
 			}
 			// The jump itself stays unprobed (skipQuietSpan is a proven
 			// draw-free leaf); the probe records the skipped span by

@@ -56,6 +56,9 @@ func TestConfigValidation(t *testing.T) {
 		{"nil channel", func(c *Config) { c.Channel = nil }},
 		{"negative drop", func(c *Config) { c.DropProb = -0.1 }},
 		{"drop of 1", func(c *Config) { c.DropProb = 1 }},
+		{"NaN drop", func(c *Config) { c.DropProb = math.NaN() }},
+		{"+Inf drop", func(c *Config) { c.DropProb = math.Inf(1) }},
+		{"-Inf drop", func(c *Config) { c.DropProb = math.Inf(-1) }},
 		{"negative rounds", func(c *Config) { c.MaxRounds = -1 }},
 	}
 	for _, tc := range cases {
@@ -260,12 +263,22 @@ func TestCrashAtLaterRound(t *testing.T) {
 }
 
 func TestRandomCrashesValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid probability did not panic")
+	for _, p := range []float64{1.5, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, keyed := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("crash probability %v (keyed=%v) did not panic", p, keyed)
+					}
+				}()
+				if keyed {
+					NewRandomCrashesKeyed(10, p, 0, rng.NewKey(1))
+				} else {
+					NewRandomCrashes(10, p, 0, rng.New(1))
+				}
+			}()
 		}
-	}()
-	NewRandomCrashes(10, 1.5, 0, rng.New(1))
+	}
 }
 
 func TestObserverRuns(t *testing.T) {

@@ -22,7 +22,7 @@ package sim
 // sweep would have made — placement words by word index, accept-one and
 // noise by slot, deferred resolution by slot — and untouched slots are
 // state-free by construction (their inbox word is zero, their
-// accumulator delta is zero and their crash plan is never consulted,
+// accumulator delta is zero and a crash pass leaves a zero word zero,
 // exactly as for the dense sweep's unoccupied slots). Results are
 // therefore bit-identical with keyedTree; sparse_test.go pins it across
 // kernels, shard counts and crash plans. The walker shares the tree's
@@ -168,8 +168,8 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 // resolve of a touched slot i reads the same cc.Uint64(i) base word the
 // full-bucket sweep reads at rbuf[i]. Untouched slots hold a zero word:
 // the sweep adds zero to their accumulators, draws nothing fresh for
-// them, and its crash pre-pass consults the plan for occupied slots
-// only, so skipping them is exact.
+// them, and its crash pass, which only zeroes words, leaves them as they
+// are, so skipping them is exact.
 func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	k := e.keyed
 	n := e.cfg.N
@@ -195,24 +195,33 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	touched = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, off1, touched)
 	k.walked = touched
 
-	if f := e.cfg.Failures; f != nil {
+	if words := e.cfg.Failures.activeWords(round); words != nil {
 		// Crashed receivers lose every arrival: zero and compact them out.
-		w := 0
-		for _, ti := range touched {
-			if f.Crashed(blo+int(ti), round) {
-				inbox[ti] = 0
-				continue
-			}
-			touched[w] = ti
-			w++
-		}
-		touched = touched[:w]
+		touched = touched[:walkDropCrashed(inbox, touched, words, uint(blo))]
 	}
 	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
 	nf := sparseResolve(inbox, touched, acc, fix, cc, k.noiseThresh)
 	d.accepted += int64(len(touched))
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
+}
+
+// walkDropCrashed compacts the crashed receivers out of the walker's
+// touched slots of the bucket inbox that starts at agent blo, zeroing
+// their inbox words, and returns the number of live slots left at its
+// front, in order. Like the scatter's pass it writes every slot back and
+// masks every word; the count advances only past a live slot.
+//
+//breathe:leaf the walker's crash pass over the touched slots
+func walkDropCrashed(inbox []uint32, touched []int32, words []uint64, blo uint) int {
+	w := 0
+	for _, ti := range touched {
+		live := crashBit(words, blo+uint(ti)) ^ 1
+		touched[w] = ti
+		inbox[ti] &= -uint32(live)
+		w += int(live)
+	}
+	return w
 }
 
 // sparseResolve is treeResolve over the touched slots only, with each

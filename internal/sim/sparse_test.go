@@ -20,7 +20,7 @@ type sparseChatter struct {
 	// avoid, when set, takes the agents it crashes at round 0 out of the
 	// sender set, which becomes the first k agents it spares: live
 	// senders broadcasting into a crash-thinned population.
-	avoid FailurePlan
+	avoid *CrashPlan
 	last  int // the largest sender id
 	n     int
 	acc   []uint64
