@@ -153,11 +153,11 @@ func BenchmarkKernelPerAgentBroadcast100k(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelBatchedBroadcast1M runs the flagship scenario: a full
+// BenchmarkKernelAutoBroadcast1M runs the flagship scenario: a full
 // noisy broadcast over one million agents on the batched kernel.
-func BenchmarkKernelBatchedBroadcast1M(b *testing.B) {
+func BenchmarkKernelAutoBroadcast1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, nsPerAR := kernelBroadcast(b, 1_000_000, sim.KernelBatched, uint64(i))
+		res, nsPerAR := kernelBroadcast(b, 1_000_000, sim.KernelAuto, uint64(i))
 		if !res.AllCorrect(channel.One) {
 			b.Fatal("broadcast failed")
 		}
@@ -172,7 +172,7 @@ func BenchmarkKernelBatchedBroadcast1M(b *testing.B) {
 func BenchmarkKernelSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, refAR := kernelBroadcast(b, 100_000, sim.KernelPerAgent, uint64(i))
-		res, batchedAR := kernelBroadcast(b, 1_000_000, sim.KernelBatched, uint64(i))
+		res, batchedAR := kernelBroadcast(b, 1_000_000, sim.KernelAuto, uint64(i))
 		if !res.AllCorrect(channel.One) {
 			b.Fatal("broadcast failed")
 		}
@@ -182,9 +182,9 @@ func BenchmarkKernelSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelBatchedConsensus1M: the same scale for the paper's second
+// BenchmarkKernelAutoConsensus1M: the same scale for the paper's second
 // problem.
-func BenchmarkKernelBatchedConsensus1M(b *testing.B) {
+func BenchmarkKernelAutoConsensus1M(b *testing.B) {
 	const n = 1_000_000
 	params := core.DefaultParams(n, 0.3)
 	sizeA := 4 * params.BetaS
@@ -196,7 +196,7 @@ func BenchmarkKernelBatchedConsensus1M(b *testing.B) {
 		start := time.Now()
 		res, err := sim.Run(sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: uint64(i),
-			AllowSelfMessages: true, Kernel: sim.KernelBatched,
+			AllowSelfMessages: true,
 		}, p)
 		if err != nil {
 			b.Fatal(err)

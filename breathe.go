@@ -90,8 +90,8 @@ func (c Config) params() (core.Params, error) {
 	if c.N < 2 {
 		return core.Params{}, fmt.Errorf("breathe: N = %d, need at least 2", c.N)
 	}
-	if c.Epsilon <= 0 || c.Epsilon > 0.5 {
-		return core.Params{}, fmt.Errorf("breathe: Epsilon = %v outside (0, 0.5]", c.Epsilon)
+	if !(0 < c.Epsilon && c.Epsilon <= 0.5) || 0.5-c.Epsilon == 0.5 {
+		return core.Params{}, fmt.Errorf("breathe: Epsilon = %v outside (0, 0.5], or so small that 1/2 − ε rounds to 1/2", c.Epsilon)
 	}
 	if c.Params != nil {
 		if err := c.Params.Validate(); err != nil {
@@ -99,7 +99,7 @@ func (c Config) params() (core.Params, error) {
 		}
 		return *c.Params, nil
 	}
-	return core.DefaultParams(c.N, c.Epsilon), nil
+	return core.ParamsFor(c.N, c.Epsilon, core.DefaultConstants)
 }
 
 func (c Config) channel() (channel.Channel, error) {
@@ -111,7 +111,7 @@ func (c Config) channel() (channel.Channel, error) {
 		return channel.NewBSC(maxFlip), nil
 	}
 	p := *c.FlipProb
-	if p < 0 || p > maxFlip {
+	if !(0 <= p && p <= maxFlip) {
 		return nil, fmt.Errorf("breathe: FlipProb %v outside [0, 1/2−ε] = [0, %v]", p, maxFlip)
 	}
 	if p == 0 {

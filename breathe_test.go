@@ -44,14 +44,29 @@ func TestBroadcastDefaultTargetIsOne(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	params := core.DefaultParams(512, 0.3)
+	nan := math.NaN()
 	cases := []Config{
 		{N: 1, Epsilon: 0.3},
 		{N: 100, Epsilon: 0},
 		{N: 100, Epsilon: 0.6},
+		{N: 100, Epsilon: math.NaN()},
+		// 1/2 − ε rounds to 1/2, with derived and with explicit params.
+		{N: 100, Epsilon: 1e-300},
+		{N: 512, Epsilon: 1e-300, Params: &params},
+		// A derived schedule that overflows int.
+		{N: 64, Epsilon: 1e-12},
+		{N: 512, Epsilon: 0.3, FlipProb: &nan},
 	}
 	for _, cfg := range cases {
 		if _, err := Broadcast(cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
+			t.Errorf("Broadcast accepted config %+v", cfg)
+		}
+		if _, err := BroadcastAsync(cfg); err == nil {
+			t.Errorf("BroadcastAsync accepted config %+v", cfg)
+		}
+		if _, err := MajorityConsensus(cfg, 3, 1); err == nil {
+			t.Errorf("MajorityConsensus accepted config %+v", cfg)
 		}
 	}
 }

@@ -92,8 +92,9 @@ func (c *chatter) BulkDeliver(rs []int32, bs []channel.Bit, _ int) {
 }
 
 // sparseChatter is the sparse-activity variant of chatter: of n agents
-// only the first k send, so the declared sender set is k ≪ n and keyed
-// dense rounds qualify for the sparse walker — the SparseCell workload.
+// only the first k send — the SparseCell workload. It declares no sender
+// index, so its rounds run on the dense tree; indexedChatter declares
+// the same k ≪ n senders and so runs them on the sparse walker.
 type sparseChatter struct {
 	chatter
 	k int
@@ -126,8 +127,11 @@ func (c *sparseChatter) Send(a, round int) (channel.Bit, bool) {
 	return channel.Bit(a % 2), a < c.k
 }
 
+// indexedChatter is sparseChatter with its sender set declared.
+type indexedChatter struct{ sparseChatter }
+
 // ActiveSenders implements sim.SenderIndex: k declared senders per round.
-func (c *sparseChatter) ActiveSenders(int) int { return c.k }
+func (c *indexedChatter) ActiveSenders(int) int { return c.k }
 
 // Cell is one measured (kernel, n) point.
 type Cell struct {
@@ -136,7 +140,7 @@ type Cell struct {
 	Shards          int     `json:"shards"`
 	Rounds          int     `json:"rounds"`
 	Messages        int64   `json:"messages"`
-	ShardedRounds   int64   `json:"sharded_rounds"`
+	Sharded         int64   `json:"sharded_rounds"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	NsPerAgentRound float64 `json:"ns_per_agent_round"`
 	MMsgsPerSec     float64 `json:"mmsgs_per_sec"`
@@ -176,11 +180,11 @@ type AsyncCell struct {
 }
 
 // SparseCell is the sparse-regime cell (schema v5): one sparse-activity
-// scenario — k declared senders in a population of n with k·64 < n —
-// executed twice on the batched kernel: the
-// event-driven sparse walker (the default) and the dense tree
-// (SparseCutover −1). Both executors must produce the same sim.Result;
-// the speedup is the Θ(n)-round-floor saving the walker buys.
+// scenario — k senders in a population of n with k·64 < n — executed
+// twice: with the sender set declared (sim.SenderIndex), so the
+// event-driven sparse walker runs it, and undeclared, so the dense tree
+// does. Both executors must produce the same sim.Result up to the regime
+// counters; the speedup is the Θ(n)-round-floor saving the walker buys.
 type SparseCell struct {
 	Kernel string `json:"kernel"`
 	N      int    `json:"n"`
@@ -196,9 +200,9 @@ type SparseCell struct {
 	// Speedup is TreeNsPerRound / SparseNsPerRound. The full-scale budget
 	// for the committed artifact is ≥ 10.
 	Speedup float64 `json:"sparse_speedup"`
-	// Identical reports that both executors produced the same sim.Result —
-	// the walker's bit-identity contract, asserted here so a regression
-	// fails the artifact, not just the test suite.
+	// Identical reports that both executors produced the same sim.Result
+	// apart from Paths — the walker's bit-identity contract, asserted here
+	// so a regression fails the artifact, not just the test suite.
 	Identical bool `json:"results_identical"`
 }
 
@@ -245,13 +249,18 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := sim.NewEngine(sim.Config{
+		cfg := sim.Config{
 			N: n, Channel: channel.FromEpsilon(eps), Seed: seed,
 			AllowSelfMessages: true,
 			Kernel:            sim.KernelPerAgent, Shards: 1, MaxRounds: 1 << 30,
-			Failures:    sim.NewRandomCrashesKeyed(n, crashProb, 0, rng.NewKey(seed), 0),
-			NoQuietSkip: noskip,
-		})
+			Failures: sim.NewRandomCrashesKeyed(n, crashProb, 0, rng.NewKey(seed), 0),
+		}
+		if noskip {
+			// An observer without a declared cadence makes the engine
+			// execute every round.
+			cfg.Observer = func(int, *sim.Engine) {}
+		}
+		e, err := sim.NewEngine(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -279,13 +288,12 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 	return cell, nil
 }
 
-// benchSparse measures the SparseCell: k declared senders in a
-// population two-and-a-half decades larger (n = 10⁸, k = 10⁴ at full
-// scale), run once with the sparse walker and once with it disabled so
-// every sparse-accounted round executes on the dense tree. The regime
-// accounting is fixed — both runs report the same Paths — only the
-// executor changes, and with it the per-round cost: O(k + messages)
-// against the tree's Θ(n) slot scans.
+// benchSparse measures the SparseCell: k senders in a population
+// two-and-a-half decades larger (n = 10⁸, k = 10⁴ at full scale), run
+// once with the sender set declared, so the sparse walker executes every
+// round, and once undeclared, so the dense tree does. The draws are the
+// same; only the executor changes, and with it the per-round cost:
+// O(k + messages) against the tree's Θ(n) slot scans.
 func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 	// 200 rounds at full scale: enough for the walker's steady state —
 	// ~k random accumulator touches per round — to dominate the one-time
@@ -296,23 +304,21 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 		n, k, rounds = 1_000_000, 1_000, 40
 	}
 	cell := &SparseCell{
-		Kernel: "batched", N: n, ActiveSenders: k,
+		Kernel: "auto", N: n, ActiveSenders: k,
 	}
 	var treeRes, sparseRes sim.Result
 	for _, walker := range []bool{true, false} {
-		cutover := 0
-		if !walker {
-			cutover = -1
-		}
 		e, err := sim.NewEngine(sim.Config{
 			N: n, Channel: channel.NewBSC(0.2), Seed: seed,
-			AllowSelfMessages: true, Kernel: sim.KernelBatched, Shards: 1,
-			MaxRounds: 1 << 30, SparseCutover: cutover,
+			AllowSelfMessages: true, Shards: 1, MaxRounds: 1 << 30,
 		})
 		if err != nil {
 			return nil, err
 		}
-		p := &sparseChatter{chatter: chatter{rounds: rounds}, k: k}
+		var p sim.Protocol = &sparseChatter{chatter: chatter{rounds: rounds}, k: k}
+		if walker {
+			p = &indexedChatter{sparseChatter{chatter: chatter{rounds: rounds}, k: k}}
+		}
 		//breathe:walltime-ok benchmark wall-time measurement
 		start := time.Now()
 		res := e.Run(p)
@@ -332,6 +338,8 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 		}
 	}
 	cell.Speedup = cell.TreeNsPerRound / cell.SparseNsPerRound
+	// Only the regime counters may differ: they name the executor.
+	treeRes.Paths = sparseRes.Paths
 	cell.Identical = treeRes == sparseRes
 	fmt.Fprintf(log, "sparse n=%d k=%d: %d rounds (%d sparse)  walker %.2fs / tree %.2fs  %.1fx ns/round  identical=%v\n",
 		cell.N, cell.ActiveSenders, cell.Rounds, cell.SparseRounds,
@@ -394,8 +402,8 @@ func run(args []string, log io.Writer) error {
 		shards int
 	}{
 		{"per-agent", sim.KernelPerAgent, 0},
-		{"batched", sim.KernelBatched, 1},
-		{"sharded", sim.KernelBatched, *shards},
+		{"batched", sim.KernelAuto, 1},
+		{"sharded", sim.KernelAuto, *shards},
 	}
 	// One probe serves every cell (Reset between runs). Its clock reads at
 	// phase boundaries are part of the measured wall time — a handful of
@@ -444,7 +452,7 @@ func run(args []string, log io.Writer) error {
 				Shards:          k.shards,
 				Rounds:          res.Rounds,
 				Messages:        res.MessagesSent,
-				ShardedRounds:   e.ShardedRounds(),
+				Sharded:         res.Paths.Sharded,
 				WallSeconds:     wall.Seconds(),
 				NsPerAgentRound: float64(wall.Nanoseconds()) / agentRounds,
 				MMsgsPerSec:     float64(res.MessagesSent) / wall.Seconds() / 1e6,
@@ -461,7 +469,7 @@ func run(args []string, log io.Writer) error {
 			}
 			phaseTable.AddRow(row...)
 			fmt.Fprintf(log, "%-9s n=%-9d rounds=%-4d %7.2f ns/agent-round  %8.1f M msgs/s  sharded-rounds=%d\n",
-				cell.Kernel, n, cell.Rounds, cell.NsPerAgentRound, cell.MMsgsPerSec, cell.ShardedRounds)
+				cell.Kernel, n, cell.Rounds, cell.NsPerAgentRound, cell.MMsgsPerSec, cell.Sharded)
 		}
 	}
 	if err := phaseTable.WriteText(log); err != nil {

@@ -75,7 +75,7 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 		// n = 40000 decomposes into two virtual shards, so every kernel —
 		// the regime is kernel-independent — must report sharded rounds
 		// there.
-		if c.N == 40000 && c.ShardedRounds == 0 {
+		if c.N == 40000 && c.Sharded == 0 {
 			t.Fatalf("cell %+v executed no sharded rounds", c)
 		}
 	}

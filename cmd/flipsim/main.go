@@ -49,10 +49,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 2 || *eps <= 0 || *eps > 0.5 {
+	if *n < 2 || !(0 < *eps && *eps <= 0.5) {
 		return fmt.Errorf("need n >= 2 and eps in (0, 0.5]")
 	}
-	params := core.DefaultParams(*n, *eps)
+	params, err := core.ParamsFor(*n, *eps, core.DefaultConstants)
+	if err != nil {
+		return err
+	}
 	ch := channel.Channel(channel.Noiseless{})
 	if *eps < 0.5 {
 		ch = channel.FromEpsilon(*eps)

@@ -85,6 +85,9 @@ func TestRunValidation(t *testing.T) {
 	cases := [][]string{
 		{"-n", "1"},
 		{"-eps", "0.9"},
+		{"-eps", "NaN"},
+		{"-eps", "1e-300"},
+		{"-eps", "1e-12"},
 		{"-protocol", "unknown"},
 		{"-zzz"},
 	}

@@ -36,11 +36,12 @@
 // results are bit-identical for every -shards and -kernel value — both
 // flags are pure performance knobs.
 //
-// The default -kernel auto falls back to per-agent collection when the
-// batched kernel cannot run (n ≥ 2²⁸); the "paths:" line (and the
-// response's paths field) reports which regime executed every round, so
-// the fallback is visible. -kernel batched hard-fails instead of falling
-// back.
+// The engine picks the batched machinery whenever the protocol and n
+// allow it and falls back to per-agent collection otherwise (n ≥ 2²⁸);
+// the "paths:" line (and the response's paths field) reports which
+// regime executed every round, so the fallback is visible. -kernel
+// per-agent forces per-agent collection, the cross-check of the batched
+// sender lists.
 package main
 
 import (
@@ -71,12 +72,11 @@ func run(args []string) error {
 		n        = fs.Int("n", 1_000_000, "population size")
 		eps      = fs.Float64("eps", 0.3, "channel parameter ε (flip prob = 1/2−ε)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		kernel   = fs.String("kernel", "auto", "auto | batched | per-agent (results are identical for every value)")
+		kernel   = fs.String("kernel", "auto", "auto | per-agent (results are identical for every value)")
 		self     = fs.Bool("self", true, "allow self-messages (classical push convention; enables aggregate recipient sampling)")
 		aBias    = fs.Float64("abias", 0.2, "consensus: majority-bias of the initial set")
 		crash    = fs.Float64("crash", 0, "crash each agent at round 0 with this probability (agent 0 is protected)")
 		shards   = fs.Int("shards", 0, "sharded-kernel workers (0 = all cores, 1 = serial; results are identical for every value)")
-		sparse   = fs.Int("sparse-cutover", 0, "keyed sparse-walker executor cutover (0 = default k*64 < n, -1 = disable the walker; results are identical for every value)")
 		jsonOut  = fs.Bool("json", false, "emit the api.RunResponse JSON on stdout (commentary on stderr)")
 		phases   = fs.Bool("phases", false, "arm a telemetry probe and report the kernel phase decomposition (byte-inert: the response does not change)")
 	)
@@ -101,7 +101,6 @@ func run(args []string) error {
 		CrashProb:      *crash,
 		Kernel:         *kernel,
 		Shards:         *shards,
-		SparseCutover:  *sparse,
 	}
 	built, err := req.Build()
 	if err != nil {

@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestRunSmallBroadcastBothKernels(t *testing.T) {
-	for _, kernel := range []string{"batched", "per-agent"} {
+	for _, kernel := range []string{"auto", "per-agent"} {
 		if err := run([]string{"-n", "2048", "-kernel", kernel, "-seed", "3"}); err != nil {
 			t.Fatalf("kernel %s: %v", kernel, err)
 		}
@@ -25,10 +25,10 @@ func TestRunExclusionMode(t *testing.T) {
 }
 
 func TestRunAsyncProtocols(t *testing.T) {
-	// The §3 protocols on both kernels — the batched kernel now covers
+	// The §3 protocols on both kernels — the batched machinery covers
 	// them via the offset-class sender lists.
 	for _, proto := range []string{"async-offsets", "async-selfsync"} {
-		for _, kernel := range []string{"batched", "per-agent"} {
+		for _, kernel := range []string{"auto", "per-agent"} {
 			if err := run([]string{"-protocol", proto, "-n", "1024", "-kernel", kernel, "-seed", "2"}); err != nil {
 				t.Fatalf("%s on %s: %v", proto, kernel, err)
 			}
@@ -67,6 +67,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-n", "1"},
 		{"-eps", "0.7"},
 		{"-kernel", "warp"},
+		{"-kernel", "batched"},
+		{"-eps", "1e-300"},
 		{"-protocol", "rumor"},
 		{"-crash", "1.5"},
 		{"-crash", "-0.1"},

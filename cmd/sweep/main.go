@@ -89,7 +89,7 @@ func run(args []string, out, errOut io.Writer) error {
 		crashFlag = fs.String("crash", "0", "comma-separated crash probabilities (agent 0 protected)")
 		seeds     = fs.Int("seeds", 5, "seeds per cell")
 		baseSeed  = fs.Uint64("seed", 0, "base seed: a cell runs seeds seed..seed+seeds-1")
-		kernel    = fs.String("kernel", "auto", "kernel for every cell: auto | batched | per-agent")
+		kernel    = fs.String("kernel", "auto", "kernel for every cell: auto | per-agent")
 		workers   = fs.Int("workers", 0, "concurrent runs: engine-pool size locally, client concurrency remotely (0 = all cores)")
 		shards    = fs.Int("shards", 0, "intra-run sharded-kernel workers per engine (0 = auto: the core budget divided by -workers, so the knobs compose instead of multiplying)")
 		remote    = fs.String("remote", "", "comma-separated breathed base URLs; empty = run locally")

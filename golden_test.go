@@ -45,7 +45,7 @@ func TestGoldenBroadcastRun(t *testing.T) {
 	if !res.Unanimous {
 		t.Error("expected unanimity")
 	}
-	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched} {
+	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto} {
 		p, err := core.NewBroadcast(core.DefaultParams(1024, 0.3), channel.One)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,6 @@ const (
 // Kernel names accepted by RunRequest.Kernel.
 const (
 	KernelAuto     = "auto"
-	KernelBatched  = "batched"
 	KernelPerAgent = "per-agent"
 )
 
@@ -87,9 +86,11 @@ type RunRequest struct {
 	CrashProb float64 `json:"crash_prob,omitempty"`
 	// CrashRound is the round the crash plan takes effect (default 0).
 	CrashRound int `json:"crash_round,omitempty"`
-	// Kernel selects the execution strategy: auto | batched | per-agent.
-	// Default auto. A pure perf knob — every kernel replays the same
-	// addressed draws — so it is erased from the canonical request.
+	// Kernel selects the execution strategy: auto (the default: the
+	// engine uses the batched machinery whenever the protocol and n allow
+	// it) | per-agent (one Send/Receive call per agent, the cross-check of
+	// the batched collection). A pure perf knob — every kernel replays the
+	// same addressed draws — so it is erased from the canonical request.
 	Kernel string `json:"kernel,omitempty"`
 	// Schedule names the draw schedule: keyed, the only one, and the
 	// default. Kept so requests that name it stay valid; it is hashed as
@@ -112,15 +113,6 @@ type RunRequest struct {
 	// this cannot change the result either; excluded from the hash and
 	// from the canonical request.
 	TraceEvery int `json:"trace_every,omitempty"`
-	// SparseCutover steers the keyed sparse walker's executor cutover
-	// (sim.Config.SparseCutover): 0 = the default k·64 < n ratio, a
-	// positive value substitutes its own ratio, -1 disables the walker
-	// so the dense sweep runs every tree-eligible round. A pure
-	// performance knob like Shards — the walker reproduces the dense
-	// sweep's bits exactly, and even the sparse path accounting uses the
-	// fixed default ratio — so it is excluded from the hash and from the
-	// canonical request.
-	SparseCutover int `json:"sparse_cutover,omitempty"`
 }
 
 // Normalize resolves defaults in place so that requests meaning the same
@@ -164,9 +156,9 @@ func (r RunRequest) Validate() error {
 		return fmt.Errorf("api: unknown protocol %q", r.Protocol)
 	}
 	switch r.Kernel {
-	case KernelAuto, KernelBatched, KernelPerAgent:
+	case KernelAuto, KernelPerAgent:
 	default:
-		return fmt.Errorf("api: unknown kernel %q", r.Kernel)
+		return fmt.Errorf("api: unknown kernel %q (valid: %s, %s)", r.Kernel, KernelAuto, KernelPerAgent)
 	}
 	if r.Schedule != ScheduleKeyed {
 		return fmt.Errorf("api: unknown schedule %q (the only draw schedule is %q)", r.Schedule, ScheduleKeyed)
@@ -174,14 +166,13 @@ func (r RunRequest) Validate() error {
 	if r.N < 2 {
 		return fmt.Errorf("api: population size %d < 2", r.N)
 	}
-	if r.Kernel == KernelBatched && r.N >= sim.MaxBatchedN {
-		// KernelBatched refuses to fall back; past the packed-counter
-		// limit the engine would panic. Reject at admission instead.
-		return fmt.Errorf("api: kernel %q supports n < %d (got %d); use kernel auto or per-agent",
-			KernelBatched, sim.MaxBatchedN, r.N)
-	}
 	if !(0 < r.Eps && r.Eps <= 0.5) {
 		return fmt.Errorf("api: eps %v outside (0, 0.5]", r.Eps)
+	}
+	// A tiny eps stretches the Θ(log n / ε²) schedule past int. The bound
+	// also rejects every eps for which the channel's 1/2 − ε rounds to 1/2.
+	if _, err := core.ParamsFor(r.N, r.Eps, core.DefaultConstants); err != nil {
+		return fmt.Errorf("api: %w", err)
 	}
 	if r.MaxRounds < 0 {
 		return fmt.Errorf("api: negative max_rounds %d", r.MaxRounds)
@@ -207,9 +198,6 @@ func (r RunRequest) Validate() error {
 	if r.TraceEvery < 0 {
 		return fmt.Errorf("api: negative trace_every %d", r.TraceEvery)
 	}
-	if r.SparseCutover < -1 {
-		return fmt.Errorf("api: sparse_cutover %d < -1 (use -1 to disable the sparse walker)", r.SparseCutover)
-	}
 	return nil
 }
 
@@ -224,7 +212,6 @@ func (r RunRequest) Canonical() RunRequest {
 	r.Shards = 0
 	r.TrajectoryEvery = 0
 	r.TraceEvery = 0
-	r.SparseCutover = 0
 	// Draws are addressed, not consumed: every kernel replays the
 	// identical schedule, so the kernel choice is pure perf.
 	r.Kernel = KernelAuto
@@ -339,12 +326,8 @@ func (r RunRequest) Build() (*Run, error) {
 		AllowSelfMessages: !r.NoSelfMessages,
 		DropProb:          r.DropProb,
 		Shards:            r.Shards,
-		SparseCutover:     r.SparseCutover,
 	}
-	switch r.Kernel {
-	case KernelBatched:
-		cfg.Kernel = sim.KernelBatched
-	case KernelPerAgent:
+	if r.Kernel == KernelPerAgent {
 		cfg.Kernel = sim.KernelPerAgent
 	}
 

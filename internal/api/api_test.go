@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"breathe/internal/sim"
@@ -53,13 +54,21 @@ func TestHashCanonicalization(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBatchedBeyondCap: kernel=batched past the packed
-// counter limit must be rejected at admission, not panic in a worker.
+// TestValidateRejectsBatchedBeyondCap: the retired kernel value
+// "batched" is rejected at every n — past the packed counter limit too —
+// with an error naming the valid kernels, while auto at the limit falls
+// back to per-agent collection instead of failing.
 func TestValidateRejectsBatchedBeyondCap(t *testing.T) {
-	r := RunRequest{N: 1 << 28, Seed: 1, Kernel: "batched"}
-	r.Normalize()
-	if err := r.Validate(); err == nil {
-		t.Error("kernel=batched with n = 2^28 accepted")
+	for _, n := range []int{1024, 1 << 28} {
+		r := RunRequest{N: n, Seed: 1, Kernel: "batched"}
+		r.Normalize()
+		err := r.Validate()
+		if err == nil {
+			t.Fatalf("kernel=batched with n = %d accepted", n)
+		}
+		if msg := err.Error(); !strings.Contains(msg, KernelAuto) || !strings.Contains(msg, KernelPerAgent) {
+			t.Errorf("kernel=batched error %q does not name the valid kernels", msg)
+		}
 	}
 	auto := RunRequest{N: 1 << 28, Seed: 1}
 	auto.Normalize()
@@ -112,6 +121,9 @@ func TestValidateRejects(t *testing.T) {
 		{N: 100, CrashProb: math.NaN()},
 		{N: 100, CrashProb: math.Inf(1)},
 		{N: 100, CrashProb: math.Inf(-1)},
+		// 1/2 − ε rounds to 1/2, and a schedule that overflows int.
+		{N: 64, Eps: 1e-300},
+		{N: 64, Eps: 1e-12},
 	}
 	for _, r := range bad {
 		r.Normalize()

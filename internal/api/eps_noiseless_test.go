@@ -21,8 +21,8 @@ func TestEpsHalfIsNoiselessBitForBit(t *testing.T) {
 		kernel   string
 	}{
 		{ProtoBroadcast, KernelPerAgent},
-		{ProtoBroadcast, KernelBatched},
-		{ProtoAsyncOffsets, KernelBatched},
+		{ProtoBroadcast, KernelAuto},
+		{ProtoAsyncOffsets, KernelAuto},
 		{ProtoAsyncSelfSync, KernelPerAgent},
 	} {
 		req := RunRequest{Protocol: tc.protocol, N: 512, Eps: 0.5, Seed: 3, Kernel: tc.kernel}

@@ -16,7 +16,7 @@ import (
 func TestKeyedHashErasesKernel(t *testing.T) {
 	base := RunRequest{N: 1024, Seed: 7, Schedule: ScheduleKeyed}
 	h := base.Hash()
-	for _, kernel := range []string{KernelAuto, KernelBatched, KernelPerAgent} {
+	for _, kernel := range []string{KernelAuto, KernelPerAgent} {
 		r := RunRequest{N: 1024, Seed: 7, Schedule: ScheduleKeyed, Kernel: kernel, Shards: 8}
 		if got := r.Hash(); got != h {
 			t.Errorf("keyed kernel=%s changed the hash: %s vs %s", kernel, got, h)
@@ -35,7 +35,7 @@ func TestKeyedHashErasesKernel(t *testing.T) {
 // cached response serves any kernel's request byte-identically.
 func TestKeyedCanonicalErasesKernel(t *testing.T) {
 	a := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Kernel: KernelPerAgent, Shards: 16}
-	b := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Kernel: KernelBatched}
+	b := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Kernel: KernelAuto}
 	ca, cb := a.Canonical(), b.Canonical()
 	if !reflect.DeepEqual(ca, cb) {
 		t.Errorf("keyed canonical forms differ:\n%+v\n%+v", ca, cb)
@@ -124,7 +124,7 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 		ref := sc.req
 		ref.Kernel = KernelAuto
 		want := runResponseBytes(t, ref)
-		for _, kernel := range []string{KernelAuto, KernelPerAgent, KernelBatched} {
+		for _, kernel := range []string{KernelAuto, KernelPerAgent} {
 			for _, shards := range []int{1, 2, 8} {
 				r := sc.req
 				r.Kernel = kernel

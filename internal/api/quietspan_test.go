@@ -12,18 +12,20 @@ import (
 )
 
 // runResponseBytesSkip builds and executes one request with quiet-span
-// skipping toggled, and returns the canonical response bytes plus the
-// number of spans the engine skipped. The skip knob is reached through
-// the built sim.Config — it is a pure performance setting, deliberately
-// absent from the request schema — so the serialized response cannot even
-// represent which mode computed it.
+// skipping on or off, and returns the canonical response bytes plus the
+// number of spans the engine skipped. Skipping is turned off by an
+// observer without a declared cadence, installed on the built sim.Config —
+// the request schema has no such setting — so the serialized response
+// cannot even represent which mode computed it.
 func runResponseBytesSkip(t *testing.T, req RunRequest, noskip bool) ([]byte, int64) {
 	t.Helper()
 	run, err := req.Build()
 	if err != nil {
 		t.Fatalf("Build(%+v): %v", req, err)
 	}
-	run.Config.NoQuietSkip = noskip
+	if noskip {
+		run.Config.Observer = func(int, *sim.Engine) {}
+	}
 	e, err := sim.NewEngine(run.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +69,7 @@ func TestQuietSpanResponseBytes(t *testing.T) {
 						t.Errorf("%s: response bytes diverged from reference:\n%s\n%s", name, ref, raw)
 					}
 					if noskip && spans != 0 {
-						t.Errorf("%s: NoQuietSkip engine skipped %d spans", name, spans)
+						t.Errorf("%s: unskipped engine skipped %d spans", name, spans)
 					}
 					if !noskip && proto == ProtoAsyncSelfSync && spans == 0 {
 						t.Errorf("%s: no spans skipped — the suite is not exercising the skip path", name)

@@ -3,52 +3,14 @@ package api
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 )
 
-// TestSparseCutoverHashInvariance: SparseCutover steers only which
-// executor runs sparse-accounted rounds, never a byte of the result, so
-// like Shards and TraceEvery it must not enter the content address —
-// whether the request names the schedule or not.
-func TestSparseCutoverHashInvariance(t *testing.T) {
-	for _, schedule := range []string{"", ScheduleKeyed} {
-		base := RunRequest{N: 1024, Seed: 7, Schedule: schedule}
-		h := base.Hash()
-		for _, cutover := range []int{0, -1, 7, 1000} {
-			r := RunRequest{N: 1024, Seed: 7, Schedule: schedule, SparseCutover: cutover}
-			if got := r.Hash(); got != h {
-				t.Errorf("schedule=%s sparse_cutover=%d changed the hash: %s vs %s",
-					schedule, cutover, got, h)
-			}
-			if c := r.Canonical(); c.SparseCutover != 0 {
-				t.Errorf("canonical kept sparse_cutover=%d", c.SparseCutover)
-			}
-		}
-		a := RunRequest{N: 1024, Seed: 7, Schedule: schedule, SparseCutover: -1}
-		if !reflect.DeepEqual(a.Canonical(), base.Canonical()) {
-			t.Errorf("schedule=%s: canonical forms differ across sparse_cutover", schedule)
-		}
-	}
-}
-
-func TestSparseCutoverValidation(t *testing.T) {
-	r := RunRequest{N: 1024, SparseCutover: -2}
-	r.Normalize()
-	if err := r.Validate(); err == nil {
-		t.Error("Validate accepted sparse_cutover -2")
-	}
-	r.SparseCutover = -1
-	if err := r.Validate(); err != nil {
-		t.Errorf("Validate rejected sparse_cutover -1: %v", err)
-	}
-}
-
 // TestSparseResponseBytes is the response-level acceptance pin for the
 // sparse regime: across scenario classes — including the crash-thinned
-// broadcast whose Stage II rounds actually run sparse — every
-// SparseCutover × kernel × shards combination must serialize to
-// byte-identical canonical RunResponse JSON.
+// broadcast whose Stage II rounds actually run sparse — every kernel ×
+// shards combination must serialize to byte-identical canonical
+// RunResponse JSON.
 func TestSparseResponseBytes(t *testing.T) {
 	scenarios := []struct {
 		name       string
@@ -63,16 +25,12 @@ func TestSparseResponseBytes(t *testing.T) {
 		{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}, false},
 	}
 	variants := []struct {
-		cutover int
-		kernel  string
-		shards  int
+		kernel string
+		shards int
 	}{
-		{-1, KernelAuto, 0},
-		{7, KernelAuto, 0},
-		{1 << 20, KernelAuto, 0},
-		{-1, KernelPerAgent, 1},
-		{0, KernelBatched, 4},
-		{-1, KernelBatched, 4},
+		{KernelPerAgent, 1},
+		{KernelPerAgent, 4},
+		{KernelAuto, 4},
 	}
 	for _, sc := range scenarios {
 		sc.req.Schedule = ScheduleKeyed
@@ -89,12 +47,11 @@ func TestSparseResponseBytes(t *testing.T) {
 		}
 		for _, v := range variants {
 			r := sc.req
-			r.SparseCutover = v.cutover
 			r.Kernel = v.kernel
 			r.Shards = v.shards
 			if got := runResponseBytes(t, r); !bytes.Equal(got, want) {
-				t.Errorf("%s cutover=%d kernel=%s shards=%d: response bytes diverged",
-					sc.name, v.cutover, v.kernel, v.shards)
+				t.Errorf("%s kernel=%s shards=%d: response bytes diverged",
+					sc.name, v.kernel, v.shards)
 			}
 		}
 	}

@@ -65,8 +65,8 @@ func TestTelemetryByteIdentityMatrix(t *testing.T) {
 		shards int
 	}{
 		{"per-agent", KernelPerAgent, 1},
-		{"batched", KernelBatched, 1},
-		{"sharded", KernelBatched, 8},
+		{"batched", KernelAuto, 1},
+		{"sharded", KernelAuto, 8},
 	}
 	for _, sc := range telemetryScenarios {
 		sc.req.Schedule = ScheduleKeyed

@@ -42,7 +42,7 @@ func BenchmarkAsyncKernelSpeedup(b *testing.B) {
 	const n = 100_000
 	for i := 0; i < b.N; i++ {
 		_, refAR := asyncBroadcast(b, n, sim.KernelPerAgent, uint64(i))
-		res, batchedAR := asyncBroadcast(b, n, sim.KernelBatched, uint64(i))
+		res, batchedAR := asyncBroadcast(b, n, sim.KernelAuto, uint64(i))
 		if !res.AllCorrect(channel.One) {
 			b.Fatal("async broadcast failed")
 		}
@@ -57,7 +57,7 @@ func BenchmarkAsyncKernelSpeedup(b *testing.B) {
 // than the synchronous protocol's).
 func BenchmarkAsyncBatchedBroadcast100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, nsPerAR := asyncBroadcast(b, 100_000, sim.KernelBatched, uint64(i))
+		res, nsPerAR := asyncBroadcast(b, 100_000, sim.KernelAuto, uint64(i))
 		if !res.AllCorrect(channel.One) {
 			b.Fatal("async broadcast failed")
 		}

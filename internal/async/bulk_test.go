@@ -100,10 +100,13 @@ func TestAsyncBatchedDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := sim.Run(sim.Config{
-				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed, Kernel: sim.KernelBatched,
+				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
 			}, p)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Paths.PerAgent != 0 {
+				t.Fatalf("%s: fell back to per-agent collection: %+v", name, res.Paths)
 			}
 			return res
 		}
@@ -156,7 +159,7 @@ func TestAsyncBatchedMatchesPerAgentStatistically(t *testing.T) {
 				return st
 			}
 			ref := measure(sim.KernelPerAgent)
-			got := measure(sim.KernelBatched)
+			got := measure(sim.KernelAuto)
 			if math.Abs(got.sent-ref.sent)/ref.sent > 0.02 {
 				t.Fatalf("self=%v %s: batched sent mean %v deviates from per-agent %v", self, name, got.sent, ref.sent)
 			}
@@ -200,7 +203,7 @@ func TestAsyncBatchedWithCrashFaults(t *testing.T) {
 		return sum
 	}
 	ref := meanAccepted(sim.KernelPerAgent)
-	got := meanAccepted(sim.KernelBatched)
+	got := meanAccepted(sim.KernelAuto)
 	if math.Abs(got-ref)/ref > 0.02 {
 		t.Fatalf("async+crash: batched accepted mean %v deviates from per-agent %v", got, ref)
 	}

@@ -46,6 +46,9 @@ func runKernelSweep(t *testing.T, kernel sim.Kernel, self bool, consensus bool, 
 		if res.MessagesAccepted+res.MessagesDropped != res.MessagesSent {
 			t.Fatalf("seed %d: message conservation violated: %+v", seed, res)
 		}
+		if res.Paths.PerAgent != 0 {
+			t.Fatalf("seed %d: fell back to per-agent collection: %+v", seed, res.Paths)
+		}
 		if res.AllCorrect(channel.One) {
 			st.successes++
 		}
@@ -89,7 +92,7 @@ func checkKernelEquivalence(t *testing.T, name string, ref, got kernelStats, see
 func TestBroadcastKernelEquivalence(t *testing.T) {
 	const n, seeds = 1024, 10
 	ref := runKernelSweep(t, sim.KernelPerAgent, false, false, n, seeds)
-	got := runKernelSweep(t, sim.KernelBatched, false, false, n, seeds)
+	got := runKernelSweep(t, sim.KernelAuto, false, false, n, seeds)
 	checkKernelEquivalence(t, "broadcast", ref, got, seeds)
 }
 
@@ -97,18 +100,18 @@ func TestBroadcastDenseKernelEquivalence(t *testing.T) {
 	// AllowSelfMessages engages the dense aggregate kernel in Stage II.
 	const n, seeds = 1024, 10
 	ref := runKernelSweep(t, sim.KernelPerAgent, true, false, n, seeds)
-	got := runKernelSweep(t, sim.KernelBatched, true, false, n, seeds)
+	got := runKernelSweep(t, sim.KernelAuto, true, false, n, seeds)
 	checkKernelEquivalence(t, "broadcast/self", ref, got, seeds)
 }
 
 func TestConsensusKernelEquivalence(t *testing.T) {
 	const n, seeds = 1024, 10
 	ref := runKernelSweep(t, sim.KernelPerAgent, false, true, n, seeds)
-	got := runKernelSweep(t, sim.KernelBatched, false, true, n, seeds)
+	got := runKernelSweep(t, sim.KernelAuto, false, true, n, seeds)
 	checkKernelEquivalence(t, "consensus", ref, got, seeds)
 
 	refSelf := runKernelSweep(t, sim.KernelPerAgent, true, true, n, seeds)
-	gotSelf := runKernelSweep(t, sim.KernelBatched, true, true, n, seeds)
+	gotSelf := runKernelSweep(t, sim.KernelAuto, true, true, n, seeds)
 	checkKernelEquivalence(t, "consensus/self", refSelf, gotSelf, seeds)
 }
 
@@ -117,7 +120,7 @@ func TestKernelsArePureFunctionsOfSeed(t *testing.T) {
 	// Result, for both kernels, with and without self-messages.
 	const n = 512
 	params := DefaultParams(n, 0.3)
-	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched} {
+	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto} {
 		for _, self := range []bool{false, true} {
 			run := func(seed uint64) sim.Result {
 				p, err := NewBroadcast(params, channel.One)
@@ -156,7 +159,7 @@ func TestBulkSendersMatchSendRule(t *testing.T) {
 	}
 	checked := 0
 	cfg := sim.Config{
-		N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Kernel: sim.KernelBatched,
+		N: n, Channel: channel.FromEpsilon(0.3), Seed: 5,
 		Observer: func(round int, e *sim.Engine) {
 			if round%50 != 0 {
 				return
@@ -192,7 +195,7 @@ func TestBulkSendersMatchSendRule(t *testing.T) {
 
 func TestNoBreatheVariantStaysPerAgent(t *testing.T) {
 	// The NoBreathe ablation activates senders mid-phase, so it must
-	// decline the batched kernel; forcing it is a programming error.
+	// decline the batched kernel; the engine then collects per agent.
 	p, err := NewBroadcastVariant(DefaultParams(256, 0.3), channel.One, Variant{NoBreathe: true})
 	if err != nil {
 		t.Fatal(err)
@@ -200,16 +203,11 @@ func TestNoBreatheVariantStaysPerAgent(t *testing.T) {
 	if p.BulkEnabled() {
 		t.Fatal("NoBreathe variant claims bulk support")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("KernelBatched with NoBreathe variant did not panic")
-		}
-	}()
-	e, err := sim.NewEngine(sim.Config{
-		N: 256, Channel: channel.FromEpsilon(0.3), Seed: 1, Kernel: sim.KernelBatched,
-	})
+	res, err := sim.Run(sim.Config{N: 256, Channel: channel.FromEpsilon(0.3), Seed: 1}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(p)
+	if res.Paths.PerAgent == 0 || res.Paths.PerAgent+res.Paths.Quiet != int64(res.Rounds) {
+		t.Fatalf("NoBreathe run paths %+v over %d rounds, want only per-agent and quiet rounds", res.Paths, res.Rounds)
+	}
 }

@@ -167,20 +167,43 @@ func PaperParams(n int, eps float64) Params {
 	return NewParams(n, eps, PaperConstants)
 }
 
+// maxPhaseRounds bounds every phase length ParamsFor derives (2⁵¹ with a
+// 64-bit int): the float-to-int conversions stay exact, and TotalRounds —
+// doubled lengths, summed with multipliers T and K far below 2⁹ — cannot
+// overflow int.
+const maxPhaseRounds = math.MaxInt >> 12
+
 // NewParams derives a full parameter set for (n, eps) from scaling
-// constants, following the schedule of §2.1.2 and §2.2.2.
+// constants, following the schedule of §2.1.2 and §2.2.2. It panics where
+// ParamsFor returns an error.
 func NewParams(n int, eps float64, c Constants) Params {
+	p, err := ParamsFor(n, eps, c)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// ParamsFor is NewParams for untrusted input: it rejects n < 2, eps
+// outside (0, 0.5] (NaN included) and an eps so small that a phase would
+// exceed maxPhaseRounds.
+func ParamsFor(n int, eps float64, c Constants) (Params, error) {
 	if n < 2 {
-		panic(fmt.Sprintf("core: NewParams with n = %d", n))
+		return Params{}, fmt.Errorf("core: population %d < 2", n)
 	}
 	if !(0 < eps && eps <= 0.5) {
-		panic(fmt.Sprintf("core: NewParams with eps = %v", eps))
+		return Params{}, fmt.Errorf("core: epsilon %v outside (0, 0.5]", eps)
 	}
 	log2n := math.Log2(float64(n))
 	if log2n < 1 {
 		log2n = 1
 	}
 	inv := 1 / (eps * eps)
+	for _, x := range []float64{c.S * inv * log2n, c.B * inv, c.F * inv * log2n, c.R * inv, c.Fin * inv * log2n} {
+		if !(x <= maxPhaseRounds) {
+			return Params{}, fmt.Errorf("core: eps = %v needs a phase of %.3g rounds (limit %d)", eps, x, maxPhaseRounds)
+		}
+	}
 
 	betaS := ceilAtLeast(c.S*inv*log2n, 1)
 	beta := ceilAtLeast(c.B*inv, 1)
@@ -219,7 +242,7 @@ func NewParams(n int, eps float64, c Constants) Params {
 		Gamma:      gamma,
 		K:          k,
 		GammaFinal: gammaFinal,
-	}
+	}, nil
 }
 
 func ceilAtLeast(x float64, min int) int {

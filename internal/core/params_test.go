@@ -34,8 +34,13 @@ func TestNewParamsPanics(t *testing.T) {
 	cases := []struct {
 		n   int
 		eps float64
-	}{{1, 0.3}, {100, 0}, {100, -0.1}, {100, 0.6}, {100, math.NaN()}, {100, math.Inf(1)}}
+	}{{1, 0.3}, {100, 0}, {100, -0.1}, {100, 0.6}, {100, math.NaN()}, {100, math.Inf(1)},
+		// A schedule past int, and an eps below which 1/2 − ε rounds to 1/2.
+		{64, 1e-12}, {64, 1e-300}}
 	for _, c := range cases {
+		if _, err := ParamsFor(c.n, c.eps, DefaultConstants); err == nil {
+			t.Errorf("ParamsFor(%d, %v) returned no error", c.n, c.eps)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -44,6 +49,18 @@ func TestNewParamsPanics(t *testing.T) {
 			}()
 			NewParams(c.n, c.eps, DefaultConstants)
 		}()
+	}
+}
+
+// TestParamsForSmallEps: a small eps that still fits yields a valid,
+// positive schedule.
+func TestParamsForSmallEps(t *testing.T) {
+	p, err := ParamsFor(64, 1e-6, DefaultConstants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil || p.TotalRounds() < int(1e12) {
+		t.Fatalf("eps 1e-6: %v, %d rounds", err, p.TotalRounds())
 	}
 }
 

@@ -90,7 +90,7 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 		p := newProto(sc.consensus)
 		checked := 0
 		cfg := sim.Config{
-			N: n, Channel: channel.FromEpsilon(0.3), Seed: 9, Kernel: sim.KernelBatched,
+			N: n, Channel: channel.FromEpsilon(0.3), Seed: 9,
 			Observer: func(round int, _ *sim.Engine) {
 				checkIndexRound(t, p, n, round+1)
 				checked++
@@ -145,7 +145,7 @@ func TestSetupReusesCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(sim.Config{
-		N: n, Channel: channel.FromEpsilon(0.3), Seed: 2, Kernel: sim.KernelBatched,
+		N: n, Channel: channel.FromEpsilon(0.3), Seed: 2,
 	}, p); err != nil {
 		t.Fatal(err)
 	}

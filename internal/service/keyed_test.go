@@ -20,7 +20,7 @@ func TestKeyedCacheIsKernelBlind(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	first := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed, Kernel: api.KernelBatched}
+	first := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed, Kernel: api.KernelAuto}
 	j1, err := s.Submit(first)
 	if err != nil {
 		t.Fatal(err)
@@ -124,5 +124,46 @@ func TestLegacyScheduleRejected(t *testing.T) {
 	}
 	if st := s.Stats(); st.Executed != 0 {
 		t.Errorf("rejected request executed %d runs", st.Executed)
+	}
+}
+
+// TestRetiredKnobsRejected: the retired kernel value "batched" and the
+// retired sparse_cutover field, like an eps too small for the schedule
+// or the channel, are answered with 400 and an error naming the problem;
+// nothing executes and the service keeps serving.
+func TestRetiredKnobsRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(NewHTTPHandler(s))
+	defer srv.Close()
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: body is not JSON: %v", body, err)
+		}
+		return resp.StatusCode, out
+	}
+	for _, tc := range []struct{ body, names string }{
+		{`{"n": 512, "seed": 1, "kernel": "batched"}`, "per-agent"},
+		{`{"n": 512, "seed": 1, "sparse_cutover": -1}`, "sparse_cutover"},
+		{`{"n": 64, "eps": 1e-300}`, "eps"},
+		{`{"n": 64, "eps": 1e-12}`, "eps"},
+	} {
+		code, out := post(tc.body)
+		if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, tc.names) {
+			t.Errorf("%s: HTTP %d %v, want 400 naming %q", tc.body, code, out, tc.names)
+		}
+	}
+	if st := s.Stats(); st.Executed != 0 {
+		t.Errorf("rejected requests executed %d runs", st.Executed)
+	}
+	if code, out := post(`{"n": 64, "seed": 1}`); code != http.StatusAccepted && code != http.StatusOK {
+		t.Errorf("valid request after rejections: HTTP %d %v", code, out)
 	}
 }

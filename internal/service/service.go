@@ -458,7 +458,10 @@ func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry
 	}
 	ex.setState(StateRunning)
 
-	run, err := ex.req.Build()
+	// A panic while building or running (an engine precondition Validate
+	// could not see, or a protocol bug) must fail the one job, not take
+	// down the daemon.
+	run, err := recovered("build", ex.req.Build)
 	if err != nil {
 		ex.fail(StateFailed, err, 0)
 		return
@@ -501,20 +504,12 @@ func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry
 		eng.SetObserverEvery(0)
 	}
 
-	// A panicking run (an engine precondition Validate could not see, or
-	// a protocol bug) must fail the one job, not take down the daemon.
-	// The engine's state is suspect afterwards; drop it from the pool.
+	// After a kernel panic the engine's state is suspect; it is dropped
+	// from the pool below.
 	//breathe:walltime-ok wall-time metrics around the run, outside the kernel
 	start := time.Now()
 	s.enginesBusy.Add(1)
-	res, runErr := func() (r sim.Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("service: kernel panicked: %v", p)
-			}
-		}()
-		return eng.Run(proto), nil
-	}()
+	res, runErr := recovered("kernel", func() (sim.Result, error) { return eng.Run(proto), nil })
 	s.enginesBusy.Add(-1)
 	//breathe:walltime-ok wall-time metrics around the run, outside the kernel
 	wall := time.Since(start)
@@ -549,6 +544,16 @@ func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry
 	// behaviour, not the (deterministic) result.
 	s.cache.put(&cacheEntry{hash: ex.hash, resp: &resp, raw: raw, points: points, every: ex.req.TrajectoryEvery})
 	ex.finish(&resp, raw, traceBytes, wall)
+}
+
+// recovered calls f, turning a panic into an error naming the stage.
+func recovered[T any](stage string, f func() (T, error)) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("service: %s panicked: %v", stage, p)
+		}
+	}()
+	return f()
 }
 
 // finalize retires an execution: removes it from the single-flight set

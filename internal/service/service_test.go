@@ -454,6 +454,9 @@ func TestValidationAndLimits(t *testing.T) {
 		{N: 256, CrashProb: math.NaN()},
 		{N: 256, DropProb: math.Inf(1)},
 		{N: 256, Protocol: api.ProtoConsensus, ABias: math.NaN()},
+		// 1/2 − ε rounds to 1/2, and a schedule that overflows int.
+		{N: 64, Eps: 1e-300},
+		{N: 64, Eps: 1e-12},
 	}
 	for _, req := range invalid {
 		if _, err := s.Submit(req); err == nil {
@@ -550,5 +553,17 @@ func TestResubmitAfterDoneIsCacheHit(t *testing.T) {
 		if !j2.Cached {
 			t.Fatalf("seed %d: resubmission after Done was not a cache hit (state %s)", seed, j2.State())
 		}
+	}
+}
+
+// TestRecoveredTurnsPanicIntoError: a panic in a guarded stage becomes
+// the job's error, naming the stage, instead of unwinding the worker.
+func TestRecoveredTurnsPanicIntoError(t *testing.T) {
+	v, err := recovered("build", func() (int, error) { panic("boom") })
+	if v != 0 || err == nil || err.Error() != "service: build panicked: boom" {
+		t.Fatalf("recovered = %v, %v", v, err)
+	}
+	if v, err := recovered("kernel", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("recovered without panic = %v, %v", v, err)
 	}
 }

@@ -59,12 +59,6 @@ const (
 	// Beyond it KernelAuto runs the per-agent collection mechanism; the
 	// regime accounting records those rounds as PerAgent.
 	maxBulkN = 1 << 28
-	// MaxBatchedN is maxBulkN for callers outside the package: populations
-	// of this size or larger cannot run on the batched kernel, so
-	// Config.Kernel = KernelBatched panics for them (KernelAuto falls back
-	// to the per-agent path, visibly via Result.Paths). Admission layers
-	// should validate against it instead of letting Run panic.
-	MaxBatchedN = maxBulkN
 	// denseMinMessages gates the tree regime: below it the scatter regime
 	// is at least as fast and the per-bucket sampling overhead is not
 	// worth amortizing.

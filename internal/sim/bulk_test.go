@@ -123,28 +123,31 @@ func TestResetMatchesFreshEngineBatched(t *testing.T) {
 	}
 }
 
-func TestKernelBatchedPanicsWithoutBulkProtocol(t *testing.T) {
-	e, err := NewEngine(Config{N: 16, Channel: channel.Noiseless{}, Seed: 1, Kernel: KernelBatched})
+// TestKernelAutoFallsBackWithoutBulkProtocol: a protocol without the
+// batched capability runs on per-agent collection, visibly in the path
+// counters.
+func TestKernelAutoFallsBackWithoutBulkProtocol(t *testing.T) {
+	res, err := Run(Config{N: 16, Channel: channel.Noiseless{}, Seed: 1}, &chatter{rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("KernelBatched with a plain Protocol did not panic")
-		}
-	}()
-	e.Run(&chatter{rounds: 1})
+	if res.Paths.PerAgent != int64(res.Rounds) {
+		t.Fatalf("plain Protocol ran %+v over %d rounds, want every round per-agent", res.Paths, res.Rounds)
+	}
 }
 
 func TestBatchedDeterminism(t *testing.T) {
 	for _, self := range []bool{false, true} {
 		cfg := Config{
 			N: 400, Channel: channel.FromEpsilon(0.3), Seed: 42,
-			AllowSelfMessages: self, Kernel: KernelBatched,
+			AllowSelfMessages: self,
 		}
 		r1, err := Run(cfg, &bulkChatter{rounds: 60})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r1.Paths.PerAgent != 0 {
+			t.Fatalf("self=%v: fell back to per-agent collection: %+v", self, r1.Paths)
 		}
 		r2, _ := Run(cfg, &bulkChatter{rounds: 60})
 		if r1 != r2 {
@@ -163,10 +166,13 @@ func TestBatchedAcceptRateMatchesTheory(t *testing.T) {
 	// agent-round is 1 − (1−1/(n−1))^(n−1), as in the per-agent path test.
 	const n, rounds = 200, 400
 	res, err := Run(Config{
-		N: n, Channel: channel.Noiseless{}, Seed: 11, Kernel: KernelBatched,
+		N: n, Channel: channel.Noiseless{}, Seed: 11,
 	}, &bulkChatter{rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Paths.PerAgent != 0 {
+		t.Fatalf("fell back to per-agent collection: %+v", res.Paths)
 	}
 	got := float64(res.MessagesAccepted) / float64(n*rounds)
 	want := 1 - math.Pow(1-1.0/(n-1), n-1)
@@ -181,10 +187,13 @@ func TestDenseAcceptRateMatchesTheory(t *testing.T) {
 	const n, rounds = 512, 400
 	res, err := Run(Config{
 		N: n, Channel: channel.Noiseless{}, Seed: 13,
-		AllowSelfMessages: true, Kernel: KernelBatched,
+		AllowSelfMessages: true,
 	}, &bulkChatter{rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Paths.PerAgent != 0 {
+		t.Fatalf("fell back to per-agent collection: %+v", res.Paths)
 	}
 	got := float64(res.MessagesAccepted) / float64(n*rounds)
 	want := 1 - math.Pow(1-1.0/n, n)
@@ -206,7 +215,7 @@ func TestDenseCollisionResolutionUnbiased(t *testing.T) {
 	p := &bulkChatter{rounds: rounds}
 	_, err := Run(Config{
 		N: n, Channel: channel.Noiseless{}, Seed: 17,
-		AllowSelfMessages: true, Kernel: KernelBatched,
+		AllowSelfMessages: true,
 	}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +238,7 @@ func TestDenseNoiseRateMatchesChannel(t *testing.T) {
 	p := &allOnesBulk{bulkChatter{rounds: rounds}}
 	_, err := Run(Config{
 		N: n, Channel: channel.NewBSC(0.2), Seed: 19,
-		AllowSelfMessages: true, Kernel: KernelBatched,
+		AllowSelfMessages: true,
 	}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +273,13 @@ func TestBatchedNoSelfDelivery(t *testing.T) {
 	const rounds = 200
 	p := &bulkChatter{rounds: rounds}
 	res, err := Run(Config{
-		N: 2, Channel: channel.Noiseless{}, Seed: 3, Kernel: KernelBatched,
+		N: 2, Channel: channel.Noiseless{}, Seed: 3,
 	}, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Paths.PerAgent != 0 {
+		t.Fatalf("fell back to per-agent collection: %+v", res.Paths)
 	}
 	if res.MessagesAccepted != 2*rounds {
 		t.Fatalf("accepted %d of %d", res.MessagesAccepted, 2*rounds)
@@ -284,10 +296,13 @@ func TestBatchedDropProb(t *testing.T) {
 		const n, rounds = 512, 100
 		res, err := Run(Config{
 			N: n, Channel: channel.Noiseless{}, Seed: 13, DropProb: 0.5,
-			AllowSelfMessages: self, Kernel: KernelBatched,
+			AllowSelfMessages: self,
 		}, &bulkChatter{rounds: rounds})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Paths.PerAgent != 0 {
+			t.Fatalf("self=%v: fell back to per-agent collection: %+v", self, res.Paths)
 		}
 		minDropped := int64(float64(n*rounds) * 0.45)
 		if res.MessagesDropped < minDropped {
@@ -307,7 +322,7 @@ func TestBatchedCrashAtSemantics(t *testing.T) {
 	crashed := []int{3, 7, 100}
 	const n, rounds = 256, 80
 	plan := NewCrashAt(0, crashed...)
-	for _, kernel := range []Kernel{KernelPerAgent, KernelBatched} {
+	for _, kernel := range []Kernel{KernelPerAgent, KernelAuto} {
 		for _, self := range []bool{false, true} {
 			p := &bulkChatter{rounds: rounds}
 			res, err := Run(Config{
@@ -335,7 +350,7 @@ func TestBatchedCrashAtSemantics(t *testing.T) {
 func TestBatchedCrashDeterminism(t *testing.T) {
 	cfg := Config{
 		N: 200, Channel: channel.FromEpsilon(0.3), Seed: 31,
-		Failures: NewCrashAt(10, 1, 2, 3, 50, 51), Kernel: KernelBatched,
+		Failures: NewCrashAt(10, 1, 2, 3, 50, 51),
 	}
 	r1, err := Run(cfg, &bulkChatter{rounds: 50})
 	if err != nil {

@@ -216,7 +216,7 @@ func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 					for ci, c := range []struct {
 						kernel Kernel
 						shards int
-					}{{KernelBatched, 1}, {KernelBatched, 4}, {KernelPerAgent, 1}, {KernelPerAgent, 4}} {
+					}{{KernelAuto, 1}, {KernelAuto, 4}, {KernelPerAgent, 1}, {KernelPerAgent, 4}} {
 						name := fmt.Sprintf("n=%d/%s/round=%d/%s/kernel=%d/shards=%d", n, pc.name, round, rc.name, c.kernel, c.shards)
 						p := rc.proto()
 						var prev []uint64

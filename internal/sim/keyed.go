@@ -71,7 +71,6 @@ package sim
 // counter already at 65535 goes to the bucket's spill list.
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -146,15 +145,11 @@ type keyedState struct {
 var keyedBucketOrder func(buckets int) []int
 
 // prepareKeyed decides the run's capabilities. Nothing here depends on
-// Config.Kernel except the KernelBatched capability check: the kernel only
-// selects the collection/delivery mechanism inside stepKeyed.
+// Config.Kernel: the kernel only selects the collection/delivery
+// mechanism inside stepKeyed.
 func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	bp, ok := p.(BulkProtocol)
 	capable := ok && bp.BulkEnabled() && e.cfg.N < maxBulkN
-	if e.cfg.Kernel == KernelBatched && !capable {
-		panic(fmt.Sprintf("sim: KernelBatched requires a bulk-capable protocol and config (protocol %q, bulk=%v, n=%d)",
-			p.Name(), ok, e.cfg.N))
-	}
 	if e.keyed == nil {
 		e.keyed = &keyedState{}
 	}
@@ -241,30 +236,30 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 		e.paths.PerAgent++
 		e.keyedScatter(p, nil, false, zeros, ones, round)
 	case k.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
-		// The sparse/dense/sharded accounting split is a pure function of
-		// (n, m, declared active set) — the sparse leg consults the
-		// protocol's SenderIndex, never the kernel — so path counters
-		// agree byte-for-byte across kernels, worker counts and the
-		// SparseCutover knob. The executor choice below is the only thing
-		// the knob steers, and the walker reproduces the tree's bits
-		// exactly (sparse.go).
+		// The sparse/dense/sharded split is a pure function of (n, m,
+		// declared active set) — the sparse leg consults the protocol's
+		// SenderIndex, never the kernel — so path counters agree
+		// byte-for-byte across kernels and worker counts. The walker
+		// reproduces the tree's bits exactly (sparse.go).
 		declared := -1
 		if k.senderIdx != nil {
 			declared = k.senderIdx.ActiveSenders(round)
 		}
 		sharded := k.vshards >= 2 && m >= shardMinMessages
 		switch {
-		case e.sparseAccounted(declared):
+		case e.sparseRound(declared):
 			e.paths.Sparse++
+			if keyedWalkerOff {
+				e.keyedTree(len(zeros), len(ones), round, sharded)
+			} else {
+				e.keyedSparse(len(zeros), len(ones), round)
+			}
 		case sharded:
 			e.paths.Sharded++
+			e.keyedTree(len(zeros), len(ones), round, true)
 		default:
 			e.paths.Dense++
-		}
-		if e.sparseExec(declared) {
-			e.keyedSparse(len(zeros), len(ones), round)
-		} else {
-			e.keyedTree(len(zeros), len(ones), round, sharded)
+			e.keyedTree(len(zeros), len(ones), round, false)
 		}
 	default:
 		e.paths.PerMessage++
@@ -289,10 +284,7 @@ func (e *Engine) quietAdvance() {
 // prepareQuietSkip arms the run's quiet-span skipping for a protocol
 // with a span oracle.
 func (e *Engine) prepareQuietSkip(p Protocol) {
-	e.spanner = nil
-	if !e.cfg.NoQuietSkip {
-		e.spanner, _ = p.(QuietSpanner)
-	}
+	e.spanner, _ = p.(QuietSpanner)
 }
 
 // skipQuietSpan advances the round cursor to next — the first round that

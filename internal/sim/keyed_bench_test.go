@@ -19,7 +19,7 @@ func BenchmarkKeyedDenseRound(b *testing.B) {
 	p := &bulkChatter{rounds: 1 << 30}
 	cfg := Config{
 		N: 1_000_000, Channel: channel.NewBSC(0.2), Seed: 1,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 		MaxRounds: 1 << 30,
 	}
 	e, err := NewEngine(cfg)
@@ -42,8 +42,7 @@ func BenchmarkShardedKernelSpeedup(b *testing.B) {
 	run := func(shards int) float64 {
 		e, err := NewEngine(Config{
 			N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-			AllowSelfMessages: true, Kernel: KernelBatched,
-			Shards: shards, MaxRounds: 1 << 30,
+			AllowSelfMessages: true, Shards: shards, MaxRounds: 1 << 30,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -52,8 +51,8 @@ func BenchmarkShardedKernelSpeedup(b *testing.B) {
 		start := time.Now() //breathe:walltime-ok benchmark wall-clock measurement, never folded into results
 		e.Run(p)
 		wall := time.Since(start) //breathe:walltime-ok benchmark wall-clock measurement, never folded into results
-		if e.ShardedRounds() != rounds {
-			b.Fatalf("shards=%d: %d of %d rounds sharded", shards, e.ShardedRounds(), rounds)
+		if s := e.Paths().Sharded; s != rounds {
+			b.Fatalf("shards=%d: %d of %d rounds sharded", shards, s, rounds)
 		}
 		return float64(wall.Nanoseconds()) / (float64(n) * rounds)
 	}
@@ -76,7 +75,7 @@ func BenchmarkKeyedScatterRound(b *testing.B) {
 		b.Run(fmt.Sprintf("crash=%g", crash), func(b *testing.B) {
 			cfg := Config{
 				N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-				Kernel: KernelBatched, MaxRounds: 1 << 30,
+				MaxRounds: 1 << 30,
 			}
 			if crash > 0 {
 				cfg.Failures = NewRandomCrashesKeyed(n, crash, 0, rng.NewKey(1), 0)
@@ -103,7 +102,7 @@ func BenchmarkKeyedTreeRound(b *testing.B) {
 	const n = 1 << 17
 	e, err := NewEngine(Config{
 		N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 		MaxRounds: 1 << 30,
 	})
 	if err != nil {
@@ -129,8 +128,7 @@ func BenchmarkKeyedSparseRound(b *testing.B) {
 		b.Run(fmt.Sprintf("crash=%g", crash), func(b *testing.B) {
 			cfg := Config{
 				N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-				AllowSelfMessages: true, Kernel: KernelBatched,
-				MaxRounds: 1 << 30,
+				AllowSelfMessages: true, MaxRounds: 1 << 30,
 			}
 			p := &sparseChatter{rounds: b.N, k: k}
 			if crash > 0 {

@@ -115,7 +115,7 @@ func TestKeyedGoldenScatter(t *testing.T) {
 				MaxRounds:         pCrash.StageIRounds() + 40,
 			},
 			proto:   goldenBroadcast(t, nCrash),
-			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched},
+			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
 			want:    "b18184f719534690769a5c6d1b7338f3d108e7210429573311cc274c4de76c3b",
 		},
 		{
@@ -126,7 +126,7 @@ func TestKeyedGoldenScatter(t *testing.T) {
 				MaxRounds:         pHet.StageIRounds() + 40,
 			},
 			proto:   goldenBroadcast(t, nHet),
-			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched},
+			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
 			want:    "19827ffd940592cc0c5ab124b97dd1814fb3cda822ba3a3c8ea084beacc9d9a3",
 		},
 	}
@@ -180,7 +180,7 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 			Failures:          sim.NewRandomCrashesKeyed(n, 0.95, 0, rng.NewKey(75), 0),
 		},
 		proto:   goldenBroadcast(t, n),
-		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched},
+		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
 		check: func(t *testing.T, res sim.Result) {
 			if res.Paths.Sparse == 0 {
 				t.Errorf("no sparse rounds: %+v", res.Paths)
@@ -210,7 +210,7 @@ func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 			}
 			return p
 		},
-		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelBatched},
+		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
 		want:    "7c001198f718943d69093474c506ff792338b2c36502e299e9892491a128e738",
 	})
 }

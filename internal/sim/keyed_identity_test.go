@@ -1,10 +1,10 @@
 // Cross-kernel bit-identity of the keyed draw schedule: every execution
-// strategy — per-agent collection, the batched kernel at any worker
-// count, and auto —
-// must produce byte-identical results, message accounting, path counters
-// and final per-agent opinions for a fixed (config, seed). This is the
-// guarantee that demotes Config.Kernel to a pure performance knob and
-// lets the service cache serve one kernel's result to another's request.
+// strategy — per-agent collection and auto, at any worker count, and a
+// repeated run — must produce byte-identical results, message
+// accounting, path counters and final per-agent opinions for a fixed
+// (config, seed). This is the guarantee that demotes Config.Kernel and
+// Config.Shards to pure performance knobs and lets the service cache
+// serve one kernel's result to another's request.
 package sim_test
 
 import (
@@ -47,29 +47,49 @@ func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol)
 }
 
 // assertKernelInvariance runs the scenario under every kernel × worker
-// count and demands bit-identical outcomes, including the Paths counters:
-// under the keyed schedule the sampling regime is a pure function of the
-// round, not of the kernel, so even the path breakdown must agree.
-func assertKernelInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) {
+// count, plus a repeat of the reference, and demands bit-identical
+// outcomes, including the Paths counters: the sampling regime is a pure
+// function of the round, not of the kernel, so even the path breakdown
+// must agree. It returns the reference Result.
+func assertKernelInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) sim.Result {
 	t.Helper()
 	cfg.Kernel = sim.KernelAuto
 	cfg.Shards = 1
 	refRes, refFP := keyedFingerprint(t, cfg, factory)
 	t.Logf("%s: %d rounds, paths %+v, %d messages", name, refRes.Rounds, refRes.Paths, refRes.MessagesSent)
-	for _, kernel := range []sim.Kernel{sim.KernelAuto, sim.KernelPerAgent, sim.KernelBatched} {
-		for _, shards := range []int{1, 2, 8} {
-			c := cfg
-			c.Kernel = kernel
-			c.Shards = shards
-			res, fp := keyedFingerprint(t, c, factory)
-			if res != refRes {
-				t.Fatalf("%s kernel=%v shards=%d: Result diverged:\n%+v\n%+v",
-					name, kernel, shards, res, refRes)
-			}
-			if fp != refFP {
-				t.Fatalf("%s kernel=%v shards=%d: final opinions diverged", name, kernel, shards)
-			}
+	type cell struct {
+		kernel sim.Kernel
+		shards int
+	}
+	var cells []cell
+	for _, kernel := range []sim.Kernel{sim.KernelAuto, sim.KernelPerAgent} {
+		for _, shards := range []int{1, 2, 3, 8} {
+			cells = append(cells, cell{kernel, shards})
 		}
+	}
+	cells = append(cells, cell{sim.KernelAuto, 1}) // repeat run
+	for _, c := range cells {
+		run := cfg
+		run.Kernel = c.kernel
+		run.Shards = c.shards
+		res, fp := keyedFingerprint(t, run, factory)
+		if res != refRes {
+			t.Fatalf("%s kernel=%v shards=%d: Result diverged:\n%+v\n%+v",
+				name, c.kernel, c.shards, res, refRes)
+		}
+		if fp != refFP {
+			t.Fatalf("%s kernel=%v shards=%d: final opinions diverged", name, c.kernel, c.shards)
+		}
+	}
+	return refRes
+}
+
+// requireSharded fails a scenario whose reference run never executed a
+// parallel tree round, so its worker-count cells compared nothing.
+func requireSharded(t *testing.T, ref sim.Result) {
+	t.Helper()
+	if ref.Paths.Sharded == 0 {
+		t.Fatalf("reference run executed no sharded round: %+v", ref.Paths)
 	}
 }
 
@@ -89,7 +109,7 @@ func TestKeyedKernelIdentityCoreBroadcast(t *testing.T) {
 		// paying for the full schedule in every cell of the matrix.
 		MaxRounds: params.StageIRounds() + 60,
 	}
-	assertKernelInvariance(t, "core-broadcast", cfg, factory)
+	requireSharded(t, assertKernelInvariance(t, "core-broadcast", cfg, factory))
 }
 
 func TestKeyedKernelIdentityConsensus(t *testing.T) {
@@ -111,7 +131,7 @@ func TestKeyedKernelIdentityConsensus(t *testing.T) {
 		AllowSelfMessages: true,
 		MaxRounds:         params.StageIRounds() + 60,
 	}
-	assertKernelInvariance(t, "consensus", cfg, factory)
+	requireSharded(t, assertKernelInvariance(t, "consensus", cfg, factory))
 }
 
 func TestKeyedKernelIdentityAsyncKnownOffsets(t *testing.T) {
@@ -133,7 +153,7 @@ func TestKeyedKernelIdentityAsyncKnownOffsets(t *testing.T) {
 		AllowSelfMessages: true,
 		MaxRounds:         probe.TotalRounds()*7/20 + 40,
 	}
-	assertKernelInvariance(t, "async-known-offsets", cfg, factory)
+	requireSharded(t, assertKernelInvariance(t, "async-known-offsets", cfg, factory))
 }
 
 func TestKeyedKernelIdentityAsyncSelfSync(t *testing.T) {
@@ -175,7 +195,7 @@ func TestKeyedKernelIdentityCrashPlan(t *testing.T) {
 		AllowSelfMessages: true, Failures: plan,
 		MaxRounds: params.StageIRounds() + 60,
 	}
-	assertKernelInvariance(t, "crash-plan", cfg, factory)
+	requireSharded(t, assertKernelInvariance(t, "crash-plan", cfg, factory))
 }
 
 // TestKeyedKernelIdentityScatterRegime forces the scatter regime for the

@@ -146,7 +146,7 @@ func (c *panicChannel) Name() string      { return "panic(" + c.inner.Name() + "
 func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	const n = 4096
 	cfg := Config{
-		N: n, Seed: 5, Kernel: KernelBatched,
+		N: n, Seed: 5,
 		Failures: NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0),
 	}
 	run := func(e *Engine) (Result, []uint64) {

@@ -35,7 +35,7 @@ func keyedTreeRun(t *testing.T, cfg Config, rounds int) (Result, []uint64) {
 func TestKeyedTreeWorkerCountInvariance(t *testing.T) {
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 77,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 	}
 	const rounds = 12
 	refRes, refAcc := keyedTreeRun(t, base, rounds)
@@ -70,7 +70,7 @@ func TestKeyedTreeWorkerCountInvariance(t *testing.T) {
 func TestKeyedTreeBucketOrderInvariance(t *testing.T) {
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 31,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 	}
 	const rounds = 10
 	refRes, refAcc := keyedTreeRun(t, base, rounds)
@@ -135,7 +135,7 @@ func TestKeyedAcceptRateMatchesTheory(t *testing.T) {
 	const rounds = 25
 	res, _ := keyedTreeRun(t, Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.5), Seed: 5,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 3,
+		AllowSelfMessages: true, Shards: 3,
 	}, rounds)
 	if res.Paths.Sharded == 0 {
 		t.Fatalf("run never took the sharded path: %+v", res.Paths)

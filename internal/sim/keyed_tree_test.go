@@ -171,7 +171,7 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 	const n = 1 << 16
 	base := Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 3,
-		AllowSelfMessages: true, Kernel: KernelBatched,
+		AllowSelfMessages: true,
 	}
 	thinned := NewRandomCrashesKeyed(n, 0.95, 0, rng.NewKey(3), 0)
 	for _, c := range []struct {
@@ -253,8 +253,7 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	} {
 		cfg := Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Shards: 1,
-			AllowSelfMessages: true, Kernel: KernelBatched,
-			Failures: plan,
+			AllowSelfMessages: true, Failures: plan,
 		}
 		run := func(e *Engine) (Result, []uint64) {
 			p := c.proto()

@@ -35,7 +35,6 @@ func hookFactory(t *testing.T) (sim.Config, func() sim.Protocol) {
 	cfg := sim.Config{
 		N: hookN, Channel: channel.FromEpsilon(0.3), Seed: 99,
 		AllowSelfMessages: true,
-		Kernel:            sim.KernelBatched,
 		// Deep enough into Stage II that sharded dense rounds execute.
 		MaxRounds: params.StageIRounds() + 48,
 	}
@@ -232,7 +231,7 @@ func TestPathRoundsAccounting(t *testing.T) {
 	base := sim.Config{N: 4096, Channel: channel.FromEpsilon(0.3), Seed: 11, AllowSelfMessages: true}
 
 	batched := base
-	batched.Kernel = sim.KernelBatched
+	batched.Kernel = sim.KernelAuto
 	res, err := sim.Run(batched, factory())
 	if err != nil {
 		t.Fatal(err)

@@ -61,6 +61,13 @@ func (p *spanProto) NextActive(g int) int {
 	return next
 }
 
+// disableSkip installs an observer without a declared cadence, which
+// makes the engine execute every round: the route to a round-by-round
+// reference run.
+func disableSkip(cfg *sim.Config) {
+	cfg.Observer = func(int, *sim.Engine) {}
+}
+
 func spanConfig(n int) sim.Config {
 	return sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 17,
@@ -88,7 +95,9 @@ func TestKeyedNonBulkQuietAccounting(t *testing.T) {
 	const period, total, senders = 5, 50, 3
 	for _, noskip := range []bool{false, true} {
 		cfg := spanConfig(64)
-		cfg.NoQuietSkip = noskip
+		if noskip {
+			disableSkip(&cfg)
+		}
 		res, spans := runSpan(t, cfg, &spanProto{period: period, total: total, senders: senders})
 		if res.Rounds != total || res.Truncated || res.Canceled {
 			t.Fatalf("noskip=%v: unexpected run shape %+v", noskip, res)
@@ -102,7 +111,7 @@ func TestKeyedNonBulkQuietAccounting(t *testing.T) {
 			t.Errorf("noskip=%v: %d messages sent, want %d", noskip, res.MessagesSent, 10*senders)
 		}
 		if noskip && spans != 0 {
-			t.Errorf("NoQuietSkip run skipped %d spans", spans)
+			t.Errorf("unskipped run skipped %d spans", spans)
 		}
 		if !noskip && spans == 0 {
 			t.Error("skip-enabled run skipped no spans")
@@ -134,7 +143,9 @@ func TestQuietSpanSkipEquivalence(t *testing.T) {
 		for i, noskip := range []bool{false, true} {
 			cfg := spanConfig(64)
 			tc.mutate(&cfg)
-			cfg.NoQuietSkip = noskip
+			if noskip {
+				disableSkip(&cfg)
+			}
 			results[i], spans[i] = runSpan(t, cfg, &spanProto{period: 10, total: 100, senders: 3})
 		}
 		if results[0] != results[1] {
@@ -144,7 +155,7 @@ func TestQuietSpanSkipEquivalence(t *testing.T) {
 			t.Errorf("%s: skip-enabled run skipped no spans", tc.name)
 		}
 		if spans[1] != 0 {
-			t.Errorf("%s: NoQuietSkip run skipped %d spans", tc.name, spans[1])
+			t.Errorf("%s: unskipped run skipped %d spans", tc.name, spans[1])
 		}
 	}
 }
@@ -205,14 +216,19 @@ func TestQuietSpanObserverCapping(t *testing.T) {
 		round int
 		sent  int64
 	}
-	run := func(noskip bool, everyDecl int) ([]sample, sim.Result, int64) {
+	// The observer acts on due rounds only and counts every call; the
+	// undeclared run is the round-by-round reference.
+	run := func(declare bool) ([]sample, int, sim.Result, int64) {
 		var samples []sample
+		calls := 0
 		cfg := spanConfig(64)
-		cfg.NoQuietSkip = noskip
-		cfg.ObserverEvery = everyDecl
+		if declare {
+			cfg.ObserverEvery = every
+		}
 		cfg.Observer = func(round int, e *sim.Engine) {
-			if everyDecl > 1 && round%everyDecl != 0 {
-				return // convention: undeclared rounds are ignored
+			calls++
+			if round%every != 0 {
+				return
 			}
 			samples = append(samples, sample{round, e.MessagesSent()})
 		}
@@ -221,11 +237,11 @@ func TestQuietSpanObserverCapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := e.Run(&spanProto{period: period, total: total, senders: senders})
-		return samples, res, e.QuietSpans()
+		return samples, calls, res, e.QuietSpans()
 	}
 
-	onSamples, onRes, onSpans := run(false, every)
-	offSamples, offRes, offSpans := run(true, every)
+	onSamples, _, onRes, onSpans := run(true)
+	offSamples, offCalls, offRes, offSpans := run(false)
 	if onRes != offRes {
 		t.Errorf("observed runs diverged:\n%+v\n%+v", onRes, offRes)
 	}
@@ -233,7 +249,10 @@ func TestQuietSpanObserverCapping(t *testing.T) {
 		t.Error("declared observer still disabled skipping")
 	}
 	if offSpans != 0 {
-		t.Errorf("NoQuietSkip run skipped %d spans", offSpans)
+		t.Errorf("undeclared observer: engine skipped %d spans", offSpans)
+	}
+	if offCalls != total {
+		t.Errorf("undeclared observer saw %d rounds, want %d", offCalls, total)
 	}
 	if len(onSamples) != len(offSamples) {
 		t.Fatalf("sample counts diverged: %d vs %d", len(onSamples), len(offSamples))
@@ -245,15 +264,6 @@ func TestQuietSpanObserverCapping(t *testing.T) {
 	}
 	if len(onSamples) != (total-1)/every+1 {
 		t.Errorf("%d due-round samples, want %d", len(onSamples), (total-1)/every+1)
-	}
-
-	// No ObserverEvery declaration: every round must execute.
-	allSamples, _, spans := run(false, 0)
-	if spans != 0 {
-		t.Errorf("undeclared observer: engine skipped %d spans", spans)
-	}
-	if len(allSamples) != total {
-		t.Errorf("undeclared observer saw %d rounds, want %d", len(allSamples), total)
 	}
 }
 

@@ -166,7 +166,7 @@ func meanAccepted(t *testing.T, cfg sim.Config, rounds, seeds int, ref bool, pla
 func TestBatchedMatchesPerAgentStatistically(t *testing.T) {
 	const n, rounds, seeds = 256, 120, 12
 	for _, self := range []bool{false, true} {
-		cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Kernel: sim.KernelBatched, AllowSelfMessages: self}
+		cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), AllowSelfMessages: self}
 		ref := meanAccepted(t, cfg, rounds, seeds, true, nil)
 		got := meanAccepted(t, cfg, rounds, seeds, false, nil)
 		if math.Abs(got-ref)/ref > 0.01 {
@@ -184,7 +184,7 @@ func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
 		return sim.NewRandomCrashes(n, 0.2, 40, rng.New(900+seed), 0)
 	}
 	for _, self := range []bool{false, true} {
-		cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Kernel: sim.KernelBatched, AllowSelfMessages: self}
+		cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), AllowSelfMessages: self}
 		ref := meanAccepted(t, cfg, rounds, seeds, true, plan)
 		got := meanAccepted(t, cfg, rounds, seeds, false, plan)
 		if math.Abs(got-ref)/ref > 0.01 {
@@ -198,7 +198,7 @@ func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
 func TestShardedMatchesPerAgentStatistically(t *testing.T) {
 	const rounds, seeds = 12, 6
 	n := sim.ShardTestN
-	cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Kernel: sim.KernelBatched, AllowSelfMessages: true, Shards: 3}
+	cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), AllowSelfMessages: true, Shards: 3}
 	ref := meanAccepted(t, cfg, rounds, seeds, true, nil)
 	got := meanAccepted(t, cfg, rounds, seeds, false, nil)
 	if math.Abs(got-ref)/ref > 0.005 {

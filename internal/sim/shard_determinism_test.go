@@ -8,7 +8,6 @@
 package sim_test
 
 import (
-	"hash/fnv"
 	"math"
 	"testing"
 
@@ -24,53 +23,24 @@ import (
 // the shards differently.
 const detN = 1 << 16
 
-// fingerprint runs cfg with a fresh protocol from factory and condenses
-// the outcome — the full Result plus every agent's final opinion — into a
-// comparable value.
-func fingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol) (sim.Result, uint64, int64) {
-	t.Helper()
-	e, err := sim.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := factory()
-	res := e.Run(p)
-	h := fnv.New64a()
-	var buf [2]byte
-	for a := 0; a < cfg.N; a++ {
-		bit, ok := p.Opinion(a)
-		buf[0] = byte(bit)
-		buf[1] = 0
-		if ok {
-			buf[1] = 1
-		}
-		h.Write(buf[:])
-	}
-	return res, h.Sum64(), e.ShardedRounds()
-}
-
 func assertShardInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) {
 	t.Helper()
-	cfg.Kernel = sim.KernelBatched
 	cfg.Shards = 1
-	refRes, refFP, sharded := fingerprint(t, cfg, factory)
-	if sharded == 0 {
+	refRes, refFP := keyedFingerprint(t, cfg, factory)
+	if refRes.Paths.Sharded == 0 {
 		t.Fatalf("%s: reference run never executed a sharded round (MaxRounds %d too small?)", name, cfg.MaxRounds)
 	}
-	t.Logf("%s: %d rounds, %d sharded, %d messages", name, refRes.Rounds, sharded, refRes.MessagesSent)
+	t.Logf("%s: %d rounds, %d sharded, %d messages", name, refRes.Rounds, refRes.Paths.Sharded, refRes.MessagesSent)
 	for _, shards := range []int{1, 2, 3, 8} {
 		c := cfg
 		c.Shards = shards
 		for rep := 0; rep < 2; rep++ {
-			res, fp, sh := fingerprint(t, c, factory)
+			res, fp := keyedFingerprint(t, c, factory)
 			if res != refRes {
 				t.Fatalf("%s Shards=%d rep %d: Result diverged:\n%+v\n%+v", name, shards, rep, res, refRes)
 			}
 			if fp != refFP {
 				t.Fatalf("%s Shards=%d rep %d: final opinions diverged", name, shards, rep)
-			}
-			if sh != sharded {
-				t.Fatalf("%s Shards=%d rep %d: %d sharded rounds, want %d", name, shards, rep, sh, sharded)
 			}
 		}
 	}

@@ -30,22 +30,6 @@ func TestNumShardsIsPureAndMonotone(t *testing.T) {
 	}
 }
 
-// shardedRun executes one bulkChatter run at the given shard (worker)
-// count and returns the result, the final accumulator state and the
-// number of sharded rounds.
-func shardedRun(t *testing.T, cfg Config, rounds int) (Result, []uint64, int64) {
-	t.Helper()
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &bulkChatter{rounds: rounds}
-	res := e.Run(p)
-	acc := make([]uint64, len(p.acc))
-	copy(acc, p.acc)
-	return res, acc, e.ShardedRounds()
-}
-
 // TestShardedDeterminismAcrossShardCounts is the heart of the sharded
 // kernel's contract: for a fixed (config, seed), every worker count —
 // including the serial Shards = 1 — must produce byte-identical results
@@ -54,23 +38,20 @@ func shardedRun(t *testing.T, cfg Config, rounds int) (Result, []uint64, int64) 
 func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 77,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 	}
 	const rounds = 12
-	refRes, refAcc, sharded := shardedRun(t, base, rounds)
-	if sharded == 0 {
+	refRes, refAcc := keyedTreeRun(t, base, rounds)
+	if refRes.Paths.Sharded == 0 {
 		t.Fatal("reference run never took the sharded path")
 	}
 	for _, shards := range []int{1, 2, 3, 8} {
 		cfg := base
 		cfg.Shards = shards
 		for rep := 0; rep < 2; rep++ {
-			res, acc, sh := shardedRun(t, cfg, rounds)
+			res, acc := keyedTreeRun(t, cfg, rounds)
 			if res != refRes {
 				t.Fatalf("Shards=%d rep %d: Result diverged:\n%+v\n%+v", shards, rep, res, refRes)
-			}
-			if sh != sharded {
-				t.Fatalf("Shards=%d rep %d: %d sharded rounds, want %d", shards, rep, sh, sharded)
 			}
 			for a := range acc {
 				if acc[a] != refAcc[a] {
@@ -89,18 +70,18 @@ func TestShardedCrashDeterminismAcrossShardCounts(t *testing.T) {
 	plan := NewRandomCrashes(shardTestN, 0.1, 5, rng.New(4242), 0)
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 9,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 1,
+		AllowSelfMessages: true, Shards: 1,
 		Failures: plan, DropProb: 0.05,
 	}
 	const rounds = 12
-	refRes, refAcc, sharded := shardedRun(t, base, rounds)
-	if sharded == 0 {
+	refRes, refAcc := keyedTreeRun(t, base, rounds)
+	if refRes.Paths.Sharded == 0 {
 		t.Fatal("crash reference run never took the sharded path")
 	}
 	for _, shards := range []int{2, 3, 8} {
 		cfg := base
 		cfg.Shards = shards
-		res, acc, _ := shardedRun(t, cfg, rounds)
+		res, acc := keyedTreeRun(t, cfg, rounds)
 		if res != refRes {
 			t.Fatalf("Shards=%d: crash Result diverged:\n%+v\n%+v", shards, res, refRes)
 		}
@@ -117,12 +98,12 @@ func TestShardedCrashDeterminismAcrossShardCounts(t *testing.T) {
 // the serial dense path.
 func TestShardedAcceptRateMatchesTheory(t *testing.T) {
 	const rounds = 25
-	res, _, sharded := shardedRun(t, Config{
+	res, _ := keyedTreeRun(t, Config{
 		N: shardTestN, Channel: channel.Noiseless{}, Seed: 21,
-		AllowSelfMessages: true, Kernel: KernelBatched,
+		AllowSelfMessages: true,
 	}, rounds)
-	if sharded != rounds {
-		t.Fatalf("%d of %d rounds sharded", sharded, rounds)
+	if res.Paths.Sharded != rounds {
+		t.Fatalf("%d of %d rounds sharded", res.Paths.Sharded, rounds)
 	}
 	got := float64(res.MessagesAccepted) / float64(shardTestN*rounds)
 	want := 1 - math.Pow(1-1.0/shardTestN, shardTestN)
@@ -141,13 +122,13 @@ func TestShardedNoiseRateMatchesChannel(t *testing.T) {
 	p := &allOnesBulk{bulkChatter{rounds: rounds}}
 	e, err := NewEngine(Config{
 		N: shardTestN, Channel: channel.NewBSC(0.2), Seed: 23,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 3,
+		AllowSelfMessages: true, Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run(p)
-	if e.ShardedRounds() == 0 {
+	if e.Paths().Sharded == 0 {
 		t.Fatal("run never took the sharded path")
 	}
 	var total, ones uint64
@@ -172,14 +153,14 @@ func TestShardedCrashSemantics(t *testing.T) {
 	p := &bulkChatter{rounds: rounds}
 	e, err := NewEngine(Config{
 		N: shardTestN, Channel: channel.Noiseless{}, Seed: 31,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 3,
+		AllowSelfMessages: true, Shards: 3,
 		Failures: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run(p)
-	if e.ShardedRounds() == 0 {
+	if e.Paths().Sharded == 0 {
 		t.Fatal("crash run never took the sharded path")
 	}
 	if want := int64((shardTestN - len(crashed)) * rounds); res.MessagesSent != want {
@@ -230,7 +211,7 @@ func TestKernelAutoBoundaryRuns(t *testing.T) {
 		p := &bulkChatter{rounds: 2}
 		e, err := NewEngine(Config{
 			N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-			AllowSelfMessages: true, Kernel: KernelBatched,
+			AllowSelfMessages: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -239,8 +220,8 @@ func TestKernelAutoBoundaryRuns(t *testing.T) {
 		if res.Rounds != 2 || res.MessagesSent != int64(2*n) {
 			t.Fatalf("n = %d: rounds %d messages %d", n, res.Rounds, res.MessagesSent)
 		}
-		if e.ShardedRounds() != 2 {
-			t.Fatalf("n = %d: %d sharded rounds, want 2", n, e.ShardedRounds())
+		if e.Paths().Sharded != 2 {
+			t.Fatalf("n = %d: %d sharded rounds, want 2", n, e.Paths().Sharded)
 		}
 		if res.MessagesAccepted+res.MessagesDropped != res.MessagesSent {
 			t.Fatalf("n = %d: conservation violated", n)
@@ -280,7 +261,7 @@ func TestPerMessageInboxWordCoversWidenedCap(t *testing.T) {
 func TestShardedEngineResetReuse(t *testing.T) {
 	cfg := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.25), Seed: 3,
-		AllowSelfMessages: true, Kernel: KernelBatched, Shards: 3,
+		AllowSelfMessages: true, Shards: 3,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

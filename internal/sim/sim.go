@@ -102,10 +102,6 @@ const (
 	// draw and one Transmit per message, on sequential streams), which the
 	// regimes are checked against in distribution.
 	KernelPerAgent
-	// KernelBatched requires the batched kernel; Run panics with a clear
-	// message when the protocol or configuration cannot support it. Use
-	// it in tests and benchmarks that must not silently fall back.
-	KernelBatched
 )
 
 // Config assembles a simulation run.
@@ -141,11 +137,6 @@ type Config struct {
 	// installed the engine then executes every round. Ignored when
 	// Observer is nil.
 	ObserverEvery int
-	// NoQuietSkip disables O(1) quiet-span skipping, forcing every quiet
-	// round to execute individually. A pure performance knob for
-	// benchmarks and equivalence tests: results are bit-identical either
-	// way (quietspan_test.go pins it).
-	NoQuietSkip bool
 	// Cancel, if non-nil, aborts the run when it becomes readable (closed
 	// or sent to): the engine polls it at the per-round barrier — after a
 	// round's deliveries and observer, before the next round starts — on
@@ -175,15 +166,6 @@ type Config struct {
 	// parallelize across seeds (RunSeeds) typically set Shards: 1 to avoid
 	// oversubscription.
 	Shards int
-	// SparseCutover steers the sparse walker's executor cutover (see
-	// sparse.go): 0 (the default) runs the walker on tree-eligible rounds
-	// whose declared active set k satisfies k·64 < n, a positive value
-	// substitutes its own ratio (k·c < n), and -1 disables the walker so
-	// the dense sweep runs every such round. A pure performance knob like
-	// Shards: results are bit-identical for every value, and the sparse
-	// *accounting* in Result.Paths always uses the fixed default ratio, so
-	// the counters never move either.
-	SparseCutover int
 }
 
 func (c Config) validate() error {
@@ -204,9 +186,6 @@ func (c Config) validate() error {
 	}
 	if c.ObserverEvery < 0 {
 		return fmt.Errorf("sim: negative ObserverEvery %d", c.ObserverEvery)
-	}
-	if c.SparseCutover < -1 {
-		return fmt.Errorf("sim: SparseCutover %d < -1 (use -1 to disable the sparse walker)", c.SparseCutover)
 	}
 	return nil
 }
@@ -239,10 +218,8 @@ type PathRounds struct {
 	// least shardMinMessages messages) to sweep their buckets in parallel.
 	Sharded int64 `json:"sharded,omitempty"`
 	// Sparse counts tree-eligible rounds whose protocol declared a small
-	// active set (SenderIndex with k·64 < n). Like every other counter the
-	// accounting is kernel-independent; whether the sparse walker or the
-	// dense sweep executed the round is a pure performance choice
-	// (Config.SparseCutover) that never moves it.
+	// active set (SenderIndex with k·64 < n); the sparse walker executes
+	// them. Like every other counter the accounting is kernel-independent.
 	Sparse int64 `json:"sparse,omitempty"`
 }
 
@@ -487,11 +464,6 @@ func (e *Engine) MessagesDropped() int64 { return e.dropped }
 // Paths returns the per-kernel-path round counts so far (valid inside
 // Observer callbacks; the full-run breakdown is in Result.Paths).
 func (e *Engine) Paths() PathRounds { return e.paths }
-
-// ShardedRounds reports how many rounds so far executed as parallel tree
-// rounds (diagnostics and tests; the count is a pure function of the
-// run, independent of Config.Shards).
-func (e *Engine) ShardedRounds() int64 { return e.paths.Sharded }
 
 // QuietSpans reports how many quiet spans the run skipped in O(1) (a
 // QuietSpanner protocol; see skipQuietSpan). Diagnostics only: the count

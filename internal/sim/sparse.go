@@ -30,11 +30,10 @@ package sim
 // touched, live ones as they resolve and crashed ones as it compacts
 // them out.
 //
-// Like the dense/sharded split, the *accounting* (PathRounds.Sparse) is
-// a fixed pure function of (declared k, n, message count, protocol
+// Like the dense/sharded split, the choice (PathRounds.Sparse) is a
+// fixed pure function of (declared k, n, message count, protocol
 // capability) — never of Config.Kernel or any performance knob — so
 // path counters agree byte-for-byte across every execution choice.
-// Config.SparseCutover only steers which executor runs the round.
 
 import (
 	"breathe/internal/rng"
@@ -53,13 +52,10 @@ type SenderIndex interface {
 	ActiveSenders(round int) int
 }
 
-// sparseRegimeCutover is the fixed k-vs-n ratio of the sparse regime
-// accounting: a tree-eligible round counts as sparse when the declared
-// active set satisfies k·64 < n, i.e. under one sender per 64 agents the
-// dense sweep visits ≥ 64 slots per live message and the walker wins by
-// a wide margin. The constant is part of the accounting function and
-// deliberately not configurable — Config.SparseCutover overrides only
-// the executor choice.
+// sparseRegimeCutover is the fixed k-vs-n ratio of the sparse regime: a
+// tree-eligible round is sparse when the declared active set satisfies
+// k·64 < n, i.e. under one sender per 64 agents the dense sweep visits
+// ≥ 64 slots per live message and the walker wins by a wide margin.
 const sparseRegimeCutover = 64
 
 // sparseBucket records one occupied bucket of a sparse round's split:
@@ -68,28 +64,18 @@ type sparseBucket struct {
 	j, c0, c1 int32
 }
 
-// sparseAccounted is the sparse regime's accounting predicate for a
-// tree-eligible round (see stepKeyed): a pure function of the declared
-// active-set size and n, independent of kernel, shard count and the
-// SparseCutover knob.
-func (e *Engine) sparseAccounted(declared int) bool {
+// sparseRound is the sparse regime's predicate for a tree-eligible round
+// (see stepKeyed): a pure function of the declared active-set size and
+// n, independent of kernel and shard count. It both counts the round as
+// sparse and has the walker execute it.
+func (e *Engine) sparseRound(declared int) bool {
 	return declared >= 0 && int64(declared)*sparseRegimeCutover < int64(e.cfg.N)
 }
 
-// sparseExec decides whether the walker executes this sparse-eligible
-// round. Pure performance: Config.SparseCutover < 0 disables the walker
-// (the dense sweep runs, bits unchanged), 0 applies the default ratio,
-// and a positive value substitutes its own k-vs-n ratio.
-func (e *Engine) sparseExec(declared int) bool {
-	if declared < 0 || e.cfg.SparseCutover < 0 {
-		return false
-	}
-	cut := int64(e.cfg.SparseCutover)
-	if cut == 0 {
-		cut = sparseRegimeCutover
-	}
-	return int64(declared)*cut < int64(e.cfg.N)
-}
+// keyedWalkerOff is a test hook: when set, sparse rounds execute on the
+// dense tree instead of the walker. Results must be identical either way
+// — that is the walker's contract, and sparse_test.go exercises it.
+var keyedWalkerOff bool
 
 // keyedSparse executes one tree round by walking only its active part:
 // the split chain up to the last message, then the occupied buckets'

@@ -83,8 +83,7 @@ func (c *sparseChatter) BulkAccumulators() []uint64 { return c.acc }
 func (c *sparseChatter) ActiveSenders(round int) int { return c.k }
 
 // sparseCfg is the shared scenario: k·64 < n with m ≥ denseMinMessages,
-// so keyed dense rounds are sparse-accounted and the walker executes by
-// default.
+// so keyed dense rounds are sparse and the walker executes them.
 func sparseCfg() Config {
 	return Config{
 		N: 65536, Channel: channel.FromEpsilon(0.3), Seed: 21,
@@ -104,11 +103,20 @@ func runSparse(t *testing.T, cfg Config) (Result, *sparseChatter) {
 	return res, p
 }
 
+// runTreeOnly is runSparse with the walker switched off, so the dense
+// tree executes the sparse rounds.
+func runTreeOnly(t *testing.T, cfg Config) (Result, *sparseChatter) {
+	t.Helper()
+	keyedWalkerOff = true
+	defer func() { keyedWalkerOff = false }()
+	return runSparse(t, cfg)
+}
+
 // TestSparseWalkerByteIdentity is the engine-level acceptance pin: the
-// sparse walker, the dense tree (walker disabled), every SparseCutover
-// value, both kernels and every shard count produce identical Results —
-// including the Paths accounting, which is a pure function of (declared
-// k, n) — and identical packed inbox state.
+// sparse walker, the dense tree (walker off), both kernels and every
+// shard count produce identical Results — including the Paths
+// accounting, which is a pure function of (declared k, n) — and
+// identical packed inbox state.
 func TestSparseWalkerByteIdentity(t *testing.T) {
 	ref, refP := runSparse(t, sparseCfg())
 	if ref.Paths.Sparse == 0 {
@@ -120,19 +128,18 @@ func TestSparseWalkerByteIdentity(t *testing.T) {
 	variants := []struct {
 		name string
 		mut  func(*Config)
+		run  func(*testing.T, Config) (Result, *sparseChatter)
 	}{
-		{"walker-off", func(c *Config) { c.SparseCutover = -1 }},
-		{"cutover-3", func(c *Config) { c.SparseCutover = 3 }},
-		{"cutover-huge", func(c *Config) { c.SparseCutover = 1 << 30 }},
-		{"shards-4", func(c *Config) { c.Shards = 4 }},
-		{"walker-off-shards-4", func(c *Config) { c.SparseCutover = -1; c.Shards = 4 }},
-		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }},
-		{"per-agent-walker-off", func(c *Config) { c.Kernel = KernelPerAgent; c.SparseCutover = -1 }},
+		{"walker-off", func(c *Config) {}, runTreeOnly},
+		{"shards-4", func(c *Config) { c.Shards = 4 }, runSparse},
+		{"walker-off-shards-4", func(c *Config) { c.Shards = 4 }, runTreeOnly},
+		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }, runSparse},
+		{"per-agent-walker-off", func(c *Config) { c.Kernel = KernelPerAgent }, runTreeOnly},
 	}
 	for _, v := range variants {
 		cfg := sparseCfg()
 		v.mut(&cfg)
-		got, gotP := runSparse(t, cfg)
+		got, gotP := v.run(t, cfg)
 		if got != ref {
 			t.Errorf("%s: Result diverged:\nref %+v\ngot %+v", v.name, ref, got)
 		}
@@ -158,15 +165,16 @@ func TestSparseWalkerCrashByteIdentity(t *testing.T) {
 	for _, v := range []struct {
 		name string
 		mut  func(*Config)
+		run  func(*testing.T, Config) (Result, *sparseChatter)
 	}{
-		{"walker-off", func(c *Config) { c.SparseCutover = -1 }},
-		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }},
-		{"shards-4", func(c *Config) { c.Shards = 4 }},
+		{"walker-off", func(c *Config) {}, runTreeOnly},
+		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }, runSparse},
+		{"shards-4", func(c *Config) { c.Shards = 4 }, runSparse},
 	} {
 		cfg := sparseCfg()
 		cfg.Failures = NewRandomCrashesKeyed(cfg.N, 0.4, 10, rng.NewKey(cfg.Seed), 0)
 		v.mut(&cfg)
-		got, gotP := runSparse(t, cfg)
+		got, gotP := v.run(t, cfg)
 		if got != ref {
 			t.Errorf("%s: Result diverged under crashes:\nref %+v\ngot %+v", v.name, ref, got)
 		}
@@ -205,23 +213,18 @@ func TestSparseWithFixedCrashPlan(t *testing.T) {
 	}
 }
 
-// TestSparseRegimeBoundary pins the fixed accounting predicate at its
-// exact boundary: declared·64 < n is sparse, declared·64 == n is not —
-// and SparseCutover never moves the counters, only the executor.
+// TestSparseRegimeBoundary pins the fixed predicate at its exact
+// boundary: declared·64 < n is sparse, declared·64 == n is not.
 func TestSparseRegimeBoundary(t *testing.T) {
 	for _, tc := range []struct {
-		n, k    int
-		cutover int
-		sparse  bool
+		n, k   int
+		sparse bool
 	}{
-		{65536, 1023, 0, true},        // 1023·64 < 65536
-		{65536, 1024, 0, false},       // 1024·64 == 65536: not sparse
-		{65536, 1023, -1, true},       // walker disabled: accounting unchanged
-		{65536, 1024, 1 << 20, false}, // huge cutover: accounting unchanged
+		{65536, 1023, true},  // 1023·64 < 65536
+		{65536, 1024, false}, // 1024·64 == 65536: not sparse
 	} {
 		cfg := sparseCfg()
 		cfg.N = tc.n
-		cfg.SparseCutover = tc.cutover
 		p := &sparseChatter{rounds: 8, k: tc.k}
 		res, err := Run(cfg, p)
 		if err != nil {
@@ -229,26 +232,12 @@ func TestSparseRegimeBoundary(t *testing.T) {
 		}
 		gotSparse := res.Paths.Sparse > 0
 		if gotSparse != tc.sparse {
-			t.Errorf("n=%d k=%d cutover=%d: sparse rounds %d, want sparse=%v (paths %+v)",
-				tc.n, tc.k, tc.cutover, res.Paths.Sparse, tc.sparse, res.Paths)
+			t.Errorf("n=%d k=%d: sparse rounds %d, want sparse=%v (paths %+v)",
+				tc.n, tc.k, res.Paths.Sparse, tc.sparse, res.Paths)
 		}
 		if tc.sparse && res.Paths.Sparse != int64(res.Rounds) {
 			t.Errorf("n=%d k=%d: only %d of %d rounds sparse", tc.n, tc.k, res.Paths.Sparse, res.Rounds)
 		}
-	}
-}
-
-// TestSparseCutoverValidation pins the config contract: -1 disables the
-// walker, anything below is rejected.
-func TestSparseCutoverValidation(t *testing.T) {
-	cfg := sparseCfg()
-	cfg.SparseCutover = -2
-	if _, err := NewEngine(cfg); err == nil {
-		t.Fatal("SparseCutover -2 accepted")
-	}
-	cfg.SparseCutover = -1
-	if _, err := NewEngine(cfg); err != nil {
-		t.Fatalf("SparseCutover -1 rejected: %v", err)
 	}
 }
 

@@ -55,8 +55,8 @@ func TestTelemetryInert(t *testing.T) {
 		shards int
 	}{
 		{"keyed-per-agent", sim.KernelPerAgent, 1},
-		{"keyed-batched", sim.KernelBatched, 1},
-		{"keyed-sharded", sim.KernelBatched, 4},
+		{"keyed-batched", sim.KernelAuto, 1},
+		{"keyed-sharded", sim.KernelAuto, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
