@@ -273,7 +273,7 @@ type floodProtocol struct {
 }
 
 func (f *floodProtocol) Name() string                      { return "flood" }
-func (f *floodProtocol) Setup(int, *rng.RNG)               {}
+func (f *floodProtocol) Setup(int, rng.Key)                {}
 func (f *floodProtocol) Send(a, r int) (channel.Bit, bool) { return channel.One, true }
 func (f *floodProtocol) Receive(int, channel.Bit, int)     {}
 func (f *floodProtocol) EndRound(int)                      {}

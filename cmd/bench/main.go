@@ -52,7 +52,7 @@ type chatter struct {
 }
 
 func (c *chatter) Name() string { return "bench-chatter" }
-func (c *chatter) Setup(n int, _ *rng.RNG) {
+func (c *chatter) Setup(n int, _ rng.Key) {
 	c.acc = make([]uint64, n)
 	c.zeros = c.zeros[:0]
 	c.ones = c.ones[:0]
@@ -101,7 +101,7 @@ type sparseChatter struct {
 }
 
 func (c *sparseChatter) Name() string { return "bench-sparse-chatter" }
-func (c *sparseChatter) Setup(n int, _ *rng.RNG) {
+func (c *sparseChatter) Setup(n int, _ rng.Key) {
 	// Prefault the accumulator sequentially: the sparse walker touches
 	// only ~k random slots per round, so without this the cell measures
 	// first-touch page faults scattered across rounds instead of the
@@ -253,7 +253,7 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 			N: n, Channel: channel.FromEpsilon(eps), Seed: seed,
 			AllowSelfMessages: true,
 			Kernel:            sim.KernelPerAgent, Shards: 1, MaxRounds: 1 << 30,
-			Failures: sim.NewRandomCrashesKeyed(n, crashProb, 0, rng.NewKey(seed), 0),
+			Failures: sim.NewRandomCrashes(n, crashProb, 0, rng.NewKey(seed), 0),
 		}
 		if noskip {
 			// An observer without a declared cadence makes the engine

@@ -72,8 +72,8 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 		if len(c.PhaseNs) == 0 || phaseTotal <= 0 {
 			t.Fatalf("cell %+v has no phase decomposition", c)
 		}
-		// n = 40000 decomposes into two virtual shards, so every kernel —
-		// the regime is kernel-independent — must report sharded rounds
+		// n = 40000 clears shardMinN (32768), so every kernel — the
+		// regime is kernel-independent — must report sharded rounds
 		// there.
 		if c.N == 40000 && c.Sharded == 0 {
 			t.Fatalf("cell %+v executed no sharded rounds", c)

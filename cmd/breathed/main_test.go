@@ -190,27 +190,44 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
-// TestRejections: malformed, unknown-field, invalid and overflow
-// submissions map to the right HTTP codes.
+// TestRejections: malformed, unknown-field, invalid, oversized and
+// overflow submissions map to the right HTTP codes, on a server with a
+// MaxN cap and on one without (MaxN 0, the engine's own limit).
 func TestRejections(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1, MaxN: 10000, QueueDepth: 1})
+	uncapped, _ := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
+	huge := `{"protocol": "` + strings.Repeat("x", 128<<10) + `"}`
 
 	for _, tc := range []struct {
+		url  string
 		body string
 		code int
 	}{
-		{`{`, http.StatusBadRequest},
-		{`{"n": 1024, "turbo": true}`, http.StatusBadRequest}, // unknown field
-		{`{"n": 1}`, http.StatusBadRequest},
-		{`{"n": 1048576}`, http.StatusBadRequest}, // beyond MaxN
+		{ts.URL, `{`, http.StatusBadRequest},
+		{ts.URL, `{"n": 1024, "turbo": true}`, http.StatusBadRequest}, // unknown field
+		{ts.URL, `{"n": 1}`, http.StatusBadRequest},
+		{ts.URL, `{"n": 1048576}`, http.StatusBadRequest}, // beyond MaxN
+		{ts.URL, huge, http.StatusRequestEntityTooLarge},
+		{uncapped.URL, `{"n": 2147483648}`, http.StatusBadRequest}, // beyond int32 agent ids
+		{uncapped.URL, `{"n": 8589934592}`, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(tc.url+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
-			t.Errorf("body %s: status %d, want %d", tc.body, resp.StatusCode, tc.code)
+			t.Errorf("body %.40s: status %d, want %d", tc.body, resp.StatusCode, tc.code)
+		}
+	}
+	for _, base := range []string{ts.URL, uncapped.URL} {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz after rejections: status %d", resp.StatusCode)
 		}
 	}
 

@@ -1,8 +1,9 @@
 // Command megasim runs the production-scale scenario: noisy broadcast or
 // majority consensus over a population of one million agents, executed by
-// the batched round kernel. The §3 asynchronous protocols (-protocol
+// the engine's batched machinery (bulk sender lists, scatter and tree
+// sampling regimes). The §3 asynchronous protocols (-protocol
 // async-offsets | async-selfsync) and crash faults (-crash) run on the
-// same kernel: async rounds cost O(senders) instead of Θ(n) even through
+// same machinery: async rounds cost O(senders) instead of Θ(n) even through
 // the quiescent dilation gaps, and crash plans filter the batched sender
 // lists per round.
 //

@@ -166,6 +166,9 @@ func (r RunRequest) Validate() error {
 	if r.N < 2 {
 		return fmt.Errorf("api: population size %d < 2", r.N)
 	}
+	if r.N > sim.MaxN {
+		return fmt.Errorf("api: population size %d > %d", r.N, sim.MaxN)
+	}
 	if !(0 < r.Eps && r.Eps <= 0.5) {
 		return fmt.Errorf("api: eps %v outside (0, 0.5]", r.Eps)
 	}
@@ -337,7 +340,7 @@ func (r RunRequest) Build() (*Run, error) {
 		// seed) — agent 0 protected — drawn from the run key's dedicated
 		// crash stream, so cached and fresh executions of the same request
 		// share it exactly.
-		plan := sim.NewRandomCrashesKeyed(r.N, r.CrashProb, r.CrashRound,
+		plan := sim.NewRandomCrashes(r.N, r.CrashProb, r.CrashRound,
 			rng.NewKey(r.Seed), 0)
 		cfg.Failures = plan
 		crashed = plan.NumCrashed()
@@ -405,9 +408,10 @@ type RunResponse struct {
 	Protocol string `json:"protocol_name"`
 	// Rounds is the number of executed rounds.
 	Rounds int `json:"rounds"`
-	// Paths breaks Rounds down by the kernel path that executed them —
-	// the fallback detector: a request that expected the batched kernel
-	// but ran per-agent shows up here, not in a profile.
+	// Paths breaks Rounds down by the sampling regime that executed them —
+	// the fallback detector: a run whose protocol or n rules out the
+	// batched machinery counts its speaking rounds as per-agent here, not
+	// in a profile.
 	Paths sim.PathRounds `json:"paths"`
 	// PrimaryPath names the path that executed the most rounds, ignoring
 	// quiet rounds (every protocol breathes; the question is what runs

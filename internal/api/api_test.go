@@ -124,6 +124,10 @@ func TestValidateRejects(t *testing.T) {
 		// 1/2 − ε rounds to 1/2, and a schedule that overflows int.
 		{N: 64, Eps: 1e-300},
 		{N: 64, Eps: 1e-12},
+		// Beyond the engine's int32 agent ids: rejected before Build
+		// allocates anything O(n).
+		{N: math.MaxInt32 + 1},
+		{N: 1 << 33},
 	}
 	for _, r := range bad {
 		r.Normalize()

@@ -13,7 +13,8 @@ import (
 // request. Build is exercised only up to n = 2¹⁶ so one input's
 // protocol allocation stays small. The seed corpus in
 // testdata/fuzz/FuzzRunRequest holds the probes that once crashed the
-// service or built a nonsense schedule (eps 1e-300, 1e-12, NaN).
+// service or built a nonsense schedule (eps 1e-300, 1e-12, NaN, and
+// n = 2³³, past the engine's int32 agent ids).
 func FuzzRunRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, protocol string, n int, eps float64, seed uint64, maxRounds int,
 		noSelf bool, drop, abias, crash float64, crashRound int,

@@ -111,7 +111,7 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 		name string
 		req  RunRequest
 	}{
-		// Large enough that dense rounds run sharded (numShards(49152)=3).
+		// Large enough that dense rounds run sharded (49152 ≥ shardMinN).
 		{"broadcast-sharded", RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 220}},
 		{"consensus", RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
 		{"async-offsets", RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
@@ -154,7 +154,7 @@ func TestKeyedCrashPlanFromKey(t *testing.T) {
 	if r1.Crashed == 0 || r1.Crashed != r2.Crashed {
 		t.Errorf("keyed crash sets differ or empty: %d vs %d", r1.Crashed, r2.Crashed)
 	}
-	want := sim.NewRandomCrashesKeyed(4096, 0.1, 0, rng.NewKey(5), 0)
+	want := sim.NewRandomCrashes(4096, 0.1, 0, rng.NewKey(5), 0)
 	plan := r1.Config.Failures
 	if plan == nil || plan.NumCrashed() != want.NumCrashed() {
 		t.Fatalf("built plan with %d crashed, want the keyed sampler's %d", r1.Crashed, want.NumCrashed())

@@ -85,7 +85,7 @@ func TestQuietSpanResponseBytes(t *testing.T) {
 type quietStub struct{ total int }
 
 func (q *quietStub) Name() string                      { return "quiet-stub" }
-func (q *quietStub) Setup(int, *rng.RNG)               {}
+func (q *quietStub) Setup(int, rng.Key)                {}
 func (q *quietStub) Send(int, int) (channel.Bit, bool) { return 0, false }
 func (q *quietStub) Receive(int, channel.Bit, int)     {}
 func (q *quietStub) EndRound(int)                      {}

@@ -91,8 +91,7 @@ type Protocol struct {
 
 	// drawKey addresses every random draw: clock offsets on
 	// StreamOffsets, phase finalizations on StreamSchedule cells indexed
-	// by phase position. Installed by the engine via SetDrawKey before
-	// Setup.
+	// by phase position. Installed by the engine in Setup.
 	drawKey rng.Key
 
 	// base[a] is the agent's clock lead: local clock ℓ_a(g) = g + base[a].
@@ -244,19 +243,13 @@ func (p *Protocol) StageIIStats() []core.StageIIPhaseStat { return p.stageIIStat
 // reached (ModeSelfSync).
 func (p *Protocol) InformedDuringPrelude() int { return p.preludeDone }
 
-// SetDrawKey implements sim.KeyedProtocol: the engine installs the run
-// key before Setup, and every protocol-internal draw is addressed
-// through it instead of consumed from the sequential protocol stream.
-func (p *Protocol) SetDrawKey(k rng.Key) {
-	p.drawKey = k
-}
-
 // Setup implements sim.Protocol.
-func (p *Protocol) Setup(n int, _ *rng.RNG) {
+func (p *Protocol) Setup(n int, key rng.Key) {
 	if n != p.params.N {
 		panic(fmt.Sprintf("async: engine population %d != params.N %d", n, p.params.N))
 	}
 	p.n = n
+	p.drawKey = key
 	p.base = make([]int, n)
 	p.hasBase = make([]bool, n)
 	p.activated = make([]bool, n)

@@ -253,7 +253,7 @@ func TestSetupPanicsOnWrongN(t *testing.T) {
 			t.Fatal("no panic on mismatched n")
 		}
 	}()
-	p.Setup(101, rng.New(1))
+	p.Setup(101, rng.NewKey(1))
 }
 
 func TestOpinionBeforeSetup(t *testing.T) {

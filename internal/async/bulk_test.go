@@ -187,7 +187,7 @@ func TestAsyncBatchedWithCrashFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan := sim.NewRandomCrashes(n, 0.2, 0, rng.New(4000+seed), 0)
+			plan := sim.NewRandomCrashes(n, 0.2, 0, rng.NewKey(4000+seed), 0)
 			res, err := sim.Run(sim.Config{
 				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
 				Failures: plan, Kernel: kernel,

@@ -28,7 +28,7 @@ func TestActiveSendersMatchesBruteScan(t *testing.T) {
 		{"selfsync", func() (*Protocol, error) { return NewSelfSync(params, channel.One, 30) }, func(*sim.Config) {}},
 		{"known-offsets-crash", func() (*Protocol, error) { return NewKnownOffsets(params, channel.One, 18) },
 			func(c *sim.Config) {
-				c.Failures = sim.NewRandomCrashesKeyed(n, 0.2, 15, rng.NewKey(9), 0)
+				c.Failures = sim.NewRandomCrashes(n, 0.2, 15, rng.NewKey(9), 0)
 			}},
 		{"selfsync-crash", func() (*Protocol, error) { return NewSelfSync(params, channel.One, 30) },
 			func(c *sim.Config) {

@@ -46,7 +46,7 @@ type ImmediateForward struct {
 func (p *ImmediateForward) Name() string { return "immediate-forward" }
 
 // Setup implements sim.Protocol.
-func (p *ImmediateForward) Setup(n int, _ *rng.RNG) {
+func (p *ImmediateForward) Setup(n int, _ rng.Key) {
 	p.n = n
 	p.opinion = make([]channel.Bit, n)
 	p.hasOpinion = make([]bool, n)
@@ -115,7 +115,7 @@ type SilentWait struct {
 func (p *SilentWait) Name() string { return "silent-wait" }
 
 // Setup implements sim.Protocol.
-func (p *SilentWait) Setup(n int, _ *rng.RNG) {
+func (p *SilentWait) Setup(n int, _ rng.Key) {
 	if p.Needed < 1 {
 		panic(fmt.Sprintf("baseline: SilentWait.Needed = %d", p.Needed))
 	}
@@ -176,7 +176,7 @@ type NoisyVoter struct {
 func (p *NoisyVoter) Name() string { return "noisy-voter" }
 
 // Setup implements sim.Protocol.
-func (p *NoisyVoter) Setup(n int, _ *rng.RNG) {
+func (p *NoisyVoter) Setup(n int, _ rng.Key) {
 	if p.InitialCorrect < 0 || p.InitialCorrect > n {
 		panic(fmt.Sprintf("baseline: NoisyVoter.InitialCorrect = %d with n = %d", p.InitialCorrect, n))
 	}
@@ -244,7 +244,7 @@ type TwoChoiceMajority struct {
 func (p *TwoChoiceMajority) Name() string { return "two-choice-majority" }
 
 // Setup implements sim.Protocol.
-func (p *TwoChoiceMajority) Setup(n int, _ *rng.RNG) {
+func (p *TwoChoiceMajority) Setup(n int, _ rng.Key) {
 	if p.InitialCorrect < 0 || p.InitialCorrect > n {
 		panic(fmt.Sprintf("baseline: TwoChoiceMajority.InitialCorrect = %d with n = %d", p.InitialCorrect, n))
 	}

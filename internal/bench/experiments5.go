@@ -108,7 +108,7 @@ func e18() *Experiment {
 					if err != nil {
 						return nil, err
 					}
-					plan := sim.NewRandomCrashes(n, frac, 0, rng.New(uint64(1000+seed)), 0)
+					plan := sim.NewRandomCrashes(n, frac, 0, rng.NewKey(uint64(1000+seed)), 0)
 					res, err := sim.Run(sim.Config{
 						N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed), Failures: plan,
 					}, p)

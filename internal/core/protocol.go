@@ -32,8 +32,8 @@ type Protocol struct {
 
 	n int
 
-	// Draw-schedule root (sim.KeyedProtocol): the engine hands the run key
-	// over before Setup, and the phase-boundary draws below take cells of
+	// Draw-schedule root: the engine hands the run key over in Setup, and
+	// the phase-boundary draws below take cells of
 	// rng.StreamSchedule addressed by (round, agent) — a pure function of
 	// the scenario, independent of kernel and execution order.
 	drawKey rng.Key
@@ -145,19 +145,15 @@ func (p *Protocol) Telemetry() *Telemetry { return &p.telem }
 // Target returns the correct opinion B.
 func (p *Protocol) Target() channel.Bit { return p.target }
 
-// SetDrawKey implements sim.KeyedProtocol.
-func (p *Protocol) SetDrawKey(k rng.Key) {
-	p.drawKey = k
-}
-
 // Setup implements sim.Protocol. Re-Setup reuses every per-agent array
 // and the sender index's capacity: a warm protocol value allocates
 // nothing here (senderindex_test.go pins it).
-func (p *Protocol) Setup(n int, _ *rng.RNG) {
+func (p *Protocol) Setup(n int, key rng.Key) {
 	if n != p.params.N {
 		panic(fmt.Sprintf("core: engine population %d != params.N %d", n, p.params.N))
 	}
 	p.n = n
+	p.drawKey = key
 	p.activated = resize(p.activated, n)
 	p.level = resize(p.level, n)
 	p.opinion = resize(p.opinion, n)

@@ -302,7 +302,7 @@ func TestSetupPanicsOnWrongN(t *testing.T) {
 			t.Fatal("Setup with mismatched n did not panic")
 		}
 	}()
-	p.Setup(99, rng.New(1))
+	p.Setup(99, rng.NewKey(1))
 }
 
 func TestOpinionBeforeSetup(t *testing.T) {
@@ -324,7 +324,7 @@ func TestBroadcastWithCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sim.NewRandomCrashes(n, 0.05, 0, rng.New(99), 0)
+	plan := sim.NewRandomCrashes(n, 0.05, 0, rng.NewKey(99), 0)
 	res, err := sim.Run(sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 21, Failures: plan,
 	}, p)

@@ -83,7 +83,7 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 			c.Failures = sim.NewCrashAt(5, 0, 3, 17, 200)
 		}},
 		{"consensus-keyed-crash", true, func(c *sim.Config) {
-			c.Failures = sim.NewRandomCrashesKeyed(n, 0.2, 20, rng.NewKey(9), 0)
+			c.Failures = sim.NewRandomCrashes(n, 0.2, 20, rng.NewKey(9), 0)
 		}},
 	}
 	for _, sc := range scenarios {
@@ -149,12 +149,12 @@ func TestSetupReusesCapacity(t *testing.T) {
 	}, p); err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(3)
-	if allocs := testing.AllocsPerRun(10, func() { p.Setup(n, r) }); allocs != 0 {
+	key := rng.NewKey(3)
+	if allocs := testing.AllocsPerRun(10, func() { p.Setup(n, key) }); allocs != 0 {
 		t.Errorf("warm Setup allocates %v times per run, want 0", allocs)
 	}
 	// Re-arm a finished state so the queries hit a live phase.
-	p.Setup(n, r)
+	p.Setup(n, key)
 	if allocs := testing.AllocsPerRun(10, func() {
 		p.BulkSenders(0)
 		p.ActiveSenders(0)

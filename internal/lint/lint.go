@@ -8,7 +8,8 @@
 // draw addressed through the right rng stream, no wall clock or map
 // iteration order leaking into canonical bytes, and "draw-free" paths
 // that really draw nothing. Each of those invariants has been violated
-// once and debugged once (RunSeeds seeding, TransmitBulk at p = 0, …).
+// once and debugged once (seed-parallel runner seeding, TransmitBulk at
+// p = 0, …).
 // The analyzers in the sub-packages make the whole class of bug
 // unrepresentable: cmd/breathevet runs them over every package, in CI
 // and as a `go vet -vettool`.

@@ -54,8 +54,9 @@ const (
 	// StreamObserver is reserved for observer-side randomness so tracing
 	// can draw without touching any simulation stream.
 	StreamObserver
-	// StreamProtocol seeds the protocol's private sequential stream.
-	StreamProtocol
+	// Slot 8 is reserved: skipping it keeps every later stream's value,
+	// and with it every keyed address, unchanged.
+	_
 	// StreamSchedule addresses protocol phase-boundary draws (stage
 	// transitions), by agent id within the boundary round.
 	StreamSchedule

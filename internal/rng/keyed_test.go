@@ -29,8 +29,8 @@ const chi2Bound255 = 360.0
 func TestKeyedUniformityPerStream(t *testing.T) {
 	streams := []Stream{
 		StreamPlacement, StreamCollision, StreamNoise, StreamDrop,
-		StreamSplit, StreamCrash, StreamObserver, StreamProtocol,
-		StreamSchedule, StreamOffsets,
+		StreamSplit, StreamCrash, StreamObserver, StreamSchedule,
+		StreamOffsets,
 	}
 	k := NewKey(12345)
 	words := make([]uint64, 1<<16)
@@ -52,7 +52,7 @@ func TestKeyedCrossStreamIndependence(t *testing.T) {
 		{StreamPlacement, StreamCollision},
 		{StreamNoise, StreamDrop},
 		{StreamSchedule, StreamOffsets},
-		{StreamCrash, StreamProtocol},
+		{StreamCrash, StreamObserver},
 	}
 	const n = 1 << 16
 	for _, pr := range pairs {

@@ -53,8 +53,9 @@ type httpServer struct {
 // NewHTTPHandler mounts the service's endpoints on a fresh mux:
 //
 //	POST /v1/runs              submit an api.RunRequest (200 cache hit,
-//	                           202 queued, 429 queue full; the
-//	                           X-Breathe-Cache header says hit|miss)
+//	                           202 queued, 413 body over 64 KiB, 429
+//	                           queue full; the X-Breathe-Cache header
+//	                           says hit|miss)
 //	GET  /v1/runs/{id}         job status
 //	GET  /v1/runs/{id}/result  canonical response bytes (?wait=1 blocks)
 //	GET  /v1/runs/{id}/stream  trajectory stream, NDJSON or SSE
@@ -89,12 +90,20 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBody caps a submit body. A canonical request is well under
+// 1 KiB; the cap keeps a huge body from being buffered in full.
+const maxSubmitBody = 64 << 10
+
 func (s *httpServer) submit(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	job, err := s.svc.Submit(req)

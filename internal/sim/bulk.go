@@ -63,10 +63,13 @@ const (
 	// is at least as fast and the per-bucket sampling overhead is not
 	// worth amortizing.
 	denseMinMessages = 256
-	// shardMinMessages gates parallel tree execution within a qualifying
-	// round (numShards(n) ≥ 2): below it the serial bucket sweep beats a
-	// goroutine barrier. It depends only on the round's message count,
-	// never on the worker count.
+	// shardMinN and shardMinMessages gate parallel tree execution: a tree
+	// round runs its buckets in parallel (and is accounted Sharded) iff
+	// n ≥ shardMinN and it carries at least shardMinMessages messages.
+	// Below either the serial bucket sweep beats a goroutine barrier. Both
+	// depend only on n and the round's message count, never on the worker
+	// count.
+	shardMinN        = 4 * denseWidth
 	shardMinMessages = 1 << 13
 	// denseShift sets the tree's receiver-bucket width (8192 slots ×
 	// 4 bytes = one L1-sized inbox slice per bucket).

@@ -22,7 +22,7 @@ type bulkChatter struct {
 }
 
 func (c *bulkChatter) Name() string { return "bulk-chatter" }
-func (c *bulkChatter) Setup(n int, _ *rng.RNG) {
+func (c *bulkChatter) Setup(n int, _ rng.Key) {
 	c.n = n
 	c.acc = make([]uint64, n)
 	c.zeros = c.zeros[:0]
@@ -257,8 +257,8 @@ func TestDenseNoiseRateMatchesChannel(t *testing.T) {
 // allOnesBulk sends bit 1 from every agent.
 type allOnesBulk struct{ bulkChatter }
 
-func (c *allOnesBulk) Setup(n int, r *rng.RNG) {
-	c.bulkChatter.Setup(n, r)
+func (c *allOnesBulk) Setup(n int, key rng.Key) {
+	c.bulkChatter.Setup(n, key)
 	c.zeros = c.zeros[:0]
 	c.ones = c.ones[:0]
 	for a := 0; a < n; a++ {

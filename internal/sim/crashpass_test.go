@@ -22,14 +22,14 @@ func crashPassPlans(n, round int) []crashPassPlan {
 	return []crashPassPlan{
 		{"none", nil},
 		{"empty-crashat", NewCrashAt(round)},
-		{"empty-random", NewRandomCrashesKeyed(n, 0, round, key, 0)},
+		{"empty-random", NewRandomCrashes(n, 0, round, key, 0)},
 		// Spans only the ids below n/2: every id past them stays live.
 		{"crashat-short", NewCrashAt(round, 1, 2, 63, 64, 65, n/2-1)},
-		{"random-0.3", NewRandomCrashesKeyed(n, 0.3, round, key, 0)},
-		{"all-but-protected", NewRandomCrashesKeyed(n, 1, round, key, 0)},
+		{"random-0.3", NewRandomCrashes(n, 0.3, round, key, 0)},
+		{"all-but-protected", NewRandomCrashes(n, 1, round, key, 0)},
 		// Sampled for more ids than the population: the bits past n
 		// belong to no agent and must not reach a bucket's slots.
-		{"wider-than-n", NewRandomCrashesKeyed(n+100, 0.5, round, key, 0)},
+		{"wider-than-n", NewRandomCrashes(n+100, 0.5, round, key, 0)},
 	}
 }
 
@@ -95,7 +95,7 @@ func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, plan *Crash
 
 	e := &Engine{cfg: Config{N: n, Failures: plan}, keyed: &keyedState{}}
 	p := &bulkChatter{}
-	p.Setup(n, nil)
+	p.Setup(n, rng.Key{})
 	zeros, ones := e.keyedSendScan(p, g)
 	var wantZ, wantO []int32
 	for a := 0; a < n; a++ {

@@ -77,37 +77,16 @@ func NewCrashAt(round int, agents ...int) *CrashPlan {
 }
 
 // NewRandomCrashes samples a plan that fails each agent independently
-// with a fixed probability, deciding once per agent at a given round
-// (initial crash faults from the broadcast literature when that round is
-// 0): each of the n agents except the protected ones crashes with
-// probability p, using r. Agents are drawn in id order and protected ones
-// consume no draw.
-func NewRandomCrashes(n int, p float64, round int, r *rng.RNG, protected ...int) *CrashPlan {
-	checkCrashProb(p)
-	keep := newCrashPlan(n, 0)
-	for _, a := range protected {
-		if uint(a) < uint(n) {
-			keep.set(a)
-		}
+// with probability p from the given round on (initial crash faults from
+// the broadcast literature when that round is 0). Each of the n agents
+// except the protected ones crashes iff its addressed draw in the run
+// key's crash stream clears the Bernoulli(p) threshold, so the plan is a
+// pure function of (key, p, round, protected): enabling or resizing it
+// draws nothing from any simulation stream.
+func NewRandomCrashes(n int, p float64, round int, key rng.Key, protected ...int) *CrashPlan {
+	if !(0 <= p && p <= 1) {
+		panic(fmt.Sprintf("sim: crash probability %v outside [0,1]", p))
 	}
-	c := newCrashPlan(n, round)
-	for a := 0; a < n; a++ {
-		if !keep.has(a) && r.Bernoulli(p) {
-			c.set(a)
-		}
-	}
-	c.seal()
-	return c
-}
-
-// NewRandomCrashesKeyed samples the crash set from the run key's crash
-// stream: agent a crashes iff its addressed draw clears the Bernoulli(p)
-// threshold. The plan is a pure function of (key, p, round, protected) —
-// enabling or resizing it draws nothing from any simulation stream, unlike
-// the sequential NewRandomCrashes, whose RNG must be provisioned by the
-// caller.
-func NewRandomCrashesKeyed(n int, p float64, round int, key rng.Key, protected ...int) *CrashPlan {
-	checkCrashProb(p)
 	thresh := channel.FlipThreshold53(p)
 	cell := key.Cell(rng.StreamCrash, 0)
 	c := newCrashPlan(n, round)
@@ -129,13 +108,6 @@ func NewRandomCrashesKeyed(n int, p float64, round int, key rng.Key, protected .
 	}
 	c.seal()
 	return c
-}
-
-// checkCrashProb rejects a probability outside [0, 1], NaN included.
-func checkCrashProb(p float64) {
-	if !(0 <= p && p <= 1) {
-		panic(fmt.Sprintf("sim: crash probability %v outside [0,1]", p))
-	}
 }
 
 // activeWords returns the plan's set words when it has agents down at

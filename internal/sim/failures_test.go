@@ -11,14 +11,6 @@ import (
 	"breathe/internal/rng"
 )
 
-// samplePlan builds a plan from seed with the keyed or the legacy sampler.
-func samplePlan(keyed bool, n int, p float64, round int, seed uint64, protected []int) *CrashPlan {
-	if keyed {
-		return NewRandomCrashesKeyed(n, p, round, rng.NewKey(seed), protected...)
-	}
-	return NewRandomCrashes(n, p, round, rng.New(seed), protected...)
-}
-
 // crashedIDs lists the agents of [0, n) that plan has down at round.
 func crashedIDs(plan *CrashPlan, n, round int) []int {
 	var ids []int
@@ -40,38 +32,29 @@ func idsDigest(ids []int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCrashSetGolden pins the exact membership of both samplers' crash
+// TestCrashSetGolden pins the exact membership of the sampler's crash
 // sets, so a change of representation cannot silently move them. The
-// n = 20000, p = 0.1 points are the megasim crash scenario at seed 1: the
-// legacy sampler is seeded there with seed ^ 0x9e3779b97f4a7c15 (the api
-// package's crash salt), the keyed one with the run key.
+// n = 20000, p = 0.1 point is the megasim crash scenario at seed 1.
 func TestCrashSetGolden(t *testing.T) {
 	cases := []struct {
 		name      string
 		n         int
 		p         float64
-		keyed     bool
 		seed      uint64
 		protected []int
 		count     int
 		digest    string
 	}{
-		{"keyed/n1000", 1000, 0.3, true, 23, []int{0},
+		{"keyed/n1000", 1000, 0.3, 23, []int{0},
 			308, "64d7abd516f695daeacb962b31549cbe8103b0614e01dbc1327723de209229e6"},
-		{"keyed/n20000", 20000, 0.1, true, 1, []int{0},
+		{"keyed/n20000", 20000, 0.1, 1, []int{0},
 			1964, "4b2175317edfa4167b8b1a0b6f0e901b23acac99157bdd53dbe94b0cf8eb7bc4"},
-		{"keyed/n2^18", 1 << 18, 0.97, true, 99, []int{0, 7},
+		{"keyed/n2^18", 1 << 18, 0.97, 99, []int{0, 7},
 			254275, "3c78069e43fd1566be54b769f10cbc16879b4b8ec821d2ff5f347fd8bf6d269d"},
-		{"legacy/n1000", 1000, 0.3, false, 23, []int{0},
-			297, "696b6b1ea5233122a2565957a240cc035783e2c560f99a45c7425ba7e0b6274a"},
-		{"legacy/n20000", 20000, 0.1, false, 1 ^ 0x9e3779b97f4a7c15, []int{0},
-			1969, "11a8f85321f11fb23716a6ed069464f56d7b8ac38a8ea044154a7f2743337f27"},
-		{"legacy/n2^18", 1 << 18, 0.97, false, 99, []int{0, 7},
-			254193, "b3f798c427aabec711fa32c28549dcc891b9902bab33e4d6ccc0b804159051c5"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plan := samplePlan(c.keyed, c.n, c.p, 0, c.seed, c.protected)
+			plan := NewRandomCrashes(c.n, c.p, 0, rng.NewKey(c.seed), c.protected...)
 			ids := crashedIDs(plan, c.n, 0)
 			if got := plan.NumCrashed(); got != c.count || len(ids) != c.count {
 				t.Errorf("NumCrashed = %d, %d ids listed, want %d", got, len(ids), c.count)
@@ -83,22 +66,18 @@ func TestCrashSetGolden(t *testing.T) {
 	}
 }
 
-// refCrashSet is the map-backed crash set both samplers once built: the
-// reference their packed representation must reproduce query for query.
-func refCrashSet(n int, p float64, keyed bool, seed uint64, protected []int) map[int]bool {
+// refCrashSet is the map-backed crash set the sampler once built: the
+// reference its packed representation must reproduce query for query.
+func refCrashSet(n int, p float64, seed uint64, protected []int) map[int]bool {
 	keep := make(map[int]bool, len(protected))
 	for _, a := range protected {
 		keep[a] = true
 	}
 	thresh := channel.FlipThreshold53(p)
 	cell := rng.NewKey(seed).Cell(rng.StreamCrash, 0)
-	r := rng.New(seed)
 	m := make(map[int]bool)
 	for a := 0; a < n; a++ {
-		if keep[a] {
-			continue
-		}
-		if keyed && cell.Uint64(uint64(a))>>11 < thresh || !keyed && r.Bernoulli(p) {
+		if !keep[a] && cell.Uint64(uint64(a))>>11 < thresh {
 			m[a] = true
 		}
 	}
@@ -115,7 +94,7 @@ func probeAgents(n int) []int {
 	return append(ids, n, n+1, n+63, n+64, n+65, 1<<40, math.MaxInt)
 }
 
-// TestRandomCrashes checks both samplers against the map-backed reference
+// TestRandomCrashes checks the sampler against the map-backed reference
 // on the edge cases of a packed set: sizes that are not a multiple of 64
 // or of any sampling batch, empty and full sets, and duplicate or
 // out-of-range protected ids, probing ids outside [0, n) and rounds before
@@ -140,28 +119,22 @@ func TestRandomCrashes(t *testing.T) {
 		{"dup-protected", 777, 0.6, 1, []int{5, 5, 5, 130, 130, -7, 777, 1 << 30}},
 	}
 	for _, c := range cases {
-		for _, keyed := range []bool{true, false} {
-			name := c.name + "/legacy"
-			if keyed {
-				name = c.name + "/keyed"
+		t.Run(c.name+"/keyed", func(t *testing.T) {
+			const seed = 41
+			plan := NewRandomCrashes(c.n, c.p, c.round, rng.NewKey(seed), c.protected...)
+			ref := refCrashSet(c.n, c.p, seed, c.protected)
+			if plan.NumCrashed() != len(ref) {
+				t.Fatalf("NumCrashed = %d, want %d", plan.NumCrashed(), len(ref))
 			}
-			t.Run(name, func(t *testing.T) {
-				const seed = 41
-				plan := samplePlan(keyed, c.n, c.p, c.round, seed, c.protected)
-				ref := refCrashSet(c.n, c.p, keyed, seed, c.protected)
-				if plan.NumCrashed() != len(ref) {
-					t.Fatalf("NumCrashed = %d, want %d", plan.NumCrashed(), len(ref))
-				}
-				for _, a := range probeAgents(c.n) {
-					for _, g := range []int{c.round - 1, c.round, c.round + 100} {
-						want := g >= c.round && ref[a]
-						if got := plan.Crashed(a, g); got != want {
-							t.Fatalf("Crashed(%d, %d) = %v, want %v", a, g, got, want)
-						}
+			for _, a := range probeAgents(c.n) {
+				for _, g := range []int{c.round - 1, c.round, c.round + 100} {
+					want := g >= c.round && ref[a]
+					if got := plan.Crashed(a, g); got != want {
+						t.Fatalf("Crashed(%d, %d) = %v, want %v", a, g, got, want)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -205,12 +178,12 @@ func TestCrashAtCountsEachAgentOnce(t *testing.T) {
 	NewCrashAt(0, 1, -1)
 }
 
-// BenchmarkNewRandomCrashesKeyed samples the crash-thinned broadcast's
+// BenchmarkNewRandomCrashes samples the crash-thinned broadcast's
 // plan: n = 2^18 agents, 97% of them down.
-func BenchmarkNewRandomCrashesKeyed(b *testing.B) {
+func BenchmarkNewRandomCrashes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewRandomCrashesKeyed(1<<18, 0.97, 0, rng.NewKey(1), 0)
+		NewRandomCrashes(1<<18, 0.97, 0, rng.NewKey(1), 0)
 	}
 }
 
@@ -218,7 +191,7 @@ func BenchmarkNewRandomCrashesKeyed(b *testing.B) {
 // agents against a plan with 10% of them down.
 func BenchmarkFilterLive(b *testing.B) {
 	const n = 1 << 16
-	plan := NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(1), 0)
+	plan := NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)
 	senders := make([]int32, n)
 	for i := range senders {
 		senders[i] = int32(i)

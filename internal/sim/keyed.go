@@ -91,7 +91,6 @@ type keyedState struct {
 	uniform     bool
 	noiseThresh uint64
 	dropThresh  uint64
-	vshards     int
 	accs        []uint64
 	denseOK     bool
 
@@ -173,7 +172,6 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 		// index oracle is consulted exactly when the tree could run —
 		// identically under every kernel.
 		k.senderIdx, _ = p.(SenderIndex)
-		k.vshards = numShards(e.cfg.N)
 		k.buckets = (e.cfg.N + denseWidth - 1) / denseWidth
 		if cap(k.kc0) < k.buckets {
 			k.kc0 = make([]int, k.buckets)
@@ -245,7 +243,7 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 		if k.senderIdx != nil {
 			declared = k.senderIdx.ActiveSenders(round)
 		}
-		sharded := k.vshards >= 2 && m >= shardMinMessages
+		sharded := e.cfg.N >= shardMinN && m >= shardMinMessages
 		switch {
 		case e.sparseRound(declared):
 			e.paths.Sparse++

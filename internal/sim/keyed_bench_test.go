@@ -78,7 +78,7 @@ func BenchmarkKeyedScatterRound(b *testing.B) {
 				MaxRounds: 1 << 30,
 			}
 			if crash > 0 {
-				cfg.Failures = NewRandomCrashesKeyed(n, crash, 0, rng.NewKey(1), 0)
+				cfg.Failures = NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
 			}
 			e, err := NewEngine(cfg)
 			if err != nil {
@@ -132,7 +132,7 @@ func BenchmarkKeyedSparseRound(b *testing.B) {
 			}
 			p := &sparseChatter{rounds: b.N, k: k}
 			if crash > 0 {
-				plan := NewRandomCrashesKeyed(n, crash, 0, rng.NewKey(1), 0)
+				plan := NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
 				cfg.Failures = plan
 				p.avoid = plan
 			}

@@ -111,7 +111,7 @@ func TestKeyedGoldenScatter(t *testing.T) {
 			cfg: sim.Config{
 				N: nCrash, Channel: channel.FromEpsilon(0.3), Seed: 72,
 				AllowSelfMessages: false,
-				Failures:          sim.NewRandomCrashesKeyed(nCrash, 0.1, 0, rng.NewKey(72), 0),
+				Failures:          sim.NewRandomCrashes(nCrash, 0.1, 0, rng.NewKey(72), 0),
 				MaxRounds:         pCrash.StageIRounds() + 40,
 			},
 			proto:   goldenBroadcast(t, nCrash),
@@ -142,7 +142,7 @@ func TestKeyedGoldenScatter(t *testing.T) {
 
 // TestKeyedGoldenTreeCrash pins the tree regime with a crash plan at an n
 // whose tail bucket is not a power of two, on one worker and on two
-// (n spans two virtual shards, so Stage II rounds run sharded).
+// (n clears shardMinN, so Stage II rounds run sharded).
 func TestKeyedGoldenTreeCrash(t *testing.T) {
 	const n = 4*8192 + 1234
 	params := core.DefaultParams(n, 0.3)
@@ -151,7 +151,7 @@ func TestKeyedGoldenTreeCrash(t *testing.T) {
 		cfg: sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 74,
 			AllowSelfMessages: true,
-			Failures:          sim.NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(74), 0),
+			Failures:          sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(74), 0),
 			MaxRounds:         params.StageIRounds() + 80,
 		},
 		proto: goldenBroadcast(t, n),
@@ -177,7 +177,7 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 		cfg: sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 75,
 			AllowSelfMessages: true,
-			Failures:          sim.NewRandomCrashesKeyed(n, 0.95, 0, rng.NewKey(75), 0),
+			Failures:          sim.NewRandomCrashes(n, 0.95, 0, rng.NewKey(75), 0),
 		},
 		proto:   goldenBroadcast(t, n),
 		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
@@ -201,7 +201,7 @@ func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 		cfg: sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 76,
 			AllowSelfMessages: true,
-			Failures:          sim.NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(76), 0),
+			Failures:          sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(76), 0),
 		},
 		proto: func() sim.Protocol {
 			p, err := async.NewSelfSync(params, channel.One, L)

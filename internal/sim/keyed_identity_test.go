@@ -19,9 +19,9 @@ import (
 	"breathe/internal/sim"
 )
 
-// keyedN decomposes into four virtual shards (numShards(65536) = 4), so
-// the keyed tree regime runs sharded rounds and the batched kernel's
-// worker counts genuinely schedule buckets differently.
+// keyedN spans eight tree buckets and clears shardMinN, so the keyed
+// tree regime runs sharded rounds and the batched kernel's worker counts
+// genuinely schedule buckets differently.
 const keyedN = 1 << 16
 
 func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol) (sim.Result, uint64) {
@@ -189,7 +189,7 @@ func TestKeyedKernelIdentityCrashPlan(t *testing.T) {
 		}
 		return p
 	}
-	plan := sim.NewRandomCrashesKeyed(keyedN, 0.08, 0, rng.NewKey(56), 0)
+	plan := sim.NewRandomCrashes(keyedN, 0.08, 0, rng.NewKey(56), 0)
 	cfg := sim.Config{
 		N: keyedN, Channel: channel.FromEpsilon(0.3), Seed: 56,
 		AllowSelfMessages: true, Failures: plan,
@@ -224,8 +224,8 @@ func TestKeyedKernelIdentityScatterRegime(t *testing.T) {
 // plan is a pure function of (key, p, protected), independent of any
 // sequential RNG state, and protected agents never crash.
 func TestKeyedCrashPlanIsKeyDeterministic(t *testing.T) {
-	a := sim.NewRandomCrashesKeyed(10000, 0.2, 3, rng.NewKey(99), 0, 7)
-	b := sim.NewRandomCrashesKeyed(10000, 0.2, 3, rng.NewKey(99), 0, 7)
+	a := sim.NewRandomCrashes(10000, 0.2, 3, rng.NewKey(99), 0, 7)
+	b := sim.NewRandomCrashes(10000, 0.2, 3, rng.NewKey(99), 0, 7)
 	if a.NumCrashed() != b.NumCrashed() {
 		t.Fatalf("crash sets differ: %d vs %d", a.NumCrashed(), b.NumCrashed())
 	}
@@ -241,7 +241,7 @@ func TestKeyedCrashPlanIsKeyDeterministic(t *testing.T) {
 	if math.Abs(got-0.2) > 0.02 {
 		t.Fatalf("crash rate %.3f far from 0.2", got)
 	}
-	c := sim.NewRandomCrashesKeyed(10000, 0.2, 3, rng.NewKey(100), 0)
+	c := sim.NewRandomCrashes(10000, 0.2, 3, rng.NewKey(100), 0)
 	if c.NumCrashed() == a.NumCrashed() {
 		diff := 0
 		for i := 0; i < 10000; i++ {

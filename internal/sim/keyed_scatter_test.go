@@ -147,7 +147,7 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	const n = 4096
 	cfg := Config{
 		N: n, Seed: 5,
-		Failures: NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0),
+		Failures: NewRandomCrashes(n, 0.1, 0, rng.NewKey(5), 0),
 	}
 	run := func(e *Engine) (Result, []uint64) {
 		p := &bulkChatter{rounds: 6}

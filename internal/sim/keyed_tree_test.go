@@ -173,7 +173,7 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 3,
 		AllowSelfMessages: true,
 	}
-	thinned := NewRandomCrashesKeyed(n, 0.95, 0, rng.NewKey(3), 0)
+	thinned := NewRandomCrashes(n, 0.95, 0, rng.NewKey(3), 0)
 	for _, c := range []struct {
 		name  string
 		mut   func(*Config)
@@ -186,7 +186,7 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 		{"shards-2", func(c *Config) { c.Shards = 2 },
 			func() Protocol { return &bulkChatter{rounds: 4} },
 			func(p PathRounds) int64 { return p.Sharded }},
-		{"crash-0.1", func(c *Config) { c.Failures = NewRandomCrashesKeyed(n, 0.1, 1, rng.NewKey(3), 0) },
+		{"crash-0.1", func(c *Config) { c.Failures = NewRandomCrashes(n, 0.1, 1, rng.NewKey(3), 0) },
 			func() Protocol { return &bulkChatter{rounds: 4} },
 			func(p PathRounds) int64 { return p.Sharded }},
 		{"sparse-crash-0.95", func(c *Config) { c.Failures = thinned },
@@ -240,7 +240,7 @@ type shortIndexed struct {
 // seed, is identical to a fresh engine's.
 func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	const n = 1 << 17
-	plan := NewRandomCrashesKeyed(n, 0.1, 0, rng.NewKey(5), 0)
+	plan := NewRandomCrashes(n, 0.1, 0, rng.NewKey(5), 0)
 	for _, c := range []struct {
 		name  string
 		proto func() BulkProtocol

@@ -18,7 +18,7 @@ import (
 	"breathe/internal/sim"
 )
 
-// hookN matches the shard-determinism suite: four virtual shards, so
+// hookN matches the shard-determinism suite: eight tree buckets, so
 // Shards ∈ {1, 8} schedules genuinely differently.
 const hookN = 1 << 16
 
@@ -270,6 +270,25 @@ func TestPathRoundsAccounting(t *testing.T) {
 		t.Errorf("non-bulk protocol paths: %+v (primary %q), want per-agent:5 quiet:5", nres.Paths, nres.Paths.Primary())
 	}
 
+	// The Sharded threshold at its boundary: all-senders tree rounds run
+	// Dense one agent below shardMinN and Sharded from it on.
+	for _, c := range []struct {
+		n    int
+		want sim.PathRounds
+	}{
+		{sim.ShardMinN - 1, sim.PathRounds{Dense: 3}},
+		{sim.ShardMinN, sim.PathRounds{Sharded: 3}},
+	} {
+		cfg := sim.Config{N: c.n, Channel: channel.FromEpsilon(0.3), Seed: 11, AllowSelfMessages: true}
+		sres, err := sim.Run(cfg, sim.NewBulkChatter(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.Paths != c.want {
+			t.Errorf("n = %d all-senders paths %+v, want %+v", c.n, sres.Paths, c.want)
+		}
+	}
+
 	// The async protocols' dilated schedule has genuinely quiescent
 	// rounds (no live senders); those must be counted as quiet.
 	D := 2 * 12
@@ -293,8 +312,8 @@ func TestPathRoundsAccounting(t *testing.T) {
 // one in even rounds and is silent in odd ones.
 type everyOther struct{ rounds int }
 
-func (p *everyOther) Name() string        { return "every-other" }
-func (p *everyOther) Setup(int, *rng.RNG) {}
+func (p *everyOther) Name() string       { return "every-other" }
+func (p *everyOther) Setup(int, rng.Key) {}
 func (p *everyOther) Send(a, round int) (channel.Bit, bool) {
 	return channel.One, a == 0 && round%2 == 0
 }

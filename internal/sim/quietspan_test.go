@@ -30,7 +30,7 @@ type spanProto struct {
 }
 
 func (p *spanProto) Name() string                  { return "span-test" }
-func (p *spanProto) Setup(int, *rng.RNG)           {}
+func (p *spanProto) Setup(int, rng.Key)            {}
 func (p *spanProto) Receive(int, channel.Bit, int) {}
 func (p *spanProto) EndRound(int)                  {}
 func (p *spanProto) Done(g int) bool               { return g >= p.total }

@@ -7,9 +7,10 @@ package sim_test
 // picks a uniformly random recipient (excluding the sender unless
 // AllowSelfMessages), a receiver hit by several messages keeps one chosen
 // uniformly by reservoir sampling, and every accepted bit passes through
-// Channel.Transmit. Draws come from rng.New(seed)'s three Split streams:
-// recipients, drops and collisions from the first, noise from the
-// second, the protocol's sequential stream the third.
+// Channel.Transmit. The engine's draws come from rng.New(seed)'s two
+// Split streams: recipients, drops and collisions from the first, noise
+// from the second. The protocol gets the run key rng.NewKey(seed) in
+// Setup, exactly as under the engine.
 //
 // The engine's regimes sample the same law from addressed draws, so they
 // agree with refRun in distribution, not draw for draw; the
@@ -35,11 +36,7 @@ func refRun(cfg sim.Config, p sim.Protocol) sim.Result {
 	root := rng.New(cfg.Seed)
 	engineRNG := root.Split()
 	channelRNG := root.Split()
-	protoRNG := root.Split()
-	if kp, ok := p.(sim.KeyedProtocol); ok {
-		kp.SetDrawKey(rng.NewKey(cfg.Seed))
-	}
-	p.Setup(n, protoRNG)
+	p.Setup(n, rng.NewKey(cfg.Seed))
 
 	inBit := make([]channel.Bit, n)
 	inCount := make([]int32, n)
@@ -181,7 +178,7 @@ func TestBatchedMatchesPerAgentStatistically(t *testing.T) {
 func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
 	const n, rounds, seeds = 256, 120, 12
 	plan := func(seed uint64) *sim.CrashPlan {
-		return sim.NewRandomCrashes(n, 0.2, 40, rng.New(900+seed), 0)
+		return sim.NewRandomCrashes(n, 0.2, 40, rng.NewKey(900+seed), 0)
 	}
 	for _, self := range []bool{false, true} {
 		cfg := sim.Config{N: n, Channel: channel.FromEpsilon(0.3), AllowSelfMessages: self}
@@ -193,8 +190,8 @@ func TestBatchedMidRunCrashMatchesPerAgentStatistically(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesPerAgentStatistically: parallel tree rounds (three
-// virtual shards) produce the reference's acceptance statistics.
+// TestShardedMatchesPerAgentStatistically: parallel tree rounds (six
+// buckets on three workers) produce the reference's acceptance statistics.
 func TestShardedMatchesPerAgentStatistically(t *testing.T) {
 	const rounds, seeds = 12, 6
 	n := sim.ShardTestN

@@ -18,9 +18,8 @@ import (
 	"breathe/internal/sim"
 )
 
-// detN decomposes into four virtual shards (numShards(65536) = 4 at the
-// 16384-slot granularity), so worker counts 1/2/3/8 genuinely schedule
-// the shards differently.
+// detN spans eight tree buckets and clears shardMinN, so worker counts
+// 1/2/3/8 genuinely schedule the buckets differently.
 const detN = 1 << 16
 
 func assertShardInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) {
@@ -100,7 +99,7 @@ func TestShardedDeterminismCrashPlan(t *testing.T) {
 		}
 		return p
 	}
-	plan := sim.NewRandomCrashes(detN, 0.08, 0, rng.New(77), 0)
+	plan := sim.NewRandomCrashes(detN, 0.08, 0, rng.NewKey(77), 0)
 	cfg := sim.Config{
 		N: detN, Channel: channel.FromEpsilon(0.3), Seed: 56,
 		AllowSelfMessages: true, Failures: plan,

@@ -8,27 +8,9 @@ import (
 	"breathe/internal/rng"
 )
 
-// shardTestN is large enough to decompose into three virtual shards
-// (numShards(49152) = 3) while keeping the tests fast.
-const shardTestN = 3 * minShardSlots
-
-func TestNumShardsIsPureAndMonotone(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{2, 1},
-		{minShardSlots - 1, 1},
-		{minShardSlots, 1},
-		{2 * minShardSlots, 2},
-		{3*minShardSlots + 7, 3},
-		{1_000_000, 61},
-		{maxShards * minShardSlots, maxShards},
-		{100_000_000, maxShards},
-	}
-	for _, c := range cases {
-		if got := numShards(c.n); got != c.want {
-			t.Errorf("numShards(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
+// shardTestN spans six tree buckets and clears shardMinN, so its
+// all-senders rounds run sharded while keeping the tests fast.
+const shardTestN = 6 * denseWidth
 
 // TestShardedDeterminismAcrossShardCounts is the heart of the sharded
 // kernel's contract: for a fixed (config, seed), every worker count —
@@ -67,7 +49,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 // a crash plan active: crashed receivers are masked inside the workers'
 // resolve scans, which must stay deterministic and schedule-independent.
 func TestShardedCrashDeterminismAcrossShardCounts(t *testing.T) {
-	plan := NewRandomCrashes(shardTestN, 0.1, 5, rng.New(4242), 0)
+	plan := NewRandomCrashes(shardTestN, 0.1, 5, rng.NewKey(4242), 0)
 	base := Config{
 		N: shardTestN, Channel: channel.FromEpsilon(0.3), Seed: 9,
 		AllowSelfMessages: true, Shards: 1,
@@ -146,8 +128,8 @@ func TestShardedNoiseRateMatchesChannel(t *testing.T) {
 // path — crashed agents neither send nor accumulate receptions, and the
 // message accounting balances.
 func TestShardedCrashSemantics(t *testing.T) {
-	// Crashed agents spread across all three shards, including both ends.
-	crashed := []int{0, 1, 7000, minShardSlots, minShardSlots + 9000, 2*minShardSlots + 1, shardTestN - 1}
+	// Crashed agents spread across the buckets, including both ends.
+	crashed := []int{0, 1, 7000, 2 * denseWidth, 2*denseWidth + 9000, 4*denseWidth + 1, shardTestN - 1}
 	plan := NewCrashAt(0, crashed...)
 	const rounds = 10
 	p := &bulkChatter{rounds: rounds}

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
@@ -31,9 +32,12 @@ import (
 type Protocol interface {
 	// Name identifies the protocol in traces and tables.
 	Name() string
-	// Setup is called once before round 0. r is the protocol's private
-	// random stream.
-	Setup(n int, r *rng.RNG)
+	// Setup is called once before round 0. key is the run's draw-schedule
+	// root: a protocol that needs randomness takes it from addressed cells
+	// of the key (rng.StreamSchedule, rng.StreamOffsets), so its draws are
+	// a pure function of (seed, round, agent), independent of kernel and
+	// execution order.
+	Setup(n int, key rng.Key)
 	// Send reports whether agent a pushes a message in the given round
 	// and, if so, which bit.
 	Send(a, round int) (bit channel.Bit, ok bool)
@@ -49,16 +53,6 @@ type Protocol interface {
 	// Opinion returns agent a's current opinion, with ok=false when the
 	// agent holds none yet.
 	Opinion(a int) (bit channel.Bit, ok bool)
-}
-
-// KeyedProtocol is an optional extension of Protocol: the engine hands
-// implementations the run's draw-schedule root before Setup, and they take
-// their phase-boundary randomness from addressed cells of the key
-// (rng.StreamSchedule, rng.StreamOffsets) instead of consuming the
-// sequential stream passed to Setup, so protocol draws are a pure function
-// of (seed, round, agent) independent of kernel and execution order.
-type KeyedProtocol interface {
-	SetDrawKey(k rng.Key)
 }
 
 // QuietSpanner is an optional Protocol capability that makes quiescence
@@ -85,6 +79,11 @@ type Observer func(round int, e *Engine)
 // generous 2²⁰ rounds. Exported so canonicalization layers (internal/api)
 // can map "unset" and "explicitly the default" to the same run.
 const DefaultMaxRounds = 1 << 20
+
+// MaxN is the largest population the engine accepts (2³¹ − 1): the
+// kernels store agent ids as int32, and the scatter inbox word packs an
+// arrival count bounded by n into 32 bits.
+const MaxN = math.MaxInt32
 
 // Kernel selects the execution strategy of the engine's round loop.
 type Kernel int
@@ -163,7 +162,7 @@ type Config struct {
 	// bit-identical for every value — every tree bucket's draws are
 	// addressed by (round, bucket), so Shards only decides how many
 	// goroutines sweep the buckets (see keyed.go). Callers that already
-	// parallelize across seeds (RunSeeds) typically set Shards: 1 to avoid
+	// parallelize across runs typically set Shards: 1 to avoid
 	// oversubscription.
 	Shards int
 }
@@ -171,6 +170,9 @@ type Config struct {
 func (c Config) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("sim: population size %d < 2", c.N)
+	}
+	if c.N > MaxN {
+		return fmt.Errorf("sim: population size %d > %d", c.N, MaxN)
 	}
 	if c.Channel == nil {
 		return fmt.Errorf("sim: nil channel")
@@ -214,8 +216,8 @@ type PathRounds struct {
 	PerMessage int64 `json:"per_message,omitempty"`
 	// Dense counts tree rounds swept serially.
 	Dense int64 `json:"dense,omitempty"`
-	// Sharded counts tree rounds large enough (numShards(n) ≥ 2 and at
-	// least shardMinMessages messages) to sweep their buckets in parallel.
+	// Sharded counts tree rounds large enough (n ≥ shardMinN and at least
+	// shardMinMessages messages) to sweep their buckets in parallel.
 	Sharded int64 `json:"sharded,omitempty"`
 	// Sparse counts tree-eligible rounds whose protocol declared a small
 	// active set (SenderIndex with k·64 < n); the sparse walker executes
@@ -328,9 +330,8 @@ func (r Result) AllCorrect(target channel.Bit) bool {
 type Engine struct {
 	cfg Config
 
-	key      rng.Key     // the run's draw-schedule root
-	protoRNG *rng.RNG    // the protocol's sequential stream, seeded from key
-	keyed    *keyedState // lazily allocated kernel scratch
+	key   rng.Key     // the run's draw-schedule root
+	keyed *keyedState // lazily allocated kernel scratch
 
 	// Quiet-span skipping: the protocol's span oracle, armed per run by
 	// prepareQuietSkip, and the count of spans actually skipped.
@@ -364,11 +365,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 // (config, protocol, seed). Reset during a run is not supported.
 func (e *Engine) Reset(seed uint64) {
 	e.cfg.Seed = seed
-	// Every engine-side draw is addressed through e.key; the protocol's
-	// sequential stream is seeded from the protocol subsystem stream so it
-	// cannot collide with any engine draw.
+	// Every draw of the run, engine-side and protocol-side, is addressed
+	// through e.key.
 	e.key = rng.NewKey(seed)
-	e.protoRNG = rng.New(e.key.Cell(rng.StreamProtocol, 0).Uint64(0))
 	if k := e.keyed; k != nil {
 		// The last run unwound mid-round and left arrivals behind.
 		if k.inboxOpen {
@@ -482,10 +481,7 @@ func (e *Engine) Run(p Protocol) Result {
 	e.started = true
 
 	n := e.cfg.N
-	if kp, ok := p.(KeyedProtocol); ok {
-		kp.SetDrawKey(e.key)
-	}
-	p.Setup(n, e.protoRNG)
+	p.Setup(n, e.key)
 
 	bp := e.prepareKeyed(p)
 	e.prepareQuietSkip(p)

@@ -20,7 +20,7 @@ type chatter struct {
 }
 
 func (c *chatter) Name() string { return "chatter" }
-func (c *chatter) Setup(n int, _ *rng.RNG) {
+func (c *chatter) Setup(n int, _ rng.Key) {
 	c.n = n
 	c.last = make([]channel.Bit, n)
 	c.decided = make([]bool, n)
@@ -53,6 +53,8 @@ func TestConfigValidation(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"small population", func(c *Config) { c.N = 1 }},
+		{"population past int32 ids", func(c *Config) { c.N = MaxN + 1 }},
+		{"population 2^33", func(c *Config) { c.N = 1 << 33 }},
 		{"nil channel", func(c *Config) { c.Channel = nil }},
 		{"negative drop", func(c *Config) { c.DropProb = -0.1 }},
 		{"drop of 1", func(c *Config) { c.DropProb = 1 }},
@@ -264,20 +266,14 @@ func TestCrashAtLaterRound(t *testing.T) {
 
 func TestRandomCrashesValidation(t *testing.T) {
 	for _, p := range []float64{1.5, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, keyed := range []bool{false, true} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("crash probability %v (keyed=%v) did not panic", p, keyed)
-					}
-				}()
-				if keyed {
-					NewRandomCrashesKeyed(10, p, 0, rng.NewKey(1))
-				} else {
-					NewRandomCrashes(10, p, 0, rng.New(1))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("crash probability %v did not panic", p)
 				}
 			}()
-		}
+			NewRandomCrashes(10, p, 0, rng.NewKey(1))
+		}()
 	}
 }
 
@@ -350,8 +346,8 @@ type singleSender struct {
 	counts []int
 }
 
-func (s *singleSender) Name() string        { return "single-sender" }
-func (s *singleSender) Setup(int, *rng.RNG) {}
+func (s *singleSender) Name() string       { return "single-sender" }
+func (s *singleSender) Setup(int, rng.Key) {}
 func (s *singleSender) Send(a, _ int) (channel.Bit, bool) {
 	return channel.One, a == 0
 }
@@ -397,8 +393,8 @@ type twoSenders struct {
 	got1 bool
 }
 
-func (s *twoSenders) Name() string        { return "two-senders" }
-func (s *twoSenders) Setup(int, *rng.RNG) {}
+func (s *twoSenders) Name() string       { return "two-senders" }
+func (s *twoSenders) Setup(int, rng.Key) {}
 func (s *twoSenders) Send(a, _ int) (channel.Bit, bool) {
 	switch a {
 	case 0:

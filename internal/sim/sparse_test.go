@@ -29,7 +29,7 @@ type sparseChatter struct {
 }
 
 func (c *sparseChatter) Name() string { return "sparse-chatter" }
-func (c *sparseChatter) Setup(n int, _ *rng.RNG) {
+func (c *sparseChatter) Setup(n int, _ rng.Key) {
 	c.n = n
 	c.acc = make([]uint64, n)
 	c.zeros = c.zeros[:0]
@@ -157,7 +157,7 @@ func TestSparseWalkerByteIdentity(t *testing.T) {
 // crash masking must match the dense tree's occupied-slot scan exactly.
 func TestSparseWalkerCrashByteIdentity(t *testing.T) {
 	base := sparseCfg()
-	base.Failures = NewRandomCrashesKeyed(base.N, 0.4, 10, rng.NewKey(base.Seed), 0)
+	base.Failures = NewRandomCrashes(base.N, 0.4, 10, rng.NewKey(base.Seed), 0)
 	ref, refP := runSparse(t, base)
 	if ref.Paths.Sparse == 0 {
 		t.Fatalf("crash scenario recorded no sparse rounds: %+v", ref.Paths)
@@ -172,7 +172,7 @@ func TestSparseWalkerCrashByteIdentity(t *testing.T) {
 		{"shards-4", func(c *Config) { c.Shards = 4 }, runSparse},
 	} {
 		cfg := sparseCfg()
-		cfg.Failures = NewRandomCrashesKeyed(cfg.N, 0.4, 10, rng.NewKey(cfg.Seed), 0)
+		cfg.Failures = NewRandomCrashes(cfg.N, 0.4, 10, rng.NewKey(cfg.Seed), 0)
 		v.mut(&cfg)
 		got, gotP := v.run(t, cfg)
 		if got != ref {
