@@ -114,14 +114,12 @@ func BenchmarkE17Calibration(b *testing.B) { benchExperiment(b, "E17") }
 // robustness.
 func BenchmarkE18Faults(b *testing.B) { benchExperiment(b, "E18") }
 
-// --- kernel benchmarks: batched vs per-agent (PR 1 acceptance) ---
+// --- kernel benchmarks ---
 
-// kernelBroadcast runs one full broadcast through the chosen kernel and
-// returns the Result plus the per-agent-round cost in nanoseconds. Both
-// kernels run the same configuration — the classical push convention
-// (self-messages allowed), under which tree rounds apply — and the same
-// draws; only per-agent versus bulk collection and delivery differ.
-func kernelBroadcast(b *testing.B, n int, kernel sim.Kernel, seed uint64) (sim.Result, float64) {
+// kernelBroadcast runs one full broadcast under the classical push
+// convention (self-messages allowed), under which tree rounds apply, and
+// returns the Result plus the per-agent-round cost in nanoseconds.
+func kernelBroadcast(b *testing.B, n int, seed uint64) (sim.Result, float64) {
 	b.Helper()
 	p, err := core.NewBroadcast(core.DefaultParams(n, 0.3), channel.One)
 	if err != nil {
@@ -129,7 +127,7 @@ func kernelBroadcast(b *testing.B, n int, kernel sim.Kernel, seed uint64) (sim.R
 	}
 	cfg := sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-		AllowSelfMessages: true, Kernel: kernel,
+		AllowSelfMessages: true,
 	}
 	start := time.Now()
 	res, err := sim.Run(cfg, p)
@@ -140,45 +138,15 @@ func kernelBroadcast(b *testing.B, n int, kernel sim.Kernel, seed uint64) (sim.R
 	return res, float64(elapsed.Nanoseconds()) / (float64(n) * float64(res.Rounds))
 }
 
-// BenchmarkKernelPerAgentBroadcast100k measures per-agent collection at
-// n = 100,000; its ns/agent-round metric is the extrapolation
-// baseline for the million-agent batched run.
-func BenchmarkKernelPerAgentBroadcast100k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, nsPerAR := kernelBroadcast(b, 100_000, sim.KernelPerAgent, uint64(i))
-		if !res.AllCorrect(channel.One) {
-			b.Fatal("broadcast failed")
-		}
-		b.ReportMetric(nsPerAR, "ns/agent-round")
-	}
-}
-
 // BenchmarkKernelAutoBroadcast1M runs the flagship scenario: a full
 // noisy broadcast over one million agents on the batched kernel.
 func BenchmarkKernelAutoBroadcast1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, nsPerAR := kernelBroadcast(b, 1_000_000, sim.KernelAuto, uint64(i))
+		res, nsPerAR := kernelBroadcast(b, 1_000_000, uint64(i))
 		if !res.AllCorrect(channel.One) {
 			b.Fatal("broadcast failed")
 		}
 		b.ReportMetric(nsPerAR, "ns/agent-round")
-	}
-}
-
-// BenchmarkKernelSpeedup runs both paths back to back and reports the
-// headline ratio: per-agent-round cost of per-agent collection at n = 10⁵
-// (extrapolated) over the batched kernel's cost at n = 10⁶. The PR 1
-// acceptance bar is ≥ 5×.
-func BenchmarkKernelSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, refAR := kernelBroadcast(b, 100_000, sim.KernelPerAgent, uint64(i))
-		res, batchedAR := kernelBroadcast(b, 1_000_000, sim.KernelAuto, uint64(i))
-		if !res.AllCorrect(channel.One) {
-			b.Fatal("broadcast failed")
-		}
-		b.ReportMetric(refAR, "ref-ns/agent-round")
-		b.ReportMetric(batchedAR, "batched-ns/agent-round")
-		b.ReportMetric(refAR/batchedAR, "speedup")
 	}
 }
 

@@ -1,17 +1,17 @@
-// Command bench measures the round kernels' throughput trajectory and
+// Command bench measures the round kernel's throughput trajectory and
 // writes it to a JSON artifact (BENCH_kernel.json by default): the
-// ns/agent-round cost of per-agent collection, the single-worker batched
-// kernel and the sharded kernel at a ladder of population sizes. The
-// kernels replay the same addressed draws, so every cell of one n runs
-// the same rounds; only the mechanism and the worker count differ.
+// ns/agent-round cost of the kernel on one worker (serial) and on every
+// core (sharded) at a ladder of population sizes. Both replay the same
+// addressed draws, so the two cells of one n run the same rounds; only
+// the worker count differs.
 // CI runs it at reduced scale (-quick) on every push and uploads the
 // artifact, so the kernel cost trajectory accumulates across the
 // repository's history instead of living only in commit messages.
 //
 // The workload is the kernels' design point — every agent pushes a bit
 // each round (the shape of the protocol's Stage II) through a BSC — so
-// the numbers are comparable across kernels and scales. Rounds per cell
-// are derived from a fixed agent-round budget, keeping every cell's
+// the numbers are comparable across worker counts and scales. Rounds per
+// cell are derived from a fixed agent-round budget, keeping every cell's
 // wall-clock bounded regardless of n.
 //
 // Usage:
@@ -133,8 +133,9 @@ type indexedChatter struct{ sparseChatter }
 // ActiveSenders implements sim.SenderIndex: k declared senders per round.
 func (c *indexedChatter) ActiveSenders(int) int { return c.k }
 
-// Cell is one measured (kernel, n) point.
+// Cell is one measured (worker count, n) point.
 type Cell struct {
+	// Kernel names the cell: serial (one worker) or sharded (-shards).
 	Kernel          string  `json:"kernel"`
 	N               int     `json:"n"`
 	Shards          int     `json:"shards"`
@@ -145,22 +146,21 @@ type Cell struct {
 	NsPerAgentRound float64 `json:"ns_per_agent_round"`
 	MMsgsPerSec     float64 `json:"mmsgs_per_sec"`
 	// PhaseNs decomposes the cell's kernel time by round phase
-	// (telemetry.RunProbe billing; schema v4). Kernels that fuse phases
-	// bill the fused work to the first phase of the fusion, so dense
-	// cells report most of their time under "collision".
+	// (telemetry.RunProbe billing; schema v4). Regimes that fuse phases
+	// bill the fused work to the first phase of the fusion, so tree
+	// rounds report most of their time under "collision".
 	PhaseNs map[string]int64 `json:"phase_ns"`
 }
 
 // AsyncCell is the async-heavy quiet-span cell: one quiet-dominated
 // selfsync scenario executed twice — quiet-span skipping on (the default)
-// and off — on the per-agent collection mechanism, whose Θ(n) sender scans are what the dilation gaps cost
-// without the skip. The crash plan thins the message traffic (the
-// robustness scenario the sweep grids also exercise) and routes every
-// scan through the failure filter, so the cell also covers the
-// crash-boundary capping at speed.
+// and off. Without the skip every round of the dilation gaps pays a
+// BulkSenders call and a round barrier. The crash plan thins the message
+// traffic (the robustness scenario the sweep grids also exercise) and
+// routes every sender list through the crash filter, so the cell also
+// covers the crash-boundary capping at speed.
 type AsyncCell struct {
 	Protocol    string  `json:"protocol"`
-	Kernel      string  `json:"kernel"`
 	N           int     `json:"n"`
 	Eps         float64 `json:"eps"`
 	PreludeLen  int     `json:"prelude_len"`
@@ -170,8 +170,7 @@ type AsyncCell struct {
 	QuietSpans  int64   `json:"quiet_spans"`
 	WallSkipOn  float64 `json:"wall_seconds_skip_on"`
 	WallSkipOff float64 `json:"wall_seconds_skip_off"`
-	// Speedup is WallSkipOff / WallSkipOn. The full-scale budget for the
-	// committed artifact is ≥ 10.
+	// Speedup is WallSkipOff / WallSkipOn.
 	Speedup float64 `json:"quiet_skip_speedup"`
 	// Identical reports that both executions produced the same sim.Result
 	// — the skip path's bit-identity contract, asserted here so a
@@ -186,8 +185,7 @@ type AsyncCell struct {
 // does. Both executors must produce the same sim.Result up to the regime
 // counters; the speedup is the Θ(n)-round-floor saving the walker buys.
 type SparseCell struct {
-	Kernel string `json:"kernel"`
-	N      int    `json:"n"`
+	N int `json:"n"`
 	// ActiveSenders is the declared sender-set size k of every round.
 	ActiveSenders int   `json:"active_senders"`
 	Rounds        int   `json:"rounds"`
@@ -229,8 +227,7 @@ func main() {
 // benchAsync measures the quiet-span AsyncCell: a dilation-amplified
 // selfsync run (prelude L far above the standard 3·log₂ n, so the
 // inter-phase gaps dominate the schedule) with 80% initial crash faults,
-// executed with skipping on and off. Quick mode shrinks the scenario;
-// the ≥10× budget applies to the full-scale committed artifact.
+// executed with skipping on and off. Quick mode shrinks the scenario.
 func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 	n, prelude := 20_000, 12_000
 	if quick {
@@ -239,8 +236,8 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 	const eps, crashProb = 0.45, 0.8
 
 	cell := &AsyncCell{
-		Protocol: "breathe-async-selfsync", Kernel: "per-agent",
-		N: n, Eps: eps, PreludeLen: prelude, CrashProb: crashProb,
+		Protocol: "breathe-async-selfsync", N: n, Eps: eps,
+		PreludeLen: prelude, CrashProb: crashProb,
 	}
 	var onRes, offRes sim.Result
 	for _, noskip := range []bool{false, true} {
@@ -251,8 +248,7 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 		}
 		cfg := sim.Config{
 			N: n, Channel: channel.FromEpsilon(eps), Seed: seed,
-			AllowSelfMessages: true,
-			Kernel:            sim.KernelPerAgent, Shards: 1, MaxRounds: 1 << 30,
+			AllowSelfMessages: true, Shards: 1, MaxRounds: 1 << 30,
 			Failures: sim.NewRandomCrashes(n, crashProb, 0, rng.NewKey(seed), 0),
 		}
 		if noskip {
@@ -303,9 +299,7 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 	if quick {
 		n, k, rounds = 1_000_000, 1_000, 40
 	}
-	cell := &SparseCell{
-		Kernel: "auto", N: n, ActiveSenders: k,
-	}
+	cell := &SparseCell{N: n, ActiveSenders: k}
 	var treeRes, sparseRes sim.Result
 	for _, walker := range []bool{true, false} {
 		e, err := sim.NewEngine(sim.Config{
@@ -391,19 +385,17 @@ func run(args []string, log io.Writer) error {
 	}
 
 	rep := Report{
-		Schema:     "breathe-bench-kernel/v6",
+		Schema:     "breathe-bench-kernel/v7",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      *quick,
 		Budget:     b,
 	}
 	kernels := []struct {
 		name   string
-		kernel sim.Kernel
 		shards int
 	}{
-		{"per-agent", sim.KernelPerAgent, 0},
-		{"batched", sim.KernelAuto, 1},
-		{"sharded", sim.KernelAuto, *shards},
+		{"serial", 1},
+		{"sharded", *shards},
 	}
 	// One probe serves every cell (Reset between runs). Its clock reads at
 	// phase boundaries are part of the measured wall time — a handful of
@@ -425,8 +417,8 @@ func run(args []string, log io.Writer) error {
 			probe.Reset()
 			e, err := sim.NewEngine(sim.Config{
 				N: n, Channel: channel.NewBSC(0.2), Seed: *seed,
-				AllowSelfMessages: true, Kernel: k.kernel,
-				Shards: k.shards, MaxRounds: 1 << 30,
+				AllowSelfMessages: true,
+				Shards:            k.shards, MaxRounds: 1 << 30,
 				Telemetry: probe,
 			})
 			if err != nil {

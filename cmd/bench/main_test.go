@@ -12,7 +12,7 @@ import (
 func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_kernel.json")
 	var log bytes.Buffer
-	// A tiny ladder keeps the test fast while covering all three kernels;
+	// A tiny ladder keeps the test fast while covering both worker counts;
 	// -quick keeps the async quiet-span cell at CI scale (the explicit -ns
 	// overrides quick's ladder, so the two compose).
 	if err := run([]string{"-quick", "-ns", "5000,40000", "-budget", "200000", "-out", out}, &log); err != nil {
@@ -29,7 +29,7 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if rep.Schema != "breathe-bench-kernel/v6" {
+	if rep.Schema != "breathe-bench-kernel/v7" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	if !strings.Contains(log.String(), "phase decomposition") {
@@ -56,9 +56,9 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if rep.SparseCell.Speedup <= 1 {
 		t.Fatalf("sparse walker slower than the dense tree: %+v", rep.SparseCell)
 	}
-	// 2 sizes × 3 kernels.
-	if len(rep.Cells) != 6 {
-		t.Fatalf("got %d cells, want 6", len(rep.Cells))
+	// 2 sizes × {serial, sharded}.
+	if len(rep.Cells) != 4 {
+		t.Fatalf("got %d cells, want 4", len(rep.Cells))
 	}
 	for _, c := range rep.Cells {
 		if c.NsPerAgentRound <= 0 || c.Rounds < 3 || c.Messages <= 0 {
@@ -72,9 +72,9 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 		if len(c.PhaseNs) == 0 || phaseTotal <= 0 {
 			t.Fatalf("cell %+v has no phase decomposition", c)
 		}
-		// n = 40000 clears shardMinN (32768), so every kernel — the
-		// regime is kernel-independent — must report sharded rounds
-		// there.
+		// n = 40000 clears shardMinN (32768), so every cell — the
+		// regime does not depend on the worker count — must report
+		// sharded rounds there.
 		if c.N == 40000 && c.Sharded == 0 {
 			t.Fatalf("cell %+v executed no sharded rounds", c)
 		}

@@ -47,7 +47,7 @@
 // A running daemon also serves as a sweep backend: `sweep -remote
 // http://host:8344` executes its grid cells here, and the result cache
 // makes repeated or overlapping sweeps incremental. Sweep grids cycle
-// through many engine shapes ((n, ε, kernel) combinations), so -engines
+// through many engine shapes ((n, ε, shards) combinations), so -engines
 // sizes each worker's engine cache for the grid's working set.
 package main
 

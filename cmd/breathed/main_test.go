@@ -161,7 +161,7 @@ func TestStreamSSE(t *testing.T) {
 func TestCancelEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	_, st := postJSON(t, ts.URL+"/v1/runs",
-		`{"n": 65536, "seed": 1, "kernel": "per-agent", "trajectory_every": 1, "max_rounds": 4096}`)
+		`{"n": 65536, "seed": 1, "no_self_messages": true, "trajectory_every": 1, "max_rounds": 4096}`)
 
 	// Wait until the stream proves the run started.
 	resp, err := http.Get(fmt.Sprintf("%s/v1/runs/%s/stream", ts.URL, st.ID))
@@ -242,12 +242,12 @@ func TestRejections(t *testing.T) {
 // TestQueueFull429: an overloaded queue answers 429 with Retry-After.
 func TestQueueFull429(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
-	// Jam the worker with a long per-agent run, fill the queue slot, then
+	// Jam the worker with a long self-exclusion run, fill the queue slot, then
 	// overflow. Cancel everything afterwards so Close stays fast.
 	var ids []string
 	saw429 := false
 	for seed := uint64(0); seed < 20 && !saw429; seed++ {
-		body := fmt.Sprintf(`{"n": 65536, "seed": %d, "kernel": "per-agent"}`, seed)
+		body := fmt.Sprintf(`{"n": 65536, "seed": %d, "no_self_messages": true}`, seed)
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

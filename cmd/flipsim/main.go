@@ -56,10 +56,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ch := channel.Channel(channel.Noiseless{})
-	if *eps < 0.5 {
-		ch = channel.FromEpsilon(*eps)
-	}
+	ch := channel.FromEpsilon(*eps)
 	defRounds := *rounds
 	if defRounds == 0 {
 		defRounds = params.TotalRounds()

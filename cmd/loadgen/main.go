@@ -280,7 +280,7 @@ func (g *loadgen) await(id string) ([]byte, error) {
 // after the first trajectory point proves it is mid-execution, and
 // confirms the terminal state.
 func (g *loadgen) cancelExercise(seed uint64) error {
-	body := fmt.Sprintf(`{"n": %d, "seed": %d, "kernel": "per-agent", "trajectory_every": 1}`,
+	body := fmt.Sprintf(`{"n": %d, "seed": %d, "no_self_messages": true, "trajectory_every": 1}`,
 		maxInt(g.n, 65536), seed)
 	env, cached, _, err := g.submit(body)
 	if err != nil {

@@ -21,7 +21,6 @@
 //	megasim -protocol async-selfsync -n 100000   # §3.2, activation-phase sync
 //	megasim -crash 0.1 -n 1000000            # 10% initial crash faults
 //	megasim -n 10000000 -shards 8            # 10⁷ agents across 8 worker cores
-//	megasim -kernel per-agent -n 100000      # per-agent collection, same bits
 //	megasim -n 1000000 -json > result.json   # machine-readable api.RunResponse
 //	megasim -n 1000000 -phases               # kernel phase decomposition (byte-inert)
 //
@@ -34,15 +33,15 @@
 // Above ~32k agents the large tree rounds run *sharded*: the round's
 // receiver buckets are swept on -shards worker goroutines (0 = all
 // cores). Every draw is addressed by (seed, stream, round, index), so
-// results are bit-identical for every -shards and -kernel value — both
-// flags are pure performance knobs.
+// results are bit-identical for every -shards value — a pure performance
+// knob.
 //
 // The engine picks the batched machinery whenever the protocol and n
 // allow it and falls back to per-agent collection otherwise (n ≥ 2²⁸);
 // the "paths:" line (and the response's paths field) reports which
-// regime executed every round, so the fallback is visible. -kernel
-// per-agent forces per-agent collection, the cross-check of the batched
-// sender lists.
+// regime executed every round, so the fallback is visible. There is no
+// flag to force per-agent collection: the test adapter simtest.PerAgent
+// is the cross-check of the batched sender lists.
 package main
 
 import (
@@ -73,7 +72,6 @@ func run(args []string) error {
 		n        = fs.Int("n", 1_000_000, "population size")
 		eps      = fs.Float64("eps", 0.3, "channel parameter ε (flip prob = 1/2−ε)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		kernel   = fs.String("kernel", "auto", "auto | per-agent (results are identical for every value)")
 		self     = fs.Bool("self", true, "allow self-messages (classical push convention; enables aggregate recipient sampling)")
 		aBias    = fs.Float64("abias", 0.2, "consensus: majority-bias of the initial set")
 		crash    = fs.Float64("crash", 0, "crash each agent at round 0 with this probability (agent 0 is protected)")
@@ -100,7 +98,6 @@ func run(args []string) error {
 		NoSelfMessages: !*self,
 		ABias:          *aBias,
 		CrashProb:      *crash,
-		Kernel:         *kernel,
 		Shards:         *shards,
 	}
 	built, err := req.Build()
@@ -129,8 +126,8 @@ func run(args []string) error {
 		fmt.Fprintf(out, "crashes:   %d of %d agents down from round 0 (p = %.3g)\n",
 			built.Crashed, *n, *crash)
 	}
-	fmt.Fprintf(out, "scenario:  %s  n=%d eps=%.3g seed=%d kernel=%s self=%v shards=%d\n",
-		*protocol, *n, *eps, *seed, *kernel, *self, *shards)
+	fmt.Fprintf(out, "scenario:  %s  n=%d eps=%.3g seed=%d self=%v shards=%d\n",
+		*protocol, *n, *eps, *seed, *self, *shards)
 	fmt.Fprintf(out, "schedule:  %s\n", schedule)
 
 	var probe *telemetry.RunProbe

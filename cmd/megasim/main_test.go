@@ -2,10 +2,11 @@ package main
 
 import "testing"
 
+// TestRunSmallBroadcastBothKernels runs the serial and the sharded kernel.
 func TestRunSmallBroadcastBothKernels(t *testing.T) {
-	for _, kernel := range []string{"auto", "per-agent"} {
-		if err := run([]string{"-n", "2048", "-kernel", kernel, "-seed", "3"}); err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
+	for _, shards := range []string{"1", "4"} {
+		if err := run([]string{"-n", "2048", "-shards", shards, "-seed", "3"}); err != nil {
+			t.Fatalf("shards %s: %v", shards, err)
 		}
 	}
 }
@@ -25,13 +26,11 @@ func TestRunExclusionMode(t *testing.T) {
 }
 
 func TestRunAsyncProtocols(t *testing.T) {
-	// The §3 protocols on both kernels — the batched machinery covers
-	// them via the offset-class sender lists.
+	// The §3 protocols — the batched machinery covers them via the
+	// offset-class sender lists.
 	for _, proto := range []string{"async-offsets", "async-selfsync"} {
-		for _, kernel := range []string{"auto", "per-agent"} {
-			if err := run([]string{"-protocol", proto, "-n", "1024", "-kernel", kernel, "-seed", "2"}); err != nil {
-				t.Fatalf("%s on %s: %v", proto, kernel, err)
-			}
+		if err := run([]string{"-protocol", proto, "-n", "1024", "-seed", "2"}); err != nil {
+			t.Fatalf("%s: %v", proto, err)
 		}
 	}
 }
@@ -66,8 +65,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-n", "1"},
 		{"-eps", "0.7"},
-		{"-kernel", "warp"},
-		{"-kernel", "batched"},
+		{"-kernel", "auto"},
+		{"-kernel", "per-agent"},
 		{"-eps", "1e-300"},
 		{"-protocol", "rumor"},
 		{"-crash", "1.5"},

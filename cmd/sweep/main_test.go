@@ -170,7 +170,7 @@ func TestRunValidation(t *testing.T) {
 		{"-ns", "128", "-epss", "0.7"},
 		{"-ns", "128", "-epss", "0.3", "-protocol", "bogus"},
 		{"-ns", "128", "-epss", "0.3", "-crash", "1.5"},
-		{"-ns", "128", "-epss", "0.3", "-kernel", "vector"},
+		{"-ns", "128", "-epss", "0.3", "-kernel", "auto"},
 		{"-ns", "128", "-epss", "0.3", "-format", "xml"},
 		{"-ns", "128", "-epss", "0.3", "-resume"},
 		{"-ns", "128", "-epss", "0.3", "-abort-after", "1"},

@@ -7,6 +7,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // Golden regression tests: exact values for fixed seeds. These pin down
@@ -29,9 +30,10 @@ func TestGoldenRNGStream(t *testing.T) {
 }
 
 func TestGoldenBroadcastRun(t *testing.T) {
-	// The keyed schedule is kernel-blind: the per-agent and the batched
-	// kernel must both reproduce this constant. (The model reference's own
-	// draw-for-draw pin is TestGoldenBroadcastRunPerAgent in internal/sim.)
+	// The keyed schedule is blind to the collection mechanism: bulk and
+	// per-agent collection (simtest.PerAgent) must both reproduce this
+	// constant. (The model reference's own draw-for-draw pin is
+	// TestGoldenBroadcastRunPerAgent in internal/sim.)
 	res, err := Broadcast(Config{N: 1024, Epsilon: 0.3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -45,19 +47,23 @@ func TestGoldenBroadcastRun(t *testing.T) {
 	if !res.Unanimous {
 		t.Error("expected unanimity")
 	}
-	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto} {
+	for _, perAgent := range []bool{true, false} {
+		var p sim.Protocol
 		p, err := core.NewBroadcast(core.DefaultParams(1024, 0.3), channel.One)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if perAgent {
+			p = simtest.PerAgent(p)
+		}
 		kres, err := sim.Run(sim.Config{
-			N: 1024, Channel: channel.FromEpsilon(0.3), Seed: 1, Kernel: kernel,
+			N: 1024, Channel: channel.FromEpsilon(0.3), Seed: 1,
 		}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if kres.Rounds != 1236 || kres.MessagesSent != 853783 {
-			t.Errorf("kernel %d: %d rounds, %d messages; want 1236, 853783", kernel, kres.Rounds, kres.MessagesSent)
+			t.Errorf("per-agent=%v: %d rounds, %d messages; want 1236, 853783", perAgent, kres.Rounds, kres.MessagesSent)
 		}
 	}
 }

@@ -11,10 +11,11 @@
 // of the hash.
 //
 // Every draw of a run is addressed by (seed, stream, round, agent,
-// counter), so the kernels and worker counts are bit-identical by
-// construction: Kernel and Shards are erased from the canonical request,
-// and a result computed by one kernel is served byte-for-byte to a
-// request naming another.
+// counter), so every worker count is bit-identical by construction:
+// Shards is erased from the canonical request, and a result computed on
+// one worker count is served byte-for-byte to a request naming another.
+// Kernel and Schedule each accept one value and keep their lines in the
+// hash preimage, so cache addresses predating them stay valid.
 //
 // The same types serve as the machine-readable output format of
 // cmd/megasim (-json), so batch and service results are directly
@@ -43,11 +44,10 @@ const (
 	ProtoAsyncSelfSync = "async-selfsync"
 )
 
-// Kernel names accepted by RunRequest.Kernel.
-const (
-	KernelAuto     = "auto"
-	KernelPerAgent = "per-agent"
-)
+// KernelAuto is the one kernel, and the only value RunRequest.Kernel
+// accepts besides "" (which normalizes to it): the engine collects through
+// the bulk interface whenever the protocol has one.
+const KernelAuto = "auto"
 
 // ScheduleKeyed is the one draw schedule, and the only value
 // RunRequest.Schedule accepts besides "" (which normalizes to it): every
@@ -86,11 +86,9 @@ type RunRequest struct {
 	CrashProb float64 `json:"crash_prob,omitempty"`
 	// CrashRound is the round the crash plan takes effect (default 0).
 	CrashRound int `json:"crash_round,omitempty"`
-	// Kernel selects the execution strategy: auto (the default: the
-	// engine uses the batched machinery whenever the protocol and n allow
-	// it) | per-agent (one Send/Receive call per agent, the cross-check of
-	// the batched collection). A pure perf knob — every kernel replays the
-	// same addressed draws — so it is erased from the canonical request.
+	// Kernel names the execution strategy: auto, the only one, and the
+	// default. Kept so requests that name it stay valid; it is hashed as
+	// "auto", so every existing cache address stays stable.
 	Kernel string `json:"kernel,omitempty"`
 	// Schedule names the draw schedule: keyed, the only one, and the
 	// default. Kept so requests that name it stay valid; it is hashed as
@@ -155,10 +153,8 @@ func (r RunRequest) Validate() error {
 	default:
 		return fmt.Errorf("api: unknown protocol %q", r.Protocol)
 	}
-	switch r.Kernel {
-	case KernelAuto, KernelPerAgent:
-	default:
-		return fmt.Errorf("api: unknown kernel %q (valid: %s, %s)", r.Kernel, KernelAuto, KernelPerAgent)
+	if r.Kernel != KernelAuto {
+		return fmt.Errorf("api: unknown kernel %q (the only kernel is %q)", r.Kernel, KernelAuto)
 	}
 	if r.Schedule != ScheduleKeyed {
 		return fmt.Errorf("api: unknown schedule %q (the only draw schedule is %q)", r.Schedule, ScheduleKeyed)
@@ -215,9 +211,6 @@ func (r RunRequest) Canonical() RunRequest {
 	r.Shards = 0
 	r.TrajectoryEvery = 0
 	r.TraceEvery = 0
-	// Draws are addressed, not consumed: every kernel replays the
-	// identical schedule, so the kernel choice is pure perf.
-	r.Kernel = KernelAuto
 	return r
 }
 
@@ -329,9 +322,6 @@ func (r RunRequest) Build() (*Run, error) {
 		AllowSelfMessages: !r.NoSelfMessages,
 		DropProb:          r.DropProb,
 		Shards:            r.Shards,
-	}
-	if r.Kernel == KernelPerAgent {
-		cfg.Kernel = sim.KernelPerAgent
 	}
 
 	crashed := 0

@@ -34,9 +34,6 @@ func TestHashCanonicalization(t *testing.T) {
 	if got := (RunRequest{N: 1024, Seed: 8}).Hash(); got == h {
 		t.Errorf("different seed, same hash %s", h)
 	}
-	if got := (RunRequest{N: 1024, Seed: 7, Kernel: "per-agent"}).Hash(); got != h {
-		t.Errorf("kernel is a perf knob but changed the hash: %s vs %s", got, h)
-	}
 	if got := (RunRequest{N: 1024, Seed: 7, NoSelfMessages: true}).Hash(); got == h {
 		t.Errorf("self-message convention did not change the hash")
 	}
@@ -54,20 +51,23 @@ func TestHashCanonicalization(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBatchedBeyondCap: the retired kernel value
-// "batched" is rejected at every n — past the packed counter limit too —
-// with an error naming the valid kernels, while auto at the limit falls
-// back to per-agent collection instead of failing.
+// TestValidateRejectsBatchedBeyondCap: the retired kernel values
+// "batched" and "per-agent" are rejected at every n — past the packed
+// counter limit too — with an error naming auto, the one kernel, while
+// auto at the limit falls back to per-agent collection instead of
+// failing.
 func TestValidateRejectsBatchedBeyondCap(t *testing.T) {
-	for _, n := range []int{1024, 1 << 28} {
-		r := RunRequest{N: n, Seed: 1, Kernel: "batched"}
-		r.Normalize()
-		err := r.Validate()
-		if err == nil {
-			t.Fatalf("kernel=batched with n = %d accepted", n)
-		}
-		if msg := err.Error(); !strings.Contains(msg, KernelAuto) || !strings.Contains(msg, KernelPerAgent) {
-			t.Errorf("kernel=batched error %q does not name the valid kernels", msg)
+	for _, kernel := range []string{"batched", "per-agent"} {
+		for _, n := range []int{1024, 1 << 28} {
+			r := RunRequest{N: n, Seed: 1, Kernel: kernel}
+			r.Normalize()
+			err := r.Validate()
+			if err == nil {
+				t.Fatalf("kernel=%s with n = %d accepted", kernel, n)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"`+KernelAuto+`"`) {
+				t.Errorf("kernel=%s error %q does not name %q", kernel, msg, KernelAuto)
+			}
 		}
 	}
 	auto := RunRequest{N: 1 << 28, Seed: 1}

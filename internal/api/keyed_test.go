@@ -4,25 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
-// TestKeyedHashErasesKernel: every kernel replays the same addressed
-// draws, so the kernel selection is a pure performance knob and must not
-// enter the hash, whether the request names the schedule or not.
+// TestKeyedHashErasesKernel: naming the one kernel, or omitting it, must
+// not move the hash, whether the request names the schedule or not; nor
+// may the worker count.
 func TestKeyedHashErasesKernel(t *testing.T) {
 	base := RunRequest{N: 1024, Seed: 7, Schedule: ScheduleKeyed}
 	h := base.Hash()
-	for _, kernel := range []string{KernelAuto, KernelPerAgent} {
+	for _, kernel := range []string{"", KernelAuto, "Auto"} {
 		r := RunRequest{N: 1024, Seed: 7, Schedule: ScheduleKeyed, Kernel: kernel, Shards: 8}
 		if got := r.Hash(); got != h {
-			t.Errorf("keyed kernel=%s changed the hash: %s vs %s", kernel, got, h)
+			t.Errorf("keyed kernel=%q changed the hash: %s vs %s", kernel, got, h)
 		}
 	}
-	if omitted := (RunRequest{N: 1024, Seed: 7, Kernel: KernelPerAgent}).Hash(); omitted != h {
+	if omitted := (RunRequest{N: 1024, Seed: 7, Kernel: KernelAuto}).Hash(); omitted != h {
 		t.Errorf("omitted schedule hashed apart from keyed: %s vs %s", omitted, h)
 	}
 	if spelled := (RunRequest{N: 1024, Seed: 7, Schedule: "Keyed"}).Hash(); spelled != h {
@@ -31,10 +33,10 @@ func TestKeyedHashErasesKernel(t *testing.T) {
 }
 
 // TestKeyedCanonicalErasesKernel: the canonical request embedded in every
-// keyed response names kernel auto regardless of what computed it, so a
-// cached response serves any kernel's request byte-identically.
+// keyed response names kernel auto whether the request named it or not,
+// so a cached response serves either request byte-identically.
 func TestKeyedCanonicalErasesKernel(t *testing.T) {
-	a := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Kernel: KernelPerAgent, Shards: 16}
+	a := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Shards: 16}
 	b := RunRequest{N: 2048, Seed: 1, Schedule: ScheduleKeyed, Kernel: KernelAuto}
 	ca, cb := a.Canonical(), b.Canonical()
 	if !reflect.DeepEqual(ca, cb) {
@@ -44,7 +46,7 @@ func TestKeyedCanonicalErasesKernel(t *testing.T) {
 		t.Errorf("keyed canonical kernel = %q, want %q", ca.Kernel, KernelAuto)
 	}
 	// A request that omits the schedule canonicalizes to the same form.
-	oc := RunRequest{N: 2048, Seed: 1, Kernel: KernelPerAgent}.Canonical()
+	oc := RunRequest{N: 2048, Seed: 1, Kernel: KernelAuto}.Canonical()
 	if !reflect.DeepEqual(oc, ca) {
 		t.Errorf("omitted-schedule canonical form differs:\n%+v\n%+v", oc, ca)
 	}
@@ -83,15 +85,48 @@ func TestOmittedScheduleHashPinned(t *testing.T) {
 	}
 }
 
-// runResponseBytes builds, executes and serializes one request.
-func runResponseBytes(t *testing.T, req RunRequest) []byte {
+// TestKernelFieldHashPinned pins the content address of {"n":1024,"seed":7}
+// to its value from before the kernel field lost its second value: naming
+// kernel auto and schedule keyed keeps the address, and naming the retired
+// per-agent kernel is an error that names auto.
+func TestKernelFieldHashPinned(t *testing.T) {
+	const want = "2d9c41c8bad1fd5867926da25508a4c2b1963c33a8fa92a7b98f6b5815390373"
+	for _, body := range []string{
+		`{"n":1024,"seed":7}`,
+		`{"n":1024,"seed":7,"kernel":"auto","schedule":"keyed"}`,
+	} {
+		var r RunRequest
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Hash(); got != want {
+			t.Errorf("%s: hash %s, want %s", body, got, want)
+		}
+	}
+	var r RunRequest
+	if err := json.Unmarshal([]byte(`{"n":1024,"seed":7,"kernel":"per-agent"}`), &r); err != nil {
+		t.Fatal(err)
+	}
+	r.Normalize()
+	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), `"auto"`) {
+		t.Errorf("kernel per-agent: Validate = %v, want an error naming \"auto\"", err)
+	}
+}
+
+// runResponseBytes builds, executes and serializes one request; with
+// perAgent set the protocol runs behind simtest.PerAgent.
+func runResponseBytes(t *testing.T, req RunRequest, perAgent bool) []byte {
 	t.Helper()
 	run, err := req.Build()
 	if err != nil {
 		t.Fatalf("Build(%+v): %v", req, err)
 	}
 	p := run.NewProtocol()
-	res, err := sim.Run(run.Config, p)
+	exec := p
+	if perAgent {
+		exec = simtest.PerAgent(p)
+	}
+	res, err := sim.Run(run.Config, exec)
 	if err != nil {
 		t.Fatalf("Run(%+v): %v", req, err)
 	}
@@ -103,9 +138,10 @@ func runResponseBytes(t *testing.T, req RunRequest) []byte {
 }
 
 // TestKeyedCrossKernelResponseBytes is the end-to-end acceptance suite:
-// for every scenario class, every kernel × worker count must serialize to
-// byte-identical canonical RunResponse JSON under the keyed schedule —
-// the exact bytes the service cache stores and serves.
+// for every scenario class, bulk and per-agent collection (simtest.PerAgent)
+// at every worker count must serialize to byte-identical canonical
+// RunResponse JSON under the keyed schedule — the exact bytes the service
+// cache stores and serves.
 func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -121,17 +157,14 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		sc.req.Schedule = ScheduleKeyed
-		ref := sc.req
-		ref.Kernel = KernelAuto
-		want := runResponseBytes(t, ref)
-		for _, kernel := range []string{KernelAuto, KernelPerAgent} {
+		want := runResponseBytes(t, sc.req, false)
+		for _, perAgent := range []bool{false, true} {
 			for _, shards := range []int{1, 2, 8} {
 				r := sc.req
-				r.Kernel = kernel
 				r.Shards = shards
-				if got := runResponseBytes(t, r); !bytes.Equal(got, want) {
-					t.Errorf("%s kernel=%s shards=%d: response bytes diverged\n got: %s\nwant: %s",
-						sc.name, kernel, shards, got, want)
+				if got := runResponseBytes(t, r, perAgent); !bytes.Equal(got, want) {
+					t.Errorf("%s per-agent=%v shards=%d: response bytes diverged\n got: %s\nwant: %s",
+						sc.name, perAgent, shards, got, want)
 				}
 			}
 		}

@@ -8,8 +8,8 @@ import (
 
 // TestSparseResponseBytes is the response-level acceptance pin for the
 // sparse regime: across scenario classes — including the crash-thinned
-// broadcast whose Stage II rounds actually run sparse — every kernel ×
-// shards combination must serialize to byte-identical canonical
+// broadcast whose Stage II rounds actually run sparse — bulk and
+// per-agent collection at every shard count must serialize to byte-identical canonical
 // RunResponse JSON.
 func TestSparseResponseBytes(t *testing.T) {
 	scenarios := []struct {
@@ -25,18 +25,16 @@ func TestSparseResponseBytes(t *testing.T) {
 		{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}, false},
 	}
 	variants := []struct {
-		kernel string
-		shards int
+		perAgent bool
+		shards   int
 	}{
-		{KernelPerAgent, 1},
-		{KernelPerAgent, 4},
-		{KernelAuto, 4},
+		{true, 1},
+		{true, 4},
+		{false, 4},
 	}
 	for _, sc := range scenarios {
 		sc.req.Schedule = ScheduleKeyed
-		ref := sc.req
-		ref.Kernel = KernelAuto
-		want := runResponseBytes(t, ref)
+		want := runResponseBytes(t, sc.req, false)
 		var resp RunResponse
 		if err := json.Unmarshal(want, &resp); err != nil {
 			t.Fatal(err)
@@ -47,11 +45,10 @@ func TestSparseResponseBytes(t *testing.T) {
 		}
 		for _, v := range variants {
 			r := sc.req
-			r.Kernel = v.kernel
 			r.Shards = v.shards
-			if got := runResponseBytes(t, r); !bytes.Equal(got, want) {
-				t.Errorf("%s kernel=%s shards=%d: response bytes diverged",
-					sc.name, v.kernel, v.shards)
+			if got := runResponseBytes(t, r, v.perAgent); !bytes.Equal(got, want) {
+				t.Errorf("%s per-agent=%v shards=%d: response bytes diverged",
+					sc.name, v.perAgent, v.shards)
 			}
 		}
 	}

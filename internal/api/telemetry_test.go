@@ -1,6 +1,7 @@
 // The tentpole invariant of the telemetry subsystem, pinned end to end:
 // canonical response bytes are identical with telemetry enabled vs
-// disabled, for every scenario class and every kernel. The probe times
+// disabled, for every scenario class, collection mechanism and worker
+// count. The probe times
 // phases and streams a trace, but it draws nothing and steers nothing —
 // so the exact bytes the service cache stores must come out either way.
 package api
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 	"breathe/internal/telemetry"
 )
 
@@ -19,7 +21,7 @@ import (
 // full NDJSON trace armed, returning the canonical response bytes (and the
 // trace, which must be non-empty — a probe that observed nothing would
 // make this test vacuous).
-func probedResponseBytes(t *testing.T, req RunRequest) ([]byte, []byte) {
+func probedResponseBytes(t *testing.T, req RunRequest, perAgent bool) ([]byte, []byte) {
 	t.Helper()
 	run, err := req.Build()
 	if err != nil {
@@ -30,7 +32,11 @@ func probedResponseBytes(t *testing.T, req RunRequest) ([]byte, []byte) {
 	probe.SetTrace(telemetry.NewTraceWriter(&trace, 1, 0))
 	run.Config.Telemetry = probe
 	p := run.NewProtocol()
-	res, err := sim.Run(run.Config, p)
+	exec := p
+	if perAgent {
+		exec = simtest.PerAgent(p)
+	}
+	res, err := sim.Run(run.Config, exec)
 	if err != nil {
 		t.Fatalf("Run(%+v): %v", req, err)
 	}
@@ -60,22 +66,21 @@ var telemetryScenarios = []struct {
 // serialize to byte-identical canonical RunResponse JSON.
 func TestTelemetryByteIdentityMatrix(t *testing.T) {
 	kernels := []struct {
-		name   string
-		kernel string
-		shards int
+		name     string
+		perAgent bool
+		shards   int
 	}{
-		{"per-agent", KernelPerAgent, 1},
-		{"batched", KernelAuto, 1},
-		{"sharded", KernelAuto, 8},
+		{"per-agent", true, 1},
+		{"batched", false, 1},
+		{"sharded", false, 8},
 	}
 	for _, sc := range telemetryScenarios {
 		sc.req.Schedule = ScheduleKeyed
 		for _, k := range kernels {
 			r := sc.req
-			r.Kernel = k.kernel
 			r.Shards = k.shards
-			want := runResponseBytes(t, r)
-			got, trace := probedResponseBytes(t, r)
+			want := runResponseBytes(t, r, k.perAgent)
+			got, trace := probedResponseBytes(t, r, k.perAgent)
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s/%s: telemetry changed the response bytes\n got: %s\nwant: %s",
 					sc.name, k.name, got, want)

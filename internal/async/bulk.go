@@ -117,8 +117,7 @@ func (p *Protocol) BulkSenders(g int) (zeros, ones []int32) {
 // total length of the BulkSenders lists. The walk mirrors BulkSenders
 // over the same per-class windows the NextActive span oracle is built
 // from, but only sums list lengths instead of materializing the union,
-// so the engine can consult it every round on every kernel in
-// O(#classes). Cache refreshes here are draw-free and idempotent
+// so the engine can consult it every round in O(#classes). Cache refreshes here are draw-free and idempotent
 // (breathevet proves the whole path draws nothing), so a lookup before
 // or after the round's BulkSenders call sees identical lists.
 //

@@ -8,6 +8,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 var _ sim.BulkProtocol = (*Protocol)(nil)
@@ -33,10 +34,10 @@ func asyncBuilders(n int) map[string]func() (*Protocol, error) {
 	}
 }
 
-// bulkCrossCheck executes on the per-agent path while interrogating the
-// batched-kernel interface: at the start of every round it records the
-// BulkSenders answer and then verifies each per-agent Send against it,
-// agent by agent. This pins the cached offset-class sender lists to the
+// bulkCrossCheck runs behind simtest.PerAgent, so the engine collects it
+// through Send scans, while it interrogates the batched-kernel interface:
+// at the start of every round it records the BulkSenders answer and then
+// verifies each per-agent Send against it, agent by agent. This pins the cached offset-class sender lists to the
 // Send predicate exactly, not just statistically.
 type bulkCrossCheck struct {
 	*Protocol
@@ -77,11 +78,11 @@ func TestBulkSendersMatchPerAgentSend(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc := &bulkCrossCheck{Protocol: p, t: t, lastG: -1, exp: map[int32]channel.Bit{}}
-		// KernelPerAgent: the wrapper promotes the bulk methods, so the
-		// engine must be pinned to per-agent Send scans explicitly.
+		// The wrapper promotes the bulk methods, so simtest.PerAgent pins
+		// the engine to Send scans.
 		res, err := sim.Run(sim.Config{
-			N: n, Channel: channel.FromEpsilon(0.3), Seed: 21, Kernel: sim.KernelPerAgent,
-		}, cc)
+			N: n, Channel: channel.FromEpsilon(0.3), Seed: 21,
+		}, simtest.PerAgent(cc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -120,7 +121,8 @@ func TestAsyncBatchedDeterminism(t *testing.T) {
 }
 
 func TestAsyncBatchedMatchesPerAgentStatistically(t *testing.T) {
-	// Both kernels sample the same law, so across seeds the mean message
+	// Bulk and per-agent collection (simtest.PerAgent) sample the same law,
+	// so across seeds the mean message
 	// and acceptance totals agree within a fraction of a percent (the
 	// totals are dominated by the deterministic phase schedule), and the
 	// success counts match up to one run. self=true additionally routes
@@ -133,17 +135,21 @@ func TestAsyncBatchedMatchesPerAgentStatistically(t *testing.T) {
 				sent, accepted float64
 				success        int
 			}
-			measure := func(kernel sim.Kernel) stat {
+			measure := func(perAgent bool) stat {
 				var st stat
 				for seed := uint64(0); seed < seeds; seed++ {
 					p, err := build()
 					if err != nil {
 						t.Fatal(err)
 					}
+					var run sim.Protocol = p
+					if perAgent {
+						run = simtest.PerAgent(p)
+					}
 					res, err := sim.Run(sim.Config{
 						N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-						Kernel: kernel, AllowSelfMessages: self,
-					}, p)
+						AllowSelfMessages: self,
+					}, run)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,8 +164,8 @@ func TestAsyncBatchedMatchesPerAgentStatistically(t *testing.T) {
 				}
 				return st
 			}
-			ref := measure(sim.KernelPerAgent)
-			got := measure(sim.KernelAuto)
+			ref := measure(true)
+			got := measure(false)
 			if math.Abs(got.sent-ref.sent)/ref.sent > 0.02 {
 				t.Fatalf("self=%v %s: batched sent mean %v deviates from per-agent %v", self, name, got.sent, ref.sent)
 			}
@@ -180,30 +186,34 @@ func TestAsyncBatchedWithCrashFaults(t *testing.T) {
 	// the acceptance totals must track the per-agent path across seeds.
 	const n, seeds = 512, 8
 	params := core.DefaultParams(n, 0.3)
-	meanAccepted := func(kernel sim.Kernel) float64 {
+	meanAccepted := func(perAgent bool) float64 {
 		var sum float64
 		for seed := uint64(0); seed < seeds; seed++ {
 			p, err := NewKnownOffsets(params, channel.One, defaultD(n))
 			if err != nil {
 				t.Fatal(err)
 			}
+			var run sim.Protocol = p
+			if perAgent {
+				run = simtest.PerAgent(p)
+			}
 			plan := sim.NewRandomCrashes(n, 0.2, 0, rng.NewKey(4000+seed), 0)
 			res, err := sim.Run(sim.Config{
 				N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-				Failures: plan, Kernel: kernel,
-			}, p)
+				Failures: plan,
+			}, run)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.MessagesAccepted+res.MessagesDropped != res.MessagesSent {
-				t.Fatalf("kernel %v seed %d: conservation violated: %+v", kernel, seed, res)
+				t.Fatalf("per-agent=%v seed %d: conservation violated: %+v", perAgent, seed, res)
 			}
 			sum += float64(res.MessagesAccepted) / seeds
 		}
 		return sum
 	}
-	ref := meanAccepted(sim.KernelPerAgent)
-	got := meanAccepted(sim.KernelAuto)
+	ref := meanAccepted(true)
+	got := meanAccepted(false)
 	if math.Abs(got-ref)/ref > 0.02 {
 		t.Fatalf("async+crash: batched accepted mean %v deviates from per-agent %v", got, ref)
 	}

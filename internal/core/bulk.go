@@ -37,8 +37,8 @@ func (p *Protocol) BulkSenders(round int) (zeros, ones []int32) {
 // ActiveSenders implements sim.SenderIndex: the declared sender-set
 // size of round, before any crash filtering — always the total length
 // of the BulkSenders lists. The lookup draws nothing (breathevet proves
-// it), so the engine may consult it on every round of every kernel
-// without perturbing the schedule.
+// it), so the engine may consult it on every round without perturbing
+// the schedule.
 //
 //breathe:drawfree
 func (p *Protocol) ActiveSenders(round int) int {

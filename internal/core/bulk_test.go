@@ -6,12 +6,13 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // Kernel-equivalence suite: for the paper's two protocols the batched
-// kernel must agree with per-agent collection — both replay the same
-// addressed draws, so the statistics below coincide exactly — and each
-// must be a pure function of (config, seed).
+// kernel must agree with per-agent collection (simtest.PerAgent) — both
+// replay the same addressed draws, so the statistics below coincide
+// exactly — and each must be a pure function of (config, seed).
 
 type kernelStats struct {
 	successes int
@@ -20,7 +21,7 @@ type kernelStats struct {
 	accepted  []float64
 }
 
-func runKernelSweep(t *testing.T, kernel sim.Kernel, self bool, consensus bool, n, seeds int) kernelStats {
+func runKernelSweep(t *testing.T, perAgent bool, self bool, consensus bool, n, seeds int) kernelStats {
 	t.Helper()
 	params := DefaultParams(n, 0.3)
 	var st kernelStats
@@ -36,10 +37,14 @@ func runKernelSweep(t *testing.T, kernel sim.Kernel, self bool, consensus bool, 
 		if err != nil {
 			t.Fatal(err)
 		}
+		var run sim.Protocol = p
+		if perAgent {
+			run = simtest.PerAgent(p)
+		}
 		res, err := sim.Run(sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: uint64(seed),
-			Kernel: kernel, AllowSelfMessages: self,
-		}, p)
+			AllowSelfMessages: self,
+		}, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,45 +96,50 @@ func checkKernelEquivalence(t *testing.T, name string, ref, got kernelStats, see
 
 func TestBroadcastKernelEquivalence(t *testing.T) {
 	const n, seeds = 1024, 10
-	ref := runKernelSweep(t, sim.KernelPerAgent, false, false, n, seeds)
-	got := runKernelSweep(t, sim.KernelAuto, false, false, n, seeds)
+	ref := runKernelSweep(t, true, false, false, n, seeds)
+	got := runKernelSweep(t, false, false, false, n, seeds)
 	checkKernelEquivalence(t, "broadcast", ref, got, seeds)
 }
 
 func TestBroadcastDenseKernelEquivalence(t *testing.T) {
 	// AllowSelfMessages engages the dense aggregate kernel in Stage II.
 	const n, seeds = 1024, 10
-	ref := runKernelSweep(t, sim.KernelPerAgent, true, false, n, seeds)
-	got := runKernelSweep(t, sim.KernelAuto, true, false, n, seeds)
+	ref := runKernelSweep(t, true, true, false, n, seeds)
+	got := runKernelSweep(t, false, true, false, n, seeds)
 	checkKernelEquivalence(t, "broadcast/self", ref, got, seeds)
 }
 
 func TestConsensusKernelEquivalence(t *testing.T) {
 	const n, seeds = 1024, 10
-	ref := runKernelSweep(t, sim.KernelPerAgent, false, true, n, seeds)
-	got := runKernelSweep(t, sim.KernelAuto, false, true, n, seeds)
+	ref := runKernelSweep(t, true, false, true, n, seeds)
+	got := runKernelSweep(t, false, false, true, n, seeds)
 	checkKernelEquivalence(t, "consensus", ref, got, seeds)
 
-	refSelf := runKernelSweep(t, sim.KernelPerAgent, true, true, n, seeds)
-	gotSelf := runKernelSweep(t, sim.KernelAuto, true, true, n, seeds)
+	refSelf := runKernelSweep(t, true, true, true, n, seeds)
+	gotSelf := runKernelSweep(t, false, true, true, n, seeds)
 	checkKernelEquivalence(t, "consensus/self", refSelf, gotSelf, seeds)
 }
 
 func TestKernelsArePureFunctionsOfSeed(t *testing.T) {
 	// Determinism on every path: identical (config, seed) ⇒ identical
-	// Result, for both kernels, with and without self-messages.
+	// Result, for bulk and per-agent collection, with and without
+	// self-messages.
 	const n = 512
 	params := DefaultParams(n, 0.3)
-	for _, kernel := range []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto} {
+	for _, perAgent := range []bool{true, false} {
 		for _, self := range []bool{false, true} {
 			run := func(seed uint64) sim.Result {
+				var p sim.Protocol
 				p, err := NewBroadcast(params, channel.One)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if perAgent {
+					p = simtest.PerAgent(p)
+				}
 				res, err := sim.Run(sim.Config{
 					N: n, Channel: channel.FromEpsilon(0.3), Seed: seed,
-					Kernel: kernel, AllowSelfMessages: self,
+					AllowSelfMessages: self,
 				}, p)
 				if err != nil {
 					t.Fatal(err)
@@ -138,11 +148,11 @@ func TestKernelsArePureFunctionsOfSeed(t *testing.T) {
 			}
 			a, b := run(7), run(7)
 			if a != b {
-				t.Fatalf("kernel=%v self=%v: same seed diverged:\n%+v\n%+v", kernel, self, a, b)
+				t.Fatalf("per-agent=%v self=%v: same seed diverged:\n%+v\n%+v", perAgent, self, a, b)
 			}
 			c := run(8)
 			if a.MessagesSent == c.MessagesSent && a.MessagesAccepted == c.MessagesAccepted {
-				t.Fatalf("kernel=%v self=%v: different seeds produced identical runs", kernel, self)
+				t.Fatalf("per-agent=%v self=%v: different seeds produced identical runs", perAgent, self)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // Sender-index suite: the maintained idxZeros/idxOnes lists (served by
@@ -106,10 +107,11 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 	}
 }
 
-// TestSenderIndexSurvivesPerAgentKernel runs the oracle on the per-agent
-// path: the index is maintained at phase boundaries regardless of the
-// executing kernel, so SenderIndex queries must stay consistent there
-// too (the keyed engine consults ActiveSenders on every kernel).
+// TestSenderIndexSurvivesPerAgentKernel runs the oracle behind
+// simtest.PerAgent, whose Send scans collect the senders: the index is
+// maintained at phase boundaries regardless of how the senders are
+// collected, so SenderIndex queries must stay consistent there too (the
+// adapter forwards ActiveSenders to the engine).
 func TestSenderIndexSurvivesPerAgentKernel(t *testing.T) {
 	const n = 512
 	p, err := NewBroadcast(DefaultParams(n, 0.3), channel.One)
@@ -118,7 +120,7 @@ func TestSenderIndexSurvivesPerAgentKernel(t *testing.T) {
 	}
 	checked := 0
 	_, err = sim.Run(sim.Config{
-		N: n, Channel: channel.FromEpsilon(0.3), Seed: 4, Kernel: sim.KernelPerAgent,
+		N: n, Channel: channel.FromEpsilon(0.3), Seed: 4,
 		Observer: func(round int, _ *sim.Engine) {
 			if round%7 != 0 {
 				return
@@ -126,7 +128,7 @@ func TestSenderIndexSurvivesPerAgentKernel(t *testing.T) {
 			checkIndexRound(t, p, n, round+1)
 			checked++
 		},
-	}, p)
+	}, simtest.PerAgent(p))
 	if err != nil {
 		t.Fatal(err)
 	}

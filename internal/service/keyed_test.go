@@ -11,16 +11,16 @@ import (
 	"breathe/internal/api"
 )
 
-// TestKeyedCacheIsKernelBlind: the cache key erases the kernel, so a
-// result computed by one kernel must be served — byte-identically,
-// without executing anything — to a request naming a different kernel
-// and worker count. This is the payoff of the keyed schedule at the
-// service layer.
+// TestKeyedCacheIsKernelBlind: the cache key erases the kernel field and
+// the worker count, so a result computed for a request that omits both
+// must be served — byte-identically, without executing anything — to a
+// request naming kernel auto and another worker count. This is the payoff
+// of the keyed schedule at the service layer.
 func TestKeyedCacheIsKernelBlind(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	first := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed, Kernel: api.KernelAuto}
+	first := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed}
 	j1, err := s.Submit(first)
 	if err != nil {
 		t.Fatal(err)
@@ -35,24 +35,24 @@ func TestKeyedCacheIsKernelBlind(t *testing.T) {
 	}
 	executed := s.Stats().Executed
 
-	// Same run, different kernel and worker count: must be a cache hit.
-	second := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed, Kernel: api.KernelPerAgent, Shards: 8}
+	// Same run, kernel named and another worker count: must be a cache hit.
+	second := api.RunRequest{N: 2048, Seed: 3, Schedule: api.ScheduleKeyed, Kernel: api.KernelAuto, Shards: 8}
 	j2, err := s.Submit(second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !j2.Cached || j2.State() != StateDone {
-		t.Fatalf("cross-kernel submission not served from cache: state %s cached %v", j2.State(), j2.Cached)
+		t.Fatalf("kernel-named submission not served from cache: state %s cached %v", j2.State(), j2.Cached)
 	}
 	_, raw2, ok := j2.Response()
 	if !ok {
 		t.Fatal("cached job has no response")
 	}
 	if !bytes.Equal(raw1, raw2) {
-		t.Errorf("cross-kernel cached response differs:\n%s\n%s", raw1, raw2)
+		t.Errorf("kernel-named cached response differs:\n%s\n%s", raw1, raw2)
 	}
 	if st := s.Stats(); st.Executed != executed {
-		t.Errorf("cross-kernel hit executed a kernel: %d -> %d", executed, st.Executed)
+		t.Errorf("kernel-named hit executed a kernel: %d -> %d", executed, st.Executed)
 	}
 
 	// A request that omits the schedule is the same run.
@@ -150,7 +150,8 @@ func TestRetiredKnobsRejected(t *testing.T) {
 		return resp.StatusCode, out
 	}
 	for _, tc := range []struct{ body, names string }{
-		{`{"n": 512, "seed": 1, "kernel": "batched"}`, "per-agent"},
+		{`{"n": 512, "seed": 1, "kernel": "batched"}`, `"auto"`},
+		{`{"n": 512, "seed": 1, "kernel": "per-agent"}`, `"auto"`},
 		{`{"n": 512, "seed": 1, "sparse_cutover": -1}`, "sparse_cutover"},
 		{`{"n": 64, "eps": 1e-300}`, "eps"},
 		{`{"n": 64, "eps": 1e-12}`, "eps"},

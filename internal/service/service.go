@@ -377,7 +377,6 @@ type engineKey struct {
 	noSelf    bool
 	drop      float64
 	maxRounds int
-	kernel    string
 	shards    int
 }
 
@@ -388,7 +387,6 @@ func engineKeyFor(req api.RunRequest) engineKey {
 		noSelf:    req.NoSelfMessages,
 		drop:      req.DropProb,
 		maxRounds: req.MaxRounds,
-		kernel:    req.Kernel,
 		shards:    req.Shards,
 	}
 }

@@ -157,11 +157,12 @@ func TestTrajectoryStream(t *testing.T) {
 func TestCancelMidRun(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	// Per-agent kernel on a larger population: slow enough rounds that
-	// the cancel lands mid-run even on a fast machine. MaxRounds bounds
+	// Self-exclusion keeps every round of a larger population in the
+	// scatter regime: slow enough rounds that the cancel lands mid-run
+	// even on a fast machine. MaxRounds bounds
 	// the *resubmitted* complete run (a truncated result is still a
 	// deterministic, cacheable one) so the test stays cheap under -race.
-	req := api.RunRequest{N: 1 << 16, Seed: 1, Kernel: "per-agent", TrajectoryEvery: 1, MaxRounds: 192}
+	req := api.RunRequest{N: 1 << 16, Seed: 1, NoSelfMessages: true, TrajectoryEvery: 1, MaxRounds: 192}
 
 	j, err := s.Submit(req)
 	if err != nil {
@@ -215,7 +216,7 @@ func TestCancelQueued(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 8})
 	defer s.Close()
 	// Occupy the single worker.
-	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 7, Kernel: "per-agent"})
+	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 7, NoSelfMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestQueueFullRejects(t *testing.T) {
 	defer s.Close()
 	// Block the worker, fill the one queue slot, then overflow. Distinct
 	// seeds defeat single-flight; distinct configs defeat the cache.
-	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 100, Kernel: "per-agent"})
+	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 100, NoSelfMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestSingleFlight(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 50, Kernel: "per-agent"})
+	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 50, NoSelfMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestSingleFlight(t *testing.T) {
 func TestFollowerCancelDetaches(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 60, Kernel: "per-agent", MaxRounds: 128})
+	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 60, NoSelfMessages: true, MaxRounds: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestFollowerCancelDetaches(t *testing.T) {
 func TestPlainRiderStreamsNothing(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 70, Kernel: "per-agent", MaxRounds: 64})
+	blocker, err := s.Submit(api.RunRequest{N: 1 << 16, Seed: 70, NoSelfMessages: true, MaxRounds: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

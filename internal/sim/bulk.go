@@ -7,9 +7,10 @@ package sim
 // phase on the protocol side) and take deliveries in bulk or straight
 // into packed per-agent accumulators, so a round costs O(messages) — and
 // the tree regime (keyed.go) can resolve exchangeable rounds bucket by
-// bucket without any per-message call. Which interface collects and
-// delivers is Config.Kernel's choice; the keyed draws, and so the
-// results, are the same either way.
+// bucket without any per-message call. The engine collects and delivers
+// through this interface whenever the protocol implements it; the keyed
+// draws, and so the results, are those a Send scan and per-message
+// Receive calls would give (simtest.PerAgent checks it).
 
 import (
 	"slices"
@@ -18,8 +19,9 @@ import (
 )
 
 // BulkProtocol is an optional extension of Protocol enabling the batched
-// kernel. Implementations must behave identically under per-agent and
-// batched execution; the engine chooses the mechanism.
+// kernel. Its answers must agree with the per-agent interface: BulkSenders
+// lists exactly the agents whose Send reports ok, and BulkDeliver does
+// what one Receive per element would.
 type BulkProtocol interface {
 	Protocol
 
@@ -56,8 +58,8 @@ type BulkProtocol interface {
 
 const (
 	// maxBulkN bounds the population the batched kernel accepts (2²⁸).
-	// Beyond it KernelAuto runs the per-agent collection mechanism; the
-	// regime accounting records those rounds as PerAgent.
+	// Beyond it the engine collects through Send scans; the regime
+	// accounting records those rounds as PerAgent.
 	maxBulkN = 1 << 28
 	// denseMinMessages gates the tree regime: below it the scatter regime
 	// is at least as fast and the per-bucket sampling overhead is not

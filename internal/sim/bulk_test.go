@@ -6,6 +6,7 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
+	"breathe/internal/sim/simtest"
 )
 
 // bulkChatter is a bulk-capable engine-test protocol: every agent sends a
@@ -322,13 +323,17 @@ func TestBatchedCrashAtSemantics(t *testing.T) {
 	crashed := []int{3, 7, 100}
 	const n, rounds = 256, 80
 	plan := NewCrashAt(0, crashed...)
-	for _, kernel := range []Kernel{KernelPerAgent, KernelAuto} {
+	for _, kernel := range []string{"per-agent", "auto"} {
 		for _, self := range []bool{false, true} {
 			p := &bulkChatter{rounds: rounds}
+			var run Protocol = p
+			if kernel == "per-agent" {
+				run = simtest.PerAgent(p)
+			}
 			res, err := Run(Config{
 				N: n, Channel: channel.Noiseless{}, Seed: 5,
-				Failures: plan, Kernel: kernel, AllowSelfMessages: self,
-			}, p)
+				Failures: plan, AllowSelfMessages: self,
+			}, run)
 			if err != nil {
 				t.Fatal(err)
 			}

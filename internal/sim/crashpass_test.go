@@ -7,6 +7,7 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
+	"breathe/internal/sim/simtest"
 )
 
 // crashPassPlan is one crash plan of the crash-pass tests.
@@ -191,12 +192,12 @@ func checkReceiverPasses(t *testing.T, name string, r *rng.RNG, n int, crashed f
 
 // TestCrashPassEngineMatchesCrashed runs the scatter, tree and walker
 // regimes under every crash plan, with the crash round at 0 and mid-run,
-// on the bulk and per-agent kernels with one shard and with four. Against
-// plan.Crashed applied agent by agent: the run sends exactly the live
-// senders' messages, a crashed agent's accumulator never moves from its
-// crash round on, and before a mid-run crash round the agents it will
-// take down still receive. Every kernel and shard count returns the same
-// Result.
+// on bulk and per-agent collection (simtest.PerAgent) with one shard
+// and with four. Against plan.Crashed applied agent by agent: the run
+// sends exactly the live senders' messages, a crashed agent's
+// accumulator never moves from its crash round on, and before a mid-run
+// crash round the agents it will take down still receive. Both collection mechanisms and both shard
+// counts return the same Result.
 func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 	const rounds = 6
 	for _, n := range crashPassSizes {
@@ -214,16 +215,20 @@ func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 				} {
 					var ref Result
 					for ci, c := range []struct {
-						kernel Kernel
-						shards int
-					}{{KernelAuto, 1}, {KernelAuto, 4}, {KernelPerAgent, 1}, {KernelPerAgent, 4}} {
-						name := fmt.Sprintf("n=%d/%s/round=%d/%s/kernel=%d/shards=%d", n, pc.name, round, rc.name, c.kernel, c.shards)
+						perAgent bool
+						shards   int
+					}{{false, 1}, {false, 4}, {true, 1}, {true, 4}} {
+						name := fmt.Sprintf("n=%d/%s/round=%d/%s/per-agent=%v/shards=%d", n, pc.name, round, rc.name, c.perAgent, c.shards)
 						p := rc.proto()
+						var run Protocol = p
+						if c.perAgent {
+							run = simtest.PerAgent(p)
+						}
 						var prev []uint64
 						early := 0
 						cfg := Config{
 							N: n, Channel: channel.FromEpsilon(0.3), Seed: 7,
-							AllowSelfMessages: rc.self, Kernel: c.kernel, Shards: c.shards,
+							AllowSelfMessages: rc.self, Shards: c.shards,
 							Failures: pc.plan,
 							Observer: func(g int, _ *Engine) {
 								acc := p.BulkAccumulators()
@@ -244,7 +249,7 @@ func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 								copy(prev, acc)
 							},
 						}
-						res, err := Run(cfg, p)
+						res, err := Run(cfg, run)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -14,10 +14,10 @@ package sim
 //
 // Because a draw is a pure function of its address, the round's outcome is
 // decided entirely by (seed, round, sender multiset) — never by which
-// kernel runs it, in what order buckets execute, or on how many
-// goroutines. The engine therefore picks the *sampling regime* per round
-// as a pure function of (message count, n, configuration, protocol
-// capability), identically for every Config.Kernel:
+// interface collects the senders, in what order buckets execute, or on
+// how many goroutines. The engine therefore picks the *sampling regime*
+// per round as a pure function of (message count, n, configuration,
+// protocol capability):
 //
 //	quiet    no live senders
 //	scatter  one placement draw per message, count-based accept-one
@@ -29,12 +29,14 @@ package sim
 //	         event-driven — occupied buckets and touched slots only —
 //	         in O(k + messages) instead of Θ(n) (see sparse.go)
 //
-// Config.Kernel then only chooses the mechanism: per-agent collection and
-// delivery (Send/Receive, the base Protocol interface) versus bulk
-// collection and delivery (BulkSenders/BulkDeliver/accumulators). Both
+// The protocol's capabilities, not a knob, choose the mechanism: a
+// BulkProtocol is always collected and delivered in bulk
+// (BulkSenders/BulkDeliver/accumulators), any other protocol — and any
+// run with n ≥ 2²⁸ — through Send scans and Receive calls. Both
 // mechanisms ask for the same addresses and receptions commute, so
-// results are byte-identical — keyed_identity_test.go pins it — and
-// Result.Paths reports the regime, which is also kernel-independent.
+// results are byte-identical; keyed_identity_test.go pins it by running
+// each bulk protocol again behind simtest.PerAgent, which answers the
+// bulk interface with Send scans and Receive calls.
 //
 // There is no per-worker stream and no serial prologue: the tree's bucket
 // decomposition is a pure function of n at denseWidth granularity, each
@@ -143,9 +145,9 @@ type keyedState struct {
 // shard-invariance property, and keyed_shard_test.go exercises it.
 var keyedBucketOrder func(buckets int) []int
 
-// prepareKeyed decides the run's capabilities. Nothing here depends on
-// Config.Kernel: the kernel only selects the collection/delivery
-// mechanism inside stepKeyed.
+// prepareKeyed decides the run's capabilities from the protocol's
+// interfaces, n and the configuration. It returns the protocol's bulk
+// interface, or nil when the run collects through Send scans.
 func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	bp, ok := p.(BulkProtocol)
 	capable := ok && bp.BulkEnabled() && e.cfg.N < maxBulkN
@@ -169,8 +171,7 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	k.senderIdx = nil
 	if k.denseOK {
 		// The sparse regime refines tree-eligible rounds only, so the
-		// index oracle is consulted exactly when the tree could run —
-		// identically under every kernel.
+		// index oracle is consulted exactly when the tree could run.
 		k.senderIdx, _ = p.(SenderIndex)
 		k.buckets = (e.cfg.N + denseWidth - 1) / denseWidth
 		if cap(k.kc0) < k.buckets {
@@ -193,17 +194,17 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	return bp
 }
 
-// stepKeyed runs one round. bp is nil when the protocol or configuration
-// cannot use the batched machinery at all; the round then runs per-agent
-// collection with scatter sampling, which has no population cap. The return value reports a quiet round (no live
-// senders), which arms the caller's span skip.
+// stepKeyed runs one round. A non-nil bp is collected through
+// BulkSenders; bp is nil when the protocol or configuration cannot use the
+// batched machinery at all, and the round then runs a Send scan with
+// scatter sampling, which has no population cap. The return value reports
+// a quiet round (no live senders), which arms the caller's span skip.
 func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	round := e.round
 	k := e.keyed
 
 	var zeros, ones []int32
-	bulkCollect := bp != nil && e.cfg.Kernel != KernelPerAgent
-	if bulkCollect {
+	if bp != nil {
 		zeros, ones = bp.BulkSenders(round)
 		if words := e.cfg.Failures.activeWords(round); words != nil {
 			// Crashed agents neither send nor count toward MessagesSent;
@@ -223,22 +224,20 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 	switch {
 	case m == 0:
 		// Quiet regime, for bulk and non-bulk collection alike: no live
-		// senders means no kernel work on any path, so the accounting is
-		// kernel-independent too.
+		// senders means no kernel work on any path.
 		e.quietAdvance()
 		quiet = true
 	case bp == nil:
 		// No batched machinery: the scatter regime on the base Protocol
-		// interface is the only (and therefore trivially kernel-identical)
-		// path.
+		// interface is the only path.
 		e.paths.PerAgent++
-		e.keyedScatter(p, nil, false, zeros, ones, round)
+		e.keyedScatter(p, nil, zeros, ones, round)
 	case k.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
 		// The sparse/dense/sharded split is a pure function of (n, m,
 		// declared active set) — the sparse leg consults the protocol's
-		// SenderIndex, never the kernel — so path counters agree
-		// byte-for-byte across kernels and worker counts. The walker
-		// reproduces the tree's bits exactly (sparse.go).
+		// SenderIndex — so path counters agree byte-for-byte across
+		// worker counts. The walker reproduces the tree's bits exactly
+		// (sparse.go).
 		declared := -1
 		if k.senderIdx != nil {
 			declared = k.senderIdx.ActiveSenders(round)
@@ -261,7 +260,7 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 		}
 	default:
 		e.paths.PerMessage++
-		e.keyedScatter(p, bp, bulkCollect, zeros, ones, round)
+		e.keyedScatter(p, bp, zeros, ones, round)
 	}
 
 	p.EndRound(round)
@@ -348,16 +347,16 @@ func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
 
 // keyedScatter is the keyed scatter regime: one placement draw per
 // message addressed by sender id, count-based accept-one addressed by
-// receiver id, noise addressed by receiver id. bulk selects the delivery
-// mechanism (BulkDeliver vs per-agent Receive); the draws are identical
-// either way.
+// receiver id, noise addressed by receiver id. A non-nil bp takes the
+// round's receptions in one BulkDeliver call, any other protocol one
+// Receive per accepted message; the draws are identical either way.
 //
 // Both loops keep their common path call-free (see the file header): a
 // placement draw that may need Lemire's rejection test, and an accept-one
 // draw that may, break out to the full rule and resume at the next
 // element, so receivers are first touched — and resolved and delivered —
 // in the same order as a loop that called the full rule every time.
-func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, bulk bool, zeros, ones []int32, round int) {
+func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, round int) {
 	k := e.keyed
 	if k.inbox == nil {
 		// One word per receiver, plus a spare for scatterDropCrashed.
@@ -420,13 +419,13 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, bulk bool, zeros, one
 
 	// Resolve and (non-bulk) Receive delivery bill to the collision phase;
 	// BulkDeliver rides with EndRound in the accumulate phase.
-	if !bulk {
+	if bp == nil {
 		for j, dst := range acc {
 			p.Receive(int(dst), out[j], round)
 		}
 	}
 	e.mark(telemetry.PhaseCollision)
-	if bulk {
+	if bp != nil {
 		bp.BulkDeliver(acc, out, round)
 	}
 }
@@ -539,8 +538,7 @@ func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, j int, cColl,
 // receiver, which it takes off the inbox: the accept-one draw with
 // Lemire's rejection test, then the channel — the uniform flip, or a
 // non-uniform channel on an ephemeral stream seeded by the receiver's
-// noise-cell word, so per-message noise state stays addressed (and
-// kernel-independent) too.
+// noise-cell word, so per-message noise state stays addressed too.
 func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, inbox []uint64, dst int32) channel.Bit {
 	v := inbox[dst]
 	inbox[dst] = 0

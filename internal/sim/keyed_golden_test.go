@@ -1,6 +1,6 @@
 // Golden digests of the keyed draw schedule. The identity suites compare
-// kernels with each other, so a kernel change that moved bits on every
-// kernel at once would pass them all; these pins compare each scenario
+// execution paths with each other, so a change that moved bits on every
+// path at once would pass them all; these pins compare each scenario
 // with a fixed SHA-256 instead. A digest covers the full Result (message
 // accounting, path counters, opinion counts) and every agent's final
 // opinion. If a change legitimately alters the keyed draw schedule,
@@ -19,6 +19,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // keyedGoldenDigest runs p under cfg and hashes the Result and the
@@ -53,31 +54,34 @@ func goldenBroadcast(t *testing.T, n int) func() sim.Protocol {
 	}
 }
 
+// A keyedGoldenCase with perAgent set also runs behind simtest.PerAgent,
+// which must reach the same digest.
 type keyedGoldenCase struct {
-	name    string
-	cfg     sim.Config
-	proto   func() sim.Protocol
-	kernels []sim.Kernel
-	check   func(t *testing.T, res sim.Result)
-	want    string
+	name     string
+	cfg      sim.Config
+	proto    func() sim.Protocol
+	perAgent bool
+	check    func(t *testing.T, res sim.Result)
+	want     string
 }
 
 func runKeyedGolden(t *testing.T, tc keyedGoldenCase) {
 	t.Helper()
-	kernels := tc.kernels
-	if kernels == nil {
-		kernels = []sim.Kernel{sim.KernelAuto}
-	}
-	for _, k := range kernels {
-		cfg := tc.cfg
-		cfg.Kernel = k
-		res, got := keyedGoldenDigest(t, cfg, tc.proto())
-		t.Logf("%s kernel=%v: %+v", tc.name, k, res)
+	for _, perAgent := range []bool{false, true} {
+		if perAgent && !tc.perAgent {
+			continue
+		}
+		p := tc.proto()
+		if perAgent {
+			p = simtest.PerAgent(p)
+		}
+		res, got := keyedGoldenDigest(t, tc.cfg, p)
+		t.Logf("%s per-agent=%v: %+v", tc.name, perAgent, res)
 		if tc.check != nil {
 			tc.check(t, res)
 		}
 		if got != tc.want {
-			t.Errorf("%s kernel=%v: digest %s, want %s", tc.name, k, got, tc.want)
+			t.Errorf("%s per-agent=%v: digest %s, want %s", tc.name, perAgent, got, tc.want)
 		}
 	}
 }
@@ -114,9 +118,9 @@ func TestKeyedGoldenScatter(t *testing.T) {
 				Failures:          sim.NewRandomCrashes(nCrash, 0.1, 0, rng.NewKey(72), 0),
 				MaxRounds:         pCrash.StageIRounds() + 40,
 			},
-			proto:   goldenBroadcast(t, nCrash),
-			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
-			want:    "b18184f719534690769a5c6d1b7338f3d108e7210429573311cc274c4de76c3b",
+			proto:    goldenBroadcast(t, nCrash),
+			perAgent: true,
+			want:     "b18184f719534690769a5c6d1b7338f3d108e7210429573311cc274c4de76c3b",
 		},
 		{
 			name: "heterogeneous",
@@ -125,9 +129,9 @@ func TestKeyedGoldenScatter(t *testing.T) {
 				AllowSelfMessages: true,
 				MaxRounds:         pHet.StageIRounds() + 40,
 			},
-			proto:   goldenBroadcast(t, nHet),
-			kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
-			want:    "19827ffd940592cc0c5ab124b97dd1814fb3cda822ba3a3c8ea084beacc9d9a3",
+			proto:    goldenBroadcast(t, nHet),
+			perAgent: true,
+			want:     "19827ffd940592cc0c5ab124b97dd1814fb3cda822ba3a3c8ea084beacc9d9a3",
 		},
 	}
 	for _, tc := range cases {
@@ -179,8 +183,8 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 			AllowSelfMessages: true,
 			Failures:          sim.NewRandomCrashes(n, 0.95, 0, rng.NewKey(75), 0),
 		},
-		proto:   goldenBroadcast(t, n),
-		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
+		proto:    goldenBroadcast(t, n),
+		perAgent: true,
 		check: func(t *testing.T, res sim.Result) {
 			if res.Paths.Sparse == 0 {
 				t.Errorf("no sparse rounds: %+v", res.Paths)
@@ -210,7 +214,7 @@ func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 			}
 			return p
 		},
-		kernels: []sim.Kernel{sim.KernelPerAgent, sim.KernelAuto},
-		want:    "7c001198f718943d69093474c506ff792338b2c36502e299e9892491a128e738",
+		perAgent: true,
+		want:     "7c001198f718943d69093474c506ff792338b2c36502e299e9892491a128e738",
 	})
 }

@@ -1,10 +1,10 @@
-// Cross-kernel bit-identity of the keyed draw schedule: every execution
-// strategy — per-agent collection and auto, at any worker count, and a
-// repeated run — must produce byte-identical results, message
-// accounting, path counters and final per-agent opinions for a fixed
-// (config, seed). This is the guarantee that demotes Config.Kernel and
-// Config.Shards to pure performance knobs and lets the service cache
-// serve one kernel's result to another's request.
+// Bit-identity of the keyed draw schedule across execution strategies:
+// bulk collection and per-agent collection (simtest.PerAgent), at any
+// worker count, and a repeated run must produce byte-identical results,
+// message accounting, path counters and final per-agent opinions for a
+// fixed (config, seed). This is the guarantee that demotes Config.Shards
+// to a pure performance knob and lets the service cache serve one
+// request's result to another that differs only in shards.
 package sim_test
 
 import (
@@ -17,6 +17,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // keyedN spans eight tree buckets and clears shardMinN, so the keyed
@@ -24,13 +25,16 @@ import (
 // genuinely schedule buckets differently.
 const keyedN = 1 << 16
 
-func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol) (sim.Result, uint64) {
+func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol, perAgent bool) (sim.Result, uint64) {
 	t.Helper()
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := factory()
+	if perAgent {
+		p = simtest.PerAgent(p)
+	}
 	res := e.Run(p)
 	h := fnv.New64a()
 	var buf [2]byte
@@ -46,39 +50,38 @@ func keyedFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol)
 	return res, h.Sum64()
 }
 
-// assertKernelInvariance runs the scenario under every kernel × worker
-// count, plus a repeat of the reference, and demands bit-identical
-// outcomes, including the Paths counters: the sampling regime is a pure
-// function of the round, not of the kernel, so even the path breakdown
-// must agree. It returns the reference Result.
+// assertKernelInvariance runs the scenario with bulk and with per-agent
+// collection at every worker count, plus a repeat of the reference, and
+// demands bit-identical outcomes, including the Paths counters: the
+// sampling regime is a pure function of the round, not of the collection
+// mechanism, so even the path breakdown must agree. It returns the
+// reference Result.
 func assertKernelInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) sim.Result {
 	t.Helper()
-	cfg.Kernel = sim.KernelAuto
 	cfg.Shards = 1
-	refRes, refFP := keyedFingerprint(t, cfg, factory)
+	refRes, refFP := keyedFingerprint(t, cfg, factory, false)
 	t.Logf("%s: %d rounds, paths %+v, %d messages", name, refRes.Rounds, refRes.Paths, refRes.MessagesSent)
 	type cell struct {
-		kernel sim.Kernel
-		shards int
+		perAgent bool
+		shards   int
 	}
 	var cells []cell
-	for _, kernel := range []sim.Kernel{sim.KernelAuto, sim.KernelPerAgent} {
+	for _, perAgent := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 3, 8} {
-			cells = append(cells, cell{kernel, shards})
+			cells = append(cells, cell{perAgent, shards})
 		}
 	}
-	cells = append(cells, cell{sim.KernelAuto, 1}) // repeat run
+	cells = append(cells, cell{false, 1}) // repeat run
 	for _, c := range cells {
 		run := cfg
-		run.Kernel = c.kernel
 		run.Shards = c.shards
-		res, fp := keyedFingerprint(t, run, factory)
+		res, fp := keyedFingerprint(t, run, factory, c.perAgent)
 		if res != refRes {
-			t.Fatalf("%s kernel=%v shards=%d: Result diverged:\n%+v\n%+v",
-				name, c.kernel, c.shards, res, refRes)
+			t.Fatalf("%s per-agent=%v shards=%d: Result diverged:\n%+v\n%+v",
+				name, c.perAgent, c.shards, res, refRes)
 		}
 		if fp != refFP {
-			t.Fatalf("%s kernel=%v shards=%d: final opinions diverged", name, c.kernel, c.shards)
+			t.Fatalf("%s per-agent=%v shards=%d: final opinions diverged", name, c.perAgent, c.shards)
 		}
 	}
 	return refRes

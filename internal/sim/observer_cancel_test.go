@@ -16,6 +16,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // hookN matches the shard-determinism suite: eight tree buckets, so
@@ -216,9 +217,9 @@ func TestCancelPrefixMatchesPlainRun(t *testing.T) {
 }
 
 // TestPathRoundsAccounting: the per-regime round counts partition the
-// executed rounds and name the regimes, never the kernel — a forced
-// per-agent kernel books exactly the batched kernel's counters — and
-// PerAgent counts only runs without batched machinery.
+// executed rounds and name the regimes, never the collection mechanism —
+// per-agent collection (simtest.PerAgent) books exactly the bulk run's
+// counters — and PerAgent counts only runs without batched machinery.
 func TestPathRoundsAccounting(t *testing.T) {
 	params := core.DefaultParams(4096, 0.3)
 	factory := func() sim.Protocol {
@@ -230,9 +231,7 @@ func TestPathRoundsAccounting(t *testing.T) {
 	}
 	base := sim.Config{N: 4096, Channel: channel.FromEpsilon(0.3), Seed: 11, AllowSelfMessages: true}
 
-	batched := base
-	batched.Kernel = sim.KernelAuto
-	res, err := sim.Run(batched, factory())
+	res, err := sim.Run(base, factory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +249,12 @@ func TestPathRoundsAccounting(t *testing.T) {
 		t.Errorf("primary = %q, want dense", res.Paths.Primary())
 	}
 
-	perAgent := base
-	perAgent.Kernel = sim.KernelPerAgent
-	pres, err := sim.Run(perAgent, factory())
+	pres, err := sim.Run(base, simtest.PerAgent(factory()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pres.Paths != res.Paths {
-		t.Errorf("per-agent kernel paths %+v != batched %+v", pres.Paths, res.Paths)
+		t.Errorf("per-agent collection paths %+v != bulk %+v", pres.Paths, res.Paths)
 	}
 
 	// A protocol without BulkProtocol has no batched machinery: every
@@ -296,7 +293,7 @@ func TestPathRoundsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = sim.Run(batched, ap)
+	res, err = sim.Run(base, ap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ const detN = 1 << 16
 func assertShardInvariance(t *testing.T, name string, cfg sim.Config, factory func() sim.Protocol) {
 	t.Helper()
 	cfg.Shards = 1
-	refRes, refFP := keyedFingerprint(t, cfg, factory)
+	refRes, refFP := keyedFingerprint(t, cfg, factory, false)
 	if refRes.Paths.Sharded == 0 {
 		t.Fatalf("%s: reference run never executed a sharded round (MaxRounds %d too small?)", name, cfg.MaxRounds)
 	}
@@ -34,7 +34,7 @@ func assertShardInvariance(t *testing.T, name string, cfg sim.Config, factory fu
 		c := cfg
 		c.Shards = shards
 		for rep := 0; rep < 2; rep++ {
-			res, fp := keyedFingerprint(t, c, factory)
+			res, fp := keyedFingerprint(t, c, factory, false)
 			if res != refRes {
 				t.Fatalf("%s Shards=%d rep %d: Result diverged:\n%+v\n%+v", name, shards, rep, res, refRes)
 			}

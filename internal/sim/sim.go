@@ -9,8 +9,8 @@
 // The model is round-synchronous by definition, so the engine is a
 // deterministic round loop. Every draw is addressed by (seed, subsystem
 // stream, round, index) — the keyed schedule, see keyed.go — so a run is
-// a pure function of (protocol, configuration, seed), whichever kernel,
-// worker count or execution order carries it out.
+// a pure function of (protocol, configuration, seed), whichever
+// collection mechanism, worker count or execution order carries it out.
 package sim
 
 import (
@@ -85,24 +85,6 @@ const DefaultMaxRounds = 1 << 20
 // arrival count bounded by n into 32 bits.
 const MaxN = math.MaxInt32
 
-// Kernel selects the execution strategy of the engine's round loop.
-type Kernel int
-
-const (
-	// KernelAuto (the default) uses the batched kernel whenever the
-	// protocol implements BulkProtocol and the configuration permits it,
-	// and the per-agent path otherwise.
-	KernelAuto Kernel = iota
-	// KernelPerAgent forces per-agent collection and delivery: one Send
-	// call per agent per round and one Receive per accepted message. The
-	// draws, and so the results, are those of every other kernel. The
-	// executable definition of the model is the test-only reference
-	// (refRun in internal/sim's tests: reservoir accept-one, one recipient
-	// draw and one Transmit per message, on sequential streams), which the
-	// regimes are checked against in distribution.
-	KernelPerAgent
-)
-
 // Config assembles a simulation run.
 type Config struct {
 	// N is the population size (>= 2).
@@ -138,16 +120,13 @@ type Config struct {
 	ObserverEvery int
 	// Cancel, if non-nil, aborts the run when it becomes readable (closed
 	// or sent to): the engine polls it at the per-round barrier — after a
-	// round's deliveries and observer, before the next round starts — on
-	// every kernel. A canceled run returns a Result with Canceled = true
+	// round's deliveries and observer, before the next round starts — in
+	// every regime. A canceled run returns a Result with Canceled = true
 	// whose counters cover the rounds that did execute. Polling draws
 	// nothing from any RNG stream, so the executed prefix is bit-identical
 	// to the same prefix of an uncanceled run. Use ctx.Done() to couple a
 	// run to a context.
 	Cancel <-chan struct{}
-	// Kernel selects the round-loop strategy (default KernelAuto). A pure
-	// performance knob: every kernel yields byte-identical results.
-	Kernel Kernel
 	// Telemetry, if non-nil, receives per-phase kernel timings, regime
 	// transitions and quiet-span lengths for this run. The probe is
 	// byte-inert by construction: it is consulted only at phase boundaries
@@ -155,7 +134,8 @@ type Config struct {
 	// proven by breathevet's telemetry analyzer — the telemetry package
 	// imports nothing from this module), and nothing it returns feeds back
 	// into the run. Results are bit-identical with the probe on or off;
-	// internal/api's telemetry identity tests pin that across every kernel.
+	// internal/api's telemetry identity tests pin that across every regime
+	// and worker count.
 	Telemetry *telemetry.RunProbe
 	// Shards sets the worker-goroutine count of parallel tree rounds: 0
 	// means GOMAXPROCS, 1 forces serial execution. Results are
@@ -197,7 +177,7 @@ func (c Config) validate() error {
 // single run routinely mixes them: scatter rounds while few agents send,
 // tree rounds at full blast — as a pure function of the round's message
 // count, n, the configuration and the protocol's capabilities, never of
-// Config.Kernel or any other performance knob. A configuration that
+// Config.Shards or any other performance knob. A configuration that
 // cannot use the batched machinery at all — a non-bulk protocol, or
 // n ≥ 2²⁸ — runs every speaking round as PerAgent scatter; PathRounds
 // makes that visible in every Result instead of leaving it to be
@@ -221,7 +201,8 @@ type PathRounds struct {
 	Sharded int64 `json:"sharded,omitempty"`
 	// Sparse counts tree-eligible rounds whose protocol declared a small
 	// active set (SenderIndex with k·64 < n); the sparse walker executes
-	// them. Like every other counter the accounting is kernel-independent.
+	// them. Like every other counter it depends on neither Shards nor on
+	// whether the senders were collected through Send or BulkSenders.
 	Sparse int64 `json:"sparse,omitempty"`
 }
 

@@ -25,15 +25,16 @@ package sim
 // accumulator delta is zero and a crash pass leaves a zero word zero,
 // exactly as for the dense sweep's unoccupied slots). Results are
 // therefore bit-identical with keyedTree; sparse_test.go pins it across
-// kernels, shard counts and crash plans. The walker shares the tree's
+// collection mechanisms, shard counts and crash plans. The walker shares the tree's
 // inbox and leaves it as it found it, all zero: it zeroes every slot it
 // touched, live ones as they resolve and crashed ones as it compacts
 // them out.
 //
 // Like the dense/sharded split, the choice (PathRounds.Sparse) is a
 // fixed pure function of (declared k, n, message count, protocol
-// capability) — never of Config.Kernel or any performance knob — so
-// path counters agree byte-for-byte across every execution choice.
+// capability) — never of Config.Shards or how the senders were
+// collected — so path counters agree byte-for-byte across every
+// execution choice.
 
 import (
 	"breathe/internal/rng"
@@ -46,8 +47,7 @@ import (
 // must equal the total length of the BulkSenders(round) lists — the
 // declared sender set before any crash filtering — whenever BulkEnabled
 // holds. The engine uses the declared size only to pick the round's
-// sampling regime, identically under every kernel; it never replaces the
-// sender lists themselves.
+// sampling regime; it never replaces the sender lists themselves.
 type SenderIndex interface {
 	ActiveSenders(round int) int
 }
@@ -66,7 +66,7 @@ type sparseBucket struct {
 
 // sparseRound is the sparse regime's predicate for a tree-eligible round
 // (see stepKeyed): a pure function of the declared active-set size and
-// n, independent of kernel and shard count. It both counts the round as
+// n, independent of the shard count. It both counts the round as
 // sparse and has the walker execute it.
 func (e *Engine) sparseRound(declared int) bool {
 	return declared >= 0 && int64(declared)*sparseRegimeCutover < int64(e.cfg.N)

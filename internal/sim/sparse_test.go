@@ -6,6 +6,7 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
+	"breathe/internal/sim/simtest"
 )
 
 // sparseChatter is a sparse-activity engine-test protocol: of n agents
@@ -95,8 +96,24 @@ const sparseTestK = 300 // 300·64 = 19200 < 65536, and 300 ≥ denseMinMessages
 
 func runSparse(t *testing.T, cfg Config) (Result, *sparseChatter) {
 	t.Helper()
+	return runSparseAs(t, cfg, false)
+}
+
+// runPerAgent is runSparse behind simtest.PerAgent: Send scans collect
+// the senders and Receive calls take scatter deliveries.
+func runPerAgent(t *testing.T, cfg Config) (Result, *sparseChatter) {
+	t.Helper()
+	return runSparseAs(t, cfg, true)
+}
+
+func runSparseAs(t *testing.T, cfg Config, perAgent bool) (Result, *sparseChatter) {
+	t.Helper()
 	p := &sparseChatter{rounds: 25, k: sparseTestK}
-	res, err := Run(cfg, p)
+	var run Protocol = p
+	if perAgent {
+		run = simtest.PerAgent(p)
+	}
+	res, err := Run(cfg, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +129,17 @@ func runTreeOnly(t *testing.T, cfg Config) (Result, *sparseChatter) {
 	return runSparse(t, cfg)
 }
 
+// runPerAgentTreeOnly is runPerAgent with the walker switched off.
+func runPerAgentTreeOnly(t *testing.T, cfg Config) (Result, *sparseChatter) {
+	t.Helper()
+	keyedWalkerOff = true
+	defer func() { keyedWalkerOff = false }()
+	return runPerAgent(t, cfg)
+}
+
 // TestSparseWalkerByteIdentity is the engine-level acceptance pin: the
-// sparse walker, the dense tree (walker off), both kernels and every
-// shard count produce identical Results — including the Paths
+// sparse walker, the dense tree (walker off), per-agent collection and
+// every shard count produce identical Results — including the Paths
 // accounting, which is a pure function of (declared k, n) — and
 // identical packed inbox state.
 func TestSparseWalkerByteIdentity(t *testing.T) {
@@ -133,8 +158,8 @@ func TestSparseWalkerByteIdentity(t *testing.T) {
 		{"walker-off", func(c *Config) {}, runTreeOnly},
 		{"shards-4", func(c *Config) { c.Shards = 4 }, runSparse},
 		{"walker-off-shards-4", func(c *Config) { c.Shards = 4 }, runTreeOnly},
-		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }, runSparse},
-		{"per-agent-walker-off", func(c *Config) { c.Kernel = KernelPerAgent }, runTreeOnly},
+		{"per-agent", func(c *Config) {}, runPerAgent},
+		{"per-agent-walker-off", func(c *Config) {}, runPerAgentTreeOnly},
 	}
 	for _, v := range variants {
 		cfg := sparseCfg()
@@ -168,7 +193,7 @@ func TestSparseWalkerCrashByteIdentity(t *testing.T) {
 		run  func(*testing.T, Config) (Result, *sparseChatter)
 	}{
 		{"walker-off", func(c *Config) {}, runTreeOnly},
-		{"per-agent", func(c *Config) { c.Kernel = KernelPerAgent }, runSparse},
+		{"per-agent", func(c *Config) {}, runPerAgent},
 		{"shards-4", func(c *Config) { c.Shards = 4 }, runSparse},
 	} {
 		cfg := sparseCfg()

@@ -16,6 +16,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/core"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 	"breathe/internal/telemetry"
 )
 
@@ -24,16 +25,11 @@ import (
 func probeFingerprint(t *testing.T, cfg sim.Config, probe *telemetry.RunProbe, factory func() sim.Protocol) (sim.Result, uint64) {
 	t.Helper()
 	cfg.Telemetry = probe
-	return resultFingerprint(t, cfg, factory)
+	return keyedFingerprint(t, cfg, factory, false)
 }
 
-func resultFingerprint(t *testing.T, cfg sim.Config, factory func() sim.Protocol) (sim.Result, uint64) {
-	t.Helper()
-	return keyedFingerprint(t, cfg, factory)
-}
-
-// TestTelemetryInert: probe on vs off, identical Result and opinions, on
-// every schedule × kernel combination the engine has.
+// TestTelemetryInert: probe on vs off, identical Result and opinions,
+// with bulk and per-agent collection and serial and sharded tree rounds.
 func TestTelemetryInert(t *testing.T) {
 	const n = 4096
 	params := core.DefaultParams(n, 0.3)
@@ -49,26 +45,26 @@ func TestTelemetryInert(t *testing.T) {
 		AllowSelfMessages: true,
 		MaxRounds:         params.StageIRounds() + 40,
 	}
+	perAgent := func() sim.Protocol { return simtest.PerAgent(factory()) }
 	cases := []struct {
-		name   string
-		kernel sim.Kernel
-		shards int
+		name    string
+		factory func() sim.Protocol
+		shards  int
 	}{
-		{"keyed-per-agent", sim.KernelPerAgent, 1},
-		{"keyed-batched", sim.KernelAuto, 1},
-		{"keyed-sharded", sim.KernelAuto, 4},
+		{"keyed-per-agent", perAgent, 1},
+		{"keyed-batched", factory, 1},
+		{"keyed-sharded", factory, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			cfg.Kernel = tc.kernel
 			cfg.Shards = tc.shards
-			plainRes, plainFP := probeFingerprint(t, cfg, nil, factory)
+			plainRes, plainFP := probeFingerprint(t, cfg, nil, tc.factory)
 
 			probe := telemetry.NewRunProbe()
 			var trace bytes.Buffer
 			probe.SetTrace(telemetry.NewTraceWriter(&trace, 1, 0))
-			probedRes, probedFP := probeFingerprint(t, cfg, probe, factory)
+			probedRes, probedFP := probeFingerprint(t, cfg, probe, tc.factory)
 
 			if plainRes != probedRes {
 				t.Fatalf("probe changed the Result:\noff: %+v\non:  %+v", plainRes, probedRes)

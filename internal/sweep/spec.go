@@ -45,8 +45,8 @@ type Spec struct {
 	Seeds int `json:"seeds,omitempty"`
 	// BaseSeed is the first seed of every cell.
 	BaseSeed uint64 `json:"base_seed"`
-	// Kernel selects the execution strategy for every cell (default
-	// auto): a pure perf knob, erased from every run's hash.
+	// Kernel names the execution strategy for every cell: "" or "auto",
+	// the only one (see api.RunRequest.Kernel).
 	Kernel string `json:"kernel,omitempty"`
 	// Schedule names the draw schedule for every cell: "" or "keyed",
 	// the only one (see api.RunRequest.Schedule).
