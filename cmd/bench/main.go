@@ -210,11 +210,28 @@ type Report struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	Quick      bool   `json:"quick"`
 	Budget     int64  `json:"agent_round_budget"`
-	Cells      []Cell `json:"cells"`
+	// WordPath is the path rng's bulk word generator took, "avx512" or
+	// "scalar", and CPU the processor's model name (schema v8).
+	WordPath string `json:"word_path"`
+	CPU      string `json:"cpu"`
+	Cells    []Cell `json:"cells"`
 	// AsyncCell is the quiet-span skipping measurement (schema v3).
 	AsyncCell *AsyncCell `json:"async_cell,omitempty"`
 	// SparseCell is the sparse-regime walker measurement (schema v5).
 	SparseCell *SparseCell `json:"sparse_cell,omitempty"`
+}
+
+// cpuModel returns the processor's model name from /proc/cpuinfo, or
+// GOARCH where that cannot be read.
+func cpuModel() string {
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOARCH
 }
 
 func main() {
@@ -385,11 +402,14 @@ func run(args []string, log io.Writer) error {
 	}
 
 	rep := Report{
-		Schema:     "breathe-bench-kernel/v7",
+		Schema:     "breathe-bench-kernel/v8",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      *quick,
 		Budget:     b,
+		WordPath:   rng.WordPath(),
+		CPU:        cpuModel(),
 	}
+	fmt.Fprintf(log, "cpu %s, GOMAXPROCS %d, word path %s\n", rep.CPU, rep.GoMaxProcs, rep.WordPath)
 	kernels := []struct {
 		name   string
 		shards int

@@ -29,8 +29,11 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if rep.Schema != "breathe-bench-kernel/v7" {
+	if rep.Schema != "breathe-bench-kernel/v8" {
 		t.Fatalf("schema = %q", rep.Schema)
+	}
+	if rep.WordPath != "avx512" && rep.WordPath != "scalar" || rep.CPU == "" {
+		t.Fatalf("artifact does not record the machine: word path %q, cpu %q", rep.WordPath, rep.CPU)
 	}
 	if !strings.Contains(log.String(), "phase decomposition") {
 		t.Fatalf("log output missing the phase table:\n%s", log.String())

@@ -30,6 +30,13 @@ func (c Cell) Uint64(i uint64) uint64 { return c.base + i }
 // Uint64n returns draw i reduced mod n.
 func (c Cell) Uint64n(i, n uint64) uint64 { return c.Uint64(i) % n }
 
+// Words writes draws idx[i] of the cell into out.
+func (c Cell) Words(out []uint64, idx []int32) {
+	for i, j := range idx {
+		out[i] = c.base + uint64(j)
+	}
+}
+
 // Sub derives a child cell.
 func (c Cell) Sub(j uint64) Cell { return Cell{c.base ^ j} }
 

@@ -51,6 +51,14 @@ func (e *engine) scatter(round uint64) uint64 {
 	return e.key.Cell(rng.StreamPlacement, round).Uint64(0)
 }
 
+// bulk draws a block of addressed words: the bulk primitive is a draw
+// like the per-word one.
+//
+//breathe:drawfree
+func bulk(c rng.Cell, out []uint64, idx []int32) { // want `bulk is annotated //breathe:drawfree but draws rng.Cell.Words`
+	c.Words(out, idx)
+}
+
 // transmit crosses a package boundary: channel.Flip's verdict arrives
 // as a fact.
 //

@@ -95,14 +95,13 @@ func MethodRecv(fn *types.Func) (pkgPath, typeName string, ok bool) {
 // caught transitively through facts.
 var drawMethods = map[string]map[string]bool{
 	"RNG": {
-		"Uint64": true, "Fill": true, "Uint64n": true, "Intn": true,
-		"Uint32n": true, "Float64": true, "Bool": true, "Bernoulli": true,
-		"Binomial": true, "Geometric": true, "Hypergeometric": true,
-		"NormFloat64": true, "Perm": true, "Shuffle": true, "Split": true,
+		"Uint64": true, "Uint64n": true, "Intn": true, "Uint32n": true,
+		"Float64": true, "Bool": true, "Bernoulli": true, "Binomial": true,
+		"Hypergeometric": true, "Perm": true, "Split": true,
 	},
 	"Cell": {
 		"Uint64": true, "Uint64n": true, "Uint32n": true, "Fill": true,
-		"Sub": true,
+		"Words": true, "Sub": true,
 	},
 	"Key": {
 		"Cell": true,

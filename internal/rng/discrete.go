@@ -208,19 +208,3 @@ func (r *RNG) Hypergeometric(popSize, successes, draws int) int {
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 	return got
 }
-
-// Geometric returns the number of failures before the first success in
-// independent Bernoulli(p) trials, p in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires p in (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log1p(-p)))
-}

@@ -77,8 +77,6 @@ const (
 
 // fmix64 is the SplitMix64 output finalizer: an avalanche-complete
 // bijection on 64 bits.
-//
-//breathe:leaf inlined into the kernels' call-free loops
 func fmix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -115,8 +113,6 @@ type Cell struct {
 
 // Uint64 returns word i of the cell: fmix64(base + (i+1)·φ64), the i-th
 // output of the SplitMix64 sequence starting at the cell base.
-//
-//breathe:leaf inlined into the kernels' call-free loops
 func (c Cell) Uint64(i uint64) uint64 {
 	return fmix64(c.base + (i+1)*keyGolden)
 }
@@ -128,13 +124,54 @@ func (c Cell) Sub(j uint64) Cell {
 	return Cell{base: fmix64(c.base + (j+1)*keyGolden2)}
 }
 
+// vector reports whether Fill and Words run their AVX-512 kernels. It is
+// set once from the platform (see avx512); tests clear it to force the
+// scalar loops, which every platform without the kernels runs and which
+// are the reference the kernels are checked against.
+var vector = avx512()
+
+// WordPath names the path Fill and Words take on this machine: "avx512"
+// or "scalar". Both produce the same words.
+func WordPath() string {
+	if vector {
+		return "avx512"
+	}
+	return "scalar"
+}
+
 // Fill writes words start, start+1, …, start+len(buf)−1 of the cell into
-// buf — the bulk form of Uint64 for the dense kernel's per-bucket batches.
+// buf — the bulk form of Uint64 for the kernels' draw passes over
+// consecutive counters (the tree's per-bucket batches, the sparse
+// walker's placement words). With AVX-512 it computes sixteen words per
+// iteration, the remainder in the scalar loop.
 func (c Cell) Fill(buf []uint64, start uint64) {
 	x := c.base + start*keyGolden
+	if vector && len(buf) >= 16 {
+		n := len(buf) &^ 15
+		fillAVX512(buf[:n], x)
+		buf = buf[n:]
+		x += uint64(n) * keyGolden
+	}
 	for i := range buf {
 		x += keyGolden
 		buf[i] = fmix64(x)
+	}
+}
+
+// Words sets out[i] = c.Uint64(uint64(idx[i])) for every i < len(idx) —
+// the bulk form of Uint64 over a list of addresses, for the kernels'
+// draw passes over sender and receiver lists. out must be at least as
+// long as idx. With AVX-512 it computes eight words per iteration, the
+// remainder in the scalar loop.
+func (c Cell) Words(out []uint64, idx []int32) {
+	out = out[:len(idx)]
+	n := 0
+	if vector && len(idx) >= 8 {
+		n = len(idx) &^ 7
+		wordsAVX512(out[:n], idx, c.base)
+	}
+	for i := n; i < len(idx); i++ {
+		out[i] = c.Uint64(uint64(idx[i]))
 	}
 }
 

@@ -12,8 +12,6 @@
 // one of them changes how many variates it draws.
 package rng
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator. It is not safe
 // for concurrent use; callers that need parallelism should Split first.
 type RNG struct {
@@ -72,26 +70,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
 	return result
-}
-
-// Fill writes len(buf) consecutive draws of the stream into buf,
-// advancing the generator exactly as len(buf) Uint64 calls would. The
-// state stays in registers for the whole batch, which makes bulk
-// consumers (the simulator's batched kernel) measurably faster than one
-// method call per draw.
-func (r *RNG) Fill(buf []uint64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range buf {
-		buf[i] = rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
 // Uint64n returns a uniform integer in [0, n) using Lemire's unbiased
@@ -184,26 +162,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate using the Marsaglia polar
-// method. It is used only by statistics helpers, never on simulation hot
-// paths.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

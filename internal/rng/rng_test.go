@@ -189,42 +189,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(4)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", s)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(8)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v, want about 0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v, want about 1", variance)
-	}
-}
-
 // --- Binomial ---
 
 func TestBinomialEdgeCases(t *testing.T) {
@@ -431,11 +395,11 @@ func TestHypergeometricMatchesSubsetSampling(t *testing.T) {
 	}
 	for i := 0; i < draws; i++ {
 		countA[r1.Hypergeometric(N, K, d)]++
-		// Brute force: shuffle and take the first d.
-		r2.Shuffle(N, func(a, b int) { pop[a], pop[b] = pop[b], pop[a] })
+		// Brute force: the first d entries of a uniform permutation.
+		perm := r2.Perm(N)
 		ones := 0
 		for j := 0; j < d; j++ {
-			ones += pop[j]
+			ones += pop[perm[j]]
 		}
 		countB[ones]++
 	}
@@ -445,35 +409,6 @@ func TestHypergeometricMatchesSubsetSampling(t *testing.T) {
 		if math.Abs(a-b) > tol {
 			t.Errorf("k=%d: sampler %v vs brute force %v (tol %.0f)", k, a, b, tol)
 		}
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(41)
-	for _, p := range []float64{0.1, 0.5, 0.9, 1} {
-		const draws = 50000
-		sum := 0.0
-		for i := 0; i < draws; i++ {
-			sum += float64(r.Geometric(p))
-		}
-		mean := sum / draws
-		want := (1 - p) / p
-		if math.Abs(mean-want) > 0.05*want+0.05 {
-			t.Errorf("Geometric(%v) mean = %v, want %v", p, mean, want)
-		}
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Geometric(%v) did not panic", p)
-				}
-			}()
-			New(1).Geometric(p)
-		}()
 	}
 }
 
@@ -650,20 +585,6 @@ func TestHypergeometricConsumptionUnchanged(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("stream consumption diverged from reference")
 		}
-	}
-}
-
-func TestFillMatchesUint64(t *testing.T) {
-	a, b := New(55), New(55)
-	buf := make([]uint64, 257)
-	a.Fill(buf)
-	for i, x := range buf {
-		if w := b.Uint64(); x != w {
-			t.Fatalf("Fill[%d] = %#x, Uint64 sequence gives %#x", i, x, w)
-		}
-	}
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("Fill advanced the state incorrectly")
 	}
 }
 

@@ -45,13 +45,26 @@ package sim
 // goroutine, a different execution order, in principle a different machine
 // — without exchanging generator state (keyed_shard_test.go).
 //
-// The inner loops — scatter placement and resolve, the tree's placement,
-// the tree's and the sparse walker's per-slot resolve — are leaf functions whose common path
-// makes no call, so Go keeps their loop state in registers; each carries
-// //breathe:leaf, which breathevet's leafloop analyzer checks. Every rare
-// case leaves the loop: a placement or accept-one draw that may need
-// Lemire's rejection test breaks out to the full Cell.Uint32n/Uint64n
-// rule and the loop resumes at the next element; a non-uniform channel
+// Every hot loop is split into a draw pass and an apply pass. The draw
+// pass computes a block of cell words in one bulk call — Cell.Fill over
+// consecutive counters (the tree's per-bucket placement and collision
+// words, the sparse walker's placement words), Cell.Words over a list of
+// addresses (the scatter's placement, drop, collision and noise words in
+// blocks of scatterBlock senders or receivers, the walker's collision
+// words over its touched slots) — which runs eight or sixteen hashes at
+// once where the CPU has AVX-512. The draw pass asks for exactly the
+// addresses the apply pass would have drawn one by one, and the apply
+// pass consumes them in the same order, so first touches, resolves and
+// every output bit are those of a loop that drew each word as it went.
+// The apply passes — scatter placement and resolve, the tree's placement,
+// the tree's and the sparse walker's per-slot resolve — are leaf
+// functions whose common path makes no call, so Go keeps their loop state
+// in registers; each carries //breathe:leaf, which breathevet's leafloop
+// analyzer checks (the block drivers around them call Fill or Words and
+// carry no mark). Every rare case leaves the loop: a placement or
+// accept-one draw that may need Lemire's rejection test breaks out to
+// the full Cell.Uint32n/Uint64n rule and the loop resumes at the next
+// element; a non-uniform channel
 // resolves on its own path; crash checks run as passes of their own,
 // leaf loops over the crash plan's bitset, from its round on; a tree
 // arrival at a saturated counter goes to the spill list; tree slots
@@ -75,6 +88,7 @@ package sim
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -105,7 +119,11 @@ type keyedState struct {
 	// arrival count in the low 32 bits, ones in the high 32, zero between
 	// rounds. touched lists the receivers in first-touch order and
 	// resolved their bits; inboxOpen marks a round whose resolve has not
-	// completed, and live holds one class's senders after drops.
+	// completed, and live holds one class's senders after drops. words is
+	// the draw passes' scratch, two blocks of scatterBlock words: a heap
+	// buffer allocated once, where a stack array would be zeroed on every
+	// call, which costs more than a small round's hashing.
+	words     []uint64
 	inbox     []uint64
 	touched   []int32
 	resolved  []channel.Bit
@@ -361,6 +379,7 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, 
 	if k.inbox == nil {
 		// One word per receiver, plus a spare for scatterDropCrashed.
 		k.inbox = make([]uint64, e.cfg.N+1)
+		k.words = make([]uint64, 2*scatterBlock)
 	}
 	m := len(zeros) + len(ones)
 	if cap(k.touched) < m {
@@ -385,10 +404,10 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, 
 		inc := uint64(c)<<32 | 1
 		if drop != 0 {
 			// Drops thin the senders before placement, in order.
-			k.live = dropFilter(k.live[:0], senders, cDrop, drop)
+			k.live = dropFilter(k.live[:0], senders, cDrop, drop, k.words)
 			senders = k.live
 		}
-		nt = scatterPlace(inbox, touched, senders, nt, cPlace, span, excl, inc)
+		nt = scatterPlace(inbox, touched, senders, nt, cPlace, span, excl, inc, k.words)
 	}
 	e.mark(telemetry.PhasePlacement)
 
@@ -403,14 +422,7 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, 
 	out := k.resolved[:len(acc)]
 	cColl := e.key.Cell(rng.StreamCollision, uint64(round))
 	cNoise := e.key.Cell(rng.StreamNoise, uint64(round))
-	for j := 0; j < len(acc); j++ {
-		if k.uniform {
-			if j = scatterAccept(inbox, acc, out, j, cColl, cNoise, k.noiseThresh); j == len(acc) {
-				break
-			}
-		}
-		out[j] = k.scatterResolve(e.cfg.Channel, cColl, cNoise, inbox, acc[j])
-	}
+	k.scatterResolveAll(e.cfg.Channel, cColl, cNoise, inbox, acc, out)
 	k.inboxOpen = false
 	// Every message not accepted — dropped in flight, collided, or
 	// addressed to a crashed receiver — is a loss.
@@ -430,34 +442,48 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, 
 	}
 }
 
+// scatterBlock is the length of the scatter's draw passes: the words of
+// up to this many senders or receivers are drawn into scratch before the
+// apply loop reads them.
+const scatterBlock = 256
+
 // scatterPlace places one class of senders, each arrival adding inc to its
 // receiver's inbox word, and returns the new length of the first-touch
-// list touched[:nt]. The call-free scatterThrow does the placing; a
-// possible Lemire rejection breaks out to Cell.Uint32n for that sender
-// and the loop resumes at the next.
-func scatterPlace(inbox []uint64, touched, senders []int32, nt int, cPlace rng.Cell, span, excl uint32, inc uint64) int {
-	for i := 0; i < len(senders); i++ {
-		if i, nt = scatterThrow(inbox, touched, senders, i, nt, cPlace, span, excl, inc); i == len(senders) {
-			break
+// list touched[:nt]. Block by block it draws the senders' placement words
+// into words (scatterBlock long) in one Cell.Words pass and has the
+// call-free scatterThrow place them; a possible Lemire rejection breaks
+// out to Cell.Uint32n for that sender and the loop resumes at the next.
+func scatterPlace(inbox []uint64, touched, senders []int32, nt int, cPlace rng.Cell, span, excl uint32, inc uint64, words []uint64) int {
+	words = words[:scatterBlock]
+	for len(senders) > 0 {
+		blk := senders[:min(len(senders), scatterBlock)]
+		cPlace.Words(words, blk)
+		for i := 0; i < len(blk); i++ {
+			if i, nt = scatterThrow(inbox, touched, blk, words, i, nt, span, excl, inc); i == len(blk) {
+				break
+			}
+			s := uint32(blk[i])
+			dst := cPlace.Uint32n(uint64(s), span)
+			nt = scatterAdd(inbox, touched, nt, dst+uint32(b2u(dst >= s))&excl, inc)
 		}
-		s := uint32(senders[i])
-		dst := cPlace.Uint32n(uint64(s), span)
-		nt = scatterAdd(inbox, touched, nt, dst+uint32(b2u(dst >= s))&excl, inc)
+		senders = senders[len(blk):]
 	}
 	return nt
 }
 
-// scatterThrow is the scatter placement's call-free loop: it places
-// senders[i:], each arrival adding inc to its receiver's inbox word and a
-// first touch extending touched[:nt], and returns at the first live
-// sender whose placement draw needs the full rule, with that sender's
-// index (len(senders) when none does) and the new nt.
+// scatterThrow is the scatter placement's apply loop: it places
+// senders[i:] from their placement words, words[i] for senders[i], each
+// arrival adding inc to its receiver's inbox word and a first touch
+// extending touched[:nt], and returns at the first sender whose
+// placement draw needs the full rule, with that sender's index
+// (len(senders) when none does) and the new nt.
 //
 //breathe:leaf the scatter placement loop; a possible Lemire rejection is handled by the caller
-func scatterThrow(inbox []uint64, touched, senders []int32, i, nt int, cPlace rng.Cell, span, excl uint32, inc uint64) (int, int) {
+func scatterThrow(inbox []uint64, touched, senders []int32, words []uint64, i, nt int, span, excl uint32, inc uint64) (int, int) {
+	words = words[:len(senders)]
 	for ; i < len(senders); i++ {
 		s := uint32(senders[i])
-		dst, ok := placeFast(cPlace, uint64(s), span)
+		dst, ok := placeFast(words[i], span)
 		if !ok {
 			break
 		}
@@ -499,37 +525,74 @@ func scatterDropCrashed(inbox []uint64, acc []int32, words []uint64) int {
 	return w
 }
 
-// dropFilter appends to dst the senders whose drop draw keeps them.
-func dropFilter(dst, senders []int32, cDrop rng.Cell, drop uint64) []int32 {
-	for _, s := range senders {
-		if cDrop.Uint64(uint64(s))>>11 >= drop {
-			dst = append(dst, s)
+// dropFilter appends to dst the senders whose drop draw keeps them,
+// drawing the words block by block into words (scatterBlock long) in one
+// Cell.Words pass.
+func dropFilter(dst, senders []int32, cDrop rng.Cell, drop uint64, words []uint64) []int32 {
+	words = words[:scatterBlock]
+	for len(senders) > 0 {
+		blk := senders[:min(len(senders), scatterBlock)]
+		cDrop.Words(words, blk)
+		for i, s := range blk {
+			if words[i]>>11 >= drop {
+				dst = append(dst, s)
+			}
 		}
+		senders = senders[len(blk):]
 	}
 	return dst
 }
 
-// scatterAccept is the uniform-channel scatter resolve's call-free loop:
-// from acc[j] on, it draws each live receiver's accept-one and noise,
-// writes the bit to out and zeroes the receiver's inbox word, and returns
-// at the first receiver whose accept-one draw needs the full rule — its
-// inbox word still intact — or len(acc).
+// scatterResolveAll resolves the round's live receivers acc in order,
+// writing each one's bit to out and taking it off the inbox. On a
+// uniform channel it draws, block by block, the collision and noise
+// words of the receivers in one Cell.Words pass each and has the
+// call-free scatterAccept apply them; a receiver whose accept-one draw
+// needs the full rule, and every receiver of a non-uniform channel, goes
+// through scatterResolve.
+func (k *keyedState) scatterResolveAll(ch channel.Channel, cColl, cNoise rng.Cell, inbox []uint64, acc []int32, out []channel.Bit) {
+	if !k.uniform {
+		for j, dst := range acc {
+			out[j] = k.scatterResolve(ch, cColl, cNoise, inbox, dst)
+		}
+		return
+	}
+	coll, noise := k.words[:scatterBlock], k.words[scatterBlock:2*scatterBlock]
+	for len(acc) > 0 {
+		blk := acc[:min(len(acc), scatterBlock)]
+		cColl.Words(coll, blk)
+		cNoise.Words(noise, blk)
+		for j := 0; j < len(blk); j++ {
+			if j = scatterAccept(inbox, blk, out, coll, noise, j, k.noiseThresh); j == len(blk) {
+				break
+			}
+			out[j] = k.scatterResolve(ch, cColl, cNoise, inbox, blk[j])
+		}
+		acc, out = acc[len(blk):], out[len(blk):]
+	}
+}
+
+// scatterAccept is the uniform-channel scatter resolve's apply loop: from
+// acc[j] on, it applies each live receiver's accept-one word coll[j] and
+// noise word noise[j], writes the bit to out and zeroes the receiver's
+// inbox word, and returns at the first receiver whose accept-one draw
+// needs the full rule — its inbox word still intact — or len(acc).
 //
 //breathe:leaf the scatter resolve loop; a possible Lemire rejection is handled by the caller
-func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, j int, cColl, cNoise rng.Cell, thresh uint64) int {
-	out = out[:len(acc)]
+func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, coll, noise []uint64, j int, thresh uint64) int {
+	out, coll, noise = out[:len(acc)], coll[:len(acc)], noise[:len(acc)]
 	for ; j < len(acc); j++ {
 		dst := uint64(acc[j])
 		v := inbox[dst]
 		cnt, on := v&(1<<32-1), v>>32
 		// With cnt == 1 the draw is below on exactly when on == 1, so
 		// single arrivals need no branch of their own.
-		hi, ok := acceptFast(cColl, dst, cnt)
+		hi, ok := acceptFast(coll[j], cnt)
 		if !ok {
 			break
 		}
 		inbox[dst] = 0
-		out[j] = channel.Bit(b2u(hi < on) ^ b2u(cNoise.Uint64(dst)>>11 < thresh))
+		out[j] = channel.Bit(b2u(hi < on) ^ b2u(noise[j]>>11 < thresh))
 	}
 	return j
 }
@@ -560,22 +623,23 @@ func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, 
 	return ch.Transmit(bit, &rr)
 }
 
-// placeFast is the inlined fast path of c.Uint32n(i, n): one word and one
-// multiply. ok is false when the product's low half falls below n — the
-// only case in which Lemire's rule may reject the word — and the caller
-// must then take c.Uint32n(i, n), which returns hi whenever it accepts.
+// placeFast is the inlined fast path of c.Uint32n(i, n) given x =
+// c.Uint64(i): one multiply. ok is false when the product's low half
+// falls below n — the only case in which Lemire's rule may reject the
+// word — and the caller must then take c.Uint32n(i, n), which returns hi
+// whenever it accepts.
 //
 //breathe:leaf inlined into the scatter placement loop
-func placeFast(c rng.Cell, i uint64, n uint32) (hi uint32, ok bool) {
-	x := uint64(uint32(c.Uint64(i))) * uint64(n)
-	return uint32(x >> 32), uint32(x) >= n
+func placeFast(x uint64, n uint32) (hi uint32, ok bool) {
+	p := uint64(uint32(x)) * uint64(n)
+	return uint32(p >> 32), uint32(p) >= n
 }
 
 // acceptFast is placeFast's 64-bit counterpart for c.Uint64n(i, n).
 //
 //breathe:leaf inlined into the scatter resolve loop
-func acceptFast(c rng.Cell, i, n uint64) (hi uint64, ok bool) {
-	hi, lo := bits.Mul64(c.Uint64(i), n)
+func acceptFast(x, n uint64) (hi uint64, ok bool) {
+	hi, lo := bits.Mul64(x, n)
 	return hi, lo >= n
 }
 
@@ -732,11 +796,7 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	if pow2 {
 		nd0, nd1 = (c0+3)/4, (c1+3)/4
 	}
-	need := nd0 + nd1 + bsize
-	if cap(d.drawBuf) < need {
-		d.drawBuf = make([]uint64, need+denseWidth)
-	}
-	buf := d.drawBuf[:need]
+	buf := d.draws(nd0 + nd1 + bsize)
 	cp.Fill(buf[:nd0+nd1], 0)
 	cc.Fill(buf[nd0+nd1:], 0)
 
@@ -745,8 +805,8 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 		d.placeTree(blo, inbox, c0, 1, buf[:nd0])
 		d.placeTree(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1])
 	} else {
-		k.walked = d.walkPlace(blo, inbox, c0, 1, cp, 0, k.walked[:0])
-		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, uint64(c0), k.walked)
+		k.walked = d.walkPlace(blo, inbox, c0, 1, nil, cp, 0, k.walked[:0])
+		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, nil, cp, uint64(c0), k.walked)
 	}
 
 	if words := e.cfg.Failures.activeWords(round); words != nil {
@@ -859,28 +919,31 @@ func (d *denseRun) fixBuf() *[denseWidth]int32 {
 	return (*[denseWidth]int32)(d.deferred[:denseWidth])
 }
 
+// draws returns the run's word scratch, n words long; its contents are
+// the caller's to fill. It grows only as far as the largest request, so
+// an engine whose rounds all run on the walker keeps it small.
+func (d *denseRun) draws(n int) []uint64 {
+	d.drawBuf = slices.Grow(d.drawBuf[:0], n)
+	return d.drawBuf[:n]
+}
+
 // walkPlace throws k messages of one class into the bucket inbox that
-// starts at slot lo, drawing placements on demand from cp at counters
-// off, off+1, …: in a power-of-two bucket, four 16-bit lanes per word
-// consumed low-first — exactly the words placeTree reads pre-filled —
-// and otherwise one unbiased Uint32n draw per message. Each arrival adds
-// inc to its slot's word, and a slot joins touched on its first touch
-// (a zero word), so it appears once per round across both classes. An
-// arrival at a saturated counter goes to the spill list.
-func (d *denseRun) walkPlace(lo int, inbox []uint32, k int, inc uint32, cp rng.Cell, off uint64, touched []int32) []int32 {
+// starts at slot lo. A power-of-two bucket places them from words, four
+// 16-bit lanes per word consumed low-first — exactly the words placeTree
+// reads; any other bucket draws one unbiased Uint32n from cp per message,
+// at counters off, off+1, …. Each arrival adds inc to its slot's word,
+// and a slot joins touched on its first touch (a zero word), so it
+// appears once per round across both classes. An arrival at a saturated
+// counter goes to the spill list.
+func (d *denseRun) walkPlace(lo int, inbox []uint32, k int, inc uint32, words []uint64, cp rng.Cell, off uint64, touched []int32) []int32 {
 	size := uint32(len(inbox))
 	pow2 := size&(size-1) == 0
-	var x uint64
 	for i := 0; i < k; i++ {
 		var slot uint32
-		if !pow2 {
-			slot = cp.Uint32n(off+uint64(i), size)
+		if pow2 {
+			slot = uint32(words[i>>2]>>(uint(i&3)*16)) & (size - 1)
 		} else {
-			if i&3 == 0 {
-				x = cp.Uint64(off + uint64(i>>2))
-			}
-			slot = uint32(x) & (size - 1)
-			x >>= 16
+			slot = cp.Uint32n(off+uint64(i), size)
 		}
 		v := inbox[slot]
 		if v == 0 {

@@ -12,6 +12,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"breathe/internal/async"
@@ -76,13 +79,43 @@ func runKeyedGolden(t *testing.T, tc keyedGoldenCase) {
 			p = simtest.PerAgent(p)
 		}
 		res, got := keyedGoldenDigest(t, tc.cfg, p)
-		t.Logf("%s per-agent=%v: %+v", tc.name, perAgent, res)
+		t.Logf("%s per-agent=%v, word path %s: %+v", tc.name, perAgent, rng.WordPath(), res)
 		if tc.check != nil {
 			tc.check(t, res)
 		}
 		if got != tc.want {
 			t.Errorf("%s per-agent=%v: digest %s, want %s", tc.name, perAgent, got, tc.want)
 		}
+	}
+}
+
+// TestKeyedGoldenScalarWords re-runs the keyed goldens and
+// FuzzKeyedRound's seed corpus in a child process whose GODEBUG turns
+// AVX-512 off, so rng's Fill and Words take their scalar loops: every
+// digest must hold on both word paths. Where the scalar loops already
+// run, the tests themselves cover them.
+func TestKeyedGoldenScalarWords(t *testing.T) {
+	if rng.WordPath() == "scalar" {
+		t.Skip("the scalar word path already runs in this process")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^(TestKeyedGolden|FuzzKeyedRound$)",
+		"-test.skip=ScalarWords", "-test.count=1", "-test.v")
+	godebug := "cpu.avx512f=off"
+	if g := os.Getenv("GODEBUG"); g != "" {
+		godebug = g + "," + godebug
+	}
+	cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("scalar word path: %v\n%s", err, out)
+	}
+	for _, want := range []string{"word path scalar", "--- PASS: TestKeyedGoldenScatter", "--- PASS: FuzzKeyedRound/"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("scalar word path: output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "word path avx512") {
+		t.Fatalf("GODEBUG did not force the scalar word path:\n%s", out)
 	}
 }
 

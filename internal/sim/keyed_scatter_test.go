@@ -19,7 +19,7 @@ func TestKeyedPlaceFastMatchesUint32n(t *testing.T) {
 		for r := uint64(0); r < 16; r++ {
 			c := key.Cell(rng.StreamPlacement, r)
 			for i := uint64(0); i < 4096; i++ {
-				got, ok := placeFast(c, i, n)
+				got, ok := placeFast(c.Uint64(i), n)
 				if !ok {
 					bails++
 					continue
@@ -43,7 +43,7 @@ func TestKeyedAcceptFastMatchesUint64n(t *testing.T) {
 		for r := uint64(0); r < 16; r++ {
 			c := key.Cell(rng.StreamCollision, r)
 			for i := uint64(0); i < 4096; i++ {
-				got, ok := acceptFast(c, i, n)
+				got, ok := acceptFast(c.Uint64(i), n)
 				if !ok {
 					bails++
 					continue
@@ -76,7 +76,7 @@ func TestKeyedScatterPlaceBreakOut(t *testing.T) {
 		for r := uint64(0); r < 8; r++ {
 			c := key.Cell(rng.StreamPlacement, r) //breathe:stream-ok each test draws from its own key, so the sites never share a root
 			for _, s := range senders {
-				if _, ok := placeFast(c, uint64(s), span); !ok {
+				if _, ok := placeFast(c.Uint64(uint64(s)), span); !ok {
 					bails++
 				}
 			}
@@ -84,7 +84,7 @@ func TestKeyedScatterPlaceBreakOut(t *testing.T) {
 				list := senders[class:]
 				inbox := make([]uint64, n)
 				touched := make([]int32, len(list))
-				nt := scatterPlace(inbox, touched, list, 0, c, span, excl, inc)
+				nt := scatterPlace(inbox, touched, list, 0, c, span, excl, inc, make([]uint64, scatterBlock))
 
 				refInbox := make([]uint64, n)
 				var refTouched []int32

@@ -148,14 +148,14 @@ func (e *Engine) keyedSparse(m0, m1, round int) {
 
 // sparseWalkBucket places and resolves one occupied bucket, visiting
 // only the slots the placements hit. The placement draws replicate
-// keyedBucket exactly — the bulk path pre-fills the bucket's placement
-// words with Cell.Fill, whose word w is by definition cp.Uint64(w), so
-// computing the words on demand consumes the same addresses — and the
-// resolve of a touched slot i reads the same cc.Uint64(i) base word the
-// full-bucket sweep reads at rbuf[i]. Untouched slots hold a zero word:
-// the sweep adds zero to their accumulators, draws nothing fresh for
-// them, and its crash pass, which only zeroes words, leaves them as they
-// are, so skipping them is exact.
+// keyedBucket exactly — both draw a power-of-two bucket's placement
+// words with one Cell.Fill from counter 0 and the tail bucket's with one
+// Uint32n per message — and the resolve of a touched slot i reads
+// cc.Uint64(i), drawn for the touched list in one Cell.Words pass: the
+// same base word the full-bucket sweep reads at rbuf[i]. Untouched slots
+// hold a zero word: the sweep adds zero to their accumulators, draws
+// nothing fresh for them, and its crash pass, which only zeroes words,
+// leaves them as they are, so skipping them is exact.
 func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	k := e.keyed
 	n := e.cfg.N
@@ -171,14 +171,19 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j)) //breathe:stream-ok sparse walker and dense tree are alternative executors of the same round; stepKeyed runs exactly one, with identical addressing
 
 	inbox := k.treeInbox[blo : blo+bsize : blo+bsize]
-	// The ones start past the zeros' draws: past their placement words
-	// in a power-of-two bucket, past their per-message draws otherwise.
-	off1 := uint64(c0)
+	// One scratch holds the placement words, zeros' then ones', as
+	// keyedBucket fills them for a power-of-two bucket, and after them
+	// the collision words of the touched slots, at most one per message.
+	nd0, nd1 := 0, 0
 	if bsize&(bsize-1) == 0 {
-		off1 = uint64(c0+3) / 4
+		nd0, nd1 = (c0+3)/4, (c1+3)/4
 	}
-	touched := d.walkPlace(blo, inbox, c0, 1, cp, 0, k.walked[:0])
-	touched = d.walkPlace(blo, inbox, c1, 1<<16|1, cp, off1, touched)
+	buf := d.draws(nd0 + nd1 + c0 + c1)
+	cp.Fill(buf[:nd0+nd1], 0)
+	// Without placement words the ones' per-message draws start past the
+	// zeros'.
+	touched := d.walkPlace(blo, inbox, c0, 1, buf[:nd0], cp, 0, k.walked[:0])
+	touched = d.walkPlace(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1], cp, uint64(c0), touched)
 	k.walked = touched
 
 	if words := e.cfg.Failures.activeWords(round); words != nil {
@@ -187,7 +192,9 @@ func (e *Engine) sparseWalkBucket(d *denseRun, j, c0, c1, round int) {
 	}
 	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
-	nf := sparseResolve(inbox, touched, acc, fix, cc, k.noiseThresh)
+	coll := buf[nd0+nd1:][:len(touched)]
+	cc.Words(coll, touched)
+	nf := sparseResolve(inbox, touched, coll, acc, fix, k.noiseThresh)
 	d.accepted += int64(len(touched))
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 }
@@ -210,19 +217,20 @@ func walkDropCrashed(inbox []uint32, touched []int32, words []uint64, blo uint) 
 	return w
 }
 
-// sparseResolve is treeResolve over the touched slots only, with each
-// slot's collision word computed on demand: cc.Uint64(i) is the word the
-// full sweep reads at rbuf[i]. Every touched slot is occupied and live.
-// Like the sweep, it zeroes each slot it resolves and leaves fix-list
-// slots to keyedFix.
+// sparseResolve is treeResolve over the touched slots only: words[j] is
+// the collision word of slot touched[j], the word the full sweep reads
+// at rbuf[touched[j]]. Every touched slot is occupied and live. Like the
+// sweep, it zeroes each slot it resolves and leaves fix-list slots to
+// keyedFix.
 //
 //breathe:leaf the walker's per-slot resolve; rejections and deferrals are listed for keyedFix
-func sparseResolve(inbox []uint32, touched []int32, acc []uint64, fix *[denseWidth]int32, cc rng.Cell, thresh uint64) (nf int) {
-	for _, i := range touched {
+func sparseResolve(inbox []uint32, touched []int32, words, acc []uint64, fix *[denseWidth]int32, thresh uint64) (nf int) {
+	words = words[:len(touched)]
+	for j, i := range touched {
 		v := inbox[i]
 		cnt := uint64(v & 0xffff)
 		on := uint64(v >> 16)
-		x := cc.Uint64(uint64(i))
+		x := words[j]
 		prod := (x & 2047) * cnt
 		fixup := (prod&2047 - cnt) >> 63
 		fix[nf&(denseWidth-1)] = i // nf < len(touched) ≤ denseWidth
