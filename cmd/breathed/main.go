@@ -1,7 +1,7 @@
-// Command breathed serves Flip-model simulations over HTTP: a worker pool
-// of reused engines behind a bounded admission queue, with a
-// content-addressed result cache in front (internal/service; endpoints in
-// service.NewHTTPHandler).
+// Command breathed serves Flip-model simulations over HTTP: a pool of
+// workers, each with one engine re-armed for every job, behind a bounded
+// admission queue, with a content-addressed result cache in front
+// (internal/service; endpoints in service.NewHTTPHandler).
 //
 // Endpoints (JSON unless noted):
 //
@@ -46,9 +46,10 @@
 //
 // A running daemon also serves as a sweep backend: `sweep -remote
 // http://host:8344` executes its grid cells here, and the result cache
-// makes repeated or overlapping sweeps incremental. Sweep grids cycle
-// through many engine shapes ((n, ε, shards) combinations), so -engines
-// sizes each worker's engine cache for the grid's working set.
+// makes repeated or overlapping sweeps incremental. Each worker re-arms
+// its one engine with every cell's whole configuration, so a grid of any
+// width costs a worker the memory of one engine, sized for the last n it
+// ran.
 package main
 
 import (
@@ -70,23 +71,21 @@ func main() {
 	fs := flag.NewFlagSet("breathed", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", ":8344", "listen address")
-		workers = fs.Int("workers", 0, "engine-pool workers (0 = all cores)")
+		workers = fs.Int("workers", 0, "workers, one engine each (0 = all cores)")
 		queue   = fs.Int("queue", 256, "admission queue depth")
 		cache   = fs.Int("cache", 1024, "result cache entries")
 		maxN    = fs.Int("maxn", 1<<24, "largest admitted population (0 = engine limit)")
-		engines = fs.Int("engines", 0, "reusable engines cached per worker, one per engine shape (0 = default 4; raise for wide sweep grids)")
 		history = fs.Int("history", 0, "terminal jobs retrievable by ID (0 = default 16384)")
 		debug   = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
 	fs.Parse(os.Args[1:])
 
 	svc := service.New(service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cache,
-		MaxN:             *maxN,
-		EnginesPerWorker: *engines,
-		JobHistory:       *history,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cache,
+		MaxN:         *maxN,
+		JobHistory:   *history,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -190,8 +190,8 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
-// TestRejections: malformed, unknown-field, invalid, oversized and
-// overflow submissions map to the right HTTP codes, on a server with a
+// TestRejections: malformed, trailing-data, unknown-field, invalid,
+// oversized and overflow submissions map to the right HTTP codes, on a server with a
 // MaxN cap and on one without (MaxN 0, the engine's own limit).
 func TestRejections(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1, MaxN: 10000, QueueDepth: 1})
@@ -205,6 +205,8 @@ func TestRejections(t *testing.T) {
 	}{
 		{ts.URL, `{`, http.StatusBadRequest},
 		{ts.URL, `{"n": 1024, "turbo": true}`, http.StatusBadRequest}, // unknown field
+		{ts.URL, `{"n": 256, "seed": 1} trailing-garbage`, http.StatusBadRequest},
+		{ts.URL, `{"n": 256, "seed": 2}{"n": -5}`, http.StatusBadRequest}, // one object per body
 		{ts.URL, `{"n": 1}`, http.StatusBadRequest},
 		{ts.URL, `{"n": 1048576}`, http.StatusBadRequest}, // beyond MaxN
 		{ts.URL, huge, http.StatusRequestEntityTooLarge},

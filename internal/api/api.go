@@ -240,8 +240,8 @@ func canonFloat(v float64) string {
 }
 
 // Run is a fully built run: the engine configuration, a factory producing
-// a fresh protocol instance per execution (engines are pooled and reused;
-// protocol state is not), and the run's derived metadata.
+// a fresh protocol instance per execution (engines are re-armed and
+// reused; protocol state is not), and the run's derived metadata.
 type Run struct {
 	// Config is the engine configuration (Observer and Cancel unset; the
 	// executor installs its own hooks).

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -98,7 +99,17 @@ func (s *httpServer) submit(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One request object per body: anything after it, even a second
+		// valid object, is refused rather than ignored.
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge

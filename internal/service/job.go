@@ -11,9 +11,9 @@ import (
 type State string
 
 const (
-	// StateQueued: admitted, waiting for a pool engine.
+	// StateQueued: admitted, waiting for a worker.
 	StateQueued State = "queued"
-	// StateRunning: executing on a pool engine.
+	// StateRunning: executing on a worker's engine.
 	StateRunning State = "running"
 	// StateDone: completed; the response is available.
 	StateDone State = "done"

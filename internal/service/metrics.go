@@ -74,8 +74,8 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		{"breathe_cache_misses_total", "Submissions that enqueued a fresh execution.", &s.cacheMisses},
 		{"breathe_shared_flights_total", "Submissions attached to an identical in-flight execution.", &s.sharedFlights},
 		{"breathe_executed_total", "Kernel runs actually executed.", &s.executed},
-		{"breathe_engines_built_total", "Engines constructed for the pools.", &s.enginesBuilt},
-		{"breathe_engines_reused_total", "Runs served by a pooled engine without rebuilding.", &s.enginesReused},
+		{"breathe_engines_built_total", "Engines constructed: one per worker, plus one after each kernel panic.", &s.enginesBuilt},
+		{"breathe_engines_reused_total", "Runs served by a worker's engine re-armed with Reset.", &s.enginesReused},
 	} {
 		reg.CounterFunc(c.name, c.help, counterVal(c.src))
 	}

@@ -1,14 +1,15 @@
 // Package service is the concurrent simulation service behind cmd/breathed:
-// a bounded admission queue feeding a worker pool of reused engines, a
-// content-addressed result cache in front of them, and per-job trajectory
-// streaming and cancellation.
+// a bounded admission queue feeding a pool of workers with one reused
+// engine each, a content-addressed result cache in front of them, and
+// per-job trajectory streaming and cancellation.
 //
 // The design exploits what the simulator guarantees. Every run is a pure
 // function of its canonical request (internal/api), so results are
 // cacheable forever under the config hash and identical in-flight requests
-// can share one execution (single-flight). Engines are resettable
-// (Engine.Reset reuses every buffer), so a worker serves a stream of jobs
-// with the allocation cost of one. And the engine polls a cancel channel
+// can share one execution (single-flight). Engine.Reset arms an engine
+// with a job's whole configuration and keeps its buffers while n stays
+// the same, so a worker serves a stream of jobs on one engine, with the
+// memory of one. And the engine polls a cancel channel
 // at every round barrier without touching an RNG stream, so cancellation
 // is prompt and a canceled run's executed prefix stays bit-identical to an
 // uncanceled run — resubmitting after a cancel reproduces the original
@@ -46,7 +47,7 @@ var (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the engine-pool size (0 = GOMAXPROCS).
+	// Workers is the number of workers, one engine each (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue (0 = 256). A full queue
 	// rejects new work with ErrQueueFull instead of buffering unboundedly.
@@ -56,10 +57,6 @@ type Config struct {
 	// MaxN caps the admitted population size (0 = no cap beyond the
 	// engine's own limits).
 	MaxN int
-	// EnginesPerWorker bounds each worker's cache of reusable engines,
-	// one per distinct engine shape — population, channel, kernel…
-	// (0 = 4). Engines hold O(n) buffers, so this bounds pool memory.
-	EnginesPerWorker int
 	// JobHistory bounds how many terminal jobs stay retrievable by ID
 	// (0 = 16384).
 	JobHistory int
@@ -74,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
-	}
-	if c.EnginesPerWorker <= 0 {
-		c.EnginesPerWorker = 4
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 16384
@@ -113,7 +107,7 @@ type Stats struct {
 	RejectedTooLarge  uint64 `json:"rejected_too_large"`
 }
 
-// Service is the engine pool plus its admission queue, result cache and
+// Service is the worker pool plus its admission queue, result cache and
 // job registry. Create with New, stop with Close.
 type Service struct {
 	cfg     Config
@@ -368,74 +362,15 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// engineKey identifies an engine shape: every Config field that survives
-// Reset. Jobs differing only in seed, crash plan, observer or cancel
-// hook share an engine; the per-run setters re-arm those.
-type engineKey struct {
-	n         int
-	eps       float64
-	noSelf    bool
-	drop      float64
-	maxRounds int
-	shards    int
-}
-
-func engineKeyFor(req api.RunRequest) engineKey {
-	return engineKey{
-		n:         req.N,
-		eps:       req.Eps,
-		noSelf:    req.NoSelfMessages,
-		drop:      req.DropProb,
-		maxRounds: req.MaxRounds,
-		shards:    req.Shards,
-	}
-}
-
-// enginePool is one worker's cache of reusable engines, bounded by
-// EnginesPerWorker with oldest-built eviction.
-type enginePool struct {
-	engines map[engineKey]*sim.Engine
-	order   []engineKey
-	cap     int
-}
-
-func (p *enginePool) get(key engineKey) (*sim.Engine, bool) {
-	e, ok := p.engines[key]
-	return e, ok
-}
-
-func (p *enginePool) put(key engineKey, e *sim.Engine) {
-	if _, ok := p.engines[key]; !ok {
-		p.order = append(p.order, key)
-	}
-	p.engines[key] = e
-	for len(p.order) > p.cap {
-		delete(p.engines, p.order[0])
-		p.order = p.order[1:]
-	}
-}
-
-func (p *enginePool) drop(key engineKey) {
-	delete(p.engines, key)
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// worker owns one engine pool — and one run probe, reset per job — and
-// serves queued executions until Close.
+// worker serves queued executions until Close on one engine, re-armed
+// with each job's whole configuration, and one run probe, reset per job.
+// The engine is nil until the first job and after a kernel panic.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	pool := &enginePool{
-		engines: make(map[engineKey]*sim.Engine),
-		cap:     s.cfg.EnginesPerWorker,
-	}
+	var eng *sim.Engine
 	probe := telemetry.NewRunProbe()
 	for ex := range s.queue {
-		s.runExecution(ex, pool, probe)
+		s.runExecution(ex, &eng, probe)
 	}
 }
 
@@ -444,11 +379,11 @@ func (s *Service) worker() {
 // growing service memory without bound.
 const maxTraceBytes = 1 << 20
 
-// runExecution drives one physical run on a pooled engine. The worker's
-// probe is always armed — phase and regime totals fold into the service
-// metrics for every run — and additionally streams a bounded NDJSON trace
-// when the leader requested one (trace_every > 0).
-func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry.RunProbe) {
+// runExecution drives one physical run on the worker's engine. The
+// worker's probe is always armed — phase and regime totals fold into the
+// service metrics for every run — and additionally streams a bounded
+// NDJSON trace when the leader requested one (trace_every > 0).
+func (s *Service) runExecution(ex *execution, eng **sim.Engine, probe *telemetry.RunProbe) {
 	defer s.finalize(ex)
 	if ex.canceled() {
 		ex.fail(StateCanceled, ErrCanceled, 0)
@@ -464,57 +399,52 @@ func (s *Service) runExecution(ex *execution, pool *enginePool, probe *telemetry
 		ex.fail(StateFailed, err, 0)
 		return
 	}
-	key := engineKeyFor(ex.req)
-	eng, ok := pool.get(key)
-	if ok {
-		s.enginesReused.Add(1)
-	} else {
-		eng, err = sim.NewEngine(run.Config)
-		if err != nil {
-			ex.fail(StateFailed, err, 0)
-			return
-		}
-		pool.put(key, eng)
-		s.enginesBuilt.Add(1)
-	}
 
-	// Re-arm the pooled engine for this job: seed, then the per-job
-	// hooks (stale hooks from the previous tenant must not leak).
-	eng.Reset(ex.req.Seed)
-	eng.SetFailures(run.Config.Failures)
-	eng.SetCancel(ex.cancel)
+	// The job's whole configuration, hooks included, so nothing of the
+	// previous job's survives on the engine.
+	cfg := run.Config
+	cfg.Cancel = ex.cancel
 	probe.Reset()
 	var traceBuf *bytes.Buffer
 	if every := ex.req.TraceEvery; every > 0 {
 		traceBuf = &bytes.Buffer{}
 		probe.SetTrace(telemetry.NewTraceWriter(traceBuf, every, maxTraceBytes))
 	}
-	eng.SetTelemetry(probe)
+	cfg.Telemetry = probe
 	proto := run.NewProtocol()
 	if every := ex.req.TrajectoryEvery; every > 0 {
 		// The trajectory observer only acts on multiples of every;
 		// declaring that lets the engine skip quiet spans between sample
 		// rounds without changing the published points.
-		eng.SetObserver(trajectoryObserver(ex, proto, every))
-		eng.SetObserverEvery(every)
-	} else {
-		eng.SetObserver(nil)
-		eng.SetObserverEvery(0)
+		cfg.Observer = trajectoryObserver(ex, proto, every)
+		cfg.ObserverEvery = every
+	}
+	if *eng == nil {
+		*eng, err = sim.NewEngine(cfg)
+		if err == nil {
+			s.enginesBuilt.Add(1)
+		}
+	} else if err = (*eng).Reset(cfg); err == nil {
+		s.enginesReused.Add(1)
+	}
+	if err != nil {
+		ex.fail(StateFailed, err, 0)
+		return
 	}
 
 	// After a kernel panic the engine's state is suspect; it is dropped
-	// from the pool below.
+	// below and the worker's next job builds a fresh one.
 	//breathe:walltime-ok wall-time metrics around the run, outside the kernel
 	start := time.Now()
 	s.enginesBusy.Add(1)
-	res, runErr := recovered("kernel", func() (sim.Result, error) { return eng.Run(proto), nil })
+	res, runErr := recovered("kernel", func() (sim.Result, error) { return (*eng).Run(proto), nil })
 	s.enginesBusy.Add(-1)
 	//breathe:walltime-ok wall-time metrics around the run, outside the kernel
 	wall := time.Since(start)
 	s.executed.Add(1)
 	s.metrics.observeRun(probe, start.Sub(ex.queuedAt), wall)
 	if runErr != nil {
-		pool.drop(key)
+		*eng = nil
 		ex.fail(StateFailed, runErr, wall)
 		return
 	}

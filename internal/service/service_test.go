@@ -89,27 +89,51 @@ func TestCachedBytesMatchColdRecompute(t *testing.T) {
 	}
 }
 
-// TestEngineReuse: consecutive jobs of the same shape on one worker must
-// share an engine via Reset, not rebuild it.
+// TestEngineReuse: one worker serves jobs of every shape — population,
+// channel, drop, self-messages, shards, crash plan, trajectory and trace
+// hooks — on the one engine it built, re-armed per job, and every
+// response is byte-identical to a fresh service's for that request alone.
 func TestEngineReuse(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	for seed := uint64(0); seed < 4; seed++ {
-		j, err := s.Submit(api.RunRequest{N: 512, Seed: seed})
+	reqs := []api.RunRequest{
+		{N: 256, Seed: 1},
+		{N: 4096, Seed: 2, Eps: 0.2},
+		{N: 512, Seed: 3, DropProb: 0.1},
+		{N: 4096, Seed: 4, NoSelfMessages: true, TrajectoryEvery: 16},
+		{N: 256, Seed: 5, Shards: 2, CrashProb: 0.05},
+		{N: 512, Seed: 6, Protocol: "consensus", TraceEvery: 8},
+		{N: 4096, Seed: 7, Shards: 1, TrajectoryEvery: 4, TraceEvery: 4},
+		{N: 512, Seed: 8, Eps: 0.3, NoSelfMessages: true, CrashProb: 0.1},
+	}
+	run := func(s *Service, req api.RunRequest) []byte {
+		t.Helper()
+		j, err := s.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitJob(t, j)
-		if j.State() != StateDone {
-			t.Fatalf("seed %d: state %s err %v", seed, j.State(), j.Err())
+		_, raw, ok := j.Response()
+		if !ok {
+			t.Fatalf("%+v: job ended %s: %v", req, j.State(), j.Err())
+		}
+		return raw
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, req := range reqs {
+		got := run(s, req)
+		alone := New(Config{Workers: 1})
+		want := run(alone, req)
+		alone.Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: reused engine's bytes differ from a fresh service's:\n%s\n%s", req, got, want)
 		}
 	}
 	st := s.Stats()
 	if st.EnginesBuilt != 1 {
 		t.Errorf("engines built = %d, want 1", st.EnginesBuilt)
 	}
-	if st.EnginesReused != 3 {
-		t.Errorf("engines reused = %d, want 3", st.EnginesReused)
+	if want := uint64(len(reqs) - 1); st.EnginesReused != want {
+		t.Errorf("engines reused = %d, want %d", st.EnginesReused, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/rng"
 	"breathe/internal/sim/simtest"
+	"breathe/internal/telemetry"
 )
 
 // bulkChatter is a bulk-capable engine-test protocol: every agent sends a
@@ -84,26 +85,8 @@ func TestRunTwicePanics(t *testing.T) {
 	e.Run(&chatter{rounds: 3})
 }
 
-func TestResetMatchesFreshEngine(t *testing.T) {
-	cfg := Config{N: 64, Channel: channel.FromEpsilon(0.25), Seed: 1}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(&chatter{rounds: 25}) // dirty the engine with a first run
-	e.Reset(9)
-	reused := e.Run(&chatter{rounds: 25})
-
-	cfg.Seed = 9
-	fresh, err := Run(cfg, &chatter{rounds: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused != fresh {
-		t.Fatalf("Reset engine diverged from fresh engine:\n%+v\n%+v", reused, fresh)
-	}
-}
-
+// TestResetMatchesFreshEngineBatched: a Reset engine re-running the same
+// bulk config under a new seed matches a fresh engine on the batched path.
 func TestResetMatchesFreshEngineBatched(t *testing.T) {
 	cfg := Config{N: 300, Channel: channel.FromEpsilon(0.3), Seed: 2, AllowSelfMessages: true}
 	e, err := NewEngine(cfg)
@@ -111,16 +94,144 @@ func TestResetMatchesFreshEngineBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(&bulkChatter{rounds: 40})
-	e.Reset(11)
+	cfg.Seed = 11
+	if err := e.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
 	reused := e.Run(&bulkChatter{rounds: 40})
 
-	cfg.Seed = 11
 	fresh, err := Run(cfg, &bulkChatter{rounds: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused != fresh {
 		t.Fatalf("Reset engine diverged from fresh engine on the batched path:\n%+v\n%+v", reused, fresh)
+	}
+}
+
+// TestResetMatchesFreshEngine: an engine dirtied by a run under config A
+// and Reset to config B runs exactly like NewEngine(B) — same Result, same
+// accumulators — whichever field B changes, across the regimes on both
+// sides of the change. aPath and bPath pin the regime each side's run
+// mostly executes, so a row cannot lose its point silently.
+func TestResetMatchesFreshEngine(t *testing.T) {
+	eps := channel.FromEpsilon(0.25)
+	self := func(n int) Config { return Config{N: n, Channel: eps, Seed: 1, AllowSelfMessages: true} }
+	noSelf := func(n int) Config { return Config{N: n, Channel: eps, Seed: 1} }
+	with := func(c Config, f func(*Config)) Config { f(&c); return c }
+	chat := func() Protocol { return &bulkChatter{rounds: 6} }
+	sparse := func() Protocol { return &sparseChatter{rounds: 6, k: 300} }
+
+	// A's hooks: an observer that cancels A after round 2, a declared
+	// cadence and a probe. B has none, so any of them surviving Reset
+	// shows in B's Result or in these counters.
+	var aObserved int
+	aCancel := make(chan struct{})
+	aProbe := telemetry.NewRunProbe()
+	hooked := with(self(4096), func(c *Config) {
+		c.Observer = func(round int, _ *Engine) {
+			aObserved++
+			if round == 2 {
+				close(aCancel)
+			}
+		}
+		c.ObserverEvery = 1
+		c.Cancel = aCancel
+		c.Telemetry = aProbe
+	})
+
+	for _, tc := range []struct {
+		name         string
+		a, b         Config
+		proto        func() Protocol
+		aPath, bPath string
+	}{
+		{"n up, scatter", noSelf(1000), noSelf(5000), chat, "per-message", "per-message"},
+		{"n down, scatter", noSelf(5000), noSelf(1000), chat, "per-message", "per-message"},
+		{"n up, dense", self(1024), self(8192), chat, "dense", "dense"},
+		{"n down, dense", self(8192), self(1024), chat, "dense", "dense"},
+		{"n up, scatter to sharded", noSelf(4096), with(self(shardTestN), func(c *Config) { c.Shards = 3 }), chat, "per-message", "sharded"},
+		{"n down, sharded to dense", with(self(shardTestN), func(c *Config) { c.Shards = 3 }), self(2048), chat, "sharded", "dense"},
+		{"n up, sparse walker", self(1 << 15), self(1 << 17), sparse, "sparse", "sparse"},
+		{"n down, sparse walker", self(1 << 17), self(1 << 15), sparse, "sparse", "sparse"},
+		{"n up, per-agent", noSelf(300), noSelf(3000), func() Protocol { return &chatter{rounds: 6} }, "per-agent", "per-agent"},
+		{"eps", self(4096), with(self(4096), func(c *Config) { c.Channel = channel.FromEpsilon(0.05) }), chat, "dense", "dense"},
+		{"drop", self(4096), with(self(4096), func(c *Config) { c.DropProb = 0.3 }), chat, "dense", "dense"},
+		{"drop removed", with(noSelf(4096), func(c *Config) { c.DropProb = 0.3 }), noSelf(4096), chat, "per-message", "per-message"},
+		{"self messages dropped", self(4096), noSelf(4096), chat, "dense", "per-message"},
+		{"self messages allowed", noSelf(4096), self(4096), chat, "per-message", "dense"},
+		{"shards", with(self(shardTestN), func(c *Config) { c.Shards = 3 }), with(self(shardTestN), func(c *Config) { c.Shards = 1 }), chat, "sharded", "sharded"},
+		{"max rounds set", self(4096), with(self(4096), func(c *Config) { c.MaxRounds = 3 }), chat, "dense", "dense"},
+		{"max rounds unset", with(self(4096), func(c *Config) { c.MaxRounds = 3 }), self(4096), chat, "dense", "dense"},
+		{"crash plan added", noSelf(4096), with(noSelf(4096), func(c *Config) {
+			c.Failures = NewRandomCrashes(4096, 0.2, 2, rng.NewKey(7))
+		}), chat, "per-message", "per-message"},
+		{"crash plan removed", with(self(4096), func(c *Config) {
+			c.Failures = NewRandomCrashes(4096, 0.2, 0, rng.NewKey(7))
+		}), self(4096), chat, "dense", "dense"},
+		{"hooks removed", hooked, self(4096), chat, "dense", "dense"},
+	} {
+		tc.b.Seed = 9
+		e, err := NewEngine(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := e.Run(tc.proto()).Paths.Primary(); got != tc.aPath {
+			t.Fatalf("%s: A ran %s, want %s", tc.name, got, tc.aPath)
+		}
+		observed, probed := aObserved, aProbe.Rounds()
+		if err := e.Reset(tc.b); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p := tc.proto()
+		reused := e.Run(p)
+		if aObserved != observed || aProbe.Rounds() != probed {
+			t.Fatalf("%s: A's observer or probe ran during B's run", tc.name)
+		}
+
+		ef, err := NewEngine(tc.b)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pf := tc.proto()
+		fresh := ef.Run(pf)
+		if fresh.Paths.Primary() != tc.bPath {
+			t.Fatalf("%s: B ran %s, want %s", tc.name, fresh.Paths.Primary(), tc.bPath)
+		}
+		if reused != fresh {
+			t.Fatalf("%s: Reset engine diverged from a fresh one:\n%+v\n%+v", tc.name, reused, fresh)
+		}
+		if e.QuietSpans() != ef.QuietSpans() {
+			t.Fatalf("%s: Reset engine skipped %d quiet spans, fresh %d", tc.name, e.QuietSpans(), ef.QuietSpans())
+		}
+		if bp, ok := p.(BulkProtocol); ok {
+			got, want := bp.BulkAccumulators(), pf.(BulkProtocol).BulkAccumulators()
+			for a := range want {
+				if got[a] != want[a] {
+					t.Fatalf("%s: acc[%d] = %#x, fresh engine %#x", tc.name, a, got[a], want[a])
+				}
+			}
+		}
+	}
+	if aObserved == 0 || aProbe.Rounds() == 0 {
+		t.Fatal("the hooked run never called its observer or probe")
+	}
+
+	// An invalid config is refused with NewEngine's error.
+	e, err := NewEngine(self(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Config{
+		self(1), {N: 64}, with(self(64), func(c *Config) { c.DropProb = 1 }),
+		with(self(64), func(c *Config) { c.MaxRounds = -1 }),
+		with(self(64), func(c *Config) { c.Shards = -1 }),
+		with(self(64), func(c *Config) { c.ObserverEvery = -1 }),
+	} {
+		_, want := NewEngine(bad)
+		if err := e.Reset(bad); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("Reset(%+v) = %v, want %v", bad, err, want)
+		}
 	}
 }
 

@@ -98,7 +98,8 @@ import (
 )
 
 // keyedState holds the kernel's per-run capabilities and scratch.
-// Allocated lazily on the first run of an engine; survives Reset.
+// Allocated lazily on the first run of an engine; survives a Reset that
+// keeps N.
 type keyedState struct {
 	// Per-run capabilities, refreshed by prepareKeyed. accs is the bulk
 	// protocol's accumulator array (nil without one), and denseOK reports

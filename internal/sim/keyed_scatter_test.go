@@ -187,7 +187,9 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	}
 
 	// The channel has passed its panicking call, so the rerun completes.
-	e.Reset(cfg.Seed)
+	if err := e.Reset(pooled); err != nil {
+		t.Fatal(err)
+	}
 	gotRes, gotAcc := run(e)
 	if gotRes != wantRes {
 		t.Fatalf("Reset engine diverged:\n got %+v\nwant %+v", gotRes, wantRes)

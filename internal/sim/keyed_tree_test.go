@@ -289,7 +289,9 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 			t.Fatalf("%s: the run unwound outside a tree round with arrivals", c.name)
 		}
 
-		e.Reset(cfg.Seed)
+		if err := e.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
 		gotRes, gotAcc := run(e)
 		if gotRes != wantRes {
 			t.Fatalf("%s: Reset engine diverged:\n got %+v\nwant %+v", c.name, gotRes, wantRes)

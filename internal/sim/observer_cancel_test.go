@@ -157,11 +157,11 @@ func TestCancelResubmitInvariance(t *testing.T) {
 			t.Fatalf("Shards=%d: canceled after %d rounds, want %d", shards, cres.Rounds, stopAfter+1)
 		}
 
-		// Resubmit on the same engine, the service's pooled-reuse path:
-		// Reset re-arms, the setters clear the hooks.
-		eng.Reset(c.Seed)
-		eng.SetObserver(nil)
-		eng.SetCancel(nil)
+		// Resubmit on the same engine, the service's reuse path: Reset
+		// re-arms with the hook-free config.
+		if err := eng.Reset(c); err != nil {
+			t.Fatal(err)
+		}
 		p2 := factory()
 		rres := eng.Run(p2)
 		if rres != plainRes {

@@ -168,8 +168,10 @@ func TestKernelAutoBoundaryAtOldCap(t *testing.T) {
 	// Probe prepareKeyed without a run's Θ(n) buffers — the capability
 	// decision reads only the config and the protocol.
 	probe := func(n int) bool {
-		e := &Engine{cfg: Config{N: n, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true}}
-		e.Reset(1)
+		e, err := NewEngine(Config{N: n, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return e.prepareKeyed(&bulkChatter{rounds: 2}) != nil
 	}
 	for _, n := range []int{1<<24 - 1, 1 << 24, 1<<24 + 1, 100_000_000} {
@@ -250,10 +252,12 @@ func TestShardedEngineResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(&bulkChatter{rounds: 8})
-	e.Reset(19)
+	cfg.Seed = 19
+	if err := e.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
 	reused := e.Run(&bulkChatter{rounds: 8})
 
-	cfg.Seed = 19
 	fresh, err := Run(cfg, &bulkChatter{rounds: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -300,7 +300,7 @@ func (r Result) AllCorrect(target channel.Bit) bool {
 
 // Engine executes protocols under a Config. An engine runs one protocol
 // per arming: build one with NewEngine, call Run, read the Result, and
-// call Reset(seed) before any further Run. A second Run without Reset
+// call Reset(cfg) before any further Run. A second Run without Reset
 // panics — it would silently reuse stale counters and corrupt the Result.
 //
 // Observers run after every executed round and may read the engine's
@@ -312,7 +312,7 @@ type Engine struct {
 	cfg Config
 
 	key   rng.Key     // the run's draw-schedule root
-	keyed *keyedState // lazily allocated kernel scratch
+	keyed *keyedState // lazily allocated kernel scratch, sized for cfg.N
 
 	// Quiet-span skipping: the protocol's span oracle, armed per run by
 	// prepareQuietSkip, and the count of spans actually skipped.
@@ -329,26 +329,35 @@ type Engine struct {
 
 // NewEngine validates cfg and prepares an engine.
 func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	e := &Engine{}
+	if err := e.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// Reset validates cfg and arms the engine for a fresh run under it, the
+// whole configuration included: seed, channel, crash plan, hooks. A Reset
+// engine behaves exactly like NewEngine(cfg), so Run is again a pure
+// function of (config, protocol, seed); only the kernel scratch carries
+// over, and only while N stays the same. An invalid cfg leaves the engine
+// as it was and returns the validation error. Reset during a run is not
+// supported.
+func (e *Engine) Reset(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	e := &Engine{cfg: cfg}
-	e.Reset(cfg.Seed)
-	return e, nil
-}
-
-// Reset re-arms the engine for a fresh run with the given seed, reusing
-// every allocated buffer. A Reset engine behaves exactly like a newly
-// constructed one with Config.Seed = seed: Run is again a pure function of
-// (config, protocol, seed). Reset during a run is not supported.
-func (e *Engine) Reset(seed uint64) {
-	e.cfg.Seed = seed
+	if cfg.N != e.cfg.N {
+		// The kernels allocate their inboxes at n on first use only.
+		e.keyed = nil
+	}
+	e.cfg = cfg
 	// Every draw of the run, engine-side and protocol-side, is addressed
 	// through e.key.
-	e.key = rng.NewKey(seed)
+	e.key = rng.NewKey(cfg.Seed)
 	if k := e.keyed; k != nil {
 		// The last run unwound mid-round and left arrivals behind.
 		if k.inboxOpen {
@@ -366,56 +375,14 @@ func (e *Engine) Reset(seed uint64) {
 	e.paths = PathRounds{}
 	e.spanner = nil
 	e.quietSpans = 0
-}
-
-// SetObserver replaces the engine's observer for the next run. Together
-// with SetFailures and SetCancel it lets a pooled engine be re-armed per
-// job — Reset(seed) then install the job's hooks — instead of paying a
-// NewEngine allocation per request. Panics if a run is in progress or
-// finished without an intervening Reset, for the same reason Run does:
-// swapping hooks mid-run would make the run an impure function of timing.
-func (e *Engine) SetObserver(o Observer) {
-	if e.started {
-		panic("sim: Engine.SetObserver on a started engine — Reset first")
-	}
-	e.cfg.Observer = o
-}
-
-// SetFailures replaces the engine's crash plan for the next run (nil: no
-// crashes). See SetObserver for the pooled-engine use case and the panic
-// condition.
-func (e *Engine) SetFailures(f *CrashPlan) {
-	if e.started {
-		panic("sim: Engine.SetFailures on a started engine — Reset first")
-	}
-	e.cfg.Failures = f
-}
-
-// SetObserverEvery replaces the engine's Config.ObserverEvery declaration
-// for the next run (see the field doc). Pooled engines must re-arm it per
-// job together with SetObserver, so a stale declaration from the previous
-// tenant cannot let the engine skip rounds the new observer needs. See
-// SetObserver for the panic condition.
-func (e *Engine) SetObserverEvery(every int) {
-	if e.started {
-		panic("sim: Engine.SetObserverEvery on a started engine — Reset first")
-	}
-	e.cfg.ObserverEvery = every
-}
-
-// SetCancel replaces the engine's cancellation channel for the next run.
-// See SetObserver for the pooled-engine use case and the panic condition.
-func (e *Engine) SetCancel(c <-chan struct{}) {
-	if e.started {
-		panic("sim: Engine.SetCancel on a started engine — Reset first")
-	}
-	e.cfg.Cancel = c
+	return nil
 }
 
 // SetTelemetry installs (or, with nil, removes) the run probe for the next
-// run — the pooled-engine analogue of Config.Telemetry. See SetObserver
-// for the re-arming pattern and the panic condition; see the Telemetry
-// field doc for the byte-inertness contract.
+// run, in place of the armed Config.Telemetry; see that field's doc for
+// the byte-inertness contract. Panics if a run is in progress or finished
+// without an intervening Reset: swapping the probe mid-run would split
+// one run's timings across two probes.
 func (e *Engine) SetTelemetry(t *telemetry.RunProbe) {
 	if e.started {
 		panic("sim: Engine.SetTelemetry on a started engine — Reset first")
@@ -457,7 +424,7 @@ func (e *Engine) QuietSpans() int64 { return e.quietSpans }
 // carry state from the finished run.
 func (e *Engine) Run(p Protocol) Result {
 	if e.started {
-		panic("sim: Engine.Run called twice — engines run once per arming; call Reset(seed) to reuse the engine")
+		panic("sim: Engine.Run called twice — engines run once per arming; call Reset(cfg) to reuse the engine")
 	}
 	e.started = true
 

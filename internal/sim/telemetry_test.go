@@ -162,9 +162,9 @@ func TestTelemetryQuietSpans(t *testing.T) {
 	t.Logf("spans=%d skipped=%d rounds=%d", spans, skipped, probedRes.Rounds)
 }
 
-// TestTelemetryPooledEngine: SetTelemetry follows the pooled-engine
-// re-arming rules — panics on a started engine, detaches with nil, and a
-// Reset probe can serve consecutive tenants.
+// TestTelemetryPooledEngine: SetTelemetry follows the engine's re-arming
+// rules — panics on a started engine, detaches with nil, and a Reset
+// probe can serve consecutive tenants.
 func TestTelemetryPooledEngine(t *testing.T) {
 	const n = 512
 	params := core.DefaultParams(n, 0.3)
@@ -196,7 +196,11 @@ func TestTelemetryPooledEngine(t *testing.T) {
 	}()
 	// Second tenant: fresh probe state, detached trace.
 	first := probe.Rounds()
-	e.Reset(2)
+	next := cfg
+	next.Seed = 2
+	if err := e.Reset(next); err != nil {
+		t.Fatal(err)
+	}
 	probe.Reset()
 	e.SetTelemetry(probe)
 	p2, err := core.NewBroadcast(params, channel.One)

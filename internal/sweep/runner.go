@@ -27,8 +27,8 @@ type Runner interface {
 }
 
 // LocalRunner executes runs on an in-process service.Service, inheriting
-// its engine pool (buffer reuse via Engine.Reset), single-flight sharing
-// and content-addressed result cache.
+// its engine reuse (one engine per worker, re-armed via Engine.Reset),
+// single-flight sharing and content-addressed result cache.
 type LocalRunner struct {
 	svc *service.Service
 }
