@@ -73,7 +73,8 @@ type Config struct {
 	// Target is the correct opinion B (default OpinionOne).
 	Target Opinion
 	// Params optionally overrides the derived protocol parameters (for
-	// ablations). Nil uses core.DefaultParams(N, Epsilon).
+	// ablations); its N must equal N. Nil uses core.DefaultParams(N,
+	// Epsilon).
 	Params *core.Params
 	// FlipProb optionally sets the actual channel flip probability; the
 	// default is the worst case 1/2 − ε. It must not exceed 1/2 − ε.
@@ -96,6 +97,9 @@ func (c Config) params() (core.Params, error) {
 	if c.Params != nil {
 		if err := c.Params.Validate(); err != nil {
 			return core.Params{}, err
+		}
+		if c.Params.N != c.N {
+			return core.Params{}, fmt.Errorf("breathe: Params derived for N = %d, run has N = %d", c.Params.N, c.N)
 		}
 		return *c.Params, nil
 	}

@@ -113,6 +113,26 @@ func TestParamsOverride(t *testing.T) {
 	}
 }
 
+// TestParamsPopulationMismatch: parameters derived for another population
+// are refused with an error by every entry point, never a panic.
+func TestParamsPopulationMismatch(t *testing.T) {
+	p := core.DefaultParams(1024, 0.3)
+	cfg := Config{N: 4096, Epsilon: 0.3, Seed: 1, Params: &p}
+	for _, c := range []struct {
+		name string
+		run  func(Config) (Result, error)
+	}{
+		{"Broadcast", Broadcast},
+		{"BroadcastAsync", BroadcastAsync},
+		{"MajorityConsensus", func(c Config) (Result, error) { return MajorityConsensus(c, 300, 100) }},
+		{"MajorityConsensusAsync", func(c Config) (Result, error) { return MajorityConsensusAsync(c, 300, 100) }},
+	} {
+		if _, err := c.run(cfg); err == nil {
+			t.Errorf("%s accepted params for N = %d on N = %d", c.name, p.N, cfg.N)
+		}
+	}
+}
+
 func TestMajorityConsensusPublicAPI(t *testing.T) {
 	params := core.DefaultParams(1024, 0.3)
 	sizeA := 4 * params.BetaS

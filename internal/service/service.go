@@ -278,16 +278,22 @@ func (s *Service) serveFromCache(id, hash string, req api.RunRequest, ent *cache
 }
 
 // registerLocked records a job in the registry and evicts the oldest
-// terminal jobs beyond the history bound. Callers hold s.mu.
+// terminal jobs beyond the history bound. In-flight jobs stay retrievable
+// (the queue bounds them) and do not hold back the eviction of finished
+// jobs registered after them. Callers hold s.mu.
 func (s *Service) registerLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.jobOrder = append(s.jobOrder, j.ID)
-	for len(s.jobOrder) > s.cfg.JobHistory {
-		oldest, ok := s.jobs[s.jobOrder[0]]
-		if ok && !oldest.State().Terminal() {
-			break // active jobs stay retrievable; the queue bounds them
+	// jobOrder[:i] are in-flight jobs, oldest first; each eviction moves
+	// them back one place over the evicted job's.
+	for i := 0; len(s.jobOrder) > s.cfg.JobHistory && i < len(s.jobOrder); {
+		id := s.jobOrder[i]
+		if !s.jobs[id].State().Terminal() {
+			i++
+			continue
 		}
-		delete(s.jobs, s.jobOrder[0])
+		delete(s.jobs, id)
+		copy(s.jobOrder[1:], s.jobOrder[:i])
 		s.jobOrder = s.jobOrder[1:]
 	}
 }

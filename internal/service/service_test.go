@@ -581,6 +581,58 @@ func TestResubmitAfterDoneIsCacheHit(t *testing.T) {
 	}
 }
 
+// TestJobHistoryEvictsPastInFlight: a job still running at the front of
+// the history must not keep the finished jobs registered after it. With a
+// bound of 2, one long run in flight and 50 cache hits, the registry keeps
+// the in-flight run and the newest hit, and evicts every older finished
+// job.
+func TestJobHistoryEvictsPastInFlight(t *testing.T) {
+	s := New(Config{Workers: 1, JobHistory: 2})
+	defer s.Close()
+	small := api.RunRequest{N: 256, Seed: 1}
+	j0, err := s.Submit(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j0)
+
+	long, err := s.Submit(api.RunRequest{Protocol: api.ProtoAsyncSelfSync, N: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		s.Cancel(long.ID)
+		waitJob(t, long)
+	}()
+	var last *Job
+	for range 50 {
+		if last, err = s.Submit(small); err != nil {
+			t.Fatal(err)
+		}
+		if !last.Cached {
+			t.Fatal("repeat submission was not a cache hit")
+		}
+	}
+	if long.State().Terminal() {
+		t.Fatalf("the long run ended (%s) before the check; the scenario needs it in flight", long.State())
+	}
+
+	s.mu.Lock()
+	retained, order := len(s.jobs), len(s.jobOrder)
+	s.mu.Unlock()
+	if retained != 2 || order != 2 {
+		t.Errorf("registry keeps %d jobs (%d ordered), want 2: the in-flight run and the newest hit", retained, order)
+	}
+	for _, j := range []*Job{long, last} {
+		if _, ok := s.Get(j.ID); !ok {
+			t.Errorf("job %s evicted", j.ID)
+		}
+	}
+	if _, ok := s.Get(j0.ID); ok {
+		t.Errorf("oldest finished job %s still retained", j0.ID)
+	}
+}
+
 // TestRecoveredTurnsPanicIntoError: a panic in a guarded stage becomes
 // the job's error, naming the stage, instead of unwinding the worker.
 func TestRecoveredTurnsPanicIntoError(t *testing.T) {

@@ -125,14 +125,6 @@ func copyLive(dst, senders []int32, words []uint64) int {
 	return w
 }
 
-// denseRoundEnd books a tree round's aggregate accounting: every placed
-// message that was not the accepted one of its slot is a collision loss
-// (including all arrivals at crashed receivers).
-func (e *Engine) denseRoundEnd(placed int, accepted int64) {
-	e.accepted += accepted
-	e.dropped += int64(placed) - accepted
-}
-
 func (d *denseRun) spillAdd(slot int32, bit uint32) {
 	for i := range d.spill {
 		if d.spill[i].slot == slot {

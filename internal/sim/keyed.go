@@ -24,10 +24,13 @@ package sim
 //	tree     exchangeable rounds (self-messages + uniform noise +
 //	         accumulator delivery) at dense scale: exact per-bucket
 //	         multinomial splits, in-bucket placement, branchless resolve
-//	sparse   tree-eligible rounds whose protocol declares a small active
-//	         set (SenderIndex, k·64 < n): the same tree round executed
-//	         event-driven — occupied buckets and touched slots only —
-//	         in O(k + messages) instead of Θ(n) (see sparse.go)
+//
+// A tree round is one code path (keyedTree: treeSplit, then keyedBucket
+// per bucket) with three bucket executors, and the round is counted under
+// the one that ran it: dense sweeps every bucket serially, sharded sweeps
+// them on the workers, and sparse — a protocol that declares a small
+// active set (SenderIndex, k·64 < n) — walks only the occupied buckets'
+// touched slots, in O(k + messages) instead of Θ(n) (see sparse.go).
 //
 // The protocol's capabilities, not a knob, choose the mechanism: a
 // BulkProtocol is always collected and delivered in bulk
@@ -76,14 +79,14 @@ package sim
 // as each receiver resolves, so it needs no round stamps and each
 // message costs one random access.
 //
-// The tree and the sparse walker share a second inbox, one uint32 per
-// receiver: arrival count in the low 16 bits, ones in the high 16. It
-// too is all-zero between rounds and carries no stamps — a slot is
-// occupied exactly when its word is non-zero. The tree's sweep zeroes
-// each slot as it resolves it (a fix-list slot keeps its word until
-// keyedFix reads it), the walker zeroes every slot it touched, and both
-// crash passes zero the slots of crashed receivers. An arrival at a
-// counter already at 65535 goes to the bucket's spill list.
+// The tree round has a second inbox, one uint32 per receiver: arrival
+// count in the low 16 bits, ones in the high 16. It too is all-zero
+// between rounds and carries no stamps — a slot is occupied exactly when
+// its word is non-zero. The sweep zeroes each slot as it resolves it (a
+// fix-list slot keeps its word until keyedFix reads it), the walker
+// zeroes every slot it touched, and both crash passes zero the slots of
+// crashed receivers. An arrival at a counter already at 65535 goes to
+// the bucket's spill list.
 
 import (
 	"math/bits"
@@ -141,20 +144,19 @@ type keyedState struct {
 	buckets  int
 	workers  int
 
-	// Tree and sparse-walker inbox, one word per receiver: arrival count
-	// in the low 16 bits, ones in the high 16, zero between rounds.
-	// treeOpen marks a tree or sparse round that has not completed, so
-	// Reset knows the inbox may hold arrivals.
+	// Tree inbox, one word per receiver: arrival count in the low 16
+	// bits, ones in the high 16, zero between rounds. treeOpen marks a
+	// tree round that has not completed, so Reset knows the inbox may
+	// hold arrivals.
 	treeInbox []uint32
 	treeOpen  bool
 
 	// Sparse-regime state: the protocol's declared-active-set oracle
-	// (nil when the protocol maintains no index), the walker's
-	// occupied-bucket scratch, and walkPlace's first-touch slot list —
-	// the walker's, and the tree's tail bucket's (the one bucket that is
-	// not a power of two, so one worker per round uses it). See sparse.go.
+	// (nil when the protocol maintains no index), and walkPlace's
+	// first-touch slot list — the walker's, and the sweep's tail bucket's
+	// (the one bucket that is not a power of two, so one worker per round
+	// uses it). See sparse.go.
 	senderIdx SenderIndex
-	sparseOcc []sparseBucket
 	walked    []int32
 }
 
@@ -213,12 +215,12 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 	return bp
 }
 
-// stepKeyed runs one round. A non-nil bp is collected through
-// BulkSenders; bp is nil when the protocol or configuration cannot use the
-// batched machinery at all, and the round then runs a Send scan with
-// scatter sampling, which has no population cap. The return value reports
-// a quiet round (no live senders), which arms the caller's span skip.
-func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
+// stepKeyed runs one round and returns the regime that ran it. A non-nil
+// bp is collected through BulkSenders; bp is nil when the protocol or
+// configuration cannot use the batched machinery at all, and the round
+// then runs a Send scan with scatter sampling, which has no population
+// cap. A quiet round (no live senders) arms the caller's span skip.
+func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (reg telemetry.Regime) {
 	round := e.round
 	k := e.keyed
 
@@ -245,46 +247,46 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (quiet bool) {
 		// Quiet regime, for bulk and non-bulk collection alike: no live
 		// senders means no kernel work on any path.
 		e.quietAdvance()
-		quiet = true
+		reg = telemetry.RegimeQuiet
 	case bp == nil:
 		// No batched machinery: the scatter regime on the base Protocol
 		// interface is the only path.
 		e.paths.PerAgent++
+		reg = telemetry.RegimePerAgent
 		e.keyedScatter(p, nil, zeros, ones, round)
 	case k.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
-		// The sparse/dense/sharded split is a pure function of (n, m,
-		// declared active set) — the sparse leg consults the protocol's
-		// SenderIndex — so path counters agree byte-for-byte across
-		// worker counts. The walker reproduces the tree's bits exactly
-		// (sparse.go).
-		declared := -1
-		if k.senderIdx != nil {
-			declared = k.senderIdx.ActiveSenders(round)
-		}
-		sharded := e.cfg.N >= shardMinN && m >= shardMinMessages
-		switch {
-		case e.sparseRound(declared):
-			e.paths.Sparse++
-			if keyedWalkerOff {
-				e.keyedTree(len(zeros), len(ones), round, sharded)
-			} else {
-				e.keyedSparse(len(zeros), len(ones), round)
-			}
-		case sharded:
-			e.paths.Sharded++
-			e.keyedTree(len(zeros), len(ones), round, true)
-		default:
-			e.paths.Dense++
-			e.keyedTree(len(zeros), len(ones), round, false)
-		}
+		reg = e.treeRegime(m, round)
+		e.keyedTree(len(zeros), len(ones), round, reg)
 	default:
 		e.paths.PerMessage++
+		reg = telemetry.RegimePerMessage
 		e.keyedScatter(p, bp, zeros, ones, round)
 	}
 
 	p.EndRound(round)
 	e.mark(telemetry.PhaseAccumulate)
-	return quiet
+	return reg
+}
+
+// treeRegime counts a tree round under the executor that runs it: sparse
+// when the protocol declares a small active set (SenderIndex, k·64 < n),
+// sharded when n ≥ shardMinN and the round carries at least
+// shardMinMessages messages, dense otherwise. The choice is a pure
+// function of (n, m, declared active set), so path counters agree
+// byte-for-byte across worker counts and collection mechanisms.
+func (e *Engine) treeRegime(m, round int) telemetry.Regime {
+	if idx := e.keyed.senderIdx; idx != nil {
+		if d := idx.ActiveSenders(round); d >= 0 && int64(d)*sparseRegimeCutover < int64(e.cfg.N) {
+			e.paths.Sparse++
+			return telemetry.RegimeSparse
+		}
+	}
+	if e.cfg.N >= shardMinN && m >= shardMinMessages {
+		e.paths.Sharded++
+		return telemetry.RegimeSharded
+	}
+	e.paths.Dense++
+	return telemetry.RegimeDense
 }
 
 // quietAdvance accounts a round in which nobody sent. A quiet round
@@ -655,83 +657,28 @@ func b2u(b bool) uint64 {
 	return x
 }
 
-// keyedTree is the keyed dense regime: an exact multinomial split of the
-// round's messages over the population's denseWidth-sized buckets, then
-// per-bucket placement and branchless resolve into the protocol
-// accumulators. Every bucket's draws come from its own cells of the
-// round's placement/collision/split streams, so bucket execution is
+// keyedTree is the keyed tree round: an exact multinomial split of the
+// round's messages over the population's denseWidth-sized buckets
+// (treeSplit), then per-bucket placement and branchless resolve into the
+// protocol accumulators. Every bucket's draws come from its own cells of
+// the round's placement/collision/split streams, so bucket execution is
 // self-contained: serial, permuted or parallel execution yields the same
-// bits, with no per-shard seeding and no master-stream prologue.
-func (e *Engine) keyedTree(m0, m1, round int, parallel bool) {
+// bits, with no per-shard seeding and no master-stream prologue. reg picks
+// the bucket executor: a dense round sweeps every bucket serially, a
+// sharded one on the workers, and a sparse one walks the occupied buckets'
+// touched slots (sparse.go).
+func (e *Engine) keyedTree(m0, m1, round int, reg telemetry.Regime) {
 	k := e.keyed
-	k.openTree(e.cfg.N)
-
-	if q := e.cfg.DropProb; q > 0 {
-		cDrop := e.key.Cell(rng.StreamDrop, uint64(round)) //breathe:stream-ok scatter and tree are alternative regimes; stepKeyed runs exactly one per round, so the sites never address the same round's cell
-		var rr rng.RNG
-		rr.Reseed(cDrop.Uint64(0))
-		d0 := rr.Binomial(m0, q)
-		rr.Reseed(cDrop.Uint64(1))
-		d1 := rr.Binomial(m1, q)
-		e.dropped += int64(d0 + d1)
-		m0 -= d0
-		m1 -= d1
-	}
-	placed := m0 + m1
-
-	// Conditional-binomial bucket split, bucket-addressed draws: the split
-	// values chain (that is what makes the multinomial exact) but each
-	// bucket's variates come from its own sub-cell, so the schedule never
-	// references a shard count — the decomposition is a function of n and
-	// denseWidth alone.
-	cSplit := e.key.Cell(rng.StreamSplit, uint64(round))
-	nB := k.buckets
-	rem0, rem1 := m0, m1
-	slotsLeft := e.cfg.N
-	for j := 0; j < nB; j++ {
-		bsize := denseWidth
-		if (j+1)*denseWidth > e.cfg.N {
-			bsize = e.cfg.N - j*denseWidth
-		}
-		var c0, c1 int
-		if bsize == slotsLeft {
-			c0, c1 = rem0, rem1
-		} else {
-			pb := float64(bsize) / float64(slotsLeft)
-			cs := cSplit.Sub(uint64(j))
-			var rr rng.RNG
-			rr.Reseed(cs.Uint64(0))
-			c0 = rr.Binomial(rem0, pb)
-			rr.Reseed(cs.Uint64(1))
-			c1 = rr.Binomial(rem1, pb)
-		}
-		rem0 -= c0
-		rem1 -= c1
-		slotsLeft -= bsize
-		k.kc0[j] = c0
-		k.kc1[j] = c1
-	}
+	placed, used := e.treeSplit(m0, m1, round)
 	// Drop thinning and the multinomial split bill to placement; the
 	// bucket loop (in-bucket placement + branchless resolve with
 	// co-sampled noise) bills to collision, with marks only from the
 	// coordinating goroutine — workers never touch the probe.
 	e.mark(telemetry.PhasePlacement)
 
+	nB := k.buckets
 	var accepted int64
-	if !parallel || k.workers <= 1 {
-		d := &k.runs[0]
-		d.accepted = 0
-		if keyedBucketOrder != nil {
-			for _, j := range keyedBucketOrder(nB) {
-				e.keyedBucket(d, j, round)
-			}
-		} else {
-			for j := 0; j < nB; j++ {
-				e.keyedBucket(d, j, round)
-			}
-		}
-		accepted = d.accepted
-	} else {
+	if reg == telemetry.RegimeSharded && k.workers > 1 {
 		// Workers claim buckets off an atomic counter — dynamic, racy
 		// assignment, which is safe precisely because a bucket's draws are
 		// a pure function of its address.
@@ -748,7 +695,7 @@ func (e *Engine) keyedTree(m0, m1, round int, parallel bool) {
 					if j >= nB {
 						return
 					}
-					e.keyedBucket(d, j, round)
+					e.keyedBucket(d, j, round, false)
 				}
 			}(d)
 		}
@@ -756,35 +703,117 @@ func (e *Engine) keyedTree(m0, m1, round int, parallel bool) {
 		for w := 0; w < k.workers; w++ {
 			accepted += k.runs[w].accepted
 		}
+	} else {
+		d := &k.runs[0]
+		d.accepted = 0
+		switch {
+		case reg == telemetry.RegimeSparse && !keyedWalkerOff:
+			// The walker enters only the occupied buckets the split chain
+			// reached, serially: the whole point of the sparse regime is
+			// that there is too little work to shard.
+			for j := range used {
+				if k.kc0[j]+k.kc1[j] > 0 {
+					e.keyedBucket(d, j, round, true)
+				}
+			}
+		case keyedBucketOrder != nil:
+			for _, j := range keyedBucketOrder(nB) {
+				e.keyedBucket(d, j, round, false)
+			}
+		default:
+			for j := range nB {
+				e.keyedBucket(d, j, round, false)
+			}
+		}
+		accepted = d.accepted
 	}
 	k.treeOpen = false
 	e.mark(telemetry.PhaseCollision)
-	e.denseRoundEnd(placed, accepted)
+	// Every placed message that was not the accepted one of its slot is a
+	// collision loss, all arrivals at crashed receivers included.
+	e.accepted += accepted
+	e.dropped += int64(placed) - accepted
 }
 
-// openTree allocates the tree inbox on first use and marks a tree or
-// sparse round in flight: until the round clears the mark, a run that
-// unwinds may leave arrivals behind, and Reset must clear them.
-func (k *keyedState) openTree(n int) {
+// treeSplit opens the tree inbox, thins the round's m0 zero- and m1
+// one-messages by the drop probability, and splits the survivors over the
+// buckets into kc0/kc1. It returns the number of messages placed and the
+// number of buckets the split chain reached; every bucket past them holds
+// no message.
+//
+// The split is a conditional-binomial chain with bucket-addressed draws:
+// the split values chain (that is what makes the multinomial exact) but
+// each bucket's variates come from its own sub-cell, so the schedule never
+// references a shard count — the decomposition is a function of n and
+// denseWidth alone. The chain stops at the last assigned message: every
+// remaining bucket's Binomial(0, ·) would return zero without touching its
+// sub-cell, so the skipped tail is deterministically empty.
+func (e *Engine) treeSplit(m0, m1, round int) (placed, used int) {
+	k := e.keyed
 	if k.treeInbox == nil {
-		k.treeInbox = make([]uint32, n)
+		k.treeInbox = make([]uint32, e.cfg.N)
 	}
+	// Until the round clears the mark, a run that unwinds may leave
+	// arrivals behind, and Reset must clear them.
 	k.treeOpen = true
+
+	if q := e.cfg.DropProb; q > 0 {
+		cDrop := e.key.Cell(rng.StreamDrop, uint64(round)) //breathe:stream-ok scatter and tree are alternative regimes; stepKeyed runs exactly one per round, so the sites never address the same round's cell
+		var rr rng.RNG
+		rr.Reseed(cDrop.Uint64(0))
+		d0 := rr.Binomial(m0, q)
+		rr.Reseed(cDrop.Uint64(1))
+		d1 := rr.Binomial(m1, q)
+		e.dropped += int64(d0 + d1)
+		m0 -= d0
+		m1 -= d1
+	}
+
+	cSplit := e.key.Cell(rng.StreamSplit, uint64(round))
+	rem0, rem1 := m0, m1
+	slotsLeft := e.cfg.N
+	j := 0
+	for ; rem0+rem1 > 0; j++ {
+		bsize := min(denseWidth, e.cfg.N-j*denseWidth)
+		c0, c1 := rem0, rem1
+		if bsize != slotsLeft {
+			pb := float64(bsize) / float64(slotsLeft)
+			cs := cSplit.Sub(uint64(j))
+			var rr rng.RNG
+			rr.Reseed(cs.Uint64(0))
+			c0 = rr.Binomial(rem0, pb)
+			rr.Reseed(cs.Uint64(1))
+			c1 = rr.Binomial(rem1, pb)
+		}
+		rem0 -= c0
+		rem1 -= c1
+		slotsLeft -= bsize
+		k.kc0[j] = c0
+		k.kc1[j] = c1
+	}
+	clear(k.kc0[j:])
+	clear(k.kc1[j:])
+	return m0 + m1, j
 }
 
 // keyedBucket places and resolves one receiver bucket of a keyed tree
 // round, using d only as scratch. All randomness comes from the bucket's
 // sub-cells of the round's placement and collision streams; all writes
-// stay inside the bucket's slot range plus d (plus k.walked for the tail
-// bucket, which only one worker handles).
-func (e *Engine) keyedBucket(d *denseRun, j, round int) {
+// stay inside the bucket's slot range plus d (plus k.walked for the walker
+// and the tail bucket, which only one worker handles).
+//
+// The sweep resolves every slot of the bucket from its collision words,
+// drawn with one Cell.Fill; with walk it resolves only the slots the
+// placements hit, tracked by a first-touch list, and draws their words
+// with one Cell.Words pass. The resolve of a touched slot i reads
+// cc.Uint64(i), the same base word the sweep reads for it, and an
+// untouched slot holds a zero word: the sweep adds zero to its
+// accumulator, draws nothing fresh for it, and its crash pass, which only
+// zeroes words, leaves it as it is. So the walker's bits are the sweep's.
+func (e *Engine) keyedBucket(d *denseRun, j, round int, walk bool) {
 	k := e.keyed
-	n := e.cfg.N
 	blo := j * denseWidth
-	bsize := denseWidth
-	if blo+bsize > n {
-		bsize = n - blo
-	}
+	bsize := min(denseWidth, e.cfg.N-blo)
 	c0, c1 := k.kc0[j], k.kc1[j]
 
 	d.spill = d.spill[:0]
@@ -792,33 +821,57 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int) {
 	cp := e.key.Cell(rng.StreamPlacement, uint64(round)).Sub(uint64(j))
 	cc := e.key.Cell(rng.StreamCollision, uint64(round)).Sub(uint64(j))
 
+	// One scratch holds a power-of-two bucket's placement words, zeros'
+	// then ones', and after them the collision words: one per slot for the
+	// sweep, at most one per message for the walker.
 	pow2 := bsize&(bsize-1) == 0
 	nd0, nd1 := 0, 0
 	if pow2 {
 		nd0, nd1 = (c0+3)/4, (c1+3)/4
 	}
-	buf := d.draws(nd0 + nd1 + bsize)
+	ncoll := bsize
+	if walk {
+		ncoll = c0 + c1
+	}
+	buf := d.draws(nd0 + nd1 + ncoll)
 	cp.Fill(buf[:nd0+nd1], 0)
-	cc.Fill(buf[nd0+nd1:], 0)
+	coll := buf[nd0+nd1:]
 
 	inbox := k.treeInbox[blo : blo+bsize : blo+bsize]
-	if pow2 {
+	if walk || !pow2 {
+		// Without placement words the ones' per-message draws start past
+		// the zeros'.
+		k.walked = d.walkPlace(blo, inbox, c0, 1, buf[:nd0], cp, 0, k.walked[:0])
+		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1], cp, uint64(c0), k.walked)
+	} else {
 		d.placeTree(blo, inbox, c0, 1, buf[:nd0])
 		d.placeTree(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1])
-	} else {
-		k.walked = d.walkPlace(blo, inbox, c0, 1, nil, cp, 0, k.walked[:0])
-		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, nil, cp, uint64(c0), k.walked)
 	}
 
-	if words := e.cfg.Failures.activeWords(round); words != nil {
-		// Crashed receivers lose every arrival: zero their slots, so the
-		// sweep sees them unoccupied.
-		treeDropCrashed(inbox, words, blo)
-	}
+	// Crashed receivers lose every arrival: their slots are zeroed, so
+	// the resolve sees them unoccupied (the walker compacts them out).
+	words := e.cfg.Failures.activeWords(round)
 	acc := k.accs[blo : blo+bsize : blo+bsize]
 	fix := d.fixBuf()
-	nf, accepted := treeResolve(inbox, buf[nd0+nd1:], acc, fix, k.noiseThresh)
-	d.accepted += accepted
+	var nf int
+	if walk {
+		touched := k.walked
+		if words != nil {
+			touched = touched[:walkDropCrashed(inbox, touched, words, uint(blo))]
+		}
+		coll = coll[:len(touched)]
+		cc.Words(coll, touched)
+		nf = sparseResolve(inbox, touched, coll, acc, fix, k.noiseThresh)
+		d.accepted += int64(len(touched))
+	} else {
+		cc.Fill(coll, 0)
+		if words != nil {
+			treeDropCrashed(inbox, words, blo)
+		}
+		var accepted int64
+		nf, accepted = treeResolve(inbox, coll, acc, fix, k.noiseThresh)
+		d.accepted += accepted
+	}
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 }
 

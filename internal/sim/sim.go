@@ -98,9 +98,12 @@ type Config struct {
 	// DefaultMaxRounds.
 	MaxRounds int
 	// AllowSelfMessages selects whether a sender may pick itself as the
-	// recipient. The classical push-gossip convention (used here by
-	// default) excludes self-delivery; the difference is O(1/n) and no
-	// result in the paper depends on it.
+	// recipient. The classical push-gossip convention allows it (every
+	// recipient uniform over all n agents; internal/api and megasim
+	// default to it); the zero value gives the thesis model's
+	// self-exclusion (uniform over the other n − 1). The difference is
+	// O(1/n) and no result in the paper depends on it, but only rounds
+	// with self-messages allowed can take the tree regime (keyed.go).
 	AllowSelfMessages bool
 	// DropProb is an optional per-message loss probability applied
 	// before recipient selection (weak "message failure" faults from the
@@ -453,17 +456,15 @@ func (e *Engine) Run(p Protocol) Result {
 			canceled = true
 			break
 		}
-		var prevPaths PathRounds
 		if tel != nil {
-			prevPaths = e.paths
 			tel.BeginRound(e.round)
 		}
-		quiet := e.stepKeyed(p, bp)
+		reg := e.stepKeyed(p, bp)
 		if e.cfg.Observer != nil {
 			e.cfg.Observer(e.round, e)
 		}
 		if tel != nil {
-			tel.EndRound(e.round, regimeOf(prevPaths, e.paths), e.sent, e.accepted, e.dropped)
+			tel.EndRound(e.round, reg, e.sent, e.accepted, e.dropped)
 		}
 		// After a quiet round the span oracle knows the next round that
 		// can act; every round in between is inert and is credited in
@@ -473,7 +474,7 @@ func (e *Engine) Run(p Protocol) Result {
 		// an unskipped run of the same span would also have reached with
 		// these counters. A span never jumps past the crash plan's round,
 		// the one round at which its crash set changes.
-		if quiet && e.spanner != nil {
+		if reg == telemetry.RegimeQuiet && e.spanner != nil {
 			next := e.spanner.NextActive(e.round + 1)
 			if f := e.cfg.Failures; f != nil && e.round < f.round && f.round < next {
 				next = f.round
@@ -534,25 +535,6 @@ func (e *Engine) pollCancel() bool {
 func (e *Engine) mark(ph telemetry.Phase) {
 	if t := e.cfg.Telemetry; t != nil {
 		t.Mark(ph)
-	}
-}
-
-// regimeOf names the regime that executed the round just finished, by
-// diffing the path counters across the step call.
-func regimeOf(before, after PathRounds) telemetry.Regime {
-	switch {
-	case after.Quiet > before.Quiet:
-		return telemetry.RegimeQuiet
-	case after.PerMessage > before.PerMessage:
-		return telemetry.RegimePerMessage
-	case after.Dense > before.Dense:
-		return telemetry.RegimeDense
-	case after.Sharded > before.Sharded:
-		return telemetry.RegimeSharded
-	case after.Sparse > before.Sparse:
-		return telemetry.RegimeSparse
-	default:
-		return telemetry.RegimePerAgent
 	}
 }
 

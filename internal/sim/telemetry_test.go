@@ -15,6 +15,7 @@ import (
 	"breathe/internal/async"
 	"breathe/internal/channel"
 	"breathe/internal/core"
+	"breathe/internal/rng"
 	"breathe/internal/sim"
 	"breathe/internal/sim/simtest"
 	"breathe/internal/telemetry"
@@ -29,35 +30,51 @@ func probeFingerprint(t *testing.T, cfg sim.Config, probe *telemetry.RunProbe, f
 }
 
 // TestTelemetryInert: probe on vs off, identical Result and opinions,
-// with bulk and per-agent collection and serial and sharded tree rounds.
+// with bulk and per-agent collection, serial and sharded tree rounds, and
+// a crash-thinned broadcast whose Stage II runs on the sparse walker.
 func TestTelemetryInert(t *testing.T) {
-	const n = 4096
-	params := core.DefaultParams(n, 0.3)
-	factory := func() sim.Protocol {
-		p, err := core.NewBroadcast(params, channel.One)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	broadcast := func(n int) (func() sim.Protocol, core.Params) {
+		params := core.DefaultParams(n, 0.3)
+		return func() sim.Protocol {
+			p, err := core.NewBroadcast(params, channel.One)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, params
 	}
+	const n = 4096
+	factory, params := broadcast(n)
 	base := sim.Config{
 		N: n, Channel: channel.FromEpsilon(0.3), Seed: 99,
 		AllowSelfMessages: true,
 		MaxRounds:         params.StageIRounds() + 40,
 	}
 	perAgent := func() sim.Protocol { return simtest.PerAgent(factory()) }
+	// A tree round needs m ≥ 256 and a sparse one k·64 < n, so n = 4096
+	// never reaches the walker; 95% crashes at n = 2¹⁷ keep the declared
+	// active set below n/64 through Stage II.
+	const nThin = 1 << 17
+	thinFactory, _ := broadcast(nThin)
+	thin := sim.Config{
+		N: nThin, Channel: channel.FromEpsilon(0.3), Seed: 99,
+		AllowSelfMessages: true,
+		Failures:          sim.NewRandomCrashes(nThin, 0.95, 0, rng.NewKey(99), 0),
+	}
 	cases := []struct {
 		name    string
 		factory func() sim.Protocol
+		cfg     sim.Config
 		shards  int
 	}{
-		{"keyed-per-agent", perAgent, 1},
-		{"keyed-batched", factory, 1},
-		{"keyed-sharded", factory, 4},
+		{"keyed-per-agent", perAgent, base, 1},
+		{"keyed-batched", factory, base, 1},
+		{"keyed-sharded", factory, base, 4},
+		{"keyed-sparse-crash", thinFactory, thin, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
+			cfg := tc.cfg
 			cfg.Shards = tc.shards
 			plainRes, plainFP := probeFingerprint(t, cfg, nil, tc.factory)
 
@@ -88,10 +105,14 @@ func TestTelemetryInert(t *testing.T) {
 				{telemetry.RegimePerMessage, paths.PerMessage},
 				{telemetry.RegimeDense, paths.Dense},
 				{telemetry.RegimeSharded, paths.Sharded},
+				{telemetry.RegimeSparse, paths.Sparse},
 			} {
 				if rr[c.regime] != c.want {
 					t.Errorf("%v rounds: probe %d, engine %d", c.regime, rr[c.regime], c.want)
 				}
+			}
+			if tc.cfg.Failures != nil && paths.Sparse == 0 {
+				t.Errorf("crash-thinned run took no sparse round: %v", paths)
 			}
 			if got, want := probe.Rounds()+skipped, int64(probedRes.Rounds); got != want {
 				t.Errorf("round count: probe %d+%d skipped, engine %d", probe.Rounds(), skipped, want)
