@@ -81,7 +81,6 @@ func (c *chatter) Opinion(a int) (channel.Bit, bool) {
 	return channel.Zero, true
 }
 
-func (c *chatter) BulkEnabled() bool                  { return true }
 func (c *chatter) BulkSenders(int) ([]int32, []int32) { return c.zeros, c.ones }
 func (c *chatter) BulkAccumulate(int) bool            { return true }
 func (c *chatter) BulkAccumulators() []uint64         { return c.acc }

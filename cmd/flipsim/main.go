@@ -119,10 +119,11 @@ func run(args []string) error {
 		traj = sim.NewTrajectory(proto, channel.One)
 		simCfg.Observer = traj.Observe
 	}
-	res, err := sim.Run(simCfg, proto)
+	engine, err := sim.NewEngine(simCfg)
 	if err != nil {
 		return err
 	}
+	res := engine.Run(proto)
 
 	fmt.Printf("protocol:  %s\n", res.Protocol)
 	fmt.Printf("n=%d eps=%.3g seed=%d channel=%s\n", *n, *eps, *seed, ch.Name())
@@ -133,6 +134,8 @@ func run(args []string) error {
 		res.Opinions[0], res.Opinions[1], res.Undecided)
 	fmt.Printf("correct:   %.4f  unanimous: %v\n",
 		res.CorrectFraction(channel.One), res.AllCorrect(channel.One))
+	fmt.Printf("paths:     %s (primary %s, quiet-spans %d)\n",
+		res.Paths, res.Paths.Primary(), engine.QuietSpans())
 	if sw, ok := proto.(*baseline.SilentWait); ok {
 		fmt.Printf("first double reception at round %d (√n = %.0f)\n",
 			sw.FirstDoneRound, math.Sqrt(float64(*n)))

@@ -36,12 +36,11 @@
 // results are bit-identical for every -shards value — a pure performance
 // knob.
 //
-// The engine picks the batched machinery whenever the protocol and n
-// allow it and falls back to per-agent collection otherwise (n ≥ 2²⁸);
-// the "paths:" line (and the response's paths field) reports which
-// regime executed every round, so the fallback is visible. There is no
-// flag to force per-agent collection: the test adapter simtest.PerAgent
-// is the cross-check of the batched sender lists.
+// The engine collects every protocol through its bulk sender lists; the
+// "paths:" line (and the response's paths field) reports which sampling
+// regime executed every round. There is no flag to force per-agent
+// collection: the test adapter simtest.PerAgent is the cross-check of
+// the bulk sender lists.
 package main
 
 import (

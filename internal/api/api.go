@@ -398,10 +398,9 @@ type RunResponse struct {
 	Protocol string `json:"protocol_name"`
 	// Rounds is the number of executed rounds.
 	Rounds int `json:"rounds"`
-	// Paths breaks Rounds down by the sampling regime that executed them —
-	// the fallback detector: a run whose protocol or n rules out the
-	// batched machinery counts its speaking rounds as per-agent here, not
-	// in a profile.
+	// Paths breaks Rounds down by the sampling regime that executed them:
+	// which rounds were quiet, scatter or tree rounds, and which tree
+	// executor ran them.
 	Paths sim.PathRounds `json:"paths"`
 	// PrimaryPath names the path that executed the most rounds, ignoring
 	// quiet rounds (every protocol breathes; the question is what runs

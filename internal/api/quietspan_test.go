@@ -9,6 +9,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // runResponseBytesSkip builds and executes one request with quiet-span
@@ -101,14 +102,14 @@ func TestResponsePrimaryPathAllQuiet(t *testing.T) {
 	req.Normalize()
 	res, err := sim.Run(sim.Config{
 		N: 64, Channel: channel.FromEpsilon(0.3), Seed: 3,
-	}, &quietStub{total: 40})
+	}, simtest.PerAgent(&quietStub{total: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MessagesSent != 0 {
 		t.Fatalf("stub sent %d messages", res.MessagesSent)
 	}
-	resp := NewResponse(req, res, 0, &quietStub{})
+	resp := NewResponse(req, res, 0, simtest.PerAgent(&quietStub{}))
 	if resp.PrimaryPath != "quiet" {
 		t.Errorf("all-quiet response primary_path = %q, want \"quiet\"", resp.PrimaryPath)
 	}

@@ -8,6 +8,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 func defaultD(n int) int { return 2 * int(math.Ceil(math.Log2(float64(n)))) }
@@ -116,7 +117,8 @@ func TestOverheadGrowsLinearlyInD(t *testing.T) {
 }
 
 // sendTap wraps the protocol to observe per-round sends for invariant
-// checks.
+// checks. The engine collects in bulk, so it only sees the Send override
+// behind simtest.PerAgent.
 type sendTap struct {
 	*Protocol
 	// sendPhase[g] records the set of phase positions that produced
@@ -156,8 +158,11 @@ func TestGlobalPhaseWindowsDisjoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		tap := &sendTap{Protocol: p, sendPhase: map[int]map[int]bool{}}
-		if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Seed: 3}, tap); err != nil {
+		if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Seed: 3}, simtest.PerAgent(tap)); err != nil {
 			t.Fatal(err)
+		}
+		if len(tap.sendPhase) == 0 {
+			t.Fatalf("%s: recorded no sending round", mode)
 		}
 		for g, phases := range tap.sendPhase { //breathe:order-ok each round is asserted independently
 			if len(phases) != 1 {

@@ -5,13 +5,13 @@ import (
 	"breathe/internal/core"
 )
 
-// Batched-kernel support (sim.BulkProtocol). The asynchronous executions
-// are dominated by quiescent dilation gaps: each phase of the synchronous
-// schedule is stretched by the clock-spread bound D, and in most global
-// rounds no agent's local clock falls inside a send window at all. The
-// per-agent path still pays Θ(n) Send dispatches for every one of those
-// silent rounds; with D = Θ(log n) that multiplies the whole run cost by
-// the dilation factor. The batched kernel removes it.
+// The engine's bulk interface (the Bulk methods of sim.Protocol). The
+// asynchronous executions are dominated by quiescent dilation gaps: each
+// phase of the synchronous schedule is stretched by the clock-spread bound
+// D, and in most global rounds no agent's local clock falls inside a send
+// window at all. A Send scan would pay Θ(n) dispatches for every one of
+// those silent rounds; with D = Θ(log n) that multiplies the whole run
+// cost by the dilation factor. The bulk sender lists remove it.
 //
 // The construction rests on the clock structure. An agent's local clock is
 // ℓ_a(g) = g + base[a], where base is fixed once: at Setup for
@@ -80,10 +80,7 @@ func (p *Protocol) classAdd(a int) {
 	c.cachedPhase = -1
 }
 
-// BulkEnabled implements sim.BulkProtocol.
-func (p *Protocol) BulkEnabled() bool { return true }
-
-// BulkSenders implements sim.BulkProtocol: the union of the in-window
+// BulkSenders implements sim.Protocol: the union of the in-window
 // classes' sender lists for global round g. Equals, as a set with bits,
 // {(a, bit) : Send(a, g) = (bit, true)} — bulk_test.go cross-checks that
 // agent by agent along per-agent executions.
@@ -167,7 +164,7 @@ func (p *Protocol) rebuildClassSenders(c *offsetClass, k int) {
 	c.cachedGen = p.sendersGen
 }
 
-// BulkDeliver implements sim.BulkProtocol: equivalent to one Receive per
+// BulkDeliver implements sim.Protocol: equivalent to one Receive per
 // accepted delivery, in order, with the per-message phase attribution
 // (one binary search per Receive) hoisted out of the loop — the arrival
 // round determines the phase for every delivery of the round. The Stage
@@ -206,7 +203,7 @@ func (p *Protocol) BulkDeliver(receivers []int32, bits []channel.Bit, g int) {
 	}
 }
 
-// BulkAccumulate implements sim.BulkProtocol. For ModeKnownOffsets every
+// BulkAccumulate implements sim.Protocol. For ModeKnownOffsets every
 // agent's clock runs from Setup (no first contacts), and in a round whose
 // attribution phase is Stage II every reception is exactly
 // acc[a] += bit<<32 | 1 regardless of the receiver's activation state —
@@ -221,7 +218,7 @@ func (p *Protocol) BulkAccumulate(g int) bool {
 	return k >= 0 && p.phases[k].ref.Stage == core.StageII
 }
 
-// BulkAccumulators implements sim.BulkProtocol; nil (ModeSelfSync) routes
+// BulkAccumulators implements sim.Protocol; nil (ModeSelfSync) routes
 // every delivery through BulkDeliver. For ModeKnownOffsets the engine's
 // sharded workers add into disjoint ranges of acc concurrently during
 // Stage II rounds, meeting at a barrier before EndRound — the clock

@@ -11,7 +11,7 @@ import (
 	"breathe/internal/sim/simtest"
 )
 
-var _ sim.BulkProtocol = (*Protocol)(nil)
+var _ sim.Protocol = (*Protocol)(nil)
 
 // asyncBuilders constructs the three async scenarios the batched kernel
 // must cover, at population n.

@@ -40,6 +40,9 @@ type ImmediateForward struct {
 	opinion    []channel.Bit
 	hasOpinion []bool
 	heardAt    []int
+	// The informed agents by opinion, in the order they were informed:
+	// Receive appends an agent when it first hears.
+	scatterLists
 }
 
 // Name implements sim.Protocol.
@@ -54,6 +57,7 @@ func (p *ImmediateForward) Setup(n int, _ rng.Key) {
 	p.opinion[0] = p.Target
 	p.hasOpinion[0] = true
 	p.heardAt[0] = -1
+	p.sourceOnly(p.Target)
 }
 
 // Send implements sim.Protocol: every informed agent pushes every round
@@ -78,6 +82,12 @@ func (p *ImmediateForward) Receive(a int, bit channel.Bit, round int) {
 	p.opinion[a] = bit
 	p.hasOpinion[a] = true
 	p.heardAt[a] = round
+	p.scatterLists[bit] = append(p.scatterLists[bit], int32(a))
+}
+
+// BulkDeliver implements sim.Protocol.
+func (p *ImmediateForward) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
+	deliver(p.Receive, rs, bits, round)
 }
 
 // EndRound implements sim.Protocol.
@@ -109,6 +119,7 @@ type SilentWait struct {
 	// receptions; -1 while none has.
 	FirstDoneRound int
 	done           bool
+	scatterLists   // the source alone
 }
 
 // Name implements sim.Protocol.
@@ -122,6 +133,8 @@ func (p *SilentWait) Setup(n int, _ rng.Key) {
 	p.n = n
 	p.received = make([]int, n)
 	p.FirstDoneRound = -1
+	p.done = false
+	p.sourceOnly(p.Target)
 }
 
 // Send implements sim.Protocol: only the source speaks.
@@ -136,6 +149,11 @@ func (p *SilentWait) Receive(a int, _ channel.Bit, round int) {
 		p.FirstDoneRound = round
 		p.done = true
 	}
+}
+
+// BulkDeliver implements sim.Protocol.
+func (p *SilentWait) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
+	deliver(p.Receive, rs, bits, round)
 }
 
 // EndRound implements sim.Protocol.
@@ -170,6 +188,7 @@ type NoisyVoter struct {
 	// Trajectory records the number of correct agents at the end of each
 	// round (for convergence plots).
 	Trajectory []int
+	scatterLists
 }
 
 // Name implements sim.Protocol.
@@ -190,6 +209,7 @@ func (p *NoisyVoter) Setup(n int, _ rng.Key) {
 		}
 	}
 	p.correct = p.InitialCorrect
+	p.Trajectory = nil
 }
 
 // Send implements sim.Protocol.
@@ -205,6 +225,17 @@ func (p *NoisyVoter) Receive(a int, bit channel.Bit, _ int) {
 		}
 		p.opinion[a] = bit
 	}
+}
+
+// BulkSenders implements sim.Protocol: every agent sends its opinion.
+func (p *NoisyVoter) BulkSenders(round int) (zeros, ones []int32) {
+	p.byOpinion(p.opinion)
+	return p.scatterLists.BulkSenders(round)
+}
+
+// BulkDeliver implements sim.Protocol.
+func (p *NoisyVoter) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
+	deliver(p.Receive, rs, bits, round)
 }
 
 // EndRound implements sim.Protocol.
@@ -238,6 +269,7 @@ type TwoChoiceMajority struct {
 	correct int
 	// Trajectory records correct counts per round.
 	Trajectory []int
+	scatterLists
 }
 
 // Name implements sim.Protocol.
@@ -260,6 +292,7 @@ func (p *TwoChoiceMajority) Setup(n int, _ rng.Key) {
 		}
 	}
 	p.correct = p.InitialCorrect
+	p.Trajectory = nil
 }
 
 // Send implements sim.Protocol.
@@ -289,6 +322,17 @@ func (p *TwoChoiceMajority) Receive(a int, bit channel.Bit, _ int) {
 	}
 }
 
+// BulkSenders implements sim.Protocol: every agent sends its opinion.
+func (p *TwoChoiceMajority) BulkSenders(round int) (zeros, ones []int32) {
+	p.byOpinion(p.opinion)
+	return p.scatterLists.BulkSenders(round)
+}
+
+// BulkDeliver implements sim.Protocol.
+func (p *TwoChoiceMajority) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
+	deliver(p.Receive, rs, bits, round)
+}
+
 // EndRound implements sim.Protocol.
 func (p *TwoChoiceMajority) EndRound(int) {
 	p.Trajectory = append(p.Trajectory, p.correct)
@@ -299,3 +343,39 @@ func (p *TwoChoiceMajority) Done(round int) bool { return round >= p.Rounds }
 
 // Opinion implements sim.Protocol.
 func (p *TwoChoiceMajority) Opinion(a int) (channel.Bit, bool) { return p.opinion[a], true }
+
+// scatterLists holds a baseline's bulk sender lists, indexed by the bit
+// sent, and answers the engine's accumulator questions for it: every
+// baseline's reception has per-message side effects, so its rounds run on
+// the scatter regime.
+type scatterLists [2][]int32
+
+// BulkSenders implements sim.Protocol.
+func (s *scatterLists) BulkSenders(int) (zeros, ones []int32) { return s[0], s[1] }
+
+// BulkAccumulate implements sim.Protocol: reception is never pure counting.
+func (*scatterLists) BulkAccumulate(int) bool { return false }
+
+// BulkAccumulators implements sim.Protocol: there are none.
+func (*scatterLists) BulkAccumulators() []uint64 { return nil }
+
+// sourceOnly re-arms the lists with agent 0 alone, sending bit.
+func (s *scatterLists) sourceOnly(bit channel.Bit) {
+	*s = scatterLists{}
+	s[bit] = []int32{0}
+}
+
+// byOpinion rebuilds the lists with every agent, sending its opinion.
+func (s *scatterLists) byOpinion(opinion []channel.Bit) {
+	s[0], s[1] = s[0][:0], s[1][:0]
+	for a, bit := range opinion {
+		s[bit] = append(s[bit], int32(a))
+	}
+}
+
+// deliver calls receive once per accepted delivery, in order.
+func deliver(receive func(int, channel.Bit, int), rs []int32, bits []channel.Bit, round int) {
+	for i, a := range rs {
+		receive(int(a), bits[i], round)
+	}
+}

@@ -203,21 +203,35 @@ func TestBulkSendersMatchSendRule(t *testing.T) {
 	}
 }
 
-func TestNoBreatheVariantStaysPerAgent(t *testing.T) {
-	// The NoBreathe ablation activates senders mid-phase, so it must
-	// decline the batched kernel; the engine then collects per agent.
-	p, err := NewBroadcastVariant(DefaultParams(256, 0.3), channel.One, Variant{NoBreathe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.BulkEnabled() {
-		t.Fatal("NoBreathe variant claims bulk support")
-	}
-	res, err := sim.Run(sim.Config{N: 256, Channel: channel.FromEpsilon(0.3), Seed: 1}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Paths.PerAgent == 0 || res.Paths.PerAgent+res.Paths.Quiet != int64(res.Rounds) {
-		t.Fatalf("NoBreathe run paths %+v over %d rounds, want only per-agent and quiet rounds", res.Paths, res.Rounds)
+// TestNoBreatheVariantRunsInBulk: the NoBreathe ablation activates
+// senders mid-phase, and its sender index follows them, so the engine
+// collects it in bulk like every protocol — byte-identical with the Send
+// scan of simtest.PerAgent. Without self-messages it speaks only in
+// scatter rounds; with them its Stage II runs on the tree.
+func TestNoBreatheVariantRunsInBulk(t *testing.T) {
+	const n = 256
+	for _, self := range []bool{false, true} {
+		var res [2]sim.Result
+		for i, perAgent := range []bool{false, true} {
+			p, err := NewBroadcastVariant(DefaultParams(n, 0.3), channel.One, Variant{NoBreathe: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var run sim.Protocol = p
+			if perAgent {
+				run = simtest.PerAgent(p)
+			}
+			res[i], err = sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Seed: 1, AllowSelfMessages: self}, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res[0] != res[1] {
+			t.Fatalf("self=%v: bulk and per-agent collection diverged:\n%+v\n%+v", self, res[0], res[1])
+		}
+		paths := res[0].Paths
+		if tree := paths.Dense + paths.Sharded + paths.Sparse; paths.PerMessage == 0 || (tree > 0) != self {
+			t.Fatalf("self=%v: NoBreathe run paths %v over %d rounds", self, paths, res[0].Rounds)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
@@ -44,8 +45,8 @@ type Protocol struct {
 	hasOpinion []bool
 	// acc packs the per-phase reception counters of each agent as
 	// ones<<32 | total. The single-word layout is shared with the batched
-	// kernel's accumulator delivery (sim.BulkProtocol), which adds
-	// bit<<32 | 1 per accepted message exactly like receiveOne does.
+	// kernel's accumulator delivery (sim.Protocol.BulkAccumulators), which
+	// adds bit<<32 | 1 per accepted message exactly like receiveOne does.
 	acc []uint64
 
 	// Maintained sender index (sim.SenderIndex): the sender set and the
@@ -54,8 +55,10 @@ type Protocol struct {
 	// visit every agent — keep these lists current incrementally, and
 	// BulkSenders/ActiveSenders serve them in O(1) with no population
 	// scan. Both lists stay ascending by agent id, the order a per-agent
-	// Send scan reports the same senders in.
+	// Send scan reports the same senders in. idxUnsorted marks an index
+	// receiveOne appended to mid-phase (NoBreathe); ensurePhase sorts it.
 	idxZeros, idxOnes []int32
+	idxUnsorted       bool
 
 	// Cached phase lookup for the round currently executing.
 	curRound int
@@ -197,7 +200,8 @@ func resize[T any](s []T, n int) []T {
 }
 
 // indexAdd appends opinionated agent a to the sender index. Callers
-// append in ascending agent order, which keeps both lists sorted.
+// append in ascending agent order, which keeps both lists sorted, or mark
+// the index unsorted.
 func (p *Protocol) indexAdd(a int) {
 	if p.opinion[a] == channel.Zero {
 		p.idxZeros = append(p.idxZeros, int32(a))
@@ -206,13 +210,19 @@ func (p *Protocol) indexAdd(a int) {
 	}
 }
 
-// ensurePhase refreshes the cached schedule lookup for round.
+// ensurePhase refreshes the cached schedule lookup for round, and sorts a
+// sender index that the last round appended to.
 func (p *Protocol) ensurePhase(round int) {
 	if round == p.curRound {
 		return
 	}
 	p.curRound = round
 	p.curRef, _, p.curLast, p.curOK = p.sched.At(round)
+	if p.idxUnsorted {
+		slices.Sort(p.idxZeros)
+		slices.Sort(p.idxOnes)
+		p.idxUnsorted = false
+	}
 }
 
 // Send implements sim.Protocol. Stage I: an agent transmits its initial
@@ -255,6 +265,8 @@ func (p *Protocol) receiveOne(a int, bit channel.Bit) {
 				// forwarding from the next round.
 				p.opinion[a] = bit
 				p.hasOpinion[a] = true
+				p.indexAdd(a)
+				p.idxUnsorted = true
 			}
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 	"breathe/internal/stats"
 )
 
@@ -194,7 +195,9 @@ func TestStageIIBiasGrowsToUnanimity(t *testing.T) {
 }
 
 // sendRecorder wraps a Protocol and records the rounds in which each agent
-// sent and first received.
+// sent and first received. The engine collects in bulk, so it only sees
+// the overrides behind simtest.PerAgent, which scans Send and calls
+// Receive.
 type sendRecorder struct {
 	*Protocol
 	sends        map[int][]int // agent -> rounds in which it sent
@@ -237,8 +240,11 @@ func TestBreatheProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := newSendRecorder(p)
-	if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Seed: 4}, rec); err != nil {
+	if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.3), Seed: 4}, simtest.PerAgent(rec)); err != nil {
 		t.Fatal(err)
+	}
+	if len(rec.sends) < 2 || len(rec.firstReceive) < n/2 {
+		t.Fatalf("recorded %d senders and %d receivers of %d agents", len(rec.sends), len(rec.firstReceive), n)
 	}
 	sched := p.Schedule()
 	stageIEnd := sched.StageIEnd()
@@ -275,13 +281,16 @@ func TestSymmetricMessagePattern(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newSendRecorder(p)
-		if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.25), Seed: 11}, rec); err != nil {
+		if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(0.25), Seed: 11}, simtest.PerAgent(rec)); err != nil {
 			t.Fatal(err)
 		}
 		return rec.sendsByRound
 	}
 	pat1 := run(channel.One)
 	pat0 := run(channel.Zero)
+	if len(pat1) == 0 {
+		t.Fatal("recorded no sends")
+	}
 	if len(pat1) != len(pat0) {
 		t.Fatalf("send-round sets differ: %d vs %d rounds with traffic", len(pat1), len(pat0))
 	}

@@ -55,7 +55,7 @@ func checkIndexRound(t *testing.T, p *Protocol, n, round int) {
 
 func TestSenderIndexMatchesBruteScan(t *testing.T) {
 	const n = 1024
-	newProto := func(consensus bool) *Protocol {
+	newProto := func(consensus bool, v Variant) *Protocol {
 		t.Helper()
 		params := DefaultParams(n, 0.3)
 		if consensus {
@@ -66,29 +66,38 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 			}
 			return p
 		}
-		p, err := NewBroadcast(params, channel.One)
+		p, err := NewBroadcastVariant(params, channel.One, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
+	// The NoBreathe ablation's index grows mid-phase, as agents take an
+	// opinion on their first reception.
+	noBreathe := Variant{NoBreathe: true}
 	scenarios := []struct {
 		name      string
 		consensus bool
+		variant   Variant
 		mut       func(*sim.Config)
 	}{
-		{"broadcast", false, func(*sim.Config) {}},
-		{"consensus", true, func(*sim.Config) {}},
-		{"broadcast-self", false, func(c *sim.Config) { c.AllowSelfMessages = true }},
-		{"broadcast-crash", false, func(c *sim.Config) {
+		{"broadcast", false, Variant{}, func(*sim.Config) {}},
+		{"consensus", true, Variant{}, func(*sim.Config) {}},
+		{"broadcast-self", false, Variant{}, func(c *sim.Config) { c.AllowSelfMessages = true }},
+		{"broadcast-crash", false, Variant{}, func(c *sim.Config) {
 			c.Failures = sim.NewCrashAt(5, 0, 3, 17, 200)
 		}},
-		{"consensus-keyed-crash", true, func(c *sim.Config) {
+		{"consensus-keyed-crash", true, Variant{}, func(c *sim.Config) {
 			c.Failures = sim.NewRandomCrashes(n, 0.2, 20, rng.NewKey(9), 0)
+		}},
+		{"no-breathe", false, noBreathe, func(*sim.Config) {}},
+		{"no-breathe-self-crash", false, noBreathe, func(c *sim.Config) {
+			c.AllowSelfMessages = true
+			c.Failures = sim.NewRandomCrashes(n, 0.1, 3, rng.NewKey(9), 0)
 		}},
 	}
 	for _, sc := range scenarios {
-		p := newProto(sc.consensus)
+		p := newProto(sc.consensus, sc.variant)
 		checked := 0
 		cfg := sim.Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 9,

@@ -1,66 +1,17 @@
 package sim
 
-// The batched collection and delivery interface. The per-agent interface
-// (Protocol.Send/Receive) costs Θ(n) interface dispatches per round even
-// in the protocol's quiescent "breathe" phases. Protocols that implement
-// BulkProtocol report their active-sender set once per round (cached per
-// phase on the protocol side) and take deliveries in bulk or straight
-// into packed per-agent accumulators, so a round costs O(messages) — and
+// The kernels' shared constants and tree scratch, and the crash filter of
+// the bulk sender lists. The engine collects every round through
+// Protocol.BulkSenders and delivers through BulkDeliver or straight into
+// the protocol's packed accumulators, so a round costs O(messages) — and
 // the tree regime (keyed.go) can resolve exchangeable rounds bucket by
-// bucket without any per-message call. The engine collects and delivers
-// through this interface whenever the protocol implements it; the keyed
-// draws, and so the results, are those a Send scan and per-message
-// Receive calls would give (simtest.PerAgent checks it).
+// bucket without any per-message call. The keyed draws, and so the
+// results, are those a Send scan and per-message Receive calls would give
+// (simtest.PerAgent checks it).
 
-import (
-	"slices"
-
-	"breathe/internal/channel"
-)
-
-// BulkProtocol is an optional extension of Protocol enabling the batched
-// kernel. Its answers must agree with the per-agent interface: BulkSenders
-// lists exactly the agents whose Send reports ok, and BulkDeliver does
-// what one Receive per element would.
-type BulkProtocol interface {
-	Protocol
-
-	// BulkEnabled reports whether the batched kernel may be used for this
-	// instance (called once per run, after Setup). Protocols whose sender
-	// set can change mid-phase (e.g. ablated variants) return false.
-	BulkEnabled() bool
-
-	// BulkSenders returns the agents that transmit in round, grouped by
-	// the bit they send. The slices are owned by the protocol and valid
-	// until the next BulkSenders call; the engine does not mutate them.
-	BulkSenders(round int) (zeros, ones []int32)
-
-	// BulkDeliver notifies the protocol of all accepted deliveries of the
-	// round: receivers[i] accepted bits[i]. Equivalent to one Receive call
-	// per element, in order.
-	BulkDeliver(receivers []int32, bits []channel.Bit, round int)
-
-	// BulkAccumulate reports whether, in the given round, a delivery is
-	// equivalent to acc[receiver] += bit<<32 | 1 on the array returned by
-	// BulkAccumulators — i.e. reception is pure counting with no
-	// per-message side effects. The tree regime requires it.
-	BulkAccumulate(round int) bool
-
-	// BulkAccumulators exposes the per-agent packed reception counters
-	// (ones in the high 32 bits, total in the low 32). May return nil if
-	// the protocol does not support accumulator delivery; the engine then
-	// always delivers through BulkDeliver. In parallel tree rounds the
-	// engine's workers write disjoint bucket ranges of the array
-	// concurrently (agent a is only ever touched by the worker resolving
-	// a's bucket), so no protocol synchronization is needed.
-	BulkAccumulators() []uint64
-}
+import "slices"
 
 const (
-	// maxBulkN bounds the population the batched kernel accepts (2²⁸).
-	// Beyond it the engine collects through Send scans; the regime
-	// accounting records those rounds as PerAgent.
-	maxBulkN = 1 << 28
 	// denseMinMessages gates the tree regime: below it the scatter regime
 	// is at least as fast and the per-bucket sampling overhead is not
 	// worth amortizing.

@@ -56,7 +56,6 @@ func (c *bulkChatter) Opinion(a int) (channel.Bit, bool) {
 	return channel.Zero, true
 }
 
-func (c *bulkChatter) BulkEnabled() bool { return true }
 func (c *bulkChatter) BulkSenders(round int) ([]int32, []int32) {
 	return c.zeros, c.ones
 }
@@ -76,13 +75,13 @@ func TestRunTwicePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run(&chatter{rounds: 3})
+	e.Run(simtest.PerAgent(&chatter{rounds: 3}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Run without Reset did not panic")
 		}
 	}()
-	e.Run(&chatter{rounds: 3})
+	e.Run(simtest.PerAgent(&chatter{rounds: 3}))
 }
 
 // TestResetMatchesFreshEngineBatched: a Reset engine re-running the same
@@ -154,7 +153,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		{"n down, sharded to dense", with(self(shardTestN), func(c *Config) { c.Shards = 3 }), self(2048), chat, "sharded", "dense"},
 		{"n up, sparse walker", self(1 << 15), self(1 << 17), sparse, "sparse", "sparse"},
 		{"n down, sparse walker", self(1 << 17), self(1 << 15), sparse, "sparse", "sparse"},
-		{"n up, per-agent", noSelf(300), noSelf(3000), func() Protocol { return &chatter{rounds: 6} }, "per-agent", "per-agent"},
+		{"n up, plain protocol", noSelf(300), with(self(3000), func(c *Config) { c.Failures = NewRandomCrashes(3000, 0.2, 1, rng.NewKey(7)) }),
+			func() Protocol { return simtest.PerAgent(&chatter{rounds: 6}) }, "per-message", "per-message"},
 		{"eps", self(4096), with(self(4096), func(c *Config) { c.Channel = channel.FromEpsilon(0.05) }), chat, "dense", "dense"},
 		{"drop", self(4096), with(self(4096), func(c *Config) { c.DropProb = 0.3 }), chat, "dense", "dense"},
 		{"drop removed", with(noSelf(4096), func(c *Config) { c.DropProb = 0.3 }), noSelf(4096), chat, "per-message", "per-message"},
@@ -204,12 +204,10 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		if e.QuietSpans() != ef.QuietSpans() {
 			t.Fatalf("%s: Reset engine skipped %d quiet spans, fresh %d", tc.name, e.QuietSpans(), ef.QuietSpans())
 		}
-		if bp, ok := p.(BulkProtocol); ok {
-			got, want := bp.BulkAccumulators(), pf.(BulkProtocol).BulkAccumulators()
-			for a := range want {
-				if got[a] != want[a] {
-					t.Fatalf("%s: acc[%d] = %#x, fresh engine %#x", tc.name, a, got[a], want[a])
-				}
+		got, want := p.BulkAccumulators(), pf.BulkAccumulators()
+		for a := range want {
+			if got[a] != want[a] {
+				t.Fatalf("%s: acc[%d] = %#x, fresh engine %#x", tc.name, a, got[a], want[a])
 			}
 		}
 	}
@@ -235,16 +233,19 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 	}
 }
 
-// TestKernelAutoFallsBackWithoutBulkProtocol: a protocol without the
-// batched capability runs on per-agent collection, visibly in the path
+// TestPlainProtocolRunsOnScatter: a protocol stated only by its per-agent
+// rules, behind simtest.PerAgent, has no accumulators, so even rounds
+// that could take the tree (self-messages allowed, a uniform channel and
+// m ≥ denseMinMessages) run on the scatter regime, visibly in the path
 // counters.
-func TestKernelAutoFallsBackWithoutBulkProtocol(t *testing.T) {
-	res, err := Run(Config{N: 16, Channel: channel.Noiseless{}, Seed: 1}, &chatter{rounds: 3})
+func TestPlainProtocolRunsOnScatter(t *testing.T) {
+	res, err := Run(Config{N: 512, Channel: channel.FromEpsilon(0.3), Seed: 1, AllowSelfMessages: true},
+		simtest.PerAgent(&chatter{rounds: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Paths.PerAgent != int64(res.Rounds) {
-		t.Fatalf("plain Protocol ran %+v over %d rounds, want every round per-agent", res.Paths, res.Rounds)
+	if res.Paths != (PathRounds{PerMessage: 3}) {
+		t.Fatalf("plain protocol ran %v over %d rounds, want every round per-message", res.Paths, res.Rounds)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestCrashPassMatchesCrashed(t *testing.T) {
 					if (words != nil) != (pc.plan != nil && g >= round && pc.plan.NumCrashed() > 0) {
 						t.Fatalf("%s: activeWords non-nil = %v", name, words != nil)
 					}
-					checkSenderPasses(t, name, r, n, pc.plan, g, crashed, words)
+					checkSenderPasses(t, name, r, n, crashed, words)
 					checkReceiverPasses(t, name, r, n, crashed, words)
 				}
 			}
@@ -67,10 +67,10 @@ func TestCrashPassMatchesCrashed(t *testing.T) {
 	}
 }
 
-// checkSenderPasses compares filterLive over a shuffled sender list and
-// keyedSendScan over a population where every agent sends with the
-// agent-by-agent rule.
-func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, plan *CrashPlan, g int, crashed func(int) bool, words []uint64) {
+// checkSenderPasses compares filterLive over a shuffled sender list, and
+// over a Send scan (simtest.PerAgent's sender lists) of a population where
+// every agent sends, with the agent-by-agent rule.
+func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, crashed func(int) bool, words []uint64) {
 	t.Helper()
 	senders := make([]int32, n)
 	for i, a := range r.Perm(n) {
@@ -94,10 +94,12 @@ func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, plan *Crash
 		t.Fatalf("%s: filterLive kept %d senders, want %d", name, len(got), len(want))
 	}
 
-	e := &Engine{cfg: Config{N: n, Failures: plan}, keyed: &keyedState{}}
-	p := &bulkChatter{}
+	p := simtest.PerAgent(&bulkChatter{})
 	p.Setup(n, rng.Key{})
-	zeros, ones := e.keyedSendScan(p, g)
+	zeros, ones := p.BulkSenders(0)
+	if words != nil {
+		zeros, ones = filterLive(nil, zeros, words), filterLive(nil, ones, words)
+	}
 	var wantZ, wantO []int32
 	for a := 0; a < n; a++ {
 		if crashed(a) {
@@ -110,7 +112,7 @@ func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, plan *Crash
 		}
 	}
 	if !slices.Equal(zeros, wantZ) || !slices.Equal(ones, wantO) {
-		t.Fatalf("%s: keyedSendScan collected %d+%d senders, want %d+%d", name, len(zeros), len(ones), len(wantZ), len(wantO))
+		t.Fatalf("%s: the filtered Send scan kept %d+%d senders, want %d+%d", name, len(zeros), len(ones), len(wantZ), len(wantO))
 	}
 }
 
@@ -207,11 +209,11 @@ func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 				for _, rc := range []struct {
 					name  string
 					self  bool
-					proto func() BulkProtocol
+					proto func() Protocol
 				}{
-					{"scatter", false, func() BulkProtocol { return &bulkChatter{rounds: rounds} }},
-					{"tree", true, func() BulkProtocol { return &bulkChatter{rounds: rounds} }},
-					{"walker", true, func() BulkProtocol { return &sparseChatter{rounds: rounds, k: 300} }},
+					{"scatter", false, func() Protocol { return &bulkChatter{rounds: rounds} }},
+					{"tree", true, func() Protocol { return &bulkChatter{rounds: rounds} }},
+					{"walker", true, func() Protocol { return &sparseChatter{rounds: rounds, k: 300} }},
 				} {
 					var ref Result
 					for ci, c := range []struct {

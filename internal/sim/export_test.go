@@ -10,4 +10,4 @@ const ShardMinN = shardMinN
 
 // NewBulkChatter returns the engine tests' bulk-capable chatter protocol
 // running for the given number of rounds.
-func NewBulkChatter(rounds int) BulkProtocol { return &bulkChatter{rounds: rounds} }
+func NewBulkChatter(rounds int) Protocol { return &bulkChatter{rounds: rounds} }

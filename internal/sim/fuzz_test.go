@@ -50,7 +50,6 @@ func (c *patternChatter) Opinion(a int) (channel.Bit, bool) {
 	return channel.Zero, true
 }
 
-func (c *patternChatter) BulkEnabled() bool { return true }
 func (c *patternChatter) BulkSenders(round int) ([]int32, []int32) {
 	c.zeros, c.ones = c.zeros[:0], c.ones[:0]
 	for a := 0; a < c.limit; a++ {
@@ -82,9 +81,10 @@ func (c *patternChatter) ActiveSenders(round int) int {
 	return k
 }
 
-// plainProtocol exposes only the Protocol methods of the protocol it
-// wraps, so the engine collects it through keyedSendScan.
-type plainProtocol struct{ Protocol }
+// plainProtocol exposes only the per-agent rules of the protocol it
+// wraps, the way the tests' plain chatters state them: behind
+// simtest.PerAgent it has no accumulators, so it never takes the tree.
+type plainProtocol struct{ simtest.Protocol }
 
 // FuzzKeyedRound runs one patterned bulk chatter under an arbitrary
 // population, drop probability, crash plan, worker count and
@@ -93,10 +93,9 @@ type plainProtocol struct{ Protocol }
 // collection through simtest.PerAgent — and demands that every run
 // conserves messages (accepted + dropped = sent) and that all four agree
 // on the Result and every accumulator. Without self-messages every
-// speaking round is a scatter round, so the chatter behind a wrapper that
-// exposes only Protocol — collected by keyedSendScan with its inline crash
-// test — must match as well, its scatter rounds counted PerAgent instead
-// of PerMessage.
+// speaking round is a scatter round, so the chatter's per-agent rules
+// alone behind simtest.PerAgent — a plain protocol, which never
+// accumulates — must match as well, path counters included.
 func FuzzKeyedRound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n16 uint16, pattern uint64, drop, crashRound, crashFrac, shards uint8, self bool) {
 		n := 2 + int(n16)%(1<<16-1)
@@ -154,10 +153,8 @@ func FuzzKeyedRound(f *testing.F) {
 			check(v.name, ref, res, acc)
 		}
 		if !self {
-			res, acc := run("plain", workers, false, func(p *patternChatter) Protocol { return plainProtocol{p} })
-			want := ref
-			want.Paths = PathRounds{PerAgent: ref.Paths.PerMessage, Quiet: ref.Paths.Quiet}
-			check("plain", want, res, acc)
+			res, acc := run("plain", workers, false, func(p *patternChatter) Protocol { return simtest.PerAgent(plainProtocol{p}) })
+			check("plain", ref, res, acc)
 		}
 	})
 }

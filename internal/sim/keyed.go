@@ -17,7 +17,7 @@ package sim
 // interface collects the senders, in what order buckets execute, or on
 // how many goroutines. The engine therefore picks the *sampling regime*
 // per round as a pure function of (message count, n, configuration,
-// protocol capability):
+// protocol answers):
 //
 //	quiet    no live senders
 //	scatter  one placement draw per message, count-based accept-one
@@ -32,14 +32,12 @@ package sim
 // active set (SenderIndex, k·64 < n) — walks only the occupied buckets'
 // touched slots, in O(k + messages) instead of Θ(n) (see sparse.go).
 //
-// The protocol's capabilities, not a knob, choose the mechanism: a
-// BulkProtocol is always collected and delivered in bulk
-// (BulkSenders/BulkDeliver/accumulators), any other protocol — and any
-// run with n ≥ 2²⁸ — through Send scans and Receive calls. Both
-// mechanisms ask for the same addresses and receptions commute, so
-// results are byte-identical; keyed_identity_test.go pins it by running
-// each bulk protocol again behind simtest.PerAgent, which answers the
-// bulk interface with Send scans and Receive calls.
+// Every protocol is collected and delivered in bulk: BulkSenders, then
+// BulkDeliver or the accumulators. A Send scan with Receive calls would
+// ask for the same addresses, and receptions commute, so results are
+// byte-identical either way; keyed_identity_test.go pins it by running
+// each protocol again behind simtest.PerAgent, which answers the bulk
+// methods with Send scans and Receive calls.
 //
 // There is no per-worker stream and no serial prologue: the tree's bucket
 // decomposition is a pure function of n at denseWidth granularity, each
@@ -104,7 +102,7 @@ import (
 // Allocated lazily on the first run of an engine; survives a Reset that
 // keeps N.
 type keyedState struct {
-	// Per-run capabilities, refreshed by prepareKeyed. accs is the bulk
+	// Per-run capabilities, refreshed by prepareKeyed. accs is the
 	// protocol's accumulator array (nil without one), and denseOK reports
 	// a run whose rounds may take the tree regime: self-messages allowed,
 	// a uniform channel and accumulator delivery.
@@ -133,10 +131,6 @@ type keyedState struct {
 	resolved  []channel.Bit
 	inboxOpen bool
 	live      []int32
-
-	// Per-agent collection scratch: the Send-scan's sender lists.
-	zeroBuf []int32
-	oneBuf  []int32
 
 	// Tree-path state: per-bucket split counts and per-worker scratch.
 	kc0, kc1 []int
@@ -167,11 +161,8 @@ type keyedState struct {
 var keyedBucketOrder func(buckets int) []int
 
 // prepareKeyed decides the run's capabilities from the protocol's
-// interfaces, n and the configuration. It returns the protocol's bulk
-// interface, or nil when the run collects through Send scans.
-func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
-	bp, ok := p.(BulkProtocol)
-	capable := ok && bp.BulkEnabled() && e.cfg.N < maxBulkN
+// accumulators and sender index, n and the configuration.
+func (e *Engine) prepareKeyed(p Protocol) {
 	if e.keyed == nil {
 		e.keyed = &keyedState{}
 	}
@@ -183,11 +174,7 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 		k.noiseThresh = channel.FlipThreshold53(un.UniformFlipProb())
 	}
 	k.dropThresh = channel.FlipThreshold53(e.cfg.DropProb)
-	k.accs, k.denseOK = nil, false
-	if !capable {
-		return nil
-	}
-	k.accs = bp.BulkAccumulators()
+	k.accs = p.BulkAccumulators()
 	k.denseOK = e.cfg.AllowSelfMessages && uniform && k.accs != nil
 	k.senderIdx = nil
 	if k.denseOK {
@@ -212,31 +199,22 @@ func (e *Engine) prepareKeyed(p Protocol) BulkProtocol {
 			k.runs = make([]denseRun, w)
 		}
 	}
-	return bp
 }
 
-// stepKeyed runs one round and returns the regime that ran it. A non-nil
-// bp is collected through BulkSenders; bp is nil when the protocol or
-// configuration cannot use the batched machinery at all, and the round
-// then runs a Send scan with scatter sampling, which has no population
-// cap. A quiet round (no live senders) arms the caller's span skip.
-func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (reg telemetry.Regime) {
+// stepKeyed runs one round and returns the regime that ran it. A quiet
+// round (no live senders) arms the caller's span skip.
+func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 	round := e.round
 	k := e.keyed
 
-	var zeros, ones []int32
-	if bp != nil {
-		zeros, ones = bp.BulkSenders(round)
-		if words := e.cfg.Failures.activeWords(round); words != nil {
-			// Crashed agents neither send nor count toward MessagesSent;
-			// protocols stay failure-agnostic, so the cached sender lists
-			// are filtered here.
-			k.liveZeros = filterLive(k.liveZeros[:0], zeros, words)
-			k.liveOnes = filterLive(k.liveOnes[:0], ones, words)
-			zeros, ones = k.liveZeros, k.liveOnes
-		}
-	} else {
-		zeros, ones = e.keyedSendScan(p, round)
+	zeros, ones := p.BulkSenders(round)
+	if words := e.cfg.Failures.activeWords(round); words != nil {
+		// Crashed agents neither send nor count toward MessagesSent;
+		// protocols stay failure-agnostic, so the cached sender lists
+		// are filtered here.
+		k.liveZeros = filterLive(k.liveZeros[:0], zeros, words)
+		k.liveOnes = filterLive(k.liveOnes[:0], ones, words)
+		zeros, ones = k.liveZeros, k.liveOnes
 	}
 	m := len(zeros) + len(ones)
 	e.sent += int64(m)
@@ -244,23 +222,16 @@ func (e *Engine) stepKeyed(p Protocol, bp BulkProtocol) (reg telemetry.Regime) {
 
 	switch {
 	case m == 0:
-		// Quiet regime, for bulk and non-bulk collection alike: no live
-		// senders means no kernel work on any path.
+		// Quiet regime: no live senders means no kernel work.
 		e.quietAdvance()
 		reg = telemetry.RegimeQuiet
-	case bp == nil:
-		// No batched machinery: the scatter regime on the base Protocol
-		// interface is the only path.
-		e.paths.PerAgent++
-		reg = telemetry.RegimePerAgent
-		e.keyedScatter(p, nil, zeros, ones, round)
-	case k.denseOK && m >= denseMinMessages && bp.BulkAccumulate(round):
+	case k.denseOK && m >= denseMinMessages && p.BulkAccumulate(round):
 		reg = e.treeRegime(m, round)
 		e.keyedTree(len(zeros), len(ones), round, reg)
 	default:
 		e.paths.PerMessage++
 		reg = telemetry.RegimePerMessage
-		e.keyedScatter(p, bp, zeros, ones, round)
+		e.keyedScatter(p, zeros, ones, round)
 	}
 
 	p.EndRound(round)
@@ -341,43 +312,17 @@ func (e *Engine) skipQuietSpan(next int) {
 	e.round = t - 1
 }
 
-// keyedSendScan collects the round's live senders through the per-agent
-// interface: crash check before Send, yielding the same sender multiset
-// the bulk collection reports after filtering.
-func (e *Engine) keyedSendScan(p Protocol, round int) (zeros, ones []int32) {
-	k := e.keyed
-	words := e.cfg.Failures.activeWords(round)
-	zeros, ones = k.zeroBuf[:0], k.oneBuf[:0]
-	for a := 0; a < e.cfg.N; a++ {
-		if crashBit(words, uint(a)) != 0 {
-			continue
-		}
-		bit, ok := p.Send(a, round)
-		if !ok {
-			continue
-		}
-		if bit == 0 {
-			zeros = append(zeros, int32(a))
-		} else {
-			ones = append(ones, int32(a))
-		}
-	}
-	k.zeroBuf, k.oneBuf = zeros, ones
-	return zeros, ones
-}
-
 // keyedScatter is the keyed scatter regime: one placement draw per
 // message addressed by sender id, count-based accept-one addressed by
-// receiver id, noise addressed by receiver id. A non-nil bp takes the
-// round's receptions in one BulkDeliver call, any other protocol one
-// Receive per accepted message; the draws are identical either way.
+// receiver id, noise addressed by receiver id. The protocol takes the
+// round's receptions in one BulkDeliver call.
 //
 // Both loops keep their common path call-free (see the file header): a
 // placement draw that may need Lemire's rejection test, and an accept-one
 // draw that may, break out to the full rule and resume at the next
 // element, so receivers are first touched — and resolved and delivered —
 // in the same order as a loop that called the full rule every time.
-func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, round int) {
+func (e *Engine) keyedScatter(p Protocol, zeros, ones []int32, round int) {
 	k := e.keyed
 	if k.inbox == nil {
 		// One word per receiver, plus a spare for scatterDropCrashed.
@@ -432,17 +377,10 @@ func (e *Engine) keyedScatter(p Protocol, bp BulkProtocol, zeros, ones []int32, 
 	e.accepted += int64(len(acc))
 	e.dropped += int64(m - len(acc))
 
-	// Resolve and (non-bulk) Receive delivery bill to the collision phase;
-	// BulkDeliver rides with EndRound in the accumulate phase.
-	if bp == nil {
-		for j, dst := range acc {
-			p.Receive(int(dst), out[j], round)
-		}
-	}
+	// Resolve bills to the collision phase; BulkDeliver rides with
+	// EndRound in the accumulate phase.
 	e.mark(telemetry.PhaseCollision)
-	if bp != nil {
-		bp.BulkDeliver(acc, out, round)
-	}
+	p.BulkDeliver(acc, out, round)
 }
 
 // scatterBlock is the length of the scatter's draw passes: the words of

@@ -219,10 +219,10 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 // short of n. The tree's and the walker's last bucket then panic when they
 // slice their accumulators, after placing their arrivals in the inbox: a
 // protocol that unwinds a run mid-round with the tree inbox open.
-type shortAccs struct{ BulkProtocol }
+type shortAccs struct{ Protocol }
 
 func (s shortAccs) BulkAccumulators() []uint64 {
-	acc := s.BulkProtocol.BulkAccumulators()
+	acc := s.Protocol.BulkAccumulators()
 	return acc[: len(acc)-1 : len(acc)-1]
 }
 
@@ -243,13 +243,13 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	plan := NewRandomCrashes(n, 0.1, 0, rng.NewKey(5), 0)
 	for _, c := range []struct {
 		name  string
-		proto func() BulkProtocol
-		short func(BulkProtocol) Protocol
+		proto func() Protocol
+		short func(Protocol) Protocol
 	}{
-		{"tree", func() BulkProtocol { return &bulkChatter{rounds: 5} },
-			func(p BulkProtocol) Protocol { return shortAccs{p} }},
-		{"walker", func() BulkProtocol { return &sparseChatter{rounds: 5, k: 2000} },
-			func(p BulkProtocol) Protocol { return shortIndexed{shortAccs{p}, p.(SenderIndex)} }},
+		{"tree", func() Protocol { return &bulkChatter{rounds: 5} },
+			func(p Protocol) Protocol { return shortAccs{p} }},
+		{"walker", func() Protocol { return &sparseChatter{rounds: 5, k: 2000} },
+			func(p Protocol) Protocol { return shortIndexed{shortAccs{p}, p.(SenderIndex)} }},
 	} {
 		cfg := Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Shards: 1,

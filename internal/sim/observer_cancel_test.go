@@ -219,7 +219,8 @@ func TestCancelPrefixMatchesPlainRun(t *testing.T) {
 // TestPathRoundsAccounting: the per-regime round counts partition the
 // executed rounds and name the regimes, never the collection mechanism —
 // per-agent collection (simtest.PerAgent) books exactly the bulk run's
-// counters — and PerAgent counts only runs without batched machinery.
+// counters — and a protocol without accumulators speaks in scatter
+// rounds only.
 func TestPathRoundsAccounting(t *testing.T) {
 	params := core.DefaultParams(4096, 0.3)
 	factory := func() sim.Protocol {
@@ -257,14 +258,14 @@ func TestPathRoundsAccounting(t *testing.T) {
 		t.Errorf("per-agent collection paths %+v != bulk %+v", pres.Paths, res.Paths)
 	}
 
-	// A protocol without BulkProtocol has no batched machinery: every
-	// speaking round is a PerAgent scatter round.
-	nres, err := sim.Run(base, &everyOther{rounds: 10})
+	// A protocol stated only by its per-agent rules has no accumulators:
+	// every speaking round is a scatter round.
+	nres, err := sim.Run(base, simtest.PerAgent(&everyOther{rounds: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nres.Paths != (sim.PathRounds{PerAgent: 5, Quiet: 5}) || nres.Paths.Primary() != "per-agent" {
-		t.Errorf("non-bulk protocol paths: %+v (primary %q), want per-agent:5 quiet:5", nres.Paths, nres.Paths.Primary())
+	if nres.Paths != (sim.PathRounds{PerMessage: 5, Quiet: 5}) || nres.Paths.Primary() != "per-message" {
+		t.Errorf("plain protocol paths: %+v (primary %q), want per-message:5 quiet:5", nres.Paths, nres.Paths.Primary())
 	}
 
 	// The Sharded threshold at its boundary: all-senders tree rounds run
@@ -305,8 +306,8 @@ func TestPathRoundsAccounting(t *testing.T) {
 	}
 }
 
-// everyOther is a minimal protocol without BulkProtocol: agent 0 pushes a
-// one in even rounds and is silent in odd ones.
+// everyOther is a minimal protocol stated by its per-agent rules only:
+// agent 0 pushes a one in even rounds and is silent in odd ones.
 type everyOther struct{ rounds int }
 
 func (p *everyOther) Name() string       { return "every-other" }

@@ -1,9 +1,10 @@
 // Quiet-span skipping at the engine level, pinned against a purpose-built
-// non-bulk protocol whose activity pattern — and therefore its exact
-// PathRounds partition — is known in closed form. The async protocols
-// exercise the same machinery end-to-end in internal/async and
-// internal/api; this file pins the engine semantics themselves: the
-// Quiet/PerAgent accounting split, skip-on/off bit-identity, span capping
+// protocol, stated by its per-agent rules and run behind simtest.PerAgent,
+// whose activity pattern — and therefore its exact PathRounds partition —
+// is known in closed form. The async protocols exercise the same
+// machinery end-to-end in internal/async and internal/api; this file pins
+// the engine semantics themselves: the Quiet/PerMessage accounting split,
+// skip-on/off bit-identity, span capping
 // by observers, the crash plan's round and MaxRounds, cancellation inside
 // a skipped span, and the conservative fallbacks (no capability, an
 // observer without a declared cadence).
@@ -15,6 +16,7 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // spanProto sends from its first `senders` agents on every round that is
@@ -75,22 +77,22 @@ func spanConfig(n int) sim.Config {
 	}
 }
 
-func runSpan(t *testing.T, cfg sim.Config, p sim.Protocol) (sim.Result, int64) {
+func runSpan(t *testing.T, cfg sim.Config, p *spanProto) (sim.Result, int64) {
 	t.Helper()
 	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run(p)
+	res := e.Run(simtest.PerAgent(p))
 	return res, e.QuietSpans()
 }
 
 // TestKeyedNonBulkQuietAccounting pins the PathRounds partition of a
-// non-bulk protocol under the keyed schedule: rounds with zero senders
-// are Quiet, rounds with senders are PerAgent — in closed form for the
-// periodic protocol, with and without span skipping. (The keyed
-// non-bulk path once credited quiet rounds to PerAgent; this is the
-// regression pin.)
+// protocol without accumulators under the keyed schedule: rounds with
+// zero senders are Quiet, rounds with senders are PerMessage — in closed
+// form for the periodic protocol, with and without span skipping. (The
+// retired per-agent collector once credited quiet rounds to its own
+// counter; this is the regression pin.)
 func TestKeyedNonBulkQuietAccounting(t *testing.T) {
 	const period, total, senders = 5, 50, 3
 	for _, noskip := range []bool{false, true} {
@@ -103,7 +105,7 @@ func TestKeyedNonBulkQuietAccounting(t *testing.T) {
 			t.Fatalf("noskip=%v: unexpected run shape %+v", noskip, res)
 		}
 		// Rounds 0, 5, ..., 45 carry senders; the other 40 are quiet.
-		want := sim.PathRounds{PerAgent: 10, Quiet: 40}
+		want := sim.PathRounds{PerMessage: 10, Quiet: 40}
 		if res.Paths != want {
 			t.Errorf("noskip=%v: paths %+v, want %+v", noskip, res.Paths, want)
 		}
@@ -236,7 +238,7 @@ func TestQuietSpanObserverCapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run(&spanProto{period: period, total: total, senders: senders})
+		res := e.Run(simtest.PerAgent(&spanProto{period: period, total: total, senders: senders}))
 		return samples, calls, res, e.QuietSpans()
 	}
 
@@ -278,7 +280,7 @@ func TestPrimaryPathQuiet(t *testing.T) {
 	if got := (sim.PathRounds{Quiet: 900}).Primary(); got != "quiet" {
 		t.Errorf(`all-quiet Primary() = %q, want "quiet"`, got)
 	}
-	if got := (sim.PathRounds{Quiet: 900, PerAgent: 1}).Primary(); got != "per-agent" {
+	if got := (sim.PathRounds{Quiet: 900, PerMessage: 1}).Primary(); got != "per-message" {
 		t.Errorf(`Primary() = %q, want quiet rounds ignored`, got)
 	}
 

@@ -159,28 +159,23 @@ func TestShardedCrashSemantics(t *testing.T) {
 }
 
 // TestKernelAutoBoundaryAtOldCap is the regression test for the lifted
-// population cap: the batched kernel used to fall back to the per-agent
-// path at n ≥ 2²⁴ because of old 24-bit packed arrival counters.
-// KernelAuto must select the batched machinery at 2²⁴ − 1, 2²⁴ and
-// 2²⁴ + 1 alike, and fall back — silently, not by panicking — from
-// maxBulkN on.
+// population caps: the engine used to fall back to per-agent collection
+// at n ≥ 2²⁴ because of old 24-bit packed arrival counters, and later at
+// n ≥ 2²⁸. Every population up to MaxN must now be tree-capable: at
+// 2²⁴ − 1, 2²⁴, 2²⁴ + 1, 2²⁸ and MaxN alike.
 func TestKernelAutoBoundaryAtOldCap(t *testing.T) {
 	// Probe prepareKeyed without a run's Θ(n) buffers — the capability
-	// decision reads only the config and the protocol.
-	probe := func(n int) bool {
+	// decision reads only the config and the protocol, and any non-nil
+	// accumulator array declares accumulator delivery.
+	for _, n := range []int{1<<24 - 1, 1 << 24, 1<<24 + 1, 1 << 28, MaxN} {
 		e, err := NewEngine(Config{N: n, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.prepareKeyed(&bulkChatter{rounds: 2}) != nil
-	}
-	for _, n := range []int{1<<24 - 1, 1 << 24, 1<<24 + 1, 100_000_000} {
-		if !probe(n) {
-			t.Fatalf("n = %d: KernelAuto fell back to the per-agent path", n)
+		e.prepareKeyed(&bulkChatter{rounds: 2, acc: []uint64{0}})
+		if k := e.keyed; !k.denseOK || k.buckets != (n+denseWidth-1)/denseWidth {
+			t.Fatalf("n = %d: tree-capable %v with %d buckets", n, k.denseOK, k.buckets)
 		}
-	}
-	if probe(maxBulkN) {
-		t.Fatalf("n = %d: expected per-agent fallback at the cap", maxBulkN)
 	}
 }
 
@@ -215,9 +210,9 @@ func TestKernelAutoBoundaryRuns(t *testing.T) {
 
 // TestPerMessageInboxWordCoversWidenedCap is the overflow guard on the
 // scatter regime's inbox word (arrival count in the low 32 bits, ones in
-// the high 32): it must hold the worst case the maxBulkN gate admits —
-// every one of n − 1 < 2²⁸ messages of a round arriving at one receiver,
-// all ones — without the counters bleeding into each other.
+// the high 32): it must hold the worst case MaxN admits — every one of
+// n − 1 < 2³¹ messages of a round arriving at one receiver, all ones —
+// without the counters bleeding into each other.
 func TestPerMessageInboxWordCoversWidenedCap(t *testing.T) {
 	inbox := make([]uint64, 1)
 	touched := make([]int32, 4)
@@ -228,9 +223,9 @@ func TestPerMessageInboxWordCoversWidenedCap(t *testing.T) {
 	if nt != 1 || inbox[0] != 2<<32|3 {
 		t.Fatalf("three arrivals: touched %d, word %#x; want 1, %#x", nt, inbox[0], uint64(2<<32|3))
 	}
-	// Doing all 2²⁸ additions is pointless; the closed form is what they
+	// Doing all 2³¹ additions is pointless; the closed form is what they
 	// reach.
-	maxArrivals := uint64(maxBulkN - 1)
+	maxArrivals := uint64(MaxN - 1)
 	v := (1<<32 | 1) * maxArrivals
 	if got := v & (1<<32 - 1); got != maxArrivals {
 		t.Fatalf("count field = %d, want %d", got, maxArrivals)

@@ -22,9 +22,16 @@ import (
 	"breathe/internal/telemetry"
 )
 
-// Protocol is a distributed algorithm in the Flip model, expressed as the
-// per-agent decision rules the engine queries each round. Implementations
+// Protocol is a distributed algorithm in the Flip model. Implementations
 // keep all per-agent state internally; the engine never inspects it.
+//
+// Send and Receive are the protocol's per-agent decision rules, its
+// specification; the engine itself collects and delivers only through the
+// bulk methods, whose answers must agree with them: BulkSenders lists
+// exactly the agents whose Send reports ok, and BulkDeliver does what one
+// Receive per element would. The per-agent rules are exercised through
+// the test adapter simtest.PerAgent, which answers the bulk methods with
+// Send scans and Receive calls, and the model reference refRun.
 //
 // Symmetry (paper §1.3.4): whether an agent sends in a round must not
 // depend on opinion values, only on its activation history — all
@@ -32,10 +39,11 @@ import (
 type Protocol interface {
 	// Name identifies the protocol in traces and tables.
 	Name() string
-	// Setup is called once before round 0. key is the run's draw-schedule
-	// root: a protocol that needs randomness takes it from addressed cells
-	// of the key (rng.StreamSchedule, rng.StreamOffsets), so its draws are
-	// a pure function of (seed, round, agent), independent of kernel and
+	// Setup is called once before round 0, and re-arms a protocol value
+	// for a fresh run. key is the run's draw-schedule root: a protocol
+	// that needs randomness takes it from addressed cells of the key
+	// (rng.StreamSchedule, rng.StreamOffsets), so its draws are a pure
+	// function of (seed, round, agent), independent of kernel and
 	// execution order.
 	Setup(n int, key rng.Key)
 	// Send reports whether agent a pushes a message in the given round
@@ -44,6 +52,27 @@ type Protocol interface {
 	// Receive notifies the protocol that agent a accepted bit in round.
 	// At most one Receive per agent per round, per the model.
 	Receive(a int, bit channel.Bit, round int)
+	// BulkSenders returns the agents that transmit in round, grouped by
+	// the bit they send, crashed agents included (the engine filters
+	// them). The slices are owned by the protocol and valid until the next
+	// BulkSenders call; the engine does not mutate them.
+	BulkSenders(round int) (zeros, ones []int32)
+	// BulkDeliver notifies the protocol of all accepted deliveries of the
+	// round: receivers[i] accepted bits[i].
+	BulkDeliver(receivers []int32, bits []channel.Bit, round int)
+	// BulkAccumulate reports whether, in the given round, a delivery is
+	// equivalent to acc[receiver] += bit<<32 | 1 on the array returned by
+	// BulkAccumulators — i.e. reception is pure counting with no
+	// per-message side effects. The tree regime requires it.
+	BulkAccumulate(round int) bool
+	// BulkAccumulators exposes the per-agent packed reception counters
+	// (ones in the high 32 bits, total in the low 32), or nil for a
+	// protocol whose reception is never pure counting; the engine then
+	// always delivers through BulkDeliver. In parallel tree rounds the
+	// engine's workers write disjoint bucket ranges of the array
+	// concurrently (agent a is only ever touched by the worker resolving
+	// a's bucket), so no protocol synchronization is needed.
+	BulkAccumulators() []uint64
 	// EndRound is called after all deliveries of round. Phase-boundary
 	// opinion updates happen here.
 	EndRound(round int)
@@ -179,23 +208,20 @@ func (c Config) validate() error {
 // ran them (keyed.go). The engine picks the regime round by round — a
 // single run routinely mixes them: scatter rounds while few agents send,
 // tree rounds at full blast — as a pure function of the round's message
-// count, n, the configuration and the protocol's capabilities, never of
-// Config.Shards or any other performance knob. A configuration that
-// cannot use the batched machinery at all — a non-bulk protocol, or
-// n ≥ 2²⁸ — runs every speaking round as PerAgent scatter; PathRounds
-// makes that visible in every Result instead of leaving it to be
-// discovered in a profile.
+// count, n, the configuration and the protocol's answers, never of
+// Config.Shards or any other performance knob.
 type PathRounds struct {
-	// PerAgent counts scatter rounds of a run without batched machinery
-	// (a non-bulk protocol, or n ≥ 2²⁸), collected through Send.
+	// PerAgent is always 0: every protocol is collected in bulk. The
+	// field stays only because the repository benchmark (perfbench)
+	// reads it.
 	PerAgent int64 `json:"per_agent,omitempty"`
 	// Quiet counts rounds with no live senders (the protocol's "breathe"
 	// phases): no kernel work at all. Whole quiet spans may be skipped in
 	// O(1) (see QuietSpanner); the skipped rounds are credited here
 	// exactly as if they had executed.
 	Quiet int64 `json:"quiet,omitempty"`
-	// PerMessage counts scatter rounds of a bulk-capable run: one
-	// placement draw per message, count-based accept-one per receiver.
+	// PerMessage counts scatter rounds: one placement draw per message,
+	// count-based accept-one per receiver.
 	PerMessage int64 `json:"per_message,omitempty"`
 	// Dense counts tree rounds swept serially.
 	Dense int64 `json:"dense,omitempty"`
@@ -205,25 +231,26 @@ type PathRounds struct {
 	// Sparse counts tree-eligible rounds whose protocol declared a small
 	// active set (SenderIndex with k·64 < n); the sparse walker executes
 	// them. Like every other counter it depends on neither Shards nor on
-	// whether the senders were collected through Send or BulkSenders.
+	// whether the senders were collected in bulk or through Send
+	// (simtest.PerAgent).
 	Sparse int64 `json:"sparse,omitempty"`
 }
 
 // Total returns the number of rounds counted.
 func (p PathRounds) Total() int64 {
-	return p.PerAgent + p.Quiet + p.PerMessage + p.Dense + p.Sharded + p.Sparse
+	return p.Quiet + p.PerMessage + p.Dense + p.Sharded + p.Sparse
 }
 
 // Primary names the path that executed the most rounds, ignoring Quiet
 // rounds (every protocol breathes; the question is what runs when it
-// speaks). Returns "per-agent", "per-message", "dense", "sharded",
-// "sparse", or "quiet" when no round carried a message.
+// speaks). Returns "per-message", "dense", "sharded", "sparse", or
+// "quiet" when no round carried a message.
 func (p PathRounds) Primary() string {
 	name, best := "quiet", int64(0)
 	for _, c := range []struct {
 		name string
 		n    int64
-	}{{"per-agent", p.PerAgent}, {"per-message", p.PerMessage}, {"dense", p.Dense}, {"sharded", p.Sharded}, {"sparse", p.Sparse}} {
+	}{{"per-message", p.PerMessage}, {"dense", p.Dense}, {"sharded", p.Sharded}, {"sparse", p.Sparse}} {
 		if c.n > best {
 			name, best = c.name, c.n
 		}
@@ -238,7 +265,7 @@ func (p PathRounds) String() string {
 	for _, c := range []struct {
 		name string
 		n    int64
-	}{{"per-agent", p.PerAgent}, {"per-message", p.PerMessage}, {"dense", p.Dense}, {"sharded", p.Sharded}, {"sparse", p.Sparse}, {"quiet", p.Quiet}} {
+	}{{"per-message", p.PerMessage}, {"dense", p.Dense}, {"sharded", p.Sharded}, {"sparse", p.Sparse}, {"quiet", p.Quiet}} {
 		if c.n == 0 {
 			continue
 		}
@@ -262,7 +289,7 @@ type Result struct {
 	// MessagesSent counts every push (equals total bits, messages are
 	// one bit).
 	MessagesSent int64
-	// MessagesAccepted counts deliveries that reached a Receive call.
+	// MessagesAccepted counts deliveries that reached the protocol.
 	MessagesAccepted int64
 	// MessagesDropped counts collision losses (and DropProb losses).
 	MessagesDropped int64
@@ -434,7 +461,7 @@ func (e *Engine) Run(p Protocol) Result {
 	n := e.cfg.N
 	p.Setup(n, e.key)
 
-	bp := e.prepareKeyed(p)
+	e.prepareKeyed(p)
 	e.prepareQuietSkip(p)
 
 	res := Result{Protocol: p.Name()}
@@ -459,7 +486,7 @@ func (e *Engine) Run(p Protocol) Result {
 		if tel != nil {
 			tel.BeginRound(e.round)
 		}
-		reg := e.stepKeyed(p, bp)
+		reg := e.stepKeyed(p)
 		if e.cfg.Observer != nil {
 			e.cfg.Observer(e.round, e)
 		}

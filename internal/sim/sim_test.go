@@ -6,11 +6,13 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/rng"
+	"breathe/internal/sim/simtest"
 )
 
 // chatter is a trivial protocol for engine tests: every agent sends bit 1
 // every round for a fixed number of rounds and remembers the last bit it
-// accepted.
+// accepted. Like the other test protocols that state only the per-agent
+// rules, it runs behind simtest.PerAgent.
 type chatter struct {
 	rounds   int
 	n        int
@@ -77,16 +79,16 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	cfg := Config{N: 100, Channel: channel.FromEpsilon(0.2), Seed: 42}
-	r1, err := Run(cfg, &chatter{rounds: 50})
+	r1, err := Run(cfg, simtest.PerAgent(&chatter{rounds: 50}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := Run(cfg, &chatter{rounds: 50})
+	r2, _ := Run(cfg, simtest.PerAgent(&chatter{rounds: 50}))
 	if r1 != r2 {
 		t.Fatalf("identical configs diverged:\n%+v\n%+v", r1, r2)
 	}
 	cfg.Seed = 43
-	r3, _ := Run(cfg, &chatter{rounds: 50})
+	r3, _ := Run(cfg, simtest.PerAgent(&chatter{rounds: 50}))
 	if r1.Opinions == r3.Opinions && r1.MessagesAccepted == r3.MessagesAccepted {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
@@ -95,7 +97,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestMessageAccounting(t *testing.T) {
 	const n, rounds = 50, 20
 	cfg := Config{N: n, Channel: channel.Noiseless{}, Seed: 7}
-	res, err := Run(cfg, &chatter{rounds: rounds})
+	res, err := Run(cfg, simtest.PerAgent(&chatter{rounds: rounds}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestAcceptOnePerRound(t *testing.T) {
 	// per round.
 	const n, rounds = 30, 40
 	c := &chatter{rounds: rounds}
-	_, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 9}, c)
+	_, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 9}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestAcceptRateMatchesTheory(t *testing.T) {
 	// (self-delivery excluded). Claim 2.9 uses the same quantity.
 	const n, rounds = 200, 400
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 11}, c)
+	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 11}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestNoSelfDeliveryByDefault(t *testing.T) {
 	// other agent: with only agent pushes each round, both always receive.
 	const rounds = 100
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3}, c)
+	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestSelfMessagesAllowed(t *testing.T) {
 	// so collision or self-receipt changes the per-agent counts.
 	const rounds = 2000
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3, AllowSelfMessages: true}, c)
+	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3, AllowSelfMessages: true}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestSelfMessagesAllowed(t *testing.T) {
 
 func TestSilentProtocolSendsNothing(t *testing.T) {
 	s := &silent{chatter{rounds: 10}}
-	res, err := Run(Config{N: 20, Channel: channel.Noiseless{}, Seed: 5}, s)
+	res, err := Run(Config{N: 20, Channel: channel.Noiseless{}, Seed: 5}, simtest.PerAgent(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestSilentProtocolSendsNothing(t *testing.T) {
 
 func TestMaxRoundsTruncation(t *testing.T) {
 	res, err := Run(Config{N: 10, Channel: channel.Noiseless{}, Seed: 1, MaxRounds: 5},
-		&chatter{rounds: 100})
+		simtest.PerAgent(&chatter{rounds: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestMaxRoundsTruncation(t *testing.T) {
 func TestDropProb(t *testing.T) {
 	const n, rounds = 100, 200
 	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 13, DropProb: 0.5},
-		&chatter{rounds: rounds})
+		simtest.PerAgent(&chatter{rounds: rounds}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestCrashedAgentsAreDeaf(t *testing.T) {
 	const n, rounds = 30, 50
 	c := &chatter{rounds: rounds}
 	plan := NewCrashAt(0, 0, 1, 2)
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 17, Failures: plan}, c)
+	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 17, Failures: plan}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestCrashAtLaterRound(t *testing.T) {
 	const n, rounds = 20, 30
 	plan := NewCrashAt(10, 5)
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 19, Failures: plan}, c)
+	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 19, Failures: plan}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestObserverRuns(t *testing.T) {
 			seen++
 		},
 	}
-	if _, err := Run(cfg, &chatter{rounds: 7}); err != nil {
+	if _, err := Run(cfg, simtest.PerAgent(&chatter{rounds: 7})); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 7 {
@@ -326,7 +328,7 @@ func TestRecipientUniformity(t *testing.T) {
 	const n = 20
 	counts := make([]int, n)
 	p := &singleSender{rounds: 20000, counts: counts}
-	if _, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 29}, p); err != nil {
+	if _, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 29}, simtest.PerAgent(p)); err != nil {
 		t.Fatal(err)
 	}
 	if counts[0] != 0 {
@@ -362,7 +364,7 @@ func (s *singleSender) Opinion(int) (channel.Bit, bool)     { return 0, false }
 // messages land on the same agent.
 func TestCollisionResolutionUniform(t *testing.T) {
 	p := &twoSenders{rounds: 30000}
-	if _, err := Run(Config{N: 3, Channel: channel.Noiseless{}, Seed: 31}, p); err != nil {
+	if _, err := Run(Config{N: 3, Channel: channel.Noiseless{}, Seed: 31}, simtest.PerAgent(p)); err != nil {
 		t.Fatal(err)
 	}
 	// Agent 2 receives from both senders; when both target it, one bit is

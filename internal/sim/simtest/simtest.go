@@ -1,11 +1,12 @@
 // Package simtest is test support for the engine in internal/sim.
 //
-// PerAgent wraps a protocol so that the engine's bulk machinery runs on
-// the per-agent interface: BulkSenders becomes a Send scan over every
-// agent and BulkDeliver one Receive per message. The engine's keyed draws
+// PerAgent wraps a protocol so that the engine's bulk collection runs on
+// the per-agent rules: BulkSenders becomes a Send scan over every agent
+// and BulkDeliver one Receive per message. The engine's keyed draws
 // depend only on the sender multiset, so a wrapped run must match the
-// unwrapped one byte for byte; tests compare the two to check every bulk
-// protocol's answers against its own Send and Receive.
+// unwrapped one byte for byte; tests compare the two to check every
+// protocol's bulk answers against its own Send and Receive. It also runs
+// a protocol that has only the per-agent rules, such as a test chatter.
 //
 // The package imports nothing from internal/sim, so sim's in-package
 // tests can use it too. The interfaces below restate the engine's method
@@ -17,7 +18,7 @@ import (
 	"breathe/internal/rng"
 )
 
-// Protocol is the method set of sim.Protocol.
+// Protocol is the per-agent method set of sim.Protocol.
 type Protocol interface {
 	Name() string
 	Setup(n int, key rng.Key)
@@ -28,9 +29,8 @@ type Protocol interface {
 	Opinion(a int) (bit channel.Bit, ok bool)
 }
 
-// bulkProtocol is the method set sim.BulkProtocol adds to Protocol.
+// bulkProtocol is the method set sim.Protocol adds to Protocol.
 type bulkProtocol interface {
-	BulkEnabled() bool
 	BulkSenders(round int) (zeros, ones []int32)
 	BulkDeliver(receivers []int32, bits []channel.Bit, round int)
 	BulkAccumulate(round int) bool
@@ -48,9 +48,9 @@ type quietSpanner interface {
 }
 
 // Adapter is the protocol PerAgent returns. It implements sim.Protocol,
-// sim.BulkProtocol, sim.SenderIndex and sim.QuietSpanner whatever the
-// wrapped protocol implements; the capabilities the wrapped protocol
-// lacks answer as if absent.
+// sim.SenderIndex and sim.QuietSpanner whatever the wrapped protocol
+// implements; the capabilities the wrapped protocol lacks answer as if
+// absent.
 type Adapter struct {
 	Protocol
 	bulk        bulkProtocol
@@ -60,8 +60,9 @@ type Adapter struct {
 
 // PerAgent wraps p so that the engine collects it through a Send scan and
 // delivers scatter receptions through Receive, while the regime choice —
-// BulkEnabled, BulkAccumulate, the accumulators, the declared active set
-// and the quiet-span oracle — still comes from p.
+// BulkAccumulate, the accumulators, the declared active set and the
+// quiet-span oracle — still comes from p. A p without the bulk methods
+// never accumulates, so every speaking round is a scatter round.
 func PerAgent(p Protocol) *Adapter {
 	b, _ := p.(bulkProtocol)
 	return &Adapter{Protocol: p, bulk: b}
@@ -72,9 +73,6 @@ func (a *Adapter) Setup(n int, key rng.Key) {
 	a.n = n
 	a.Protocol.Setup(n, key)
 }
-
-// BulkEnabled reports the wrapped protocol's answer, false without one.
-func (a *Adapter) BulkEnabled() bool { return a.bulk != nil && a.bulk.BulkEnabled() }
 
 // BulkSenders scans Send over every agent, crashed ones included: the
 // engine filters crashed senders out of bulk lists itself.
@@ -102,11 +100,18 @@ func (a *Adapter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) 
 	}
 }
 
-// BulkAccumulate forwards to the wrapped protocol.
-func (a *Adapter) BulkAccumulate(round int) bool { return a.bulk.BulkAccumulate(round) }
+// BulkAccumulate forwards to the wrapped protocol, false without one.
+func (a *Adapter) BulkAccumulate(round int) bool {
+	return a.bulk != nil && a.bulk.BulkAccumulate(round)
+}
 
-// BulkAccumulators forwards to the wrapped protocol.
-func (a *Adapter) BulkAccumulators() []uint64 { return a.bulk.BulkAccumulators() }
+// BulkAccumulators forwards to the wrapped protocol, nil without one.
+func (a *Adapter) BulkAccumulators() []uint64 {
+	if a.bulk == nil {
+		return nil
+	}
+	return a.bulk.BulkAccumulators()
+}
 
 // ActiveSenders forwards to the wrapped protocol's sender index, and
 // returns −1, which the engine reads as no index, when it has none.

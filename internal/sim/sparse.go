@@ -30,17 +30,17 @@ package sim
 //
 // Like the dense/sharded split, the choice (PathRounds.Sparse) is a
 // fixed pure function of (declared k, n, message count, protocol
-// capability) — never of Config.Shards or how the senders were
+// answers) — never of Config.Shards or how the senders were
 // collected — so path counters agree byte-for-byte across every
 // execution choice.
 
-// SenderIndex is an optional BulkProtocol capability: the protocol
+// SenderIndex is an optional Protocol capability: the protocol
 // maintains its active set incrementally and can report its size in O(1)
 // (or O(active classes)) instead of being scanned. ActiveSenders(round)
 // must equal the total length of the BulkSenders(round) lists — the
-// declared sender set before any crash filtering — whenever BulkEnabled
-// holds. The engine uses the declared size only to pick the round's
-// sampling regime; it never replaces the sender lists themselves.
+// declared sender set before any crash filtering. The engine uses the
+// declared size only to pick the round's sampling regime; it never
+// replaces the sender lists themselves.
 type SenderIndex interface {
 	ActiveSenders(round int) int
 }

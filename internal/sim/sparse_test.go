@@ -67,7 +67,6 @@ func (c *sparseChatter) Opinion(a int) (channel.Bit, bool) {
 	return channel.Zero, true
 }
 
-func (c *sparseChatter) BulkEnabled() bool { return true }
 func (c *sparseChatter) BulkSenders(round int) ([]int32, []int32) {
 	return c.zeros, c.ones
 }

@@ -101,7 +101,6 @@ func TestTelemetryInert(t *testing.T) {
 				regime telemetry.Regime
 				want   int64
 			}{
-				{telemetry.RegimePerAgent, paths.PerAgent},
 				{telemetry.RegimePerMessage, paths.PerMessage},
 				{telemetry.RegimeDense, paths.Dense},
 				{telemetry.RegimeSharded, paths.Sharded},

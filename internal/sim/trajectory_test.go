@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"breathe/internal/channel"
+	"breathe/internal/sim/simtest"
 )
 
 func TestTrajectoryRecordsEveryRound(t *testing.T) {
 	const n, rounds = 50, 20
-	p := &chatter{rounds: rounds}
+	p := simtest.PerAgent(&chatter{rounds: rounds})
 	traj := NewTrajectory(p, channel.One)
 	cfg := Config{N: n, Channel: channel.Noiseless{}, Seed: 1, Observer: traj.Observe}
 	if _, err := Run(cfg, p); err != nil {

@@ -50,8 +50,7 @@ func PhaseNames() [NumPhases]string { return phaseNames }
 type Regime uint8
 
 const (
-	RegimePerAgent Regime = iota
-	RegimeQuiet
+	RegimeQuiet Regime = iota
 	RegimePerMessage
 	RegimeDense
 	RegimeSharded
@@ -60,7 +59,7 @@ const (
 )
 
 var regimeNames = [NumRegimes]string{
-	"per-agent", "quiet", "per-message", "dense", "sharded", "sparse",
+	"quiet", "per-message", "dense", "sharded", "sparse",
 }
 
 // String returns the stable regime name used in traces and metric labels.

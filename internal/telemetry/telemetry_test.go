@@ -282,7 +282,7 @@ func TestTraceSampling(t *testing.T) {
 	p.SetTrace(NewTraceWriter(&buf, 3, 0))
 	for round := 0; round < 7; round++ {
 		p.BeginRound(round)
-		p.EndRound(round, RegimePerAgent, 0, 0, 0)
+		p.EndRound(round, RegimePerMessage, 0, 0, 0)
 	}
 	p.FinishRun(7)
 	var rounds, runs int
@@ -307,7 +307,7 @@ func TestTraceByteCap(t *testing.T) {
 	p.SetTrace(NewTraceWriter(&buf, 1, 200))
 	for round := 0; round < 100; round++ {
 		p.BeginRound(round)
-		p.EndRound(round, RegimePerAgent, 0, 0, 0)
+		p.EndRound(round, RegimePerMessage, 0, 0, 0)
 	}
 	p.FinishRun(100)
 	out := buf.String()

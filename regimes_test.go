@@ -82,9 +82,9 @@ func regimeRows() []regimeRow {
 			}
 			return p
 		}},
-		{"NoBreathe ablation (no bulk interface)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
+		{"NoBreathe ablation", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
 			regimeBroadcast(n, core.Variant{NoBreathe: true})},
-		{"plain sim.Protocol (immediate-forward baseline)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
+		{"immediate-forward baseline", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
 			func(*testing.T) sim.Protocol { return &baseline.ImmediateForward{Target: channel.One, Rounds: 40} }},
 	}
 }
