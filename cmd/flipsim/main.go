@@ -1,6 +1,11 @@
 // Command flipsim runs a single protocol execution in the Flip model and
 // prints its phase trace.
 //
+// It runs the paper's self-exclusion: a sender never draws itself as the
+// recipient (self=false on its n= line). Every speaking round therefore
+// takes the scatter regime; megasim -self (its default) runs the
+// classical push convention, whose exchangeable rounds take the tree.
+//
 // Usage:
 //
 //	flipsim -protocol broadcast -n 4096 -eps 0.3 -seed 1
@@ -126,7 +131,7 @@ func run(args []string) error {
 	res := engine.Run(proto)
 
 	fmt.Printf("protocol:  %s\n", res.Protocol)
-	fmt.Printf("n=%d eps=%.3g seed=%d channel=%s\n", *n, *eps, *seed, ch.Name())
+	fmt.Printf("n=%d eps=%.3g seed=%d self=%v channel=%s\n", *n, *eps, *seed, simCfg.AllowSelfMessages, ch.Name())
 	fmt.Printf("rounds:    %d\n", res.Rounds)
 	fmt.Printf("messages:  %d (accepted %d, dropped %d)\n",
 		res.MessagesSent, res.MessagesAccepted, res.MessagesDropped)

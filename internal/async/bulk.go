@@ -109,37 +109,6 @@ func (p *Protocol) BulkSenders(g int) (zeros, ones []int32) {
 	return p.bulkZeros, p.bulkOnes
 }
 
-// ActiveSenders implements sim.SenderIndex: the declared sender-set
-// size of global round g, before any crash filtering — always the
-// total length of the BulkSenders lists. The walk mirrors BulkSenders
-// over the same per-class windows the NextActive span oracle is built
-// from, but only sums list lengths instead of materializing the union,
-// so the engine can consult it every round in O(#classes). Cache refreshes here are draw-free and idempotent
-// (breathevet proves the whole path draws nothing), so a lookup before
-// or after the round's BulkSenders call sees identical lists.
-//
-//breathe:drawfree
-func (p *Protocol) ActiveSenders(g int) int {
-	total := 0
-	for ci := range p.classes {
-		c := &p.classes[ci]
-		l := g + c.base
-		if p.mode == ModeSelfSync && l >= -2*p.preludeLen && l < -p.preludeLen {
-			total += len(c.members)
-			continue
-		}
-		k := p.phaseOfLocal(l)
-		if k < 0 {
-			continue
-		}
-		if c.cachedPhase != k || c.cachedGen != p.sendersGen {
-			p.rebuildClassSenders(c, k)
-		}
-		total += len(c.zeros) + len(c.ones)
-	}
-	return total
-}
-
 // rebuildClassSenders refreshes class c's eligible-sender cache for phase
 // k: opinionated members, excluding (in Stage I) agents not yet past their
 // activation phase — the same predicate Send applies per agent.

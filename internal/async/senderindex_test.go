@@ -9,14 +9,14 @@ import (
 	"breathe/internal/sim"
 )
 
-// Sender-index suite, mirroring span_test.go's oracle style: at every
-// round barrier of live runs, ActiveSenders(g) — the declared sender-set
-// size the keyed engine's sparse regime keys off — must equal the total
-// BulkSenders list length and the brute-force Send scan over the whole
-// population, on the live class set of the moment (which for self-sync
-// grows as agents make first contact). Like Send, the declared size is
-// pre-crash: the engine masks crashed agents downstream.
-func TestActiveSendersMatchesBruteScan(t *testing.T) {
+// Sender-list suite, mirroring span_test.go's oracle style: at every
+// round barrier of live runs, the total BulkSenders(g) list length — the
+// count the keyed engine's sparse regime keys off — must equal the
+// brute-force Send scan over the whole population, on the live class set
+// of the moment (which for self-sync grows as agents make first
+// contact). Like Send, the lists are pre-crash: the engine masks crashed
+// agents downstream.
+func TestBulkSendersTotalMatchesBruteScan(t *testing.T) {
 	const n = 512
 	params := core.DefaultParams(n, 0.3)
 	scenarios := []struct {
@@ -46,17 +46,13 @@ func TestActiveSendersMatchesBruteScan(t *testing.T) {
 			AllowSelfMessages: true,
 			Observer: func(round int, _ *sim.Engine) {
 				g := round + 1
-				declared := p.ActiveSenders(g)
 				zeros, ones := p.BulkSenders(g)
-				if want := len(zeros) + len(ones); declared != want {
-					t.Fatalf("%s: ActiveSenders(%d) = %d, BulkSenders total %d",
-						sc.name, g, declared, want)
-				}
-				// The query is idempotent: a lookup after the union
-				// materialization sees the same lists.
-				if again := p.ActiveSenders(g); again != declared {
-					t.Fatalf("%s: ActiveSenders(%d) unstable: %d then %d",
-						sc.name, g, declared, again)
+				listed := len(zeros) + len(ones)
+				// The query is idempotent: the engine's own call after
+				// this one sees the same lists.
+				if zeros, ones = p.BulkSenders(g); len(zeros)+len(ones) != listed {
+					t.Fatalf("%s: BulkSenders(%d) unstable: %d then %d senders",
+						sc.name, g, listed, len(zeros)+len(ones))
 				}
 				brute := 0
 				for a := 0; a < n; a++ {
@@ -64,9 +60,9 @@ func TestActiveSendersMatchesBruteScan(t *testing.T) {
 						brute++
 					}
 				}
-				if brute != declared {
-					t.Fatalf("%s: ActiveSenders(%d) = %d, brute Send scan = %d",
-						sc.name, g, declared, brute)
+				if brute != listed {
+					t.Fatalf("%s: BulkSenders(%d) lists %d, brute Send scan = %d",
+						sc.name, g, listed, brute)
 				}
 				checked++
 			},
@@ -81,10 +77,9 @@ func TestActiveSendersMatchesBruteScan(t *testing.T) {
 	}
 }
 
-// TestActiveSendersOutOfSchedule pins the quiet side: rounds past the
-// schedule (and the dead gaps before any window) declare zero senders,
-// matching BulkSenders' empty union.
-func TestActiveSendersOutOfSchedule(t *testing.T) {
+// TestBulkSendersOutOfSchedule pins the quiet side: rounds past the
+// schedule list no senders.
+func TestBulkSendersOutOfSchedule(t *testing.T) {
 	const n = 256
 	p, err := NewKnownOffsets(core.DefaultParams(n, 0.3), channel.One, 12)
 	if err != nil {
@@ -97,9 +92,6 @@ func TestActiveSendersOutOfSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []int{p.TotalRounds(), p.TotalRounds() + 100} {
-		if got := p.ActiveSenders(g); got != 0 {
-			t.Errorf("ActiveSenders(%d) past schedule = %d, want 0", g, got)
-		}
 		zeros, ones := p.BulkSenders(g)
 		if len(zeros)+len(ones) != 0 {
 			t.Errorf("BulkSenders(%d) past schedule non-empty", g)

@@ -2,18 +2,18 @@ package core
 
 import "breathe/internal/channel"
 
-// The engine's bulk interface (the Bulk methods of sim.Protocol) and
-// sim.SenderIndex. The protocol's sender set is a pure function of
-// (activated, level, hasOpinion, opinion), all of which change only at
-// phase boundaries — "breathe before speaking" means an agent contacted
+// The engine's bulk interface (the Bulk methods of sim.Protocol). The
+// protocol's sender set is a pure function of (activated, level,
+// hasOpinion, opinion), all of which change only at phase boundaries — "breathe before speaking" means an agent contacted
 // during a phase stays silent until a later phase, and opinions update
 // in EndRound of a phase's last round. The sender lists are therefore
 // maintained incrementally by the phase-finalization loops (see
 // endStageIPhase / endStageIIPhase): Stage I's eligible set after a
 // boundary is every opinionated agent (an agent's activation level never
 // exceeds the finished phase), Stage II's is the same, so one index
-// serves both. BulkSenders and ActiveSenders are O(1) lookups with no
-// population scan anywhere on the query path.
+// serves both. BulkSenders is an O(1) lookup with no population scan
+// anywhere on the query path, and the engine reads its lists' total
+// length to pick the sparse regime.
 //
 // The one exception is the NoBreathe ablation, whose agents start
 // forwarding in the round after their activation — a mid-phase sender
@@ -30,21 +30,6 @@ func (p *Protocol) BulkSenders(round int) (zeros, ones []int32) {
 		return nil, nil
 	}
 	return p.idxZeros, p.idxOnes
-}
-
-// ActiveSenders implements sim.SenderIndex: the declared sender-set
-// size of round, before any crash filtering — always the total length
-// of the BulkSenders lists. The lookup draws nothing (breathevet proves
-// it), so the engine may consult it on every round without perturbing
-// the schedule.
-//
-//breathe:drawfree
-func (p *Protocol) ActiveSenders(round int) int {
-	p.ensurePhase(round)
-	if !p.curOK {
-		return 0
-	}
-	return len(p.idxZeros) + len(p.idxOnes)
 }
 
 // BulkDeliver implements sim.Protocol: one receiveOne per accepted

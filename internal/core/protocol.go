@@ -49,14 +49,14 @@ type Protocol struct {
 	// adds bit<<32 | 1 per accepted message exactly like receiveOne does.
 	acc []uint64
 
-	// Maintained sender index (sim.SenderIndex): the sender set and the
-	// bits sent are constant within a phase (opinions change only at
-	// phase boundaries), so the phase-finalization loops — which already
-	// visit every agent — keep these lists current incrementally, and
-	// BulkSenders/ActiveSenders serve them in O(1) with no population
-	// scan. Both lists stay ascending by agent id, the order a per-agent
-	// Send scan reports the same senders in. idxUnsorted marks an index
-	// receiveOne appended to mid-phase (NoBreathe); ensurePhase sorts it.
+	// Maintained sender index: the sender set and the bits sent are
+	// constant within a phase (opinions change only at phase
+	// boundaries), so the phase-finalization loops — which already visit
+	// every agent — keep these lists current incrementally, and
+	// BulkSenders serves them in O(1) with no population scan. Both
+	// lists stay ascending by agent id, the order a per-agent Send scan
+	// reports the same senders in. idxUnsorted marks an index receiveOne
+	// appended to mid-phase (NoBreathe); ensurePhase sorts it.
 	idxZeros, idxOnes []int32
 	idxUnsorted       bool
 

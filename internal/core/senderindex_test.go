@@ -10,22 +10,19 @@ import (
 )
 
 // Sender-index suite: the maintained idxZeros/idxOnes lists (served by
-// BulkSenders and summarized by ActiveSenders) must agree with the
-// per-agent Send rule at every round of live runs — the same oracle
-// style bulk_test.go uses, tightened from spot checks to every round and
-// extended to the declared-size query and the ascending-order contract.
+// BulkSenders) must agree with the per-agent Send rule at every round of
+// live runs — the same oracle style bulk_test.go uses, tightened from
+// spot checks to every round and extended to the ascending-order
+// contract. Their total length is also what picks the sparse regime.
 
 // checkIndexRound cross-checks one round: brute Send scan vs the index
-// lists vs ActiveSenders. Out-of-schedule rounds stay consistent too:
-// both sides are empty. Observers run after EndRound, so callers pass
-// round+1 — the round the engine consults the lists in next; at a phase
-// boundary the index has already advanced past the finalized phase.
+// lists. Out-of-schedule rounds stay consistent too: both sides are
+// empty. Observers run after EndRound, so callers pass round+1 — the
+// round the engine consults the lists in next; at a phase boundary the
+// index has already advanced past the finalized phase.
 func checkIndexRound(t *testing.T, p *Protocol, n, round int) {
 	t.Helper()
 	zeros, ones := p.BulkSenders(round)
-	if got, want := p.ActiveSenders(round), len(zeros)+len(ones); got != want {
-		t.Fatalf("round %d: ActiveSenders = %d, list total %d", round, got, want)
-	}
 	for _, list := range [][]int32{zeros, ones} {
 		for i := 1; i < len(list); i++ {
 			if list[i-1] >= list[i] {
@@ -53,7 +50,7 @@ func checkIndexRound(t *testing.T, p *Protocol, n, round int) {
 	}
 }
 
-func TestSenderIndexMatchesBruteScan(t *testing.T) {
+func TestBulkSendersMatchBruteScan(t *testing.T) {
 	const n = 1024
 	newProto := func(consensus bool, v Variant) *Protocol {
 		t.Helper()
@@ -116,12 +113,11 @@ func TestSenderIndexMatchesBruteScan(t *testing.T) {
 	}
 }
 
-// TestSenderIndexSurvivesPerAgentKernel runs the oracle behind
+// TestBulkSendersSurvivePerAgentCollection runs the oracle behind
 // simtest.PerAgent, whose Send scans collect the senders: the index is
 // maintained at phase boundaries regardless of how the senders are
-// collected, so SenderIndex queries must stay consistent there too (the
-// adapter forwards ActiveSenders to the engine).
-func TestSenderIndexSurvivesPerAgentKernel(t *testing.T) {
+// collected, so the BulkSenders lists must stay consistent there too.
+func TestBulkSendersSurvivePerAgentCollection(t *testing.T) {
 	const n = 512
 	p, err := NewBroadcast(DefaultParams(n, 0.3), channel.One)
 	if err != nil {
@@ -148,7 +144,7 @@ func TestSenderIndexSurvivesPerAgentKernel(t *testing.T) {
 
 // TestSetupReusesCapacity pins the allocation contract that replaced the
 // old rebuildSenders scan: a warm protocol re-Setup allocates nothing,
-// and the index queries never allocate.
+// and the index query never allocates.
 func TestSetupReusesCapacity(t *testing.T) {
 	const n = 512
 	p, err := NewBroadcast(DefaultParams(n, 0.3), channel.One)
@@ -168,8 +164,7 @@ func TestSetupReusesCapacity(t *testing.T) {
 	p.Setup(n, key)
 	if allocs := testing.AllocsPerRun(10, func() {
 		p.BulkSenders(0)
-		p.ActiveSenders(0)
 	}); allocs != 0 {
-		t.Errorf("index queries allocate %v times per run, want 0", allocs)
+		t.Errorf("index query allocates %v times per run, want 0", allocs)
 	}
 }

@@ -12,9 +12,8 @@ import (
 // in round g iff a < limit and bit (a+g) mod 64 of the pattern word is
 // set, and the bit it sends is bit (a+g+32) mod 64. The top three bits of
 // the word shrink limit down to n/128, so inputs reach the sparse walker
-// as well as scatter and tree rounds. It declares its active set, and
-// receptions accumulate in packed counters so runs compare state, not
-// just Results.
+// as well as scatter and tree rounds. Receptions accumulate in packed
+// counters so runs compare state, not just Results.
 type patternChatter struct {
 	pattern uint64
 	limit   int
@@ -68,18 +67,6 @@ func (c *patternChatter) BulkDeliver(receivers []int32, bits []channel.Bit, roun
 }
 func (c *patternChatter) BulkAccumulate(int) bool    { return true }
 func (c *patternChatter) BulkAccumulators() []uint64 { return c.acc }
-
-// ActiveSenders implements SenderIndex: the senders of the round before
-// any crash filtering, counted without touching the BulkSenders lists.
-func (c *patternChatter) ActiveSenders(round int) int {
-	k := 0
-	for a := 0; a < c.limit; a++ {
-		if _, ok := c.Send(a, round); ok {
-			k++
-		}
-	}
-	return k
-}
 
 // plainProtocol exposes only the per-agent rules of the protocol it
 // wraps, the way the tests' plain chatters state them: behind

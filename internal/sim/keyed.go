@@ -28,8 +28,8 @@ package sim
 // A tree round is one code path (keyedTree: treeSplit, then keyedBucket
 // per bucket) with three bucket executors, and the round is counted under
 // the one that ran it: dense sweeps every bucket serially, sharded sweeps
-// them on the workers, and sparse — a protocol that declares a small
-// active set (SenderIndex, k·64 < n) — walks only the occupied buckets'
+// them on the workers, and sparse — a round whose sender lists are short
+// (k listed senders, k·64 < n) — walks only the occupied buckets'
 // touched slots, in O(k + messages) instead of Θ(n) (see sparse.go).
 //
 // Every protocol is collected and delivered in bulk: BulkSenders, then
@@ -145,13 +145,10 @@ type keyedState struct {
 	treeInbox []uint32
 	treeOpen  bool
 
-	// Sparse-regime state: the protocol's declared-active-set oracle
-	// (nil when the protocol maintains no index), and walkPlace's
-	// first-touch slot list — the walker's, and the sweep's tail bucket's
-	// (the one bucket that is not a power of two, so one worker per round
-	// uses it). See sparse.go.
-	senderIdx SenderIndex
-	walked    []int32
+	// walkPlace's first-touch slot list — the walker's, and the sweep's
+	// tail bucket's (the one bucket that is not a power of two, so one
+	// worker per round uses it). See sparse.go.
+	walked []int32
 }
 
 // keyedBucketOrder is a test hook: when non-nil, the serial tree execution
@@ -161,7 +158,7 @@ type keyedState struct {
 var keyedBucketOrder func(buckets int) []int
 
 // prepareKeyed decides the run's capabilities from the protocol's
-// accumulators and sender index, n and the configuration.
+// accumulators, n and the configuration.
 func (e *Engine) prepareKeyed(p Protocol) {
 	if e.keyed == nil {
 		e.keyed = &keyedState{}
@@ -176,11 +173,7 @@ func (e *Engine) prepareKeyed(p Protocol) {
 	k.dropThresh = channel.FlipThreshold53(e.cfg.DropProb)
 	k.accs = p.BulkAccumulators()
 	k.denseOK = e.cfg.AllowSelfMessages && uniform && k.accs != nil
-	k.senderIdx = nil
 	if k.denseOK {
-		// The sparse regime refines tree-eligible rounds only, so the
-		// index oracle is consulted exactly when the tree could run.
-		k.senderIdx, _ = p.(SenderIndex)
 		k.buckets = (e.cfg.N + denseWidth - 1) / denseWidth
 		if cap(k.kc0) < k.buckets {
 			k.kc0 = make([]int, k.buckets)
@@ -208,6 +201,7 @@ func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 	k := e.keyed
 
 	zeros, ones := p.BulkSenders(round)
+	listed := len(zeros) + len(ones)
 	if words := e.cfg.Failures.activeWords(round); words != nil {
 		// Crashed agents neither send nor count toward MessagesSent;
 		// protocols stay failure-agnostic, so the cached sender lists
@@ -226,7 +220,7 @@ func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 		e.quietAdvance()
 		reg = telemetry.RegimeQuiet
 	case k.denseOK && m >= denseMinMessages && p.BulkAccumulate(round):
-		reg = e.treeRegime(m, round)
+		reg = e.treeRegime(listed, m)
 		e.keyedTree(len(zeros), len(ones), round, reg)
 	default:
 		e.paths.PerMessage++
@@ -240,17 +234,15 @@ func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 }
 
 // treeRegime counts a tree round under the executor that runs it: sparse
-// when the protocol declares a small active set (SenderIndex, k·64 < n),
-// sharded when n ≥ shardMinN and the round carries at least
-// shardMinMessages messages, dense otherwise. The choice is a pure
-// function of (n, m, declared active set), so path counters agree
-// byte-for-byte across worker counts and collection mechanisms.
-func (e *Engine) treeRegime(m, round int) telemetry.Regime {
-	if idx := e.keyed.senderIdx; idx != nil {
-		if d := idx.ActiveSenders(round); d >= 0 && int64(d)*sparseRegimeCutover < int64(e.cfg.N) {
-			e.paths.Sparse++
-			return telemetry.RegimeSparse
-		}
+// when the round listed few senders (listed·64 < n, counted before the
+// crash filter), sharded when n ≥ shardMinN and the round carries at
+// least shardMinMessages live messages m, dense otherwise. The choice is
+// a pure function of (n, listed, m), so path counters agree byte-for-byte
+// across worker counts and collection mechanisms.
+func (e *Engine) treeRegime(listed, m int) telemetry.Regime {
+	if int64(listed)*sparseRegimeCutover < int64(e.cfg.N) {
+		e.paths.Sparse++
+		return telemetry.RegimeSparse
 	}
 	if e.cfg.N >= shardMinN && m >= shardMinMessages {
 		e.paths.Sharded++

@@ -121,32 +121,37 @@ func BenchmarkKeyedTreeRound(b *testing.B) {
 // and k·64 < n makes it sparse), without crashes and with 95% of the
 // agents crashed — the senders are drawn from the survivors, so most
 // arrivals land on crashed receivers and the walker's compaction drops
-// them. One op is one round.
+// them. The walker=off leg runs the same rounds on the serial sweep, so
+// the ratio of the two legs is the walker's saving. One op is one round.
 func BenchmarkKeyedSparseRound(b *testing.B) {
 	const n, k = 1 << 18, 2000
 	for _, crash := range []float64{0, 0.95} {
-		b.Run(fmt.Sprintf("crash=%g", crash), func(b *testing.B) {
-			cfg := Config{
-				N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-				AllowSelfMessages: true, MaxRounds: 1 << 30,
-			}
-			p := &sparseChatter{rounds: b.N, k: k}
-			if crash > 0 {
-				plan := NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
-				cfg.Failures = plan
-				p.avoid = plan
-			}
-			e, err := NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			res := e.Run(p)
-			b.StopTimer()
-			if res.Paths.Sparse != int64(b.N) {
-				b.Fatalf("%d of %d rounds sparse", res.Paths.Sparse, b.N)
-			}
-		})
+		for _, walker := range []string{"on", "off"} {
+			b.Run(fmt.Sprintf("crash=%g/walker=%s", crash, walker), func(b *testing.B) {
+				cfg := Config{
+					N: n, Channel: channel.NewBSC(0.2), Seed: 1,
+					AllowSelfMessages: true, MaxRounds: 1 << 30,
+				}
+				p := &sparseChatter{rounds: b.N, k: k}
+				if crash > 0 {
+					plan := NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
+					cfg.Failures = plan
+					p.avoid = plan
+				}
+				e, err := NewEngine(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keyedWalkerOff = walker == "off"
+				defer func() { keyedWalkerOff = false }()
+				b.ReportAllocs()
+				b.ResetTimer()
+				res := e.Run(p)
+				b.StopTimer()
+				if res.Paths.Sparse != int64(b.N) {
+					b.Fatalf("%d of %d rounds sparse", res.Paths.Sparse, b.N)
+				}
+			})
+		}
 	}
 }

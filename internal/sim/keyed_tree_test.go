@@ -226,13 +226,6 @@ func (s shortAccs) BulkAccumulators() []uint64 {
 	return acc[: len(acc)-1 : len(acc)-1]
 }
 
-// shortIndexed is shortAccs for a protocol that declares its active set,
-// so its rounds stay in the sparse regime.
-type shortIndexed struct {
-	shortAccs
-	SenderIndex
-}
-
 // TestKeyedTreeResetAfterUnwind pins Reset's contract for a pooled
 // engine whose last run unwound mid-round with arrivals in the tree
 // inbox — once in the serial tree, once in the walker, each in its last
@@ -244,12 +237,9 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		proto func() Protocol
-		short func(Protocol) Protocol
 	}{
-		{"tree", func() Protocol { return &bulkChatter{rounds: 5} },
-			func(p Protocol) Protocol { return shortAccs{p} }},
-		{"walker", func() Protocol { return &sparseChatter{rounds: 5, k: 2000} },
-			func(p Protocol) Protocol { return shortIndexed{shortAccs{p}, p.(SenderIndex)} }},
+		{"tree", func() Protocol { return &bulkChatter{rounds: 5} }},
+		{"walker", func() Protocol { return &sparseChatter{rounds: 5, k: 2000} }},
 	} {
 		cfg := Config{
 			N: n, Channel: channel.FromEpsilon(0.3), Seed: 5, Shards: 1,
@@ -283,7 +273,7 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 					t.Fatalf("%s: the short accumulators did not unwind the run", c.name)
 				}
 			}()
-			e.Run(c.short(c.proto()))
+			e.Run(shortAccs{c.proto()})
 		}()
 		if !e.keyed.treeOpen || treeInboxClean(e) < 0 {
 			t.Fatalf("%s: the run unwound outside a tree round with arrivals", c.name)

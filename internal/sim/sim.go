@@ -228,9 +228,9 @@ type PathRounds struct {
 	// Sharded counts tree rounds large enough (n ≥ shardMinN and at least
 	// shardMinMessages messages) to sweep their buckets in parallel.
 	Sharded int64 `json:"sharded,omitempty"`
-	// Sparse counts tree-eligible rounds whose protocol declared a small
-	// active set (SenderIndex with k·64 < n); the sparse walker executes
-	// them. Like every other counter it depends on neither Shards nor on
+	// Sparse counts tree-eligible rounds whose sender lists are short
+	// (k listed senders, before the crash filter, with k·64 < n); the
+	// sparse walker executes them. Like every other counter it depends on neither Shards nor on
 	// whether the senders were collected in bulk or through Send
 	// (simtest.PerAgent).
 	Sparse int64 `json:"sparse,omitempty"`

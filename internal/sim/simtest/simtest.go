@@ -3,10 +3,11 @@
 // PerAgent wraps a protocol so that the engine's bulk collection runs on
 // the per-agent rules: BulkSenders becomes a Send scan over every agent
 // and BulkDeliver one Receive per message. The engine's keyed draws
-// depend only on the sender multiset, so a wrapped run must match the
-// unwrapped one byte for byte; tests compare the two to check every
-// protocol's bulk answers against its own Send and Receive. It also runs
-// a protocol that has only the per-agent rules, such as a test chatter.
+// depend only on the sender multiset, and its sparse regime only on the
+// lists' total length, so a wrapped run must match the unwrapped one byte
+// for byte; tests compare the two to check every protocol's bulk answers
+// against its own Send and Receive. It also runs a protocol that has only
+// the per-agent rules, such as a test chatter.
 //
 // The package imports nothing from internal/sim, so sim's in-package
 // tests can use it too. The interfaces below restate the engine's method
@@ -37,20 +38,14 @@ type bulkProtocol interface {
 	BulkAccumulators() []uint64
 }
 
-// senderIndex is sim.SenderIndex.
-type senderIndex interface {
-	ActiveSenders(round int) int
-}
-
 // quietSpanner is sim.QuietSpanner.
 type quietSpanner interface {
 	NextActive(g int) int
 }
 
-// Adapter is the protocol PerAgent returns. It implements sim.Protocol,
-// sim.SenderIndex and sim.QuietSpanner whatever the wrapped protocol
-// implements; the capabilities the wrapped protocol lacks answer as if
-// absent.
+// Adapter is the protocol PerAgent returns. It implements sim.Protocol
+// and sim.QuietSpanner whatever the wrapped protocol implements; the
+// capabilities the wrapped protocol lacks answer as if absent.
 type Adapter struct {
 	Protocol
 	bulk        bulkProtocol
@@ -60,9 +55,10 @@ type Adapter struct {
 
 // PerAgent wraps p so that the engine collects it through a Send scan and
 // delivers scatter receptions through Receive, while the regime choice —
-// BulkAccumulate, the accumulators, the declared active set and the
-// quiet-span oracle — still comes from p. A p without the bulk methods
-// never accumulates, so every speaking round is a scatter round.
+// BulkAccumulate, the accumulators and the quiet-span oracle — still
+// comes from p; the sparse regime reads the lengths of the scanned lists,
+// which equal p's own. A p without the bulk methods never accumulates, so
+// every speaking round is a scatter round.
 func PerAgent(p Protocol) *Adapter {
 	b, _ := p.(bulkProtocol)
 	return &Adapter{Protocol: p, bulk: b}
@@ -111,15 +107,6 @@ func (a *Adapter) BulkAccumulators() []uint64 {
 		return nil
 	}
 	return a.bulk.BulkAccumulators()
-}
-
-// ActiveSenders forwards to the wrapped protocol's sender index, and
-// returns −1, which the engine reads as no index, when it has none.
-func (a *Adapter) ActiveSenders(round int) int {
-	if si, ok := a.Protocol.(senderIndex); ok {
-		return si.ActiveSenders(round)
-	}
-	return -1
 }
 
 // NextActive forwards to the wrapped protocol's quiet-span oracle, and

@@ -5,12 +5,11 @@ package sim
 // A swept tree round costs Θ(n) regardless of how many messages fly —
 // every slot of every bucket is resolved. That floor is invisible at full
 // blast and dominant in sparse-activity rounds: early rumor spreading,
-// phase tails, crash-thinned populations. When a protocol declares its
-// active-set size up front (SenderIndex) and the declared k is small
-// against n, keyedTree runs the same round — the same drop thinning and
-// split chain (treeSplit), the same bucket frame (keyedBucket) — but
-// hands the buckets to the walker, which touches only what the round
-// actually uses:
+// phase tails, crash-thinned populations. When the round's sender lists
+// are short against n (k listed senders, k·64 < n), keyedTree runs the
+// same round — the same drop thinning and split chain (treeSplit), the
+// same bucket frame (keyedBucket) — but hands the buckets to the walker,
+// which touches only what the round actually uses:
 //
 //   - it enters only the occupied buckets among those the split chain
 //     reached (the chain stops at the last assigned message);
@@ -29,24 +28,14 @@ package sim
 // resolve and crashed ones as it compacts them out.
 //
 // Like the dense/sharded split, the choice (PathRounds.Sparse) is a
-// fixed pure function of (declared k, n, message count, protocol
-// answers) — never of Config.Shards or how the senders were
+// fixed pure function of (k, n, message count, protocol answers), where
+// k is the total length of the round's BulkSenders lists before the
+// crash filter — never of Config.Shards or how the senders were
 // collected — so path counters agree byte-for-byte across every
 // execution choice.
 
-// SenderIndex is an optional Protocol capability: the protocol
-// maintains its active set incrementally and can report its size in O(1)
-// (or O(active classes)) instead of being scanned. ActiveSenders(round)
-// must equal the total length of the BulkSenders(round) lists — the
-// declared sender set before any crash filtering. The engine uses the
-// declared size only to pick the round's sampling regime; it never
-// replaces the sender lists themselves.
-type SenderIndex interface {
-	ActiveSenders(round int) int
-}
-
 // sparseRegimeCutover is the fixed k-vs-n ratio of the sparse regime: a
-// tree-eligible round is sparse when the declared active set satisfies
+// tree-eligible round is sparse when its k listed senders satisfy
 // k·64 < n, i.e. under one sender per 64 agents the sweep visits ≥ 64
 // slots per live message and the walker wins by a wide margin.
 const sparseRegimeCutover = 64

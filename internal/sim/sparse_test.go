@@ -11,7 +11,7 @@ import (
 
 // sparseChatter is a sparse-activity engine-test protocol: of n agents
 // only the first k ever send (their parity bit, every round), so the
-// declared sender set is k ≪ n and keyed dense rounds qualify for the
+// sender lists hold k ≪ n agents and keyed dense rounds qualify for the
 // sparse walker. Reception accumulates into the packed counters, making
 // the full inbox state — not just the Result — comparable across
 // executors.
@@ -78,10 +78,6 @@ func (c *sparseChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round
 func (c *sparseChatter) BulkAccumulate(int) bool    { return true }
 func (c *sparseChatter) BulkAccumulators() []uint64 { return c.acc }
 
-// ActiveSenders implements SenderIndex: the declared set is the k
-// senders, every round, before any crash filtering.
-func (c *sparseChatter) ActiveSenders(round int) int { return c.k }
-
 // sparseCfg is the shared scenario: k·64 < n with m ≥ denseMinMessages,
 // so keyed dense rounds are sparse and the walker executes them.
 func sparseCfg() Config {
@@ -139,7 +135,7 @@ func runPerAgentTreeOnly(t *testing.T, cfg Config) (Result, *sparseChatter) {
 // TestSparseWalkerByteIdentity is the engine-level acceptance pin: the
 // sparse walker, the dense tree (walker off), per-agent collection and
 // every shard count produce identical Results — including the Paths
-// accounting, which is a pure function of (declared k, n) — and
+// accounting, which is a pure function of (listed k, n) — and
 // identical packed inbox state.
 func TestSparseWalkerByteIdentity(t *testing.T) {
 	ref, refP := runSparse(t, sparseCfg())
@@ -177,7 +173,7 @@ func TestSparseWalkerByteIdentity(t *testing.T) {
 }
 
 // TestSparseWalkerCrashByteIdentity repeats the identity pin with a keyed
-// crash plan thinning the declared set mid-run: the walker's per-slot
+// crash plan thinning the listed senders mid-run: the walker's per-slot
 // crash masking must match the dense tree's occupied-slot scan exactly.
 func TestSparseWalkerCrashByteIdentity(t *testing.T) {
 	base := sparseCfg()
@@ -238,7 +234,7 @@ func TestSparseWithFixedCrashPlan(t *testing.T) {
 }
 
 // TestSparseRegimeBoundary pins the fixed predicate at its exact
-// boundary: declared·64 < n is sparse, declared·64 == n is not.
+// boundary: k listed senders with k·64 < n is sparse, k·64 == n is not.
 func TestSparseRegimeBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		n, k   int
