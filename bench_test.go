@@ -85,9 +85,9 @@ func BenchmarkE10LowerBound(b *testing.B) { benchExperiment(b, "E10") }
 // BenchmarkE11Memory regenerates E11 (§1.5): per-agent memory bits.
 func BenchmarkE11Memory(b *testing.B) { benchExperiment(b, "E11") }
 
-// BenchmarkE12Heterogeneous regenerates E12 (§1.3.2): heterogeneous
-// noise robustness.
-func BenchmarkE12Heterogeneous(b *testing.B) { benchExperiment(b, "E12") }
+// BenchmarkE12NoiseBelowMax regenerates E12 (§1.3.2): robustness to
+// flip probabilities below 1/2 − ε.
+func BenchmarkE12NoiseBelowMax(b *testing.B) { benchExperiment(b, "E12") }
 
 // BenchmarkE13NoBreatheAblation regenerates E13 (§1.6): removing the
 // breathing rule produces wrong consensus with non-negligible

@@ -106,20 +106,14 @@ func (c Config) params() (core.Params, error) {
 	return core.ParamsFor(c.N, c.Epsilon, core.DefaultConstants)
 }
 
-func (c Config) channel() (channel.Channel, error) {
+func (c Config) channel() (*channel.BSC, error) {
 	maxFlip := 0.5 - c.Epsilon
-	if c.FlipProb == nil {
-		if maxFlip == 0 {
-			return channel.Noiseless{}, nil
+	p := maxFlip
+	if c.FlipProb != nil {
+		p = *c.FlipProb
+		if !(0 <= p && p <= maxFlip) {
+			return nil, fmt.Errorf("breathe: FlipProb %v outside [0, 1/2−ε] = [0, %v]", p, maxFlip)
 		}
-		return channel.NewBSC(maxFlip), nil
-	}
-	p := *c.FlipProb
-	if !(0 <= p && p <= maxFlip) {
-		return nil, fmt.Errorf("breathe: FlipProb %v outside [0, 1/2−ε] = [0, %v]", p, maxFlip)
-	}
-	if p == 0 {
-		return channel.Noiseless{}, nil
 	}
 	return channel.NewBSC(p), nil
 }

@@ -1,17 +1,14 @@
-// Package analysis implements the paper's proof machinery in closed or
-// numeric form: the Stage I growth/bias recursions (§2.1.1), the Stirling
-// estimate of Claim 2.12, the case analysis of Lemma 2.11, and round- and
-// message-complexity predictions. The experiment suite and tests compare
-// these predictions against simulation — reproducing not only the
-// theorems' statements but the intermediate quantities their proofs track.
+// Package analysis predicts a broadcast run from its parameters alone:
+// the Stage I growth/bias recursions (§2.1.1) and the round and message
+// complexity built on them. The activations are checked against
+// simulation per Stage I phase (analysis_test.go), and the rounds and
+// message count against a whole run (the root integration test).
 package analysis
 
 import (
-	"fmt"
 	"math"
 
 	"breathe/internal/core"
-	"breathe/internal/stats"
 )
 
 // PhasePrediction is the expected state after one Stage I phase.
@@ -98,99 +95,6 @@ func expectedActivations(senders, rounds, alreadyActive, n float64) float64 {
 	return newly
 }
 
-// BiasAfterStageI returns the recursion's bias when all agents are
-// activated: ε^{T+2}/2 scaled as the paper's Ω(√(log n/n)) — the
-// recursion value, for comparison against telemetry.
-func BiasAfterStageI(p core.Params) float64 {
-	preds := PredictStageI(p)
-	return preds[len(preds)-1].ExpectedBias
-}
-
-// --- Claim 2.12: the Stirling bound ---
-
-// CentralBinomialProb returns P(r+i) = 2^{−(2r+1)}·C(2r+1, r+i): the
-// probability that exactly r+i of 2r+1 fair coins come up "wrong"
-// (first step of the imaginary process).
-func CentralBinomialProb(r, i int) float64 {
-	if r < 0 || i < -r-1 || i > r+1 {
-		panic(fmt.Sprintf("analysis: CentralBinomialProb(%d, %d) out of range", r, i))
-	}
-	return stats.BinomialPMF(2*r+1, r+i, 0.5)
-}
-
-// Claim212Bound is the paper's lower bound 1/(10·√r) on P(r+i) for
-// 1 ≤ i ≤ √r.
-func Claim212Bound(r int) float64 {
-	if r < 1 {
-		panic("analysis: Claim212Bound needs r >= 1")
-	}
-	return 1 / (10 * math.Sqrt(float64(r)))
-}
-
-// Claim212Holds checks P(r+i) > 1/(10√r) for all 1 ≤ i ≤ √r.
-func Claim212Holds(r int) bool {
-	bound := Claim212Bound(r)
-	for i := 1; float64(i) <= math.Sqrt(float64(r)); i++ {
-		if CentralBinomialProb(r, i) <= bound {
-			return false
-		}
-	}
-	return true
-}
-
-// --- Lemma 2.11: the three-regime case analysis ---
-
-// Lemma211Regime labels which branch of the Lemma 2.11 proof applies.
-type Lemma211Regime int
-
-const (
-	// RegimeSmall is δ ≤ ε/2²⁰ (single corrective flip dominates).
-	RegimeSmall Lemma211Regime = iota + 1
-	// RegimeMedium is ε/2²⁰ < δ < 1/2¹² (⌈rb⌉ flips).
-	RegimeMedium
-	// RegimeLarge is δ ≥ 1/2¹² (constant advantage).
-	RegimeLarge
-)
-
-// ClassifyDelta returns the proof regime for bias delta at noise eps.
-func ClassifyDelta(delta, eps float64) Lemma211Regime {
-	switch {
-	case delta <= eps/(1<<20):
-		return RegimeSmall
-	case delta < 1.0/(1<<12):
-		return RegimeMedium
-	default:
-		return RegimeLarge
-	}
-}
-
-// MajorityGain returns the exact excess probability (over 1/2) that the
-// majority of gamma noisy samples from a population with bias delta is
-// correct, at channel parameter eps.
-func MajorityGain(gamma int, delta, eps float64) float64 {
-	q := stats.SampleCorrectProb(delta, eps)
-	return stats.MajoritySuccessProb(gamma, q) - 0.5
-}
-
-// SmallDeltaGainApprox approximates the gain for small delta by the
-// normal-approximation slope: the majority of γ samples with per-sample
-// edge b = 2εδ gains ≈ b·√(2γ/π). Used to sanity-check the exact values
-// and to size Stage II (the amplification factor is the gain divided by
-// delta).
-func SmallDeltaGainApprox(gamma int, delta, eps float64) float64 {
-	b := 2 * eps * delta
-	return b * math.Sqrt(2*float64(gamma)/math.Pi)
-}
-
-// AmplificationFactor returns gain/delta: how much one Stage II phase
-// multiplies a small bias, exactly.
-func AmplificationFactor(gamma int, delta, eps float64) float64 {
-	if delta <= 0 {
-		panic("analysis: AmplificationFactor needs positive delta")
-	}
-	return MajorityGain(gamma, delta, eps) / delta
-}
-
 // --- complexity predictions (Theorem 2.17 / 3.1) ---
 
 // Complexity summarizes predicted costs for a parameter set.
@@ -228,11 +132,4 @@ func PredictComplexity(p core.Params) Complexity {
 		MessageEstimate:   msgs,
 		AsyncRounds:       rounds + (phases-1)*d,
 	}
-}
-
-// OptimalRoundOrder returns the Θ(log n/ε²) reference value log₂(n)/ε²
-// that both the lower bound (§1.4) and the protocol share; useful for
-// normalized comparisons across (n, ε).
-func OptimalRoundOrder(n int, eps float64) float64 {
-	return math.Log2(float64(n)) / (eps * eps)
 }

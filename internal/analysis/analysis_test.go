@@ -7,7 +7,6 @@ import (
 	"breathe/internal/channel"
 	"breathe/internal/core"
 	"breathe/internal/sim"
-	"breathe/internal/stats"
 )
 
 func TestPredictStageIStructure(t *testing.T) {
@@ -89,119 +88,6 @@ func TestPredictionMatchesSimulation(t *testing.T) {
 	}
 }
 
-func TestCentralBinomialProb(t *testing.T) {
-	// r = 1: 3 coins, P(2 wrong) = 3/8.
-	if got := CentralBinomialProb(1, 1); math.Abs(got-0.375) > 1e-12 {
-		t.Errorf("P(r+1) for r=1: %v, want 0.375", got)
-	}
-	// Symmetry: P(r+1+i) across i decreasing.
-	prev := math.Inf(1)
-	for i := 1; i <= 5; i++ {
-		cur := CentralBinomialProb(30, i)
-		if cur >= prev {
-			t.Errorf("P(r+i) not decreasing at i=%d", i)
-		}
-		prev = cur
-	}
-}
-
-func TestCentralBinomialProbPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out of range did not panic")
-		}
-	}()
-	CentralBinomialProb(5, 8)
-}
-
-// TestClaim212 numerically verifies the Stirling bound of Claim 2.12 over
-// a wide range of r.
-func TestClaim212(t *testing.T) {
-	for _, r := range []int{1, 4, 16, 64, 256, 1024, 4096, 1 << 14} {
-		if !Claim212Holds(r) {
-			t.Errorf("Claim 2.12 fails at r = %d", r)
-		}
-	}
-}
-
-func TestClaim212BoundPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("r=0 did not panic")
-		}
-	}()
-	Claim212Bound(0)
-}
-
-func TestClassifyDelta(t *testing.T) {
-	eps := 0.3
-	if got := ClassifyDelta(eps/(1<<22), eps); got != RegimeSmall {
-		t.Errorf("tiny delta classified %v", got)
-	}
-	if got := ClassifyDelta(0.0001, eps); got != RegimeMedium {
-		t.Errorf("medium delta classified %v", got)
-	}
-	if got := ClassifyDelta(0.01, eps); got != RegimeLarge {
-		t.Errorf("large delta classified %v", got)
-	}
-}
-
-// TestLemma211AcrossRegimes verifies min(1/2+4δ, 51/100) against the
-// exact majority probability in each proof regime, with the paper's
-// γ = 2r+1, r ≥ 1/ε² structure.
-func TestLemma211AcrossRegimes(t *testing.T) {
-	eps := 0.25
-	r := int(math.Ceil(32 / (eps * eps)))
-	gamma := 2*r + 1
-	for _, delta := range []float64{eps / (1 << 21), 1e-4, 5e-4, 0.01, 0.1, 0.4} {
-		gain := MajorityGain(gamma, delta, eps)
-		bound := stats.Lemma211Bound(delta) - 0.5
-		if gain < bound-1e-9 {
-			t.Errorf("delta=%v (%v): gain %v below bound %v",
-				delta, ClassifyDelta(delta, eps), gain, bound)
-		}
-	}
-}
-
-func TestSmallDeltaGainApprox(t *testing.T) {
-	// For small delta the normal approximation should be within a factor
-	// of 2 of the exact gain.
-	eps := 0.3
-	gamma := 2*int(math.Ceil(8/(eps*eps))) + 1
-	for _, delta := range []float64{1e-4, 1e-3} {
-		exact := MajorityGain(gamma, delta, eps)
-		approx := SmallDeltaGainApprox(gamma, delta, eps)
-		if exact <= 0 || approx <= 0 {
-			t.Fatalf("nonpositive gains: exact %v approx %v", exact, approx)
-		}
-		ratio := approx / exact
-		if ratio < 0.5 || ratio > 2 {
-			t.Errorf("delta=%v: approx/exact = %v", delta, ratio)
-		}
-	}
-}
-
-func TestAmplificationFactor(t *testing.T) {
-	// With the default Stage II sizing the amplification of small biases
-	// must exceed the paper's 1.7 so Lemma 2.14's conclusion holds.
-	for _, eps := range []float64{0.2, 0.3, 0.45} {
-		p := core.DefaultParams(16384, eps)
-		amp := AmplificationFactor(p.Gamma, 0.01, eps)
-		if amp < 1.7 {
-			t.Errorf("eps=%v: amplification %v < 1.7 — Stage II would stall", eps, amp)
-		}
-	}
-}
-
-func TestAmplificationFactorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("delta=0 did not panic")
-		}
-	}()
-	AmplificationFactor(11, 0, 0.3)
-}
-
 func TestPredictComplexity(t *testing.T) {
 	p := core.DefaultParams(4096, 0.3)
 	c := PredictComplexity(p)
@@ -237,14 +123,5 @@ func TestMessageEstimateMatchesSimulation(t *testing.T) {
 	got := float64(res.MessagesSent)
 	if math.Abs(got-pred.MessageEstimate) > 0.1*pred.MessageEstimate {
 		t.Errorf("measured %v vs estimated %v messages", got, pred.MessageEstimate)
-	}
-}
-
-func TestOptimalRoundOrder(t *testing.T) {
-	if got := OptimalRoundOrder(1024, 0.5); math.Abs(got-40) > 1e-9 {
-		t.Errorf("OptimalRoundOrder(1024, .5) = %v, want 40", got)
-	}
-	if OptimalRoundOrder(1<<20, 0.1) <= OptimalRoundOrder(1<<10, 0.1) {
-		t.Error("order should grow with n")
 	}
 }

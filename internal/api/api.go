@@ -307,16 +307,12 @@ func (r RunRequest) Build() (*Run, error) {
 		}
 	}
 
-	// Every ε — including the noiseless boundary ε = 0.5 — runs the honest
-	// worst-case channel FromEpsilon(ε), a BSC with flip probability
-	// 1/2 − ε. A BSC at flip probability 0 transmits and draws exactly
-	// like channel.Noiseless (pinned by TestEpsHalfIsNoiselessBitForBit),
-	// so dropping the old Noiseless special case changes no result bit
-	// while keeping channel telemetry and labels truthful.
-	ch := channel.Channel(channel.FromEpsilon(r.Eps))
+	// Every ε — including the noiseless boundary ε = 0.5, a BSC with flip
+	// probability 0 — runs the worst-case channel FromEpsilon(ε), a BSC
+	// with flip probability 1/2 − ε.
 	cfg := sim.Config{
 		N:                 r.N,
-		Channel:           ch,
+		Channel:           channel.FromEpsilon(r.Eps),
 		Seed:              r.Seed,
 		MaxRounds:         r.MaxRounds,
 		AllowSelfMessages: !r.NoSelfMessages,

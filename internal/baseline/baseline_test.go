@@ -16,7 +16,7 @@ func TestImmediateForwardNoiselessSpreads(t *testing.T) {
 	// everyone learns the true opinion in O(log n) rounds.
 	const n = 1024
 	p := &ImmediateForward{Target: channel.One, Rounds: 200}
-	res, err := sim.Run(sim.Config{N: n, Channel: channel.Noiseless{}, Seed: 1}, p)
+	res, err := sim.Run(sim.Config{N: n, Channel: channel.NewBSC(0), Seed: 1}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSilentWaitBirthdayScaling(t *testing.T) {
 		var rounds []float64
 		for seed := uint64(0); seed < 9; seed++ {
 			p := &SilentWait{Target: channel.One, Needed: 2, Rounds: 100000}
-			_, err := sim.Run(sim.Config{N: n, Channel: channel.Noiseless{}, Seed: seed}, p)
+			_, err := sim.Run(sim.Config{N: n, Channel: channel.NewBSC(0), Seed: seed}, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,12 +111,12 @@ func TestSilentWaitNeededValidation(t *testing.T) {
 		}
 	}()
 	p := &SilentWait{Target: channel.One, Needed: 0, Rounds: 10}
-	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.Noiseless{}, Seed: 1}, p)
+	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.NewBSC(0), Seed: 1}, p)
 }
 
 func TestSilentWaitStopsAtCap(t *testing.T) {
 	p := &SilentWait{Target: channel.One, Needed: 1000, Rounds: 50}
-	res, err := sim.Run(sim.Config{N: 64, Channel: channel.Noiseless{}, Seed: 2}, p)
+	res, err := sim.Run(sim.Config{N: 64, Channel: channel.NewBSC(0), Seed: 2}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNoisyVoterValidation(t *testing.T) {
 		}
 	}()
 	p := &NoisyVoter{Target: channel.One, InitialCorrect: 11, Rounds: 5}
-	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.Noiseless{}, Seed: 1}, p)
+	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.NewBSC(0), Seed: 1}, p)
 }
 
 func TestTwoChoiceMajorityNoiselessConverges(t *testing.T) {
@@ -179,7 +179,7 @@ func TestTwoChoiceMajorityNoiselessConverges(t *testing.T) {
 	// two-choice rule reaches consensus in O(log n) rounds.
 	const n = 1024
 	p := &TwoChoiceMajority{Target: channel.One, InitialCorrect: n * 2 / 3, Rounds: 400}
-	res, err := sim.Run(sim.Config{N: n, Channel: channel.Noiseless{}, Seed: 11}, p)
+	res, err := sim.Run(sim.Config{N: n, Channel: channel.NewBSC(0), Seed: 11}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTwoChoiceValidation(t *testing.T) {
 		}
 	}()
 	p := &TwoChoiceMajority{Target: channel.One, InitialCorrect: -1, Rounds: 5}
-	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.Noiseless{}, Seed: 1}, p)
+	_, _ = sim.Run(sim.Config{N: 10, Channel: channel.NewBSC(0), Seed: 1}, p)
 }
 
 // --- direct source ---

@@ -44,7 +44,7 @@ func TestByID(t *testing.T) {
 // end-to-end reproduction test.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick experiment suite still takes tens of seconds")
+		t.Skip("the quick experiment suite takes seconds; CI runs it as a step of its own")
 	}
 	for _, e := range All() {
 		e := e

@@ -2,7 +2,6 @@ package channel
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,9 +48,6 @@ func TestFromEpsilonValidation(t *testing.T) {
 	if math.Abs(c.FlipProb()-0.3) > 1e-15 {
 		t.Errorf("FromEpsilon(0.2).FlipProb() = %v, want 0.3", c.FlipProb())
 	}
-	if math.Abs(c.Epsilon()-0.2) > 1e-15 {
-		t.Errorf("Epsilon() = %v, want 0.2", c.Epsilon())
-	}
 	if c2 := FromEpsilon(0.5); c2.FlipProb() != 0 {
 		t.Errorf("FromEpsilon(0.5) should be noiseless, got p=%v", c2.FlipProb())
 	}
@@ -95,100 +91,63 @@ func TestBSCSymmetric(t *testing.T) {
 	}
 }
 
+// TestNoiseless: the noiseless control is the BSC at flip probability 0.
 func TestNoiseless(t *testing.T) {
-	var c Noiseless
+	c := NewBSC(0)
 	r := rng.New(3)
 	for i := 0; i < 1000; i++ {
 		if c.Transmit(One, r) != One || c.Transmit(Zero, r) != Zero {
-			t.Fatal("Noiseless corrupted a bit")
+			t.Fatal("BSC(0) corrupted a bit")
 		}
 	}
 	if c.FlipProb() != 0 {
-		t.Fatal("Noiseless FlipProb != 0")
+		t.Fatal("BSC(0) FlipProb != 0")
 	}
 }
 
-func TestHeterogeneousValidation(t *testing.T) {
-	for _, c := range []struct{ lo, hi float64 }{{-0.1, 0.2}, {0.3, 0.2}, {0.1, 0.5}, {math.NaN(), 0.2}, {0.1, math.NaN()}, {math.Inf(-1), 0.2}, {0.1, math.Inf(1)}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHeterogeneous(%v, %v) did not panic", c.lo, c.hi)
-				}
-			}()
-			NewHeterogeneous(c.lo, c.hi)
-		}()
-	}
-}
-
-func TestHeterogeneousMeanRate(t *testing.T) {
-	c := NewHeterogeneous(0.1, 0.3)
+// TestMixedFlipProbIsBSCInLaw: heterogeneous noise — each message
+// flipped with its own probability, drawn uniformly from [lo, hi] — flips
+// at the mean (lo+hi)/2, and flips of distinct messages are independent,
+// so it is in law the BSC at (lo+hi)/2. That equivalence is why the
+// model's "at most 1/2 − ε" needs no channel besides BSC.
+func TestMixedFlipProbIsBSCInLaw(t *testing.T) {
+	const lo, hi = 0.1, 0.3
 	r := rng.New(4)
+	bsc := NewBSC((lo + hi) / 2)
+	rb := rng.New(5)
 	const draws = 200000
-	flips := 0
+	flips, bscFlips := 0, 0
 	for i := 0; i < draws; i++ {
-		if c.Transmit(Zero, r) != Zero {
+		if r.Bernoulli(lo + (hi-lo)*r.Float64()) {
 			flips++
 		}
+		if bsc.Transmit(Zero, rb) != Zero {
+			bscFlips++
+		}
 	}
-	got := float64(flips) / draws
-	if math.Abs(got-0.2) > 0.01 {
+	// Both counts are Binomial(draws, 0.2): sd ≈ 179 each, ≈ 253 for
+	// their difference, so 1500 is about 6 sd.
+	if got := float64(flips) / draws; math.Abs(got-0.2) > 0.01 {
 		t.Fatalf("heterogeneous mean flip rate = %v, want about 0.2", got)
 	}
-	if c.FlipProb() != 0.3 {
-		t.Fatalf("FlipProb = %v, want upper bound 0.3", c.FlipProb())
-	}
-}
-
-func TestCountingAccounting(t *testing.T) {
-	c := NewCounting(NewBSC(0.25))
-	r := rng.New(5)
-	const draws = 100000
-	flips := int64(0)
-	for i := 0; i < draws; i++ {
-		if c.Transmit(One, r) != One {
-			flips++
-		}
-	}
-	if c.Transmitted() != draws {
-		t.Fatalf("Transmitted = %d, want %d", c.Transmitted(), draws)
-	}
-	if c.Flipped() != flips {
-		t.Fatalf("Flipped = %d, observed %d", c.Flipped(), flips)
-	}
-	got := c.ObservedFlipRate()
-	if math.Abs(got-0.25) > 0.01 {
-		t.Fatalf("ObservedFlipRate = %v", got)
-	}
-}
-
-func TestCountingEmptyRate(t *testing.T) {
-	c := NewCounting(Noiseless{})
-	if c.ObservedFlipRate() != 0 {
-		t.Fatal("empty counting channel should report rate 0")
+	if d := flips - bscFlips; d > 1500 || d < -1500 {
+		t.Fatalf("heterogeneous flips %d, BSC(0.2) flips %d", flips, bscFlips)
 	}
 }
 
 func TestNames(t *testing.T) {
-	if !strings.HasPrefix(NewBSC(0.25).Name(), "bsc") {
-		t.Error("BSC name")
+	if got := NewBSC(0.25).Name(); got != "bsc(p=0.25)" {
+		t.Errorf("BSC name %q", got)
 	}
-	if (Noiseless{}).Name() != "noiseless" {
-		t.Error("noiseless name")
-	}
-	if !strings.HasPrefix(NewHeterogeneous(0, 0.1).Name(), "heterogeneous") {
-		t.Error("heterogeneous name")
-	}
-	if !strings.Contains(NewCounting(Noiseless{}).Name(), "noiseless") {
-		t.Error("counting name should mention inner channel")
+	if got := FromEpsilon(0.5).Name(); got != "bsc(p=0)" {
+		t.Errorf("noiseless BSC name %q", got)
 	}
 }
 
-// Property: for any channel the output is always a valid bit, and the
-// noiseless channel is the identity.
+// Property: at any flip probability the output is always a valid bit.
 func TestQuickTransmitValidBit(t *testing.T) {
 	r := rng.New(6)
-	chans := []Channel{NewBSC(0.49), NewBSC(0), NewHeterogeneous(0, 0.49), Noiseless{}, NewCounting(NewBSC(0.3))}
+	chans := []*BSC{NewBSC(0.49), NewBSC(0.3), NewBSC(0)}
 	f := func(raw uint8) bool {
 		b := Bit(raw & 1)
 		for _, c := range chans {
@@ -223,21 +182,6 @@ func TestBSCTransmitMatchesFlipThreshold53(t *testing.T) {
 				t.Fatalf("p=%v bit %d: Transmit %v, threshold form %v", p, i, got, want)
 			}
 		}
-	}
-}
-
-func TestUniformNoiseCapability(t *testing.T) {
-	if p := interface{}(NewBSC(0.17)).(UniformNoise).UniformFlipProb(); p != 0.17 {
-		t.Fatalf("BSC uniform flip prob %v", p)
-	}
-	if p := interface{}(Noiseless{}).(UniformNoise).UniformFlipProb(); p != 0 {
-		t.Fatalf("noiseless uniform flip prob %v", p)
-	}
-	if _, ok := interface{}(NewHeterogeneous(0, 0.4)).(UniformNoise); ok {
-		t.Fatal("heterogeneous must not claim uniform noise")
-	}
-	if _, ok := interface{}(NewCounting(NewBSC(0.1))).(UniformNoise); ok {
-		t.Fatal("counting must not claim uniform noise (it would bypass its accounting)")
 	}
 }
 

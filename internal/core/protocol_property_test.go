@@ -94,11 +94,7 @@ func TestQuickRunInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ch := channel.Channel(channel.Noiseless{})
-		if eps < 0.5 {
-			ch = channel.FromEpsilon(eps)
-		}
-		res, err := sim.Run(sim.Config{N: n, Channel: ch, Seed: uint64(seed)}, p)
+		res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
 		if err != nil {
 			return false
 		}

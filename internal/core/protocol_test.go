@@ -365,26 +365,6 @@ func TestBroadcastWithMessageDrops(t *testing.T) {
 	}
 }
 
-func TestBroadcastHeterogeneousNoise(t *testing.T) {
-	// The model only promises flip probability ≤ 1/2 − ε; a channel that
-	// is sometimes quieter can only help.
-	const n = 1024
-	eps := 0.3
-	p, err := NewBroadcast(DefaultParams(n, eps), channel.One)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sim.Config{
-		N: n, Channel: channel.NewHeterogeneous(0, 0.5-eps), Seed: 31,
-	}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllCorrect(channel.One) {
-		t.Fatalf("heterogeneous noise broke broadcast: %+v", res)
-	}
-}
-
 func TestBroadcastNoiseless(t *testing.T) {
 	// ε = 1/2 (no noise) is the classical push-rumor-spreading regime.
 	const n = 512
@@ -392,7 +372,7 @@ func TestBroadcastNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{N: n, Channel: channel.Noiseless{}, Seed: 1}, p)
+	res, err := sim.Run(sim.Config{N: n, Channel: channel.NewBSC(0), Seed: 1}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

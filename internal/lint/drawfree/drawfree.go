@@ -5,12 +5,12 @@
 // touches no stream": a cache hit serves stored bytes without waking a
 // kernel, the cancel poll at the round barrier leaves every stream
 // untouched so a canceled prefix is bit-identical to an uncanceled
-// run's, a quiet round advances no generator, and a BSC at p = 0 is
-// Noiseless draw for draw. Each was once enforced by one test and a
-// comment. A function carrying //breathe:drawfree in its doc comment is
-// now proven over the static callgraph: no draw primitive (rng.RNG
-// draw methods, rng.Cell.*, rng.Key.Cell) is reachable from it through
-// any chain of static calls, across package boundaries via facts.
+// run's, and a quiet round advances no generator. Each was once enforced
+// by one test and a comment. A function carrying //breathe:drawfree in
+// its doc comment is now proven over the static callgraph: no draw
+// primitive (rng.RNG draw methods, rng.Cell.*, rng.Key.Cell) is reachable
+// from it through any chain of static calls, across package boundaries
+// via facts.
 //
 // The proof is necessarily static: a call through an interface or a
 // function value inside a drawfree function is reported as unprovable

@@ -71,7 +71,7 @@ func (c *bulkChatter) received(a int) uint64     { return c.acc[a] & (1<<32 - 1)
 func (c *bulkChatter) receivedOnes(a int) uint64 { return c.acc[a] >> 32 }
 
 func TestRunTwicePanics(t *testing.T) {
-	e, err := NewEngine(Config{N: 16, Channel: channel.Noiseless{}, Seed: 1})
+	e, err := NewEngine(Config{N: 16, Channel: channel.NewBSC(0), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 
 // TestPlainProtocolRunsOnScatter: a protocol stated only by its per-agent
 // rules, behind simtest.PerAgent, has no accumulators, so even rounds
-// that could take the tree (self-messages allowed, a uniform channel and
+// that could take the tree (self-messages allowed and
 // m ≥ denseMinMessages) run on the scatter regime, visibly in the path
 // counters.
 func TestPlainProtocolRunsOnScatter(t *testing.T) {
@@ -279,7 +279,7 @@ func TestBatchedAcceptRateMatchesTheory(t *testing.T) {
 	// agent-round is 1 − (1−1/(n−1))^(n−1), as in the per-agent path test.
 	const n, rounds = 200, 400
 	res, err := Run(Config{
-		N: n, Channel: channel.Noiseless{}, Seed: 11,
+		N: n, Channel: channel.NewBSC(0), Seed: 11,
 	}, &bulkChatter{rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
@@ -295,11 +295,11 @@ func TestBatchedAcceptRateMatchesTheory(t *testing.T) {
 }
 
 func TestDenseAcceptRateMatchesTheory(t *testing.T) {
-	// Dense path (self-messages allowed, uniform channel, accumulate
-	// delivery, m ≥ denseMinMessages): acceptance is 1 − (1−1/n)^n.
+	// Dense path (self-messages allowed, accumulate delivery,
+	// m ≥ denseMinMessages): acceptance is 1 − (1−1/n)^n.
 	const n, rounds = 512, 400
 	res, err := Run(Config{
-		N: n, Channel: channel.Noiseless{}, Seed: 13,
+		N: n, Channel: channel.NewBSC(0), Seed: 13,
 		AllowSelfMessages: true,
 	}, &bulkChatter{rounds: rounds})
 	if err != nil {
@@ -323,11 +323,11 @@ func TestDenseAcceptRateMatchesTheory(t *testing.T) {
 
 func TestDenseCollisionResolutionUnbiased(t *testing.T) {
 	// Half the senders push zeros, half ones; by symmetry the delivered
-	// bits must be balanced (Noiseless channel, dense path).
+	// bits must be balanced (noiseless BSC, dense path).
 	const n, rounds = 1024, 300
 	p := &bulkChatter{rounds: rounds}
 	_, err := Run(Config{
-		N: n, Channel: channel.Noiseless{}, Seed: 17,
+		N: n, Channel: channel.NewBSC(0), Seed: 17,
 		AllowSelfMessages: true,
 	}, p)
 	if err != nil {
@@ -386,7 +386,7 @@ func TestBatchedNoSelfDelivery(t *testing.T) {
 	const rounds = 200
 	p := &bulkChatter{rounds: rounds}
 	res, err := Run(Config{
-		N: 2, Channel: channel.Noiseless{}, Seed: 3,
+		N: 2, Channel: channel.NewBSC(0), Seed: 3,
 	}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestBatchedDropProb(t *testing.T) {
 	for _, self := range []bool{false, true} {
 		const n, rounds = 512, 100
 		res, err := Run(Config{
-			N: n, Channel: channel.Noiseless{}, Seed: 13, DropProb: 0.5,
+			N: n, Channel: channel.NewBSC(0), Seed: 13, DropProb: 0.5,
 			AllowSelfMessages: self,
 		}, &bulkChatter{rounds: rounds})
 		if err != nil {
@@ -443,7 +443,7 @@ func TestBatchedCrashAtSemantics(t *testing.T) {
 				run = simtest.PerAgent(p)
 			}
 			res, err := Run(Config{
-				N: n, Channel: channel.Noiseless{}, Seed: 5,
+				N: n, Channel: channel.NewBSC(0), Seed: 5,
 				Failures: plan, AllowSelfMessages: self,
 			}, run)
 			if err != nil {

@@ -21,9 +21,9 @@ package sim
 //
 //	quiet    no live senders
 //	scatter  one placement draw per message, count-based accept-one
-//	tree     exchangeable rounds (self-messages + uniform noise +
-//	         accumulator delivery) at dense scale: exact per-bucket
-//	         multinomial splits, in-bucket placement, branchless resolve
+//	tree     exchangeable rounds (self-messages + accumulator delivery)
+//	         at dense scale: exact per-bucket multinomial splits,
+//	         in-bucket placement, branchless resolve
 //
 // A tree round is one code path (keyedTree: treeSplit, then keyedBucket
 // per bucket) with three bucket executors, and the round is counted under
@@ -65,9 +65,8 @@ package sim
 // carry no mark). Every rare case leaves the loop: a placement or
 // accept-one draw that may need Lemire's rejection test breaks out to
 // the full Cell.Uint32n/Uint64n rule and the loop resumes at the next
-// element; a non-uniform channel
-// resolves on its own path; crash checks run as passes of their own,
-// leaf loops over the crash plan's bitset, from its round on; a tree
+// element; crash checks run as passes of their own, leaf loops over the
+// crash plan's bitset, from its round on; a tree
 // arrival at a saturated counter goes to the spill list; tree slots
 // whose accept-one draw may be a Lemire rejection — every slot from 2048
 // arrivals on among them — are listed branch-free in a fix list and
@@ -102,11 +101,11 @@ import (
 // Allocated lazily on the first run of an engine; survives a Reset that
 // keeps N.
 type keyedState struct {
-	// Per-run capabilities, refreshed by prepareKeyed. accs is the
+	// Per-run capabilities, refreshed by prepareKeyed. noiseThresh is the
+	// channel's flip probability as a 53-bit threshold, accs the
 	// protocol's accumulator array (nil without one), and denseOK reports
-	// a run whose rounds may take the tree regime: self-messages allowed,
-	// a uniform channel and accumulator delivery.
-	uniform     bool
+	// a run whose rounds may take the tree regime: self-messages allowed
+	// and accumulator delivery.
 	noiseThresh uint64
 	dropThresh  uint64
 	accs        []uint64
@@ -164,15 +163,10 @@ func (e *Engine) prepareKeyed(p Protocol) {
 		e.keyed = &keyedState{}
 	}
 	k := e.keyed
-	un, uniform := e.cfg.Channel.(channel.UniformNoise)
-	k.uniform = uniform
-	k.noiseThresh = 0
-	if uniform {
-		k.noiseThresh = channel.FlipThreshold53(un.UniformFlipProb())
-	}
+	k.noiseThresh = channel.FlipThreshold53(e.cfg.Channel.FlipProb())
 	k.dropThresh = channel.FlipThreshold53(e.cfg.DropProb)
 	k.accs = p.BulkAccumulators()
-	k.denseOK = e.cfg.AllowSelfMessages && uniform && k.accs != nil
+	k.denseOK = e.cfg.AllowSelfMessages && k.accs != nil
 	if k.denseOK {
 		k.buckets = (e.cfg.N + denseWidth - 1) / denseWidth
 		if cap(k.kc0) < k.buckets {
@@ -362,7 +356,7 @@ func (e *Engine) keyedScatter(p Protocol, zeros, ones []int32, round int) {
 	out := k.resolved[:len(acc)]
 	cColl := e.key.Cell(rng.StreamCollision, uint64(round))
 	cNoise := e.key.Cell(rng.StreamNoise, uint64(round))
-	k.scatterResolveAll(e.cfg.Channel, cColl, cNoise, inbox, acc, out)
+	k.scatterResolveAll(cColl, cNoise, inbox, acc, out)
 	k.inboxOpen = false
 	// Every message not accepted — dropped in flight, collided, or
 	// addressed to a crashed receiver — is a loss.
@@ -477,19 +471,12 @@ func dropFilter(dst, senders []int32, cDrop rng.Cell, drop uint64, words []uint6
 }
 
 // scatterResolveAll resolves the round's live receivers acc in order,
-// writing each one's bit to out and taking it off the inbox. On a
-// uniform channel it draws, block by block, the collision and noise
-// words of the receivers in one Cell.Words pass each and has the
-// call-free scatterAccept apply them; a receiver whose accept-one draw
-// needs the full rule, and every receiver of a non-uniform channel, goes
-// through scatterResolve.
-func (k *keyedState) scatterResolveAll(ch channel.Channel, cColl, cNoise rng.Cell, inbox []uint64, acc []int32, out []channel.Bit) {
-	if !k.uniform {
-		for j, dst := range acc {
-			out[j] = k.scatterResolve(ch, cColl, cNoise, inbox, dst)
-		}
-		return
-	}
+// writing each one's bit to out and taking it off the inbox. Block by
+// block it draws the collision and noise words of the receivers in one
+// Cell.Words pass each and has the call-free scatterAccept apply them; a
+// receiver whose accept-one draw needs the full rule goes through
+// scatterResolve.
+func (k *keyedState) scatterResolveAll(cColl, cNoise rng.Cell, inbox []uint64, acc []int32, out []channel.Bit) {
 	coll, noise := k.words[:scatterBlock], k.words[scatterBlock:2*scatterBlock]
 	for len(acc) > 0 {
 		blk := acc[:min(len(acc), scatterBlock)]
@@ -499,17 +486,17 @@ func (k *keyedState) scatterResolveAll(ch channel.Channel, cColl, cNoise rng.Cel
 			if j = scatterAccept(inbox, blk, out, coll, noise, j, k.noiseThresh); j == len(blk) {
 				break
 			}
-			out[j] = k.scatterResolve(ch, cColl, cNoise, inbox, blk[j])
+			out[j] = k.scatterResolve(cColl, cNoise, inbox, blk[j])
 		}
 		acc, out = acc[len(blk):], out[len(blk):]
 	}
 }
 
-// scatterAccept is the uniform-channel scatter resolve's apply loop: from
-// acc[j] on, it applies each live receiver's accept-one word coll[j] and
-// noise word noise[j], writes the bit to out and zeroes the receiver's
-// inbox word, and returns at the first receiver whose accept-one draw
-// needs the full rule — its inbox word still intact — or len(acc).
+// scatterAccept is the scatter resolve's apply loop: from acc[j] on, it
+// applies each live receiver's accept-one word coll[j] and noise word
+// noise[j], writes the bit to out and zeroes the receiver's inbox word,
+// and returns at the first receiver whose accept-one draw needs the full
+// rule — its inbox word still intact — or len(acc).
 //
 //breathe:leaf the scatter resolve loop; a possible Lemire rejection is handled by the caller
 func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, coll, noise []uint64, j int, thresh uint64) int {
@@ -532,10 +519,9 @@ func scatterAccept(inbox []uint64, acc []int32, out []channel.Bit, coll, noise [
 
 // scatterResolve is the scatter resolve's full rule for one live
 // receiver, which it takes off the inbox: the accept-one draw with
-// Lemire's rejection test, then the channel — the uniform flip, or a
-// non-uniform channel on an ephemeral stream seeded by the receiver's
-// noise-cell word, so per-message noise state stays addressed too.
-func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, inbox []uint64, dst int32) channel.Bit {
+// Lemire's rejection test, then the channel's flip, drawn from the
+// receiver's noise word.
+func (k *keyedState) scatterResolve(cColl, cNoise rng.Cell, inbox []uint64, dst int32) channel.Bit {
 	v := inbox[dst]
 	inbox[dst] = 0
 	cnt, on := v&(1<<32-1), v>>32
@@ -545,15 +531,10 @@ func (k *keyedState) scatterResolve(ch channel.Channel, cColl, cNoise rng.Cell, 
 	} else if cColl.Uint64n(uint64(dst), cnt) < on {
 		bit = 1
 	}
-	if k.uniform {
-		if cNoise.Uint64(uint64(dst))>>11 < k.noiseThresh {
-			bit ^= 1
-		}
-		return bit
+	if cNoise.Uint64(uint64(dst))>>11 < k.noiseThresh {
+		bit ^= 1
 	}
-	var rr rng.RNG
-	rr.Reseed(cNoise.Uint64(uint64(dst)))
-	return ch.Transmit(bit, &rr)
+	return bit
 }
 
 // placeFast is the inlined fast path of c.Uint32n(i, n) given x =

@@ -120,33 +120,16 @@ func TestKeyedScatterPlaceBreakOut(t *testing.T) {
 	t.Logf("%d bail-outs", bails)
 }
 
-// panicChannel is a non-uniform channel that applies inner's noise and
-// panics on its at-th Transmit call (never when at is 0). The scatter
-// resolve calls it with the inbox open, so it unwinds a run mid-round with
-// arrivals left behind.
-type panicChannel struct {
-	inner     channel.Channel
-	at, calls int
-}
-
-func (c *panicChannel) Transmit(b channel.Bit, r *rng.RNG) channel.Bit {
-	c.calls++
-	if c.calls == c.at {
-		panic("panicChannel: injected failure")
-	}
-	return c.inner.Transmit(b, r)
-}
-func (c *panicChannel) FlipProb() float64 { return c.inner.FlipProb() }
-func (c *panicChannel) Name() string      { return "panic(" + c.inner.Name() + ")" }
-
-// TestKeyedScatterResetAfterUnwind pins Reset's contract for a pooled
-// engine whose last run unwound inside a scatter round, after placement
-// and before the resolve had cleared the inbox: the next run on the Reset
-// engine is identical to a fresh engine's.
+// TestKeyedScatterResetAfterUnwind pins Reset's contract for an engine
+// whose last run unwound inside a scatter round, after placement and
+// before the resolve had cleared the inbox: the next run on the Reset
+// engine is identical to a fresh engine's. No protocol or channel code
+// runs inside that window, so the unwound state is built by hand: another
+// seed's placement pass into the open inbox.
 func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 	const n = 4096
 	cfg := Config{
-		N: n, Seed: 5,
+		N: n, Seed: 5, Channel: channel.FromEpsilon(0.3),
 		Failures: NewRandomCrashes(n, 0.1, 0, rng.NewKey(5), 0),
 	}
 	run := func(e *Engine) (Result, []uint64) {
@@ -158,36 +141,32 @@ func TestKeyedScatterResetAfterUnwind(t *testing.T) {
 		return res, p.acc
 	}
 
-	fresh := cfg
-	fresh.Channel = &panicChannel{inner: channel.FromEpsilon(0.3)}
-	ef, err := NewEngine(fresh)
+	ef, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRes, wantAcc := run(ef)
 
-	// One Transmit per accepted message: the run unwinds half-way through
-	// its receivers, inside a round's resolve.
-	pooled := cfg
-	pooled.Channel = &panicChannel{inner: channel.FromEpsilon(0.3), at: int(wantRes.MessagesAccepted / 2)}
-	e, err := NewEngine(pooled)
+	other := cfg
+	other.Seed = 6
+	e, err := NewEngine(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the injected failure did not unwind the run")
-			}
-		}()
-		e.Run(&bulkChatter{rounds: 6})
-	}()
+	run(e)
+	k := e.keyed
+	senders := make([]int32, n/2)
+	for i := range senders {
+		senders[i] = int32(2 * i)
+	}
+	k.inboxOpen = true
+	scatterPlace(k.inbox, make([]int32, len(senders)), senders, 0,
+		rng.NewKey(6).Cell(rng.StreamPlacement, 6), n-1, 1, 1, k.words)
 	if !e.keyed.inboxOpen || !slices.ContainsFunc(e.keyed.inbox, func(v uint64) bool { return v != 0 }) {
-		t.Fatal("the run unwound outside an open scatter round with arrivals")
+		t.Fatal("the unwound state holds no open inbox with arrivals")
 	}
 
-	// The channel has passed its panicking call, so the rerun completes.
-	if err := e.Reset(pooled); err != nil {
+	if err := e.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
 	gotRes, gotAcc := run(e)

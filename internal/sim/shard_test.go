@@ -81,7 +81,7 @@ func TestShardedCrashDeterminismAcrossShardCounts(t *testing.T) {
 func TestShardedAcceptRateMatchesTheory(t *testing.T) {
 	const rounds = 25
 	res, _ := keyedTreeRun(t, Config{
-		N: shardTestN, Channel: channel.Noiseless{}, Seed: 21,
+		N: shardTestN, Channel: channel.NewBSC(0), Seed: 21,
 		AllowSelfMessages: true,
 	}, rounds)
 	if res.Paths.Sharded != rounds {
@@ -134,7 +134,7 @@ func TestShardedCrashSemantics(t *testing.T) {
 	const rounds = 10
 	p := &bulkChatter{rounds: rounds}
 	e, err := NewEngine(Config{
-		N: shardTestN, Channel: channel.Noiseless{}, Seed: 31,
+		N: shardTestN, Channel: channel.NewBSC(0), Seed: 31,
 		AllowSelfMessages: true, Shards: 3,
 		Failures: plan,
 	})

@@ -118,8 +118,9 @@ const MaxN = math.MaxInt32
 type Config struct {
 	// N is the population size (>= 2).
 	N int
-	// Channel is the noise model applied to every accepted message.
-	Channel channel.Channel
+	// Channel is the noise applied to every accepted message: a BSC, whose
+	// one flip probability the engine draws against.
+	Channel *channel.BSC
 	// Seed determines all randomness of the run.
 	Seed uint64
 	// MaxRounds caps execution; a run that reaches it without the

@@ -49,7 +49,7 @@ func (s *silent) Name() string                          { return "silent" }
 func (s *silent) Send(a, round int) (channel.Bit, bool) { return 0, false }
 
 func TestConfigValidation(t *testing.T) {
-	valid := Config{N: 10, Channel: channel.Noiseless{}, Seed: 1}
+	valid := Config{N: 10, Channel: channel.NewBSC(0), Seed: 1}
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -96,7 +96,7 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestMessageAccounting(t *testing.T) {
 	const n, rounds = 50, 20
-	cfg := Config{N: n, Channel: channel.Noiseless{}, Seed: 7}
+	cfg := Config{N: n, Channel: channel.NewBSC(0), Seed: 7}
 	res, err := Run(cfg, simtest.PerAgent(&chatter{rounds: rounds}))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestAcceptOnePerRound(t *testing.T) {
 	// per round.
 	const n, rounds = 30, 40
 	c := &chatter{rounds: rounds}
-	_, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 9}, simtest.PerAgent(c))
+	_, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 9}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestAcceptRateMatchesTheory(t *testing.T) {
 	// (self-delivery excluded). Claim 2.9 uses the same quantity.
 	const n, rounds = 200, 400
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 11}, simtest.PerAgent(c))
+	res, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 11}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestNoSelfDeliveryByDefault(t *testing.T) {
 	// other agent: with only agent pushes each round, both always receive.
 	const rounds = 100
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3}, simtest.PerAgent(c))
+	res, err := Run(Config{N: 2, Channel: channel.NewBSC(0), Seed: 3}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSelfMessagesAllowed(t *testing.T) {
 	// so collision or self-receipt changes the per-agent counts.
 	const rounds = 2000
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: 2, Channel: channel.Noiseless{}, Seed: 3, AllowSelfMessages: true}, simtest.PerAgent(c))
+	res, err := Run(Config{N: 2, Channel: channel.NewBSC(0), Seed: 3, AllowSelfMessages: true}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSelfMessagesAllowed(t *testing.T) {
 
 func TestSilentProtocolSendsNothing(t *testing.T) {
 	s := &silent{chatter{rounds: 10}}
-	res, err := Run(Config{N: 20, Channel: channel.Noiseless{}, Seed: 5}, simtest.PerAgent(s))
+	res, err := Run(Config{N: 20, Channel: channel.NewBSC(0), Seed: 5}, simtest.PerAgent(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSilentProtocolSendsNothing(t *testing.T) {
 }
 
 func TestMaxRoundsTruncation(t *testing.T) {
-	res, err := Run(Config{N: 10, Channel: channel.Noiseless{}, Seed: 1, MaxRounds: 5},
+	res, err := Run(Config{N: 10, Channel: channel.NewBSC(0), Seed: 1, MaxRounds: 5},
 		simtest.PerAgent(&chatter{rounds: 100}))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestMaxRoundsTruncation(t *testing.T) {
 
 func TestDropProb(t *testing.T) {
 	const n, rounds = 100, 200
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 13, DropProb: 0.5},
+	res, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 13, DropProb: 0.5},
 		simtest.PerAgent(&chatter{rounds: rounds}))
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestCrashedAgentsAreDeaf(t *testing.T) {
 	const n, rounds = 30, 50
 	c := &chatter{rounds: rounds}
 	plan := NewCrashAt(0, 0, 1, 2)
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 17, Failures: plan}, simtest.PerAgent(c))
+	res, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 17, Failures: plan}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCrashAtLaterRound(t *testing.T) {
 	const n, rounds = 20, 30
 	plan := NewCrashAt(10, 5)
 	c := &chatter{rounds: rounds}
-	res, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 19, Failures: plan}, simtest.PerAgent(c))
+	res, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 19, Failures: plan}, simtest.PerAgent(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRandomCrashesValidation(t *testing.T) {
 func TestObserverRuns(t *testing.T) {
 	seen := 0
 	cfg := Config{
-		N: 10, Channel: channel.Noiseless{}, Seed: 1,
+		N: 10, Channel: channel.NewBSC(0), Seed: 1,
 		Observer: func(round int, e *Engine) {
 			if round != seen {
 				t.Errorf("observer round %d, want %d", round, seen)
@@ -328,7 +328,7 @@ func TestRecipientUniformity(t *testing.T) {
 	const n = 20
 	counts := make([]int, n)
 	p := &singleSender{rounds: 20000, counts: counts}
-	if _, err := Run(Config{N: n, Channel: channel.Noiseless{}, Seed: 29}, simtest.PerAgent(p)); err != nil {
+	if _, err := Run(Config{N: n, Channel: channel.NewBSC(0), Seed: 29}, simtest.PerAgent(p)); err != nil {
 		t.Fatal(err)
 	}
 	if counts[0] != 0 {
@@ -364,7 +364,7 @@ func (s *singleSender) Opinion(int) (channel.Bit, bool)     { return 0, false }
 // messages land on the same agent.
 func TestCollisionResolutionUniform(t *testing.T) {
 	p := &twoSenders{rounds: 30000}
-	if _, err := Run(Config{N: 3, Channel: channel.Noiseless{}, Seed: 31}, simtest.PerAgent(p)); err != nil {
+	if _, err := Run(Config{N: 3, Channel: channel.NewBSC(0), Seed: 31}, simtest.PerAgent(p)); err != nil {
 		t.Fatal(err)
 	}
 	// Agent 2 receives from both senders; when both target it, one bit is

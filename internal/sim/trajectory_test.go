@@ -11,7 +11,7 @@ func TestTrajectoryRecordsEveryRound(t *testing.T) {
 	const n, rounds = 50, 20
 	p := simtest.PerAgent(&chatter{rounds: rounds})
 	traj := NewTrajectory(p, channel.One)
-	cfg := Config{N: n, Channel: channel.Noiseless{}, Seed: 1, Observer: traj.Observe}
+	cfg := Config{N: n, Channel: channel.NewBSC(0), Seed: 1, Observer: traj.Observe}
 	if _, err := Run(cfg, p); err != nil {
 		t.Fatal(err)
 	}

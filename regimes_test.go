@@ -53,7 +53,6 @@ func regimeRows() []regimeRow {
 		{"broadcast (dense tree)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true}, broadcast},
 		{"broadcast, Stage I only (scatter)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true, MaxRounds: params.StageIRounds()}, broadcast},
 		{"broadcast, no self-messages (scatter)", sim.Config{N: n, Channel: bsc}, broadcast},
-		{"broadcast, heterogeneous channel (scatter)", sim.Config{N: n, Channel: channel.NewHeterogeneous(0.1, 0.3), AllowSelfMessages: true}, broadcast},
 		{"broadcast, 5% drops", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true, DropProb: 0.05}, broadcast},
 		{"broadcast, 10% crashed", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true,
 			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, broadcast},
