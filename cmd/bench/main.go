@@ -193,8 +193,10 @@ type Report struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	Quick      bool   `json:"quick"`
 	Budget     int64  `json:"agent_round_budget"`
-	// WordPath is the path rng's bulk word generator took, "avx512" or
-	// "scalar", and CPU the processor's model name (schema v8).
+	// WordPath is the path rng's AVX-512 gate chose, "avx512" or
+	// "scalar": the path of its bulk word generator and of the tree
+	// sweep's per-slot resolve. CPU is the processor's model name
+	// (schema v8).
 	WordPath string `json:"word_path"`
 	CPU      string `json:"cpu"`
 	Cells    []Cell `json:"cells"`

@@ -130,8 +130,15 @@ func (c Cell) Sub(j uint64) Cell {
 // are the reference the kernels are checked against.
 var vector = avx512()
 
-// WordPath names the path Fill and Words take on this machine: "avx512"
-// or "scalar". Both produce the same words.
+// Vector reports whether the AVX-512 gate is on: Fill and Words run
+// their kernels, and so does every other vector body that defers to this
+// gate (internal/sim's tree resolve). GODEBUG=cpu.avx512f=off turns all
+// of them off at once.
+func Vector() bool { return vector }
+
+// WordPath names the path the gated kernels take on this machine —
+// Fill, Words and internal/sim's tree resolve: "avx512" or "scalar".
+// Both produce the same outputs.
 func WordPath() string {
 	if vector {
 		return "avx512"

@@ -496,7 +496,7 @@ func TestDenseAcceptDrawExactlyUniform(t *testing.T) {
 		for u := uint64(0); u < 2048; u++ {
 			prod := u * cnt
 			inbox := []uint32{1<<16 | uint32(cnt)}
-			nf, _ := treeResolve(inbox, []uint64{u}, []uint64{0}, &fix, 0)
+			nf, _ := treeResolve(inbox, []uint64{u}, []uint64{0}, &fix, 0, 0, 0)
 			keep := acceptLemire11(prod, cnt)
 			if nf == 0 && !keep {
 				t.Fatalf("cnt=%d u=%d: a rejected draw was resolved in the sweep", cnt, u)

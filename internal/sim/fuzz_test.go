@@ -75,11 +75,13 @@ type plainProtocol struct{ simtest.Protocol }
 
 // FuzzKeyedRound runs one patterned bulk chatter under an arbitrary
 // population, drop probability, crash plan, worker count and
-// self-message convention four ways — bulk collection on one shard and
-// on four, the dense tree in place of the sparse walker, and per-agent
-// collection through simtest.PerAgent — and demands that every run
-// conserves messages (accepted + dropped = sent) and that all four agree
-// on the Result and every accumulator. Without self-messages every
+// self-message convention five ways — bulk collection on one shard and
+// on four, the dense tree in place of the sparse walker, the tree sweep's
+// scalar resolve in place of its AVX-512 body (walker off too, so sparse
+// rounds sweep), and per-agent collection through simtest.PerAgent — and
+// demands that every run conserves
+// messages (accepted + dropped = sent) and that all five agree on the
+// Result and every accumulator. Without self-messages every
 // speaking round is a scatter round, so the chatter's per-agent rules
 // alone behind simtest.PerAgent — a plain protocol, which never
 // accumulates — must match as well, path counters included.
@@ -94,13 +96,13 @@ func FuzzKeyedRound(f *testing.F) {
 		if crashFrac > 0 {
 			cfg.Failures = NewRandomCrashes(n, float64(crashFrac)/256, int(crashRound%8), rng.NewKey(cfg.Seed))
 		}
-		run := func(name string, shards int, walkerOff bool, wrap func(*patternChatter) Protocol) (Result, []uint64) {
+		run := func(name string, shards int, walkerOff, scalarResolve bool, wrap func(*patternChatter) Protocol) (Result, []uint64) {
 			t.Helper()
 			p := &patternChatter{pattern: pattern}
 			c := cfg
 			c.Shards = shards
-			keyedWalkerOff = walkerOff
-			defer func() { keyedWalkerOff = false }()
+			keyedWalkerOff, keyedResolveScalar = walkerOff, scalarResolve
+			defer func() { keyedWalkerOff, keyedResolveScalar = false, false }()
 			res, err := Run(c, wrap(p))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -114,7 +116,7 @@ func FuzzKeyedRound(f *testing.F) {
 		perAgent := func(p *patternChatter) Protocol { return simtest.PerAgent(p) }
 		workers := 1 + int(shards%8)
 
-		ref, refAcc := run("shards-1", 1, false, bulk)
+		ref, refAcc := run("shards-1", 1, false, false, bulk)
 		check := func(name string, want, got Result, acc []uint64) {
 			t.Helper()
 			if got != want {
@@ -127,20 +129,22 @@ func FuzzKeyedRound(f *testing.F) {
 			}
 		}
 		for _, v := range []struct {
-			name      string
-			shards    int
-			walkerOff bool
-			wrap      func(*patternChatter) Protocol
+			name          string
+			shards        int
+			walkerOff     bool
+			scalarResolve bool
+			wrap          func(*patternChatter) Protocol
 		}{
-			{"shards-4", 4, false, bulk},
-			{"walker-off", workers, true, bulk},
-			{"per-agent", workers, false, perAgent},
+			{"shards-4", 4, false, false, bulk},
+			{"walker-off", workers, true, false, bulk},
+			{"scalar-resolve", workers, true, true, bulk},
+			{"per-agent", workers, false, false, perAgent},
 		} {
-			res, acc := run(v.name, v.shards, v.walkerOff, v.wrap)
+			res, acc := run(v.name, v.shards, v.walkerOff, v.scalarResolve, v.wrap)
 			check(v.name, ref, res, acc)
 		}
 		if !self {
-			res, acc := run("plain", workers, false, func(p *patternChatter) Protocol { return simtest.PerAgent(plainProtocol{p}) })
+			res, acc := run("plain", workers, false, false, func(p *patternChatter) Protocol { return simtest.PerAgent(plainProtocol{p}) })
 			check("plain", ref, res, acc)
 		}
 	})

@@ -70,7 +70,11 @@ package sim
 // arrival at a saturated counter goes to the spill list; tree slots
 // whose accept-one draw may be a Lemire rejection — every slot from 2048
 // arrivals on among them — are listed branch-free in a fix list and
-// resolved after the sweep (keyedFix).
+// resolved after the sweep (keyedFix). The tree sweep's resolve also has
+// a vector body, treeResolveAVX512 (resolve_amd64.s), behind rng's
+// AVX-512 gate — the one that switches Fill and Words: eight slots per
+// step with treeResolve's exact arithmetic, the slots past a bucket's
+// last multiple of 8 left to the scalar loop (sweepResolve).
 // The scatter inbox is one uint64 per receiver — arrival count in the
 // low 32 bits, ones in the high 32 (exact, since m ≤ n < 2³¹) — zeroed
 // as each receiver resolves, so it needs no round stamps and each
@@ -780,7 +784,7 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int, walk bool) {
 			treeDropCrashed(inbox, words, blo)
 		}
 		var accepted int64
-		nf, accepted = treeResolve(inbox, coll, acc, fix, k.noiseThresh)
+		nf, accepted = sweepResolve(inbox, coll, acc, fix, k.noiseThresh)
 		d.accepted += accepted
 	}
 	e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
@@ -840,38 +844,60 @@ func treePlace(inbox []uint32, draws []uint64, i, k int, inc uint32) int {
 	return i
 }
 
-// treeResolve is the tree resolve's call-free sweep over one bucket: the
-// low 11 bits of the slot's collision word drive the Lemire accept-one
-// draw, the top 53 bits the noise flip, and the accepted bit lands in
-// the slot's accumulator. Each comparison is a borrow bit, (a−b)>>63,
-// exact because every operand is below 2⁵³. A slot whose draw may be a
-// Lemire rejection (prod&2047 < cnt, always so from cnt = 2048 on) is
-// instead listed in fix (always written, advanced only for such a slot)
-// and keeps its inbox word for keyedFix; every other slot is zeroed. It
-// returns the fix-list length and the number of occupied slots, each of
-// which accepts one message.
+// keyedResolveScalar is a test hook: when set, the tree sweep resolves
+// every slot with the scalar treeResolve even where rng's AVX-512 gate is
+// on. Results must be identical either way.
+var keyedResolveScalar bool
+
+// sweepResolve is the tree sweep's per-slot resolve over one bucket, with
+// treeResolve's contract. With rng's AVX-512 gate on, treeResolveAVX512
+// takes the slots up to the last multiple of 8, eight per step, and
+// treeResolve the rest; the two bodies do the same arithmetic, so every
+// output is the same on either path.
+func sweepResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, thresh uint64) (nf int, accepted int64) {
+	i := 0
+	if rng.Vector() && !keyedResolveScalar {
+		i = min(len(inbox), denseWidth) &^ 7
+		nf, accepted = treeResolveAVX512(inbox[:i], rbuf[:i], acc[:i], fix, thresh)
+	}
+	nf, tail := treeResolve(inbox, rbuf, acc, fix, thresh, i, nf)
+	return nf, accepted + tail
+}
+
+// treeResolve is the tree resolve's call-free sweep over the slots of one
+// bucket from slot from on: the low 11 bits of the slot's collision word
+// drive the Lemire accept-one draw, the top 53 bits the noise flip, and
+// the accepted bit lands in the slot's accumulator. Each comparison is a
+// borrow bit, (a−b)>>63, exact because every operand is below 2⁵³. A slot
+// whose draw may be a Lemire rejection (prod&2047 < cnt, always so from
+// cnt = 2048 on) is instead appended to the fix list fix[:nf] (always
+// written, advanced only for such a slot) and keeps its inbox word for
+// keyedFix; every other slot is zeroed. It returns the new fix-list length
+// and the number of occupied slots swept, each of which accepts one
+// message.
 //
 //breathe:leaf the tree's per-slot sweep; rejections and deferrals are listed for keyedFix
-func treeResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, thresh uint64) (nf int, accepted int64) {
-	rbuf = rbuf[:len(inbox)]
-	acc = acc[:len(inbox)]
+func treeResolve(inbox []uint32, rbuf, acc []uint64, fix *[denseWidth]int32, thresh uint64, from, nf int) (int, int64) {
+	rbuf = rbuf[from:len(inbox)]
+	acc = acc[from:len(inbox)]
+	inbox = inbox[from:]
 	// c counts fix-list slots in its low 32 bits and occupied slots in
-	// its high 32: one register for both (nf ≤ i < denseWidth).
-	var c uint64
-	for i, v := range inbox {
-		x := rbuf[i]
+	// its high 32: one register for both (nf ≤ slot < denseWidth).
+	c := uint64(nf)
+	for j, v := range inbox {
+		x := rbuf[j]
 		cnt := uint64(v & 0xffff)
 		prod := (x & 2047) * cnt
 		fixup := (prod&2047 - cnt) >> 63
 		// occ is 1 for an occupied slot; keep passes the accumulator
 		// write for occupied slots off the fix list (fixup implies occ).
 		occ := (cnt + 0xffff) >> 16
-		fix[c&(denseWidth-1)] = int32(i)
+		fix[c&(denseWidth-1)] = int32(from + j)
 		c += occ<<32 | fixup
 		keep := -(occ ^ fixup)
-		inbox[i] = v & -uint32(fixup)
+		inbox[j] = v & -uint32(fixup)
 		bit := (prod>>11-uint64(v>>16))>>63 ^ (x>>11-thresh)>>63
-		acc[i] += (bit<<32 | 1) & keep
+		acc[j] += (bit<<32 | 1) & keep
 	}
 	return int(uint32(c)), int64(c >> 32)
 }

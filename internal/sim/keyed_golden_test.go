@@ -91,8 +91,8 @@ func runKeyedGolden(t *testing.T, tc keyedGoldenCase) {
 
 // TestKeyedGoldenScalarWords re-runs the keyed goldens and
 // FuzzKeyedRound's seed corpus in a child process whose GODEBUG turns
-// AVX-512 off, so rng's Fill and Words take their scalar loops: every
-// digest must hold on both word paths. Where the scalar loops already
+// AVX-512 off, so rng's Fill and Words and the tree sweep's resolve take
+// their scalar loops: every digest must hold on both paths. Where the scalar loops already
 // run, the tests themselves cover them.
 func TestKeyedGoldenScalarWords(t *testing.T) {
 	if rng.WordPath() == "scalar" {

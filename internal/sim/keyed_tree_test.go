@@ -51,7 +51,7 @@ func refTreeSlot(cc rng.Cell, t, cnt, on, thresh uint64) uint64 {
 	return 1
 }
 
-// TestKeyedTreeResolveReference runs treeResolve and keyedFix over
+// TestKeyedTreeResolveReference runs sweepResolve and keyedFix over
 // hand-built bucket inboxes — a full power-of-two bucket and a tail
 // bucket of 1234 slots — and checks every accumulator against
 // refTreeSlot. Besides random low-count slots it plants the cases the
@@ -129,7 +129,7 @@ func TestKeyedTreeResolveReference(t *testing.T) {
 		cc.Fill(rbuf, 0)
 		acc := e.keyed.accs[blo:]
 		fix := d.fixBuf()
-		nf, accepted := treeResolve(inbox, rbuf, acc, fix, thresh)
+		nf, accepted := sweepResolve(inbox, rbuf, acc, fix, thresh)
 		e.keyedFix(d, cc, blo, inbox, acc, fix[:nf])
 
 		if accepted != occupied {

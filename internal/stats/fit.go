@@ -71,19 +71,6 @@ func FitPowerLaw(xs, ys []float64) (exponent, prefactor, r2 float64) {
 	return f.Slope, math.Exp(f.Intercept), f.R2
 }
 
-// FitLogarithmic fits y = a·log(x) + b and returns the fit. Used to check
-// "rounds grow like log n". xs must be positive.
-func FitLogarithmic(xs, ys []float64) LinearFit {
-	lx := make([]float64, len(xs))
-	for i := range xs {
-		if xs[i] <= 0 {
-			panic("stats: FitLogarithmic needs positive x")
-		}
-		lx[i] = math.Log(xs[i])
-	}
-	return FitLinear(lx, ys)
-}
-
 // IsMonotoneNondecreasing reports whether xs is sorted in nondecreasing
 // order, allowing a relative slack (e.g. 0.05 tolerates 5% dips from the
 // running maximum, which absorbs Monte-Carlo jitter in shape checks).
@@ -98,20 +85,4 @@ func IsMonotoneNondecreasing(xs []float64, slack float64) bool {
 		}
 	}
 	return true
-}
-
-// CrossoverIndex returns the first index where ys1 falls at or below ys2,
-// or -1 if there is none. Used to locate thresholds such as the consensus
-// bias below which the protocol stops succeeding.
-func CrossoverIndex(ys1, ys2 []float64) int {
-	n := len(ys1)
-	if len(ys2) < n {
-		n = len(ys2)
-	}
-	for i := 0; i < n; i++ {
-		if ys1[i] <= ys2[i] {
-			return i
-		}
-	}
-	return -1
 }

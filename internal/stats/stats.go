@@ -1,51 +1,25 @@
 // Package stats provides the probabilistic and statistical helpers the
-// reproduction needs: Chernoff/Hoeffding bound calculators (the paper's
-// §1.7), exact binomial analytics for the majority-boost lemma (Lemma
-// 2.11), confidence intervals for empirical success rates, streaming
-// moments, and scaling-law fits used by the experiment shape checks.
+// reproduction needs: exact binomial analytics for the majority-boost
+// lemma (Lemma 2.11), confidence intervals for empirical success rates,
+// streaming moments, and scaling-law fits used by the experiment shape
+// checks.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// ChernoffUpper bounds Pr(X >= (1+delta)·mean) for a sum X of independent
-// (or negatively-correlated) Bernoulli variables with E(X) = mean, per the
-// paper's Equation (1): exp(−δ²·mean/3). delta must be in (0, 1).
-func ChernoffUpper(mean, delta float64) float64 {
-	if delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("stats: ChernoffUpper delta %v outside (0,1)", delta))
-	}
-	return math.Exp(-delta * delta * mean / 3)
-}
-
-// ChernoffLower bounds Pr(X <= (1−delta)·mean) per the paper's Equation
-// (2): exp(−δ²·mean/2). delta must be in (0, 1).
-func ChernoffLower(mean, delta float64) float64 {
-	if delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("stats: ChernoffLower delta %v outside (0,1)", delta))
-	}
-	return math.Exp(-delta * delta * mean / 2)
-}
-
-// HoeffdingTwoSided bounds Pr(|X/n − p| >= t) for n independent Bernoulli
-// trials: 2·exp(−2nt²).
-func HoeffdingTwoSided(n int, t float64) float64 {
-	return 2 * math.Exp(-2*float64(n)*t*t)
-}
-
-// LogBinomial returns log C(n, k).
-func LogBinomial(n, k int) float64 {
+// logBinomial returns log C(n, k).
+func logBinomial(n, k int) float64 {
 	if k < 0 || k > n {
 		return math.Inf(-1)
 	}
 	return logFactorial(n) - logFactorial(k) - logFactorial(n-k)
 }
 
-// BinomialPMF returns Pr(Binomial(n, p) = k).
-func BinomialPMF(n, k int, p float64) float64 {
+// binomialPMF returns Pr(Binomial(n, p) = k).
+func binomialPMF(n, k int, p float64) float64 {
 	if k < 0 || k > n {
 		return 0
 	}
@@ -61,7 +35,7 @@ func BinomialPMF(n, k int, p float64) float64 {
 		}
 		return 0
 	}
-	return math.Exp(LogBinomial(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+	return math.Exp(logBinomial(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
 }
 
 // BinomialTailGE returns Pr(Binomial(n, p) >= k) computed by direct
@@ -75,7 +49,7 @@ func BinomialTailGE(n, k int, p float64) float64 {
 	}
 	sum := 0.0
 	for i := k; i <= n; i++ {
-		sum += BinomialPMF(n, i, p)
+		sum += binomialPMF(n, i, p)
 	}
 	if sum > 1 {
 		sum = 1
@@ -227,29 +201,3 @@ func (r *Running) StdErr() float64 {
 	}
 	return r.StdDev() / math.Sqrt(float64(r.n))
 }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }

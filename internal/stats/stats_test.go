@@ -7,87 +7,12 @@ import (
 	"breathe/internal/rng"
 )
 
-func TestChernoffBoundsDecrease(t *testing.T) {
-	// Bounds must shrink as the mean grows and as delta grows.
-	if ChernoffUpper(100, 0.5) >= ChernoffUpper(10, 0.5) {
-		t.Error("upper bound should decrease in mean")
-	}
-	if ChernoffLower(100, 0.5) >= ChernoffLower(10, 0.5) {
-		t.Error("lower bound should decrease in mean")
-	}
-	if ChernoffUpper(100, 0.9) >= ChernoffUpper(100, 0.1) {
-		t.Error("upper bound should decrease in delta")
-	}
-}
-
-func TestChernoffKnownValues(t *testing.T) {
-	// exp(-0.25*12/3) = exp(-1)
-	if got := ChernoffUpper(12, 0.5); math.Abs(got-math.Exp(-1)) > 1e-12 {
-		t.Errorf("ChernoffUpper(12, .5) = %v", got)
-	}
-	// exp(-0.25*8/2) = exp(-1)
-	if got := ChernoffLower(8, 0.5); math.Abs(got-math.Exp(-1)) > 1e-12 {
-		t.Errorf("ChernoffLower(8, .5) = %v", got)
-	}
-}
-
-func TestChernoffPanics(t *testing.T) {
-	for _, d := range []float64{0, 1, -0.2, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ChernoffUpper(1, %v) did not panic", d)
-				}
-			}()
-			ChernoffUpper(1, d)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ChernoffLower(1, %v) did not panic", d)
-				}
-			}()
-			ChernoffLower(1, d)
-		}()
-	}
-}
-
-func TestChernoffIsActuallyABound(t *testing.T) {
-	// Empirically verify the Chernoff inequality for Binomial(200, .5).
-	r := rng.New(7)
-	const n, trials = 200, 20000
-	mean := float64(n) * 0.5
-	delta := 0.2
-	exceed, below := 0, 0
-	for i := 0; i < trials; i++ {
-		x := float64(r.Binomial(n, 0.5))
-		if x >= (1+delta)*mean {
-			exceed++
-		}
-		if x <= (1-delta)*mean {
-			below++
-		}
-	}
-	if got := float64(exceed) / trials; got > ChernoffUpper(mean, delta) {
-		t.Errorf("upper tail %v exceeds Chernoff bound %v", got, ChernoffUpper(mean, delta))
-	}
-	if got := float64(below) / trials; got > ChernoffLower(mean, delta) {
-		t.Errorf("lower tail %v exceeds Chernoff bound %v", got, ChernoffLower(mean, delta))
-	}
-}
-
-func TestHoeffding(t *testing.T) {
-	if got := HoeffdingTwoSided(100, 0.1); math.Abs(got-2*math.Exp(-2)) > 1e-12 {
-		t.Errorf("Hoeffding(100, .1) = %v", got)
-	}
-}
-
 func TestBinomialPMFSumsToOne(t *testing.T) {
 	for _, n := range []int{1, 7, 40} {
 		for _, p := range []float64{0.1, 0.5, 0.93} {
 			sum := 0.0
 			for k := 0; k <= n; k++ {
-				sum += BinomialPMF(n, k, p)
+				sum += binomialPMF(n, k, p)
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				t.Errorf("pmf(n=%d, p=%v) sums to %v", n, p, sum)
@@ -97,13 +22,13 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 }
 
 func TestBinomialPMFEdges(t *testing.T) {
-	if BinomialPMF(10, -1, 0.5) != 0 || BinomialPMF(10, 11, 0.5) != 0 {
+	if binomialPMF(10, -1, 0.5) != 0 || binomialPMF(10, 11, 0.5) != 0 {
 		t.Error("out-of-support pmf should be 0")
 	}
-	if BinomialPMF(10, 0, 0) != 1 || BinomialPMF(10, 10, 1) != 1 {
+	if binomialPMF(10, 0, 0) != 1 || binomialPMF(10, 10, 1) != 1 {
 		t.Error("degenerate pmf should be 1 at the atom")
 	}
-	if BinomialPMF(10, 3, 0) != 0 || BinomialPMF(10, 3, 1) != 0 {
+	if binomialPMF(10, 3, 0) != 0 || binomialPMF(10, 3, 1) != 0 {
 		t.Error("degenerate pmf should be 0 off the atom")
 	}
 }
@@ -222,48 +147,6 @@ func TestRunningEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 5, 4}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("median = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q25 = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Error("Quantile mutated input")
-	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("singleton quantile = %v", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty Quantile did not panic")
-			}
-		}()
-		Quantile(nil, 0.5)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range q did not panic")
-			}
-		}()
-		Quantile([]float64{1}, 1.5)
-	}()
-}
-
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 2x + 1
@@ -306,18 +189,6 @@ func TestFitPowerLaw(t *testing.T) {
 	}
 }
 
-func TestFitLogarithmic(t *testing.T) {
-	xs := []float64{2, 4, 8, 16, 32}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5*math.Log(x) + 1
-	}
-	f := FitLogarithmic(xs, ys)
-	if math.Abs(f.Slope-5) > 1e-9 || math.Abs(f.Intercept-1) > 1e-9 {
-		t.Errorf("log fit = %+v", f)
-	}
-}
-
 func TestIsMonotoneNondecreasing(t *testing.T) {
 	if !IsMonotoneNondecreasing([]float64{1, 2, 3}, 0) {
 		t.Error("strictly increasing rejected")
@@ -330,15 +201,6 @@ func TestIsMonotoneNondecreasing(t *testing.T) {
 	}
 	if !IsMonotoneNondecreasing(nil, 0) {
 		t.Error("empty should be monotone")
-	}
-}
-
-func TestCrossoverIndex(t *testing.T) {
-	if got := CrossoverIndex([]float64{3, 2, 1}, []float64{1, 2, 3}); got != 1 {
-		t.Errorf("crossover = %d, want 1", got)
-	}
-	if got := CrossoverIndex([]float64{5, 5}, []float64{1, 1}); got != -1 {
-		t.Errorf("no crossover expected, got %d", got)
 	}
 }
 
