@@ -1,17 +1,23 @@
-// Command megasim runs the production-scale scenario: noisy broadcast or
-// majority consensus over a population of one million agents, executed by
-// the engine's batched machinery (bulk sender lists, scatter and tree
-// sampling regimes). The §3 asynchronous protocols (-protocol
-// async-offsets | async-selfsync) and crash faults (-crash) run on the
-// same machinery: async rounds cost O(senders) instead of Θ(n) even through
-// the quiescent dilation gaps, and crash plans filter the batched sender
-// lists per round.
+// Command megasim runs one Flip-model execution (§1.3.2) and prints it:
+// by default the production-scale scenario, noisy broadcast over a
+// population of one million agents, executed by the engine's batched
+// machinery (bulk sender lists, scatter and tree sampling regimes). The
+// §3 asynchronous protocols (-protocol async-offsets | async-selfsync),
+// the no-breathe ablation (broadcast-no-breathe), the §1.6 baselines
+// (immediate-forward | voter | two-choice | silent-wait) and crash faults
+// (-crash) run on the same machinery: async rounds cost O(senders)
+// instead of Θ(n) even through the quiescent dilation gaps, and crash
+// plans filter the batched sender lists per round. After the summary, the
+// broadcast and consensus schedules print their Stage I and Stage II
+// phase tables (core.Telemetry).
 //
 // The scenario standardizes on the classical push-gossip convention in
 // which a sender may draw itself as the recipient (-self, default true):
 // the difference from the thesis model's self-exclusion is O(1/n) — at
 // n = 10⁶ far below measurement noise — and exchangeable messages let the
-// engine sample recipients in aggregate instead of per message.
+// engine sample recipients in aggregate instead of per message. -self=false
+// runs the thesis model's self-exclusion, in which every speaking round
+// takes the scatter regime.
 //
 // Usage:
 //
@@ -19,6 +25,7 @@
 //	megasim -protocol consensus -n 2000000
 //	megasim -protocol async-offsets -n 100000    # §3.1, clocks offset by D
 //	megasim -protocol async-selfsync -n 100000   # §3.2, activation-phase sync
+//	megasim -protocol voter -n 4096 -self=false  # a §1.6 baseline, thesis convention
 //	megasim -crash 0.1 -n 1000000            # 10% initial crash faults
 //	megasim -n 10000000 -shards 8            # 10⁷ agents across 8 worker cores
 //	megasim -n 1000000 -json > result.json   # machine-readable api.RunResponse
@@ -47,7 +54,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"breathe/internal/api"
@@ -55,6 +64,7 @@ import (
 	"breathe/internal/core"
 	"breathe/internal/sim"
 	"breathe/internal/telemetry"
+	"breathe/internal/trace"
 )
 
 func main() {
@@ -67,7 +77,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("megasim", flag.ContinueOnError)
 	var (
-		protocol = fs.String("protocol", "broadcast", "broadcast | consensus | async-offsets | async-selfsync")
+		protocol = fs.String("protocol", "broadcast", strings.Join(api.Protocols, " | "))
 		n        = fs.Int("n", 1_000_000, "population size")
 		eps      = fs.Float64("eps", 0.3, "channel parameter ε (flip prob = 1/2−ε)")
 		seed     = fs.Uint64("seed", 1, "random seed")
@@ -110,16 +120,12 @@ func run(args []string) error {
 		out = os.Stderr
 	}
 
-	params := core.DefaultParams(*n, *eps)
-	var schedule string
-	switch req.Canonical().Protocol {
-	case api.ProtoBroadcast, api.ProtoConsensus:
-		schedule = fmt.Sprintf("%d rounds (Stage I %d, Stage II %d)",
-			params.TotalRounds(), params.StageIRounds(), params.StageIIRounds())
-	case api.ProtoAsyncOffsets:
-		schedule = fmt.Sprintf("%d rounds (clock spread D = %d)", built.ScheduleRounds, built.OffsetSpread)
-	case api.ProtoAsyncSelfSync:
-		schedule = fmt.Sprintf("%d rounds (activation prelude L = %d)", built.ScheduleRounds, built.ActivationPrelude)
+	schedule := fmt.Sprintf("%d rounds", built.ScheduleRounds)
+	switch {
+	case built.OffsetSpread > 0:
+		schedule += fmt.Sprintf(" (clock spread D = %d)", built.OffsetSpread)
+	case built.ActivationPrelude > 0:
+		schedule += fmt.Sprintf(" (activation prelude L = %d)", built.ActivationPrelude)
 	}
 	if built.Crashed > 0 {
 		fmt.Fprintf(out, "crashes:   %d of %d agents down from round 0 (p = %.3g)\n",
@@ -174,12 +180,40 @@ func run(args []string) error {
 		}
 		fmt.Fprintln(out)
 	}
+	if tp, ok := proto.(interface{ Telemetry() *core.Telemetry }); ok {
+		if err := writePhaseTables(out, tp.Telemetry()); err != nil {
+			return err
+		}
+	}
 
 	if *jsonOut {
 		resp := api.NewResponse(req, res, built.Crashed, proto)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(resp)
+	}
+	return nil
+}
+
+// writePhaseTables prints the per-phase Stage I and Stage II statistics
+// the synchronous schedules record (§2.1 and §2.2).
+func writePhaseTables(w io.Writer, t *core.Telemetry) error {
+	if len(t.StageI) > 0 {
+		tb := trace.NewTable("\nStage I phases", "phase", "rounds", "Y_i", "X_i", "eps_i")
+		for _, st := range t.StageI {
+			tb.AddRowValues(st.Phase, st.Rounds, st.NewlyActivated, st.Activated, st.Bias())
+		}
+		if err := tb.WriteText(w); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "bias after Stage I: %.4f\n", t.BiasAfterStageI)
+	}
+	if len(t.StageII) > 0 {
+		tb := trace.NewTable("\nStage II phases", "phase", "rounds", "successful", "correct", "bias")
+		for _, st := range t.StageII {
+			tb.AddRowValues(st.Phase, st.Rounds, st.Successful, st.Correct, st.Bias())
+		}
+		return tb.WriteText(w)
 	}
 	return nil
 }

@@ -35,6 +35,18 @@ func TestRunAsyncProtocols(t *testing.T) {
 	}
 }
 
+// TestRunBaselines runs the no-breathe ablation and the §1.6 baselines,
+// in the classical convention and under self-exclusion.
+func TestRunBaselines(t *testing.T) {
+	for _, proto := range []string{"broadcast-no-breathe", "immediate-forward", "voter", "two-choice", "silent-wait"} {
+		for _, self := range []string{"-self=true", "-self=false"} {
+			if err := run([]string{"-protocol", proto, "-n", "1024", "-seed", "2", self}); err != nil {
+				t.Fatalf("%s %s: %v", proto, self, err)
+			}
+		}
+	}
+}
+
 func TestRunCrashFaults(t *testing.T) {
 	// Crash plans on the batched kernel (per-message path), for the
 	// synchronous and asynchronous protocols.

@@ -1,9 +1,9 @@
 // Command sweep runs full-scenario parameter grids — the paper's figures
 // as an instrument. A sweep is a cross-product over the api.RunRequest
-// scenario space: protocol ∈ {broadcast, consensus, async-offsets,
-// async-selfsync} × population sizes × ε values × crash probabilities,
-// with -seeds replications per cell (cell runs use seeds -seed ..
-// -seed+-seeds-1 and are bit-for-bit reproducible).
+// scenario space: protocol (any of api.Protocols) × population sizes × ε
+// values × crash probabilities, with -seeds replications per cell (cell
+// runs use seeds -seed .. -seed+-seeds-1 and are bit-for-bit
+// reproducible).
 //
 // Cells execute through internal/sweep on either backend:
 //
@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 
+	"breathe/internal/api"
 	"breathe/internal/service"
 	"breathe/internal/sweep"
 )
@@ -83,7 +84,7 @@ func parseFloats(s string) ([]float64, error) {
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		protoFlag = fs.String("protocol", "broadcast", "comma-separated protocols (broadcast | consensus | async-offsets | async-selfsync)")
+		protoFlag = fs.String("protocol", "broadcast", "comma-separated protocols ("+strings.Join(api.Protocols, " | ")+")")
 		nsFlag    = fs.String("ns", "1024,4096", "comma-separated population sizes")
 		epssFlag  = fs.String("epss", "0.2,0.3", "comma-separated ε values")
 		crashFlag = fs.String("crash", "0", "comma-separated crash probabilities (agent 0 protected)")

@@ -17,19 +17,23 @@
 // Kernel and Schedule each accept one value and keep their lines in the
 // hash preimage, so cache addresses predating them stay valid.
 //
-// The same types serve as the machine-readable output format of
-// cmd/megasim (-json), so batch and service results are directly
-// comparable.
+// RunRequest.Build is the one way a single run is built from a named
+// protocol (Protocols): the service, internal/sweep and cmd/megasim all
+// go through it. The same types serve as the machine-readable output
+// format of cmd/megasim (-json), so batch and service results are
+// directly comparable.
 package api
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"breathe/internal/async"
+	"breathe/internal/baseline"
 	"breathe/internal/channel"
 	"breathe/internal/core"
 	"breathe/internal/rng"
@@ -42,7 +46,23 @@ const (
 	ProtoConsensus     = "consensus"
 	ProtoAsyncOffsets  = "async-offsets"
 	ProtoAsyncSelfSync = "async-selfsync"
+	// ProtoBroadcastNoBreathe is the broadcast without its Stage I
+	// waiting rule: an agent forwards its first message from the next
+	// round on (core.Variant.NoBreathe, the §1.6 strawman).
+	ProtoBroadcastNoBreathe = "broadcast-no-breathe"
+	// The §1.6 baselines (internal/baseline).
+	ProtoImmediateForward = "immediate-forward"
+	ProtoVoter            = "voter"
+	ProtoTwoChoice        = "two-choice"
+	ProtoSilentWait       = "silent-wait"
 )
+
+// Protocols lists every accepted protocol name, in the order help texts
+// print them.
+var Protocols = []string{
+	ProtoBroadcast, ProtoConsensus, ProtoAsyncOffsets, ProtoAsyncSelfSync,
+	ProtoBroadcastNoBreathe, ProtoImmediateForward, ProtoVoter, ProtoTwoChoice, ProtoSilentWait,
+}
 
 // KernelAuto is the one kernel, and the only value RunRequest.Kernel
 // accepts besides "" (which normalizes to it): the engine collects through
@@ -58,8 +78,8 @@ const ScheduleKeyed = "keyed"
 // optional field means "default"; Normalize resolves the defaults so that
 // equal runs compare (and hash) equal.
 type RunRequest struct {
-	// Protocol selects the scenario: broadcast | consensus |
-	// async-offsets | async-selfsync. Default broadcast.
+	// Protocol selects the scenario, one of Protocols. Default
+	// broadcast.
 	Protocol string `json:"protocol,omitempty"`
 	// N is the population size (required, >= 2).
 	N int `json:"n"`
@@ -148,9 +168,7 @@ func (r *RunRequest) Normalize() {
 // problem found. The limits are semantic (what the engine supports), not
 // capacity limits — admission control is the service's concern.
 func (r RunRequest) Validate() error {
-	switch r.Protocol {
-	case ProtoBroadcast, ProtoConsensus, ProtoAsyncOffsets, ProtoAsyncSelfSync:
-	default:
+	if !slices.Contains(Protocols, r.Protocol) {
 		return fmt.Errorf("api: unknown protocol %q", r.Protocol)
 	}
 	if r.Kernel != KernelAuto {
@@ -258,24 +276,26 @@ type Run struct {
 	ActivationPrelude int
 }
 
-// Build compiles a normalized, validated request into a Run. The mapping
-// mirrors cmd/megasim: DefaultParams(n, eps), target opinion One, the
-// consensus initial set sized 4·β_s with the requested majority bias, and
-// async spreads D = 2·⌈log₂ n⌉ / L = 3·⌈log₂ n⌉.
+// Build compiles a normalized, validated request into a Run: DefaultParams(n,
+// eps), target opinion One, the consensus initial set sized 4·β_s with the
+// requested majority bias, and async spreads D = 2·⌈log₂ n⌉ / L =
+// 3·⌈log₂ n⌉. The baselines run the broadcast's schedule length
+// (params.TotalRounds()), voter and two-choice from 9n/10 correct agents;
+// silent-wait waits for two receptions, up to MaxRounds.
 func (r RunRequest) Build() (*Run, error) {
 	r.Normalize()
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	params := core.DefaultParams(r.N, r.Eps)
+	total := params.TotalRounds()
 	logN := ceilLog2(r.N)
 
 	var factory func() (sim.Protocol, error)
-	scheduleRounds, offsetSpread, prelude := 0, 0, 0
+	scheduleRounds, offsetSpread, prelude := total, 0, 0
 	switch r.Protocol {
 	case ProtoBroadcast:
 		factory = func() (sim.Protocol, error) { return core.NewBroadcast(params, channel.One) }
-		scheduleRounds = params.TotalRounds()
 	case ProtoConsensus:
 		sizeA := 4 * params.BetaS
 		if sizeA > r.N/2 {
@@ -285,7 +305,6 @@ func (r RunRequest) Build() (*Run, error) {
 		factory = func() (sim.Protocol, error) {
 			return core.NewConsensus(params, channel.One, correct, sizeA-correct)
 		}
-		scheduleRounds = params.TotalRounds()
 	case ProtoAsyncOffsets:
 		D := 2 * logN
 		offsetSpread = D
@@ -294,17 +313,36 @@ func (r RunRequest) Build() (*Run, error) {
 		L := 3 * logN
 		prelude = L
 		factory = func() (sim.Protocol, error) { return async.NewSelfSync(params, channel.One, L) }
+	case ProtoBroadcastNoBreathe:
+		factory = func() (sim.Protocol, error) {
+			return core.NewBroadcastVariant(params, channel.One, core.Variant{NoBreathe: true})
+		}
+	case ProtoImmediateForward:
+		factory = func() (sim.Protocol, error) {
+			return &baseline.ImmediateForward{Target: channel.One, Rounds: total}, nil
+		}
+	case ProtoVoter:
+		factory = func() (sim.Protocol, error) {
+			return &baseline.NoisyVoter{Target: channel.One, InitialCorrect: r.N * 9 / 10, Rounds: total}, nil
+		}
+	case ProtoTwoChoice:
+		factory = func() (sim.Protocol, error) {
+			return &baseline.TwoChoiceMajority{Target: channel.One, InitialCorrect: r.N * 9 / 10, Rounds: total}, nil
+		}
+	case ProtoSilentWait:
+		scheduleRounds = r.MaxRounds
+		factory = func() (sim.Protocol, error) {
+			return &baseline.SilentWait{Target: channel.One, Needed: 2, Rounds: r.MaxRounds}, nil
+		}
 	}
 	// Fail construction errors now, once, instead of inside a pool worker.
 	probe, err := factory()
 	if err != nil {
 		return nil, err
 	}
-	if scheduleRounds == 0 {
-		type scheduler interface{ TotalRounds() int }
-		if s, ok := probe.(scheduler); ok {
-			scheduleRounds = s.TotalRounds()
-		}
+	// The async schedules add their clock spread or prelude.
+	if s, ok := probe.(interface{ TotalRounds() int }); ok {
+		scheduleRounds = s.TotalRounds()
 	}
 
 	// Every ε — including the noiseless boundary ε = 0.5, a BSC with flip

@@ -157,7 +157,7 @@ func TestCanonicalStripsPerfKnobs(t *testing.T) {
 // TestBuildAndRun compiles requests for every protocol and executes small
 // instances end to end.
 func TestBuildAndRun(t *testing.T) {
-	for _, proto := range []string{ProtoBroadcast, ProtoConsensus, ProtoAsyncOffsets, ProtoAsyncSelfSync} {
+	for _, proto := range Protocols {
 		req := RunRequest{Protocol: proto, N: 512, Seed: 2}
 		run, err := req.Build()
 		if err != nil {
@@ -178,7 +178,7 @@ func TestBuildAndRun(t *testing.T) {
 		if resp.Hash != req.Hash() {
 			t.Errorf("%s: response hash mismatch", proto)
 		}
-		if wantBias := proto == ProtoBroadcast || proto == ProtoConsensus; (resp.Stage1Bias != nil) != wantBias {
+		if wantBias := proto == ProtoBroadcast || proto == ProtoConsensus || proto == ProtoBroadcastNoBreathe; (resp.Stage1Bias != nil) != wantBias {
 			t.Errorf("%s: Stage1Bias present = %v, want %v", proto, resp.Stage1Bias != nil, wantBias)
 		}
 		if resp.Paths.Total() != int64(res.Rounds) {

@@ -137,25 +137,35 @@ func runResponseBytes(t *testing.T, req RunRequest, perAgent bool) []byte {
 	return raw
 }
 
+// identityScenarios are the scenario classes of the keyed identity
+// matrices (TestKeyedCrossKernelResponseBytes and
+// TestTelemetryByteIdentityMatrix). The baselines run capped: identity
+// needs many rounds of every regime, not the whole schedule.
+var identityScenarios = []struct {
+	name string
+	req  RunRequest
+}{
+	// Large enough that dense rounds run sharded (49152 ≥ shardMinN).
+	{"broadcast-sharded", RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 220}},
+	{"consensus", RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
+	{"async-offsets", RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
+	{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}},
+	{"crash-plan", RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 15, CrashProb: 0.1}},
+	{"drop-no-self", RunRequest{Protocol: ProtoBroadcast, N: 4096, Seed: 16, NoSelfMessages: true, DropProb: 0.05}},
+	{"broadcast-no-breathe", RunRequest{Protocol: ProtoBroadcastNoBreathe, N: 4096, Seed: 17}},
+	{"immediate-forward", RunRequest{Protocol: ProtoImmediateForward, N: 4096, Seed: 18, MaxRounds: 300}},
+	{"voter", RunRequest{Protocol: ProtoVoter, N: 4096, Seed: 19, MaxRounds: 300, DropProb: 0.05}},
+	{"two-choice-no-self", RunRequest{Protocol: ProtoTwoChoice, N: 4096, Seed: 20, MaxRounds: 300, NoSelfMessages: true}},
+	{"silent-wait-crash", RunRequest{Protocol: ProtoSilentWait, N: 4096, Seed: 21, CrashProb: 0.1}},
+}
+
 // TestKeyedCrossKernelResponseBytes is the end-to-end acceptance suite:
 // for every scenario class, bulk and per-agent collection (simtest.PerAgent)
 // at every worker count must serialize to byte-identical canonical
 // RunResponse JSON under the keyed schedule — the exact bytes the service
 // cache stores and serves.
 func TestKeyedCrossKernelResponseBytes(t *testing.T) {
-	scenarios := []struct {
-		name string
-		req  RunRequest
-	}{
-		// Large enough that dense rounds run sharded (49152 ≥ shardMinN).
-		{"broadcast-sharded", RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 220}},
-		{"consensus", RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
-		{"async-offsets", RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
-		{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}},
-		{"crash-plan", RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 15, CrashProb: 0.1}},
-		{"drop-no-self", RunRequest{Protocol: ProtoBroadcast, N: 4096, Seed: 16, NoSelfMessages: true, DropProb: 0.05}},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range identityScenarios {
 		sc.req.Schedule = ScheduleKeyed
 		want := runResponseBytes(t, sc.req, false)
 		for _, perAgent := range []bool{false, true} {

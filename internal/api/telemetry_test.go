@@ -47,23 +47,9 @@ func probedResponseBytes(t *testing.T, req RunRequest, perAgent bool) ([]byte, [
 	return raw, trace.Bytes()
 }
 
-// telemetryScenarios are the six scenario classes of the keyed identity
-// matrix (mirroring TestKeyedCrossKernelResponseBytes).
-var telemetryScenarios = []struct {
-	name string
-	req  RunRequest
-}{
-	{"broadcast-sharded", RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 220}},
-	{"consensus", RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
-	{"async-offsets", RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
-	{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}},
-	{"crash-plan", RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 15, CrashProb: 0.1}},
-	{"drop-no-self", RunRequest{Protocol: ProtoBroadcast, N: 4096, Seed: 16, NoSelfMessages: true, DropProb: 0.05}},
-}
-
-// TestTelemetryByteIdentityMatrix: all six scenario classes × {per-agent,
-// batched, sharded} under the keyed schedule — telemetry on and off must
-// serialize to byte-identical canonical RunResponse JSON.
+// TestTelemetryByteIdentityMatrix: every identity scenario class ×
+// {per-agent, batched, sharded} under the keyed schedule — telemetry on
+// and off must serialize to byte-identical canonical RunResponse JSON.
 func TestTelemetryByteIdentityMatrix(t *testing.T) {
 	kernels := []struct {
 		name     string
@@ -74,7 +60,7 @@ func TestTelemetryByteIdentityMatrix(t *testing.T) {
 		{"batched", false, 1},
 		{"sharded", false, 8},
 	}
-	for _, sc := range telemetryScenarios {
+	for _, sc := range identityScenarios {
 		sc.req.Schedule = ScheduleKeyed
 		for _, k := range kernels {
 			r := sc.req

@@ -366,7 +366,8 @@ func e12() *Experiment {
 		ID:       "E12",
 		Title:    "Robustness to noise below the maximum",
 		PaperRef: "Section 1.3.2 (flip probability *at most* 1/2−ε)",
-		Expectation: "any flip probability ≤ 1/2−ε preserves correctness; the worst case is the maximum. " +
+		Expectation: "any flip probability ≤ 1/2−ε preserves correctness; the worst case is the maximum, " +
+			"which leaves the lowest bias after Stage I. " +
 			"A per-message flip probability drawn uniformly from [lo, hi] is in law a BSC at (lo+hi)/2, " +
 			"so 3pmax/4 and pmax/2 stand for the heterogeneous ranges [pmax/2, pmax] and [0, pmax]",
 		Run: func(o Options) (*Report, error) {
@@ -378,12 +379,14 @@ func e12() *Experiment {
 			pmax := 0.5 - eps
 			r := &Report{}
 			tb := trace.NewTable(fmt.Sprintf("E12: channels (n = %d, ε = %.2f, %d seeds)", n, eps, o.seeds()),
-				"channel", "success rate", "mean final bias")
+				"channel", "success rate", "mean final bias", "mean bias after Stage I")
 			allOK := true
+			// stageI[0] is the worst case p = pmax.
+			var stageI []float64
 			for _, p := range []float64{pmax, 3 * pmax / 4, pmax / 2, pmax / 4, 0} {
 				ch := channel.NewBSC(p)
 				succ := 0
-				var bias stats.Running
+				var bias, bias1 stats.Running
 				for seed := 0; seed < o.seeds(); seed++ {
 					proto, err := core.NewBroadcast(core.DefaultParams(n, eps), channel.One)
 					if err != nil {
@@ -397,9 +400,11 @@ func e12() *Experiment {
 						succ++
 					}
 					bias.Add(res.Bias(channel.One))
+					bias1.Add(proto.Telemetry().BiasAfterStageI)
 				}
 				rate := float64(succ) / float64(o.seeds())
-				tb.AddRowValues(ch.Name(), rate, bias.Mean())
+				tb.AddRowValues(ch.Name(), rate, bias.Mean(), bias1.Mean())
+				stageI = append(stageI, bias1.Mean())
 				if rate < 0.67 {
 					allOK = false
 				}
@@ -407,6 +412,12 @@ func e12() *Experiment {
 			}
 			r.Tables = append(r.Tables, tb)
 			r.addCheck("success under every admissible channel", allOK, "all channels ≤ 1/2−ε")
+			worst := true
+			for _, b := range stageI[1:] {
+				worst = worst && stageI[0] < b
+			}
+			r.addCheck("the maximum flip probability leaves the lowest Stage I bias", worst,
+				fmt.Sprintf("mean bias after Stage I from p = %.3g down to 0: %.3f", pmax, stageI))
 			return r, nil
 		},
 	}

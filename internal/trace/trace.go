@@ -1,6 +1,6 @@
-// Package trace renders experiment output: aligned text tables, CSV, and
-// ASCII sparklines for phase trajectories. Only the standard library is
-// used; writers never fail silently (errors propagate).
+// Package trace renders experiment output: aligned text tables, CSV and
+// markdown. Only the standard library is used; writers never fail
+// silently (errors propagate).
 package trace
 
 import (
@@ -152,38 +152,4 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-var sparkLevels = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders xs as a compact unicode bar series, scaling to the
-// data's range. Empty input yields an empty string.
-func Sparkline(xs []float64) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	var b strings.Builder
-	for _, x := range xs {
-		idx := 0
-		if max > min {
-			idx = int((x - min) / (max - min) * float64(len(sparkLevels)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkLevels) {
-			idx = len(sparkLevels) - 1
-		}
-		b.WriteRune(sparkLevels[idx])
-	}
-	return b.String()
 }

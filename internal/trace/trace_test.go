@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 func TestTableText(t *testing.T) {
@@ -119,26 +118,5 @@ func TestAddRowValuesFormats(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "42,3.142,hi") {
 		t.Errorf("formatted row wrong: %q", sb.String())
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Errorf("empty input -> %q", got)
-	}
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if utf8.RuneCountInString(s) != 4 {
-		t.Errorf("length %d, want 4 runes: %q", utf8.RuneCountInString(s), s)
-	}
-	// Monotone data: first rune is the lowest level, last the highest.
-	first, _ := utf8.DecodeRuneInString(s)
-	last, _ := utf8.DecodeLastRuneInString(s)
-	if first != '▁' || last != '█' {
-		t.Errorf("sparkline ends %q and %q: %q", first, last, s)
-	}
-	// Constant data: all minimum level, no panic.
-	c := Sparkline([]float64{5, 5, 5})
-	if utf8.RuneCountInString(c) != 3 {
-		t.Errorf("constant sparkline %q", c)
 	}
 }
