@@ -232,13 +232,20 @@ func (r RunRequest) Canonical() RunRequest {
 	return r
 }
 
+// samplers holds each protocol's sampler generation: a change that moves
+// a protocol's results raises its entry, which moves every address of
+// that protocol. Protocols absent here are at generation 1.
+var samplers = map[string]int{}
+
 // Hash returns the content address of the run this request describes: a
 // hex SHA-256 over a fixed-order serialization of the canonical request.
 // JSON field order and default elision cannot affect it (the canonical
 // struct, not the wire form, is hashed), and perf knobs are excluded. The
 // preimage still carries the canonical kernel ("auto") and schedule
 // ("keyed") lines, so addresses computed before either became fixed stay
-// valid.
+// valid; for the same reason it carries a "sampler=<k>" line only from a
+// protocol's generation 2 on (testdata/addresses.golden holds every
+// address to its bytes).
 func (r RunRequest) Hash() string {
 	c := r.Canonical()
 	var b strings.Builder
@@ -247,6 +254,9 @@ func (r RunRequest) Hash() string {
 		c.Protocol, c.N, canonFloat(c.Eps), c.Seed, c.MaxRounds, c.NoSelfMessages,
 		canonFloat(c.DropProb), canonFloat(c.ABias), canonFloat(c.CrashProb),
 		c.CrashRound, c.Kernel, c.Schedule)
+	if k := samplers[c.Protocol]; k >= 2 {
+		fmt.Fprintf(&b, "sampler=%d\n", k)
+	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
 }
