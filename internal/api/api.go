@@ -232,10 +232,11 @@ func (r RunRequest) Canonical() RunRequest {
 	return r
 }
 
-// samplers holds each protocol's sampler generation: a change that moves
-// a protocol's results raises its entry, which moves every address of
-// that protocol. Protocols absent here are at generation 1.
-var samplers = map[string]int{}
+// samplers holds each protocol's sampler generation (1 when absent): a
+// change that moves a protocol's results raises its entry. Generation 2
+// of the Stage II protocols is core.MajorityRule's threshold decision.
+var samplers = map[string]int{ProtoBroadcast: 2, ProtoConsensus: 2, ProtoAsyncOffsets: 2,
+	ProtoAsyncSelfSync: 2, ProtoBroadcastNoBreathe: 2}
 
 // Hash returns the content address of the run this request describes: a
 // hex SHA-256 over a fixed-order serialization of the canonical request.
@@ -243,9 +244,7 @@ var samplers = map[string]int{}
 // struct, not the wire form, is hashed), and perf knobs are excluded. The
 // preimage still carries the canonical kernel ("auto") and schedule
 // ("keyed") lines, so addresses computed before either became fixed stay
-// valid; for the same reason it carries a "sampler=<k>" line only from a
-// protocol's generation 2 on (testdata/addresses.golden holds every
-// address to its bytes).
+// valid; a "sampler=<k>" line (samplers) is written only for k ≥ 2.
 func (r RunRequest) Hash() string {
 	c := r.Canonical()
 	var b strings.Builder

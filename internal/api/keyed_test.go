@@ -66,12 +66,13 @@ func TestValidateRejectsUnknownSchedule(t *testing.T) {
 }
 
 // TestOmittedScheduleHashPinned pins the content address of a request
-// that omits the schedule to the address the same request had when it
-// named "keyed" explicitly — the preimage still reads kernel=auto and
+// that omits the schedule to the address the same request has when it
+// names "keyed" explicitly — the preimage still reads kernel=auto and
 // schedule=keyed — so every stored cache entry, sweep checkpoint and
-// benchmark digest keeps its address.
+// benchmark digest keeps its address. The value is the broadcast's
+// sampler-2 address: its preimage ends in "sampler=2".
 func TestOmittedScheduleHashPinned(t *testing.T) {
-	const want = "5b01191998c004a86b5616976fdcd019905d6355145fbe7fff6e6fc8e9864b1c"
+	const want = "2c401dd0ffcf3eb60ef8a9125119f462f13093c93629eb3ad7e11cf7fd08b3cc"
 	for _, r := range []RunRequest{
 		{N: 4096, Seed: 7},
 		{N: 4096, Seed: 7, Schedule: ScheduleKeyed},
@@ -85,12 +86,13 @@ func TestOmittedScheduleHashPinned(t *testing.T) {
 	}
 }
 
-// TestKernelFieldHashPinned pins the content address of {"n":1024,"seed":7}
-// to its value from before the kernel field lost its second value: naming
-// kernel auto and schedule keyed keeps the address, and naming the retired
-// per-agent kernel is an error that names auto.
+// TestKernelFieldHashPinned pins the content address of {"n":1024,"seed":7}:
+// naming kernel auto and schedule keyed keeps the address, and naming the
+// retired per-agent kernel is an error that names auto. The value is the
+// broadcast's sampler-2 address: the preimage it had before the kernel
+// field lost its second value, plus a "sampler=2" line.
 func TestKernelFieldHashPinned(t *testing.T) {
-	const want = "2d9c41c8bad1fd5867926da25508a4c2b1963c33a8fa92a7b98f6b5815390373"
+	const want = "41ad61efc5ac7ecfc7328ff48374298e443dea7a327e1fad33fee2a26b537ef1"
 	for _, body := range []string{
 		`{"n":1024,"seed":7}`,
 		`{"n":1024,"seed":7,"kernel":"auto","schedule":"keyed"}`,

@@ -71,6 +71,8 @@ type Protocol struct {
 	preludeLen int
 
 	phases []phase
+	// majority decides the Stage II phases; its rows are dropped in Setup.
+	majority core.MajorityRule
 	// sigma is the attribution shift: global send window of phase k is
 	// [localStart_k + sigma, localStart_{k+1} + sigma).
 	sigma int
@@ -257,6 +259,7 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	p.hasOpinion = make([]bool, n)
 	p.opinion = make([]channel.Bit, n)
 	p.acc = make([]uint64, n)
+	p.majority = core.MajorityRule{}
 
 	if p.consensus {
 		for a := 0; a < p.correctA+p.wrongA; a++ {
@@ -487,14 +490,7 @@ func (p *Protocol) finalizeStageII(k, g int) {
 	for a := 0; a < p.n; a++ {
 		if total := int(p.acc[a] & accTotalMask); total >= ph.subset {
 			successful++
-			var rr rng.RNG
-			rr.Reseed(cell.Uint64(uint64(a)))
-			onesSub := rr.Hypergeometric(total, int(p.acc[a]>>32), ph.subset)
-			if 2*onesSub > ph.subset {
-				p.opinion[a] = channel.One
-			} else {
-				p.opinion[a] = channel.Zero
-			}
+			p.opinion[a] = p.majority.Opinion(ph.subset, total, int(p.acc[a]>>32), cell.Uint64(uint64(a)))
 			p.hasOpinion[a] = true
 		}
 		p.acc[a] = 0

@@ -60,6 +60,9 @@ type Protocol struct {
 	idxZeros, idxOnes []int32
 	idxUnsorted       bool
 
+	// majority decides Stage II; its rows are dropped in Setup.
+	majority MajorityRule
+
 	// Cached phase lookup for the round currently executing.
 	curRound int
 	curRef   PhaseRef
@@ -165,6 +168,7 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	p.idxZeros = p.idxZeros[:0]
 	p.idxOnes = p.idxOnes[:0]
 	p.curRound = -1
+	p.majority = MajorityRule{}
 
 	pre := p.preActivatedLevel()
 	if p.consensus {
@@ -382,11 +386,6 @@ func (p *Protocol) finishStageI() {
 	p.telem.BiasAfterStageI = float64(correct)/float64(p.n) - 0.5
 }
 
-// endStageIIPhase applies the majority rule: every successful agent (one
-// that received at least the subset size g of samples) adopts the majority
-// of a uniformly random g-subset of its samples. Drawing the number of 1s
-// in the subset from Hypergeometric(total, ones, g) is identical in law to
-// materializing the subset (Remark 2.10; property-tested in internal/rng).
 // subsetSize returns the majority-subset size of the Stage II phase the
 // cached round belongs to.
 func (p *Protocol) subsetSize() int {
@@ -396,6 +395,10 @@ func (p *Protocol) subsetSize() int {
 	return p.params.Gamma
 }
 
+// endStageIIPhase applies the majority rule: every successful agent (one
+// that received at least the subset size g of samples) adopts the majority
+// of a uniformly random g-subset of its samples, which MajorityRule
+// decides from the agent's addressed word.
 func (p *Protocol) endStageIIPhase(round int) {
 	g := p.subsetSize()
 	cell := p.drawKey.Cell(rng.StreamSchedule, uint64(round)) //breathe:stream-ok a round ends at most one phase, and that phase is Stage I or Stage II, never both
@@ -411,12 +414,8 @@ func (p *Protocol) endStageIIPhase(round int) {
 			successful++
 			switch {
 			case p.variant.PrefixSubset:
-				// ones already holds the first-g prefix count.
-				if 2*ones > g {
-					p.opinion[a] = channel.One
-				} else {
-					p.opinion[a] = channel.Zero
-				}
+				// ones holds the first-g prefix count, a whole g-sample: P is 0 or 1.
+				p.opinion[a] = p.majority.Opinion(g, g, ones, 0)
 			case p.variant.FullSampleMajority:
 				twice := 2 * ones
 				switch {
@@ -428,16 +427,7 @@ func (p *Protocol) endStageIIPhase(round int) {
 					p.opinion[a] = channel.Bit(cell.Uint64(uint64(a)) & 1)
 				}
 			default:
-				// Multi-variate sampler: run it on an ephemeral stream
-				// seeded by the agent's addressed word.
-				var rr rng.RNG
-				rr.Reseed(cell.Uint64(uint64(a)))
-				onesSub := rr.Hypergeometric(total, ones, g)
-				if 2*onesSub > g {
-					p.opinion[a] = channel.One
-				} else {
-					p.opinion[a] = channel.Zero
-				}
+				p.opinion[a] = p.majority.Opinion(g, total, ones, cell.Uint64(uint64(a)))
 			}
 			p.hasOpinion[a] = true
 		}

@@ -97,7 +97,7 @@ var drawMethods = map[string]map[string]bool{
 	"RNG": {
 		"Uint64": true, "Uint64n": true, "Intn": true, "Uint32n": true,
 		"Float64": true, "Bool": true, "Bernoulli": true, "Binomial": true,
-		"Hypergeometric": true, "Perm": true, "Split": true,
+		"Perm": true, "Split": true,
 	},
 	"Cell": {
 		"Uint64": true, "Uint64n": true, "Uint32n": true, "Fill": true,

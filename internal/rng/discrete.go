@@ -132,79 +132,3 @@ var logFactTable = [...]float64{
 	25.19122118273868150,
 	27.89927138384089157,
 }
-
-// Hypergeometric returns the number of "success" items in a uniform sample
-// of draws items taken without replacement from a population of size
-// popSize containing successes success items.
-//
-// Stage II of the protocol needs exactly this: an agent that received k₁
-// ones and k₀ zeros and must adopt the majority of a uniformly random
-// subset of γ of its samples can equivalently draw
-// Hypergeometric(k₀+k₁, k₁, γ) ones. The sequential conditional-Bernoulli
-// sampler below is exact; draws is O(1/ε²) in all protocol uses, so the
-// O(draws) cost is negligible.
-func (r *RNG) Hypergeometric(popSize, successes, draws int) int {
-	switch {
-	case popSize < 0 || successes < 0 || draws < 0:
-		panic("rng: Hypergeometric with negative parameter")
-	case successes > popSize:
-		panic("rng: Hypergeometric with successes > popSize")
-	case draws > popSize:
-		panic("rng: Hypergeometric with draws > popSize")
-	}
-	// Symmetry reductions keep the loop short.
-	if draws > popSize/2 {
-		// Sampling d items and keeping the rest is the same experiment.
-		return successes - r.Hypergeometric(popSize, successes, popSize-draws)
-	}
-	got := 0
-	remainingPop := popSize
-	remainingSucc := successes
-	// The walk below consumes exactly the draws that calling
-	// Uint64n(remainingPop) per step would — same Lemire multiply-shift,
-	// same rejection rule — but holds the generator state in registers
-	// for the whole walk. Stage II of the protocol invokes this sampler
-	// once per successful agent per phase, which makes it a measurable
-	// share of full runs at n = 10⁶.
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := 0; i < draws; i++ {
-		if remainingSucc == 0 {
-			break
-		}
-		if remainingSucc == remainingPop {
-			got += draws - i
-			break
-		}
-		n := uint64(remainingPop)
-		x := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		hi, lo := mul64(x, n)
-		if lo < n {
-			thresh := -n % n
-			for lo < thresh {
-				x = rotl(s1*5, 7) * 9
-				t = s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = rotl(s3, 45)
-				hi, lo = mul64(x, n)
-			}
-		}
-		if hi < uint64(remainingSucc) {
-			got++
-			remainingSucc--
-		}
-		remainingPop--
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-	return got
-}

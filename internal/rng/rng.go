@@ -1,6 +1,6 @@
 // Package rng provides a deterministic, splittable pseudo-random number
 // generator together with the exact discrete samplers the simulator needs
-// (Bernoulli, binomial, hypergeometric).
+// (Bernoulli, binomial).
 //
 // Determinism is a hard requirement of the repository: every simulation is
 // a pure function of (configuration, seed). The package therefore does not

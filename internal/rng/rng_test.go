@@ -307,111 +307,6 @@ func TestBinomialChiSquare(t *testing.T) {
 	}
 }
 
-// --- Hypergeometric ---
-
-func TestHypergeometricEdgeCases(t *testing.T) {
-	r := New(1)
-	if got := r.Hypergeometric(10, 0, 5); got != 0 {
-		t.Errorf("no successes in population, got %d", got)
-	}
-	if got := r.Hypergeometric(10, 10, 5); got != 5 {
-		t.Errorf("all successes, got %d", got)
-	}
-	if got := r.Hypergeometric(10, 4, 0); got != 0 {
-		t.Errorf("zero draws, got %d", got)
-	}
-	if got := r.Hypergeometric(10, 4, 10); got != 4 {
-		t.Errorf("full draw must recover all successes, got %d", got)
-	}
-}
-
-func TestHypergeometricPanics(t *testing.T) {
-	cases := []struct{ n, k, d int }{
-		{-1, 0, 0}, {10, 11, 1}, {10, 5, 11}, {10, -1, 2}, {10, 5, -2},
-	}
-	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Hypergeometric(%d,%d,%d) did not panic", c.n, c.k, c.d)
-				}
-			}()
-			New(1).Hypergeometric(c.n, c.k, c.d)
-		}()
-	}
-}
-
-func TestHypergeometricSupport(t *testing.T) {
-	r := New(21)
-	const N, K, d = 30, 12, 9
-	for i := 0; i < 5000; i++ {
-		got := r.Hypergeometric(N, K, d)
-		lo := d - (N - K)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := d
-		if K < hi {
-			hi = K
-		}
-		if got < lo || got > hi {
-			t.Fatalf("Hypergeometric out of support: %d not in [%d,%d]", got, lo, hi)
-		}
-	}
-}
-
-func TestHypergeometricMean(t *testing.T) {
-	r := New(23)
-	cases := []struct{ N, K, d int }{
-		{100, 30, 10}, {100, 30, 90}, {57, 20, 21}, {1000, 500, 101},
-	}
-	const draws = 30000
-	for _, c := range cases {
-		sum := 0.0
-		for i := 0; i < draws; i++ {
-			sum += float64(r.Hypergeometric(c.N, c.K, c.d))
-		}
-		mean := sum / draws
-		want := float64(c.d) * float64(c.K) / float64(c.N)
-		if math.Abs(mean-want) > 0.05*want+0.05 {
-			t.Errorf("Hypergeometric(%d,%d,%d) mean = %v, want %v", c.N, c.K, c.d, mean, want)
-		}
-	}
-}
-
-// TestHypergeometricMatchesSubsetSampling is the property the protocol
-// relies on (DESIGN.md §5.1): drawing Hypergeometric(total, ones, g)
-// is distributed as counting the ones in a uniform g-subset of an explicit
-// multiset.
-func TestHypergeometricMatchesSubsetSampling(t *testing.T) {
-	const N, K, d, draws = 21, 8, 7, 60000
-	r1 := New(31)
-	r2 := New(77)
-	countA := make([]int, d+1)
-	countB := make([]int, d+1)
-	pop := make([]int, N)
-	for i := 0; i < K; i++ {
-		pop[i] = 1
-	}
-	for i := 0; i < draws; i++ {
-		countA[r1.Hypergeometric(N, K, d)]++
-		// Brute force: the first d entries of a uniform permutation.
-		perm := r2.Perm(N)
-		ones := 0
-		for j := 0; j < d; j++ {
-			ones += pop[perm[j]]
-		}
-		countB[ones]++
-	}
-	for k := 0; k <= d; k++ {
-		a, b := float64(countA[k]), float64(countB[k])
-		tol := 5*math.Sqrt((a+b)/2+1) + 5
-		if math.Abs(a-b) > tol {
-			t.Errorf("k=%d: sampler %v vs brute force %v (tol %.0f)", k, a, b, tol)
-		}
-	}
-}
-
 // --- property-based tests (testing/quick) ---
 
 func TestQuickUint64nInRange(t *testing.T) {
@@ -436,28 +331,6 @@ func TestQuickBinomialInRange(t *testing.T) {
 		return got >= 0 && got <= nn
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickHypergeometricInSupport(t *testing.T) {
-	r := New(53)
-	f := func(nRaw, kRaw, dRaw uint16) bool {
-		N := int(nRaw%500) + 1
-		K := int(kRaw) % (N + 1)
-		d := int(dRaw) % (N + 1)
-		got := r.Hypergeometric(N, K, d)
-		lo := d - (N - K)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := d
-		if K < hi {
-			hi = K
-		}
-		return got >= lo && got <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -492,13 +365,6 @@ func BenchmarkBinomialBTRS(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Binomial(10000, 0.3)
-	}
-}
-
-func BenchmarkHypergeometric(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Hypergeometric(200, 90, 51)
 	}
 }
 
@@ -541,51 +407,6 @@ func TestUint32nPanicsOnZero(t *testing.T) {
 		}
 	}()
 	New(1).Uint32n(0)
-}
-
-func TestHypergeometricConsumptionUnchanged(t *testing.T) {
-	// The register-state walk must be draw-for-draw identical to calling
-	// Uint64n(remainingPop) per step: same values AND same stream
-	// consumption, checked by comparing against a reference walk.
-	var ref func(r *RNG, popSize, successes, draws int) int
-	ref = func(r *RNG, popSize, successes, draws int) int {
-		if draws > popSize/2 {
-			return successes - ref(r, popSize, successes, popSize-draws)
-		}
-		got := 0
-		remainingPop := popSize
-		remainingSucc := successes
-		for i := 0; i < draws; i++ {
-			if remainingSucc == 0 {
-				break
-			}
-			if remainingSucc == remainingPop {
-				got += draws - i
-				break
-			}
-			if r.Uint64n(uint64(remainingPop)) < uint64(remainingSucc) {
-				got++
-				remainingSucc--
-			}
-			remainingPop--
-		}
-		return got
-	}
-	a, b := New(314), New(314)
-	for i := 0; i < 2000; i++ {
-		pop := i%97 + 2
-		succ := i % (pop + 1)
-		draws := i % (pop + 1)
-		if got, want := a.Hypergeometric(pop, succ, draws), ref(b, pop, succ, draws); got != want {
-			t.Fatalf("case %d: Hypergeometric(%d,%d,%d) = %d, reference %d", i, pop, succ, draws, got, want)
-		}
-	}
-	// Streams must remain in lockstep after all calls.
-	for i := 0; i < 10; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("stream consumption diverged from reference")
-		}
-	}
 }
 
 // TestReseedMatchesNew: Reseed must reproduce New's state exactly so the
