@@ -13,7 +13,7 @@ import (
 )
 
 // One testing.B benchmark per experiment in the reproduction index
-// (DESIGN.md §4). Each iteration regenerates the experiment's table at
+// (README.md, "Reproducing the paper's claims"). Each iteration regenerates the experiment's table at
 // quick scale and asserts its shape checks; custom metrics expose the
 // headline numbers. Run the full-scale variants with
 // `go run ./cmd/experiments -run all`.

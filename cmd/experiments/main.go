@@ -1,5 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables
-// (DESIGN.md §4, EXPERIMENTS.md).
+// Command experiments regenerates the paper-reproduction tables listed in
+// README.md, "Reproducing the paper's claims".
 //
 // Usage:
 //
@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,14 +20,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
 		list    = fs.Bool("list", false, "list experiments and exit")
 		runIDs  = fs.String("run", "", "comma-separated experiment IDs, or 'all'")
@@ -40,13 +42,13 @@ func run(args []string) error {
 	}
 
 	if *list || *runIDs == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(out, "available experiments:")
 		for _, e := range bench.All() {
-			fmt.Printf("  %-4s %-55s [%s]\n", e.ID, e.Title, e.PaperRef)
-			fmt.Printf("       expects: %s\n", e.Expectation)
+			fmt.Fprintf(out, "  %-4s %-55s [%s]\n", e.ID, e.Title, e.PaperRef)
+			fmt.Fprintf(out, "       expects: %s\n", e.Expectation)
 		}
 		if *runIDs == "" && !*list {
-			fmt.Println("\nrun with: experiments -run all")
+			fmt.Fprintln(out, "\nrun with: experiments -run all")
 		}
 		return nil
 	}
@@ -67,7 +69,7 @@ func run(args []string) error {
 
 	opts := bench.Options{Seeds: *seeds, Quick: *quick}
 	if *verbose {
-		opts.Log = os.Stderr
+		opts.Log = errOut
 	}
 	failures := 0
 	var jsonReports []bench.JSONReport
@@ -78,7 +80,7 @@ func run(args []string) error {
 		}
 		switch *format {
 		case "text":
-			if err := bench.WriteReport(os.Stdout, e, rep); err != nil {
+			if err := bench.WriteReport(out, e, rep); err != nil {
 				return err
 			}
 		case "json":
@@ -91,7 +93,7 @@ func run(args []string) error {
 		}
 	}
 	if *format == "json" {
-		if err := bench.WriteJSON(os.Stdout, jsonReports); err != nil {
+		if err := bench.WriteJSON(out, jsonReports); err != nil {
 			return err
 		}
 	}

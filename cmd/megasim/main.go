@@ -68,14 +68,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "megasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("megasim", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
 		protocol = fs.String("protocol", "broadcast", strings.Join(api.Protocols, " | "))
 		n        = fs.Int("n", 1_000_000, "population size")
@@ -114,10 +115,10 @@ func run(args []string) error {
 		return err
 	}
 
-	// Commentary goes to stderr under -json so stdout stays parseable.
-	out := os.Stdout
+	// Under -json, out carries the response and the commentary goes to errOut.
+	response := out
 	if *jsonOut {
-		out = os.Stderr
+		out = errOut
 	}
 
 	schedule := fmt.Sprintf("%d rounds", built.ScheduleRounds)
@@ -188,7 +189,7 @@ func run(args []string) error {
 
 	if *jsonOut {
 		resp := api.NewResponse(req, res, built.Crashed, proto)
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(response)
 		enc.SetIndent("", "  ")
 		return enc.Encode(resp)
 	}

@@ -1,18 +1,23 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
 
 // TestRunSmallBroadcastBothKernels runs the serial and the sharded kernel.
 func TestRunSmallBroadcastBothKernels(t *testing.T) {
 	for _, shards := range []string{"1", "4"} {
-		if err := run([]string{"-n", "2048", "-shards", shards, "-seed", "3"}); err != nil {
+		if err := run([]string{"-n", "2048", "-shards", shards, "-seed", "3"}, io.Discard, io.Discard); err != nil {
 			t.Fatalf("shards %s: %v", shards, err)
 		}
 	}
 }
 
 func TestRunSmallConsensus(t *testing.T) {
-	if err := run([]string{"-protocol", "consensus", "-n", "2048", "-seed", "4"}); err != nil {
+	if err := run([]string{"-protocol", "consensus", "-n", "2048", "-seed", "4"}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,7 +25,7 @@ func TestRunSmallConsensus(t *testing.T) {
 func TestRunExclusionMode(t *testing.T) {
 	// -self=false keeps the thesis model's self-exclusion; the batched
 	// kernel then uses its per-message path.
-	if err := run([]string{"-n", "1024", "-self=false", "-seed", "5"}); err != nil {
+	if err := run([]string{"-n", "1024", "-self=false", "-seed", "5"}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,21 +34,40 @@ func TestRunAsyncProtocols(t *testing.T) {
 	// The §3 protocols — the batched machinery covers them via the
 	// offset-class sender lists.
 	for _, proto := range []string{"async-offsets", "async-selfsync"} {
-		if err := run([]string{"-protocol", proto, "-n", "1024", "-seed", "2"}); err != nil {
+		if err := run([]string{"-protocol", proto, "-n", "1024", "-seed", "2"}, io.Discard, io.Discard); err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
 	}
 }
 
-// TestRunBaselines runs the no-breathe ablation and the §1.6 baselines,
-// in the classical convention and under self-exclusion.
+// TestRunBaselines runs the no-breathe ablation and the §1.6 baselines
+// at n = 4096: each prints a paths line, gives byte-identical -json on
+// one and four shards, and runs under self-exclusion too.
 func TestRunBaselines(t *testing.T) {
 	for _, proto := range []string{"broadcast-no-breathe", "immediate-forward", "voter", "two-choice", "silent-wait"} {
-		for _, self := range []string{"-self=true", "-self=false"} {
-			if err := run([]string{"-protocol", proto, "-n", "1024", "-seed", "2", self}); err != nil {
-				t.Fatalf("%s %s: %v", proto, self, err)
+		t.Run(proto, func(t *testing.T) {
+			args := []string{"-protocol", proto, "-n", "4096", "-seed", "1"}
+			var out bytes.Buffer
+			if err := run(args, &out, io.Discard); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if !strings.Contains(out.String(), "\npaths: ") {
+				t.Errorf("no paths line:\n%s", out.String())
+			}
+			var one, four bytes.Buffer
+			if err := run(append(args, "-json", "-shards", "1"), &one, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(args, "-json", "-shards", "4"), &four, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if one.Len() == 0 || !bytes.Equal(one.Bytes(), four.Bytes()) {
+				t.Errorf("-json differs between -shards 1 and -shards 4:\n%s\n%s", one.String(), four.String())
+			}
+			if err := run(append(args, "-self=false"), io.Discard, io.Discard); err != nil {
+				t.Fatalf("-self=false: %v", err)
+			}
+		})
 	}
 }
 
@@ -57,7 +81,7 @@ func TestRunCrashFaults(t *testing.T) {
 		{"-protocol", "async-selfsync", "-n", "1024", "-crash", "0.1", "-seed", "9"},
 	}
 	for _, args := range cases {
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard, io.Discard); err != nil {
 			t.Fatalf("args %v: %v", args, err)
 		}
 	}
@@ -67,7 +91,7 @@ func TestRunJSONOutput(t *testing.T) {
 	// -json emits the api.RunResponse on stdout; the run must succeed on
 	// every protocol that the service also serves.
 	for _, proto := range []string{"broadcast", "consensus"} {
-		if err := run([]string{"-protocol", proto, "-n", "2048", "-seed", "3", "-json"}); err != nil {
+		if err := run([]string{"-protocol", proto, "-n", "2048", "-seed", "3", "-json"}, io.Discard, io.Discard); err != nil {
 			t.Fatalf("%s -json: %v", proto, err)
 		}
 	}
@@ -91,7 +115,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-crash", "-Inf"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package bench defines the experiment suite that reproduces every
-// quantitative claim of the paper (see DESIGN.md §4 for the index).
+// quantitative claim of the paper (see README's "Reproducing the paper's claims").
 //
 // The paper is theoretical — its "tables and figures" are theorems,
-// lemmas and claims. Each experiment E1..E12 regenerates one of them as a
+// lemmas and claims. Each experiment E1..E18 regenerates one of them as a
 // table plus automated shape checks (scaling exponents, envelope
 // containment, who-wins comparisons). cmd/experiments renders the tables;
 // bench_test.go exposes one testing.B benchmark per experiment.

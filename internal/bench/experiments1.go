@@ -141,7 +141,7 @@ func e2() *Experiment {
 }
 
 // layeredConstants shrinks Stage I phases so several intermediate layers
-// fit even at simulation-friendly n (DESIGN.md E3/E4).
+// fit even at simulation-friendly n, so E3 and E4 have layers to measure.
 func layeredConstants() core.Constants {
 	c := core.DefaultConstants
 	c.S = 0.5

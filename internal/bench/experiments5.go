@@ -17,7 +17,7 @@ func e17() *Experiment {
 	return &Experiment{
 		ID:          "E17",
 		Title:       "Ablation: how small can the constants go?",
-		PaperRef:    "DESIGN.md §5.4 (calibrated vs proof constants)",
+		PaperRef:    "Section 2 phase lengths (calibrated vs proof constants)",
 		Expectation: "success degrades gracefully as the phase-length constants shrink below the calibrated defaults; the defaults sit inside the reliable region",
 		Run: func(o Options) (*Report, error) {
 			n := 2048

@@ -11,6 +11,9 @@
 // Stage II ("speak") boosts the resulting Ω(√(log n / n)) bias to
 // unanimity by O(log n) phases of majority voting over γ = Θ(1/ε²) noisy
 // samples, with a final confirmation phase of Θ(log n/ε²) samples.
+// A Stage II agent adopts One iff its addressed word is below ⌊P̂·2⁶⁴⌋,
+// P̂ the chance that a uniform g-subset of its samples holds a majority
+// of 1s, with relative error at most (6g+8)·2⁻⁵³ (MajorityRule).
 package core
 
 import (
@@ -116,7 +119,7 @@ func (p Params) MemoryBits() int {
 
 // Constants govern how DefaultParams scales each phase. All values are
 // multiples of 1/ε² (and of log₂ n where the paper has a log n factor).
-// They were calibrated empirically (see core tests and EXPERIMENTS.md):
+// They were calibrated empirically (see core tests and experiment E17):
 // the proofs' constants are astronomically conservative, which the paper
 // acknowledges ("no attempt has been made to minimize the constant
 // factors").
