@@ -28,8 +28,8 @@ package breathe
 
 import (
 	"fmt"
-	"math"
 
+	"breathe/internal/api"
 	"breathe/internal/async"
 	"breathe/internal/channel"
 	"breathe/internal/core"
@@ -106,23 +106,27 @@ func (c Config) params() (core.Params, error) {
 	return core.ParamsFor(c.N, c.Epsilon, core.DefaultConstants)
 }
 
-func (c Config) channel() (*channel.BSC, error) {
-	maxFlip := 0.5 - c.Epsilon
-	p := maxFlip
-	if c.FlipProb != nil {
-		p = *c.FlipProb
-		if !(0 <= p && p <= maxFlip) {
-			return nil, fmt.Errorf("breathe: FlipProb %v outside [0, 1/2−ε] = [0, %v]", p, maxFlip)
-		}
+// engine returns the run's engine configuration, built by api (the one
+// constructor of every run) under the thesis model's self-exclusion
+// convention, with the channel FlipProb asks for when it is set.
+func (c Config) engine() (sim.Config, error) {
+	cfg, err := api.RunRequest{N: c.N, Eps: c.Epsilon, Seed: c.Seed, NoSelfMessages: true}.EngineConfig()
+	if err != nil || c.FlipProb == nil {
+		return cfg, err
 	}
-	return channel.NewBSC(p), nil
+	p, maxFlip := *c.FlipProb, 0.5-c.Epsilon
+	if !(0 <= p && p <= maxFlip) {
+		return cfg, fmt.Errorf("breathe: FlipProb %v outside [0, 1/2−ε] = [0, %v]", p, maxFlip)
+	}
+	cfg.Channel = channel.NewBSC(p)
+	return cfg, nil
 }
 
 func (c Config) defaultD() int {
 	if c.D > 0 {
 		return c.D
 	}
-	return 2 * int(math.Ceil(math.Log2(float64(c.N))))
+	return async.DefaultOffsetSpread(c.N)
 }
 
 // Result reports the outcome of a run.
@@ -161,7 +165,7 @@ func Broadcast(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ch, err := cfg.channel()
+	engine, err := cfg.engine()
 	if err != nil {
 		return Result{}, err
 	}
@@ -169,7 +173,7 @@ func Broadcast(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sim.Run(sim.Config{N: cfg.N, Channel: ch, Seed: cfg.Seed}, proto)
+	res, err := sim.Run(engine, proto)
 	if err != nil {
 		return Result{}, err
 	}
@@ -189,7 +193,7 @@ func MajorityConsensus(cfg Config, correctA, wrongA int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ch, err := cfg.channel()
+	engine, err := cfg.engine()
 	if err != nil {
 		return Result{}, err
 	}
@@ -197,7 +201,7 @@ func MajorityConsensus(cfg Config, correctA, wrongA int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sim.Run(sim.Config{N: cfg.N, Channel: ch, Seed: cfg.Seed}, proto)
+	res, err := sim.Run(engine, proto)
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,7 +218,7 @@ func MajorityConsensusAsync(cfg Config, correctA, wrongA int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ch, err := cfg.channel()
+	engine, err := cfg.engine()
 	if err != nil {
 		return Result{}, err
 	}
@@ -225,7 +229,7 @@ func MajorityConsensusAsync(cfg Config, correctA, wrongA int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sim.Run(sim.Config{N: cfg.N, Channel: ch, Seed: cfg.Seed}, proto)
+	res, err := sim.Run(engine, proto)
 	if err != nil {
 		return Result{}, err
 	}
@@ -240,15 +244,14 @@ func BroadcastAsync(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ch, err := cfg.channel()
+	engine, err := cfg.engine()
 	if err != nil {
 		return Result{}, err
 	}
 	var proto *async.Protocol
 	switch cfg.Mode {
 	case SyncSelfStabilizing:
-		prelude := 3 * int(math.Ceil(math.Log2(float64(cfg.N))))
-		proto, err = async.NewSelfSync(params, cfg.Target.bit(), prelude)
+		proto, err = async.NewSelfSync(params, cfg.Target.bit(), async.DefaultPrelude(cfg.N))
 	case SyncKnownOffsets, 0:
 		proto, err = async.NewKnownOffsets(params, cfg.Target.bit(), cfg.defaultD())
 	default:
@@ -257,7 +260,7 @@ func BroadcastAsync(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sim.Run(sim.Config{N: cfg.N, Channel: ch, Seed: cfg.Seed}, proto)
+	res, err := sim.Run(engine, proto)
 	if err != nil {
 		return Result{}, err
 	}

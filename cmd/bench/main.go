@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"breathe/internal/api"
 	"breathe/internal/async"
 	"breathe/internal/channel"
 	"breathe/internal/core"
@@ -249,10 +250,11 @@ func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.Config{
-			N: n, Channel: channel.FromEpsilon(eps), Seed: seed,
-			AllowSelfMessages: true, Shards: 1, MaxRounds: 1 << 30,
-			Failures: sim.NewRandomCrashes(n, crashProb, 0, rng.NewKey(seed), 0),
+		cfg, err := api.RunRequest{
+			N: n, Eps: eps, Seed: seed, CrashProb: crashProb, Shards: 1, MaxRounds: 1 << 30,
+		}.EngineConfig()
+		if err != nil {
+			return nil, err
 		}
 		if noskip {
 			// An observer without a declared cadence makes the engine
@@ -297,11 +299,12 @@ func benchSparse(quick bool, seed uint64, log io.Writer) (*SparseCell, error) {
 		n, k, rounds = 1_000_000, 1_000, 40
 	}
 	probe := telemetry.NewRunProbe()
-	e, err := sim.NewEngine(sim.Config{
-		N: n, Channel: channel.NewBSC(0.2), Seed: seed,
-		AllowSelfMessages: true, Shards: 1, MaxRounds: 1 << 30,
-		Telemetry: probe,
-	})
+	cfg, err := api.RunRequest{N: n, Eps: 0.3, Seed: seed, Shards: 1, MaxRounds: 1 << 30}.EngineConfig()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Telemetry = probe
+	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -402,12 +405,12 @@ func run(args []string, log io.Writer) error {
 				rounds = 3
 			}
 			probe.Reset()
-			e, err := sim.NewEngine(sim.Config{
-				N: n, Channel: channel.NewBSC(0.2), Seed: *seed,
-				AllowSelfMessages: true,
-				Shards:            k.shards, MaxRounds: 1 << 30,
-				Telemetry: probe,
-			})
+			cfg, err := api.RunRequest{N: n, Eps: 0.3, Seed: *seed, Shards: k.shards, MaxRounds: 1 << 30}.EngineConfig()
+			if err != nil {
+				return err
+			}
+			cfg.Telemetry = probe
+			e, err := sim.NewEngine(cfg)
 			if err != nil {
 				return err
 			}

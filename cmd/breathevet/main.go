@@ -7,8 +7,10 @@
 // contracts enforced over the static callgraph (drawfree), and the
 // observability invariants — internal/telemetry stays a leaf package
 // (the static byte-inertness proof) and every wall-clock read outside
-// it carries a //breathe:walltime-ok reason (telemetry) — and the
-// kernels' //breathe:leaf loops stay call-free (leafloop).
+// it carries a //breathe:walltime-ok reason (telemetry) — the
+// kernels' //breathe:leaf loops stay call-free (leafloop), and every
+// engine configuration outside internal/api, internal/sim and tests comes
+// from api.RunRequest, never a hand-built sim.Config literal (frontdoor).
 //
 // Two modes share the analyzers:
 //
@@ -33,6 +35,7 @@ import (
 
 	"breathe/internal/lint"
 	"breathe/internal/lint/drawfree"
+	"breathe/internal/lint/frontdoor"
 	"breathe/internal/lint/leafloop"
 	"breathe/internal/lint/maprange"
 	"breathe/internal/lint/streamconst"
@@ -48,6 +51,7 @@ var analyzers = []*lint.Analyzer{
 	drawfree.Analyzer,
 	telemetry.Analyzer,
 	leafloop.Analyzer,
+	frontdoor.Analyzer,
 }
 
 func main() {

@@ -58,6 +58,12 @@ func TestEndToEnd(t *testing.T) {
 	if st.Executed >= st.Submitted {
 		t.Errorf("no dedup: executed %d of %d submitted", st.Executed, st.Submitted)
 	}
+	// The canceled run is booked when its engine reaches the next round
+	// barrier, which may come after the exercise has seen its job
+	// canceled: wait for it, with a deadline.
+	for deadline := time.Now().Add(30 * time.Second); st.Canceled < 1 && time.Now().Before(deadline); st = svc.Stats() {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if st.Canceled != 1 {
 		t.Errorf("canceled = %d, want 1 (the exercise)", st.Canceled)
 	}

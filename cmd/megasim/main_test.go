@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
+
+	"breathe/internal/api"
 )
 
 // TestRunSmallBroadcastBothKernels runs the serial and the sharded kernel.
@@ -103,6 +106,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-eps", "0.7"},
 		{"-kernel", "auto"},
 		{"-kernel", "per-agent"},
+		{"-kernel", "batched"},
 		{"-eps", "1e-300"},
 		{"-protocol", "rumor"},
 		{"-crash", "1.5"},
@@ -117,6 +121,68 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// runJSON runs megasim with -json and returns its stdout.
+func runJSON(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(append(args, "-json"), &out, io.Discard); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	if out.Len() == 0 {
+		t.Fatalf("%v: no output", args)
+	}
+	return out.Bytes()
+}
+
+// TestKeyedShardIdentity is the keyed schedule's headline guarantee, end
+// to end: for every scenario class, one and four workers emit the same
+// canonical api.RunResponse JSON, byte for byte, as all cores do. The
+// reference is computed fresh, not read from a golden.
+func TestKeyedShardIdentity(t *testing.T) {
+	for _, scen := range []string{
+		"-n 49152",
+		"-n 49157",
+		"-protocol consensus -n 20000",
+		"-protocol async-offsets -n 20000",
+		"-protocol async-selfsync -n 20000",
+		"-protocol async-selfsync -n 20000 -crash 0.1",
+		"-n 20000 -crash 0.1",
+		"-n 20000 -self=false",
+	} {
+		t.Run(scen, func(t *testing.T) {
+			args := append(strings.Fields(scen), "-seed", "1")
+			ref := runJSON(t, args...)
+			for _, shards := range []string{"1", "4"} {
+				if got := runJSON(t, append(args, "-shards", shards)...); !bytes.Equal(got, ref) {
+					t.Errorf("-shards %s differs from all cores:\n%s\n%s", shards, got, ref)
+				}
+			}
+		})
+	}
+}
+
+// TestSparseWalkerIdentity runs a crash-thinned broadcast whose Stage II
+// rounds take the sparse walker (k listed senders, k·64 < n): the response
+// must count sparse rounds, and one and four workers must emit the
+// all-cores bytes. (The walker-versus-tree identity is pinned in
+// internal/sim.)
+func TestSparseWalkerIdentity(t *testing.T) {
+	args := []string{"-n", "131072", "-crash", "0.95", "-seed", "1"}
+	ref := runJSON(t, args...)
+	var resp api.RunResponse
+	if err := json.Unmarshal(ref, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Paths.Sparse == 0 {
+		t.Errorf("no sparse rounds: %+v", resp.Paths)
+	}
+	for _, shards := range []string{"1", "4"} {
+		if got := runJSON(t, append(args, "-shards", shards)...); !bytes.Equal(got, ref) {
+			t.Errorf("-shards %s differs from all cores:\n%s\n%s", shards, got, ref)
 		}
 	}
 }

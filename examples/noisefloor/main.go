@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"breathe"
-	"breathe/internal/baseline"
+	"breathe/internal/api"
 	"breathe/internal/channel"
 	"breathe/internal/sim"
 	"breathe/internal/trace"
@@ -32,12 +32,15 @@ func main() {
 			log.Fatal(err)
 		}
 
-		fwd := &baseline.ImmediateForward{Target: channel.One, Rounds: res.Rounds}
-		fres, err := sim.Run(sim.Config{
-			N:       n,
-			Channel: channel.FromEpsilon(eps),
-			Seed:    3,
-		}, fwd)
+		// The strawman runs as long as breathe's schedule, under the same
+		// self-exclusion convention breathe.Broadcast uses.
+		fwd, err := api.RunRequest{
+			Protocol: api.ProtoImmediateForward, N: n, Eps: eps, Seed: 3, NoSelfMessages: true,
+		}.Build()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fres, err := sim.Run(fwd.Config, fwd.NewProtocol())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package analysis
 import (
 	"math"
 
+	"breathe/internal/async"
 	"breathe/internal/core"
 )
 
@@ -124,7 +125,7 @@ func PredictComplexity(p core.Params) Complexity {
 	msgs += float64(p.N) * float64(p.StageIIRounds())
 
 	rounds := p.TotalRounds()
-	d := 2 * int(math.Ceil(math.Log2(float64(p.N))))
+	d := async.DefaultOffsetSpread(p.N)
 	phases := p.T + 2 + p.K + 1
 	return Complexity{
 		Rounds:            rounds,

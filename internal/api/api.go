@@ -17,11 +17,17 @@
 // Kernel and Schedule each accept one value and keep their lines in the
 // hash preimage, so cache addresses predating them stay valid.
 //
-// RunRequest.Build is the one way a single run is built from a named
-// protocol (Protocols): the service, internal/sweep and cmd/megasim all
-// go through it. The same types serve as the machine-readable output
-// format of cmd/megasim (-json), so batch and service results are
-// directly comparable.
+// RunRequest.EngineConfig and RunRequest.Build are the one constructor of
+// a run: EngineConfig turns a request into the engine configuration
+// (channel, round cap, self-message convention, drop probability, crash
+// plan, worker count), and Build adds a named protocol (Protocols) on top.
+// The service, internal/sweep, cmd/megasim, the public library (package
+// breathe), the paper's experiments (internal/bench), cmd/bench and the
+// examples all build their engine configurations here; breathevet's
+// frontdoor analyzer reports a sim.Config literal anywhere else outside
+// internal/sim and test files. The same types serve as the
+// machine-readable output format of cmd/megasim (-json), so batch and
+// service results are directly comparable.
 package api
 
 import (
@@ -285,10 +291,50 @@ type Run struct {
 	ActivationPrelude int
 }
 
-// Build compiles a normalized, validated request into a Run: DefaultParams(n,
-// eps), target opinion One, the consensus initial set sized 4·β_s with the
-// requested majority bias, and async spreads D = 2·⌈log₂ n⌉ / L =
-// 3·⌈log₂ n⌉. The baselines run the broadcast's schedule length
+// EngineConfig compiles a request into the engine configuration every run
+// of it executes under: the worst-case channel FromEpsilon(ε), the round
+// cap, the self-message convention, the drop probability, the worker
+// count and the run key's crash plan. Build adds the named protocol on
+// top; a caller that runs a protocol api does not name (the paper's
+// experiments with their own initial sets, constants or decision rules)
+// runs it under this configuration instead.
+func (r RunRequest) EngineConfig() (sim.Config, error) {
+	r.Normalize()
+	if err := r.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	return r.engineConfig(), nil
+}
+
+// engineConfig is EngineConfig for a normalized, validated request.
+func (r RunRequest) engineConfig() sim.Config {
+	// Every ε — including the noiseless boundary ε = 0.5, a BSC with flip
+	// probability 0 — runs the worst-case channel FromEpsilon(ε), a BSC
+	// with flip probability 1/2 − ε.
+	cfg := sim.Config{
+		N:                 r.N,
+		Channel:           channel.FromEpsilon(r.Eps),
+		Seed:              r.Seed,
+		MaxRounds:         r.MaxRounds,
+		AllowSelfMessages: !r.NoSelfMessages,
+		DropProb:          r.DropProb,
+		Shards:            r.Shards,
+	}
+	if r.CrashProb > 0 {
+		// The plan is a pure function of (n, crash_prob, crash_round,
+		// seed) — agent 0 protected — drawn from the run key's dedicated
+		// crash stream, so cached and fresh executions of the same request
+		// share it exactly.
+		cfg.Failures = sim.NewRandomCrashes(r.N, r.CrashProb, r.CrashRound, rng.NewKey(r.Seed), 0)
+	}
+	return cfg
+}
+
+// Build compiles a request into a Run: EngineConfig's configuration plus
+// the named protocol, built from DefaultParams(n, eps) with target opinion
+// One — the consensus initial set sized 4·β_s with the requested majority
+// bias, and the async spreads async.DefaultOffsetSpread /
+// async.DefaultPrelude. The baselines run the broadcast's schedule length
 // (params.TotalRounds()), voter and two-choice from 9n/10 correct agents;
 // silent-wait waits for two receptions, up to MaxRounds.
 func (r RunRequest) Build() (*Run, error) {
@@ -298,7 +344,6 @@ func (r RunRequest) Build() (*Run, error) {
 	}
 	params := core.DefaultParams(r.N, r.Eps)
 	total := params.TotalRounds()
-	logN := ceilLog2(r.N)
 
 	var factory func() (sim.Protocol, error)
 	scheduleRounds, offsetSpread, prelude := total, 0, 0
@@ -315,13 +360,11 @@ func (r RunRequest) Build() (*Run, error) {
 			return core.NewConsensus(params, channel.One, correct, sizeA-correct)
 		}
 	case ProtoAsyncOffsets:
-		D := 2 * logN
-		offsetSpread = D
-		factory = func() (sim.Protocol, error) { return async.NewKnownOffsets(params, channel.One, D) }
+		offsetSpread = async.DefaultOffsetSpread(r.N)
+		factory = func() (sim.Protocol, error) { return async.NewKnownOffsets(params, channel.One, offsetSpread) }
 	case ProtoAsyncSelfSync:
-		L := 3 * logN
-		prelude = L
-		factory = func() (sim.Protocol, error) { return async.NewSelfSync(params, channel.One, L) }
+		prelude = async.DefaultPrelude(r.N)
+		factory = func() (sim.Protocol, error) { return async.NewSelfSync(params, channel.One, prelude) }
 	case ProtoBroadcastNoBreathe:
 		factory = func() (sim.Protocol, error) {
 			return core.NewBroadcastVariant(params, channel.One, core.Variant{NoBreathe: true})
@@ -354,34 +397,10 @@ func (r RunRequest) Build() (*Run, error) {
 		scheduleRounds = s.TotalRounds()
 	}
 
-	// Every ε — including the noiseless boundary ε = 0.5, a BSC with flip
-	// probability 0 — runs the worst-case channel FromEpsilon(ε), a BSC
-	// with flip probability 1/2 − ε.
-	cfg := sim.Config{
-		N:                 r.N,
-		Channel:           channel.FromEpsilon(r.Eps),
-		Seed:              r.Seed,
-		MaxRounds:         r.MaxRounds,
-		AllowSelfMessages: !r.NoSelfMessages,
-		DropProb:          r.DropProb,
-		Shards:            r.Shards,
-	}
-
-	crashed := 0
-	if r.CrashProb > 0 {
-		// The plan is a pure function of (n, crash_prob, crash_round,
-		// seed) — agent 0 protected — drawn from the run key's dedicated
-		// crash stream, so cached and fresh executions of the same request
-		// share it exactly.
-		plan := sim.NewRandomCrashes(r.N, r.CrashProb, r.CrashRound,
-			rng.NewKey(r.Seed), 0)
-		cfg.Failures = plan
-		crashed = plan.NumCrashed()
-	}
-
+	cfg := r.engineConfig()
 	run := &Run{
 		Config:            cfg,
-		Crashed:           crashed,
+		Crashed:           cfg.Failures.NumCrashed(),
 		ScheduleRounds:    scheduleRounds,
 		OffsetSpread:      offsetSpread,
 		ActivationPrelude: prelude,
@@ -401,16 +420,6 @@ func (r RunRequest) Build() (*Run, error) {
 		return p
 	}
 	return run, nil
-}
-
-// ceilLog2 returns ⌈log₂ n⌉ for n >= 2.
-func ceilLog2(n int) int {
-	l, p := 0, 1
-	for p < n {
-		p <<= 1
-		l++
-	}
-	return l
 }
 
 // TrajectoryPoint is one streamed progress sample: the population state

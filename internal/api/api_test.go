@@ -204,6 +204,43 @@ func TestBuildCrashPlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildConfigIsEngineConfig: Build runs every protocol under
+// EngineConfig's configuration — reflect.DeepEqual follows the crash-plan
+// pointers, so two separately built plans are compared by content — and
+// Crashed is that plan's size.
+func TestBuildConfigIsEngineConfig(t *testing.T) {
+	for _, proto := range Protocols {
+		for _, noSelf := range []bool{false, true} {
+			for _, crash := range []float64{0, 0.1} {
+				req := RunRequest{Protocol: proto, N: 512, Seed: 3, NoSelfMessages: noSelf, CrashProb: crash}
+				run, err := req.Build()
+				if err != nil {
+					t.Fatalf("%+v: Build: %v", req, err)
+				}
+				cfg, err := req.EngineConfig()
+				if err != nil {
+					t.Fatalf("%+v: EngineConfig: %v", req, err)
+				}
+				if !reflect.DeepEqual(run.Config, cfg) {
+					t.Errorf("%+v: Build's config differs from EngineConfig:\n%+v\n%+v", req, run.Config, cfg)
+				}
+				if run.Crashed != cfg.Failures.NumCrashed() || (run.Crashed > 0) != (crash > 0) {
+					t.Errorf("%+v: Crashed = %d, plan holds %d", req, run.Crashed, cfg.Failures.NumCrashed())
+				}
+			}
+		}
+	}
+	// EngineConfig normalizes (ε defaults to 0.3, the worst-case channel
+	// flips 1/2 − ε) and validates.
+	cfg, err := RunRequest{N: 64}.EngineConfig()
+	if err != nil || cfg.Channel.FlipProb() != 0.5-0.3 || cfg.MaxRounds != sim.DefaultMaxRounds || !cfg.AllowSelfMessages {
+		t.Errorf("defaults: %+v, %v", cfg, err)
+	}
+	if _, err := (RunRequest{N: 1}).EngineConfig(); err == nil {
+		t.Error("EngineConfig accepted n = 1")
+	}
+}
+
 // TestProtocolFactoryFresh: NewProtocol must hand out distinct instances —
 // engines are pooled, protocol state must not be.
 func TestProtocolFactoryFresh(t *testing.T) {

@@ -30,6 +30,7 @@ package async
 
 import (
 	"fmt"
+	"math/bits"
 
 	"breathe/internal/channel"
 	"breathe/internal/core"
@@ -125,6 +126,15 @@ type Protocol struct {
 	stageIIStats []core.StageIIPhaseStat
 	preludeDone  int // agents informed during the prelude (ModeSelfSync)
 }
+
+// DefaultOffsetSpread is the clock-offset bound D = 2·⌈log₂ n⌉ that the
+// known-offsets scenario assumes unless told otherwise: the spread §3.2's
+// synchronizer achieves.
+func DefaultOffsetSpread(n int) int { return 2 * bits.Len(uint(n-1)) }
+
+// DefaultPrelude is the self-sync activation length L = 3·⌈log₂ n⌉ that
+// the self-synchronizing scenario runs with unless told otherwise.
+func DefaultPrelude(n int) int { return 3 * bits.Len(uint(n-1)) }
 
 // NewKnownOffsets returns the §3.1 protocol: clocks are initialized
 // uniformly at random in [0, D) at Setup. D must be positive.

@@ -11,14 +11,22 @@ import (
 	"breathe/internal/sim/simtest"
 )
 
-func defaultD(n int) int { return 2 * int(math.Ceil(math.Log2(float64(n)))) }
+// TestDefaultSpreads pins D = 2·⌈log₂ n⌉ and L = 3·⌈log₂ n⌉ at powers of
+// two and their neighbours.
+func TestDefaultSpreads(t *testing.T) {
+	for _, c := range []struct{ n, log int }{{2, 1}, {3, 2}, {4, 2}, {5, 3}, {1023, 10}, {1024, 10}, {1025, 11}, {1 << 20, 20}} {
+		if d, l := DefaultOffsetSpread(c.n), DefaultPrelude(c.n); d != 2*c.log || l != 3*c.log {
+			t.Errorf("n = %d: D = %d, L = %d, want %d and %d", c.n, d, l, 2*c.log, 3*c.log)
+		}
+	}
+}
 
 func TestKnownOffsetsConverges(t *testing.T) {
 	const n, seeds = 1024, 6
 	params := core.DefaultParams(n, 0.3)
 	ok := 0
 	for seed := uint64(0); seed < seeds; seed++ {
-		p, err := NewKnownOffsets(params, channel.One, defaultD(n))
+		p, err := NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +92,7 @@ func TestOverheadIsAdditiveDilations(t *testing.T) {
 	// offsets. Verify the arithmetic directly.
 	params := core.DefaultParams(4096, 0.3)
 	syncRounds := params.TotalRounds()
-	D := defaultD(4096)
+	D := DefaultOffsetSpread(4096)
 	p, err := NewKnownOffsets(params, channel.One, D)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +158,7 @@ func TestGlobalPhaseWindowsDisjoint(t *testing.T) {
 		var p *Protocol
 		var err error
 		if mode == "offsets" {
-			p, err = NewKnownOffsets(params, channel.One, defaultD(n))
+			p, err = NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 		} else {
 			p, err = NewSelfSync(params, channel.One, 3*9)
 		}
@@ -181,7 +189,7 @@ func TestDeterminism(t *testing.T) {
 	const n = 256
 	params := core.DefaultParams(n, 0.3)
 	run := func() sim.Result {
-		p, err := NewKnownOffsets(params, channel.One, defaultD(n))
+		p, err := NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +218,7 @@ func TestMessageComplexityUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncP, err := NewKnownOffsets(params, channel.One, defaultD(n))
+	asyncP, err := NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +239,7 @@ func TestMessageComplexityUnchanged(t *testing.T) {
 func TestStageIIStatsRecorded(t *testing.T) {
 	const n = 512
 	params := core.DefaultParams(n, 0.3)
-	p, err := NewKnownOffsets(params, channel.One, defaultD(n))
+	p, err := NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +310,7 @@ func TestNames(t *testing.T) {
 func TestTargetZeroWorks(t *testing.T) {
 	const n = 512
 	params := core.DefaultParams(n, 0.3)
-	p, err := NewKnownOffsets(params, channel.Zero, defaultD(n))
+	p, err := NewKnownOffsets(params, channel.Zero, DefaultOffsetSpread(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +329,7 @@ func TestKnownOffsetsConsensusConverges(t *testing.T) {
 	sizeA := 4 * params.BetaS
 	ok := 0
 	for seed := uint64(0); seed < seeds; seed++ {
-		p, err := NewKnownOffsetsConsensus(params, channel.One, sizeA*3/4, sizeA/4, defaultD(n))
+		p, err := NewKnownOffsetsConsensus(params, channel.One, sizeA*3/4, sizeA/4, DefaultOffsetSpread(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +381,7 @@ func TestKnownOffsetsConsensusMajorityZero(t *testing.T) {
 	const n = 1024
 	params := core.DefaultParams(n, 0.3)
 	sizeA := 4 * params.BetaS
-	p, err := NewKnownOffsetsConsensus(params, channel.Zero, sizeA*3/4, sizeA/4, defaultD(n))
+	p, err := NewKnownOffsetsConsensus(params, channel.Zero, sizeA*3/4, sizeA/4, DefaultOffsetSpread(n))
 	if err != nil {
 		t.Fatal(err)
 	}

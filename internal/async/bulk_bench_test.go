@@ -16,7 +16,7 @@ import (
 // applies to the Stage II send windows.
 func asyncBroadcast(b *testing.B, n int, seed uint64) (sim.Result, float64) {
 	b.Helper()
-	p, err := NewKnownOffsets(core.DefaultParams(n, 0.3), channel.One, defaultD(n))
+	p, err := NewKnownOffsets(core.DefaultParams(n, 0.3), channel.One, DefaultOffsetSpread(n))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,13 +23,13 @@ func asyncBuilders(n int) map[string]func() (*Protocol, error) {
 	}
 	return map[string]func() (*Protocol, error){
 		"offsets": func() (*Protocol, error) {
-			return NewKnownOffsets(params, channel.One, defaultD(n))
+			return NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 		},
 		"selfsync": func() (*Protocol, error) {
 			return NewSelfSync(params, channel.One, 3*int(math.Ceil(math.Log2(float64(n)))))
 		},
 		"consensus": func() (*Protocol, error) {
-			return NewKnownOffsetsConsensus(params, channel.One, sizeA*3/4, sizeA/4, defaultD(n))
+			return NewKnownOffsetsConsensus(params, channel.One, sizeA*3/4, sizeA/4, DefaultOffsetSpread(n))
 		},
 	}
 }
@@ -189,7 +189,7 @@ func TestAsyncBatchedWithCrashFaults(t *testing.T) {
 	meanAccepted := func(perAgent bool) float64 {
 		var sum float64
 		for seed := uint64(0); seed < seeds; seed++ {
-			p, err := NewKnownOffsets(params, channel.One, defaultD(n))
+			p, err := NewKnownOffsets(params, channel.One, DefaultOffsetSpread(n))
 			if err != nil {
 				t.Fatal(err)
 			}

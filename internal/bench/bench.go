@@ -13,6 +13,11 @@ import (
 	"io"
 	"sort"
 
+	"breathe/internal/api"
+	"breathe/internal/channel"
+	"breathe/internal/core"
+	"breathe/internal/sim"
+	"breathe/internal/stats"
 	"breathe/internal/trace"
 )
 
@@ -158,4 +163,107 @@ func median(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s[len(s)/2]
+}
+
+// replica is one seed's execution of an experiment cell.
+type replica[P sim.Protocol] struct {
+	// cfg is the engine configuration the run executed under.
+	cfg sim.Config
+	res sim.Result
+	// proto is the protocol instance that ran, for its telemetry.
+	proto P
+}
+
+// replicate runs req once per seed req.Seed, req.Seed+1, …,
+// req.Seed+seeds−1 and hands each replica to visit, in seed order. A nil
+// newProto runs req's named protocol, built by api.RunRequest.Build.
+// Otherwise newProto builds each seed's protocol, which runs under
+// req.EngineConfig(); newProto receives that configuration and may
+// override its channel (E12 runs flip probabilities below the worst case).
+func replicate[P sim.Protocol](req api.RunRequest, seeds int, newProto func(cfg *sim.Config) (P, error), visit func(replica[P])) error {
+	first := req.Seed
+	for i := 0; i < seeds; i++ {
+		req.Seed = first + uint64(i)
+		var r replica[P]
+		if newProto == nil {
+			run, err := req.Build()
+			if err != nil {
+				return err
+			}
+			proto := run.NewProtocol()
+			p, ok := proto.(P)
+			if !ok {
+				return fmt.Errorf("bench: unexpected %T for protocol %q", proto, req.Protocol)
+			}
+			r.cfg, r.proto = run.Config, p
+		} else {
+			cfg, err := req.EngineConfig()
+			if err != nil {
+				return err
+			}
+			if r.proto, err = newProto(&cfg); err != nil {
+				return err
+			}
+			r.cfg = cfg
+		}
+		var err error
+		if r.res, err = sim.Run(r.cfg, r.proto); err != nil {
+			return err
+		}
+		visit(r)
+	}
+	return nil
+}
+
+// request is an experiment cell's run at (n, ε): the thesis model's
+// self-exclusion convention, every other field at api's default.
+func request(n int, eps float64) api.RunRequest {
+	return api.RunRequest{N: n, Eps: eps, NoSelfMessages: true}
+}
+
+// broadcastOf builds the broadcast variant v on params, target One, for
+// replicate; the zero Variant is the paper's broadcast.
+func broadcastOf(params core.Params, v core.Variant) func(*sim.Config) (*core.Protocol, error) {
+	return func(*sim.Config) (*core.Protocol, error) { return core.NewBroadcastVariant(params, channel.One, v) }
+}
+
+// tally accumulates the results of an experiment cell's replicas.
+type tally struct {
+	// unanimous counts runs that ended with every agent on One; wrong
+	// counts runs whose majority ended on Zero.
+	unanimous, wrong int
+	// rounds is the last run's round count: a fixed-schedule protocol
+	// runs the same count at every seed.
+	rounds   int
+	messages stats.Running
+	// bias is the final bias toward One, fraction the final fraction on
+	// One.
+	bias, fraction stats.Running
+}
+
+func (t *tally) add(res sim.Result) {
+	if res.AllCorrect(channel.One) {
+		t.unanimous++
+	}
+	if res.Opinions[channel.Zero] > res.Opinions[channel.One] {
+		t.wrong++
+	}
+	t.rounds = res.Rounds
+	t.messages.Add(float64(res.MessagesSent))
+	t.bias.Add(res.Bias(channel.One))
+	t.fraction.Add(res.CorrectFraction(channel.One))
+}
+
+// runs is the number of tallied runs.
+func (t *tally) runs() int { return t.messages.N() }
+
+// rate is the fraction of tallied runs that ended unanimous.
+func (t *tally) rate() float64 { return float64(t.unanimous) / float64(t.runs()) }
+
+// tallyRuns replicates req's named protocol over seeds and tallies the
+// results.
+func tallyRuns(req api.RunRequest, seeds int) (*tally, error) {
+	t := &tally{}
+	err := replicate(req, seeds, nil, func(r replica[sim.Protocol]) { t.add(r.res) })
+	return t, err
 }

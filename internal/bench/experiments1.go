@@ -12,43 +12,6 @@ import (
 	"breathe/internal/trace"
 )
 
-// broadcastRun is the shared multi-seed broadcast runner.
-type broadcastRun struct {
-	n        int
-	eps      float64
-	rounds   int
-	messages stats.Running
-	success  int
-	seeds    int
-	biasI    stats.Running
-	// last run's protocol, for telemetry-based experiments.
-	last *core.Protocol
-}
-
-func runBroadcasts(n int, eps float64, seeds int, params core.Params) (*broadcastRun, error) {
-	out := &broadcastRun{n: n, eps: eps, seeds: seeds}
-	for seed := 0; seed < seeds; seed++ {
-		p, err := core.NewBroadcast(params, channel.One)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-		if err != nil {
-			return nil, err
-		}
-		out.rounds = res.Rounds
-		out.messages.Add(float64(res.MessagesSent))
-		out.biasI.Add(p.Telemetry().BiasAfterStageI)
-		if res.AllCorrect(channel.One) {
-			out.success++
-		}
-		out.last = p
-	}
-	return out, nil
-}
-
-func (b *broadcastRun) successRate() float64 { return float64(b.success) / float64(b.seeds) }
-
 // --- E1: rounds and messages vs n (Theorem 2.17) ---
 
 func e1() *Experiment {
@@ -66,7 +29,7 @@ func e1() *Experiment {
 			var xs, rounds, msgsNorm []float64
 			for _, n := range ns {
 				o.logf("E1: n = %d", n)
-				run, err := runBroadcasts(n, eps, o.seeds(), core.DefaultParams(n, eps))
+				run, err := tallyRuns(request(n, eps), o.seeds())
 				if err != nil {
 					return nil, err
 				}
@@ -74,13 +37,13 @@ func e1() *Experiment {
 				norm := run.messages.Mean() / (float64(n) * l2 / (eps * eps))
 				tb.AddRowValues(n, run.rounds, float64(run.rounds)/l2,
 					run.messages.Mean(), norm,
-					fmt.Sprintf("%d/%d", run.success, run.seeds))
+					fmt.Sprintf("%d/%d", run.unanimous, run.runs()))
 				xs = append(xs, float64(n))
 				rounds = append(rounds, float64(run.rounds))
 				msgsNorm = append(msgsNorm, norm)
-				if run.successRate() < 0.99 && !o.Quick {
-					r.addCheck(fmt.Sprintf("success w.h.p. at n=%d", n), run.successRate() >= 0.8,
-						fmt.Sprintf("rate %.2f", run.successRate()))
+				if run.rate() < 0.99 && !o.Quick {
+					r.addCheck(fmt.Sprintf("success w.h.p. at n=%d", n), run.rate() >= 0.8,
+						fmt.Sprintf("rate %.2f", run.rate()))
 				}
 			}
 			r.Tables = append(r.Tables, tb)
@@ -122,12 +85,12 @@ func e2() *Experiment {
 			var invEps, rounds []float64
 			for _, eps := range epss {
 				o.logf("E2: eps = %v", eps)
-				run, err := runBroadcasts(n, eps, o.seeds(), core.DefaultParams(n, eps))
+				run, err := tallyRuns(request(n, eps), o.seeds())
 				if err != nil {
 					return nil, err
 				}
 				tb.AddRowValues(eps, run.rounds, float64(run.rounds)*eps*eps,
-					fmt.Sprintf("%d/%d", run.success, run.seeds))
+					fmt.Sprintf("%d/%d", run.unanimous, run.runs()))
 				invEps = append(invEps, 1/eps)
 				rounds = append(rounds, float64(run.rounds))
 			}
@@ -173,24 +136,19 @@ func e3() *Experiment {
 			accs := make([]acc, params.T+2)
 			var x0s []float64
 			allActivated := true
-			for seed := 0; seed < o.seeds(); seed++ {
-				p, err := core.NewBroadcast(params, channel.One)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-				if err != nil {
-					return nil, err
-				}
-				tel := p.Telemetry()
+			err := replicate(request(n, eps), o.seeds(), broadcastOf(params, core.Variant{}), func(r replica[*core.Protocol]) {
+				tel := r.proto.Telemetry()
 				for i, st := range tel.StageI {
 					accs[i].y.Add(float64(st.NewlyActivated))
 					accs[i].x.Add(float64(st.Activated))
 				}
 				x0s = append(x0s, float64(tel.StageI[0].Activated))
-				if res.Undecided > 0 {
+				if r.res.Undecided > 0 {
 					allActivated = false
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
 			x0 := median(x0s)
 			envelopeOK := true
@@ -239,18 +197,16 @@ func e4() *Experiment {
 				"phase", "mean ε_i", "bound ε^{i+1}/2", "mean Y_i")
 			biases := make([]stats.Running, params.T+2)
 			ys := make([]stats.Running, params.T+2)
-			for seed := 0; seed < seeds; seed++ {
-				p, err := core.NewBroadcast(params, channel.One)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(1000 + seed)}, p); err != nil {
-					return nil, err
-				}
-				for i, st := range p.Telemetry().StageI {
+			req := request(n, eps)
+			req.Seed = 1000
+			err := replicate(req, seeds, broadcastOf(params, core.Variant{}), func(r replica[*core.Protocol]) {
+				for i, st := range r.proto.Telemetry().StageI {
 					biases[i].Add(st.Bias())
 					ys[i].Add(float64(st.NewlyActivated))
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
 			ok := true
 			for i := range biases {
@@ -351,23 +307,21 @@ func e6() *Experiment {
 				biasAcc := make([]stats.Running, phases)
 				succAcc := make([]stats.Running, phases)
 				finalAllCorrect := 0
-				for seed := 0; seed < o.seeds(); seed++ {
-					correctA := int(float64(n) * (0.5 + delta1))
-					p, err := core.NewConsensus(params, channel.One, correctA, n-correctA)
-					if err != nil {
-						return nil, err
-					}
-					res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-					if err != nil {
-						return nil, err
-					}
-					for j, st := range p.Telemetry().StageII {
+				correctA := int(float64(n) * (0.5 + delta1))
+				consensus := func(*sim.Config) (*core.Protocol, error) {
+					return core.NewConsensus(params, channel.One, correctA, n-correctA)
+				}
+				err := replicate(request(n, eps), o.seeds(), consensus, func(r replica[*core.Protocol]) {
+					for j, st := range r.proto.Telemetry().StageII {
 						biasAcc[j].Add(st.Bias())
 						succAcc[j].Add(float64(st.Successful))
 					}
-					if res.AllCorrect(channel.One) {
+					if r.res.AllCorrect(channel.One) {
 						finalAllCorrect++
 					}
+				})
+				if err != nil {
+					return nil, err
 				}
 				prev := delta1
 				minAmp := math.Inf(1)

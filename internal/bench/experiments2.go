@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"breathe/internal/async"
+	"breathe/internal/api"
 	"breathe/internal/baseline"
 	"breathe/internal/channel"
 	"breathe/internal/core"
@@ -45,22 +45,15 @@ func e7() *Experiment {
 				thr := math.Sqrt(math.Log2(float64(n)) / float64(sizeA))
 				for _, bias := range biases {
 					correct := int(float64(sizeA) * (0.5 + bias))
-					wrong := sizeA - correct
-					succ := 0
-					for seed := 0; seed < o.seeds(); seed++ {
-						p, err := core.NewConsensus(params, channel.One, correct, wrong)
-						if err != nil {
-							return nil, err
-						}
-						res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-						if err != nil {
-							return nil, err
-						}
-						if res.AllCorrect(channel.One) {
-							succ++
-						}
+					consensus := func(*sim.Config) (*core.Protocol, error) {
+						return core.NewConsensus(params, channel.One, correct, sizeA-correct)
 					}
-					rate := float64(succ) / float64(o.seeds())
+					var cell tally
+					err := replicate(request(n, eps), o.seeds(), consensus, func(r replica[*core.Protocol]) { cell.add(r.res) })
+					if err != nil {
+						return nil, err
+					}
+					succ, rate := cell.unanimous, cell.rate()
 					tb.AddRowValues(sizeA, bias, thr, rate)
 					if bias >= 2*thr && rate < 0.67 {
 						aboveOK = false
@@ -100,47 +93,26 @@ func e8() *Experiment {
 			var breatheBias, ifBias stats.Running
 			for _, n := range ns {
 				o.logf("E8: n = %d", n)
-				var bb, fb, vb, tb2 stats.Running
-				for seed := 0; seed < o.seeds(); seed++ {
-					bp, err := core.NewBroadcast(core.DefaultParams(n, eps), channel.One)
+				// The paper's broadcast and the three baselines, each for
+				// the broadcast's schedule length (api.RunRequest.Build).
+				var final [4]float64
+				for i, proto := range []string{api.ProtoBroadcast, api.ProtoImmediateForward, api.ProtoVoter, api.ProtoTwoChoice} {
+					req := request(n, eps)
+					req.Protocol = proto
+					run, err := tallyRuns(req, o.seeds())
 					if err != nil {
 						return nil, err
 					}
-					bres, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, bp)
-					if err != nil {
-						return nil, err
-					}
-					bb.Add(bres.Bias(channel.One))
-
-					fp := &baseline.ImmediateForward{Target: channel.One, Rounds: bres.Rounds}
-					fres, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, fp)
-					if err != nil {
-						return nil, err
-					}
-					fb.Add(fres.Bias(channel.One))
-
-					vp := &baseline.NoisyVoter{Target: channel.One, InitialCorrect: n * 9 / 10, Rounds: bres.Rounds}
-					vres, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, vp)
-					if err != nil {
-						return nil, err
-					}
-					vb.Add(vres.Bias(channel.One))
-
-					tp := &baseline.TwoChoiceMajority{Target: channel.One, InitialCorrect: n * 9 / 10, Rounds: bres.Rounds}
-					tres, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, tp)
-					if err != nil {
-						return nil, err
-					}
-					tb2.Add(tres.Bias(channel.One))
+					final[i] = run.bias.Mean()
 				}
-				tb.AddRowValues(n, bb.Mean(), fb.Mean(), vb.Mean(), tb2.Mean())
-				breatheBias.Add(bb.Mean())
-				ifBias.Add(fb.Mean())
+				tb.AddRowValues(n, final[0], final[1], final[2], final[3])
+				breatheBias.Add(final[0])
+				ifBias.Add(final[1])
 			}
 			r.Tables = append(r.Tables, tb)
 
 			// Silent waiting: rounds until any agent hears twice.
-			sw, err := silentWaitFit(pick(o, []int{256, 1024, 4096}, []int{256, 1024, 4096, 16384}), silentWaitSeeds, 0, eps)
+			sw, err := silentWaitFit(pick(o, []int{256, 1024, 4096}, []int{256, 1024, 4096, 16384}), silentWaitSeeds, eps)
 			if err != nil {
 				return nil, err
 			}
@@ -174,11 +146,10 @@ type silentWaitResult struct {
 }
 
 // silentWaitFit runs the §1.6 silent-wait strawman seeds times at every
-// n (seeds base, base+1, …) and fits rounds ∝ n^expo through the
-// geometric mean of each size's rounds — the mean of ln T, whose noise
-// is the same at every n and shrinks as 1/√seeds, unlike a median of a
-// handful of runs.
-func silentWaitFit(ns []int, seeds int, base uint64, eps float64) (*silentWaitResult, error) {
+// n (seeds 0, 1, …) and fits rounds ∝ n^expo through the geometric mean
+// of each size's rounds — the mean of ln T, whose noise is the same at
+// every n and shrinks as 1/√seeds, unlike a median of a handful of runs.
+func silentWaitFit(ns []int, seeds int, eps float64) (*silentWaitResult, error) {
 	res := &silentWaitResult{
 		table: trace.NewTable("E8b: silent-wait rounds to second reception (birthday bound)",
 			"n", "geo-mean rounds", "median rounds", "√n"),
@@ -186,13 +157,14 @@ func silentWaitFit(ns []int, seeds int, base uint64, eps float64) (*silentWaitRe
 	for _, n := range ns {
 		rounds := make([]float64, 0, seeds)
 		var logSum float64
-		for i := 0; i < seeds; i++ {
-			sw := &baseline.SilentWait{Target: channel.One, Needed: 2, Rounds: 1 << 20}
-			if _, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: base + uint64(i)}, sw); err != nil {
-				return nil, err
-			}
-			rounds = append(rounds, float64(sw.FirstDoneRound))
-			logSum += math.Log(float64(sw.FirstDoneRound))
+		req := request(n, eps)
+		req.Protocol = api.ProtoSilentWait
+		err := replicate(req, seeds, nil, func(r replica[*baseline.SilentWait]) {
+			rounds = append(rounds, float64(r.proto.FirstDoneRound))
+			logSum += math.Log(float64(r.proto.FirstDoneRound))
+		})
+		if err != nil {
+			return nil, err
 		}
 		g := math.Exp(logSum / float64(seeds))
 		res.table.AddRowValues(n, g, median(rounds), math.Sqrt(float64(n)))
@@ -221,42 +193,23 @@ func e9() *Experiment {
 			var overheads, logsq []float64
 			for _, n := range ns {
 				o.logf("E9: n = %d", n)
-				params := core.DefaultParams(n, eps)
-				D := 2 * int(math.Ceil(math.Log2(float64(n))))
-				var msgSync, msgAsync stats.Running
-				succ := 0
-				var asyncRounds, syncRounds int
-				for seed := 0; seed < o.seeds(); seed++ {
-					sp, err := core.NewBroadcast(params, channel.One)
-					if err != nil {
-						return nil, err
-					}
-					sres, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, sp)
-					if err != nil {
-						return nil, err
-					}
-					ap, err := async.NewKnownOffsets(params, channel.One, D)
-					if err != nil {
-						return nil, err
-					}
-					ares, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, ap)
-					if err != nil {
-						return nil, err
-					}
-					syncRounds, asyncRounds = sres.Rounds, ares.Rounds
-					msgSync.Add(float64(sres.MessagesSent))
-					msgAsync.Add(float64(ares.MessagesSent))
-					if ares.AllCorrect(channel.One) {
-						succ++
-					}
+				sync, err := tallyRuns(request(n, eps), o.seeds())
+				if err != nil {
+					return nil, err
 				}
-				overhead := asyncRounds - syncRounds
+				req := request(n, eps)
+				req.Protocol = api.ProtoAsyncOffsets
+				offsets, err := tallyRuns(req, o.seeds())
+				if err != nil {
+					return nil, err
+				}
+				overhead := offsets.rounds - sync.rounds
 				l2 := math.Ceil(math.Log2(float64(n)))
 				norm := float64(overhead) / (2 * l2 * l2)
-				ratio := msgAsync.Mean() / msgSync.Mean()
-				tb.AddRowValues(n, syncRounds, asyncRounds, overhead, norm, ratio,
-					fmt.Sprintf("%d/%d", succ, o.seeds()))
-				if succ < o.seeds()-1 {
+				ratio := offsets.messages.Mean() / sync.messages.Mean()
+				tb.AddRowValues(n, sync.rounds, offsets.rounds, overhead, norm, ratio,
+					fmt.Sprintf("%d/%d", offsets.unanimous, o.seeds()))
+				if offsets.unanimous < o.seeds()-1 {
 					okAll = false
 				}
 				overheads = append(overheads, float64(overhead))
@@ -385,25 +338,21 @@ func e12() *Experiment {
 			var stageI []float64
 			for _, p := range []float64{pmax, 3 * pmax / 4, pmax / 2, pmax / 4, 0} {
 				ch := channel.NewBSC(p)
-				succ := 0
-				var bias, bias1 stats.Running
-				for seed := 0; seed < o.seeds(); seed++ {
-					proto, err := core.NewBroadcast(core.DefaultParams(n, eps), channel.One)
-					if err != nil {
-						return nil, err
-					}
-					res, err := sim.Run(sim.Config{N: n, Channel: ch, Seed: uint64(seed)}, proto)
-					if err != nil {
-						return nil, err
-					}
-					if res.AllCorrect(channel.One) {
-						succ++
-					}
-					bias.Add(res.Bias(channel.One))
-					bias1.Add(proto.Telemetry().BiasAfterStageI)
+				below := func(cfg *sim.Config) (*core.Protocol, error) {
+					cfg.Channel = ch
+					return core.NewBroadcast(core.DefaultParams(n, eps), channel.One)
 				}
-				rate := float64(succ) / float64(o.seeds())
-				tb.AddRowValues(ch.Name(), rate, bias.Mean(), bias1.Mean())
+				var cell tally
+				var bias1 stats.Running
+				err := replicate(request(n, eps), o.seeds(), below, func(r replica[*core.Protocol]) {
+					cell.add(r.res)
+					bias1.Add(r.proto.Telemetry().BiasAfterStageI)
+				})
+				if err != nil {
+					return nil, err
+				}
+				rate := cell.rate()
+				tb.AddRowValues(ch.Name(), rate, cell.bias.Mean(), bias1.Mean())
 				stageI = append(stageI, bias1.Mean())
 				if rate < 0.67 {
 					allOK = false

@@ -3,38 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"breathe/internal/channel"
+	"breathe/internal/api"
 	"breathe/internal/core"
-	"breathe/internal/sim"
-	"breathe/internal/stats"
 	"breathe/internal/trace"
 )
-
-// runVariantCells executes a variant across seeds; returns success count,
-// wrong-majority count and mean final bias.
-func runVariantCells(v core.Variant, n int, eps float64, seeds int) (ok, wrong int, bias stats.Running, err error) {
-	params := core.DefaultParams(n, eps)
-	for seed := 0; seed < seeds; seed++ {
-		var p *core.Protocol
-		p, err = core.NewBroadcastVariant(params, channel.One, v)
-		if err != nil {
-			return
-		}
-		var res sim.Result
-		res, err = sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-		if err != nil {
-			return
-		}
-		if res.AllCorrect(channel.One) {
-			ok++
-		}
-		if res.Opinions[channel.Zero] > res.Opinions[channel.One] {
-			wrong++
-		}
-		bias.Add(res.Bias(channel.One))
-	}
-	return
-}
 
 // --- E13: the breathing rule is load-bearing (§1.6 ablation) ---
 
@@ -57,14 +29,17 @@ func e13() *Experiment {
 			sawDegradation := false
 			paperClean := true
 			for _, eps := range pick(o, []float64{0.15}, []float64{0.25, 0.2, 0.15}) {
-				okP, wrongP, _, err := runVariantCells(core.Variant{}, n, eps, seeds)
+				req := request(n, eps)
+				paper, err := tallyRuns(req, seeds)
 				if err != nil {
 					return nil, err
 				}
-				okA, wrongA, _, err := runVariantCells(core.Variant{NoBreathe: true}, n, eps, seeds)
+				req.Protocol = api.ProtoBroadcastNoBreathe
+				ablated, err := tallyRuns(req, seeds)
 				if err != nil {
 					return nil, err
 				}
+				okP, wrongP, okA, wrongA := paper.unanimous, paper.wrong, ablated.unanimous, ablated.wrong
 				tb.AddRowValues(eps,
 					fmt.Sprintf("%d/%d / %d", okP, seeds, wrongP),
 					fmt.Sprintf("%d/%d / %d", okA, seeds, wrongA))
@@ -99,6 +74,7 @@ func e14() *Experiment {
 				n = 1024
 			}
 			eps := 0.3
+			params := core.DefaultParams(n, eps)
 			seeds := o.seeds()
 			r := &Report{}
 			tb := trace.NewTable(
@@ -113,15 +89,16 @@ func e14() *Experiment {
 			}
 			allEquivalent := true
 			for _, v := range variants {
-				ok, wrong, bias, err := runVariantCells(v, n, eps, seeds)
+				var cell tally
+				err := replicate(request(n, eps), seeds, broadcastOf(params, v), func(r replica[*core.Protocol]) { cell.add(r.res) })
 				if err != nil {
 					return nil, err
 				}
-				tb.AddRowValues(v.Name(), fmt.Sprintf("%d/%d", ok, seeds), wrong, bias.Mean())
-				if ok < seeds-1 || wrong > 0 {
+				tb.AddRowValues(v.Name(), fmt.Sprintf("%d/%d", cell.unanimous, seeds), cell.wrong, cell.bias.Mean())
+				if cell.unanimous < seeds-1 || cell.wrong > 0 {
 					allEquivalent = false
 				}
-				o.logf("E14: %s %d/%d", v.Name(), ok, seeds)
+				o.logf("E14: %s %d/%d", v.Name(), cell.unanimous, seeds)
 			}
 			r.Tables = append(r.Tables, tb)
 			r.addCheck("all alternative rules converge w.h.p.", allEquivalent,

@@ -5,7 +5,6 @@ import (
 
 	"breathe/internal/channel"
 	"breathe/internal/core"
-	"breathe/internal/rng"
 	"breathe/internal/sim"
 	"breathe/internal/stats"
 	"breathe/internal/trace"
@@ -41,26 +40,13 @@ func e17() *Experiment {
 				c.R *= m
 				c.Fin *= m
 				params := core.NewParams(n, eps, c)
-				succ := 0
-				var msgs stats.Running
-				rounds := 0
-				for seed := 0; seed < seeds; seed++ {
-					p, err := core.NewBroadcastVariant(params, channel.One, core.Variant{})
-					if err != nil {
-						return nil, err
-					}
-					res, err := sim.Run(sim.Config{N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed)}, p)
-					if err != nil {
-						return nil, err
-					}
-					rounds = res.Rounds
-					msgs.Add(float64(res.MessagesSent))
-					if res.AllCorrect(channel.One) {
-						succ++
-					}
+				var cell tally
+				err := replicate(request(n, eps), seeds, broadcastOf(params, core.Variant{}), func(r replica[*core.Protocol]) { cell.add(r.res) })
+				if err != nil {
+					return nil, err
 				}
-				rate := float64(succ) / float64(seeds)
-				tb.AddRowValues(m, rounds, msgs.Mean(), rate)
+				rate := cell.rate()
+				tb.AddRowValues(m, cell.rounds, cell.messages.Mean(), rate)
 				rates = append(rates, rate)
 				if m == 1 {
 					defaultRate = rate
@@ -93,7 +79,6 @@ func e18() *Experiment {
 			}
 			eps := 0.3
 			seeds := o.seeds()
-			params := core.DefaultParams(n, eps)
 			r := &Report{}
 
 			crashTb := trace.NewTable(
@@ -101,26 +86,21 @@ func e18() *Experiment {
 				"crash fraction", "alive-correct rate", "success rate (all alive correct)")
 			crashOK := true
 			for _, frac := range pick(o, []float64{0, 0.1}, []float64{0, 0.05, 0.1, 0.2}) {
+				// The crash plan is the run key's, agent 0 (the source)
+				// protected, as for every served run.
+				req := request(n, eps)
+				req.CrashProb = frac
 				succ := 0
 				var aliveCorrect stats.Running
-				for seed := 0; seed < seeds; seed++ {
-					p, err := core.NewBroadcast(params, channel.One)
-					if err != nil {
-						return nil, err
-					}
-					plan := sim.NewRandomCrashes(n, frac, 0, rng.NewKey(uint64(1000+seed)), 0)
-					res, err := sim.Run(sim.Config{
-						N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed), Failures: plan,
-					}, p)
-					if err != nil {
-						return nil, err
-					}
-					alive := n - plan.NumCrashed()
-					frac := float64(res.Opinions[channel.One]) / float64(alive)
-					aliveCorrect.Add(frac)
-					if res.Opinions[channel.One] == alive {
+				err := replicate(req, seeds, nil, func(r replica[sim.Protocol]) {
+					alive := n - r.cfg.Failures.NumCrashed()
+					aliveCorrect.Add(float64(r.res.Opinions[channel.One]) / float64(alive))
+					if r.res.Opinions[channel.One] == alive {
 						succ++
 					}
+				})
+				if err != nil {
+					return nil, err
 				}
 				rate := float64(succ) / float64(seeds)
 				crashTb.AddRowValues(frac, aliveCorrect.Mean(), rate)
@@ -136,27 +116,15 @@ func e18() *Experiment {
 				"drop prob", "success rate", "mean final fraction")
 			dropOK := true
 			for _, drop := range pick(o, []float64{0, 0.2}, []float64{0, 0.1, 0.2, 0.3}) {
-				succ := 0
-				var frac stats.Running
-				for seed := 0; seed < seeds; seed++ {
-					p, err := core.NewBroadcast(params, channel.One)
-					if err != nil {
-						return nil, err
-					}
-					res, err := sim.Run(sim.Config{
-						N: n, Channel: channel.FromEpsilon(eps), Seed: uint64(seed), DropProb: drop,
-					}, p)
-					if err != nil {
-						return nil, err
-					}
-					frac.Add(res.CorrectFraction(channel.One))
-					if res.AllCorrect(channel.One) {
-						succ++
-					}
+				req := request(n, eps)
+				req.DropProb = drop
+				cell, err := tallyRuns(req, seeds)
+				if err != nil {
+					return nil, err
 				}
-				rate := float64(succ) / float64(seeds)
-				dropTb.AddRowValues(drop, rate, frac.Mean())
-				if drop <= 0.3 && frac.Mean() < 0.99 {
+				rate := cell.rate()
+				dropTb.AddRowValues(drop, rate, cell.fraction.Mean())
+				if drop <= 0.3 && cell.fraction.Mean() < 0.99 {
 					dropOK = false
 				}
 				o.logf("E18: drop %.2f -> %.2f", drop, rate)

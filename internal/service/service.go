@@ -92,8 +92,12 @@ type Stats struct {
 	CacheEntries int `json:"cache_entries"`
 	CacheCap     int `json:"cache_cap"`
 
-	Submitted         uint64 `json:"submitted"`
-	Completed         uint64 `json:"completed"`
+	Submitted uint64 `json:"submitted"`
+	Completed uint64 `json:"completed"`
+	// Canceled counts executions that finalized canceled, booked at
+	// finalize — for a running execution, after the engine reaches its
+	// next round barrier — not rider cancels: a job reads canceled as
+	// soon as Cancel returns, and this counter moves later.
 	Canceled          uint64 `json:"canceled"`
 	Failed            uint64 `json:"failed"`
 	CacheHits         uint64 `json:"cache_hits"`

@@ -54,8 +54,13 @@ func (c *CrashPlan) Crashed(a, round int) bool {
 	return round >= c.round && c.has(a)
 }
 
-// NumCrashed reports the size of the crash set.
-func (c *CrashPlan) NumCrashed() int { return c.count }
+// NumCrashed reports the size of the crash set; a nil plan crashes none.
+func (c *CrashPlan) NumCrashed() int {
+	if c == nil {
+		return 0
+	}
+	return c.count
+}
 
 // NewCrashAt builds a plan that takes the listed agents down from the
 // given round on; a repeated id counts once. The set spans ids up to the

@@ -11,7 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -219,7 +218,7 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 	const n = 1 << 13
 	params := core.DefaultParams(n, 0.3)
-	L := 3 * int(math.Ceil(math.Log2(n)))
+	L := async.DefaultPrelude(n)
 	runKeyedGolden(t, keyedGoldenCase{
 		name: "async-selfsync-crash",
 		cfg: sim.Config{
@@ -237,4 +236,42 @@ func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 		perAgent: true,
 		want:     "7c001198f718943d69093474c506ff792338b2c36502e299e9892491a128e738",
 	})
+}
+
+// TestKeyedGoldenStageII pins the first Stage II decision: each run stops
+// a few rounds after the first Stage II phase (2·Gamma rounds) has
+// finalized, so its opinion counts are the outcome of one round of
+// core.MajorityRule over every agent — on the tree (self-messages) and on
+// the scatter (self-exclusion). The goldens above stop inside Stage I or
+// end unanimous, where a change to the majority rule moves no pinned bit.
+func TestKeyedGoldenStageII(t *testing.T) {
+	const n = 20000
+	params := core.DefaultParams(n, 0.3)
+	stop := params.StageIRounds() + 2*params.Gamma + 4
+	for _, tc := range []struct {
+		name     string
+		self     bool
+		opinions [2]int
+		want     string
+	}{
+		{"stage2-tree", true, [2]int{1588, 18412}, "c91e878f194b059a104b2637e3d2cbbeb1ee2393d13a63c309cad8e14229e674"},
+		{"stage2-scatter", false, [2]int{1273, 18726}, "132b21c16984737dc6098a7dc495b09e0a5c4a35f17c1cec28a8b01f876ba9e9"},
+	} {
+		runKeyedGolden(t, keyedGoldenCase{
+			name: tc.name,
+			cfg: sim.Config{
+				N: n, Channel: channel.FromEpsilon(0.3), Seed: 77,
+				AllowSelfMessages: tc.self, MaxRounds: stop,
+			},
+			proto:    goldenBroadcast(t, n),
+			perAgent: true,
+			check: func(t *testing.T, res sim.Result) {
+				if params.K < 1 || res.Rounds != stop || res.Opinions != tc.opinions {
+					t.Errorf("%s: K = %d, %d rounds (want %d), opinions %v (want %v)",
+						tc.name, params.K, res.Rounds, stop, res.Opinions, tc.opinions)
+				}
+			},
+			want: tc.want,
+		})
+	}
 }
