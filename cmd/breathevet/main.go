@@ -3,7 +3,8 @@
 // rely on — no wall clock or ambient randomness in the deterministic
 // core (walltime), no map-iteration order in canonical bytes
 // (maprange), every keyed draw addressed through a registered stream
-// with no colliding call sites (streamconst), //breathe:drawfree
+// with no colliding call sites and every rng.RNG seeded from a cell word
+// (streamconst), //breathe:drawfree
 // contracts enforced over the static callgraph (drawfree), and the
 // observability invariants — internal/telemetry stays a leaf package
 // (the static byte-inertness proof) and every wall-clock read outside

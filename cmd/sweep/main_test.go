@@ -1,11 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"breathe/internal/service"
 )
 
 func TestParseInts(t *testing.T) {
@@ -157,6 +163,103 @@ func TestRunInterruptResume(t *testing.T) {
 	// from the file.
 	if !strings.Contains(progress.String(), "computed 4, cache 0, checkpoint 4") {
 		t.Errorf("resume counters wrong:\n%s", progress.String())
+	}
+}
+
+// cellDigests reads the per-cell digests of a -json artifact.
+func cellDigests(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Cells []struct {
+			Digest string `json:"digest"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	var ds []string
+	for _, c := range res.Cells {
+		ds = append(ds, c.Digest)
+	}
+	return ds
+}
+
+// TestRunRemoteMatchesLocal runs each grid locally and through -remote
+// against a live service handler: the CSV bytes and every per-cell
+// digest (SHA-256 over the runs' canonical response bytes) must agree.
+func TestRunRemoteMatchesLocal(t *testing.T) {
+	svc := service.New(service.Config{Workers: 2, QueueDepth: 64})
+	ts := httptest.NewServer(service.NewHTTPHandler(svc))
+	defer func() {
+		ts.Close()
+		svc.Close()
+	}()
+	for _, tc := range []struct {
+		name string
+		grid []string
+	}{
+		{"scenario matrix", []string{"-protocol", "broadcast,async-offsets,async-selfsync",
+			"-ns", "256,512", "-epss", "0.3,0.45", "-crash", "0,0.01", "-seeds", "2"}},
+		{"broadcast", []string{"-ns", "256,512", "-epss", "0.3", "-seeds", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var local, remote strings.Builder
+			localJSON, remoteJSON := filepath.Join(dir, "local.json"), filepath.Join(dir, "remote.json")
+			if err := run(append(tc.grid, "-json", localJSON), &local, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(tc.grid, "-remote", ts.URL, "-json", remoteJSON), &remote, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if local.String() != remote.String() {
+				t.Errorf("remote CSV differs from local:\n%s\nvs\n%s", remote.String(), local.String())
+			}
+			ld, rd := cellDigests(t, localJSON), cellDigests(t, remoteJSON)
+			if len(ld) == 0 || !slices.Equal(ld, rd) {
+				t.Errorf("cell digests: local %v, remote %v", ld, rd)
+			}
+		})
+	}
+}
+
+// TestRunMixedShardsResume: a checkpoint written with one shard count is
+// served, byte-identically, to a resume with another — the run hashes
+// erase the worker count, so the grids are the same work.
+func TestRunMixedShardsResume(t *testing.T) {
+	grid := []string{"-ns", "256,512", "-epss", "0.3", "-seeds", "2"}
+	for _, tc := range []struct {
+		write, resume string
+	}{
+		{"1", "4"},
+		{"4", "1"},
+	} {
+		t.Run("shards="+tc.write+"->"+tc.resume, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "grid.ckpt")
+			var full strings.Builder
+			if err := run(append(grid, "-shards", tc.write), &full, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(grid, "-shards", tc.write, "-checkpoint", ckpt, "-abort-after", "1"), io.Discard, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			var resumed, progress strings.Builder
+			if err := run(append(grid, "-shards", tc.resume, "-checkpoint", ckpt, "-resume"), &resumed, &progress); err != nil {
+				t.Fatal(err)
+			}
+			if full.String() != resumed.String() {
+				t.Errorf("resumed CSV differs from uninterrupted:\n%s\nvs\n%s", resumed.String(), full.String())
+			}
+			// 1 cell × 2 seeds were checkpointed and must be served from
+			// the file across shard counts.
+			if !strings.HasSuffix(strings.TrimSpace(progress.String()), "checkpoint 2") {
+				t.Errorf("resume counters wrong:\n%s", progress.String())
+			}
+		})
 	}
 }
 

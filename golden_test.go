@@ -11,13 +11,14 @@ import (
 )
 
 // Golden regression tests: exact values for fixed seeds. These pin down
-// the deterministic execution so that refactors of the engine, the RNG
-// splitting scheme, or the protocol state machine cannot silently change
+// the deterministic execution so that refactors of the engine, the draw
+// schedule, or the protocol state machine cannot silently change
 // behaviour. If a change legitimately alters the execution (e.g. a new
 // RNG draw order), regenerate the constants and say so in the commit.
 
 func TestGoldenRNGStream(t *testing.T) {
-	r := rng.New(12345)
+	var r rng.RNG
+	r.Reseed(12345)
 	want := []uint64{
 		0xbe6a36374160d49b, 0x214aaa0637a688c6, 0xf69d16de9954d388,
 		0xc60048c4e96e033, 0x8e2076aeed51c648,
@@ -101,7 +102,8 @@ func TestGoldenParams(t *testing.T) {
 }
 
 func TestGoldenBinomialDraws(t *testing.T) {
-	r := rng.New(99)
+	var r rng.RNG
+	r.Reseed(99)
 	got := []int{
 		r.Binomial(100, 0.5),
 		r.Binomial(100, 0.5),

@@ -305,10 +305,9 @@ func TestDirectSourceLowerBoundBelowNeeded(t *testing.T) {
 }
 
 func TestSimulateDirectSourceMatchesAnalytic(t *testing.T) {
-	r := rng.New(17)
 	const n, m = 20000, 21
 	eps := 0.2
-	got := SimulateDirectSource(n, m, eps, r)
+	got := SimulateDirectSource(n, m, eps, rng.NewKey(17))
 	want := 1 - DirectSourceErrProb(m, eps)
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("simulated fraction %v vs analytic %v", got, want)
@@ -321,20 +320,19 @@ func TestSimulateDirectSourceValidation(t *testing.T) {
 			t.Fatal("invalid args did not panic")
 		}
 	}()
-	SimulateDirectSource(0, 1, 0.3, rng.New(1))
+	SimulateDirectSource(0, 1, 0.3, rng.NewKey(1))
 }
 
 func TestDirectSourceSufficientSamplesSucceed(t *testing.T) {
 	// Using the computed threshold, all agents decide correctly in most
 	// trials — the "as if informed directly" gold standard of §1.4.
-	r := rng.New(19)
 	const n = 2000
 	eps := 0.25
 	m := DirectSourceRoundsNeeded(n, eps, 0.05)
 	perfect := 0
 	const trials = 10
-	for i := 0; i < trials; i++ {
-		if SimulateDirectSource(n, m, eps, r) == 1 {
+	for i := uint64(0); i < trials; i++ {
+		if SimulateDirectSource(n, m, eps, rng.NewKey(19+i)) == 1 {
 			perfect++
 		}
 	}

@@ -59,16 +59,21 @@ func DirectSourceLowerBound(n int, eps, failProb float64) float64 {
 }
 
 // SimulateDirectSource draws m noisy samples for each of n agents and
-// reports the fraction of agents whose sample-majority is correct.
-func SimulateDirectSource(n, m int, eps float64, r *rng.RNG) float64 {
+// reports the fraction of agents whose sample-majority is correct. Agent
+// a's correct-sample count is one binomial from a generator seeded with
+// word a of key's StreamDirectSource cell m, so runs at different sample
+// counts under one key draw independently.
+func SimulateDirectSource(n, m int, eps float64, key rng.Key) float64 {
 	if n < 1 || m < 1 {
 		panic(fmt.Sprintf("baseline: SimulateDirectSource(%d, %d)", n, m))
 	}
 	q := 0.5 + eps
+	cell := key.Cell(rng.StreamDirectSource, uint64(m))
+	var r rng.RNG
 	correct := 0
 	for a := 0; a < n; a++ {
-		good := r.Binomial(m, q)
-		if 2*good > m {
+		r.Reseed(cell.Uint64(uint64(a)))
+		if 2*r.Binomial(m, q) > m {
 			correct++
 		}
 	}

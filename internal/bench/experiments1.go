@@ -242,7 +242,7 @@ func e5() *Experiment {
 			if o.Quick {
 				trials = 40000
 			}
-			rng1 := rng.New(20240614)
+			cell := uint64(0) // each (ε, δ) cell draws under its own key
 			allHold := true
 			mcClose := true
 			for _, eps := range []float64{0.1, 0.2, 0.3} {
@@ -261,7 +261,8 @@ func e5() *Experiment {
 					q := stats.SampleCorrectProb(d.delta, eps)
 					exact := stats.MajoritySuccessProb(gamma, q)
 					proc := stats.NewTwoStepProcess(gamma, 2*eps*d.delta)
-					mc := proc.SuccessRate(trials, rng1)
+					mc := proc.SuccessRate(trials, rng.NewKey(20240614+cell))
+					cell++
 					bound := stats.Lemma211Bound(d.delta)
 					holds := exact >= bound-1e-9
 					if !holds {

@@ -268,11 +268,11 @@ func e10() *Experiment {
 				fmt.Sprintf("ratios in [%.1f, %.1f]", lo, hi))
 
 			// Validate the yardstick itself by simulation.
-			rg := rng.New(8)
+			key := rng.NewKey(8)
 			n, eps := 4096, 0.3
 			m := baseline.DirectSourceRoundsNeeded(n, eps, 0.05)
-			frac := baseline.SimulateDirectSource(n, m, eps, rg)
-			fracHalf := baseline.SimulateDirectSource(n, m/4, eps, rg)
+			frac := baseline.SimulateDirectSource(n, m, eps, key)
+			fracHalf := baseline.SimulateDirectSource(n, m/4, eps, key)
 			r.addCheck("m* samples suffice, m*/4 do not", frac > 0.999 && fracHalf < 0.999,
 				fmt.Sprintf("all-correct fraction %.4f at m*, %.4f at m*/4", frac, fracHalf))
 			return r, nil

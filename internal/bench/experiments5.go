@@ -84,8 +84,8 @@ func e18() *Experiment {
 			crashTb := trace.NewTable(
 				fmt.Sprintf("E18a: initial crash faults (n = %d, ε = %.2f, %d seeds)", n, eps, seeds),
 				"crash fraction", "alive-correct rate", "success rate (all alive correct)")
-			crashOK := true
-			for _, frac := range pick(o, []float64{0, 0.1}, []float64{0, 0.05, 0.1, 0.2}) {
+			crashOK, majorityOK := true, true
+			for _, frac := range pick(o, []float64{0, 0.1}, []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
 				// The crash plan is the run key's, agent 0 (the source)
 				// protected, as for every served run.
 				req := request(n, eps)
@@ -106,6 +106,9 @@ func e18() *Experiment {
 				crashTb.AddRowValues(frac, aliveCorrect.Mean(), rate)
 				if frac <= 0.2 && aliveCorrect.Mean() < 0.99 {
 					crashOK = false
+				}
+				if aliveCorrect.Mean() <= 0.5 {
+					majorityOK = false
 				}
 				o.logf("E18: crash %.2f -> %.2f", frac, rate)
 			}
@@ -132,6 +135,7 @@ func e18() *Experiment {
 			r.Tables = append(r.Tables, dropTb)
 
 			r.addCheck("crashes up to 20% leave survivors correct", crashOK, "alive-correct ≥ 0.99")
+			r.addCheck("survivors keep the majority", majorityOK, "alive-correct > 1/2 at every fraction")
 			r.addCheck("message loss up to 30% tolerated", dropOK, "final fraction ≥ 0.99")
 			return r, nil
 		},

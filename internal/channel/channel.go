@@ -7,17 +7,15 @@
 // The worst case the theorems assume is p = 1/2 − ε, and p = 0 is the
 // noiseless control. A per-message flip probability drawn i.i.d. from
 // [lo, hi] is, in law, exactly a BSC at (lo+hi)/2, so "at most 1/2 − ε"
-// needs no channel of its own. The engine reads the flip probability
-// (FlipProb) and draws the noise itself; Transmit is the per-message
-// statement of the rule, which the test reference applies message by
-// message.
+// needs no channel of its own. The package draws nothing: the engine
+// reads the flip probability (FlipProb, or its integer form
+// FlipThreshold53) and flips a bit when its addressed noise word falls
+// under the threshold.
 package channel
 
 import (
 	"fmt"
 	"math"
-
-	"breathe/internal/rng"
 )
 
 // Bit is a single-bit message payload, the entire alphabet of the Flip
@@ -66,20 +64,11 @@ func FromEpsilon(eps float64) *BSC {
 	return NewBSC(0.5 - eps)
 }
 
-// Transmit returns the bit the receiver observes when b is sent, drawing
-// the flip from r. At p = 0 it draws nothing.
-func (c *BSC) Transmit(b Bit, r *rng.RNG) Bit {
-	if r.Bernoulli(c.p) {
-		return b.Flip()
-	}
-	return b
-}
-
 // FlipThreshold53 converts a flip probability to the 53-bit integer
-// threshold t such that (Uint64()>>11) < t holds with exactly the
-// probability Bernoulli(p) accepts: P = ⌈p·2⁵³⌉/2⁵³, which equals the law
-// of Float64() < p because the mantissa draw takes integer multiples of
-// 2⁻⁵³.
+// threshold t such that (w>>11) < t holds for a uniform word w with
+// probability ⌈p·2⁵³⌉/2⁵³, which equals the law of Float64() < p because
+// the mantissa draw takes integer multiples of 2⁻⁵³. For an identical
+// word the two forms decide identically.
 func FlipThreshold53(p float64) uint64 {
 	if p <= 0 {
 		return 0

@@ -3,7 +3,6 @@ package channel
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"breathe/internal/rng"
 )
@@ -53,55 +52,41 @@ func TestFromEpsilonValidation(t *testing.T) {
 	}
 }
 
-func TestBSCFlipRate(t *testing.T) {
-	r := rng.New(1)
-	for _, p := range []float64{0.05, 0.2, 0.45} {
-		c := NewBSC(p)
-		const draws = 200000
-		flips := 0
-		for i := 0; i < draws; i++ {
-			if c.Transmit(One, r) != One {
-				flips++
-			}
+// flips counts the words of cell c, counters [0, draws), that flip a bit
+// under threshold t: the engine's noise rule, word>>11 < t.
+func flips(c rng.Cell, draws int, t uint64) int {
+	k := 0
+	for i := 0; i < draws; i++ {
+		if c.Uint64(uint64(i))>>11 < t {
+			k++
 		}
-		got := float64(flips) / draws
+	}
+	return k
+}
+
+func TestBSCFlipRate(t *testing.T) {
+	c := rng.NewKey(1).Cell(rng.StreamNoise, 0)
+	for _, p := range []float64{0.05, 0.2, 0.45} {
+		const draws = 200000
+		got := float64(flips(c, draws, FlipThreshold53(NewBSC(p).FlipProb()))) / draws
 		if math.Abs(got-p) > 4*math.Sqrt(p*(1-p)/draws) {
 			t.Errorf("BSC(%v) flip rate = %v", p, got)
 		}
 	}
 }
 
-func TestBSCSymmetric(t *testing.T) {
-	// The flip rate must not depend on the transmitted bit.
-	c := NewBSC(0.3)
-	r := rng.New(2)
-	const draws = 100000
-	flips0, flips1 := 0, 0
-	for i := 0; i < draws; i++ {
-		if c.Transmit(Zero, r) != Zero {
-			flips0++
-		}
-		if c.Transmit(One, r) != One {
-			flips1++
-		}
-	}
-	diff := math.Abs(float64(flips0-flips1)) / draws
-	if diff > 0.01 {
-		t.Fatalf("asymmetric flip rates: %d vs %d", flips0, flips1)
-	}
-}
-
-// TestNoiseless: the noiseless control is the BSC at flip probability 0.
+// TestNoiseless: the noiseless control is the BSC at flip probability 0,
+// whose threshold no word falls under.
 func TestNoiseless(t *testing.T) {
 	c := NewBSC(0)
-	r := rng.New(3)
-	for i := 0; i < 1000; i++ {
-		if c.Transmit(One, r) != One || c.Transmit(Zero, r) != Zero {
-			t.Fatal("BSC(0) corrupted a bit")
-		}
-	}
 	if c.FlipProb() != 0 {
 		t.Fatal("BSC(0) FlipProb != 0")
+	}
+	if FlipThreshold53(c.FlipProb()) != 0 {
+		t.Fatal("BSC(0) has a nonzero flip threshold")
+	}
+	if k := flips(rng.NewKey(3).Cell(rng.StreamNoise, 0), 1000, 0); k != 0 {
+		t.Fatalf("BSC(0) flipped %d bits", k)
 	}
 }
 
@@ -112,26 +97,24 @@ func TestNoiseless(t *testing.T) {
 // model's "at most 1/2 − ε" needs no channel besides BSC.
 func TestMixedFlipProbIsBSCInLaw(t *testing.T) {
 	const lo, hi = 0.1, 0.3
-	r := rng.New(4)
-	bsc := NewBSC((lo + hi) / 2)
-	rb := rng.New(5)
+	k := rng.NewKey(4)
+	probs, noise := k.Cell(rng.StreamNoise, 0), k.Cell(rng.StreamNoise, 1)
 	const draws = 200000
-	flips, bscFlips := 0, 0
-	for i := 0; i < draws; i++ {
-		if r.Bernoulli(lo + (hi-lo)*r.Float64()) {
-			flips++
-		}
-		if bsc.Transmit(Zero, rb) != Zero {
-			bscFlips++
+	mixed := 0
+	for i := uint64(0); i < draws; i++ {
+		p := lo + (hi-lo)*float64(probs.Uint64(i)>>11)/(1<<53)
+		if noise.Uint64(i)>>11 < FlipThreshold53(p) {
+			mixed++
 		}
 	}
+	bscFlips := flips(k.Cell(rng.StreamNoise, 2), draws, FlipThreshold53(NewBSC((lo+hi)/2).FlipProb()))
 	// Both counts are Binomial(draws, 0.2): sd ≈ 179 each, ≈ 253 for
 	// their difference, so 1500 is about 6 sd.
-	if got := float64(flips) / draws; math.Abs(got-0.2) > 0.01 {
+	if got := float64(mixed) / draws; math.Abs(got-0.2) > 0.01 {
 		t.Fatalf("heterogeneous mean flip rate = %v, want about 0.2", got)
 	}
-	if d := flips - bscFlips; d > 1500 || d < -1500 {
-		t.Fatalf("heterogeneous flips %d, BSC(0.2) flips %d", flips, bscFlips)
+	if d := mixed - bscFlips; d > 1500 || d < -1500 {
+		t.Fatalf("heterogeneous flips %d, BSC(0.2) flips %d", mixed, bscFlips)
 	}
 }
 
@@ -141,47 +124,6 @@ func TestNames(t *testing.T) {
 	}
 	if got := FromEpsilon(0.5).Name(); got != "bsc(p=0)" {
 		t.Errorf("noiseless BSC name %q", got)
-	}
-}
-
-// Property: at any flip probability the output is always a valid bit.
-func TestQuickTransmitValidBit(t *testing.T) {
-	r := rng.New(6)
-	chans := []*BSC{NewBSC(0.49), NewBSC(0.3), NewBSC(0)}
-	f := func(raw uint8) bool {
-		b := Bit(raw & 1)
-		for _, c := range chans {
-			out := c.Transmit(b, r)
-			if out != Zero && out != One {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// The BSC's Transmit must flip exactly when the integer form the kernels
-// use does: Bernoulli(p) is Float64() < p, and Float64() is the top 53
-// bits of one draw, so (Uint64()>>11) < FlipThreshold53(p) on an
-// identical stream gives identical outputs.
-func TestBSCTransmitMatchesFlipThreshold53(t *testing.T) {
-	for _, p := range []float64{0.23, 0.5 - 1e-9, 1e-12} {
-		c := NewBSC(p)
-		thresh := FlipThreshold53(p)
-		r1, r2 := rng.New(99), rng.New(99)
-		for i := 0; i < 4096; i++ {
-			b := Bit(i & 1)
-			want := b
-			if r2.Uint64()>>11 < thresh {
-				want ^= 1
-			}
-			if got := c.Transmit(b, r1); got != want {
-				t.Fatalf("p=%v bit %d: Transmit %v, threshold form %v", p, i, got, want)
-			}
-		}
 	}
 }
 

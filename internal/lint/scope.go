@@ -6,7 +6,7 @@ package lint
 //
 // The deterministic core is every package whose execution must be a
 // pure function of (canonical request, seed): the engine and kernels,
-// the protocols, the draw streams, the channel models, and the sweep
+// the protocols (the paper's and the baselines), the draw streams, the channel models, and the sweep
 // grid/aggregation layer whose artifacts are content-addressed. The
 // serving layer (api validation aside), the daemons and the CLIs are
 // deliberately outside: they measure wall time and iterate maps for
@@ -18,6 +18,7 @@ var deterministic = map[string]bool{
 	"breathe/internal/sim":      true,
 	"breathe/internal/core":     true,
 	"breathe/internal/async":    true,
+	"breathe/internal/baseline": true,
 	"breathe/internal/rng":      true,
 	"breathe/internal/channel":  true,
 	"breathe/internal/popproto": true,

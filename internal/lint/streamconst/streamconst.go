@@ -19,6 +19,12 @@
 //     mutually exclusive at runtime, which the author asserts with
 //     //breathe:stream-ok <reason> at either site.
 //
+// A third rule holds in the non-test code of every module package: an
+// rng.RNG may only be seeded from a cell word, RNG.Reseed(c.Uint64(i)).
+// A generator seeded from anything else — a constant, a run seed, another
+// generator — is a sequential stream outside the keyed schedule, whose
+// draws depend on how many came before them.
+//
 // The rng package itself (and its tests, which exercise arbitrary
 // cells) is out of scope.
 package streamconst
@@ -37,7 +43,7 @@ import (
 // Analyzer is the streamconst checker.
 var Analyzer = &lint.Analyzer{
 	Name: "streamconst",
-	Doc:  "require named Stream* constants in Key.Cell calls and flag (stream, shape) reuse across call sites",
+	Doc:  "require named Stream* constants in Key.Cell calls, flag (stream, shape) reuse across call sites, and seed every RNG from a cell word",
 	Run:  run,
 }
 
@@ -50,7 +56,11 @@ type site struct {
 
 func run(pass *lint.Pass) error {
 	canon := pass.Canonical()
-	if !pass.InModule() || !lint.Deterministic(canon) || canon == lint.RNGPath {
+	if !pass.InModule() || canon == lint.RNGPath {
+		return nil
+	}
+	checkReseeds(pass)
+	if !lint.Deterministic(canon) {
 		return nil
 	}
 	ann := pass.Annotations()
@@ -90,6 +100,27 @@ func run(pass *lint.Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkReseeds reports every RNG.Reseed in a non-test file whose
+// argument is not a Cell.Uint64 call.
+func checkReseeds(pass *lint.Pass) {
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !lint.RNGMethodCall(pass.TypesInfo, call, "RNG", "Reseed") || len(call.Args) != 1 {
+				return true
+			}
+			if arg, ok := lint.Unparen(call.Args[0]).(*ast.CallExpr); ok && lint.RNGMethodCall(pass.TypesInfo, arg, "Cell", "Uint64") {
+				return true
+			}
+			pass.Reportf(call.Args[0].Pos(), "RNG.Reseed seeds from %s, not a Cell.Uint64 word: a generator seeded otherwise is a sequential stream outside the keyed schedule", types.ExprString(call.Args[0]))
+			return true
+		})
+	}
 }
 
 // namedStream reports whether e denotes a constant named Stream*

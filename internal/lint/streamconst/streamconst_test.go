@@ -8,5 +8,5 @@ import (
 )
 
 func TestStreamconst(t *testing.T) {
-	linttest.Run(t, "testdata", streamconst.Analyzer, "breathe/internal/sim")
+	linttest.Run(t, "testdata", streamconst.Analyzer, "breathe/internal/sim", "breathe/internal/stats")
 }

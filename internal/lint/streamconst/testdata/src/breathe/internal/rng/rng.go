@@ -33,8 +33,11 @@ func (c Cell) Uint64n(i, n uint64) uint64 { return c.Uint64(i) % n }
 // Sub derives a child cell.
 func (c Cell) Sub(j uint64) Cell { return Cell{c.base ^ j} }
 
-// RNG is the sequential generator.
+// RNG is the cell-seeded generator.
 type RNG struct{ s uint64 }
+
+// Reseed restarts the generator from seed.
+func (r *RNG) Reseed(seed uint64) { r.s = seed }
 
 // Uint64 returns the next draw.
 func (r *RNG) Uint64() uint64 { r.s++; return r.s }
@@ -42,5 +45,5 @@ func (r *RNG) Uint64() uint64 { r.s++; return r.s }
 // Float64 returns the next draw in [0, 1).
 func (r *RNG) Float64() float64 { return float64(r.Uint64()%1024) / 1024 }
 
-// Intn returns a draw in [0, n).
-func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
+// Uint64n returns a draw in [0, n).
+func (r *RNG) Uint64n(n uint64) uint64 { return r.Uint64() % n }

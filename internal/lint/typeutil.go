@@ -95,9 +95,7 @@ func MethodRecv(fn *types.Func) (pkgPath, typeName string, ok bool) {
 // caught transitively through facts.
 var drawMethods = map[string]map[string]bool{
 	"RNG": {
-		"Uint64": true, "Uint64n": true, "Intn": true, "Uint32n": true,
-		"Float64": true, "Bool": true, "Bernoulli": true, "Binomial": true,
-		"Perm": true, "Split": true,
+		"Uint64": true, "Uint64n": true, "Float64": true, "Binomial": true,
 	},
 	"Cell": {
 		"Uint64": true, "Uint64n": true, "Uint32n": true, "Fill": true,
@@ -124,7 +122,13 @@ func DrawMethod(fn *types.Func) (string, bool) {
 // KeyCellCall reports whether call is the Key.Cell construction — the
 // point where a subsystem commits to a (stream, round) address.
 func KeyCellCall(info *types.Info, call *ast.CallExpr) bool {
+	return RNGMethodCall(info, call, "Key", "Cell")
+}
+
+// RNGMethodCall reports whether call invokes the rng package's method
+// typeName.name.
+func RNGMethodCall(info *types.Info, call *ast.CallExpr, typeName, name string) bool {
 	fn := Callee(info, call)
-	pkgPath, typeName, ok := MethodRecv(fn)
-	return ok && pkgPath == RNGPath && typeName == "Key" && fn.Name() == "Cell"
+	pkgPath, recv, ok := MethodRecv(fn)
+	return ok && pkgPath == RNGPath && recv == typeName && fn.Name() == name
 }

@@ -21,6 +21,7 @@ package popproto
 import (
 	"fmt"
 
+	"breathe/internal/channel"
 	"breathe/internal/rng"
 )
 
@@ -95,6 +96,11 @@ type Result struct {
 
 // Run executes the three-state approximate-majority protocol.
 //
+// Every interaction reads its own addressed words: interaction s of
+// parallel round t takes words 3s (initiator), 3s+1 (responder) and 3s+2
+// (misread) of the run key's StreamPopulation cell t, so a run is a pure
+// function of (configuration, seed).
+//
 // Transition (initiator u, responder v), with v's update on observing u's
 // (possibly corrupted) state:
 //
@@ -110,7 +116,8 @@ func Run(cfg Config) (Result, error) {
 	if maxRounds == 0 {
 		maxRounds = 4096
 	}
-	r := rng.New(cfg.Seed)
+	key := rng.NewKey(cfg.Seed)
+	noise := channel.FlipThreshold53(cfg.SymbolNoise)
 	n := cfg.N
 	states := make([]State, n)
 	for i := 0; i < cfg.InitialX; i++ {
@@ -143,16 +150,19 @@ func Run(cfg Config) (Result, error) {
 		res.Winner = w
 	}
 	for round := 0; round < maxRounds && !res.Converged; round++ {
+		cell := key.Cell(rng.StreamPopulation, uint64(round))
 		for step := 0; step < n; step++ {
-			u := r.Intn(n)
-			v := r.Intn(n - 1)
+			i := 3 * uint64(step)
+			u := int(cell.Uint64n(i, uint64(n)))
+			v := int(cell.Uint64n(i+1, uint64(n-1)))
 			if v >= u {
 				v++
 			}
 			observed := states[u]
-			if cfg.SymbolNoise > 0 && r.Bernoulli(cfg.SymbolNoise) {
-				// Misread as one of the two other symbols.
-				observed = corrupt(observed, r)
+			if w := cell.Uint64(i + 2); w>>11 < noise {
+				// Misread as one of the two other symbols, picked by the
+				// word's low bit, which the threshold test never reads.
+				observed = corrupt(observed, w)
 			}
 			old := states[v]
 			next := transition(old, observed)
@@ -204,8 +214,9 @@ func transition(v, u State) State {
 	}
 }
 
-// corrupt returns one of the two symbols different from s, uniformly.
-func corrupt(s State, r *rng.RNG) State {
+// corrupt returns one of the two symbols different from s, the first or
+// the second as pick's low bit is 0 or 1.
+func corrupt(s State, pick uint64) State {
 	others := [2]State{}
 	k := 0
 	for _, c := range [3]State{Blank, X, Y} {
@@ -214,5 +225,5 @@ func corrupt(s State, r *rng.RNG) State {
 			k++
 		}
 	}
-	return others[r.Intn(2)]
+	return others[pick&1]
 }

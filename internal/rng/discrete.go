@@ -59,7 +59,7 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 func (r *RNG) binomialCount(n int, p float64) int {
 	c := 0
 	for i := 0; i < n; i++ {
-		if r.Bernoulli(p) {
+		if r.Float64() < p {
 			c++
 		}
 	}

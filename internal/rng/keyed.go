@@ -1,11 +1,13 @@
 package rng
 
+import "math/bits"
+
 // The keyed counter-mode generator: every draw is a pure function of its
 // address, never of how many draws happened before it.
 //
-// The sequential generator in rng.go makes a simulation a pure function of
+// A sequential generator makes a simulation a pure function of
 // (configuration, seed) only as long as every execution strategy consumes
-// the streams in exactly the same order — which is why the repository long
+// its stream in exactly the same order — which is why the repository long
 // carried one golden matrix per kernel and a serial master-stream prologue
 // in the sharded kernel. The keyed design removes the ordering dependence
 // at the root: a draw is addressed by
@@ -51,11 +53,9 @@ const (
 	StreamSplit
 	// StreamCrash addresses crash-plan sampling, by agent id.
 	StreamCrash
-	// StreamObserver is reserved for observer-side randomness so tracing
-	// can draw without touching any simulation stream.
-	StreamObserver
-	// Slot 8 is reserved: skipping it keeps every later stream's value,
-	// and with it every keyed address, unchanged.
+	// Slots 7 and 8 are retired: skipping them keeps every later
+	// stream's value, and with it every keyed address, unchanged.
+	_
 	_
 	// StreamSchedule addresses protocol phase-boundary draws (stage
 	// transitions), by agent id within the boundary round.
@@ -63,6 +63,17 @@ const (
 	// StreamOffsets addresses the async protocols' initial clock-offset
 	// draws, by agent id.
 	StreamOffsets
+	// StreamPopulation addresses the population protocol's interactions
+	// (internal/popproto), by parallel round; an interaction reads its
+	// own words within the round's cell.
+	StreamPopulation
+	// StreamTwoStep addresses the two-step process of Lemma 2.11
+	// (stats.TwoStepProcess), one word per trial.
+	StreamTwoStep
+	// StreamDirectSource addresses the direct-source yardstick
+	// (baseline.SimulateDirectSource), by sample count, one word per
+	// agent.
+	StreamDirectSource
 )
 
 const (
@@ -191,12 +202,12 @@ func (c Cell) Uint64n(i, n uint64) uint64 {
 		panic("rng: Cell.Uint64n with n == 0")
 	}
 	x := c.Uint64(i)
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(x, n)
 	if lo < n {
 		thresh := -n % n
 		for a := uint64(1); lo < thresh; a++ {
 			x = c.Uint64(a<<56 | i)
-			hi, lo = mul64(x, n)
+			hi, lo = bits.Mul64(x, n)
 		}
 	}
 	return hi

@@ -29,8 +29,8 @@ const chi2Bound255 = 360.0
 func TestKeyedUniformityPerStream(t *testing.T) {
 	streams := []Stream{
 		StreamPlacement, StreamCollision, StreamNoise, StreamDrop,
-		StreamSplit, StreamCrash, StreamObserver, StreamSchedule,
-		StreamOffsets,
+		StreamSplit, StreamCrash, StreamSchedule, StreamOffsets,
+		StreamPopulation, StreamTwoStep, StreamDirectSource,
 	}
 	k := NewKey(12345)
 	words := make([]uint64, 1<<16)
@@ -39,6 +39,22 @@ func TestKeyedUniformityPerStream(t *testing.T) {
 		c.Fill(words, 0)
 		if chi2 := chiSquared256(words); chi2 > chi2Bound255 {
 			t.Errorf("stream %d: chi2 = %.1f > %.1f", s, chi2, chi2Bound255)
+		}
+	}
+}
+
+// TestStreamValuesPinned: a stream's value is part of every address it
+// makes, so retiring a stream leaves a blank slot and new streams append.
+func TestStreamValuesPinned(t *testing.T) {
+	got := []Stream{
+		StreamPlacement, StreamCollision, StreamNoise, StreamDrop,
+		StreamSplit, StreamCrash, StreamSchedule, StreamOffsets,
+		StreamPopulation, StreamTwoStep, StreamDirectSource,
+	}
+	want := []Stream{1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("stream %d has value %d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -52,7 +68,8 @@ func TestKeyedCrossStreamIndependence(t *testing.T) {
 		{StreamPlacement, StreamCollision},
 		{StreamNoise, StreamDrop},
 		{StreamSchedule, StreamOffsets},
-		{StreamCrash, StreamObserver},
+		{StreamCrash, StreamPopulation},
+		{StreamTwoStep, StreamDirectSource},
 	}
 	const n = 1 << 16
 	for _, pr := range pairs {
@@ -76,10 +93,9 @@ func TestKeyedCrossStreamIndependence(t *testing.T) {
 
 // TestKeyedStreamIsolation is the property the keyed design exists for:
 // drawing any number of extra variates from one subsystem stream leaves
-// every other stream's sequence bit-identical. (The sequential generator
-// in rng.go cannot satisfy this across a Split-free stream; the keyed
-// generator satisfies it by construction, and this test documents the
-// contract.)
+// every other stream's sequence bit-identical. (A sequential generator
+// shared by several subsystems cannot satisfy this; the keyed generator
+// satisfies it by construction, and this test documents the contract.)
 func TestKeyedStreamIsolation(t *testing.T) {
 	k := NewKey(2024)
 	snapshot := func() map[Stream][]uint64 {

@@ -6,9 +6,17 @@ import (
 	"testing/quick"
 )
 
+// newRNG returns a generator reseeded from seed: the zero RNG the
+// kernels keep on the stack, after one Reseed.
+func newRNG(seed uint64) *RNG {
+	var r RNG
+	r.Reseed(seed)
+	return &r
+}
+
 func TestNewDeterministic(t *testing.T) {
-	a := New(42)
-	b := New(42)
+	a := newRNG(42)
+	b := newRNG(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at draw %d", i)
@@ -17,8 +25,8 @@ func TestNewDeterministic(t *testing.T) {
 }
 
 func TestNewDifferentSeedsDiffer(t *testing.T) {
-	a := New(1)
-	b := New(2)
+	a := newRNG(1)
+	b := newRNG(2)
 	same := 0
 	for i := 0; i < 64; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -30,20 +38,19 @@ func TestNewDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestSplitIndependence: a generator reseeded from one of its parent's
+// words (the reference's way of giving each subsystem its own stream) is
+// reproducible and does not duplicate the parent's stream.
 func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// The child must be deterministic given the parent's seed...
-	parent2 := New(7)
-	child2 := parent2.Split()
+	split := func(parent *RNG) *RNG { return newRNG(parent.Uint64()) }
+	child, child2 := split(newRNG(7)), split(newRNG(7))
 	for i := 0; i < 100; i++ {
 		if child.Uint64() != child2.Uint64() {
 			t.Fatalf("split streams not reproducible at draw %d", i)
 		}
 	}
-	// ...and must not duplicate the parent's stream.
-	p := New(7)
-	c := p.Split()
+	p := newRNG(7)
+	c := split(p)
 	dup := 0
 	for i := 0; i < 64; i++ {
 		if p.Uint64() == c.Uint64() {
@@ -56,7 +63,7 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestZeroSeedIsUsable(t *testing.T) {
-	r := New(0)
+	r := newRNG(0)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		seen[r.Uint64()] = true
@@ -67,7 +74,7 @@ func TestZeroSeedIsUsable(t *testing.T) {
 }
 
 func TestUint64nRange(t *testing.T) {
-	r := New(3)
+	r := newRNG(3)
 	for _, n := range []uint64{1, 2, 3, 7, 100, 1 << 40} {
 		for i := 0; i < 200; i++ {
 			if v := r.Uint64n(n); v >= n {
@@ -78,7 +85,7 @@ func TestUint64nRange(t *testing.T) {
 }
 
 func TestUint64nUniform(t *testing.T) {
-	r := New(11)
+	r := newRNG(11)
 	const n, draws = 10, 100000
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
@@ -98,24 +105,11 @@ func TestUint64nPanicsOnZero(t *testing.T) {
 			t.Fatal("Uint64n(0) did not panic")
 		}
 	}()
-	New(1).Uint64n(0)
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	for _, n := range []int{0, -5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Intn(%d) did not panic", n)
-				}
-			}()
-			New(1).Intn(n)
-		}()
-	}
+	newRNG(1).Uint64n(0)
 }
 
 func TestFloat64Range(t *testing.T) {
-	r := New(5)
+	r := newRNG(5)
 	for i := 0; i < 100000; i++ {
 		f := r.Float64()
 		if f < 0 || f >= 1 {
@@ -125,7 +119,7 @@ func TestFloat64Range(t *testing.T) {
 }
 
 func TestFloat64Mean(t *testing.T) {
-	r := New(9)
+	r := newRNG(9)
 	sum := 0.0
 	const draws = 200000
 	for i := 0; i < draws; i++ {
@@ -137,54 +131,31 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
+// A Bernoulli trial is Binomial(1, p); probabilities outside [0, 1]
+// clamp.
 func TestBernoulliEdgeCases(t *testing.T) {
-	r := New(1)
+	r := newRNG(1)
 	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
+		if r.Binomial(1, 0) != 0 || r.Binomial(1, -0.5) != 0 {
+			t.Fatal("Binomial(1, p ≤ 0) returned 1")
 		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-		if r.Bernoulli(-0.5) {
-			t.Fatal("Bernoulli(-0.5) returned true")
-		}
-		if !r.Bernoulli(1.5) {
-			t.Fatal("Bernoulli(1.5) returned false")
+		if r.Binomial(1, 1) != 1 || r.Binomial(1, 1.5) != 1 {
+			t.Fatal("Binomial(1, p ≥ 1) returned 0")
 		}
 	}
 }
 
 func TestBernoulliMean(t *testing.T) {
-	r := New(17)
+	r := newRNG(17)
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
 		hits := 0
 		const draws = 100000
 		for i := 0; i < draws; i++ {
-			if r.Bernoulli(p) {
-				hits++
-			}
+			hits += r.Binomial(1, p)
 		}
 		got := float64(hits) / draws
 		if math.Abs(got-p) > 4*math.Sqrt(p*(1-p)/draws)+1e-9 {
-			t.Errorf("Bernoulli(%v) frequency = %v", p, got)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(2)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
+			t.Errorf("Binomial(1, %v) frequency = %v", p, got)
 		}
 	}
 }
@@ -192,7 +163,7 @@ func TestPermIsPermutation(t *testing.T) {
 // --- Binomial ---
 
 func TestBinomialEdgeCases(t *testing.T) {
-	r := New(1)
+	r := newRNG(1)
 	if got := r.Binomial(0, 0.5); got != 0 {
 		t.Errorf("Binomial(0, .5) = %d", got)
 	}
@@ -210,11 +181,11 @@ func TestBinomialPanicsOnNegativeN(t *testing.T) {
 			t.Fatal("Binomial(-1, .5) did not panic")
 		}
 	}()
-	New(1).Binomial(-1, 0.5)
+	newRNG(1).Binomial(-1, 0.5)
 }
 
 func TestBinomialRange(t *testing.T) {
-	r := New(6)
+	r := newRNG(6)
 	cases := []struct {
 		n int
 		p float64
@@ -230,7 +201,7 @@ func TestBinomialRange(t *testing.T) {
 }
 
 func TestBinomialMoments(t *testing.T) {
-	r := New(13)
+	r := newRNG(13)
 	cases := []struct {
 		n int
 		p float64
@@ -267,7 +238,7 @@ func TestBinomialMoments(t *testing.T) {
 // TestBinomialChiSquare checks the full distribution on a case that uses
 // the BTRS sampler, not only its first two moments.
 func TestBinomialChiSquare(t *testing.T) {
-	r := New(99)
+	r := newRNG(99)
 	const n, p, draws = 40, 0.5, 200000
 	counts := make([]int, n+1)
 	for i := 0; i < draws; i++ {
@@ -310,7 +281,7 @@ func TestBinomialChiSquare(t *testing.T) {
 // --- property-based tests (testing/quick) ---
 
 func TestQuickUint64nInRange(t *testing.T) {
-	r := New(51)
+	r := newRNG(51)
 	f := func(n uint64, _ uint8) bool {
 		if n == 0 {
 			n = 1
@@ -323,7 +294,7 @@ func TestQuickUint64nInRange(t *testing.T) {
 }
 
 func TestQuickBinomialInRange(t *testing.T) {
-	r := New(52)
+	r := newRNG(52)
 	f := func(n uint16, pRaw uint16) bool {
 		nn := int(n % 2000)
 		p := float64(pRaw) / 65535
@@ -335,51 +306,34 @@ func TestQuickBinomialInRange(t *testing.T) {
 	}
 }
 
-func TestQuickPermValid(t *testing.T) {
-	r := New(54)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
-	r := New(1)
+	r := newRNG(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
 	}
 }
 
 func BenchmarkBinomialBTRS(b *testing.B) {
-	r := New(1)
+	r := newRNG(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Binomial(10000, 0.3)
 	}
 }
 
+// The Uint32n tests exercise Cell.Uint32n, the 32-bit bounded draw the
+// scatter's placement uses.
 func TestUint32nDeterministicAndInRange(t *testing.T) {
-	r := New(123)
-	for i := 0; i < 10000; i++ {
+	c := NewKey(123).Cell(StreamPlacement, 0)
+	for i := uint64(0); i < 10000; i++ {
 		n := uint32(i%997 + 1)
-		if v := r.Uint32n(n); v >= n {
+		if v := c.Uint32n(i, n); v >= n {
 			t.Fatalf("Uint32n(%d) = %d out of range", n, v)
 		}
 	}
-	a, b := New(9), New(9)
-	for i := 0; i < 1000; i++ {
-		if a.Uint32n(1000) != b.Uint32n(1000) {
-			t.Fatalf("Uint32n not deterministic at draw %d", i)
+	a, b := NewKey(9).Cell(StreamPlacement, 0), NewKey(9).Cell(StreamPlacement, 0)
+	for i := uint64(0); i < 1000; i++ {
+		if a.Uint32n(i, 1000) != b.Uint32n(i, 1000) {
+			t.Fatalf("Uint32n not deterministic at index %d", i)
 		}
 	}
 }
@@ -387,15 +341,15 @@ func TestUint32nDeterministicAndInRange(t *testing.T) {
 func TestUint32nUniform(t *testing.T) {
 	// Chi-squared-style sanity bound over 16 cells.
 	const cells, draws = 16, 1 << 18
-	r := New(77)
+	c := NewKey(77).Cell(StreamPlacement, 0)
 	var counts [cells]int
-	for i := 0; i < draws; i++ {
-		counts[r.Uint32n(cells)]++
+	for i := uint64(0); i < draws; i++ {
+		counts[c.Uint32n(i, cells)]++
 	}
 	want := float64(draws) / cells
-	for c, got := range counts {
+	for k, got := range counts {
 		if math.Abs(float64(got)-want) > 6*math.Sqrt(want) {
-			t.Errorf("cell %d: %d draws, want about %.0f", c, got, want)
+			t.Errorf("cell %d: %d draws, want about %.0f", k, got, want)
 		}
 	}
 }
@@ -406,21 +360,21 @@ func TestUint32nPanicsOnZero(t *testing.T) {
 			t.Fatal("Uint32n(0) did not panic")
 		}
 	}()
-	New(1).Uint32n(0)
+	NewKey(1).Cell(StreamPlacement, 0).Uint32n(0, 0)
 }
 
-// TestReseedMatchesNew: Reseed must reproduce New's state exactly so the
-// kernels' ephemeral streams — a zero RNG on the stack, reseeded from an
-// addressed draw — are indistinguishable from freshly allocated ones.
+// TestReseedMatchesNew: Reseed must discard the previous state entirely,
+// so the kernels' ephemeral streams — a resident RNG reseeded from an
+// addressed draw — are indistinguishable from a fresh one.
 func TestReseedMatchesNew(t *testing.T) {
-	r := New(1)
+	r := newRNG(1)
 	r.Uint64() // advance away from the seed state
 	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
 		r.Reseed(seed)
-		fresh := New(seed)
+		fresh := newRNG(seed)
 		for i := 0; i < 8; i++ {
 			if got, want := r.Uint64(), fresh.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: Reseed stream %#x, New stream %#x", seed, i, got, want)
+				t.Fatalf("seed %d draw %d: Reseed stream %#x, fresh stream %#x", seed, i, got, want)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ var crashPassSizes = []int{1000, 4*denseWidth + 1234}
 // agent, in rounds before, at and after the plan's round. A pass runs
 // only when activeWords is non-nil, as in the kernel.
 func TestCrashPassMatchesCrashed(t *testing.T) {
-	r := rng.New(17)
+	r := seeded(17)
 	for _, n := range crashPassSizes {
 		for _, round := range []int{0, 3} {
 			for _, pc := range crashPassPlans(n, round) {
@@ -67,13 +67,25 @@ func TestCrashPassMatchesCrashed(t *testing.T) {
 	}
 }
 
+// perm returns a uniform random permutation of [0, n), by inside-out
+// Fisher–Yates.
+func perm(r *rng.RNG, n int) []int {
+	p := make([]int, n)
+	for i := 1; i < n; i++ {
+		j := intn(r, i+1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
 // checkSenderPasses compares filterLive over a shuffled sender list, and
 // over a Send scan (simtest.PerAgent's sender lists) of a population where
 // every agent sends, with the agent-by-agent rule.
 func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, crashed func(int) bool, words []uint64) {
 	t.Helper()
 	senders := make([]int32, n)
-	for i, a := range r.Perm(n) {
+	for i, a := range perm(r, n) {
 		senders[i] = int32(a)
 	}
 	var want []int32
@@ -124,7 +136,7 @@ func checkSenderPasses(t *testing.T, name string, r *rng.RNG, n int, crashed fun
 func checkReceiverPasses(t *testing.T, name string, r *rng.RNG, n int, crashed func(int) bool, words []uint64) {
 	t.Helper()
 	acc := make([]int32, 0, n/3)
-	for _, a := range r.Perm(n)[:n/3] {
+	for _, a := range perm(r, n)[:n/3] {
 		acc = append(acc, int32(a))
 	}
 	inbox := make([]uint64, n+1)
@@ -151,7 +163,7 @@ func checkReceiverPasses(t *testing.T, name string, r *rng.RNG, n int, crashed f
 		bsize := min(denseWidth, n-blo)
 		tree := make([]uint32, bsize)
 		for i := range tree {
-			if r.Intn(2) == 0 {
+			if intn(r, 2) == 0 {
 				tree[i] = uint32(r.Uint64()) | 1
 			}
 		}
@@ -170,7 +182,7 @@ func checkReceiverPasses(t *testing.T, name string, r *rng.RNG, n int, crashed f
 
 		walk := make([]uint32, bsize)
 		var touched []int32
-		for _, i := range r.Perm(bsize)[:bsize/4] {
+		for _, i := range perm(r, bsize)[:bsize/4] {
 			touched = append(touched, int32(i))
 			walk[i] = uint32(r.Uint64()) | 1
 		}

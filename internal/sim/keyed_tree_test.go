@@ -62,17 +62,17 @@ func refTreeSlot(cc rng.Cell, t, cnt, on, thresh uint64) uint64 {
 func TestKeyedTreeResolveReference(t *testing.T) {
 	thresh := channel.FlipThreshold53(0.2)
 	key := rng.NewKey(77)
-	r := rng.New(5)
+	r := seeded(5)
 	for j, bsize := range []int{denseWidth, 1234} {
 		blo := (3 + j) * denseWidth
 		cc := key.Cell(rng.StreamCollision, 9).Sub(uint64(j))
 		inbox := make([]uint32, bsize)
 		for i := range inbox {
-			if r.Intn(3) == 0 {
+			if intn(r, 3) == 0 {
 				continue
 			}
-			cnt := 1 + r.Intn(6)
-			inbox[i] = uint32(r.Intn(cnt+1))<<16 | uint32(cnt)
+			cnt := 1 + intn(r, 6)
+			inbox[i] = uint32(intn(r, cnt+1))<<16 | uint32(cnt)
 		}
 
 		// Planted slots: a draw is a genuine rejection for 1025 arrivals

@@ -7,10 +7,11 @@ package sim_test
 // picks a uniformly random recipient (excluding the sender unless
 // AllowSelfMessages), a receiver hit by several messages keeps one chosen
 // uniformly by reservoir sampling, and every accepted bit passes through
-// Channel.Transmit. The engine's draws come from rng.New(seed)'s two
-// Split streams: recipients, drops and collisions from the first, noise
-// from the second. The protocol gets the run key rng.NewKey(seed) in
-// Setup, exactly as under the engine.
+// the channel (transmit). The engine's draws come from two sequential
+// streams, each a generator reseeded from the next word of a root
+// generator reseeded from the seed: recipients, drops and collisions
+// from the first, noise from the second. The protocol gets the run key
+// rng.NewKey(seed) in Setup, exactly as under the engine.
 //
 // The engine's regimes sample the same law from addressed draws, so they
 // agree with refRun in distribution, not draw for draw; the
@@ -27,15 +28,32 @@ import (
 	"breathe/internal/sim"
 )
 
+// bernoulli is the reference's Bernoulli(p) trial: no draw when the
+// outcome is certain, one Float64 otherwise.
+func bernoulli(r *rng.RNG, p float64) bool {
+	return p > 0 && (p >= 1 || r.Float64() < p)
+}
+
+// transmit returns the bit a receiver observes when b crosses a BSC with
+// flip probability p. At p = 0 it draws nothing.
+func transmit(b channel.Bit, p float64, r *rng.RNG) channel.Bit {
+	if bernoulli(r, p) {
+		return b.Flip()
+	}
+	return b
+}
+
 func refRun(cfg sim.Config, p sim.Protocol) sim.Result {
 	n := cfg.N
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = sim.DefaultMaxRounds
 	}
-	root := rng.New(cfg.Seed)
-	engineRNG := root.Split()
-	channelRNG := root.Split()
+	var root, engineRNG, channelRNG rng.RNG
+	root.Reseed(cfg.Seed)
+	engineRNG.Reseed(root.Uint64())
+	channelRNG.Reseed(root.Uint64())
+	flip := cfg.Channel.FlipProb()
 	p.Setup(n, rng.NewKey(cfg.Seed))
 
 	inBit := make([]channel.Bit, n)
@@ -55,14 +73,14 @@ func refRun(cfg sim.Config, p sim.Protocol) sim.Result {
 				continue
 			}
 			res.MessagesSent++
-			if cfg.DropProb > 0 && engineRNG.Bernoulli(cfg.DropProb) {
+			if bernoulli(&engineRNG, cfg.DropProb) {
 				res.MessagesDropped++
 				continue
 			}
 			var dst int
 			if cfg.AllowSelfMessages {
-				dst = engineRNG.Intn(n)
-			} else if dst = engineRNG.Intn(n - 1); dst >= a {
+				dst = int(engineRNG.Uint64n(uint64(n)))
+			} else if dst = int(engineRNG.Uint64n(uint64(n - 1))); dst >= a {
 				dst++
 			}
 			// Reservoir accept-one: the k-th arrival replaces the kept
@@ -84,7 +102,7 @@ func refRun(cfg sim.Config, p sim.Protocol) sim.Result {
 				continue
 			}
 			res.MessagesAccepted++
-			p.Receive(a, cfg.Channel.Transmit(inBit[a], channelRNG), round)
+			p.Receive(a, transmit(inBit[a], flip, &channelRNG), round)
 		}
 		p.EndRound(round)
 	}
@@ -124,6 +142,53 @@ func TestGoldenBroadcastRunPerAgent(t *testing.T) {
 	}
 	if !res.AllCorrect(channel.One) {
 		t.Error("expected unanimity")
+	}
+}
+
+// TestRefTransmitMatchesFlipThreshold53: the reference's transmit flips
+// exactly when the engine's integer form does — Float64() is the top 53
+// bits of one draw, so (Uint64()>>11) < FlipThreshold53(p) on an
+// identical stream gives identical outputs.
+func TestRefTransmitMatchesFlipThreshold53(t *testing.T) {
+	for _, p := range []float64{0.23, 0.5 - 1e-9, 1e-12} {
+		thresh := channel.FlipThreshold53(p)
+		var r1, r2 rng.RNG
+		r1.Reseed(99)
+		r2.Reseed(99)
+		for i := 0; i < 4096; i++ {
+			b := channel.Bit(i & 1)
+			want := b
+			if r2.Uint64()>>11 < thresh {
+				want ^= 1
+			}
+			if got := transmit(b, p, &r1); got != want {
+				t.Fatalf("p=%v bit %d: transmit %v, threshold form %v", p, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRefTransmitZeroFlipDrawsNothing pins that the noiseless boundary
+// FromEpsilon(0.5), flip probability 0, consumes no draws in the
+// reference: a draw per bit would shift every later draw of its noise
+// stream.
+func TestRefTransmitZeroFlipDrawsNothing(t *testing.T) {
+	p := channel.FromEpsilon(0.5).FlipProb()
+	if p != 0 {
+		t.Fatalf("FromEpsilon(0.5).FlipProb() = %v, want 0", p)
+	}
+	var r, fresh rng.RNG
+	r.Reseed(7)
+	fresh.Reseed(7)
+	for _, b := range []channel.Bit{channel.Zero, channel.One, channel.One, channel.Zero, channel.One} {
+		if out := transmit(b, p, &r); out != b {
+			t.Fatalf("transmit flipped %v at p=0", b)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if g, w := r.Uint64(), fresh.Uint64(); g != w {
+			t.Fatalf("draw %d: p=0 transmit consumed draws (got %d, want %d)", i, g, w)
+		}
 	}
 }
 

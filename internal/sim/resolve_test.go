@@ -10,6 +10,16 @@ import (
 	"breathe/internal/rng"
 )
 
+// seeded returns a generator reseeded from seed, for test inputs.
+func seeded(seed uint64) *rng.RNG {
+	var r rng.RNG
+	r.Reseed(seed)
+	return &r
+}
+
+// intn returns a uniform int in [0, n).
+func intn(r *rng.RNG, n int) int { return int(r.Uint64n(uint64(n))) }
+
 // poissonCount draws a Poisson(lambda) arrival count by inversion,
 // capped at the inbox counter's 65535.
 func poissonCount(r *rng.RNG, lambda float64) int {
@@ -36,12 +46,12 @@ func resolveInbox(r *rng.RNG, size int, lambda float64) []uint32 {
 			cnt = poissonCount(r, lambda)
 			on = r.Binomial(cnt, 0.5)
 		} else {
-			cnt = []int{0, 1, 2047, 2048, 0xffff}[r.Intn(5)]
-			switch r.Intn(3) {
+			cnt = []int{0, 1, 2047, 2048, 0xffff}[intn(r, 5)]
+			switch intn(r, 3) {
 			case 1:
 				on = cnt
 			case 2:
-				on = r.Intn(cnt + 1)
+				on = intn(r, cnt+1)
 			}
 		}
 		inbox[i] = uint32(on)<<16 | uint32(cnt)
@@ -63,7 +73,7 @@ func TestTreeResolveVectorMatchesScalar(t *testing.T) {
 		t.Skip("rng's AVX-512 gate is off: the sweep runs treeResolve alone")
 	}
 	const pad = 8
-	r := rng.New(29)
+	r := seeded(29)
 	threshs := []uint64{0, 1 << 53, channel.FlipThreshold53(0.2)}
 	for _, size := range []int{denseWidth, 8, 1696, 1, 7, 9, 1234, denseWidth - 1} {
 		for _, lambda := range []float64{0.5, 1, 2, 0} {
@@ -107,7 +117,7 @@ func TestTreeResolveVectorMatchesScalar(t *testing.T) {
 // on the AVX-512 body. Each op resolves a fresh copy of the same inbox,
 // and the copy is part of the op.
 func BenchmarkTreeResolve(b *testing.B) {
-	r := rng.New(1)
+	r := seeded(1)
 	inbox := resolveInbox(r, denseWidth, 1)
 	rbuf := make([]uint64, denseWidth)
 	rng.NewKey(1).Cell(rng.StreamCollision, 1).Fill(rbuf, 0)

@@ -228,7 +228,7 @@ func TestTwoStepValidation(t *testing.T) {
 // the exact success equals MajoritySuccessProb(gamma, 1/2+b), and the
 // Monte-Carlo estimate converges to it.
 func TestTwoStepEquivalence(t *testing.T) {
-	r := rng.New(19)
+	key := rng.NewKey(19)
 	for _, c := range []struct {
 		gamma int
 		b     float64
@@ -239,7 +239,7 @@ func TestTwoStepEquivalence(t *testing.T) {
 		if math.Abs(exact-want) > 1e-12 {
 			t.Errorf("gamma=%d b=%v: exact %v != analytic %v", c.gamma, c.b, exact, want)
 		}
-		est := p.SuccessRate(40000, r)
+		est := p.SuccessRate(40000, key)
 		if math.Abs(est-exact) > 0.012 {
 			t.Errorf("gamma=%d b=%v: Monte-Carlo %v vs exact %v", c.gamma, c.b, est, exact)
 		}

@@ -35,19 +35,19 @@ func NewTwoStepProcess(gamma int, b float64) TwoStepProcess {
 	return TwoStepProcess{Gamma: gamma, B: b}
 }
 
-// Run simulates the process once and reports whether the final majority is
-// correct.
-func (p TwoStepProcess) Run(r *rng.RNG) bool {
-	wrong := r.Binomial(p.Gamma, 0.5)     // step 1: fair coins
-	flipped := r.Binomial(wrong, 2*p.B)   // step 2: corrections
-	return wrong-flipped <= (p.Gamma-1)/2 // correct players strictly > gamma/2
-}
-
-// SuccessRate estimates the majority-correct probability over trials runs.
-func (p TwoStepProcess) SuccessRate(trials int, r *rng.RNG) float64 {
+// SuccessRate estimates the majority-correct probability over trials
+// runs. Trial t draws its two binomials from a generator seeded with word
+// t of key's StreamTwoStep cell, so the estimate is a pure function of
+// (process, trials, key) and no trial's draws depend on another's.
+func (p TwoStepProcess) SuccessRate(trials int, key rng.Key) float64 {
+	cell := key.Cell(rng.StreamTwoStep, 0)
+	var r rng.RNG
 	ok := 0
-	for i := 0; i < trials; i++ {
-		if p.Run(r) {
+	for t := 0; t < trials; t++ {
+		r.Reseed(cell.Uint64(uint64(t)))
+		wrong := r.Binomial(p.Gamma, 0.5)   // step 1: fair coins
+		flipped := r.Binomial(wrong, 2*p.B) // step 2: corrections
+		if wrong-flipped <= (p.Gamma-1)/2 { // correct players strictly > gamma/2
 			ok++
 		}
 	}
