@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"breathe/internal/rng"
 )
@@ -75,6 +76,35 @@ func TestBSCFlipRate(t *testing.T) {
 	}
 }
 
+// send applies the engine's noise rule to bit b: it arrives flipped
+// exactly when the addressed noise word w falls under threshold t.
+func send(b Bit, w, t uint64) Bit {
+	if w>>11 < t {
+		return b.Flip()
+	}
+	return b
+}
+
+func TestBSCSymmetric(t *testing.T) {
+	// The flip rate must not depend on the transmitted bit.
+	thresh := FlipThreshold53(NewBSC(0.3).FlipProb())
+	c := rng.NewKey(2).Cell(rng.StreamNoise, 0)
+	const draws = 100000
+	flips0, flips1 := 0, 0
+	for i := uint64(0); i < draws; i++ {
+		if send(Zero, c.Uint64(2*i), thresh) != Zero {
+			flips0++
+		}
+		if send(One, c.Uint64(2*i+1), thresh) != One {
+			flips1++
+		}
+	}
+	diff := math.Abs(float64(flips0-flips1)) / draws
+	if diff > 0.01 {
+		t.Fatalf("asymmetric flip rates: %d vs %d", flips0, flips1)
+	}
+}
+
 // TestNoiseless: the noiseless control is the BSC at flip probability 0,
 // whose threshold no word falls under.
 func TestNoiseless(t *testing.T) {
@@ -124,6 +154,53 @@ func TestNames(t *testing.T) {
 	}
 	if got := FromEpsilon(0.5).Name(); got != "bsc(p=0)" {
 		t.Errorf("noiseless BSC name %q", got)
+	}
+}
+
+// Property: at any flip probability and any noise word the delivered
+// bit is a valid bit, either the one sent or its flip.
+func TestQuickTransmitValidBit(t *testing.T) {
+	threshs := []uint64{
+		FlipThreshold53(NewBSC(0.49).FlipProb()),
+		FlipThreshold53(NewBSC(0.3).FlipProb()),
+		FlipThreshold53(NewBSC(0).FlipProb()),
+	}
+	f := func(raw uint8, w uint64) bool {
+		b := Bit(raw & 1)
+		for _, th := range threshs {
+			out := send(b, w, th)
+			if out != Zero && out != One || out != b && out != b.Flip() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// The integer form the kernels use must flip exactly when the float form
+// Float64() < p does: Float64() is the top 53 bits of one draw, so
+// (Uint64()>>11) < FlipThreshold53(p) on an identical stream gives
+// identical outputs.
+func TestBSCTransmitMatchesFlipThreshold53(t *testing.T) {
+	for _, p := range []float64{0.23, 0.5 - 1e-9, 1e-12} {
+		c := NewBSC(p)
+		thresh := FlipThreshold53(c.FlipProb())
+		var r1, r2 rng.RNG
+		r1.Reseed(99)
+		r2.Reseed(99)
+		for i := 0; i < 4096; i++ {
+			b := Bit(i & 1)
+			want := b
+			if r1.Float64() < c.FlipProb() {
+				want ^= 1
+			}
+			if got := send(b, r2.Uint64(), thresh); got != want {
+				t.Fatalf("p=%v bit %d: threshold form %v, float form %v", p, i, got, want)
+			}
+		}
 	}
 }
 
