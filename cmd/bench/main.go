@@ -33,9 +33,7 @@ import (
 	"time"
 
 	"breathe/internal/api"
-	"breathe/internal/async"
 	"breathe/internal/channel"
-	"breathe/internal/core"
 	"breathe/internal/rng"
 	"breathe/internal/sim"
 	"breathe/internal/telemetry"
@@ -145,32 +143,6 @@ type Cell struct {
 	PhaseNs map[string]int64 `json:"phase_ns"`
 }
 
-// AsyncCell is the async-heavy quiet-span cell: one quiet-dominated
-// selfsync scenario executed twice — quiet-span skipping on (the default)
-// and off. Without the skip every round of the dilation gaps pays a
-// BulkSenders call and a round barrier. The crash plan thins the message
-// traffic (the robustness scenario the sweep grids also exercise) and
-// routes every sender list through the crash filter, so the cell also
-// covers the crash-boundary capping at speed.
-type AsyncCell struct {
-	Protocol    string  `json:"protocol"`
-	N           int     `json:"n"`
-	Eps         float64 `json:"eps"`
-	PreludeLen  int     `json:"prelude_len"`
-	CrashProb   float64 `json:"crash_prob"`
-	Rounds      int     `json:"rounds"`
-	QuietRounds int64   `json:"quiet_rounds"`
-	QuietSpans  int64   `json:"quiet_spans"`
-	WallSkipOn  float64 `json:"wall_seconds_skip_on"`
-	WallSkipOff float64 `json:"wall_seconds_skip_off"`
-	// Speedup is WallSkipOff / WallSkipOn.
-	Speedup float64 `json:"quiet_skip_speedup"`
-	// Identical reports that both executions produced the same sim.Result
-	// — the skip path's bit-identity contract, asserted here so a
-	// regression fails the artifact, not just the test suite.
-	Identical bool `json:"results_identical"`
-}
-
 // SparseCell is the sparse-regime cell (schema v9): k senders in a
 // population of n with k·64 < n, so every round runs on the sparse
 // walker. The walker's saving over the swept tree is measured by
@@ -188,7 +160,8 @@ type SparseCell struct {
 	NsPerRound  float64 `json:"ns_per_round"`
 }
 
-// Report is the artifact schema.
+// Report is the artifact schema. Schema v10 dropped v3–v9's async_cell,
+// the measurement of the engine's retired quiet-span skipping.
 type Report struct {
 	Schema     string `json:"schema"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -201,8 +174,6 @@ type Report struct {
 	WordPath string `json:"word_path"`
 	CPU      string `json:"cpu"`
 	Cells    []Cell `json:"cells"`
-	// AsyncCell is the quiet-span skipping measurement (schema v3).
-	AsyncCell *AsyncCell `json:"async_cell,omitempty"`
 	// SparseCell is the sparse-regime walker measurement (schema v5,
 	// the walker alone since v9).
 	SparseCell *SparseCell `json:"sparse_cell,omitempty"`
@@ -226,67 +197,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-}
-
-// benchAsync measures the quiet-span AsyncCell: a dilation-amplified
-// selfsync run (prelude L far above the standard 3·log₂ n, so the
-// inter-phase gaps dominate the schedule) with 80% initial crash faults,
-// executed with skipping on and off. Quick mode shrinks the scenario.
-func benchAsync(quick bool, seed uint64, log io.Writer) (*AsyncCell, error) {
-	n, prelude := 20_000, 12_000
-	if quick {
-		n, prelude = 4_096, 1_200
-	}
-	const eps, crashProb = 0.45, 0.8
-
-	cell := &AsyncCell{
-		Protocol: "breathe-async-selfsync", N: n, Eps: eps,
-		PreludeLen: prelude, CrashProb: crashProb,
-	}
-	var onRes, offRes sim.Result
-	for _, noskip := range []bool{false, true} {
-		params := core.DefaultParams(n, eps)
-		p, err := async.NewSelfSync(params, channel.One, prelude)
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := api.RunRequest{
-			N: n, Eps: eps, Seed: seed, CrashProb: crashProb, Shards: 1, MaxRounds: 1 << 30,
-		}.EngineConfig()
-		if err != nil {
-			return nil, err
-		}
-		if noskip {
-			// An observer without a declared cadence makes the engine
-			// execute every round.
-			cfg.Observer = func(int, *sim.Engine) {}
-		}
-		e, err := sim.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		//breathe:walltime-ok benchmark wall-time measurement
-		start := time.Now()
-		res := e.Run(p)
-		//breathe:walltime-ok benchmark wall-time measurement
-		wall := time.Since(start).Seconds()
-		if noskip {
-			offRes = res
-			cell.WallSkipOff = wall
-		} else {
-			onRes = res
-			cell.WallSkipOn = wall
-			cell.Rounds = res.Rounds
-			cell.QuietRounds = res.Paths.Quiet
-			cell.QuietSpans = e.QuietSpans()
-		}
-	}
-	cell.Speedup = cell.WallSkipOff / cell.WallSkipOn
-	cell.Identical = onRes == offRes
-	fmt.Fprintf(log, "async selfsync n=%d L=%d crash=%.1f: %d rounds (%d quiet, %d spans)  skip on %.2fs / off %.2fs  %.1fx  identical=%v\n",
-		cell.N, cell.PreludeLen, cell.CrashProb, cell.Rounds, cell.QuietRounds, cell.QuietSpans,
-		cell.WallSkipOn, cell.WallSkipOff, cell.Speedup, cell.Identical)
-	return cell, nil
 }
 
 // benchSparse measures the SparseCell: k senders in a population
@@ -372,7 +282,7 @@ func run(args []string, log io.Writer) error {
 	}
 
 	rep := Report{
-		Schema:     "breathe-bench-kernel/v9",
+		Schema:     "breathe-bench-kernel/v10",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      *quick,
 		Budget:     b,
@@ -456,16 +366,6 @@ func run(args []string, log io.Writer) error {
 	}
 	if err := phaseTable.WriteText(log); err != nil {
 		return err
-	}
-
-	ac, err := benchAsync(*quick, *seed, log)
-	if err != nil {
-		return err
-	}
-	rep.AsyncCell = ac
-
-	if !rep.AsyncCell.Identical {
-		return fmt.Errorf("quiet-span skip diverged: skip-on and skip-off runs disagree")
 	}
 
 	sc, err := benchSparse(*quick, *seed, log)

@@ -13,8 +13,8 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_kernel.json")
 	var log bytes.Buffer
 	// A tiny ladder keeps the test fast while covering both worker counts;
-	// -quick keeps the async quiet-span cell at CI scale (the explicit -ns
-	// overrides quick's ladder, so the two compose).
+	// -quick keeps the sparse cell at CI scale (the explicit -ns overrides
+	// quick's ladder, so the two compose).
 	if err := run([]string{"-quick", "-ns", "5000,40000", "-budget", "200000", "-out", out}, &log); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if rep.Schema != "breathe-bench-kernel/v9" {
+	if rep.Schema != "breathe-bench-kernel/v10" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	if rep.WordPath != "avx512" && rep.WordPath != "scalar" || rep.CPU == "" {
@@ -37,15 +37,6 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "phase decomposition") {
 		t.Fatalf("log output missing the phase table:\n%s", log.String())
-	}
-	if rep.AsyncCell == nil {
-		t.Fatal("artifact has no async quiet-span cell")
-	}
-	if !rep.AsyncCell.Identical {
-		t.Fatalf("async cell reports divergent results: %+v", rep.AsyncCell)
-	}
-	if rep.AsyncCell.QuietSpans == 0 || rep.AsyncCell.QuietRounds == 0 {
-		t.Fatalf("async cell skipped nothing: %+v", rep.AsyncCell)
 	}
 	if rep.SparseCell == nil {
 		t.Fatal("artifact has no sparse-regime cell")

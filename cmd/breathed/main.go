@@ -22,7 +22,7 @@
 //	POST /v1/runs/{id}/cancel  cancel queued or mid-run (honoured at the
 //	                           engine's next round barrier).
 //	GET  /v1/runs/{id}/trace   the run's NDJSON kernel trace — per-round
-//	                           phase timings, regime, quiet-span jumps.
+//	                           phase timings and regime, run totals.
 //	                           Submit with trace_every > 0 (traces are per
 //	                           execution; cache hits have none).
 //	GET  /v1/stats             pool and cache counters (service.Stats).

@@ -10,11 +10,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
+	"breathe/internal/api"
 	"breathe/internal/service"
 	"breathe/internal/telemetry"
 )
@@ -153,6 +155,65 @@ func TestTraceEndpoint(t *testing.T) {
 	cached := fetchResult(t, ts.URL, plain.ID)
 	if !bytes.Equal(raw, cached) {
 		t.Error("traced run bytes differ from untraced run bytes")
+	}
+}
+
+// TestTraceRegimeAttribution: every round of a run is in its trace, so
+// the trace's run record credits each of the five regimes, quiet
+// included, with exactly the rounds the response's path counters give it.
+// A plain broadcast runs dense tree rounds, a crash-thinned broadcast
+// runs its Stage II on the sparse walker, and a self-sync run breathes
+// through quiet spans.
+func TestTraceRegimeAttribution(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{})
+	for _, tc := range []struct {
+		body   string
+		regime string // one regime the run must take
+	}{
+		{`{"n": 4096, "seed": 7, "trace_every": 4}`, "dense"},
+		{`{"n": 131072, "crash_prob": 0.95, "seed": 1, "trace_every": 100000}`, "sparse"},
+		{`{"protocol": "async-selfsync", "n": 4096, "seed": 1, "trace_every": 100000}`, "quiet"},
+	} {
+		_, st := postJSON(t, ts.URL+"/v1/runs", tc.body)
+		var resp api.RunResponse
+		if err := json.Unmarshal(fetchResult(t, ts.URL, st.ID), &resp); err != nil {
+			t.Fatal(err)
+		}
+		p := resp.Paths
+		paths := map[string]int64{
+			"quiet": p.Quiet, "per-message": p.PerMessage,
+			"dense": p.Dense, "sharded": p.Sharded, "sparse": p.Sparse,
+		}
+		if paths[tc.regime] == 0 {
+			t.Errorf("%s: no %s rounds: %+v", tc.body, tc.regime, p)
+		}
+
+		tresp, err := http.Get(fmt.Sprintf("%s/v1/runs/%s/trace", ts.URL, st.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := io.ReadAll(tresp.Body)
+		tresp.Body.Close()
+		if err != nil || tresp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: trace status %d: %v", tc.body, tresp.StatusCode, err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(trace), []byte("\n"))
+		var run struct {
+			T       string           `json:"t"`
+			Rounds  int              `json:"rounds"`
+			Regimes map[string]int64 `json:"regime_rounds"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &run); err != nil || run.T != "run" {
+			t.Fatalf("%s: last trace line %q is not a run record: %v", tc.body, lines[len(lines)-1], err)
+		}
+		if run.Rounds != resp.Rounds {
+			t.Errorf("%s: run record rounds %d, response %d", tc.body, run.Rounds, resp.Rounds)
+		}
+		for _, name := range telemetry.RegimeNames() {
+			if run.Regimes[name] != paths[name] {
+				t.Errorf("%s: %s rounds: trace %d, paths %d", tc.body, name, run.Regimes[name], paths[name])
+			}
+		}
 	}
 }
 

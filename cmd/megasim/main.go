@@ -156,8 +156,7 @@ func run(args []string, out, errOut io.Writer) error {
 	agentRounds := float64(*n) * float64(res.Rounds)
 	fmt.Fprintf(out, "rounds:    %d   messages: %d (accepted %d, dropped %d)\n",
 		res.Rounds, res.MessagesSent, res.MessagesAccepted, res.MessagesDropped)
-	fmt.Fprintf(out, "paths:     %s (primary %s, quiet-spans %d)\n",
-		res.Paths, res.Paths.Primary(), engine.QuietSpans())
+	fmt.Fprintf(out, "paths:     %s (primary %s)\n", res.Paths, res.Paths.Primary())
 	fmt.Fprintf(out, "opinions:  0:%d  1:%d  undecided:%d   correct: %.6f  unanimous: %v\n",
 		res.Opinions[0], res.Opinions[1], res.Undecided,
 		res.CorrectFraction(channel.One), res.AllCorrect(channel.One))

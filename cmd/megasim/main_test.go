@@ -186,3 +186,18 @@ func TestSparseWalkerIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestPhasesByteInert: arming the run probe (-phases prints the phase
+// table from a live probe) leaves the canonical -json bytes unchanged.
+func TestPhasesByteInert(t *testing.T) {
+	for _, scen := range []string{
+		"-n 20000 -seed 3",
+		"-protocol async-selfsync -n 4096 -seed 3",
+	} {
+		args := strings.Fields(scen)
+		off := runJSON(t, args...)
+		if on := runJSON(t, append(args, "-phases")...); !bytes.Equal(on, off) {
+			t.Errorf("%s: -phases changed the -json bytes:\n%s\n%s", scen, on, off)
+		}
+	}
+}

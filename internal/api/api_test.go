@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"breathe/internal/channel"
+	"breathe/internal/rng"
 	"breathe/internal/sim"
+	"breathe/internal/sim/simtest"
 )
 
 // TestHashCanonicalization: the hash must identify the run, not the
@@ -276,5 +279,39 @@ func TestResponseJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resp, back) {
 		t.Errorf("round trip changed the response:\n%+v\n%+v", resp, back)
+	}
+}
+
+// quietStub is a protocol that never sends: every round of its fixed
+// schedule is quiet, so the response's primary_path must say "quiet".
+type quietStub struct{ total int }
+
+func (q *quietStub) Name() string                      { return "quiet-stub" }
+func (q *quietStub) Setup(int, rng.Key)                {}
+func (q *quietStub) Send(int, int) (channel.Bit, bool) { return 0, false }
+func (q *quietStub) Receive(int, channel.Bit, int)     {}
+func (q *quietStub) EndRound(int)                      {}
+func (q *quietStub) Done(g int) bool                   { return g >= q.total }
+func (q *quietStub) Opinion(int) (channel.Bit, bool)   { return 0, false }
+
+// TestResponsePrimaryPathAllQuiet pins the documented PrimaryPath
+// convention at the response layer: a run in which no round carried a
+// message reports primary_path "quiet" — the one case the "dominant
+// non-quiet path" reading has no candidate for.
+func TestResponsePrimaryPathAllQuiet(t *testing.T) {
+	req := RunRequest{N: 64, Seed: 3, Schedule: ScheduleKeyed}
+	req.Normalize()
+	res, err := sim.Run(sim.Config{
+		N: 64, Channel: channel.FromEpsilon(0.3), Seed: 3,
+	}, simtest.PerAgent(&quietStub{total: 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MessagesSent != 0 || res.Paths.Quiet != 40 {
+		t.Fatalf("stub sent %d messages in %+v, want 40 quiet rounds", res.MessagesSent, res.Paths)
+	}
+	resp := NewResponse(req, res, 0, simtest.PerAgent(&quietStub{}))
+	if resp.PrimaryPath != "quiet" {
+		t.Errorf("all-quiet response primary_path = %q, want \"quiet\"", resp.PrimaryPath)
 	}
 }

@@ -183,6 +183,38 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 	}
 }
 
+// TestQuietSpanResponseBytes: the full §3 schedules, whose dilation gaps
+// are quiet spans, serialize to the same canonical response bytes on 1, 2
+// and 8 workers, with and without crash faults. (The matrix above caps
+// the async scenarios at 400 rounds and runs them crash-free.)
+func TestQuietSpanResponseBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes full async schedules")
+	}
+	for _, proto := range []string{ProtoAsyncSelfSync, ProtoAsyncOffsets} {
+		for _, crash := range []float64{0, 0.1} {
+			req := RunRequest{Protocol: proto, N: 4096, Seed: 23, Schedule: ScheduleKeyed, CrashProb: crash}
+			var ref []byte
+			for _, shards := range []int{1, 2, 8} {
+				req.Shards = shards
+				raw := runResponseBytes(t, req, false)
+				if ref == nil {
+					ref = raw
+				} else if !bytes.Equal(ref, raw) {
+					t.Errorf("%s crash=%.1f shards=%d: response bytes diverged:\n%s\n%s", proto, crash, shards, ref, raw)
+				}
+			}
+			var resp RunResponse
+			if err := json.Unmarshal(ref, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if proto == ProtoAsyncSelfSync && resp.Paths.Quiet == 0 {
+				t.Errorf("%s crash=%.1f: no quiet rounds — the suite lost its point: %+v", proto, crash, resp.Paths)
+			}
+		}
+	}
+}
+
 // TestKeyedCrashPlanFromKey: builds draw the crash plan from the run
 // key's crash stream — deterministic across Builds and equal to the
 // keyed sampler's plan for the request's seed.

@@ -21,8 +21,6 @@ type serviceMetrics struct {
 	// Kernel decomposition, folded from worker probes after each run.
 	phaseNs      [telemetry.NumPhases]*telemetry.Counter
 	regimeRounds [telemetry.NumRegimes]*telemetry.Counter
-	quietSpans   *telemetry.Counter
-	spanRounds   *telemetry.Counter
 
 	// Per-run latency: kernel wall time, time spent queued, and the
 	// client-visible total (queue + kernel). Observed in nanoseconds,
@@ -103,10 +101,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Executed simulation rounds by kernel regime.",
 			telemetry.Label{Name: "regime", Value: name})
 	}
-	m.quietSpans = reg.Counter("breathe_sim_quiet_spans_total",
-		"Quiet spans skipped in O(1) instead of being executed round by round.")
-	m.spanRounds = reg.Counter("breathe_sim_span_rounds_total",
-		"Rounds covered by skipped quiet spans (never executed).")
 
 	m.runWall = reg.Histogram("breathe_run_wall_seconds",
 		"Kernel wall time per executed run.", 1e-9)
@@ -133,9 +127,6 @@ func (m *serviceMetrics) observeRun(p *telemetry.RunProbe, queueWait, wall time.
 			m.regimeRounds[i].Add(uint64(n))
 		}
 	}
-	spans, skipped := p.QuietSpans()
-	m.quietSpans.Add(uint64(spans))
-	m.spanRounds.Add(uint64(skipped))
 
 	if queueWait < 0 {
 		queueWait = 0

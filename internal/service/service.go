@@ -423,11 +423,7 @@ func (s *Service) runExecution(ex *execution, eng **sim.Engine, probe *telemetry
 	cfg.Telemetry = probe
 	proto := run.NewProtocol()
 	if every := ex.req.TrajectoryEvery; every > 0 {
-		// The trajectory observer only acts on multiples of every;
-		// declaring that lets the engine skip quiet spans between sample
-		// rounds without changing the published points.
 		cfg.Observer = trajectoryObserver(ex, proto, every)
-		cfg.ObserverEvery = every
 	}
 	if *eng == nil {
 		*eng, err = sim.NewEngine(cfg)

@@ -121,8 +121,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 	chat := func() Protocol { return &bulkChatter{rounds: 6} }
 	sparse := func() Protocol { return &sparseChatter{rounds: 6, k: 300} }
 
-	// A's hooks: an observer that cancels A after round 2, a declared
-	// cadence and a probe. B has none, so any of them surviving Reset
+	// A's hooks: an observer that cancels A after round 2, and a probe. B has none, so any of them surviving Reset
 	// shows in B's Result or in these counters.
 	var aObserved int
 	aCancel := make(chan struct{})
@@ -134,7 +133,6 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 				close(aCancel)
 			}
 		}
-		c.ObserverEvery = 1
 		c.Cancel = aCancel
 		c.Telemetry = aProbe
 	})
@@ -201,9 +199,6 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		if reused != fresh {
 			t.Fatalf("%s: Reset engine diverged from a fresh one:\n%+v\n%+v", tc.name, reused, fresh)
 		}
-		if e.QuietSpans() != ef.QuietSpans() {
-			t.Fatalf("%s: Reset engine skipped %d quiet spans, fresh %d", tc.name, e.QuietSpans(), ef.QuietSpans())
-		}
 		got, want := p.BulkAccumulators(), pf.BulkAccumulators()
 		for a := range want {
 			if got[a] != want[a] {
@@ -224,7 +219,6 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		self(1), {N: 64}, with(self(64), func(c *Config) { c.DropProb = 1 }),
 		with(self(64), func(c *Config) { c.MaxRounds = -1 }),
 		with(self(64), func(c *Config) { c.Shards = -1 }),
-		with(self(64), func(c *Config) { c.ObserverEvery = -1 }),
 	} {
 		_, want := NewEngine(bad)
 		if err := e.Reset(bad); err == nil || want == nil || err.Error() != want.Error() {

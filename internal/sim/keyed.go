@@ -192,8 +192,7 @@ func (e *Engine) prepareKeyed(p Protocol) {
 	}
 }
 
-// stepKeyed runs one round and returns the regime that ran it. A quiet
-// round (no live senders) arms the caller's span skip.
+// stepKeyed runs one round and returns the regime that ran it.
 func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 	round := e.round
 	k := e.keyed
@@ -252,54 +251,12 @@ func (e *Engine) treeRegime(listed, m int) telemetry.Regime {
 
 // quietAdvance accounts a round in which nobody sent. A quiet round
 // advances no generator — draws are addressed by (stream, round), never
-// sequential — so skipping it must consume nothing; the annotation has
-// breathevet prove the path stays that way.
+// sequential — so it must consume nothing; the annotation has breathevet
+// prove the path stays that way.
 //
 //breathe:drawfree
 func (e *Engine) quietAdvance() {
 	e.paths.Quiet++
-}
-
-// prepareQuietSkip arms the run's quiet-span skipping for a protocol
-// with a span oracle.
-func (e *Engine) prepareQuietSkip(p Protocol) {
-	e.spanner, _ = p.(QuietSpanner)
-}
-
-// skipQuietSpan advances the round cursor to next — the first round that
-// can act, per the span oracle and the crash plan's round — crediting the
-// jumped-over rounds as executed quiet rounds. The span is clamped to
-// MaxRounds, and with an armed observer to its next due round
-// (ObserverEvery); an observer without a declared cadence disables
-// skipping entirely, because any round could matter to it. The walk is
-// pure arithmetic: no generator advances, so a skipped run is
-// bit-identical to a round-by-round run — breathevet proves this path
-// stays draw-free.
-//
-//breathe:drawfree
-func (e *Engine) skipQuietSpan(next int) {
-	g := e.round
-	t := next
-	if t > e.cfg.MaxRounds {
-		t = e.cfg.MaxRounds
-	}
-	if e.cfg.Observer != nil {
-		every := e.cfg.ObserverEvery
-		if every <= 1 {
-			return
-		}
-		if due := (g/every + 1) * every; due < t {
-			t = due
-		}
-	}
-	if t <= g+1 {
-		return
-	}
-	// The loop increment lands on t: rounds g+1 .. t-1 are the skipped
-	// span, counted exactly as the per-round quiet path would have.
-	e.paths.Quiet += int64(t - g - 1)
-	e.quietSpans++
-	e.round = t - 1
 }
 
 // keyedScatter is the keyed scatter regime: one placement draw per

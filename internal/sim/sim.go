@@ -84,24 +84,7 @@ type Protocol interface {
 	Opinion(a int) (bit channel.Bit, ok bool)
 }
 
-// QuietSpanner is an optional Protocol capability that makes quiescence
-// free. NextActive(g) returns the first round t >= g at which the
-// protocol can act, assuming no message is delivered in [g, t): a round
-// in which some agent may send, in which EndRound may change protocol
-// state (a phase finalization), or at which Done may flip. Every round in [g, t) must be inert — Send false for
-// every agent, EndRound a no-op, Done constant — so the engine may
-// account rounds g..t-1 as executed quiet rounds and jump straight to t.
-//
-// The engine consults the spanner only immediately after a round with
-// zero live senders; crashes never create senders, so an implementation
-// may (and should) ignore the crash plan, and the engine itself never
-// skips past the plan's round. Returning g is always safe: it declines
-// the skip for this span.
-type QuietSpanner interface {
-	NextActive(g int) int
-}
-
-// Observer is called at the end of every executed round; used for tracing.
+// Observer is called at the end of every round; used for tracing.
 type Observer func(round int, e *Engine)
 
 // DefaultMaxRounds is the execution cap a zero Config.MaxRounds means: a
@@ -141,16 +124,8 @@ type Config struct {
 	DropProb float64
 	// Failures optionally injects crash faults (nil: none).
 	Failures *CrashPlan
-	// Observer, if set, runs after every executed round.
+	// Observer, if set, runs after every round.
 	Observer Observer
-	// ObserverEvery declares that the observer only acts on rounds that
-	// are multiples of it (the service's trajectory-sampling convention:
-	// round % every == 0) and ignores every other round. The declaration
-	// lets the engine skip quiet spans between due rounds; a due round is
-	// never skipped. Zero (or 1) makes no claim: with an Observer
-	// installed the engine then executes every round. Ignored when
-	// Observer is nil.
-	ObserverEvery int
 	// Cancel, if non-nil, aborts the run when it becomes readable (closed
 	// or sent to): the engine polls it at the per-round barrier — after a
 	// round's deliveries and observer, before the next round starts — in
@@ -160,10 +135,10 @@ type Config struct {
 	// to the same prefix of an uncanceled run. Use ctx.Done() to couple a
 	// run to a context.
 	Cancel <-chan struct{}
-	// Telemetry, if non-nil, receives per-phase kernel timings, regime
-	// transitions and quiet-span lengths for this run. The probe is
-	// byte-inert by construction: it is consulted only at phase boundaries
-	// the round loop already has, it draws from no RNG stream (statically
+	// Telemetry, if non-nil, receives per-phase kernel timings and the
+	// regime of every round of this run. The probe is byte-inert by
+	// construction: it is consulted only at phase boundaries the round
+	// loop already has, it draws from no RNG stream (statically
 	// proven by breathevet's telemetry analyzer — the telemetry package
 	// imports nothing from this module), and nothing it returns feeds back
 	// into the run. Results are bit-identical with the probe on or off;
@@ -199,9 +174,6 @@ func (c Config) validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("sim: negative Shards %d", c.Shards)
 	}
-	if c.ObserverEvery < 0 {
-		return fmt.Errorf("sim: negative ObserverEvery %d", c.ObserverEvery)
-	}
 	return nil
 }
 
@@ -217,9 +189,7 @@ type PathRounds struct {
 	// reads it.
 	PerAgent int64 `json:"per_agent,omitempty"`
 	// Quiet counts rounds with no live senders (the protocol's "breathe"
-	// phases): no kernel work at all. Whole quiet spans may be skipped in
-	// O(1) (see QuietSpanner); the skipped rounds are credited here
-	// exactly as if they had executed.
+	// phases): a BulkSenders call and the round barrier, no kernel work.
 	Quiet int64 `json:"quiet,omitempty"`
 	// PerMessage counts scatter rounds: one placement draw per message,
 	// count-based accept-one per receiver.
@@ -334,8 +304,8 @@ func (r Result) AllCorrect(target channel.Bit) bool {
 // call Reset(cfg) before any further Run. A second Run without Reset
 // panics — it would silently reuse stale counters and corrupt the Result.
 //
-// Observers run after every executed round and may read the engine's
-// public accessors (N, Round, MessagesSent) and query the protocol (e.g.
+// Observers run after every round and may read the engine's public
+// accessors (N, MessagesSent, Paths) and query the protocol (e.g.
 // Opinion). The per-round inboxes are engine-internal scratch, zero
 // between rounds, so no per-message state is observable after a round
 // ends.
@@ -344,11 +314,6 @@ type Engine struct {
 
 	key   rng.Key     // the run's draw-schedule root
 	keyed *keyedState // lazily allocated kernel scratch, sized for cfg.N
-
-	// Quiet-span skipping: the protocol's span oracle, armed per run by
-	// prepareQuietSkip, and the count of spans actually skipped.
-	spanner    QuietSpanner
-	quietSpans int64
 
 	started  bool
 	round    int
@@ -404,8 +369,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.round = 0
 	e.sent, e.accepted, e.dropped = 0, 0, 0
 	e.paths = PathRounds{}
-	e.spanner = nil
-	e.quietSpans = 0
 	return nil
 }
 
@@ -424,31 +387,16 @@ func (e *Engine) SetTelemetry(t *telemetry.RunProbe) {
 // N returns the population size.
 func (e *Engine) N() int { return e.cfg.N }
 
-// Round returns the index of the round currently executing (valid inside
-// Observer callbacks).
-func (e *Engine) Round() int { return e.round }
-
 // MessagesSent returns the running total of pushes.
 func (e *Engine) MessagesSent() int64 { return e.sent }
-
-// MessagesAccepted returns the running total of deliveries that reached
-// the protocol (valid inside Observer callbacks, for progress reporting).
-func (e *Engine) MessagesAccepted() int64 { return e.accepted }
-
-// MessagesDropped returns the running total of collision, crash and
-// DropProb losses (valid inside Observer callbacks).
-func (e *Engine) MessagesDropped() int64 { return e.dropped }
 
 // Paths returns the per-kernel-path round counts so far (valid inside
 // Observer callbacks; the full-run breakdown is in Result.Paths).
 func (e *Engine) Paths() PathRounds { return e.paths }
 
-// QuietSpans reports how many quiet spans the run skipped in O(1) (a
-// QuietSpanner protocol; see skipQuietSpan). Diagnostics only: the count
-// is deliberately not part of Result, because a skipped run and a
-// round-by-round run of the same configuration produce identical Results
-// — that equivalence is the skip path's contract.
-func (e *Engine) QuietSpans() int64 { return e.quietSpans }
+// QuietSpans is always 0: the engine executes every round. The method
+// stays only because the repository benchmark (perfbench) reads it.
+func (e *Engine) QuietSpans() int64 { return 0 }
 
 // Run executes p until it reports Done or MaxRounds is hit. Calling Run a
 // second time without an intervening Reset panics: the engine's counters
@@ -463,7 +411,6 @@ func (e *Engine) Run(p Protocol) Result {
 	p.Setup(n, e.key)
 
 	e.prepareKeyed(p)
-	e.prepareQuietSkip(p)
 
 	res := Result{Protocol: p.Name()}
 	canceled := false
@@ -493,28 +440,6 @@ func (e *Engine) Run(p Protocol) Result {
 		}
 		if tel != nil {
 			tel.EndRound(e.round, reg, e.sent, e.accepted, e.dropped)
-		}
-		// After a quiet round the span oracle knows the next round that
-		// can act; every round in between is inert and is credited in
-		// bulk instead of executed. The jump happens after the observer
-		// call and before the next barrier, so a cancel that lands inside
-		// a skipped span is honoured at the span's end — the next barrier
-		// an unskipped run of the same span would also have reached with
-		// these counters. A span never jumps past the crash plan's round,
-		// the one round at which its crash set changes.
-		if reg == telemetry.RegimeQuiet && e.spanner != nil {
-			next := e.spanner.NextActive(e.round + 1)
-			if f := e.cfg.Failures; f != nil && e.round < f.round && f.round < next {
-				next = f.round
-			}
-			// The jump itself stays unprobed (skipQuietSpan is a proven
-			// draw-free leaf); the probe records the skipped span by
-			// diffing the round cursor across the call.
-			from := e.round
-			e.skipQuietSpan(next)
-			if tel != nil && e.round > from {
-				tel.QuietSpan(from+1, e.round+1)
-			}
 		}
 	}
 	if tel != nil {

@@ -38,14 +38,9 @@ type bulkProtocol interface {
 	BulkAccumulators() []uint64
 }
 
-// quietSpanner is sim.QuietSpanner.
-type quietSpanner interface {
-	NextActive(g int) int
-}
-
 // Adapter is the protocol PerAgent returns. It implements sim.Protocol
-// and sim.QuietSpanner whatever the wrapped protocol implements; the
-// capabilities the wrapped protocol lacks answer as if absent.
+// whatever the wrapped protocol implements; the bulk methods the wrapped
+// protocol lacks answer as if absent.
 type Adapter struct {
 	Protocol
 	bulk        bulkProtocol
@@ -55,9 +50,8 @@ type Adapter struct {
 
 // PerAgent wraps p so that the engine collects it through a Send scan and
 // delivers scatter receptions through Receive, while the regime choice —
-// BulkAccumulate, the accumulators and the quiet-span oracle — still
-// comes from p; the sparse regime reads the lengths of the scanned lists,
-// which equal p's own. A p without the bulk methods never accumulates, so
+// BulkAccumulate and the accumulators — still comes from p; the sparse
+// regime reads the lengths of the scanned lists, which equal p's own. A p without the bulk methods never accumulates, so
 // every speaking round is a scatter round.
 func PerAgent(p Protocol) *Adapter {
 	b, _ := p.(bulkProtocol)
@@ -107,13 +101,4 @@ func (a *Adapter) BulkAccumulators() []uint64 {
 		return nil
 	}
 	return a.bulk.BulkAccumulators()
-}
-
-// NextActive forwards to the wrapped protocol's quiet-span oracle, and
-// returns g, which declines the skip, when it has none.
-func (a *Adapter) NextActive(g int) int {
-	if qs, ok := a.Protocol.(quietSpanner); ok {
-		return qs.NextActive(g)
-	}
-	return g
 }

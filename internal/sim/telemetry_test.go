@@ -9,10 +9,8 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"testing"
 
-	"breathe/internal/async"
 	"breathe/internal/channel"
 	"breathe/internal/core"
 	"breathe/internal/rng"
@@ -92,77 +90,63 @@ func TestTelemetryInert(t *testing.T) {
 			// The probe must have seen every executed round, attributed to
 			// the same paths the engine booked.
 			paths := probedRes.Paths
-			rr := probe.RegimeRounds()
-			_, skipped := probe.QuietSpans()
-			if got, want := rr[telemetry.RegimeQuiet]+skipped, paths.Quiet; got != want {
-				t.Errorf("quiet rounds: probe %d, engine %d", got, want)
-			}
-			for _, c := range []struct {
-				regime telemetry.Regime
-				want   int64
-			}{
-				{telemetry.RegimePerMessage, paths.PerMessage},
-				{telemetry.RegimeDense, paths.Dense},
-				{telemetry.RegimeSharded, paths.Sharded},
-				{telemetry.RegimeSparse, paths.Sparse},
-			} {
-				if rr[c.regime] != c.want {
-					t.Errorf("%v rounds: probe %d, engine %d", c.regime, rr[c.regime], c.want)
-				}
-			}
 			if tc.cfg.Failures != nil && paths.Sparse == 0 {
 				t.Errorf("crash-thinned run took no sparse round: %v", paths)
 			}
-			if got, want := probe.Rounds()+skipped, int64(probedRes.Rounds); got != want {
-				t.Errorf("round count: probe %d+%d skipped, engine %d", probe.Rounds(), skipped, want)
-			}
-			// Every trace line is one JSON object; the run record's counters
-			// match the Result.
-			var runRec struct {
-				Rounds     int              `json:"rounds"`
-				Regimes    map[string]int64 `json:"regime_rounds"`
-				SpanRounds int64            `json:"span_rounds"`
-			}
-			lines := bytes.Split(bytes.TrimSpace(trace.Bytes()), []byte("\n"))
-			for _, line := range lines {
-				var rec map[string]any
-				if err := json.Unmarshal(line, &rec); err != nil {
-					t.Fatalf("bad trace line %q: %v", line, err)
-				}
-			}
-			if err := json.Unmarshal(lines[len(lines)-1], &runRec); err != nil {
-				t.Fatal(err)
-			}
-			if runRec.Rounds != probedRes.Rounds {
-				t.Errorf("run record rounds %d, Result %d", runRec.Rounds, probedRes.Rounds)
-			}
-			if runRec.Regimes["quiet"]+runRec.SpanRounds != paths.Quiet {
-				t.Errorf("run record quiet %d+%d, engine %d",
-					runRec.Regimes["quiet"], runRec.SpanRounds, paths.Quiet)
-			}
+			checkProbeAttribution(t, probe, trace.Bytes(), probedRes)
 		})
 	}
 }
 
-// TestTelemetryQuietSpans: a self-sync run whose dilation gaps are skipped
-// must report those spans on the probe, and stay inert doing so.
-func TestTelemetryQuietSpans(t *testing.T) {
-	const n = 4096
-	params := core.DefaultParams(n, 0.3)
-	L := 3 * int(math.Ceil(math.Log2(n)))
-	factory := func() sim.Protocol {
-		p, err := async.NewSelfSync(params, channel.One, L)
-		if err != nil {
-			t.Fatal(err)
+// checkProbeAttribution asserts that the probe saw every round of res and
+// credited each regime — quiet included — with exactly the rounds the
+// engine's path counters give it, and that the trace is NDJSON ending in
+// a run record that says the same.
+func checkProbeAttribution(t *testing.T, probe *telemetry.RunProbe, trace []byte, res sim.Result) {
+	t.Helper()
+	paths := res.Paths
+	want := [telemetry.NumRegimes]int64{
+		telemetry.RegimeQuiet:      paths.Quiet,
+		telemetry.RegimePerMessage: paths.PerMessage,
+		telemetry.RegimeDense:      paths.Dense,
+		telemetry.RegimeSharded:    paths.Sharded,
+		telemetry.RegimeSparse:     paths.Sparse,
+	}
+	if rr := probe.RegimeRounds(); rr != want {
+		t.Errorf("probe regime rounds %v, engine %v", rr, want)
+	}
+	if got := probe.Rounds(); got != int64(res.Rounds) {
+		t.Errorf("round count: probe %d, engine %d", got, res.Rounds)
+	}
+	var runRec struct {
+		Rounds  int              `json:"rounds"`
+		Regimes map[string]int64 `json:"regime_rounds"`
+	}
+	lines := bytes.Split(bytes.TrimSpace(trace), []byte("\n"))
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
 		}
-		return p
 	}
-	cfg := sim.Config{
-		N: n, Channel: channel.FromEpsilon(0.3), Seed: 7,
-		AllowSelfMessages: true,
-		MaxRounds:         10 * L,
-		Shards:            1,
+	if err := json.Unmarshal(lines[len(lines)-1], &runRec); err != nil {
+		t.Fatal(err)
 	}
+	if runRec.Rounds != res.Rounds {
+		t.Errorf("run record rounds %d, Result %d", runRec.Rounds, res.Rounds)
+	}
+	for i, name := range telemetry.RegimeNames() {
+		if runRec.Regimes[name] != want[i] {
+			t.Errorf("run record %s rounds %d, engine %d", name, runRec.Regimes[name], want[i])
+		}
+	}
+}
+
+// TestTelemetryQuietSpans: a self-sync run, whose dilation gaps are
+// quiet spans, stays inert under the probe, and the probe and the trace
+// credit every quiet round — one round record each — to the quiet regime.
+func TestTelemetryQuietSpans(t *testing.T) {
+	cfg, factory := selfSyncFactory(t, 4096)
 	plainRes, plainFP := probeFingerprint(t, cfg, nil, factory)
 
 	probe := telemetry.NewRunProbe()
@@ -170,16 +154,15 @@ func TestTelemetryQuietSpans(t *testing.T) {
 	probe.SetTrace(telemetry.NewTraceWriter(&trace, 1, 0))
 	probedRes, probedFP := probeFingerprint(t, cfg, probe, factory)
 	if plainRes != probedRes || plainFP != probedFP {
-		t.Fatal("probe changed a span-skipping run")
+		t.Fatal("probe changed a self-sync run")
 	}
-	spans, skipped := probe.QuietSpans()
-	if spans == 0 || skipped == 0 {
-		t.Fatalf("self-sync run skipped no spans (spans=%d skipped=%d) — scenario lost its point", spans, skipped)
+	if probedRes.Paths.Quiet == 0 {
+		t.Fatalf("self-sync run had no quiet rounds — scenario lost its point: %+v", probedRes.Paths)
 	}
-	if !bytes.Contains(trace.Bytes(), []byte(`"t":"span"`)) {
-		t.Error("trace has no span records")
+	checkProbeAttribution(t, probe, trace.Bytes(), probedRes)
+	if got := int64(bytes.Count(trace.Bytes(), []byte(`"regime":"quiet"`))); got != probedRes.Paths.Quiet {
+		t.Errorf("trace has %d quiet round records, the run %d quiet rounds", got, probedRes.Paths.Quiet)
 	}
-	t.Logf("spans=%d skipped=%d rounds=%d", spans, skipped, probedRes.Rounds)
 }
 
 // TestTelemetryPooledEngine: SetTelemetry follows the engine's re-arming

@@ -68,8 +68,8 @@ func (r Regime) String() string { return regimeNames[r] }
 // RegimeNames lists all regime names in Regime order.
 func RegimeNames() [NumRegimes]string { return regimeNames }
 
-// RunProbe accumulates per-phase wall time, regime round counts and
-// quiet-span statistics for one simulation run, and optionally streams an
+// RunProbe accumulates per-phase wall time and regime round counts for
+// one simulation run, and optionally streams an
 // NDJSON trace. It is driven by a single goroutine (the engine's round
 // loop); Reset re-arms it for the next run so pools can reuse one probe
 // per worker. All clock reads happen here — instrumented code only calls
@@ -85,8 +85,6 @@ type RunProbe struct {
 	roundNs      [NumPhases]int64 // current round only
 	regimeRounds [NumRegimes]int64
 	rounds       int64
-	spans        int64
-	spanRounds   int64
 
 	lastSent, lastAccepted, lastDropped int64
 
@@ -152,47 +150,32 @@ func (p *RunProbe) EndRound(round int, regime Regime, sent, accepted, dropped in
 	}
 }
 
-// QuietSpan records an O(1) jump over rounds [from, to) — rounds the
-// engine never executed. They are not counted in regimeRounds.
-func (p *RunProbe) QuietSpan(from, to int) {
-	p.spans++
-	p.spanRounds += int64(to - from)
-	if p.trace != nil {
-		p.trace.spanRecord(from, to)
-	}
-}
-
 // FinishRun emits the run-summary trace record and flushes the writer.
 func (p *RunProbe) FinishRun(rounds int) {
 	if p.trace != nil {
-		p.trace.runRecord(rounds, &p.phaseNs, &p.regimeRounds, p.spans, p.spanRounds)
+		p.trace.runRecord(rounds, &p.phaseNs, &p.regimeRounds)
 	}
 }
 
 // PhaseNanos returns cumulative per-phase wall time in nanoseconds.
 func (p *RunProbe) PhaseNanos() [NumPhases]int64 { return p.phaseNs }
 
-// RegimeRounds returns how many executed rounds each regime handled.
+// RegimeRounds returns how many rounds each regime handled.
 func (p *RunProbe) RegimeRounds() [NumRegimes]int64 { return p.regimeRounds }
 
-// Rounds returns the number of executed (non-skipped) rounds observed.
+// Rounds returns the number of rounds observed.
 func (p *RunProbe) Rounds() int64 { return p.rounds }
-
-// QuietSpans returns the number of quiet-span jumps and the total rounds
-// they skipped.
-func (p *RunProbe) QuietSpans() (spans, skipped int64) { return p.spans, p.spanRounds }
 
 // TraceWriter streams NDJSON run-trace records: one object per line, no
 // allocation in steady state (one reused buffer), with an optional
 // sampling stride and byte cap. The schema:
 //
 //	{"t":"round","round":R,"regime":"dense","ns":{"senders":..,...},"sent":S,"accepted":A,"dropped":D}
-//	{"t":"span","from":F,"to":T,"rounds":T-F}
-//	{"t":"run","rounds":N,"phase_ns":{...},"regime_rounds":{...},"quiet_spans":K,"span_rounds":M}
+//	{"t":"run","rounds":N,"phase_ns":{...},"regime_rounds":{...}}
 //	{"t":"truncated"}                        — emitted once if maxBytes was hit
 //
-// Span and run records are always written; round records only every
-// `every` rounds (1 = all).
+// The run record is always written, and its regime_rounds sum to its
+// rounds; round records only every `every` rounds (1 = all).
 type TraceWriter struct {
 	w        io.Writer
 	every    int
@@ -267,23 +250,7 @@ func (t *TraceWriter) roundRecord(round int, regime Regime, ns *[NumPhases]int64
 	t.flushLine()
 }
 
-func (t *TraceWriter) spanRecord(from, to int) {
-	if t.stopped {
-		return
-	}
-	b := t.buf[:0]
-	b = append(b, `{"t":"span","from":`...)
-	b = strconv.AppendInt(b, int64(from), 10)
-	b = append(b, `,"to":`...)
-	b = strconv.AppendInt(b, int64(to), 10)
-	b = append(b, `,"rounds":`...)
-	b = strconv.AppendInt(b, int64(to-from), 10)
-	b = append(b, '}', '\n')
-	t.buf = b
-	t.flushLine()
-}
-
-func (t *TraceWriter) runRecord(rounds int, ns *[NumPhases]int64, rr *[NumRegimes]int64, spans, spanRounds int64) {
+func (t *TraceWriter) runRecord(rounds int, ns *[NumPhases]int64, rr *[NumRegimes]int64) {
 	if t.stopped {
 		return
 	}
@@ -302,11 +269,7 @@ func (t *TraceWriter) runRecord(rounds int, ns *[NumPhases]int64, rr *[NumRegime
 		b = append(b, '"', ':')
 		b = strconv.AppendInt(b, rr[i], 10)
 	}
-	b = append(b, `},"quiet_spans":`...)
-	b = strconv.AppendInt(b, spans, 10)
-	b = append(b, `,"span_rounds":`...)
-	b = strconv.AppendInt(b, spanRounds, 10)
-	b = append(b, '}', '\n')
+	b = append(b, '}', '}', '\n')
 	t.buf = b
 	t.flushLine()
 }

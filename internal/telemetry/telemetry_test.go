@@ -213,23 +213,24 @@ func TestProbeTrace(t *testing.T) {
 		accepted += 7
 		p.EndRound(round, RegimeDense, sent, accepted, 0)
 	}
-	p.QuietSpan(4, 10)
-	p.FinishRun(10)
+	for round := 4; round < 6; round++ {
+		p.BeginRound(round)
+		p.Mark(PhaseSenders)
+		p.EndRound(round, RegimeQuiet, sent, accepted, 0)
+	}
+	p.FinishRun(6)
 	if tw := p.trace; tw.Err() != nil {
 		t.Fatalf("trace error: %v", tw.Err())
 	}
-	if p.Rounds() != 4 {
+	if p.Rounds() != 6 {
 		t.Errorf("rounds = %d", p.Rounds())
 	}
-	if rr := p.RegimeRounds(); rr[RegimeDense] != 4 {
-		t.Errorf("dense rounds = %d", rr[RegimeDense])
-	}
-	if spans, skipped := p.QuietSpans(); spans != 1 || skipped != 6 {
-		t.Errorf("spans = %d/%d", spans, skipped)
+	if rr := p.RegimeRounds(); rr[RegimeDense] != 4 || rr[RegimeQuiet] != 2 {
+		t.Errorf("dense/quiet rounds = %d/%d, want 4/2", rr[RegimeDense], rr[RegimeQuiet])
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 { // 4 rounds + 1 span + 1 run
+	if len(lines) != 7 { // 6 rounds + 1 run
 		t.Fatalf("got %d trace lines:\n%s", len(lines), buf.String())
 	}
 	types := make([]string, len(lines))
@@ -246,12 +247,22 @@ func TestProbeTrace(t *testing.T) {
 					t.Errorf("round record missing phase %q", name)
 				}
 			}
-			if rec["sent"].(float64) != 10 {
-				t.Errorf("sent delta = %v, want 10", rec["sent"])
+			want := 10.0
+			if rec["regime"] == "quiet" {
+				want = 0
+			}
+			if rec["sent"].(float64) != want {
+				t.Errorf("sent delta = %v, want %v", rec["sent"], want)
+			}
+		}
+		if types[i] == "run" {
+			rr := rec["regime_rounds"].(map[string]any)
+			if rr["dense"].(float64) != 4 || rr["quiet"].(float64) != 2 || rec["rounds"].(float64) != 6 {
+				t.Errorf("run record %s, want 4 dense + 2 quiet of 6 rounds", line)
 			}
 		}
 	}
-	if want := "round round round round span run"; strings.Join(types, " ") != want {
+	if want := "round round round round round round run"; strings.Join(types, " ") != want {
 		t.Errorf("record types = %v", types)
 	}
 
@@ -274,8 +285,8 @@ func TestProbeTrace(t *testing.T) {
 	}
 }
 
-// TestTraceSampling: every=3 keeps rounds 0,3,6,… only; span and run
-// records always survive.
+// TestTraceSampling: every=3 keeps rounds 0,3,6,… only; the run record
+// always survives.
 func TestTraceSampling(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewRunProbe()
