@@ -56,6 +56,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -67,44 +68,35 @@ import (
 	"breathe/internal/service"
 )
 
-func main() {
-	fs := flag.NewFlagSet("breathed", flag.ExitOnError)
-	var (
-		addr    = fs.String("addr", ":8344", "listen address")
-		workers = fs.Int("workers", 0, "workers, one engine each (0 = all cores)")
-		queue   = fs.Int("queue", 256, "admission queue depth")
-		cache   = fs.Int("cache", 1024, "result cache entries")
-		maxN    = fs.Int("maxn", 1<<24, "largest admitted population (0 = engine limit)")
-		history = fs.Int("history", 0, "terminal jobs retrievable by ID (0 = default 16384)")
-		debug   = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	)
-	fs.Parse(os.Args[1:])
+// readHeaderTimeout bounds how long either listener waits for a request's
+// headers.
+const readHeaderTimeout = 5 * time.Second
 
-	svc := service.New(service.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheEntries: *cache,
-		MaxN:         *maxN,
-		JobHistory:   *history,
-	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           service.NewHTTPHandler(svc),
-		ReadHeaderTimeout: 5 * time.Second,
+func main() {
+	cfg, addr, debug, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
 	}
 
-	if *debug != "" {
-		// A dedicated mux, not http.DefaultServeMux: the profiling
-		// surface exists only on the operator-chosen debug address.
-		dmux := http.NewServeMux()
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	svc := service.New(cfg)
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           service.NewHTTPHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
+
+	if debug != "" {
+		dsrv := &http.Server{
+			Addr:              debug,
+			Handler:           debugMux(),
+			ReadHeaderTimeout: readHeaderTimeout,
+		}
 		go func() {
-			log.Printf("breathed debug (pprof) listening on %s", *debug)
-			if err := http.ListenAndServe(*debug, dmux); err != nil {
+			log.Printf("breathed debug (pprof) listening on %s", debug)
+			if err := dsrv.ListenAndServe(); err != nil {
 				log.Printf("debug listener: %v", err)
 			}
 		}()
@@ -120,9 +112,39 @@ func main() {
 	}()
 
 	log.Printf("breathed listening on %s (workers=%d queue=%d cache=%d maxn=%d)",
-		*addr, svc.Stats().Workers, *queue, *cache, *maxN)
+		addr, svc.Stats().Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.MaxN)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	svc.Close()
+}
+
+// parseFlags reads the command line into the service configuration, the
+// listen address and the debug (pprof) address, empty when disabled.
+// Usage and parse errors go to errOut.
+func parseFlags(args []string, errOut io.Writer) (cfg service.Config, addr, debug string, err error) {
+	fs := flag.NewFlagSet("breathed", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&addr, "addr", ":8344", "listen address")
+	fs.IntVar(&cfg.Workers, "workers", 0, "workers, one engine each (0 = all cores)")
+	fs.IntVar(&cfg.QueueDepth, "queue", 256, "admission queue depth")
+	fs.IntVar(&cfg.CacheEntries, "cache", 1024, "result cache entries")
+	fs.IntVar(&cfg.MaxN, "maxn", 1<<24, "largest admitted population (0 = engine limit)")
+	fs.IntVar(&cfg.JobHistory, "history", 0, "terminal jobs retrievable by ID (0 = default 16384)")
+	fs.StringVar(&debug, "debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+	err = fs.Parse(args)
+	return cfg, addr, debug, err
+}
+
+// debugMux serves net/http/pprof under /debug/pprof/. It is a dedicated
+// mux, not http.DefaultServeMux: the profiling surface exists only on
+// the operator-chosen debug address.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

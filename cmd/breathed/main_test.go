@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,8 +192,8 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 }
 
-// TestRejections: malformed, trailing-data, unknown-field, invalid,
-// oversized and overflow submissions map to the right HTTP codes, on a server with a
+// TestRejections: malformed, trailing-data, unknown-field, retired-option,
+// invalid, oversized and overflow submissions map to the right HTTP codes, on a server with a
 // MaxN cap and on one without (MaxN 0, the engine's own limit).
 func TestRejections(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1, MaxN: 10000, QueueDepth: 1})
@@ -212,6 +214,11 @@ func TestRejections(t *testing.T) {
 		{ts.URL, huge, http.StatusRequestEntityTooLarge},
 		{uncapped.URL, `{"n": 2147483648}`, http.StatusBadRequest}, // beyond int32 agent ids
 		{uncapped.URL, `{"n": 8589934592}`, http.StatusBadRequest},
+		{uncapped.URL, `{"n": 1024, "sparse_cutover": -1}`, http.StatusBadRequest}, // retired options
+		{uncapped.URL, `{"n": 1024, "kernel": "batched"}`, http.StatusBadRequest},
+		{uncapped.URL, `{"n": 1024, "kernel": "per-agent"}`, http.StatusBadRequest},
+		{uncapped.URL, `{"n": 64, "eps": 1e-300}`, http.StatusBadRequest}, // no schedule carries it
+		{uncapped.URL, `{"n": 64, "eps": 1e-12}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(tc.url+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -295,5 +302,98 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	if st.Submitted == 0 || st.Workers == 0 {
 		t.Errorf("stats look empty: %+v", st)
+	}
+}
+
+// TestConcurrentMix drives the handler with 8 clients × 4 requests over a
+// universe of 16 distinct runs: every submit is admitted (200 or 202),
+// every result arrives, and the repeated half is served without a fresh
+// kernel — from the cache or by joining an identical in-flight run.
+func TestConcurrentMix(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 4})
+	const clients, requests, universe = 8, 4, 16
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				body := fmt.Sprintf(`{"n": 512, "seed": %d}`, (c*requests+i)%universe)
+				resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st service.JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
+					t.Errorf("submit %s: status %d: %v", body, resp.StatusCode, err)
+					return
+				}
+				rresp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/result?wait=1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, rresp.Body)
+				rresp.Body.Close()
+				if rresp.StatusCode != http.StatusOK {
+					t.Errorf("result of %s: status %d", body, rresp.StatusCode)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st service.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits+st.SharedFlights == 0 {
+		t.Errorf("no request was deduplicated: %+v", st)
+	}
+}
+
+// TestParseFlags pins breathed's command line: the defaults, the retired
+// -engines flag refused, and -maxn 0 passed through as "engine limit".
+func TestParseFlags(t *testing.T) {
+	cfg, addr, debug, err := parseFlags(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := service.Config{QueueDepth: 256, CacheEntries: 1024, MaxN: 1 << 24}
+	if cfg != want || addr != ":8344" || debug != "" {
+		t.Errorf("defaults: config %+v, addr %q, debug addr %q", cfg, addr, debug)
+	}
+	if _, _, _, err := parseFlags([]string{"-engines", "4"}, io.Discard); err == nil {
+		t.Error("the retired -engines flag was accepted")
+	}
+	cfg, _, _, err = parseFlags([]string{"-maxn", "0"}, io.Discard)
+	if err != nil || cfg.MaxN != 0 {
+		t.Errorf("-maxn 0: MaxN %d, err %v", cfg.MaxN, err)
+	}
+}
+
+// TestDebugMux: the debug listener's mux serves the pprof index and a
+// one-second CPU profile.
+func TestDebugMux(t *testing.T) {
+	ts := httptest.NewServer(debugMux())
+	defer ts.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/profile?seconds=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("%s: status %d, %d bytes, %v", path, resp.StatusCode, len(body), err)
+		}
 	}
 }

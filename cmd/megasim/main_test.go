@@ -145,6 +145,7 @@ func runJSON(t *testing.T, args ...string) []byte {
 func TestKeyedShardIdentity(t *testing.T) {
 	for _, scen := range []string{
 		"-n 49152",
+		"-n 49152 -crash 0.05",
 		"-n 49157",
 		"-protocol consensus -n 20000",
 		"-protocol async-offsets -n 20000",

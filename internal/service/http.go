@@ -1,7 +1,7 @@
 package service
 
-// The HTTP face of the service — cmd/breathed mounts this mux; tests and
-// cmd/loadgen's end-to-end test drive it through httptest. The wire
+// The HTTP face of the service — cmd/breathed mounts this mux; its tests
+// and perfbench's serve-mix workload drive it through httptest. The wire
 // contract: every job-addressed endpoint answers with a JobStatus
 // envelope, while /result serves the stored canonical response bytes so
 // that cache hits are byte-identical to the run that computed them.

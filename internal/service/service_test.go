@@ -536,6 +536,10 @@ func TestConcurrentSubmits(t *testing.T) {
 	if st.Executed > 4 {
 		t.Errorf("executed %d kernels for 4 distinct configs", st.Executed)
 	}
+	// Each worker keeps one engine, re-armed for every job.
+	if st.EnginesBuilt > uint64(st.Workers) {
+		t.Errorf("built %d engines for %d workers", st.EnginesBuilt, st.Workers)
+	}
 }
 
 // TestSubmitAfterClose: a closed service rejects cleanly.

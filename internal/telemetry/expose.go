@@ -142,8 +142,8 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
-// CheckText is a lite parser for the exposition format, used by tests and
-// the CI smoke to assert that a /metrics body is well-formed: every sample
+// CheckText is a lite parser for the exposition format, used by tests to
+// assert that a /metrics body is well-formed: every sample
 // belongs to a declared family, values parse as floats, and histogram
 // families carry +Inf/_sum/_count with non-decreasing buckets. Returns the
 // set of family names on success.

@@ -1,26 +1,23 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
 
 // Histogram is a fixed-size log-linear histogram over uint64 observations
 // (HDR-style: one octave per power of two, histSub linear sub-buckets per
-// octave). Observe is wait-free — one atomic add per call, no allocation —
-// and quantile estimation walks the fixed bucket array, so memory stays
-// bounded no matter how many samples arrive. Relative quantile error is at
-// most 1/2^histSub ≈ 12.5%.
+// octave). Observe is wait-free — two atomic adds per call, no
+// allocation — and memory stays bounded no matter how many samples
+// arrive. A bucket's upper bound is within 1/2^histSub ≈ 12.5% of every
+// value it holds.
 //
 // Observations are integers (typically nanoseconds); the export scale set
-// at registration converts them for the Prometheus exposition and for
-// Quantile, which both report value*scale.
+// at registration converts them for the Prometheus exposition, which
+// reports value*scale.
 type Histogram struct {
 	buckets [histSize]atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Uint64
-	max     atomic.Uint64
 	scale   float64
 }
 
@@ -38,10 +35,6 @@ func newHistogram(scale float64) *Histogram {
 	}
 	return &Histogram{scale: scale}
 }
-
-// NewHistogram returns a standalone histogram (no registry) with the given
-// export scale — for callers like loadgen that only want quantiles.
-func NewHistogram(scale float64) *Histogram { return newHistogram(scale) }
 
 // bucketIndex maps an observation to its bucket. Small values (< 16 with
 // histSub=3) are exact; larger values share a bucket with everything that
@@ -67,60 +60,7 @@ func bucketUpper(i int) uint64 {
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the scaled sum of observations.
-func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) * h.scale }
-
-// Max returns the scaled largest observation (0 if none).
-func (h *Histogram) Max() float64 { return float64(h.max.Load()) * h.scale }
-
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) as the scaled upper
-// bound of the bucket containing the target rank, clamped to the exact
-// observed maximum so a report never shows p50 above max. Returns 0 with
-// no observations. The estimate never undershoots the true quantile by
-// more than one bucket width.
-func (h *Histogram) Quantile(q float64) float64 {
-	var snap [histSize]uint64
-	var total uint64
-	for i := range snap {
-		snap[i] = h.buckets[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	upper := bucketUpper(histSize - 1)
-	for i, c := range snap {
-		cum += c
-		if cum >= rank {
-			upper = bucketUpper(i)
-			break
-		}
-	}
-	if max := h.max.Load(); upper > max {
-		upper = max
-	}
-	return float64(upper) * h.scale
 }
 
 // snapshot copies the buckets and returns (buckets, count, sum) with count

@@ -57,51 +57,39 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles: uniform 1..1000 — quantile estimates must land
-// within one bucket (12.5% relative) of the exact rank statistic.
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(1)
+// TestHistogramSnapshot: uniform 1..1000 — every bucket of the snapshot
+// holds exactly the observations inside its bounds, and the count and
+// scaled sum are exact.
+func TestHistogramSnapshot(t *testing.T) {
+	h := newHistogram(0.5)
 	for v := uint64(1); v <= 1000; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	snap, count, sum := h.snapshot()
+	if count != 1000 || sum != 0.5*1000*1001/2 {
+		t.Fatalf("count %d, sum %v", count, sum)
 	}
-	if h.Max() != 1000 {
-		t.Fatalf("max = %v", h.Max())
-	}
-	for _, tc := range []struct{ q, exact float64 }{
-		{0.5, 500}, {0.99, 990}, {0.999, 999}, {1, 1000},
-	} {
-		got := h.Quantile(tc.q)
-		if got < tc.exact || got > tc.exact*1.15 {
-			t.Errorf("q%.3f = %v, exact %v", tc.q, got, tc.exact)
+	lo := uint64(0)
+	for i, c := range snap {
+		up := bucketUpper(i)
+		want := uint64(0)
+		if lo <= 1000 && up >= 1 {
+			want = min(up, 1000) - max(lo, 1) + 1
 		}
-	}
-	if got := NewHistogram(1).Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v", got)
-	}
-}
-
-// TestHistogramQuantileClamp: with every sample in one log bucket, the
-// bucket's upper bound exceeds the true values — the estimate must clamp
-// to the exact tracked max so reports never show p50 above max.
-func TestHistogramQuantileClamp(t *testing.T) {
-	h := NewHistogram(1)
-	for i := 0; i < 100; i++ {
-		h.Observe(5_000_000_000) // one bucket, upper bound ≈ 5.37e9
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999, 1} {
-		if got := h.Quantile(q); got != 5_000_000_000 {
-			t.Errorf("q%g = %v, want the observed max", q, got)
+		if c != want {
+			t.Errorf("bucket %d [%d, %d]: %d observations, want %d", i, lo, up, c, want)
 		}
+		if up == math.MaxUint64 {
+			break
+		}
+		lo = up + 1
 	}
 }
 
 // TestHistogramConcurrent hammers Observe from many goroutines (run under
 // -race in CI) and checks the final count and sum.
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(1)
+	h := newHistogram(1)
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -114,12 +102,13 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Errorf("count = %d, want %d", h.Count(), workers*per)
+	_, count, sum := h.snapshot()
+	if count != workers*per {
+		t.Errorf("count = %d, want %d", count, workers*per)
 	}
 	n := uint64(workers * per)
-	if want := float64(n * (n + 1) / 2); h.Sum() != want {
-		t.Errorf("sum = %v, want %v", h.Sum(), want)
+	if want := float64(n * (n + 1) / 2); sum != want {
+		t.Errorf("sum = %v, want %v", sum, want)
 	}
 }
 
