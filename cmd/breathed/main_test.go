@@ -60,6 +60,31 @@ func fetchResult(t *testing.T, base, id string) []byte {
 	return buf.Bytes()
 }
 
+// submitAndFetch submits body and waits for its result, and reports any
+// failure as an error, so goroutines other than the test's may call it.
+func submitAndFetch(base, body string) error {
+	resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	var st service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
+		return fmt.Errorf("submit %s: status %d: %v", body, resp.StatusCode, err)
+	}
+	rresp, err := http.Get(base + "/v1/runs/" + st.ID + "/result?wait=1")
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, rresp.Body)
+	rresp.Body.Close()
+	if rresp.StatusCode != http.StatusOK {
+		return fmt.Errorf("result of %s: status %d", body, rresp.StatusCode)
+	}
+	return nil
+}
+
 // TestSubmitResultCacheHit drives the submit → result → resubmit cycle
 // and checks the cache hit is declared and byte-identical.
 func TestSubmitResultCacheHit(t *testing.T) {
@@ -319,27 +344,9 @@ func TestConcurrentMix(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
 				body := fmt.Sprintf(`{"n": 512, "seed": %d}`, (c*requests+i)%universe)
-				resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
-				if err != nil {
+				if err := submitAndFetch(ts.URL, body); err != nil {
 					t.Error(err)
 					return
-				}
-				var st service.JobStatus
-				err = json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if err != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
-					t.Errorf("submit %s: status %d: %v", body, resp.StatusCode, err)
-					return
-				}
-				rresp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/result?wait=1")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, rresp.Body)
-				rresp.Body.Close()
-				if rresp.StatusCode != http.StatusOK {
-					t.Errorf("result of %s: status %d", body, rresp.StatusCode)
 				}
 			}
 		}(c)

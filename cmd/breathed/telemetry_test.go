@@ -227,9 +227,10 @@ func TestConcurrentScrapes(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			_, st := postJSON(t, ts.URL+"/v1/runs",
-				fmt.Sprintf(`{"n": 1024, "seed": %d, "trace_every": 8}`, seed))
-			fetchResult(t, ts.URL, st.ID)
+			body := fmt.Sprintf(`{"n": 1024, "seed": %d, "trace_every": 8}`, seed)
+			if err := submitAndFetch(ts.URL, body); err != nil {
+				t.Error(err)
+			}
 		}(i + 100)
 	}
 	for i := 0; i < 2; i++ {

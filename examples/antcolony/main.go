@@ -9,13 +9,22 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"breathe"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	const (
 		colony  = 8192
 		scoutsA = 390 // scouts recruiting for nest A (the better site)
@@ -23,7 +32,7 @@ func main() {
 		epsilon = 0.3 // contacts are misunderstood with prob 1/2 − ε = 0.2
 	)
 
-	fmt.Printf("colony of %d ants; %d scouts for A vs %d for B (bias %.2f)\n",
+	fmt.Fprintf(out, "colony of %d ants; %d scouts for A vs %d for B (bias %.2f)\n",
 		colony, scoutsA, scoutsB,
 		0.5*float64(scoutsA-scoutsB)/float64(scoutsA+scoutsB))
 
@@ -37,20 +46,21 @@ func main() {
 			Target:  breathe.OpinionOne, // "nest A"
 		}, scoutsA, scoutsB)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		verdict := "chose nest A"
 		if !res.Unanimous {
 			verdict = fmt.Sprintf("split: %.1f%% for A", 100*res.CorrectFraction)
 		}
-		fmt.Printf("  expedition %d: %5d rounds, %8d contacts — %s\n",
+		fmt.Fprintf(out, "  expedition %d: %5d rounds, %8d contacts — %s\n",
 			seed, res.Rounds, res.Messages, verdict)
 		if res.Unanimous {
 			succeeded++
 		}
 	}
-	fmt.Printf("consensus on the majority site in %d/%d expeditions\n", succeeded, expeditions)
+	fmt.Fprintf(out, "consensus on the majority site in %d/%d expeditions\n", succeeded, expeditions)
 	if succeeded == 0 {
-		log.Fatal("the colony never reached consensus")
+		return errors.New("the colony never reached consensus")
 	}
+	return nil
 }

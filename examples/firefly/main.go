@@ -11,13 +11,22 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"breathe"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	const (
 		swarm   = 4096
 		epsilon = 0.3
@@ -25,7 +34,7 @@ func main() {
 
 	sync, err := breathe.Broadcast(breathe.Config{N: swarm, Epsilon: epsilon, Seed: 7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	async, err := breathe.BroadcastAsync(breathe.Config{
@@ -35,20 +44,21 @@ func main() {
 		Mode:    breathe.SyncSelfStabilizing,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("swarm of %d agents, ε = %.2f\n\n", swarm, epsilon)
-	fmt.Printf("with a global clock:    %5d rounds, %9d messages, unanimous: %v\n",
+	fmt.Fprintf(out, "swarm of %d agents, ε = %.2f\n\n", swarm, epsilon)
+	fmt.Fprintf(out, "with a global clock:    %5d rounds, %9d messages, unanimous: %v\n",
 		sync.Rounds, sync.Messages, sync.Unanimous)
-	fmt.Printf("self-synchronizing:     %5d rounds, %9d messages, unanimous: %v\n",
+	fmt.Fprintf(out, "self-synchronizing:     %5d rounds, %9d messages, unanimous: %v\n",
 		async.Rounds, async.Messages, async.Unanimous)
-	fmt.Printf("\nsynchronization overhead: %d extra rounds (additive O(log² n))\n",
+	fmt.Fprintf(out, "\nsynchronization overhead: %d extra rounds (additive O(log² n))\n",
 		async.Rounds-sync.Rounds)
-	fmt.Printf("message overhead:         %+.1f%% (waiting is free)\n",
+	fmt.Fprintf(out, "message overhead:         %+.1f%% (waiting is free)\n",
 		100*(float64(async.Messages)/float64(sync.Messages)-1))
 
 	if !async.Unanimous {
-		log.Fatal("asynchronous broadcast failed")
+		return errors.New("asynchronous broadcast failed")
 	}
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"breathe"
 	"breathe/internal/api"
@@ -19,6 +21,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	const n = 4096
 	epss := []float64{0.45, 0.35, 0.25, 0.15}
 
@@ -29,7 +37,7 @@ func main() {
 	for _, eps := range epss {
 		res, err := breathe.Broadcast(breathe.Config{N: n, Epsilon: eps, Seed: 3})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// The strawman runs as long as breathe's schedule, under the same
@@ -38,19 +46,20 @@ func main() {
 			Protocol: api.ProtoImmediateForward, N: n, Eps: eps, Seed: 3, NoSelfMessages: true,
 		}.Build()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fres, err := sim.Run(fwd.Config, fwd.NewProtocol())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		tb.AddRowValues(eps, 0.5-eps, res.CorrectFraction, fres.CorrectFraction(channel.One))
 	}
 
-	if err := tb.WriteText(log.Writer()); err != nil {
-		log.Fatal(err)
+	if err := tb.WriteText(out); err != nil {
+		return err
 	}
-	fmt.Println("\nbreathe holds its majority as ε shrinks; immediate forwarding")
-	fmt.Println("drifts toward a coin flip — reliability decays per relay hop.")
+	fmt.Fprintln(out, "\nbreathe holds its majority as ε shrinks; immediate forwarding")
+	fmt.Fprintln(out, "drifts toward a coin flip — reliability decays per relay hop.")
+	return nil
 }

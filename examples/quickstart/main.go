@@ -5,31 +5,41 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"breathe"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	res, err := breathe.Broadcast(breathe.Config{
 		N:       4096,
 		Epsilon: 0.3, // each bit flips with probability 1/2 − ε = 0.2
 		Seed:    1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("population:        4096 agents, 1 source\n")
-	fmt.Printf("rounds:            %d\n", res.Rounds)
-	fmt.Printf("messages (bits):   %d\n", res.Messages)
-	fmt.Printf("correct fraction:  %.4f\n", res.CorrectFraction)
-	fmt.Printf("unanimous:         %v\n", res.Unanimous)
-	fmt.Printf("bias after Stage I (spreading): %.4f\n", res.Telemetry.BiasAfterStageI)
-	fmt.Printf("Stage II phases (boosting):     %d\n", len(res.Telemetry.StageII))
+	fmt.Fprintf(out, "population:        4096 agents, 1 source\n")
+	fmt.Fprintf(out, "rounds:            %d\n", res.Rounds)
+	fmt.Fprintf(out, "messages (bits):   %d\n", res.Messages)
+	fmt.Fprintf(out, "correct fraction:  %.4f\n", res.CorrectFraction)
+	fmt.Fprintf(out, "unanimous:         %v\n", res.Unanimous)
+	fmt.Fprintf(out, "bias after Stage I (spreading): %.4f\n", res.Telemetry.BiasAfterStageI)
+	fmt.Fprintf(out, "Stage II phases (boosting):     %d\n", len(res.Telemetry.StageII))
 
 	if !res.Unanimous {
-		log.Fatal("broadcast failed — try another seed or larger epsilon")
+		return errors.New("broadcast failed — try another seed or larger epsilon")
 	}
+	return nil
 }

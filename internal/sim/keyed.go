@@ -81,13 +81,22 @@ package sim
 // message costs one random access.
 //
 // The tree round has a second inbox, one uint32 per receiver: arrival
-// count in the low 16 bits, ones in the high 16. It too is all-zero
+// count in the low 16 bits, ones in the high 16, padded to whole buckets
+// (at most denseWidth−1 words that no slot addresses). It too is all-zero
 // between rounds and carries no stamps — a slot is occupied exactly when
 // its word is non-zero. The sweep zeroes each slot as it resolves it (a
 // fix-list slot keeps its word until keyedFix reads it), the walker
 // zeroes every slot it touched, and both crash passes zero the slots of
 // crashed receivers. An arrival at a counter already at 65535 goes to
 // the bucket's spill list.
+//
+// The sweep's placement (placeTree) reads each placement word once and
+// does its four lane arrivals in order, into the bucket's window of the
+// inbox viewed as a *[denseWidth]uint32. A slot is lane & mask, with the
+// mask clamped to denseWidth−1, so no index is bounds-checked, and a
+// power-of-two bucket smaller than denseWidth takes the same loop under
+// its own mask. Messages go one at a time only up to the first word
+// boundary and for the k mod 4 after the last.
 
 import (
 	"math/bits"
@@ -141,10 +150,10 @@ type keyedState struct {
 	buckets  int
 	workers  int
 
-	// Tree inbox, one word per receiver: arrival count in the low 16
-	// bits, ones in the high 16, zero between rounds. treeOpen marks a
-	// tree round that has not completed, so Reset knows the inbox may
-	// hold arrivals.
+	// Tree inbox, one word per receiver, padded to buckets·denseWidth
+	// words: arrival count in the low 16 bits, ones in the high 16, zero
+	// between rounds. treeOpen marks a tree round that has not
+	// completed, so Reset knows the inbox may hold arrivals.
 	treeInbox []uint32
 	treeOpen  bool
 
@@ -623,7 +632,9 @@ func (e *Engine) keyedTree(m0, m1, round int, reg telemetry.Regime) {
 func (e *Engine) treeSplit(m0, m1, round int) (placed, used int) {
 	k := e.keyed
 	if k.treeInbox == nil {
-		k.treeInbox = make([]uint32, e.cfg.N)
+		// Padded to whole buckets, so that placeTree sees every bucket as
+		// a denseWidth-word window; the padding is never addressed.
+		k.treeInbox = make([]uint32, k.buckets*denseWidth)
 	}
 	// Until the round clears the mark, a run that unwinds may leave
 	// arrivals behind, and Reset must clear them.
@@ -716,8 +727,10 @@ func (e *Engine) keyedBucket(d *denseRun, j, round int, walk bool) {
 		k.walked = d.walkPlace(blo, inbox, c0, 1, buf[:nd0], cp, 0, k.walked[:0])
 		k.walked = d.walkPlace(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1], cp, uint64(c0), k.walked)
 	} else {
-		d.placeTree(blo, inbox, c0, 1, buf[:nd0])
-		d.placeTree(blo, inbox, c1, 1<<16|1, buf[nd0:nd0+nd1])
+		win := (*[denseWidth]uint32)(k.treeInbox[blo : blo+denseWidth])
+		mask := uint32(bsize - 1)
+		d.placeTree(blo, win, mask, c0, 1, buf[:nd0])
+		d.placeTree(blo, win, mask, c1, 1<<16|1, buf[nd0:nd0+nd1])
 	}
 
 	// Crashed receivers lose every arrival: their slots are zeroed, so
@@ -769,34 +782,81 @@ func treeDropCrashed(inbox []uint32, words []uint64, blo int) {
 }
 
 // placeTree throws k messages of one class into a power-of-two bucket
-// from its pre-filled placement words, four 16-bit lanes per word
-// consumed low-first, each arrival adding inc to its slot's word. The
-// call-free treePlace does the placing; an arrival at a saturated
+// of mask+1 slots from its pre-filled placement words, four 16-bit lanes
+// per word consumed low-first, each arrival adding inc to its slot's
+// word. inbox is the bucket's window of the padded tree inbox, denseWidth
+// words whatever the bucket's size, so every bucket takes the same loop.
+// The call-free treePlace does the placing; an arrival at a saturated
 // counter breaks out to the spill list and the loop resumes at the next.
-func (d *denseRun) placeTree(lo int, inbox []uint32, k int, inc uint32, draws []uint64) {
+func (d *denseRun) placeTree(lo int, inbox *[denseWidth]uint32, mask uint32, k int, inc uint32, draws []uint64) {
 	for i := 0; i < k; i++ {
-		if i = treePlace(inbox, draws, i, k, inc); i == k {
+		if i = treePlace(inbox, mask, draws, i, k, inc); i == k {
 			break
 		}
-		slot := draws[i>>2] >> (uint(i&3) * 16) & uint64(len(inbox)-1)
+		slot := uint32(draws[i>>2]>>(uint(i&3)*16)) & mask
 		d.spillAdd(int32(lo)+int32(slot), inc>>16)
 	}
 }
 
 // treePlace is placeTree's call-free loop: it places messages i..k−1 and
 // returns at the first whose slot counter already holds 65535, with its
-// index, or k.
+// index, or k. Each whole placement word is read once and its four
+// arrivals done in lane order; treePlaceLanes takes the messages before
+// the first word boundary and the k mod 4 after the last. A slot is
+// lane & mask with mask clamped to denseWidth−1 (a no-op for a bucket's
+// mask), so the fixed-size inbox needs no bounds check; the clamp, not
+// a second AND per lane, is what the compiler uses for the proof.
 //
 //breathe:leaf the tree's placement loop; the saturated-counter spill is handled by the caller
-func treePlace(inbox []uint32, draws []uint64, i, k int, inc uint32) int {
-	mask := uint64(len(inbox) - 1)
-	for ; i < k; i++ {
-		slot := draws[i>>2] >> (uint(i&3) * 16) & mask
-		nv := inbox[slot] + inc
-		if nv&0xffff == 0 {
+func treePlace(inbox *[denseWidth]uint32, mask uint32, draws []uint64, i, k int, inc uint32) int {
+	mask = min(mask, denseWidth-1)
+	head := min(k, (i+3)&^3)
+	if i = treePlaceLanes(inbox, mask, draws, i, head, inc); i < head {
+		return i
+	}
+	for _, w := range draws[i>>2 : k>>2] {
+		s0 := uint32(w) & mask
+		v0 := inbox[s0] + inc
+		if v0&0xffff == 0 {
+			return i
+		}
+		inbox[s0] = v0
+		s1 := uint32(w>>16) & mask
+		v1 := inbox[s1] + inc
+		if v1&0xffff == 0 {
+			return i + 1
+		}
+		inbox[s1] = v1
+		s2 := uint32(w>>32) & mask
+		v2 := inbox[s2] + inc
+		if v2&0xffff == 0 {
+			return i + 2
+		}
+		inbox[s2] = v2
+		s3 := uint32(w>>48) & mask
+		v3 := inbox[s3] + inc
+		if v3&0xffff == 0 {
+			return i + 3
+		}
+		inbox[s3] = v3
+		i += 4
+	}
+	return treePlaceLanes(inbox, mask, draws, i, k, inc)
+}
+
+// treePlaceLanes is treePlace's one-message-at-a-time loop over messages
+// i..end−1, for the lanes short of a whole word.
+//
+//breathe:leaf the tree's placement loop for partial words
+func treePlaceLanes(inbox *[denseWidth]uint32, mask uint32, draws []uint64, i, end int, inc uint32) int {
+	mask = min(mask, denseWidth-1)
+	for ; i < end; i++ {
+		slot := uint32(draws[i>>2]>>(uint(i&3)*16)) & mask
+		v := inbox[slot] + inc
+		if v&0xffff == 0 {
 			break
 		}
-		inbox[slot] = nv
+		inbox[slot] = v
 	}
 	return i
 }
