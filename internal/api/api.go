@@ -240,9 +240,10 @@ func (r RunRequest) Canonical() RunRequest {
 
 // samplers holds each protocol's sampler generation (1 when absent): a
 // change that moves a protocol's results raises its entry. Generation 2
-// of the Stage II protocols is core.MajorityRule's threshold decision.
+// of the Stage II protocols is core.MajorityRule's threshold decision;
+// generation 3 of async-selfsync is its Stage II on the tree.
 var samplers = map[string]int{ProtoBroadcast: 2, ProtoConsensus: 2, ProtoAsyncOffsets: 2,
-	ProtoAsyncSelfSync: 2, ProtoBroadcastNoBreathe: 2}
+	ProtoAsyncSelfSync: 3, ProtoBroadcastNoBreathe: 2}
 
 // Hash returns the content address of the run this request describes: a
 // hex SHA-256 over a fixed-order serialization of the canonical request.

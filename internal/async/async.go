@@ -121,6 +121,11 @@ type Protocol struct {
 	sendersGen uint64
 	bulkZeros  []int32 // scratch union buffers returned by BulkSenders
 	bulkOnes   []int32
+	// clockless lists, ascending, the agents that had no clock at Setup
+	// or at the last first-contact fold (ModeSelfSync); foldRound is the
+	// round whose accumulated receptions EndRound folds, −1 for none.
+	clockless []int32
+	foldRound int
 
 	// Telemetry.
 	stageIIStats []core.StageIIPhaseStat
@@ -306,6 +311,10 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 		p.hasBase[0] = true
 		p.preludeDone = 1
 		p.classAdd(0)
+		p.clockless = p.clockless[:0]
+		for a := 1; a < n; a++ {
+			p.clockless = append(p.clockless, int32(a))
+		}
 	}
 }
 
@@ -441,8 +450,12 @@ func (p *Protocol) receiveAt(a int, bit channel.Bit, k int) {
 
 // EndRound implements sim.Protocol: a phase is finalized at the end of
 // the last global round of its send window, by which time every message
-// of the phase has been delivered.
+// of the phase has been delivered. A self-sync round the engine
+// accumulated first has its first contacts folded (bulk.go).
 func (p *Protocol) EndRound(g int) {
+	if p.foldRound == g {
+		p.foldFirstContacts(g)
+	}
 	// The send window of phase k ends the round before phase k+1's
 	// window begins; equivalently phase k finalizes at
 	// localStart_{k+1} + sigma − 1 (or the very end for the last phase).
@@ -498,6 +511,9 @@ func (p *Protocol) finalizeStageII(k, g int) {
 	cell := p.drawKey.Cell(rng.StreamSchedule, uint64(k)) //breathe:stream-ok a phase position is Stage I or Stage II, never both: exactly one finalizer addresses cell k
 	successful, correct := 0, 0
 	for a := 0; a < p.n; a++ {
+		if p.acc[a] == 0 && !p.hasOpinion[a] {
+			continue // nothing received and nothing held: no store, no count
+		}
 		if total := int(p.acc[a] & accTotalMask); total >= ph.subset {
 			successful++
 			p.opinion[a] = p.majority.Opinion(ph.subset, total, int(p.acc[a]>>32), cell.Uint64(uint64(a)))

@@ -32,13 +32,25 @@ import (
 // a member at first contact, which invalidates that class's cache. Rounds
 // therefore cost O(#classes + senders) instead of Θ(n).
 //
-// Reception goes through BulkDeliver (replaying Receive in order, with
-// the phase attribution hoisted per round), except that ModeKnownOffsets
-// additionally qualifies for the engine's dense accumulator path in
-// Stage II rounds: with every clock running from Setup there are no first
-// contacts, and Stage II reception is pure counting into the packed acc
-// array — see BulkAccumulate. ModeSelfSync reception is stateful and
-// always declines the dense path.
+// Reception is counting in every round whose attribution phase is Stage
+// II, so those rounds may take the engine's tree: the engine adds each
+// accepted bit straight into the packed acc array (BulkAccumulate,
+// BulkAccumulators), and every other round goes through BulkDeliver
+// (replaying Receive in order, with the phase attribution hoisted per
+// round). ModeKnownOffsets has no first contacts: every clock runs from
+// Setup. ModeSelfSync has one exception to counting, a reception at an
+// agent without a clock, which starts the clock instead. Under the Flip
+// model a receiver accepts at most one message per round and a clockless
+// agent's acc word is always 0, so after a tree round a nonzero acc word
+// at a clockless agent is exactly one first contact; EndRound folds it
+// (acc back to 0, the clock started) before any phase finalization, in
+// ascending agent order, so the state equals that of BulkDeliver taking
+// the same receptions in ascending receiver order (tree_test.go holds the
+// two to it). The fold scans the agents still without a clock, so a
+// self-sync round accumulates only when they are no more than the
+// round's listed senders: the fold then costs no more than the round's
+// own sender work. A heavily crashed run, whose crashed agents never get
+// a clock, keeps its Stage II on BulkDeliver.
 
 // offsetClass groups the agents sharing one clock base. All members read
 // the same local clock, so the class as a whole is inside or outside any
@@ -63,6 +75,7 @@ func (p *Protocol) resetBulk() {
 	p.sendersGen = 0
 	p.bulkZeros = p.bulkZeros[:0]
 	p.bulkOnes = p.bulkOnes[:0]
+	p.foldRound = -1
 }
 
 // classAdd registers agent a (whose base is set) in its offset class,
@@ -88,25 +101,43 @@ func (p *Protocol) BulkSenders(g int) (zeros, ones []int32) {
 	p.bulkZeros = p.bulkZeros[:0]
 	p.bulkOnes = p.bulkOnes[:0]
 	for ci := range p.classes {
-		c := &p.classes[ci]
-		l := g + c.base
-		if p.mode == ModeSelfSync && l >= -2*p.preludeLen && l < -p.preludeLen {
-			// Activation broadcast: every member pushes the content-free
-			// Zero (as in Send, the window outranks phase membership).
-			p.bulkZeros = append(p.bulkZeros, c.members...)
-			continue
-		}
-		k := p.phaseOfLocal(l)
-		if k < 0 {
-			continue
-		}
-		if c.cachedPhase != k || c.cachedGen != p.sendersGen {
-			p.rebuildClassSenders(c, k)
-		}
-		p.bulkZeros = append(p.bulkZeros, c.zeros...)
-		p.bulkOnes = append(p.bulkOnes, c.ones...)
+		zeros, ones := p.classSenders(&p.classes[ci], g)
+		p.bulkZeros = append(p.bulkZeros, zeros...)
+		p.bulkOnes = append(p.bulkOnes, ones...)
 	}
 	return p.bulkZeros, p.bulkOnes
+}
+
+// listedSenders is the total length of BulkSenders(g)'s lists, counted
+// from the offset classes alone, so the answer is the same whichever
+// interface collected the round's senders.
+func (p *Protocol) listedSenders(g int) int {
+	listed := 0
+	for ci := range p.classes {
+		zeros, ones := p.classSenders(&p.classes[ci], g)
+		listed += len(zeros) + len(ones)
+	}
+	return listed
+}
+
+// classSenders returns class c's senders in global round g: inside the
+// ModeSelfSync activation window every member pushes the content-free
+// Zero (as in Send, the window outranks phase membership); inside phase
+// k's local window, the class's cached eligible senders for k; none in a
+// gap.
+func (p *Protocol) classSenders(c *offsetClass, g int) (zeros, ones []int32) {
+	l := g + c.base
+	if p.mode == ModeSelfSync && l >= -2*p.preludeLen && l < -p.preludeLen {
+		return c.members, nil
+	}
+	k := p.phaseOfLocal(l)
+	if k < 0 {
+		return nil, nil
+	}
+	if c.cachedPhase != k || c.cachedGen != p.sendersGen {
+		p.rebuildClassSenders(c, k)
+	}
+	return c.zeros, c.ones
 }
 
 // rebuildClassSenders refreshes class c's eligible-sender cache for phase
@@ -172,30 +203,53 @@ func (p *Protocol) BulkDeliver(receivers []int32, bits []channel.Bit, g int) {
 	}
 }
 
-// BulkAccumulate implements sim.Protocol. For ModeKnownOffsets every
-// agent's clock runs from Setup (no first contacts), and in a round whose
-// attribution phase is Stage II every reception is exactly
-// acc[a] += bit<<32 | 1 regardless of the receiver's activation state —
-// pure counting, so the engine's dense kernel may deliver straight into
-// the accumulators. ModeSelfSync reception is stateful (first-contact
-// clock starts) and always declines.
+// BulkAccumulate implements sim.Protocol: a round whose attribution
+// phase is Stage II is counting, acc[a] += bit<<32 | 1, regardless of the
+// receiver's activation state, so the engine may deliver straight into
+// the accumulators. While some ModeSelfSync agent has no clock, a round
+// additionally needs those agents to number no more than the round's
+// listed senders (see the file comment), and it arms EndRound's
+// first-contact fold for round g. Both counts come from protocol state alone, so the
+// answer does not depend on how the senders were collected.
 func (p *Protocol) BulkAccumulate(g int) bool {
-	if p.mode == ModeSelfSync {
+	k := p.phaseOfGlobal(g)
+	if k < 0 || p.phases[k].ref.Stage != core.StageII {
 		return false
 	}
-	k := p.phaseOfGlobal(g)
-	return k >= 0 && p.phases[k].ref.Stage == core.StageII
+	if clockless := p.n - p.preludeDone; p.mode == ModeSelfSync && clockless > 0 {
+		if clockless > p.listedSenders(g) {
+			return false
+		}
+		p.foldRound = g
+	}
+	return true
 }
 
-// BulkAccumulators implements sim.Protocol; nil (ModeSelfSync) routes
-// every delivery through BulkDeliver. For ModeKnownOffsets the engine's
-// sharded workers add into disjoint ranges of acc concurrently during
-// Stage II rounds, meeting at a barrier before EndRound — the clock
-// machinery never runs inside those rounds, so no synchronization is
-// needed here either.
-func (p *Protocol) BulkAccumulators() []uint64 {
-	if p.mode == ModeSelfSync {
-		return nil
+// BulkAccumulators implements sim.Protocol. In Stage II rounds the
+// engine's sharded workers add into disjoint ranges of acc concurrently,
+// meeting at a barrier before EndRound — the clock machinery, the
+// first-contact fold included, never runs inside those rounds, so no
+// synchronization is needed here either.
+func (p *Protocol) BulkAccumulators() []uint64 { return p.acc }
+
+// foldFirstContacts turns round g's accumulated receptions at clockless
+// agents into first contacts, in ascending agent order: a nonzero acc
+// word there is exactly one reception (see the file comment). It scans
+// p.clockless, the ascending list of agents that had no clock at Setup
+// or at the last fold, and keeps only those that still have none.
+func (p *Protocol) foldFirstContacts(g int) {
+	w := 0
+	for _, a := range p.clockless {
+		switch {
+		case p.hasBase[a]:
+			// Clocked since the last fold, by a BulkDeliver round.
+		case p.acc[a] != 0:
+			p.acc[a] = 0
+			p.firstContact(int(a), g)
+		default:
+			p.clockless[w] = a
+			w++
+		}
 	}
-	return p.acc
+	p.clockless = p.clockless[:w]
 }

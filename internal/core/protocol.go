@@ -408,6 +408,9 @@ func (p *Protocol) endStageIIPhase(round int) {
 	// senders are exactly the opinionated agents.
 	p.idxZeros, p.idxOnes = p.idxZeros[:0], p.idxOnes[:0]
 	for a := 0; a < p.n; a++ {
+		if p.acc[a] == 0 && !p.hasOpinion[a] {
+			continue // nothing received and nothing held: no store, no count
+		}
 		total := int(p.acc[a] & accTotalMask)
 		ones := int(p.acc[a] >> 32)
 		if total >= g {

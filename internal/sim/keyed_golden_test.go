@@ -213,8 +213,9 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 	})
 }
 
-// TestKeyedGoldenAsyncSelfSyncCrash pins async self-sync (scatter rounds
-// through the crash filter) with 10% of the agents down.
+// TestKeyedGoldenAsyncSelfSyncCrash pins async self-sync with 10% of the
+// agents down: its prelude and Stage I on the scatter through the crash
+// filter, its Stage II on the dense tree with the first-contact fold.
 func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 	const n = 1 << 13
 	params := core.DefaultParams(n, 0.3)
@@ -234,7 +235,12 @@ func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 			return p
 		},
 		perAgent: true,
-		want:     "7c001198f718943d69093474c506ff792338b2c36502e299e9892491a128e738",
+		check: func(t *testing.T, res sim.Result) {
+			if res.Paths.PerMessage == 0 || res.Paths.Dense == 0 {
+				t.Errorf("want scatter and dense tree rounds: %+v", res.Paths)
+			}
+		},
+		want: "e2a6786689e05ef601eaae86f827a0952ab240680dd3275864de242f6c4c5191",
 	})
 }
 

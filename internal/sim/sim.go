@@ -63,7 +63,8 @@ type Protocol interface {
 	// BulkAccumulate reports whether, in the given round, a delivery is
 	// equivalent to acc[receiver] += bit<<32 | 1 on the array returned by
 	// BulkAccumulators — i.e. reception is pure counting with no
-	// per-message side effects. The tree regime requires it.
+	// per-message side effects, or with only side effects that EndRound
+	// can recover from the round's counts. The tree regime requires it.
 	BulkAccumulate(round int) bool
 	// BulkAccumulators exposes the per-agent packed reception counters
 	// (ones in the high 32 bits, total in the low 32), or nil for a

@@ -47,6 +47,13 @@ func regimeRows() []regimeRow {
 	bsc := channel.FromEpsilon(0.3)
 	logN := int(math.Ceil(math.Log2(n)))
 	broadcast := regimeBroadcast(n, core.Variant{})
+	selfSync := func(t *testing.T) sim.Protocol {
+		p, err := async.NewSelfSync(params, channel.One, 3*logN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	return []regimeRow{
 		{"broadcast, n = 2¹⁵ (sharded tree)", sim.Config{N: 1 << 15, Channel: bsc, AllowSelfMessages: true},
 			regimeBroadcast(1<<15, core.Variant{})},
@@ -74,13 +81,9 @@ func regimeRows() []regimeRow {
 			return p
 		}},
 		{"async self-sync (§3.2), 10% crashed", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true,
-			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, func(t *testing.T) sim.Protocol {
-			p, err := async.NewSelfSync(params, channel.One, 3*logN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}},
+			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, selfSync},
+		{"async self-sync, no self-messages, 10% crashed (scatter)", sim.Config{N: n, Channel: bsc,
+			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, selfSync},
 		{"NoBreathe ablation", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
 			regimeBroadcast(n, core.Variant{NoBreathe: true})},
 		{"immediate-forward baseline", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true},
