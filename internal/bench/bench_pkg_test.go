@@ -1,10 +1,47 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+var updateExperiments = flag.Bool("update-experiments", false, "rewrite testdata/experiments.golden")
+
+// experimentsGolden holds the text `experiments -quick -seeds 3 -run all`
+// prints: every experiment's report, in registry order.
+const experimentsGolden = "../../testdata/experiments.golden"
+
+// goldenReports splits the golden text into reports keyed by experiment
+// ID; a report starts at its "== <ID>: " header line.
+func goldenReports(t *testing.T) map[string]string {
+	raw, err := os.ReadFile(experimentsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(rest, ":")
+		}
+		reports[id] += line
+	}
+	return reports
+}
+
+// firstDiff returns the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -39,13 +76,20 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick executes every experiment in quick mode and
-// requires every shape check to pass. This is the repository's
-// end-to-end reproduction test.
+// TestAllExperimentsQuick executes every experiment in quick mode,
+// requires every shape check to pass and every report to equal its text
+// in testdata/experiments.golden (-update-experiments rewrites the file).
+// This is the repository's end-to-end reproduction test: a change that
+// moves a table cell fails here by experiment ID.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the quick experiment suite takes seconds; CI runs it as a step of its own")
 	}
+	var golden map[string]string
+	if !*updateExperiments {
+		golden = goldenReports(t)
+	}
+	var all strings.Builder
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -73,7 +117,18 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(sb.String(), e.ID) {
 				t.Errorf("report missing experiment ID")
 			}
+			all.WriteString(sb.String())
+			if want, ok := golden[e.ID]; !*updateExperiments && !ok {
+				t.Errorf("%s has no report in %s", e.ID, experimentsGolden)
+			} else if !*updateExperiments && sb.String() != want {
+				t.Errorf("%s report drifted from %s at %s", e.ID, experimentsGolden, firstDiff(sb.String(), want))
+			}
 		})
+	}
+	if *updateExperiments {
+		if err := os.WriteFile(experimentsGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
