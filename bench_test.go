@@ -248,12 +248,10 @@ func (f *floodProtocol) Setup(n int, _ rng.Key) {
 		f.all = append(f.all, int32(a))
 	}
 }
-func (f *floodProtocol) BulkSenders(int) ([]int32, []int32)      { return nil, f.all }
-func (f *floodProtocol) BulkDeliver([]int32, []channel.Bit, int) {}
-func (f *floodProtocol) BulkAccumulate(int) bool                 { return false }
-func (f *floodProtocol) BulkAccumulators() []uint64              { return nil }
-func (f *floodProtocol) Send(a, r int) (channel.Bit, bool)       { return channel.One, true }
-func (f *floodProtocol) Receive(int, channel.Bit, int)           {}
-func (f *floodProtocol) EndRound(int)                            {}
-func (f *floodProtocol) Done(round int) bool                     { return round >= f.rounds }
-func (f *floodProtocol) Opinion(int) (channel.Bit, bool)         { return 0, false }
+func (f *floodProtocol) BulkSenders(int) ([]int32, []int32) { return nil, f.all }
+func (f *floodProtocol) Accumulators(int) []uint64          { return nil }
+func (f *floodProtocol) Send(a, r int) (channel.Bit, bool)  { return channel.One, true }
+func (f *floodProtocol) Receive(int, channel.Bit, int)      {}
+func (f *floodProtocol) EndRound(int)                       {}
+func (f *floodProtocol) Done(round int) bool                { return round >= f.rounds }
+func (f *floodProtocol) Opinion(int) (channel.Bit, bool)    { return 0, false }

@@ -81,13 +81,7 @@ func (c *chatter) Opinion(a int) (channel.Bit, bool) {
 }
 
 func (c *chatter) BulkSenders(int) ([]int32, []int32) { return c.zeros, c.ones }
-func (c *chatter) BulkAccumulate(int) bool            { return true }
-func (c *chatter) BulkAccumulators() []uint64         { return c.acc }
-func (c *chatter) BulkDeliver(rs []int32, bs []channel.Bit, _ int) {
-	for i, a := range rs {
-		c.acc[a] += uint64(bs[i])<<32 + 1
-	}
-}
+func (c *chatter) Accumulators(int) []uint64          { return c.acc }
 
 // sparseChatter is the sparse-activity variant of chatter: of n agents
 // only the first k send — the SparseCell workload. With k·64 < n its

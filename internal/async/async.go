@@ -417,7 +417,8 @@ func (p *Protocol) firstContact(a, g int) {
 	p.classAdd(a)
 }
 
-// Receive implements sim.Protocol.
+// Receive implements sim.Protocol: one accepted delivery, attributed to
+// the phase whose send window holds global round g.
 func (p *Protocol) Receive(a int, bit channel.Bit, g int) {
 	if p.mode == ModeSelfSync && !p.hasBase[a] {
 		p.firstContact(a, g)
@@ -427,11 +428,6 @@ func (p *Protocol) Receive(a int, bit channel.Bit, g int) {
 	if k < 0 {
 		return // prelude traffic or dead gap
 	}
-	p.receiveAt(a, bit, k)
-}
-
-// receiveAt applies one accepted delivery attributed to phase k.
-func (p *Protocol) receiveAt(a int, bit channel.Bit, k int) {
 	switch p.phases[k].ref.Stage {
 	case core.StageI:
 		if !p.activated[a] {

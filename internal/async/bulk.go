@@ -5,7 +5,7 @@ import (
 	"breathe/internal/core"
 )
 
-// The engine's bulk interface (the Bulk methods of sim.Protocol). The
+// The engine's bulk interface: BulkSenders and Accumulators. The
 // asynchronous executions are dominated by quiescent dilation gaps: each
 // phase of the synchronous schedule is stretched by the clock-spread bound
 // D, and in most global rounds no agent's local clock falls inside a send
@@ -33,24 +33,22 @@ import (
 // therefore cost O(#classes + senders) instead of Θ(n).
 //
 // Reception is counting in every round whose attribution phase is Stage
-// II, so those rounds may take the engine's tree: the engine adds each
-// accepted bit straight into the packed acc array (BulkAccumulate,
-// BulkAccumulators), and every other round goes through BulkDeliver
-// (replaying Receive in order, with the phase attribution hoisted per
-// round). ModeKnownOffsets has no first contacts: every clock runs from
-// Setup. ModeSelfSync has one exception to counting, a reception at an
-// agent without a clock, which starts the clock instead. Under the Flip
-// model a receiver accepts at most one message per round and a clockless
-// agent's acc word is always 0, so after a tree round a nonzero acc word
-// at a clockless agent is exactly one first contact; EndRound folds it
-// (acc back to 0, the clock started) before any phase finalization, in
-// ascending agent order, so the state equals that of BulkDeliver taking
-// the same receptions in ascending receiver order (tree_test.go holds the
-// two to it). The fold scans the agents still without a clock, so a
-// self-sync round accumulates only when they are no more than the
-// round's listed senders: the fold then costs no more than the round's
-// own sender work. A heavily crashed run, whose crashed agents never get
-// a clock, keeps its Stage II on BulkDeliver.
+// II, so those rounds may take the engine's tree: Accumulators hands over
+// the packed acc array and the engine adds each accepted bit straight
+// into it; every other round delivers through Receive. ModeKnownOffsets
+// has no first contacts: every clock runs from Setup. ModeSelfSync has
+// one exception to counting, a reception at an agent without a clock,
+// which starts the clock instead. Under the Flip model a receiver accepts
+// at most one message per round and a clockless agent's acc word is
+// always 0, so after a tree round a nonzero acc word at a clockless agent
+// is exactly one first contact; EndRound folds it (acc back to 0, the
+// clock started) before any phase finalization, in ascending agent order,
+// so the state equals that of one Receive per message in ascending
+// receiver order (tree_test.go holds the two to it). The fold scans the
+// agents still without a clock, so a self-sync round accumulates only
+// when they are no more than the round's listed senders: the fold then
+// costs no more than the round's own sender work. A heavily crashed run,
+// whose crashed agents never get a clock, keeps its Stage II on Receive.
 
 // offsetClass groups the agents sharing one clock base. All members read
 // the same local clock, so the class as a whole is inside or outside any
@@ -164,73 +162,32 @@ func (p *Protocol) rebuildClassSenders(c *offsetClass, k int) {
 	c.cachedGen = p.sendersGen
 }
 
-// BulkDeliver implements sim.Protocol: equivalent to one Receive per
-// accepted delivery, in order, with the per-message phase attribution
-// (one binary search per Receive) hoisted out of the loop — the arrival
-// round determines the phase for every delivery of the round. The Stage
-// II counter update is additionally inlined: it is the overwhelmingly
-// common case and a single read-modify-write per receiver.
-func (p *Protocol) BulkDeliver(receivers []int32, bits []channel.Bit, g int) {
-	selfsync := p.mode == ModeSelfSync
-	k := p.phaseOfGlobal(g)
-	if k < 0 {
-		// Prelude traffic or dead-gap arrivals: only first contacts act.
-		if selfsync {
-			for _, a := range receivers {
-				if !p.hasBase[a] {
-					p.firstContact(int(a), g)
-				}
-			}
-		}
-		return
-	}
-	if p.phases[k].ref.Stage == core.StageII {
-		for i, a := range receivers {
-			if selfsync && !p.hasBase[a] {
-				p.firstContact(int(a), g)
-				continue
-			}
-			p.acc[a] += uint64(bits[i])<<32 + 1
-		}
-		return
-	}
-	for i, a := range receivers {
-		if selfsync && !p.hasBase[a] {
-			p.firstContact(int(a), g)
-			continue
-		}
-		p.receiveAt(int(a), bits[i], k)
-	}
-}
-
-// BulkAccumulate implements sim.Protocol: a round whose attribution
-// phase is Stage II is counting, acc[a] += bit<<32 | 1, regardless of the
-// receiver's activation state, so the engine may deliver straight into
-// the accumulators. While some ModeSelfSync agent has no clock, a round
-// additionally needs those agents to number no more than the round's
-// listed senders (see the file comment), and it arms EndRound's
-// first-contact fold for round g. Both counts come from protocol state alone, so the
-// answer does not depend on how the senders were collected.
-func (p *Protocol) BulkAccumulate(g int) bool {
+// Accumulators implements sim.Protocol: a round whose attribution phase
+// is Stage II is counting, acc[a] += bit<<32 | 1, regardless of the
+// receiver's activation state, so the engine may add its receptions
+// straight into acc; every other round delivers through Receive. While
+// some ModeSelfSync agent has no clock, a round additionally needs those
+// agents to number no more than the round's listed senders (see the file
+// comment), and handing over acc arms EndRound's first-contact fold for
+// round g. Both counts come from protocol state alone, so the answer does
+// not depend on how the senders were collected. In Stage II rounds the
+// engine's sharded workers add into disjoint ranges of acc concurrently,
+// meeting at a barrier before EndRound — the clock machinery, the fold
+// included, never runs inside those rounds, so no synchronization is
+// needed.
+func (p *Protocol) Accumulators(g int) []uint64 {
 	k := p.phaseOfGlobal(g)
 	if k < 0 || p.phases[k].ref.Stage != core.StageII {
-		return false
+		return nil
 	}
 	if clockless := p.n - p.preludeDone; p.mode == ModeSelfSync && clockless > 0 {
 		if clockless > p.listedSenders(g) {
-			return false
+			return nil
 		}
 		p.foldRound = g
 	}
-	return true
+	return p.acc
 }
-
-// BulkAccumulators implements sim.Protocol. In Stage II rounds the
-// engine's sharded workers add into disjoint ranges of acc concurrently,
-// meeting at a barrier before EndRound — the clock machinery, the
-// first-contact fold included, never runs inside those rounds, so no
-// synchronization is needed here either.
-func (p *Protocol) BulkAccumulators() []uint64 { return p.acc }
 
 // foldFirstContacts turns round g's accumulated receptions at clockless
 // agents into first contacts, in ascending agent order: a nonzero acc
@@ -242,7 +199,7 @@ func (p *Protocol) foldFirstContacts(g int) {
 	for _, a := range p.clockless {
 		switch {
 		case p.hasBase[a]:
-			// Clocked since the last fold, by a BulkDeliver round.
+			// Clocked since the last fold, by a Receive.
 		case p.acc[a] != 0:
 			p.acc[a] = 0
 			p.firstContact(int(a), g)

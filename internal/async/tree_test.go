@@ -11,21 +11,22 @@ import (
 	"breathe/internal/sim"
 )
 
-// TestFoldMatchesBulkDeliver is the exact gate for self-sync Stage II on
-// the engine's tree: two copies of one self-sync protocol run in lockstep
-// on a minimal Flip-model round loop (uniform recipients, self-messages
+// TestFoldMatchesReceive is the exact gate for self-sync Stage II on the
+// engine's tree: two copies of one self-sync protocol run in lockstep on
+// a minimal Flip-model round loop (uniform recipients, self-messages
 // allowed, accept-one per receiver, noise), and every round both take
 // the same accepted (receiver, bit) list in ascending receiver order.
-// Copy A always takes it through BulkDeliver; copy B, whenever
-// BulkAccumulate accepts the round, as the engine's tree does: one
-// acc[a] += bit<<32 | 1 per reception, then EndRound's first-contact
-// fold. After every round the two must hold identical protocol state.
+// Copy A always takes it as one Receive per message, the per-agent
+// specification; copy B, whenever its Accumulators answer hands over an
+// array, as the engine's tree does: one acc[a] += bit<<32 | 1 per
+// reception, then EndRound's first-contact fold. After every round the
+// two must hold identical protocol state.
 //
 // A few agents are cut off until a round of their own inside Stage II,
 // so Stage II rounds carry first contacts at clockless receivers, phase
 // finalization rounds among them; the crashed case adds agents that
 // never get a clock at all.
-func TestFoldMatchesBulkDeliver(t *testing.T) {
+func TestFoldMatchesReceive(t *testing.T) {
 	const n = 2048
 	for _, tc := range []struct {
 		name  string
@@ -117,16 +118,18 @@ func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, decli
 			bits = append(bits, bit)
 		}
 
-		a.BulkDeliver(receivers, bits, g)
+		for i, dst := range receivers {
+			a.Receive(int(dst), bits[i], g)
+		}
 		before := b.preludeDone
-		accumulated := b.BulkAccumulate(g)
-		if accumulated {
-			acc := b.BulkAccumulators()
-			for i, dst := range receivers {
+		acc := b.Accumulators(g)
+		accumulated := acc != nil
+		for i, dst := range receivers {
+			if accumulated {
 				acc[dst] += uint64(bits[i])<<32 + 1
+			} else {
+				b.Receive(int(dst), bits[i], g)
 			}
-		} else {
-			b.BulkDeliver(receivers, bits, g)
 		}
 		a.EndRound(g)
 		b.EndRound(g)
@@ -137,7 +140,7 @@ func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, decli
 			declined++
 		}
 		if diff := foldStateDiff(a, b); diff != "" {
-			t.Fatalf("round %d (accumulated %v): %s differs between BulkDeliver and the accumulator fold", g, accumulated, diff)
+			t.Fatalf("round %d (accumulated %v): %s differs between Receive and the accumulator fold", g, accumulated, diff)
 		}
 	}
 	return folded, declined, contacts

@@ -85,11 +85,6 @@ func (p *ImmediateForward) Receive(a int, bit channel.Bit, round int) {
 	p.scatterLists[bit] = append(p.scatterLists[bit], int32(a))
 }
 
-// BulkDeliver implements sim.Protocol.
-func (p *ImmediateForward) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
-	deliver(p.Receive, rs, bits, round)
-}
-
 // EndRound implements sim.Protocol.
 func (p *ImmediateForward) EndRound(int) {}
 
@@ -149,11 +144,6 @@ func (p *SilentWait) Receive(a int, _ channel.Bit, round int) {
 		p.FirstDoneRound = round
 		p.done = true
 	}
-}
-
-// BulkDeliver implements sim.Protocol.
-func (p *SilentWait) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
-	deliver(p.Receive, rs, bits, round)
 }
 
 // EndRound implements sim.Protocol.
@@ -231,11 +221,6 @@ func (p *NoisyVoter) Receive(a int, bit channel.Bit, _ int) {
 func (p *NoisyVoter) BulkSenders(round int) (zeros, ones []int32) {
 	p.byOpinion(p.opinion)
 	return p.scatterLists.BulkSenders(round)
-}
-
-// BulkDeliver implements sim.Protocol.
-func (p *NoisyVoter) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
-	deliver(p.Receive, rs, bits, round)
 }
 
 // EndRound implements sim.Protocol.
@@ -328,11 +313,6 @@ func (p *TwoChoiceMajority) BulkSenders(round int) (zeros, ones []int32) {
 	return p.scatterLists.BulkSenders(round)
 }
 
-// BulkDeliver implements sim.Protocol.
-func (p *TwoChoiceMajority) BulkDeliver(rs []int32, bits []channel.Bit, round int) {
-	deliver(p.Receive, rs, bits, round)
-}
-
 // EndRound implements sim.Protocol.
 func (p *TwoChoiceMajority) EndRound(int) {
 	p.Trajectory = append(p.Trajectory, p.correct)
@@ -345,19 +325,17 @@ func (p *TwoChoiceMajority) Done(round int) bool { return round >= p.Rounds }
 func (p *TwoChoiceMajority) Opinion(a int) (channel.Bit, bool) { return p.opinion[a], true }
 
 // scatterLists holds a baseline's bulk sender lists, indexed by the bit
-// sent, and answers the engine's accumulator questions for it: every
+// sent, and answers the engine's accumulator question for it: every
 // baseline's reception has per-message side effects, so its rounds run on
-// the scatter regime.
+// the scatter regime and every accepted message is one Receive.
 type scatterLists [2][]int32
 
 // BulkSenders implements sim.Protocol.
 func (s *scatterLists) BulkSenders(int) (zeros, ones []int32) { return s[0], s[1] }
 
-// BulkAccumulate implements sim.Protocol: reception is never pure counting.
-func (*scatterLists) BulkAccumulate(int) bool { return false }
-
-// BulkAccumulators implements sim.Protocol: there are none.
-func (*scatterLists) BulkAccumulators() []uint64 { return nil }
+// Accumulators implements sim.Protocol: reception is never pure counting,
+// so there are none.
+func (*scatterLists) Accumulators(int) []uint64 { return nil }
 
 // sourceOnly re-arms the lists with agent 0 alone, sending bit.
 func (s *scatterLists) sourceOnly(bit channel.Bit) {
@@ -370,12 +348,5 @@ func (s *scatterLists) byOpinion(opinion []channel.Bit) {
 	s[0], s[1] = s[0][:0], s[1][:0]
 	for a, bit := range opinion {
 		s[bit] = append(s[bit], int32(a))
-	}
-}
-
-// deliver calls receive once per accepted delivery, in order.
-func deliver(receive func(int, channel.Bit, int), rs []int32, bits []channel.Bit, round int) {
-	for i, a := range rs {
-		receive(int(a), bits[i], round)
 	}
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // Bulk-interface suite: the engine collects the baselines through their
-// sender lists and delivers through BulkDeliver, so the lists must agree
-// with each baseline's Send rule at every round, a run must be
-// byte-identical with the Send scan and Receive calls of
+// sender lists, so the lists must agree with each baseline's Send rule at
+// every round, a run must be byte-identical with the Send scan of
 // simtest.PerAgent, and Setup must re-arm a protocol value for a fresh run.
 
 const bulkTestN = 1024

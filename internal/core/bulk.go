@@ -1,8 +1,6 @@
 package core
 
-import "breathe/internal/channel"
-
-// The engine's bulk interface (the Bulk methods of sim.Protocol). The
+// The engine's bulk interface: BulkSenders and Accumulators. The
 // protocol's sender set is a pure function of (activated, level,
 // hasOpinion, opinion), all of which change only at phase boundaries — "breathe before speaking" means an agent contacted
 // during a phase stays silent until a later phase, and opinions update
@@ -17,7 +15,7 @@ import "breathe/internal/channel"
 //
 // The one exception is the NoBreathe ablation, whose agents start
 // forwarding in the round after their activation — a mid-phase sender
-// change. receiveOne adds such an agent to the index as it takes its
+// change. Receive adds such an agent to the index as it takes its
 // opinion, and ensurePhase sorts the index before the next round reads
 // it, so the lists stay ascending.
 
@@ -32,30 +30,19 @@ func (p *Protocol) BulkSenders(round int) (zeros, ones []int32) {
 	return p.idxZeros, p.idxOnes
 }
 
-// BulkDeliver implements sim.Protocol: one receiveOne per accepted
-// delivery, with the phase lookup hoisted out of the loop.
-func (p *Protocol) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	p.ensurePhase(round)
-	if !p.curOK {
-		return
-	}
-	for i, a := range receivers {
-		p.receiveOne(int(a), bits[i])
-	}
-}
-
-// BulkAccumulate implements sim.Protocol. In Stage II (except the
+// Accumulators implements sim.Protocol. In Stage II (except the
 // PrefixSubset ablation, which caps the ones counter mid-phase) reception
-// is pure counting: acc[a] += bit<<32 | 1, exactly what the engine's dense
-// kernel performs on the BulkAccumulators array.
-func (p *Protocol) BulkAccumulate(round int) bool {
+// is pure counting, acc[a] += bit<<32 | 1, so the engine may add the
+// round's receptions straight into acc; every other round delivers
+// through Receive. In sharded rounds the engine's workers add into
+// disjoint contiguous ranges of acc concurrently (each agent belongs to
+// exactly one shard) and the engine imposes a barrier before EndRound, so
+// the protocol reads the merged counters without synchronization of its
+// own.
+func (p *Protocol) Accumulators(round int) []uint64 {
 	p.ensurePhase(round)
-	return p.curOK && p.curRef.Stage == StageII && !p.variant.PrefixSubset
+	if !p.curOK || p.curRef.Stage != StageII || p.variant.PrefixSubset {
+		return nil
+	}
+	return p.acc
 }
-
-// BulkAccumulators implements sim.Protocol. In sharded rounds the
-// engine's workers add into disjoint contiguous ranges of acc
-// concurrently (each agent belongs to exactly one shard) and the engine
-// imposes a barrier before EndRound, so the protocol reads the merged
-// counters without synchronization of its own.
-func (p *Protocol) BulkAccumulators() []uint64 { return p.acc }

@@ -44,9 +44,9 @@ type Protocol struct {
 	opinion    []channel.Bit
 	hasOpinion []bool
 	// acc packs the per-phase reception counters of each agent as
-	// ones<<32 | total. The single-word layout is shared with the batched
-	// kernel's accumulator delivery (sim.Protocol.BulkAccumulators), which
-	// adds bit<<32 | 1 per accepted message exactly like receiveOne does.
+	// ones<<32 | total. The single-word layout is shared with the tree's
+	// accumulator delivery (sim.Protocol.Accumulators), which adds
+	// bit<<32 | 1 per accepted message exactly like a Stage II Receive.
 	acc []uint64
 
 	// Maintained sender index: the sender set and the bits sent are
@@ -55,7 +55,7 @@ type Protocol struct {
 	// every agent — keep these lists current incrementally, and
 	// BulkSenders serves them in O(1) with no population scan. Both
 	// lists stay ascending by agent id, the order a per-agent Send scan
-	// reports the same senders in. idxUnsorted marks an index receiveOne
+	// reports the same senders in. idxUnsorted marks an index Receive
 	// appended to mid-phase (NoBreathe); ensurePhase sorts it.
 	idxZeros, idxOnes []int32
 	idxUnsorted       bool
@@ -215,11 +215,17 @@ func (p *Protocol) indexAdd(a int) {
 }
 
 // ensurePhase refreshes the cached schedule lookup for round, and sorts a
-// sender index that the last round appended to.
+// sender index that the last round appended to. The common case, a round
+// already cached, stays small enough to inline into Receive, which the
+// engine calls once per accepted scatter message.
 func (p *Protocol) ensurePhase(round int) {
-	if round == p.curRound {
-		return
+	if round != p.curRound {
+		p.refreshPhase(round)
 	}
+}
+
+// refreshPhase is ensurePhase's slow path.
+func (p *Protocol) refreshPhase(round int) {
 	p.curRound = round
 	p.curRef, _, p.curLast, p.curOK = p.sched.At(round)
 	if p.idxUnsorted {
@@ -246,17 +252,13 @@ func (p *Protocol) Send(a, round int) (channel.Bit, bool) {
 	return p.opinion[a], true
 }
 
-// Receive implements sim.Protocol.
+// Receive implements sim.Protocol: one accepted delivery, for the phase
+// round belongs to.
 func (p *Protocol) Receive(a int, bit channel.Bit, round int) {
 	p.ensurePhase(round)
 	if !p.curOK {
 		return
 	}
-	p.receiveOne(a, bit)
-}
-
-// receiveOne applies one accepted delivery for the cached phase.
-func (p *Protocol) receiveOne(a int, bit channel.Bit) {
 	switch p.curRef.Stage {
 	case StageI:
 		cur := int32(p.curRef.Index)

@@ -2,12 +2,12 @@ package sim
 
 // The kernels' shared constants and tree scratch, and the crash filter of
 // the bulk sender lists. The engine collects every round through
-// Protocol.BulkSenders and delivers through BulkDeliver or straight into
-// the protocol's packed accumulators, so a round costs O(messages) — and
-// the tree regime (keyed.go) can resolve exchangeable rounds bucket by
-// bucket without any per-message call. The keyed draws, and so the
-// results, are those a Send scan and per-message Receive calls would give
-// (simtest.PerAgent checks it).
+// Protocol.BulkSenders, so a round costs O(messages), and delivers each
+// accepted message through Receive — or, in a tree round, straight into
+// the packed array the protocol's Accumulators answer hands over, so the
+// tree regime (keyed.go) resolves exchangeable rounds bucket by bucket
+// without any per-message call. The keyed draws, and so the results, are
+// those a Send scan would give (simtest.PerAgent checks it).
 
 import "slices"
 

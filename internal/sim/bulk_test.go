@@ -13,8 +13,7 @@ import (
 // bulkChatter is a bulk-capable engine-test protocol: every agent sends a
 // fixed bit (its parity) every round; accepted deliveries accumulate in
 // the packed counters and are never consumed, so the engine's two delivery
-// modes (BulkDeliver and direct accumulation) must produce the same
-// counters.
+// modes (Receive and direct accumulation) must produce the same counters.
 type bulkChatter struct {
 	rounds int
 	n      int
@@ -59,13 +58,7 @@ func (c *bulkChatter) Opinion(a int) (channel.Bit, bool) {
 func (c *bulkChatter) BulkSenders(round int) ([]int32, []int32) {
 	return c.zeros, c.ones
 }
-func (c *bulkChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	for i, a := range receivers {
-		c.acc[a] += uint64(bits[i])<<32 + 1
-	}
-}
-func (c *bulkChatter) BulkAccumulate(int) bool    { return true }
-func (c *bulkChatter) BulkAccumulators() []uint64 { return c.acc }
+func (c *bulkChatter) Accumulators(int) []uint64 { return c.acc }
 
 func (c *bulkChatter) received(a int) uint64     { return c.acc[a] & (1<<32 - 1) }
 func (c *bulkChatter) receivedOnes(a int) uint64 { return c.acc[a] >> 32 }
@@ -199,7 +192,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 		if reused != fresh {
 			t.Fatalf("%s: Reset engine diverged from a fresh one:\n%+v\n%+v", tc.name, reused, fresh)
 		}
-		got, want := p.BulkAccumulators(), pf.BulkAccumulators()
+		got, want := p.Accumulators(0), pf.Accumulators(0)
 		for a := range want {
 			if got[a] != want[a] {
 				t.Fatalf("%s: acc[%d] = %#x, fresh engine %#x", tc.name, a, got[a], want[a])

@@ -245,7 +245,7 @@ func TestCrashPassEngineMatchesCrashed(t *testing.T) {
 							AllowSelfMessages: rc.self, Shards: c.shards,
 							Failures: pc.plan,
 							Observer: func(g int, _ *Engine) {
-								acc := p.BulkAccumulators()
+								acc := p.Accumulators(g)
 								if prev == nil {
 									prev = make([]uint64, n)
 								}

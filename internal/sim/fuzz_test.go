@@ -60,13 +60,7 @@ func (c *patternChatter) BulkSenders(round int) ([]int32, []int32) {
 	}
 	return c.zeros, c.ones
 }
-func (c *patternChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	for i, a := range receivers {
-		c.acc[a] += uint64(bits[i])<<32 + 1
-	}
-}
-func (c *patternChatter) BulkAccumulate(int) bool    { return true }
-func (c *patternChatter) BulkAccumulators() []uint64 { return c.acc }
+func (c *patternChatter) Accumulators(int) []uint64 { return c.acc }
 
 // plainProtocol exposes only the per-agent rules of the protocol it
 // wraps, the way the tests' plain chatters state them: behind

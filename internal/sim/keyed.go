@@ -32,12 +32,13 @@ package sim
 // (k listed senders, k·64 < n) — walks only the occupied buckets'
 // touched slots, in O(k + messages) instead of Θ(n) (see sparse.go).
 //
-// Every protocol is collected and delivered in bulk: BulkSenders, then
-// BulkDeliver or the accumulators. A Send scan with Receive calls would
-// ask for the same addresses, and receptions commute, so results are
-// byte-identical either way; keyed_identity_test.go pins it by running
-// each protocol again behind simtest.PerAgent, which answers the bulk
-// methods with Send scans and Receive calls.
+// Every protocol is collected in bulk, through BulkSenders. A Send scan
+// would ask for the same addresses, so results are byte-identical either
+// way; keyed_identity_test.go pins it by running each protocol again
+// behind simtest.PerAgent, which answers BulkSenders with a Send scan.
+// Delivery has one rule: a tree round adds into the array the protocol's
+// Accumulators answer hands over, and a scatter round calls Receive once
+// per accepted message, in first-touch order.
 //
 // There is no per-worker stream and no serial prologue: the tree's bucket
 // decomposition is a pure function of n at denseWidth granularity, each
@@ -114,15 +115,13 @@ import (
 // Allocated lazily on the first run of an engine; survives a Reset that
 // keeps N.
 type keyedState struct {
-	// Per-run capabilities, refreshed by prepareKeyed. noiseThresh is the
-	// channel's flip probability as a 53-bit threshold, accs the
-	// protocol's accumulator array (nil without one), and denseOK reports
-	// a run whose rounds may take the tree regime: self-messages allowed
-	// and accumulator delivery.
+	// Per-run capabilities, refreshed by prepareKeyed: the channel's
+	// flip and drop probabilities as 53-bit thresholds. accs is the
+	// array the current tree round adds into, the protocol's
+	// Accumulators answer for it.
 	noiseThresh uint64
 	dropThresh  uint64
 	accs        []uint64
-	denseOK     bool
 
 	// Crash-fault scratch: bulk sender lists filtered against the crash
 	// plan for the current round.
@@ -169,18 +168,17 @@ type keyedState struct {
 // shard-invariance property, and keyed_shard_test.go exercises it.
 var keyedBucketOrder func(buckets int) []int
 
-// prepareKeyed decides the run's capabilities from the protocol's
-// accumulators, n and the configuration.
-func (e *Engine) prepareKeyed(p Protocol) {
+// prepareKeyed decides the run's capabilities from n and the
+// configuration: a run whose rounds may take the tree regime is one that
+// allows self-messages.
+func (e *Engine) prepareKeyed() {
 	if e.keyed == nil {
 		e.keyed = &keyedState{}
 	}
 	k := e.keyed
 	k.noiseThresh = channel.FlipThreshold53(e.cfg.Channel.FlipProb())
 	k.dropThresh = channel.FlipThreshold53(e.cfg.DropProb)
-	k.accs = p.BulkAccumulators()
-	k.denseOK = e.cfg.AllowSelfMessages && k.accs != nil
-	if k.denseOK {
+	if e.cfg.AllowSelfMessages {
 		k.buckets = (e.cfg.N + denseWidth - 1) / denseWidth
 		if cap(k.kc0) < k.buckets {
 			k.kc0 = make([]int, k.buckets)
@@ -220,12 +218,17 @@ func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 	e.sent += int64(m)
 	e.mark(telemetry.PhaseSenders)
 
+	var accs []uint64
+	if e.cfg.AllowSelfMessages && m >= denseMinMessages {
+		accs = p.Accumulators(round)
+	}
 	switch {
 	case m == 0:
 		// Quiet regime: no live senders means no kernel work.
 		e.quietAdvance()
 		reg = telemetry.RegimeQuiet
-	case k.denseOK && m >= denseMinMessages && p.BulkAccumulate(round):
+	case accs != nil:
+		k.accs = accs
 		reg = e.treeRegime(listed, m)
 		e.keyedTree(len(zeros), len(ones), round, reg)
 	default:
@@ -270,8 +273,8 @@ func (e *Engine) quietAdvance() {
 
 // keyedScatter is the keyed scatter regime: one placement draw per
 // message addressed by sender id, count-based accept-one addressed by
-// receiver id, noise addressed by receiver id. The protocol takes the
-// round's receptions in one BulkDeliver call.
+// receiver id, noise addressed by receiver id. The protocol takes each
+// accepted message as one Receive, in first-touch order.
 //
 // Both loops keep their common path call-free (see the file header): a
 // placement draw that may need Lemire's rejection test, and an accept-one
@@ -333,10 +336,12 @@ func (e *Engine) keyedScatter(p Protocol, zeros, ones []int32, round int) {
 	e.accepted += int64(len(acc))
 	e.dropped += int64(m - len(acc))
 
-	// Resolve bills to the collision phase; BulkDeliver rides with
-	// EndRound in the accumulate phase.
+	// Resolve bills to the collision phase; delivery rides with EndRound
+	// in the accumulate phase.
 	e.mark(telemetry.PhaseCollision)
-	p.BulkDeliver(acc, out, round)
+	for i, a := range acc {
+		p.Receive(int(a), out[i], round)
+	}
 }
 
 // scatterBlock is the length of the scatter's draw passes: the words of

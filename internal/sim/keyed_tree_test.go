@@ -221,8 +221,8 @@ func TestKeyedTreeInboxZeroAfterRun(t *testing.T) {
 // protocol that unwinds a run mid-round with the tree inbox open.
 type shortAccs struct{ Protocol }
 
-func (s shortAccs) BulkAccumulators() []uint64 {
-	acc := s.Protocol.BulkAccumulators()
+func (s shortAccs) Accumulators(round int) []uint64 {
+	acc := s.Protocol.Accumulators(round)
 	return acc[: len(acc)-1 : len(acc)-1]
 }
 
@@ -251,7 +251,7 @@ func TestKeyedTreeResetAfterUnwind(t *testing.T) {
 			if res.Paths.Dense+res.Paths.Sharded+res.Paths.Sparse != int64(res.Rounds) {
 				t.Fatalf("%s: expected only tree rounds, got %+v", c.name, res.Paths)
 			}
-			return res, p.BulkAccumulators()
+			return res, p.Accumulators(0)
 		}
 		ef, err := NewEngine(cfg)
 		if err != nil {

@@ -63,15 +63,9 @@ func (c *lawChatter) Receive(a int, b channel.Bit, round int) {
 	c.acc[a] += uint64(b)<<32 + 1
 }
 func (c *lawChatter) BulkSenders(int) ([]int32, []int32) { return c.zeros, c.ones }
-func (c *lawChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	for i, a := range receivers {
-		c.acc[a] += uint64(bits[i])<<32 + 1
-	}
-}
-func (c *lawChatter) BulkAccumulate(int) bool    { return true }
-func (c *lawChatter) BulkAccumulators() []uint64 { return c.acc }
-func (c *lawChatter) EndRound(int)               {}
-func (c *lawChatter) Done(round int) bool        { return round >= 1 }
+func (c *lawChatter) Accumulators(int) []uint64          { return c.acc }
+func (c *lawChatter) EndRound(int)                       {}
+func (c *lawChatter) Done(round int) bool                { return round >= 1 }
 func (c *lawChatter) Opinion(int) (channel.Bit, bool) {
 	return 0, false
 }

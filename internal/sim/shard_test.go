@@ -165,16 +165,15 @@ func TestShardedCrashSemantics(t *testing.T) {
 // 2²⁴ − 1, 2²⁴, 2²⁴ + 1, 2²⁸ and MaxN alike.
 func TestKernelAutoBoundaryAtOldCap(t *testing.T) {
 	// Probe prepareKeyed without a run's Θ(n) buffers — the capability
-	// decision reads only the config and the protocol, and any non-nil
-	// accumulator array declares accumulator delivery.
+	// decision reads only the config.
 	for _, n := range []int{1<<24 - 1, 1 << 24, 1<<24 + 1, 1 << 28, MaxN} {
 		e, err := NewEngine(Config{N: n, Channel: channel.NewBSC(0.2), Seed: 1, AllowSelfMessages: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.prepareKeyed(&bulkChatter{rounds: 2, acc: []uint64{0}})
-		if k := e.keyed; !k.denseOK || k.buckets != (n+denseWidth-1)/denseWidth {
-			t.Fatalf("n = %d: tree-capable %v with %d buckets", n, k.denseOK, k.buckets)
+		e.prepareKeyed()
+		if k := e.keyed; k.buckets != (n+denseWidth-1)/denseWidth {
+			t.Fatalf("n = %d: tree-capable with %d buckets", n, k.buckets)
 		}
 	}
 }

@@ -26,12 +26,12 @@ import (
 // keep all per-agent state internally; the engine never inspects it.
 //
 // Send and Receive are the protocol's per-agent decision rules, its
-// specification; the engine itself collects and delivers only through the
-// bulk methods, whose answers must agree with them: BulkSenders lists
-// exactly the agents whose Send reports ok, and BulkDeliver does what one
-// Receive per element would. The per-agent rules are exercised through
-// the test adapter simtest.PerAgent, which answers the bulk methods with
-// Send scans and Receive calls, and the model reference refRun.
+// specification; the model reference refRun runs on them alone. The
+// engine collects senders through BulkSenders, which must list exactly
+// the agents whose Send reports ok (the test adapter simtest.PerAgent
+// answers it with a Send scan). Delivery has one rule: every accepted
+// message is one Receive, unless the round's Accumulators answer hands
+// the engine an array that the receptions add into instead.
 //
 // Symmetry (paper §1.3.4): whether an agent sends in a round must not
 // depend on opinion values, only on its activation history — all
@@ -57,23 +57,20 @@ type Protocol interface {
 	// them). The slices are owned by the protocol and valid until the next
 	// BulkSenders call; the engine does not mutate them.
 	BulkSenders(round int) (zeros, ones []int32)
-	// BulkDeliver notifies the protocol of all accepted deliveries of the
-	// round: receivers[i] accepted bits[i].
-	BulkDeliver(receivers []int32, bits []channel.Bit, round int)
-	// BulkAccumulate reports whether, in the given round, a delivery is
-	// equivalent to acc[receiver] += bit<<32 | 1 on the array returned by
-	// BulkAccumulators — i.e. reception is pure counting with no
-	// per-message side effects, or with only side effects that EndRound
-	// can recover from the round's counts. The tree regime requires it.
-	BulkAccumulate(round int) bool
-	// BulkAccumulators exposes the per-agent packed reception counters
-	// (ones in the high 32 bits, total in the low 32), or nil for a
-	// protocol whose reception is never pure counting; the engine then
-	// always delivers through BulkDeliver. In parallel tree rounds the
-	// engine's workers write disjoint bucket ranges of the array
-	// concurrently (agent a is only ever touched by the worker resolving
-	// a's bucket), so no protocol synchronization is needed.
-	BulkAccumulators() []uint64
+	// Accumulators answers where the receptions of a round go: the
+	// per-agent packed reception counters (ones in the high 32 bits,
+	// total in the low 32) when one Receive(a, bit, round) is equivalent
+	// to acc[a] += bit<<32 | 1 — reception is pure counting, or has only
+	// side effects that EndRound recovers from the round's counts — and
+	// nil to have every accepted message delivered through Receive. The
+	// tree regime requires an array. The engine asks once per round that
+	// may take the tree (self-messages allowed, enough live messages),
+	// before any delivery, so an answer may arm EndRound work. In
+	// parallel tree rounds the engine's workers write disjoint bucket
+	// ranges of the array concurrently (agent a is only ever touched by
+	// the worker resolving a's bucket), so no protocol synchronization is
+	// needed.
+	Accumulators(round int) []uint64
 	// EndRound is called after all deliveries of round. Phase-boundary
 	// opinion updates happen here.
 	EndRound(round int)
@@ -411,7 +408,7 @@ func (e *Engine) Run(p Protocol) Result {
 	n := e.cfg.N
 	p.Setup(n, e.key)
 
-	e.prepareKeyed(p)
+	e.prepareKeyed()
 
 	res := Result{Protocol: p.Name()}
 	canceled := false

@@ -1,13 +1,12 @@
 // Package simtest is test support for the engine in internal/sim.
 //
 // PerAgent wraps a protocol so that the engine's bulk collection runs on
-// the per-agent rules: BulkSenders becomes a Send scan over every agent
-// and BulkDeliver one Receive per message. The engine's keyed draws
-// depend only on the sender multiset, and its sparse regime only on the
-// lists' total length, so a wrapped run must match the unwrapped one byte
-// for byte; tests compare the two to check every protocol's bulk answers
-// against its own Send and Receive. It also runs a protocol that has only
-// the per-agent rules, such as a test chatter.
+// the per-agent rule: BulkSenders becomes a Send scan over every agent.
+// The engine's keyed draws depend only on the sender multiset, and its
+// sparse regime only on the lists' total length, so a wrapped run must
+// match the unwrapped one byte for byte; tests compare the two to check
+// every protocol's sender lists against its own Send. It also runs a
+// protocol that has only the per-agent rules, such as a test chatter.
 //
 // The package imports nothing from internal/sim, so sim's in-package
 // tests can use it too. The interfaces below restate the engine's method
@@ -33,14 +32,12 @@ type Protocol interface {
 // bulkProtocol is the method set sim.Protocol adds to Protocol.
 type bulkProtocol interface {
 	BulkSenders(round int) (zeros, ones []int32)
-	BulkDeliver(receivers []int32, bits []channel.Bit, round int)
-	BulkAccumulate(round int) bool
-	BulkAccumulators() []uint64
+	Accumulators(round int) []uint64
 }
 
 // Adapter is the protocol PerAgent returns. It implements sim.Protocol
-// whatever the wrapped protocol implements; the bulk methods the wrapped
-// protocol lacks answer as if absent.
+// whatever the wrapped protocol implements; a wrapped protocol without
+// the bulk methods has no accumulators.
 type Adapter struct {
 	Protocol
 	bulk        bulkProtocol
@@ -48,11 +45,11 @@ type Adapter struct {
 	zeros, ones []int32
 }
 
-// PerAgent wraps p so that the engine collects it through a Send scan and
-// delivers scatter receptions through Receive, while the regime choice —
-// BulkAccumulate and the accumulators — still comes from p; the sparse
-// regime reads the lengths of the scanned lists, which equal p's own. A p without the bulk methods never accumulates, so
-// every speaking round is a scatter round.
+// PerAgent wraps p so that the engine collects it through a Send scan,
+// while the regime choice — the Accumulators answer — still comes from p;
+// the sparse regime reads the lengths of the scanned lists, which equal
+// p's own. A p without the bulk methods never accumulates, so every
+// speaking round is a scatter round.
 func PerAgent(p Protocol) *Adapter {
 	b, _ := p.(bulkProtocol)
 	return &Adapter{Protocol: p, bulk: b}
@@ -83,22 +80,10 @@ func (a *Adapter) BulkSenders(round int) (zeros, ones []int32) {
 	return zeros, ones
 }
 
-// BulkDeliver calls Receive once per accepted message, in order.
-func (a *Adapter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	for i, r := range receivers {
-		a.Receive(int(r), bits[i], round)
-	}
-}
-
-// BulkAccumulate forwards to the wrapped protocol, false without one.
-func (a *Adapter) BulkAccumulate(round int) bool {
-	return a.bulk != nil && a.bulk.BulkAccumulate(round)
-}
-
-// BulkAccumulators forwards to the wrapped protocol, nil without one.
-func (a *Adapter) BulkAccumulators() []uint64 {
+// Accumulators forwards to the wrapped protocol, nil without one.
+func (a *Adapter) Accumulators(round int) []uint64 {
 	if a.bulk == nil {
 		return nil
 	}
-	return a.bulk.BulkAccumulators()
+	return a.bulk.Accumulators(round)
 }

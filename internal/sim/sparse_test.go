@@ -70,13 +70,7 @@ func (c *sparseChatter) Opinion(a int) (channel.Bit, bool) {
 func (c *sparseChatter) BulkSenders(round int) ([]int32, []int32) {
 	return c.zeros, c.ones
 }
-func (c *sparseChatter) BulkDeliver(receivers []int32, bits []channel.Bit, round int) {
-	for i, a := range receivers {
-		c.acc[a] += uint64(bits[i])<<32 + 1
-	}
-}
-func (c *sparseChatter) BulkAccumulate(int) bool    { return true }
-func (c *sparseChatter) BulkAccumulators() []uint64 { return c.acc }
+func (c *sparseChatter) Accumulators(int) []uint64 { return c.acc }
 
 // sparseCfg is the shared scenario: k·64 < n with m ≥ denseMinMessages,
 // so keyed dense rounds are sparse and the walker executes them.
@@ -95,7 +89,7 @@ func runSparse(t *testing.T, cfg Config) (Result, *sparseChatter) {
 }
 
 // runPerAgent is runSparse behind simtest.PerAgent: Send scans collect
-// the senders and Receive calls take scatter deliveries.
+// the senders.
 func runPerAgent(t *testing.T, cfg Config) (Result, *sparseChatter) {
 	t.Helper()
 	return runSparseAs(t, cfg, true)
