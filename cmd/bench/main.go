@@ -4,9 +4,10 @@
 // core (sharded) at a ladder of population sizes. Both replay the same
 // addressed draws, so the two cells of one n run the same rounds; only
 // the worker count differs.
-// CI runs it at reduced scale (-quick) on every push and uploads the
-// artifact, so the kernel cost trajectory accumulates across the
-// repository's history instead of living only in commit messages.
+// The committed BENCH_kernel.json is a full-ladder run, so the kernel
+// cost trajectory accumulates across the repository's history instead of
+// living only in commit messages; TestBenchWritesWellFormedArtifact
+// checks every cell kind a -quick run writes.
 //
 // The workload is the kernels' design point — every agent pushes a bit
 // each round (the shape of the protocol's Stage II) through a BSC — so
@@ -17,7 +18,7 @@
 // Usage:
 //
 //	bench                          # full ladder: n = 10⁵, 10⁶, 10⁷
-//	bench -quick                   # CI scale: n = 10⁵, 10⁶, smaller budget
+//	bench -quick                   # reduced scale: n = 10⁵, 10⁶, smaller budget
 //	bench -out BENCH_kernel.json -shards 8
 package main
 
@@ -248,7 +249,7 @@ func run(args []string, log io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
 		out    = fs.String("out", "BENCH_kernel.json", "output artifact path")
-		quick  = fs.Bool("quick", false, "reduced CI scale (smaller ladder and budget)")
+		quick  = fs.Bool("quick", false, "reduced scale (smaller ladder and budget)")
 		nsFlag = fs.String("ns", "", "comma-separated population sizes (overrides the ladder)")
 		budget = fs.Int64("budget", 0, "agent-rounds per cell (0 = 2e8, quick 2e7)")
 		shards = fs.Int("shards", 0, "sharded-kernel workers (0 = all cores)")

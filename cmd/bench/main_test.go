@@ -12,9 +12,11 @@ import (
 func TestBenchWritesWellFormedArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_kernel.json")
 	var log bytes.Buffer
-	// A tiny ladder keeps the test fast while covering both worker counts;
-	// -quick keeps the sparse cell at CI scale (the explicit -ns overrides
-	// quick's ladder, so the two compose).
+	// A tiny ladder keeps the test fast while covering both worker counts
+	// and every cell kind a quick run writes: dense-tree cells (n = 5000),
+	// sharded cells (n = 40000) and the sparse cell, which -quick keeps at
+	// its reduced scale (the explicit -ns overrides quick's ladder, so the
+	// two compose).
 	if err := run([]string{"-quick", "-ns", "5000,40000", "-budget", "200000", "-out", out}, &log); err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +67,13 @@ func TestBenchWritesWellFormedArtifact(t *testing.T) {
 		}
 		// n = 40000 clears shardMinN (32768), so every cell — the
 		// regime does not depend on the worker count — must report
-		// sharded rounds there.
+		// sharded rounds there; n = 5000 does not, so its cells run on
+		// the dense tree alone.
 		if c.N == 40000 && c.Sharded == 0 {
 			t.Fatalf("cell %+v executed no sharded rounds", c)
+		}
+		if c.N == 5000 && c.Sharded != 0 {
+			t.Fatalf("cell %+v executed sharded rounds below shardMinN", c)
 		}
 	}
 }
