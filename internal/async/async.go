@@ -77,6 +77,10 @@ type Protocol struct {
 	// sigma is the attribution shift: global send window of phase k is
 	// [localStart_k + sigma, localStart_{k+1} + sigma).
 	sigma int
+	// recvRound and recvPhase cache phaseOfGlobal for the round Receive
+	// last attributed (recvRound −1 for none), so a round's receptions
+	// share one binary search.
+	recvRound, recvPhase int
 	// totalRounds caps the execution.
 	totalRounds int
 
@@ -296,6 +300,7 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	}
 
 	p.resetBulk()
+	p.recvRound = -1
 	switch p.mode {
 	case ModeKnownOffsets:
 		cell := p.drawKey.Cell(rng.StreamOffsets, 0)
@@ -424,7 +429,10 @@ func (p *Protocol) Receive(a int, bit channel.Bit, g int) {
 		p.firstContact(a, g)
 		return
 	}
-	k := p.phaseOfGlobal(g)
+	if g != p.recvRound {
+		p.recvRound, p.recvPhase = g, p.phaseOfGlobal(g)
+	}
+	k := p.recvPhase
 	if k < 0 {
 		return // prelude traffic or dead gap
 	}
