@@ -85,7 +85,7 @@ func (c *chatter) BulkSenders(int) ([]int32, []int32) { return c.zeros, c.ones }
 func (c *chatter) Accumulators(int) []uint64          { return c.acc }
 
 // sparseChatter is the sparse-activity variant of chatter: of n agents
-// only the first k send — the SparseCell workload. With k·64 < n its
+// only the first k send — the SparseCell workload. With k·16 < n its
 // rounds run on the sparse walker.
 type sparseChatter struct {
 	chatter
@@ -139,7 +139,7 @@ type Cell struct {
 }
 
 // SparseCell is the sparse-regime cell (schema v9): k senders in a
-// population of n with k·64 < n, so every round runs on the sparse
+// population of n with k·16 < n, so every round runs on the sparse
 // walker. The walker's saving over the swept tree is measured by
 // BenchmarkKeyedSparseRound's walker=off leg in internal/sim.
 type SparseCell struct {

@@ -167,7 +167,7 @@ func TestKeyedShardIdentity(t *testing.T) {
 }
 
 // TestSparseWalkerIdentity runs a crash-thinned broadcast whose Stage II
-// rounds take the sparse walker (k listed senders, k·64 < n): the response
+// rounds take the sparse walker (k listed senders, k·16 < n): the response
 // must count sparse rounds, and one and four workers must emit the
 // all-cores bytes. (The walker-versus-tree identity is pinned in
 // internal/sim.)

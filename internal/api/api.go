@@ -241,9 +241,11 @@ func (r RunRequest) Canonical() RunRequest {
 // samplers holds each protocol's sampler generation (1 when absent): a
 // change that moves a protocol's results raises its entry. Generation 2
 // of the Stage II protocols is core.MajorityRule's threshold decision;
-// generation 3 of async-selfsync is its Stage II on the tree.
-var samplers = map[string]int{ProtoBroadcast: 2, ProtoConsensus: 2, ProtoAsyncOffsets: 2,
-	ProtoAsyncSelfSync: 3, ProtoBroadcastNoBreathe: 2}
+// generation 3 of async-selfsync is its Stage II on the tree. The next
+// generation of all five (3, and 4 for async-selfsync) is Stage I on the
+// tree and the sparse cutover at one listed sender per 16 agents.
+var samplers = map[string]int{ProtoBroadcast: 3, ProtoConsensus: 3, ProtoAsyncOffsets: 3,
+	ProtoAsyncSelfSync: 4, ProtoBroadcastNoBreathe: 3}
 
 // Hash returns the content address of the run this request describes: a
 // hex SHA-256 over a fixed-order serialization of the canonical request.

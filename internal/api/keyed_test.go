@@ -70,9 +70,9 @@ func TestValidateRejectsUnknownSchedule(t *testing.T) {
 // names "keyed" explicitly — the preimage still reads kernel=auto and
 // schedule=keyed — so every stored cache entry, sweep checkpoint and
 // benchmark digest keeps its address. The value is the broadcast's
-// sampler-2 address: its preimage ends in "sampler=2".
+// sampler-3 address: its preimage ends in "sampler=3".
 func TestOmittedScheduleHashPinned(t *testing.T) {
-	const want = "2c401dd0ffcf3eb60ef8a9125119f462f13093c93629eb3ad7e11cf7fd08b3cc"
+	const want = "89a4d63e1692b3f44bb4cb55fce7a9d90819d9b08cc9fbbb085cde187abce299"
 	for _, r := range []RunRequest{
 		{N: 4096, Seed: 7},
 		{N: 4096, Seed: 7, Schedule: ScheduleKeyed},
@@ -89,10 +89,10 @@ func TestOmittedScheduleHashPinned(t *testing.T) {
 // TestKernelFieldHashPinned pins the content address of {"n":1024,"seed":7}:
 // naming kernel auto and schedule keyed keeps the address, and naming the
 // retired per-agent kernel is an error that names auto. The value is the
-// broadcast's sampler-2 address: the preimage it had before the kernel
-// field lost its second value, plus a "sampler=2" line.
+// broadcast's sampler-3 address: the preimage it had before the kernel
+// field lost its second value, plus a "sampler=3" line.
 func TestKernelFieldHashPinned(t *testing.T) {
-	const want = "41ad61efc5ac7ecfc7328ff48374298e443dea7a327e1fad33fee2a26b537ef1"
+	const want = "0699598a1b40f15778d268d3c1f2897cab620ecf45a66aec2be18f145dbb6513"
 	for _, body := range []string{
 		`{"n":1024,"seed":7}`,
 		`{"n":1024,"seed":7,"kernel":"auto","schedule":"keyed"}`,
@@ -142,23 +142,28 @@ func runResponseBytes(t *testing.T, req RunRequest, perAgent bool) []byte {
 // identityScenarios are the scenario classes of the keyed identity
 // matrices (TestKeyedCrossKernelResponseBytes and
 // TestTelemetryByteIdentityMatrix). The baselines run capped: identity
-// needs many rounds of every regime, not the whole schedule.
+// needs many rounds of every regime, not the whole schedule. A scenario
+// with sharded set must run sharded tree rounds, so the matrices' worker
+// counts compare them.
 var identityScenarios = []struct {
-	name string
-	req  RunRequest
+	name    string
+	req     RunRequest
+	sharded bool
 }{
-	// Large enough that dense rounds run sharded (49152 ≥ shardMinN).
-	{"broadcast-sharded", RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 220}},
-	{"consensus", RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
-	{"async-offsets", RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
-	{"async-selfsync", RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}},
-	{"crash-plan", RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 15, CrashProb: 0.1}},
-	{"drop-no-self", RunRequest{Protocol: ProtoBroadcast, N: 4096, Seed: 16, NoSelfMessages: true, DropProb: 0.05}},
-	{"broadcast-no-breathe", RunRequest{Protocol: ProtoBroadcastNoBreathe, N: 4096, Seed: 17}},
-	{"immediate-forward", RunRequest{Protocol: ProtoImmediateForward, N: 4096, Seed: 18, MaxRounds: 300}},
-	{"voter", RunRequest{Protocol: ProtoVoter, N: 4096, Seed: 19, MaxRounds: 300, DropProb: 0.05}},
-	{"two-choice-no-self", RunRequest{Protocol: ProtoTwoChoice, N: 4096, Seed: 20, MaxRounds: 300, NoSelfMessages: true}},
-	{"silent-wait-crash", RunRequest{Protocol: ProtoSilentWait, N: 4096, Seed: 21, CrashProb: 0.1}},
+	// Large enough that tree rounds run sharded (49152 ≥ shardMinN); its
+	// first sharded round is 381, so the cap takes 39 of them along with
+	// the scatter and sparse rounds before.
+	{name: "broadcast-sharded", req: RunRequest{Protocol: ProtoBroadcast, N: 49152, Seed: 11, MaxRounds: 420}, sharded: true},
+	{name: "consensus", req: RunRequest{Protocol: ProtoConsensus, N: 8192, Seed: 12, ABias: 0.2}},
+	{name: "async-offsets", req: RunRequest{Protocol: ProtoAsyncOffsets, N: 8192, Seed: 13, MaxRounds: 400}},
+	{name: "async-selfsync", req: RunRequest{Protocol: ProtoAsyncSelfSync, N: 8192, Seed: 14, MaxRounds: 400}},
+	{name: "crash-plan", req: RunRequest{Protocol: ProtoBroadcast, N: 8192, Seed: 15, CrashProb: 0.1}},
+	{name: "drop-no-self", req: RunRequest{Protocol: ProtoBroadcast, N: 4096, Seed: 16, NoSelfMessages: true, DropProb: 0.05}},
+	{name: "broadcast-no-breathe", req: RunRequest{Protocol: ProtoBroadcastNoBreathe, N: 4096, Seed: 17}},
+	{name: "immediate-forward", req: RunRequest{Protocol: ProtoImmediateForward, N: 4096, Seed: 18, MaxRounds: 300}},
+	{name: "voter", req: RunRequest{Protocol: ProtoVoter, N: 4096, Seed: 19, MaxRounds: 300, DropProb: 0.05}},
+	{name: "two-choice-no-self", req: RunRequest{Protocol: ProtoTwoChoice, N: 4096, Seed: 20, MaxRounds: 300, NoSelfMessages: true}},
+	{name: "silent-wait-crash", req: RunRequest{Protocol: ProtoSilentWait, N: 4096, Seed: 21, CrashProb: 0.1}},
 }
 
 // TestKeyedCrossKernelResponseBytes is the end-to-end acceptance suite:
@@ -170,6 +175,15 @@ func TestKeyedCrossKernelResponseBytes(t *testing.T) {
 	for _, sc := range identityScenarios {
 		sc.req.Schedule = ScheduleKeyed
 		want := runResponseBytes(t, sc.req, false)
+		if sc.sharded {
+			var resp RunResponse
+			if err := json.Unmarshal(want, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Paths.Sharded == 0 {
+				t.Errorf("%s: no sharded rounds (paths %+v)", sc.name, resp.Paths)
+			}
+		}
 		for _, perAgent := range []bool{false, true} {
 			for _, shards := range []int{1, 2, 8} {
 				r := sc.req

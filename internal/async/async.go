@@ -77,10 +77,6 @@ type Protocol struct {
 	// sigma is the attribution shift: global send window of phase k is
 	// [localStart_k + sigma, localStart_{k+1} + sigma).
 	sigma int
-	// recvRound and recvPhase cache phaseOfGlobal for the round Receive
-	// last attributed (recvRound −1 for none), so a round's receptions
-	// share one binary search.
-	recvRound, recvPhase int
 	// totalRounds caps the execution.
 	totalRounds int
 
@@ -107,7 +103,6 @@ type Protocol struct {
 	base    []int
 	hasBase []bool
 
-	activated  []bool
 	levelPos   []int32 // schedule position of the activation phase; −1 = pre-activated
 	hasOpinion []bool
 	opinion    []channel.Bit
@@ -273,7 +268,6 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	p.drawKey = key
 	p.base = make([]int, n)
 	p.hasBase = make([]bool, n)
-	p.activated = make([]bool, n)
 	p.levelPos = make([]int32, n)
 	p.hasOpinion = make([]bool, n)
 	p.opinion = make([]channel.Bit, n)
@@ -282,7 +276,6 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 
 	if p.consensus {
 		for a := 0; a < p.correctA+p.wrongA; a++ {
-			p.activated[a] = true
 			p.levelPos[a] = -1
 			p.hasOpinion[a] = true
 			if a < p.correctA {
@@ -293,14 +286,12 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 		}
 	} else {
 		// The source.
-		p.activated[0] = true
 		p.levelPos[0] = -1
 		p.hasOpinion[0] = true
 		p.opinion[0] = p.target
 	}
 
 	p.resetBulk()
-	p.recvRound = -1
 	switch p.mode {
 	case ModeKnownOffsets:
 		cell := p.drawKey.Cell(rng.StreamOffsets, 0)
@@ -422,32 +413,18 @@ func (p *Protocol) firstContact(a, g int) {
 	p.classAdd(a)
 }
 
-// Receive implements sim.Protocol: one accepted delivery, attributed to
-// the phase whose send window holds global round g.
+// Receive implements sim.Protocol: one accepted delivery. A ModeSelfSync
+// agent without a clock takes it as its first contact; otherwise a
+// message arriving before phase 0's send window is prelude traffic, and
+// every later one is counted, acc[a] += bit<<32 | 1, for the phase whose
+// send window holds global round g. finalizeStageI reads Stage I
+// activation off the counter.
 func (p *Protocol) Receive(a int, bit channel.Bit, g int) {
 	if p.mode == ModeSelfSync && !p.hasBase[a] {
 		p.firstContact(a, g)
 		return
 	}
-	if g != p.recvRound {
-		p.recvRound, p.recvPhase = g, p.phaseOfGlobal(g)
-	}
-	k := p.recvPhase
-	if k < 0 {
-		return // prelude traffic or dead gap
-	}
-	switch p.phases[k].ref.Stage {
-	case core.StageI:
-		if !p.activated[a] {
-			p.activated[a] = true
-			p.levelPos[a] = int32(k)
-			p.acc[a] = uint64(bit)<<32 | 1
-			return
-		}
-		if p.levelPos[a] == int32(k) && !p.hasOpinion[a] {
-			p.acc[a] += uint64(bit)<<32 + 1
-		}
-	case core.StageII:
+	if g-p.sigma >= p.phases[0].localStart { // phaseOfGlobal(g) ≥ 0
 		p.acc[a] += uint64(bit)<<32 + 1
 	}
 }
@@ -484,28 +461,32 @@ func (p *Protocol) EndRound(g int) {
 	}
 }
 
+// finalizeStageI ends Stage I phase k: an agent without an opinion that
+// counted receptions in the phase was activated in it, and takes a
+// message chosen uniformly at random among them. Every acc word is
+// zeroed, which discards what opinionated agents counted, so Stage II
+// starts from zero counters.
 func (p *Protocol) finalizeStageI(k int) {
 	p.sendersGen++ // opinions change below: invalidate cached sender lists
 	// Each phase position finalizes exactly once, so a StreamSchedule cell
 	// indexed by k and addressed by agent id is collision-free.
 	cell := p.drawKey.Cell(rng.StreamSchedule, uint64(k))
 	for a := 0; a < p.n; a++ {
-		if !p.activated[a] || p.hasOpinion[a] || p.levelPos[a] != int32(k) {
+		w := p.acc[a]
+		if w == 0 {
 			continue
 		}
-		if cell.Uint64n(uint64(a), p.acc[a]&accTotalMask) < p.acc[a]>>32 {
+		p.acc[a] = 0
+		if p.hasOpinion[a] {
+			continue
+		}
+		p.levelPos[a] = int32(k)
+		if cell.Uint64n(uint64(a), w&accTotalMask) < w>>32 {
 			p.opinion[a] = channel.One
 		} else {
 			p.opinion[a] = channel.Zero
 		}
 		p.hasOpinion[a] = true
-		p.acc[a] = 0
-	}
-	// Clear stale counters before Stage II begins.
-	if k+1 < len(p.phases) && p.phases[k+1].ref.Stage == core.StageII {
-		for a := 0; a < p.n; a++ {
-			p.acc[a] = 0
-		}
 	}
 }
 

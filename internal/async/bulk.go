@@ -32,23 +32,25 @@ import (
 // a member at first contact, which invalidates that class's cache. Rounds
 // therefore cost O(#classes + senders) instead of Θ(n).
 //
-// Reception is counting in every round whose attribution phase is Stage
-// II, so those rounds may take the engine's tree: Accumulators hands over
-// the packed acc array and the engine adds each accepted bit straight
-// into it; every other round delivers through Receive. ModeKnownOffsets
-// has no first contacts: every clock runs from Setup. ModeSelfSync has
-// one exception to counting, a reception at an agent without a clock,
-// which starts the clock instead. Under the Flip model a receiver accepts
-// at most one message per round and a clockless agent's acc word is
-// always 0, so after a tree round a nonzero acc word at a clockless agent
-// is exactly one first contact; EndRound folds it (acc back to 0, the
-// clock started) before any phase finalization, in ascending agent order,
-// so the state equals that of one Receive per message in ascending
-// receiver order (tree_test.go holds the two to it). The fold scans the
-// agents still without a clock, so a self-sync round accumulates only
-// when they are no more than the round's listed senders: the fold then
-// costs no more than the round's own sender work. A heavily crashed run,
-// whose crashed agents never get a clock, keeps its Stage II on Receive.
+// Reception is counting, acc[a] += bit<<32 | 1, in every round after
+// the prelude, Stage I included (finalizeStageI reads activation off the
+// counter), so those rounds may take the engine's tree: Accumulators
+// hands over the packed acc array and the engine adds each accepted bit
+// straight into it; prelude rounds deliver through Receive.
+// ModeKnownOffsets has no first contacts: every clock runs from Setup.
+// ModeSelfSync has one exception to counting, a reception at an agent
+// without a clock, which starts the clock instead. Under the Flip model a
+// receiver accepts at most one message per round and a clockless agent's
+// acc word is always 0, so after a tree round a nonzero acc word at a
+// clockless agent is exactly one first contact; EndRound folds it (acc
+// back to 0, the clock started) before any phase finalization, in
+// ascending agent order, so the state equals that of one Receive per
+// message in ascending receiver order (tree_test.go holds the two to
+// it). The fold scans the agents still without a clock, so a self-sync
+// round accumulates only when they are no more than the round's listed
+// senders: the fold then costs no more than the round's own sender work.
+// A heavily crashed run, whose crashed agents never get a clock, keeps
+// its rounds on Receive.
 
 // offsetClass groups the agents sharing one clock base. All members read
 // the same local clock, so the class as a whole is inside or outside any
@@ -162,22 +164,20 @@ func (p *Protocol) rebuildClassSenders(c *offsetClass, k int) {
 	c.cachedGen = p.sendersGen
 }
 
-// Accumulators implements sim.Protocol: a round whose attribution phase
-// is Stage II is counting, acc[a] += bit<<32 | 1, regardless of the
-// receiver's activation state, so the engine may add its receptions
-// straight into acc; every other round delivers through Receive. While
-// some ModeSelfSync agent has no clock, a round additionally needs those
-// agents to number no more than the round's listed senders (see the file
-// comment), and handing over acc arms EndRound's first-contact fold for
-// round g. Both counts come from protocol state alone, so the answer does
-// not depend on how the senders were collected. In Stage II rounds the
-// engine's sharded workers add into disjoint ranges of acc concurrently,
-// meeting at a barrier before EndRound — the clock machinery, the fold
-// included, never runs inside those rounds, so no synchronization is
-// needed.
+// Accumulators implements sim.Protocol: every round after the prelude is
+// counting, acc[a] += bit<<32 | 1, in Stage I and Stage II alike (see
+// Receive), so the engine may add its receptions straight into acc;
+// prelude rounds deliver through Receive. While some ModeSelfSync agent
+// has no clock, a round additionally needs those agents to number no
+// more than the round's listed senders (see the file comment), and
+// handing over acc arms EndRound's first-contact fold for round g. Both
+// counts come from protocol state alone, so the answer does not depend on
+// how the senders were collected. The engine's sharded workers add into
+// disjoint ranges of acc concurrently, meeting at a barrier before
+// EndRound — the clock machinery, the fold included, never runs inside a
+// round, so no synchronization is needed.
 func (p *Protocol) Accumulators(g int) []uint64 {
-	k := p.phaseOfGlobal(g)
-	if k < 0 || p.phases[k].ref.Stage != core.StageII {
+	if p.phaseOfGlobal(g) < 0 {
 		return nil
 	}
 	if clockless := p.n - p.preludeDone; p.mode == ModeSelfSync && clockless > 0 {

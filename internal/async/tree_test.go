@@ -11,53 +11,149 @@ import (
 	"breathe/internal/sim"
 )
 
-// TestFoldMatchesReceive is the exact gate for self-sync Stage II on the
-// engine's tree: two copies of one self-sync protocol run in lockstep on
-// a minimal Flip-model round loop (uniform recipients, self-messages
-// allowed, accept-one per receiver, noise), and every round both take
-// the same accepted (receiver, bit) list in ascending receiver order.
-// Copy A always takes it as one Receive per message, the per-agent
+// TestFoldMatchesReceive is the exact gate for self-sync on the engine's
+// tree: two copies of one self-sync protocol run in lockstep on a minimal
+// Flip-model round loop (uniform recipients, self-messages allowed,
+// accept-one per receiver, noise), and every round both take the same
+// accepted (receiver, bit) list in ascending receiver order. Copy A
+// always takes it as one Receive per message, the per-agent
 // specification; copy B, whenever its Accumulators answer hands over an
 // array, as the engine's tree does: one acc[a] += bit<<32 | 1 per
 // reception, then EndRound's first-contact fold. After every round the
 // two must hold identical protocol state.
 //
 // A few agents are cut off until a round of their own inside Stage II,
-// so Stage II rounds carry first contacts at clockless receivers, phase
-// finalization rounds among them; the crashed case adds agents that
-// never get a clock at all.
+// so Stage I and Stage II rounds carry first contacts at clockless
+// receivers, phase finalization rounds among them; the crashed case adds
+// agents that never get a clock at all, which outnumber Stage I's senders
+// and so keep its Stage I rounds on Receive.
 func TestFoldMatchesReceive(t *testing.T) {
 	const n = 2048
 	for _, tc := range []struct {
-		name  string
-		crash float64
-	}{{"crash-free", 0}, {"crashed-10%", 0.1}} {
+		name   string
+		crash  float64
+		stageI bool // Stage I rounds accumulate
+	}{{"crash-free", 0, true}, {"crashed-10%", 0.1, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			folded, declined, contacts := runFoldGate(t, n, tc.crash, 11)
-			if folded == 0 || declined == 0 || contacts == 0 {
-				t.Fatalf("gate saw %d accumulated and %d declined Stage II rounds and %d folded first contacts; want all > 0",
-					folded, declined, contacts)
+			c := runFoldGate(t, asyncBuilders(n)["selfsync"], n, tc.crash, 11)
+			if (c.foldedI > 0) != tc.stageI || c.foldedII == 0 || c.declined == 0 || c.contacts == 0 {
+				t.Fatalf("gate saw %d accumulated Stage I and %d Stage II rounds, %d declined rounds after the prelude and %d folded first contacts; want Stage I rounds %v and the rest > 0",
+					c.foldedI, c.foldedII, c.declined, c.contacts, tc.stageI)
 			}
 		})
 	}
 }
 
-// runFoldGate runs the lockstep comparison and returns how many rounds
-// copy B accumulated, how many Stage II rounds it declined (too many
-// clockless agents for the round's senders) and how many first contacts
-// its folds made.
-func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, declined, contacts int) {
+// TestCountingMatchesFirstContactRule is the exact gate for Stage I's one
+// reception rule, counting, against the rule it replaced, which
+// firstContactRule keeps: both run in lockstep (inside runFoldGate) on
+// the same accepted (receiver, bit) lists over whole schedules, and must
+// agree on every clock, opinion and sender list after every round, and
+// on every activation phase and counter after every phase finalization.
+func TestCountingMatchesFirstContactRule(t *testing.T) {
+	const n = 2048
+	builders := asyncBuilders(n)
+	for _, name := range []string{"offsets", "consensus", "selfsync"} {
+		t.Run(name, func(t *testing.T) {
+			c := runFoldGate(t, builders[name], n, 0, 12)
+			if c.foldedI == 0 || c.finalizedI == 0 {
+				t.Fatalf("gate saw %d accumulated Stage I rounds and %d Stage I finalizations; want both > 0",
+					c.foldedI, c.finalizedI)
+			}
+		})
+	}
+}
+
+// firstContactRule is a protocol run under the Stage I reception rule
+// that counting replaced: an agent is activated by its first Stage I
+// reception, collects only while its activation phase is the current one
+// and it holds no opinion, and opinionated agents ignore Stage I
+// receptions. Every other round runs the wrapped protocol's own code.
+type firstContactRule struct {
+	*Protocol
+	activated []bool
+}
+
+func (r *firstContactRule) Receive(a int, bit channel.Bit, g int) {
+	p := r.Protocol
+	if p.mode == ModeSelfSync && !p.hasBase[a] {
+		p.firstContact(a, g)
+		return
+	}
+	k := p.phaseOfGlobal(g)
+	if k < 0 || p.phases[k].ref.Stage != core.StageI {
+		p.Receive(a, bit, g)
+		return
+	}
+	if !r.activated[a] {
+		r.activated[a] = true
+		p.levelPos[a] = int32(k)
+		p.acc[a] = uint64(bit)<<32 | 1
+		return
+	}
+	if p.levelPos[a] == int32(k) && !p.hasOpinion[a] {
+		p.acc[a] += uint64(bit)<<32 + 1
+	}
+}
+
+func (r *firstContactRule) EndRound(g int) {
+	p := r.Protocol
+	k := p.phaseOfGlobal(g)
+	windowEnd := p.totalRounds - 1
+	if k >= 0 && k+1 < len(p.phases) {
+		windowEnd = p.phases[k+1].localStart + p.sigma - 1
+	}
+	if k < 0 || p.phases[k].ref.Stage != core.StageI || g != windowEnd {
+		p.EndRound(g)
+		return
+	}
+	p.sendersGen++
+	cell := p.drawKey.Cell(rng.StreamSchedule, uint64(k)) //breathe:stream-ok the reference finalization stands in for the protocol's own: a run takes one or the other, and the gate compares the two on the same draws
+	for a := 0; a < p.n; a++ {
+		if !r.activated[a] || p.hasOpinion[a] || p.levelPos[a] != int32(k) {
+			continue
+		}
+		if cell.Uint64n(uint64(a), p.acc[a]&accTotalMask) < p.acc[a]>>32 {
+			p.opinion[a] = channel.One
+		} else {
+			p.opinion[a] = channel.Zero
+		}
+		p.hasOpinion[a] = true
+		p.acc[a] = 0
+	}
+	if k+1 < len(p.phases) && p.phases[k+1].ref.Stage == core.StageII {
+		clear(p.acc)
+	}
+}
+
+// foldGateCounts is what runFoldGate saw copy B do.
+type foldGateCounts struct {
+	foldedI, foldedII int // rounds accumulated, by attribution stage
+	declined          int // rounds after the prelude delivered through Receive
+	contacts          int // first contacts made by folds
+	finalizedI        int // Stage I phase finalizations
+}
+
+// runFoldGate runs three copies of one protocol in lockstep on the same
+// accepted lists: A takes every message as one Receive, B takes the
+// engine's route (the accumulator array and EndRound's fold whenever
+// Accumulators offers it), and O runs firstContactRule on Receive. A and
+// B must hold identical state after every round; O and B after every
+// round up to the Stage I bookkeeping the two rules keep differently
+// mid-phase (levelPos and acc), and exactly after every finalization.
+func runFoldGate(t *testing.T, build func() (*Protocol, error), n int, crash float64, seed uint64) (c foldGateCounts) {
 	t.Helper()
-	params := core.DefaultParams(n, 0.3)
-	build := func() *Protocol {
-		p, err := NewSelfSync(params, channel.One, DefaultPrelude(n))
+	setup := func() *Protocol {
+		p, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Setup(n, rng.NewKey(seed))
 		return p
 	}
-	a, b := build(), build()
+	a, b := setup(), setup()
+	o := &firstContactRule{Protocol: setup()}
+	o.activated = slices.Clone(o.hasOpinion) // the source or the initial set
 
 	var r rng.RNG
 	r.Reseed(seed)
@@ -82,7 +178,8 @@ func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, decli
 	for g := 0; !a.Done(g); g++ {
 		zeros, ones := a.BulkSenders(g)
 		zb, ob := b.BulkSenders(g)
-		if !slices.Equal(zeros, zb) || !slices.Equal(ones, ob) {
+		zo, oo := o.BulkSenders(g)
+		if !slices.Equal(zeros, zb) || !slices.Equal(ones, ob) || !slices.Equal(zeros, zo) || !slices.Equal(ones, oo) {
 			t.Fatalf("round %d: the copies list different senders", g)
 		}
 		send := func(s int32, bit channel.Bit) {
@@ -120,8 +217,9 @@ func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, decli
 
 		for i, dst := range receivers {
 			a.Receive(int(dst), bits[i], g)
+			o.Receive(int(dst), bits[i], g)
 		}
-		before := b.preludeDone
+		before, gen := b.preludeDone, b.sendersGen
 		acc := b.Accumulators(g)
 		accumulated := acc != nil
 		for i, dst := range receivers {
@@ -133,34 +231,47 @@ func runFoldGate(t *testing.T, n int, crash float64, seed uint64) (folded, decli
 		}
 		a.EndRound(g)
 		b.EndRound(g)
-		if accumulated {
-			folded++
-			contacts += b.preludeDone - before
-		} else if k := a.phaseOfGlobal(g); k >= 0 && a.phases[k].ref.Stage == core.StageII {
-			declined++
+		o.EndRound(g)
+		k := a.phaseOfGlobal(g)
+		switch {
+		case accumulated && a.phases[k].ref.Stage == core.StageI:
+			c.foldedI++
+		case accumulated:
+			c.foldedII++
+		case k >= 0:
+			c.declined++
 		}
-		if diff := foldStateDiff(a, b); diff != "" {
+		if accumulated {
+			c.contacts += b.preludeDone - before
+		}
+		finalized := b.sendersGen != gen
+		if finalized && a.phases[k].ref.Stage == core.StageI {
+			c.finalizedI++
+		}
+		if diff := foldStateDiff(a, b, true); diff != "" {
 			t.Fatalf("round %d (accumulated %v): %s differs between Receive and the accumulator fold", g, accumulated, diff)
 		}
+		if diff := foldStateDiff(o.Protocol, b, finalized); diff != "" {
+			t.Fatalf("round %d (finalized %v): %s differs between the first-contact rule and counting", g, finalized, diff)
+		}
 	}
-	return folded, declined, contacts
+	return c
 }
 
 // foldStateDiff names the first piece of protocol state on which the two
-// copies differ, or returns "".
-func foldStateDiff(a, b *Protocol) string {
+// copies differ, or returns "". levelPos and acc are compared only when
+// counters is set.
+func foldStateDiff(a, b *Protocol, counters bool) string {
 	switch {
 	case !slices.Equal(a.base, b.base):
 		return "base"
 	case !slices.Equal(a.hasBase, b.hasBase):
 		return "hasBase"
-	case !slices.Equal(a.acc, b.acc):
+	case counters && !slices.Equal(a.acc, b.acc):
 		return "acc"
 	case a.preludeDone != b.preludeDone:
 		return "preludeDone"
-	case !slices.Equal(a.activated, b.activated):
-		return "activated"
-	case !slices.Equal(a.levelPos, b.levelPos):
+	case counters && !slices.Equal(a.levelPos, b.levelPos):
 		return "levelPos"
 	case !slices.Equal(a.hasOpinion, b.hasOpinion):
 		return "hasOpinion"

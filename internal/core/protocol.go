@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"breathe/internal/channel"
@@ -39,14 +40,13 @@ type Protocol struct {
 	// the scenario, independent of kernel and execution order.
 	drawKey rng.Key
 
-	activated  []bool
-	level      []int32 // Stage I phase in which the agent was activated
+	level      []int32 // Stage I phase in which the agent was activated, or notActivated
 	opinion    []channel.Bit
 	hasOpinion []bool
 	// acc packs the per-phase reception counters of each agent as
 	// ones<<32 | total. The single-word layout is shared with the tree's
 	// accumulator delivery (sim.Protocol.Accumulators), which adds
-	// bit<<32 | 1 per accepted message exactly like a Stage II Receive.
+	// bit<<32 | 1 per accepted message exactly like Receive.
 	acc []uint64
 
 	// Maintained sender index: the sender set and the bits sent are
@@ -71,6 +71,9 @@ type Protocol struct {
 
 	telem Telemetry
 }
+
+// notActivated is the level of an agent no Stage I phase has reached.
+const notActivated = math.MaxInt32
 
 // preActivatedLevel marks agents (the source, or the consensus set A) that
 // already hold an opinion when their first scheduled phase begins. The
@@ -160,8 +163,10 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	}
 	p.n = n
 	p.drawKey = key
-	p.activated = resize(p.activated, n)
 	p.level = resize(p.level, n)
+	for a := range p.level {
+		p.level[a] = notActivated
+	}
 	p.opinion = resize(p.opinion, n)
 	p.hasOpinion = resize(p.hasOpinion, n)
 	p.acc = resize(p.acc, n)
@@ -173,7 +178,6 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 	pre := p.preActivatedLevel()
 	if p.consensus {
 		for a := 0; a < p.correctA+p.wrongA; a++ {
-			p.activated[a] = true
 			p.level[a] = pre
 			p.hasOpinion[a] = true
 			if a < p.correctA {
@@ -184,7 +188,6 @@ func (p *Protocol) Setup(n int, key rng.Key) {
 			p.indexAdd(a)
 		}
 	} else {
-		p.activated[0] = true
 		p.level[0] = pre
 		p.hasOpinion[0] = true
 		p.opinion[0] = p.target
@@ -253,47 +256,47 @@ func (p *Protocol) Send(a, round int) (channel.Bit, bool) {
 }
 
 // Receive implements sim.Protocol: one accepted delivery, for the phase
-// round belongs to.
+// round belongs to. Reception is counting, acc[a] += bit<<32 | 1, in
+// every phase: an agent reached during a Stage I phase is one that
+// counted something in it, and endStageIPhase reads activation off the
+// counter. Only the ablations keep rules of their own (see ablated).
 func (p *Protocol) Receive(a int, bit channel.Bit, round int) {
 	p.ensurePhase(round)
-	if !p.curOK {
-		return
-	}
-	switch p.curRef.Stage {
-	case StageI:
-		cur := int32(p.curRef.Index)
-		if !p.activated[a] {
-			p.activated[a] = true
-			p.level[a] = cur
-			p.acc[a] = uint64(bit)<<32 | 1
-			if p.variant.NoBreathe {
-				// Ablation: adopt the first message immediately and start
-				// forwarding from the next round.
-				p.opinion[a] = bit
-				p.hasOpinion[a] = true
-				p.indexAdd(a)
-				p.idxUnsorted = true
-			}
-			return
-		}
-		if p.level[a] == cur && !p.hasOpinion[a] && !p.variant.FirstMessage {
-			// Collecting messages during its activation phase. The
-			// FirstMessage variant keeps only the activating message.
-			p.acc[a] += uint64(bit)<<32 + 1
-		}
-		// Already-opinionated agents ignore Stage I receptions.
-	case StageII:
-		if p.variant.PrefixSubset {
-			// Remark 2.10 alternative: only the first g samples form the
-			// majority subset; later ones still count toward success.
-			if int(p.acc[a]&accTotalMask) < p.subsetSize() {
-				p.acc[a] += uint64(bit) << 32
-			}
-			p.acc[a]++
-			return
-		}
+	switch {
+	case !p.curOK:
+	case !p.ablated():
 		p.acc[a] += uint64(bit)<<32 + 1
+	case p.curRef.Stage == StageII:
+		// PrefixSubset (Remark 2.10 alternative): only the first g samples
+		// form the majority subset; later ones still count toward success.
+		if int(p.acc[a]&accTotalMask) < p.subsetSize() {
+			p.acc[a] += uint64(bit) << 32
+		}
+		p.acc[a]++
+	case p.variant.NoBreathe:
+		// Adopt the first message immediately and start forwarding from the
+		// next round.
+		if !p.hasOpinion[a] {
+			p.level[a] = int32(p.curRef.Index)
+			p.opinion[a] = bit
+			p.hasOpinion[a] = true
+			p.indexAdd(a)
+			p.idxUnsorted = true
+		}
+	case p.acc[a] == 0:
+		// FirstMessage keeps only the phase's first message.
+		p.acc[a] = uint64(bit)<<32 | 1
 	}
+}
+
+// ablated reports whether the cached round's receptions follow an
+// ablation's rule rather than counting: NoBreathe's and FirstMessage's
+// Stage I rounds and PrefixSubset's Stage II rounds.
+func (p *Protocol) ablated() bool {
+	if p.curRef.Stage == StageI {
+		return p.variant.NoBreathe || p.variant.FirstMessage
+	}
+	return p.variant.PrefixSubset
 }
 
 // accTotalMask extracts the received-messages counter from an acc word.
@@ -317,11 +320,14 @@ func (p *Protocol) EndRound(round int) {
 	}
 }
 
-// endStageIPhase gives every agent activated during the ending phase its
-// initial opinion: a message chosen uniformly at random among those it
-// received this phase. With (ones, total) counters this is a
-// Bernoulli(ones/total) draw — identical in law (Remark 2.1 notes the
-// choice is order-invariant, which this form makes structural).
+// endStageIPhase gives every agent reached during the ending phase its
+// initial opinion. An agent without an opinion that counted receptions
+// this phase was activated in it, at level cur; its opinion is a message
+// chosen uniformly at random among those it received. With (ones, total)
+// counters this is a Bernoulli(ones/total) draw — identical in law
+// (Remark 2.1 notes the choice is order-invariant, which this form makes
+// structural). Every acc word is zeroed, which discards what opinionated
+// agents counted.
 func (p *Protocol) endStageIPhase(round int) {
 	cur := int32(p.curRef.Index)
 	cell := p.drawKey.Cell(rng.StreamSchedule, uint64(round))
@@ -332,25 +338,25 @@ func (p *Protocol) endStageIPhase(round int) {
 	// maintenance costs no extra scan and the lists stay sorted.
 	p.idxZeros, p.idxOnes = p.idxZeros[:0], p.idxOnes[:0]
 	for a := 0; a < p.n; a++ {
-		if p.activated[a] && p.level[a] == cur {
+		if w := p.acc[a]; w != 0 {
+			p.acc[a] = 0
 			if !p.hasOpinion[a] {
-				u := cell.Uint64n(uint64(a), p.acc[a]&accTotalMask)
-				var bit channel.Bit
-				if u < p.acc[a]>>32 {
-					bit = channel.One
+				p.level[a] = cur
+				if cell.Uint64n(uint64(a), w&accTotalMask) < w>>32 {
+					p.opinion[a] = channel.One
 				} else {
-					bit = channel.Zero
+					p.opinion[a] = channel.Zero
 				}
-				p.opinion[a] = bit
 				p.hasOpinion[a] = true
 			}
-			// NoBreathe agents already committed at activation; they are
-			// still counted as this phase's layer.
+		}
+		if p.level[a] == cur {
+			// NoBreathe agents committed at activation; they are still
+			// counted as this phase's layer.
 			newly++
 			if p.opinion[a] == p.target {
 				correct++
 			}
-			p.acc[a] = 0
 		}
 		if p.hasOpinion[a] {
 			p.indexAdd(a)
@@ -371,12 +377,11 @@ func (p *Protocol) endStageIPhase(round int) {
 	})
 }
 
-// finishStageI records the Stage I summary and clears counters so Stage II
-// starts fresh.
+// finishStageI records the Stage I summary. Stage II starts with every
+// counter zero: the last endStageIPhase cleared them.
 func (p *Protocol) finishStageI() {
 	holding, correct := 0, 0
 	for a := 0; a < p.n; a++ {
-		p.acc[a] = 0
 		if p.hasOpinion[a] {
 			holding++
 			if p.opinion[a] == p.target {

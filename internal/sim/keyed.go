@@ -29,7 +29,7 @@ package sim
 // per bucket) with three bucket executors, and the round is counted under
 // the one that ran it: dense sweeps every bucket serially, sharded sweeps
 // them on the workers, and sparse — a round whose sender lists are short
-// (k listed senders, k·64 < n) — walks only the occupied buckets'
+// (k listed senders, k·16 < n) — walks only the occupied buckets'
 // touched slots, in O(k + messages) instead of Θ(n) (see sparse.go).
 //
 // Every protocol is collected in bulk, through BulkSenders. A Send scan
@@ -243,11 +243,12 @@ func (e *Engine) stepKeyed(p Protocol) (reg telemetry.Regime) {
 }
 
 // treeRegime counts a tree round under the executor that runs it: sparse
-// when the round listed few senders (listed·64 < n, counted before the
-// crash filter), sharded when n ≥ shardMinN and the round carries at
-// least shardMinMessages live messages m, dense otherwise. The choice is
-// a pure function of (n, listed, m), so path counters agree byte-for-byte
-// across worker counts and collection mechanisms.
+// when the round listed few senders (listed·sparseRegimeCutover < n,
+// counted before the crash filter), sharded when n ≥ shardMinN and the
+// round carries at least shardMinMessages live messages m, dense
+// otherwise. The choice is a pure function of (n, listed, m), so path
+// counters agree byte-for-byte across worker counts and collection
+// mechanisms.
 func (e *Engine) treeRegime(listed, m int) telemetry.Regime {
 	if int64(listed)*sparseRegimeCutover < int64(e.cfg.N) {
 		e.paths.Sparse++

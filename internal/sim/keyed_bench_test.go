@@ -118,40 +118,65 @@ func BenchmarkKeyedTreeRound(b *testing.B) {
 
 // BenchmarkKeyedSparseRound measures one sparse-walker round at n = 2^18
 // with 2000 live senders (self-messages on, so the round is tree-eligible
-// and k·64 < n makes it sparse), without crashes and with 95% of the
-// agents crashed — the senders are drawn from the survivors, so most
-// arrivals land on crashed receivers and the walker's compaction drops
-// them. The walker=off leg runs the same rounds on the serial sweep, so
-// the ratio of the two legs is the walker's saving. One op is one round.
+// and k·sparseRegimeCutover < n makes it sparse), without crashes and
+// with 95% of the agents crashed — the senders are drawn from the
+// survivors, so most arrivals land on crashed receivers and the walker's
+// compaction drops them. The walker=off leg runs the same rounds on the
+// serial sweep, so the ratio of the two legs is the walker's saving. The
+// crossover legs do the same crash-free at n = 2^14 and 2^18 with
+// k = n/64, n/32 and n/16 − 1 senders (the last the widest round the
+// cutover makes sparse): where walker=on stays ahead of walker=off, the
+// cutover may sit at that ratio. One op is one round.
 func BenchmarkKeyedSparseRound(b *testing.B) {
-	const n, k = 1 << 18, 2000
 	for _, crash := range []float64{0, 0.95} {
-		for _, walker := range []string{"on", "off"} {
-			b.Run(fmt.Sprintf("crash=%g/walker=%s", crash, walker), func(b *testing.B) {
-				cfg := Config{
-					N: n, Channel: channel.NewBSC(0.2), Seed: 1,
-					AllowSelfMessages: true, MaxRounds: 1 << 30,
-				}
-				p := &sparseChatter{rounds: b.N, k: k}
-				if crash > 0 {
-					plan := NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
-					cfg.Failures = plan
-					p.avoid = plan
-				}
-				e, err := NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				keyedWalkerOff = walker == "off"
-				defer func() { keyedWalkerOff = false }()
-				b.ReportAllocs()
-				b.ResetTimer()
-				res := e.Run(p)
-				b.StopTimer()
-				if res.Paths.Sparse != int64(b.N) {
-					b.Fatalf("%d of %d rounds sparse", res.Paths.Sparse, b.N)
-				}
+		for _, walker := range []bool{true, false} {
+			b.Run(fmt.Sprintf("crash=%g/walker=%s", crash, onOff(walker)), func(b *testing.B) {
+				benchSparseRound(b, 1<<18, 2000, crash, walker)
 			})
 		}
+	}
+	for _, n := range []int{1 << 14, 1 << 18} {
+		for _, k := range []int{n / 64, n / 32, n/16 - 1} {
+			for _, walker := range []bool{true, false} {
+				b.Run(fmt.Sprintf("crossover/n=%d/k=%d/walker=%s", n, k, onOff(walker)), func(b *testing.B) {
+					benchSparseRound(b, n, k, 0, walker)
+				})
+			}
+		}
+	}
+}
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
+}
+
+// benchSparseRound runs b.N sparse rounds of k senders at population n,
+// with the given share of the agents crashed, on the walker or the sweep.
+func benchSparseRound(b *testing.B, n, k int, crash float64, walker bool) {
+	cfg := Config{
+		N: n, Channel: channel.NewBSC(0.2), Seed: 1,
+		AllowSelfMessages: true, MaxRounds: 1 << 30,
+	}
+	p := &sparseChatter{rounds: b.N, k: k}
+	if crash > 0 {
+		plan := NewRandomCrashes(n, crash, 0, rng.NewKey(1), 0)
+		cfg.Failures = plan
+		p.avoid = plan
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keyedWalkerOff = !walker
+	defer func() { keyedWalkerOff = false }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	res := e.Run(p)
+	b.StopTimer()
+	if res.Paths.Sparse != int64(b.N) {
+		b.Fatalf("%d of %d rounds sparse", res.Paths.Sparse, b.N)
 	}
 }

@@ -183,7 +183,7 @@ func TestKeyedGoldenTreeCrash(t *testing.T) {
 				t.Errorf("no sharded tree rounds: %+v", res.Paths)
 			}
 		},
-		want: "dc8f683091eea057a2342597b35c6a8e9d53c77933287f5b9e4cd4ca7667b0b1",
+		want: "be8cd7902caf07c10990064324f2a6e8c3a1acb43fc3f9a7437b96da96cfd4f5",
 	}
 	for _, shards := range []int{1, 2} {
 		tc.cfg.Shards = shards
@@ -215,7 +215,9 @@ func TestKeyedGoldenSparseCrash(t *testing.T) {
 
 // TestKeyedGoldenAsyncSelfSyncCrash pins async self-sync with 10% of the
 // agents down: its prelude and Stage I on the scatter through the crash
-// filter, its Stage II on the dense tree with the first-contact fold.
+// filter (the crashed agents never get a clock, and outnumber Stage I's
+// listed senders, so Accumulators declines), its Stage II on the dense
+// tree with the first-contact fold.
 func TestKeyedGoldenAsyncSelfSyncCrash(t *testing.T) {
 	const n = 1 << 13
 	params := core.DefaultParams(n, 0.3)
@@ -260,7 +262,7 @@ func TestKeyedGoldenStageII(t *testing.T) {
 		opinions [2]int
 		want     string
 	}{
-		{"stage2-tree", true, [2]int{1588, 18412}, "c91e878f194b059a104b2637e3d2cbbeb1ee2393d13a63c309cad8e14229e674"},
+		{"stage2-tree", true, [2]int{1599, 18399}, "78e2b1b9f6cf487396821b66d59d36b2caf8309812332537ccb8565053fa69bc"},
 		{"stage2-scatter", false, [2]int{1273, 18726}, "132b21c16984737dc6098a7dc495b09e0a5c4a35f17c1cec28a8b01f876ba9e9"},
 	} {
 		runKeyedGolden(t, keyedGoldenCase{

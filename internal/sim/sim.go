@@ -58,18 +58,20 @@ type Protocol interface {
 	// BulkSenders call; the engine does not mutate them.
 	BulkSenders(round int) (zeros, ones []int32)
 	// Accumulators answers where the receptions of a round go: the
-	// per-agent packed reception counters (ones in the high 32 bits,
-	// total in the low 32) when one Receive(a, bit, round) is equivalent
-	// to acc[a] += bit<<32 | 1 — reception is pure counting, or has only
-	// side effects that EndRound recovers from the round's counts — and
-	// nil to have every accepted message delivered through Receive. The
-	// tree regime requires an array. The engine asks once per round that
-	// may take the tree (self-messages allowed, enough live messages),
-	// before any delivery, so an answer may arm EndRound work. In
-	// parallel tree rounds the engine's workers write disjoint bucket
-	// ranges of the array concurrently (agent a is only ever touched by
-	// the worker resolving a's bucket), so no protocol synchronization is
-	// needed.
+	// per-agent packed reception counters (ones in the high 32 bits, total
+	// in the low 32) when one Receive(a, bit, round) is equivalent to
+	// acc[a] += bit<<32 | 1, and nil to have every accepted message
+	// delivered through Receive. Counting is the paper protocols' one
+	// reception rule in both stages: a Stage I agent reached during a phase
+	// is one whose counter is nonzero at the phase's end, and side effects
+	// that EndRound recovers from the round's counts (a self-sync first
+	// contact) keep a round eligible. The tree regime requires an array.
+	// The engine asks once per round that may take the tree (self-messages
+	// allowed, enough live messages), before any delivery, so an answer may
+	// arm EndRound work. In parallel tree rounds the engine's workers write
+	// disjoint bucket ranges of the array concurrently (agent a is only
+	// ever touched by the worker resolving a's bucket), so no protocol
+	// synchronization is needed.
 	Accumulators(round int) []uint64
 	// EndRound is called after all deliveries of round. Phase-boundary
 	// opinion updates happen here.
@@ -197,11 +199,11 @@ type PathRounds struct {
 	// Sharded counts tree rounds large enough (n ≥ shardMinN and at least
 	// shardMinMessages messages) to sweep their buckets in parallel.
 	Sharded int64 `json:"sharded,omitempty"`
-	// Sparse counts tree-eligible rounds whose sender lists are short
-	// (k listed senders, before the crash filter, with k·64 < n); the
-	// sparse walker executes them. Like every other counter it depends on neither Shards nor on
-	// whether the senders were collected in bulk or through Send
-	// (simtest.PerAgent).
+	// Sparse counts tree rounds whose sender lists are short (k listed
+	// senders, before the crash filter, with k·16 < n); the sparse walker
+	// executes them. Like every other counter it depends on neither
+	// Shards nor on whether the senders were collected in bulk or through
+	// Send (simtest.PerAgent).
 	Sparse int64 `json:"sparse,omitempty"`
 }
 

@@ -6,7 +6,7 @@ package sim
 // every slot of every bucket is resolved. That floor is invisible at full
 // blast and dominant in sparse-activity rounds: early rumor spreading,
 // phase tails, crash-thinned populations. When the round's sender lists
-// are short against n (k listed senders, k·64 < n), keyedTree runs the
+// are short against n (k listed senders, k·16 < n), keyedTree runs the
 // same round — the same drop thinning and split chain (treeSplit), the
 // same bucket frame (keyedBucket) — but hands the buckets to the walker,
 // which touches only what the round actually uses:
@@ -36,9 +36,12 @@ package sim
 
 // sparseRegimeCutover is the fixed k-vs-n ratio of the sparse regime: a
 // tree-eligible round is sparse when its k listed senders satisfy
-// k·64 < n, i.e. under one sender per 64 agents the sweep visits ≥ 64
-// slots per live message and the walker wins by a wide margin.
-const sparseRegimeCutover = 64
+// k·16 < n, i.e. under one sender per 16 agents the sweep visits ≥ 16
+// slots per live message, while the walker visits only the slots the
+// placements hit. BenchmarkKeyedSparseRound's crossover legs time both
+// at k = n/64, n/32 and n/16 − 1: the walker wins all three at n = 2¹⁴,
+// and at n = 2¹⁸ wins up to n/32 and loses the last by about 15%.
+const sparseRegimeCutover = 16
 
 // keyedWalkerOff is a test hook: when set, sparse rounds execute on the
 // serial sweep instead of the walker. Results must be identical either

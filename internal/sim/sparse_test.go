@@ -72,8 +72,9 @@ func (c *sparseChatter) BulkSenders(round int) ([]int32, []int32) {
 }
 func (c *sparseChatter) Accumulators(int) []uint64 { return c.acc }
 
-// sparseCfg is the shared scenario: k·64 < n with m ≥ denseMinMessages,
-// so keyed dense rounds are sparse and the walker executes them.
+// sparseCfg is the shared scenario: k·sparseRegimeCutover < n with
+// m ≥ denseMinMessages, so keyed dense rounds are sparse and the walker
+// executes them.
 func sparseCfg() Config {
 	return Config{
 		N: 65536, Channel: channel.FromEpsilon(0.3), Seed: 21,
@@ -81,7 +82,7 @@ func sparseCfg() Config {
 	}
 }
 
-const sparseTestK = 300 // 300·64 = 19200 < 65536, and 300 ≥ denseMinMessages
+const sparseTestK = 300 // 300·16 = 4800 < 65536, and 300 ≥ denseMinMessages
 
 func runSparse(t *testing.T, cfg Config) (Result, *sparseChatter) {
 	t.Helper()
@@ -228,14 +229,18 @@ func TestSparseWithFixedCrashPlan(t *testing.T) {
 }
 
 // TestSparseRegimeBoundary pins the fixed predicate at its exact
-// boundary: k listed senders with k·64 < n is sparse, k·64 == n is not.
+// boundary, stated from sparseRegimeCutover: k listed senders with
+// k·sparseRegimeCutover < n is sparse, k·sparseRegimeCutover == n is not.
 func TestSparseRegimeBoundary(t *testing.T) {
+	const n = 65536
+	edge := n / sparseRegimeCutover // edge·sparseRegimeCutover == n
 	for _, tc := range []struct {
 		n, k   int
 		sparse bool
 	}{
-		{65536, 1023, true},  // 1023·64 < 65536
-		{65536, 1024, false}, // 1024·64 == 65536: not sparse
+		{n, edge - 1, true}, // (edge−1)·sparseRegimeCutover < n
+		{n, edge, false},    // edge·sparseRegimeCutover == n: not sparse
+		{n + 1, edge, true}, // edge·sparseRegimeCutover < n+1
 	} {
 		cfg := sparseCfg()
 		cfg.N = tc.n

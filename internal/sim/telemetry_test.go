@@ -49,9 +49,9 @@ func TestTelemetryInert(t *testing.T) {
 		MaxRounds:         params.StageIRounds() + 40,
 	}
 	perAgent := func() sim.Protocol { return simtest.PerAgent(factory()) }
-	// A tree round needs m ≥ 256 and a sparse one k·64 < n, so n = 4096
+	// A tree round needs m ≥ 256 and a sparse one k·16 < n, so n = 4096
 	// never reaches the walker; 95% crashes at n = 2¹⁷ keep the listed
-	// senders below n/64 through Stage II.
+	// senders below n/16 through Stage II.
 	const nThin = 1 << 17
 	thinFactory, _ := broadcast(nThin)
 	thin := sim.Config{

@@ -58,14 +58,14 @@ func regimeRows() []regimeRow {
 		{"broadcast, n = 2¹⁵ (sharded tree)", sim.Config{N: 1 << 15, Channel: bsc, AllowSelfMessages: true},
 			regimeBroadcast(1<<15, core.Variant{})},
 		{"broadcast (dense tree)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true}, broadcast},
-		{"broadcast, Stage I only (scatter)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true, MaxRounds: params.StageIRounds()}, broadcast},
+		{"broadcast, Stage I only (scatter: under 256 messages a round)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true, MaxRounds: params.StageIRounds()}, broadcast},
 		{"broadcast, no self-messages (scatter)", sim.Config{N: n, Channel: bsc}, broadcast},
 		{"broadcast, 5% drops", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true, DropProb: 0.05}, broadcast},
 		{"broadcast, 10% crashed", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true,
 			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, broadcast},
 		{"broadcast, 96% crashed, n = 2¹⁵ (sparse)", sim.Config{N: 1 << 15, Channel: bsc, AllowSelfMessages: true,
 			Failures: sim.NewRandomCrashes(1<<15, 0.96, 0, rng.NewKey(1), 0)}, regimeBroadcast(1<<15, core.Variant{})},
-		{"consensus", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true}, func(t *testing.T) sim.Protocol {
+		{"consensus (Stage I on the tree)", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true}, func(t *testing.T) sim.Protocol {
 			sizeA := 4 * params.BetaS
 			p, err := core.NewConsensus(params, channel.One, sizeA*3/4, sizeA-sizeA*3/4)
 			if err != nil {
@@ -80,6 +80,14 @@ func regimeRows() []regimeRow {
 			}
 			return p
 		}},
+		{"async self-sync, n = 2¹⁴ (Stage I on the walker)", sim.Config{N: 1 << 14, Channel: bsc, AllowSelfMessages: true},
+			func(t *testing.T) sim.Protocol {
+				p, err := async.NewSelfSync(core.DefaultParams(1<<14, 0.3), channel.One, async.DefaultPrelude(1<<14))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}},
 		{"async self-sync (§3.2), 10% crashed", sim.Config{N: n, Channel: bsc, AllowSelfMessages: true,
 			Failures: sim.NewRandomCrashes(n, 0.1, 0, rng.NewKey(1), 0)}, selfSync},
 		{"async self-sync, no self-messages, 10% crashed (scatter)", sim.Config{N: n, Channel: bsc,
